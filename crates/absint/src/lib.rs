@@ -20,9 +20,9 @@
 //! termination backstop (see [`IntervalAnalysis::solve`]).
 //!
 //! The analysis only *reads* an [`ExprPool`](dtaint_symex::pool::ExprPool)
-//! — every query is a pure function of the pool's interned nodes, which
-//! is what keeps results bit-identical when it runs inside the
-//! stratum-parallel DDG build.
+//! — every query is a pure function of the pool's interned nodes, so
+//! its verdicts inside the DDG build depend only on the expressions it
+//! is given.
 //!
 //! # Examples
 //!

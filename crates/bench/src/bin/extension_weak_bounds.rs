@@ -21,7 +21,7 @@
 //! ```
 
 use dtaint_bench::render_table;
-use dtaint_core::{Dtaint, DtaintConfig};
+use dtaint_core::{BoundsMode, Dtaint, DtaintConfig};
 use dtaint_emu::{validate, AttackConfig, Verdict};
 use dtaint_fwbin::Arch;
 use dtaint_fwgen::compile;
@@ -38,9 +38,8 @@ fn build(kind: PlantKind, sanitized: bool) -> dtaint_fwbin::Binary {
     compile(&spec, Arch::Arm32e).unwrap()
 }
 
-fn verdict(bin: &dtaint_fwbin::Binary, strict: bool, interval: bool) -> &'static str {
-    let config =
-        DtaintConfig { strict_bounds: strict, interval_guards: interval, ..Default::default() };
+fn verdict(bin: &dtaint_fwbin::Binary, bounds: BoundsMode) -> &'static str {
+    let config = DtaintConfig { bounds, ..Default::default() };
     let r = Dtaint::with_config(config).analyze(bin, "wb").unwrap();
     if r.vulnerabilities() > 0 {
         "FLAGGED"
@@ -67,9 +66,9 @@ fn main() {
     let mut rows = Vec::new();
     for &(label, kind, sanitized) in cases {
         let bin = build(kind, sanitized);
-        let paper = verdict(&bin, false, false);
-        let strict = verdict(&bin, true, false);
-        let interval = verdict(&bin, false, true);
+        let paper = verdict(&bin, BoundsMode::Paper);
+        let strict = verdict(&bin, BoundsMode::Strict);
+        let interval = verdict(&bin, BoundsMode::Interval);
         let attack = AttackConfig { overflow_len: 1000, input_frames: 2, ..Default::default() };
         let dynamic = match validate(&bin, "main", &attack) {
             Verdict::MemoryCorruption(f) => format!("crash: {f}"),

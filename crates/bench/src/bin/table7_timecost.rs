@@ -24,11 +24,9 @@ use std::time::Instant;
 fn main() {
     let depth: usize =
         std::env::var("DTAINT_BASELINE_DEPTH").ok().and_then(|v| v.parse().ok()).unwrap_or(8);
-    let sweep_threads: usize =
-        std::env::var("DTAINT_THREADS").ok().and_then(|v| v.parse().ok()).unwrap_or(4);
     println!("Table VII: time cost, baseline (angr-style) vs DTaint");
     println!(
-        "(scale factor {}, baseline context depth {depth} — raise DTAINT_BASELINE_DEPTH to widen the gap; parallel DDG column at DTAINT_THREADS={sweep_threads})",
+        "(scale factor {}, baseline context depth {depth} — raise DTAINT_BASELINE_DEPTH to widen the gap)",
         dtaint_bench::scale()
     );
     println!();
@@ -66,24 +64,10 @@ fn main() {
             .collect();
         let dt_ssa = t.elapsed();
 
-        // DTaint DDG: bottom-up propagation, sequential and at the
-        // sweep thread count (DTAINT_THREADS, default 4) — the parallel
-        // run is a separate build over cloned inputs so both points
-        // measure the identical workload.
+        // DTaint DDG: one bottom-up propagation pass.
         let t = Instant::now();
-        let df = build_dataflow(
-            &fw.binary,
-            &mut cg.clone(),
-            summaries.clone(),
-            pool.clone(),
-            &DataflowConfig::default(),
-        );
+        let df = build_dataflow(&fw.binary, &mut cg, summaries, pool, &DataflowConfig::default());
         let dt_ddg = t.elapsed();
-
-        let par_config = DataflowConfig { threads: sweep_threads, ..Default::default() };
-        let t = Instant::now();
-        let _ = build_dataflow(&fw.binary, &mut cg, summaries, pool, &par_config);
-        let dt_ddg_par = t.elapsed();
 
         rows.push(vec![
             profile.binary_name.to_owned(),
@@ -91,7 +75,6 @@ fn main() {
             format!("{:.3}", base_ddg.as_secs_f64()),
             format!("{:.3}", dt_ssa.as_secs_f64()),
             format!("{:.3}", dt_ddg.as_secs_f64()),
-            format!("{:.3}", dt_ddg_par.as_secs_f64()),
             format!("{:.1}x", base_ddg.as_secs_f64() / dt_ddg.as_secs_f64().max(1e-9)),
             format!("{} ctx / {} fns", base.contexts_analyzed, df.order.len()),
         ]);
@@ -105,7 +88,6 @@ fn main() {
                 "Baseline DDG (s)",
                 "DTaint SSA (s)",
                 "DTaint DDG (s)",
-                "DTaint DDG par (s)",
                 "DDG speedup",
                 "Re-analysis"
             ],

@@ -50,7 +50,7 @@
 //! every subcommand is unit-testable; `main.rs` is a thin wrapper.
 
 use dtaint_core::{
-    AliasMode, AnalysisReport, CacheFormat, CacheRef, Dtaint, DtaintConfig, Finding, SummaryCache,
+    AliasMode, AnalysisReport, BoundsMode, CacheRef, Dtaint, DtaintConfig, Finding, SummaryCache,
 };
 use dtaint_emu::{poison_all_rodata_names, validate as emu_validate, AttackConfig, Verdict};
 use dtaint_fwbin::{disasm, Binary};
@@ -121,6 +121,9 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<i32, String> {
     let mut it = args.iter();
     let cmd = it.next().ok_or_else(|| USAGE.to_owned())?;
     let rest: Vec<String> = it.cloned().collect();
+    if let Some(last) = rest.last().filter(|a| VALUE_FLAGS.contains(&a.as_str())) {
+        return Err(format!("{cmd}: {last} expects a value\n{USAGE}"));
+    }
     match cmd.as_str() {
         "scan" => cmd_scan(&rest, out),
         "explain" => cmd_explain(&rest, out),
@@ -164,45 +167,42 @@ fn parse_alias_mode(rest: &[String], cmd: &str) -> Result<Option<AliasMode>, Str
     }
 }
 
+/// Flags that take a value (the next argument).
+const VALUE_FLAGS: &[&str] = &[
+    "--out",
+    "--filter",
+    "--n",
+    "--seed",
+    "--threads",
+    "--corrupt",
+    "--trace-out",
+    "--trace-chrome",
+    "--metrics-out",
+    "--sarif-out",
+    "--finding",
+    "--store",
+    "--jobs",
+    "--alias",
+    "--deadline-secs",
+    "--status-out",
+    "--prom-out",
+    "--drill-io",
+    "--drill-stall",
+    "--audit-out",
+    "--audit-dir",
+    "--sink",
+    "--fn",
+];
+
+/// The non-flag arguments, skipping each value flag's value.
 fn positional(rest: &[String]) -> Vec<&String> {
     let mut out = Vec::new();
-    let mut skip = false;
-    for (i, a) in rest.iter().enumerate() {
-        if skip {
-            skip = false;
-            continue;
-        }
+    let mut args = rest.iter();
+    while let Some(a) = args.next() {
         if a.starts_with("--") {
-            // Flags with values.
-            if matches!(
-                a.as_str(),
-                "--out"
-                    | "--filter"
-                    | "--n"
-                    | "--seed"
-                    | "--threads"
-                    | "--corrupt"
-                    | "--trace-out"
-                    | "--trace-chrome"
-                    | "--metrics-out"
-                    | "--sarif-out"
-                    | "--finding"
-                    | "--store"
-                    | "--jobs"
-                    | "--alias"
-                    | "--deadline-secs"
-                    | "--status-out"
-                    | "--prom-out"
-                    | "--drill-io"
-                    | "--drill-stall"
-                    | "--audit-out"
-                    | "--audit-dir"
-                    | "--sink"
-                    | "--fn"
-            ) {
-                skip = true;
+            if VALUE_FLAGS.contains(&a.as_str()) {
+                args.next();
             }
-            let _ = i;
             continue;
         }
         out.push(a);
@@ -235,7 +235,8 @@ fn cmd_scan(rest: &[String], out: &mut dyn Write) -> Result<i32, String> {
         Some(v) => v.parse().map_err(|_| "scan: --threads expects a number".to_owned())?,
         None => 0,
     };
-    let interval_guards = has_flag(rest, "--interval-guards");
+    let bounds =
+        if has_flag(rest, "--interval-guards") { BoundsMode::Interval } else { BoundsMode::Paper };
     let alias_mode = parse_alias_mode(rest, "scan")?;
     let fail_fast = has_flag(rest, "--fail-fast");
     if fail_fast && has_flag(rest, "--keep-going") {
@@ -250,7 +251,7 @@ fn cmd_scan(rest: &[String], out: &mut dyn Write) -> Result<i32, String> {
     let mut config = DtaintConfig {
         function_filter: filter,
         threads,
-        interval_guards,
+        bounds,
         fail_fast,
         audit: audit_out.is_some(),
         ..Default::default()
@@ -299,7 +300,7 @@ fn cmd_scan(rest: &[String], out: &mut dyn Write) -> Result<i32, String> {
                     t.lift_cfg, t.ssa, t.ddg, t.ddg_alias, t.ddg_indirect, t.ddg_propagate, t.detect,
                 ),
             )?;
-            if interval_guards {
+            if bounds == BoundsMode::Interval {
                 write_out(
                     out,
                     &format!(
@@ -1136,29 +1137,19 @@ fn cmd_batch(rest: &[String], out: &mut dyn Write) -> Result<i32, String> {
 
     // The summary cache persists in the store across runs; `--no-cache`
     // scans cold and leaves the persisted cache untouched. Damaged
-    // cache files are salvaged entry-by-entry; legacy DTC1 files are
-    // upgraded in place.
+    // cache files are salvaged entry-by-entry; unrecognized ones are a
+    // cold start.
     let (cache, cache_report) = if no_cache {
         (None, None)
     } else {
         let (c, rep) = SummaryCache::load_with_report(&store.cache_path());
         (Some(std::sync::Arc::new(c)), Some(rep))
     };
-    if let (Some(c), Some(rep)) = (&cache, &cache_report) {
-        if rep.damaged {
-            log::warn(&format!(
-                "batch: summary cache was damaged; salvaged {} entries, discarded {}",
-                rep.salvaged, rep.discarded
-            ));
-        }
-        if rep.format == CacheFormat::Dtc1 {
-            dtaint_store::atomic_write(store.fs(), &store.cache_path(), &c.to_bytes())
-                .map_err(|e| format!("batch: upgrade {}: {e}", store.cache_path().display()))?;
-            log::info(&format!(
-                "batch: upgraded the summary cache to DTC2 in place ({} entries)",
-                rep.entries
-            ));
-        }
+    if let Some(rep) = cache_report.filter(|r| r.damaged) {
+        log::warn(&format!(
+            "batch: summary cache was damaged; salvaged {} entries, discarded {}",
+            rep.salvaged, rep.discarded
+        ));
     }
 
     // Resume bookkeeping. The semantic-config tag fences journal reuse:
@@ -2203,6 +2194,27 @@ mod tests {
         assert_eq!(body(&seq), body(&par));
         let (code, _) = run_captured(&["scan", &p, "--threads", "zero"]);
         assert!(code.is_err());
+    }
+
+    #[test]
+    fn trailing_value_flag_is_a_usage_error() {
+        let p = small_image_path();
+        let dir = tmpdir().join("trailing-flag");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::copy(&p, dir.join("a.fwi")).unwrap();
+        let d = dir.to_string_lossy().into_owned();
+        for args in [
+            vec!["scan", p.as_str(), "--threads"],
+            vec!["scan", p.as_str(), "--json", "--trace-out"],
+            vec!["batch", d.as_str(), "--jobs"],
+            vec!["batch", d.as_str(), "--threads"],
+        ] {
+            let (code, out) = run_captured(&args);
+            let err = code.expect_err(&format!("{args:?} must fail"));
+            assert!(err.contains("expects a value"), "{args:?}: {err}");
+            assert!(out.is_empty(), "{args:?} must not scan: {out}");
+        }
+        assert!(!dir.join(".dtaint-store").exists(), "batch never opened its store");
     }
 
     #[test]

@@ -32,17 +32,12 @@ pub struct DtaintConfig {
     pub sources: HashSet<String>,
     /// Worker threads for the per-function analysis (0 = all cores).
     pub threads: usize,
-    /// Enable the strict-bounds extension: constant length guards must
-    /// fit the destination's stack capacity to count as sanitisation
-    /// (see [`crate::taint::detect_with`]).
-    pub strict_bounds: bool,
-    /// Enable the interval abstract-interpretation extension
-    /// ([`crate::taint::BoundsMode::Interval`]): path constraints are
-    /// evaluated over an interval domain, so symbolic guards are judged
-    /// against the destination capacity and contradictory (infeasible)
-    /// paths are suppressed during both propagation and detection.
-    /// Subsumes `strict_bounds`.
-    pub interval_guards: bool,
+    /// How bounding guards are judged ([`taint::BoundsMode`]): the
+    /// paper's syntactic check (the default), the strict-bounds
+    /// extension (constant guards must fit the destination's stack
+    /// capacity), or interval abstract interpretation, which also
+    /// suppresses contradictory (infeasible) paths during propagation.
+    pub bounds: taint::BoundsMode,
     /// When set, only functions whose name passes the filter are
     /// analyzed — the paper does this for the large Uniview/Hikvision
     /// images ("we manually extract 430 functions that are used to
@@ -76,8 +71,7 @@ impl Default for DtaintConfig {
             dataflow: DataflowConfig { sink_names: default_sink_names(), ..Default::default() },
             sources: default_sources(),
             threads: 0,
-            strict_bounds: false,
-            interval_guards: false,
+            bounds: taint::BoundsMode::Paper,
             function_filter: None,
             fail_fast: false,
             cache: None,
@@ -254,13 +248,10 @@ impl Dtaint {
         tel.record("ssa", "stage", stage_t0, BTreeMap::new());
 
         // Stage 3: alias + layout similarity + bottom-up propagation.
-        // The propagation walk shares the session thread count with the
-        // symbolic stage; results are identical for every value.
         let stage_t0 = tel.start();
         let t = Instant::now();
         let mut df_config = self.config.dataflow.clone();
-        df_config.threads = self.effective_threads(cfgs.len());
-        df_config.interval_guards |= self.config.interval_guards;
+        df_config.interval_guards = self.config.bounds == taint::BoundsMode::Interval;
         df_config.audit = self.config.audit;
         df_config.trace = tel.is_enabled().then(|| TraceSpec { clock: tel.clock(), base_lane: 1 });
         // Quarantine every function with a non-Analyzed outcome so far
@@ -419,19 +410,12 @@ impl Dtaint {
         let t = Instant::now();
         let fn_names: HashMap<u32, String> =
             cfgs.iter().map(|c| (c.addr, c.name.clone())).collect();
-        let mode = if self.config.interval_guards {
-            taint::BoundsMode::Interval
-        } else if self.config.strict_bounds {
-            taint::BoundsMode::Strict
-        } else {
-            taint::BoundsMode::Paper
-        };
         let mut outcome = taint::detect_audit(
             &df,
             Some(bin),
             &self.config.sources,
             &fn_names,
-            mode,
+            self.config.bounds,
             self.config.audit,
         );
         // Insert-time dedup: detect_full already collapses same-path
@@ -649,10 +633,10 @@ impl Dtaint {
 
         // Root span last: it closes after everything it contains. The
         // pool size rides here rather than in the registry: the parallel
-        // merge translates only summary-reachable nodes into the master
-        // pool while the sequential path interns intermediates directly,
-        // so it is an allocation statistic, not a thread-invariant
-        // logical count.
+        // symex merge translates only summary-reachable nodes into the
+        // master pool while the sequential path interns intermediates
+        // directly, so it is an allocation statistic, not a
+        // thread-invariant logical count.
         let mut root_args = BTreeMap::new();
         root_args.insert("functions".to_owned(), cfgs.len() as u64);
         root_args.insert("findings".to_owned(), outcome.findings.len() as u64);
@@ -734,10 +718,29 @@ impl Dtaint {
             retried: 0,
             retry_time: Duration::ZERO,
         };
-        // One span per function, carrying its logical counters as args.
-        // Recording is a worker-local append guarded by the enabled
-        // flag, so the disabled path costs one branch per function.
-        let span = |buf: &mut TraceBuffer, c: &FunctionCfg, one: &SymexOne, t0: u64| {
+        // The per-function body, shared by both schedules: cache probe,
+        // symbolic execution on a miss, one span carrying the logical
+        // counters, then hit/miss bookkeeping and the store against the
+        // pool the summary lives in. Settling is order-independent (one
+        // key per function), and the canonical encoding is
+        // pool-independent, so a worker's store is byte-identical to a
+        // sequential one. Span recording is a local append guarded by the
+        // enabled flag, so the disabled path costs one branch.
+        let symex = self.config.symex;
+        let step = |c: &FunctionCfg, pool: &mut ExprPool, buf: &mut TraceBuffer| -> SymexOne {
+            let t0 = buf.start();
+            let key = cache.and_then(|cc| cc.key(bin, c));
+            let hit = match (cache, key) {
+                (Some(cc), Some(k)) => cc.probe(k, pool),
+                _ => None,
+            };
+            let was_hit = hit.is_some();
+            let one = match hit {
+                Some(summary) => {
+                    SymexOne { summary, record: None, retried: false, retry_time: Duration::ZERO }
+                }
+                None => symex_one(bin, c, pool, &symex),
+            };
             if buf.is_enabled() {
                 let mut args = BTreeMap::new();
                 args.insert("addr".to_owned(), u64::from(c.addr));
@@ -745,30 +748,15 @@ impl Dtaint {
                 args.insert("paths".to_owned(), u64::from(one.summary.paths_explored));
                 buf.record(&c.name, "symex_fn", t0, args);
             }
+            if let Some(cc) = cache {
+                cc.settle(pool, &one, key, was_hit);
+            }
+            one
         };
         if threads <= 1 || cfgs.len() < 8 {
             let mut buf = tel.buffer(1);
             for c in cfgs {
-                let t0 = buf.start();
-                let key = cache.and_then(|cc| cc.key(bin, c));
-                let hit = match (cache, key) {
-                    (Some(cc), Some(k)) => cc.probe(k, &mut stage.pool),
-                    _ => None,
-                };
-                let was_hit = hit.is_some();
-                let one = match hit {
-                    Some(summary) => SymexOne {
-                        summary,
-                        record: None,
-                        retried: false,
-                        retry_time: Duration::ZERO,
-                    },
-                    None => symex_one(bin, c, &mut stage.pool, &self.config.symex),
-                };
-                span(&mut buf, c, &one, t0);
-                if let Some(cc) = cache {
-                    cc.settle(&stage.pool, &one, key, was_hit);
-                }
+                let one = step(c, &mut stage.pool, &mut buf);
                 stage.absorb(one, None);
             }
             tel.absorb(buf.into_events());
@@ -777,58 +765,29 @@ impl Dtaint {
         let chunk = cfgs.len().div_ceil(threads);
         let clock = tel.clock();
         let on = tel.is_enabled();
-        type SymexItem = (SymexOne, Option<u64>, bool);
-        let parts: Vec<(Vec<SymexItem>, ExprPool, Vec<SpanEvent>)> =
+        let step = &step;
+        let parts: Vec<(Vec<SymexOne>, ExprPool, Vec<SpanEvent>)> =
             crossbeam::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for (widx, slice) in cfgs.chunks(chunk).enumerate() {
-                    let symex = self.config.symex;
-                    handles.push(scope.spawn(move |_| {
-                        let mut pool = ExprPool::new();
-                        let mut buf = TraceBuffer::new(clock, 1 + widx as u32, on);
-                        let out: Vec<SymexItem> = slice
-                            .iter()
-                            .map(|c| {
-                                let t0 = buf.start();
-                                // Cache probe in the private pool; local
-                                // summaries are unknown-free, so decoded
-                                // ids translate like any cold result.
-                                let key = cache.and_then(|cc| cc.key(bin, c));
-                                let hit = match (cache, key) {
-                                    (Some(cc), Some(k)) => cc.probe(k, &mut pool),
-                                    _ => None,
-                                };
-                                let was_hit = hit.is_some();
-                                let one = match hit {
-                                    Some(summary) => SymexOne {
-                                        summary,
-                                        record: None,
-                                        retried: false,
-                                        retry_time: Duration::ZERO,
-                                    },
-                                    None => symex_one(bin, c, &mut pool, &symex),
-                                };
-                                span(&mut buf, c, &one, t0);
-                                (one, key, was_hit)
-                            })
-                            .collect();
-                        (out, pool, buf.into_events())
-                    }));
-                }
+                let handles: Vec<_> = cfgs
+                    .chunks(chunk)
+                    .enumerate()
+                    .map(|(widx, slice)| {
+                        scope.spawn(move |_| {
+                            let mut pool = ExprPool::new();
+                            let mut buf = TraceBuffer::new(clock, 1 + widx as u32, on);
+                            let ones = slice.iter().map(|c| step(c, &mut pool, &mut buf)).collect();
+                            (ones, pool, buf.into_events())
+                        })
+                    })
+                    .collect();
                 handles.into_iter().map(|h| h.join().expect("symex worker panicked")).collect()
             })
             .expect("crossbeam scope");
-        // Absorbed in chunk (spawn) order, so the merged event stream is
-        // deterministic for a given thread count. Cache stats and stores
-        // settle here, master-side, for the same reason; the canonical
-        // encoding is pool-independent, so encoding from the worker's
-        // pool stores byte-identical blobs to a sequential run.
+        // Absorbed in chunk (spawn) order, so the merged event stream and
+        // the summary order are deterministic for a given thread count.
         for (ones, local, events) in parts {
             tel.absorb(events);
-            for (one, key, was_hit) in ones {
-                if let Some(cc) = cache {
-                    cc.settle(&local, &one, key, was_hit);
-                }
+            for one in ones {
                 stage.absorb(one, Some(&local));
             }
         }

@@ -247,15 +247,12 @@ pub struct StageTimings {
     /// DDG sub-stage: indirect-call resolution by layout similarity.
     #[serde(default)]
     pub ddg_indirect: Duration,
-    /// DDG sub-stage: bottom-up summary propagation (Algorithm 2) —
-    /// the part parallelised by [`DtaintConfig::threads`].
-    ///
-    /// [`DtaintConfig::threads`]: crate::DtaintConfig
+    /// DDG sub-stage: bottom-up summary propagation (Algorithm 2).
     #[serde(default)]
     pub ddg_propagate: Duration,
     /// Interval-solver time spent pruning infeasible observations during
-    /// propagation (interval-guards mode; zero otherwise). Summed across
-    /// workers, so it can exceed the wall-clock share of `ddg`.
+    /// propagation (interval-guards mode; zero otherwise). Wall time,
+    /// part of `ddg_propagate`.
     #[serde(default)]
     pub ddg_absint: Duration,
     /// Interval-solver time spent judging guards during detection
@@ -279,9 +276,10 @@ impl StageTimings {
     /// `tolerance`, to absorb timer granularity). Returns a description
     /// of the first violation, or `None` when the timings are coherent.
     ///
-    /// `ddg_absint` and `ssa_retry` are exempt: both are summed across
-    /// workers (CPU time), so they legitimately exceed their parent's
-    /// wall-clock share under parallelism.
+    /// `ssa_retry` is exempt: it is summed across symex workers (CPU
+    /// time), so it legitimately exceeds its parent's wall-clock share
+    /// under parallelism. `ddg_absint` is not checked separately: it is
+    /// part of `ddg_propagate`.
     pub fn consistency_error(&self, tolerance: Duration) -> Option<String> {
         let ddg_subs = self.ddg_alias + self.ddg_indirect + self.ddg_propagate;
         if ddg_subs > self.ddg + tolerance {

@@ -230,22 +230,6 @@ pub fn detect(
     detect_full(df, None, sources, fn_names, BoundsMode::Paper).findings
 }
 
-/// [`detect`] with the *strict bounds* extension: a bounding constraint
-/// sanitises a copy only when its constant actually fits the destination
-/// buffer's stack capacity — `if (n < 1024) memcpy(dst256, src, n)` stays
-/// a vulnerability. The capacity of a stack destination `sp0 - K` is the
-/// distance to the saved-return slot (`K - 8`); non-stack destinations
-/// fall back to the paper's syntactic check.
-pub fn detect_with(
-    df: &ProgramDataflow,
-    sources: &HashSet<String>,
-    fn_names: &HashMap<u32, String>,
-    strict_bounds: bool,
-) -> Vec<Finding> {
-    let mode = if strict_bounds { BoundsMode::Strict } else { BoundsMode::Paper };
-    detect_full(df, None, sources, fn_names, mode).findings
-}
-
 /// The full judgement with an explicit [`BoundsMode`] and, optionally,
 /// the binary (for global-destination capacities in interval mode).
 ///

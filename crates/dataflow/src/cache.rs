@@ -26,7 +26,7 @@
 //! never thread counts or trace settings, which are observationally
 //! irrelevant. Blobs are pool-free ([`dtaint_symex::encode`]); unknowns
 //! rehydrate through per-scan ownership tables, renumbered onto the
-//! destination pool exactly like a fork merge.
+//! destination pool in the order a cold run would create them.
 //!
 //! Functions whose symex stage reported any non-`Analyzed` outcome are
 //! listed in [`CacheRef::uncacheable`] and are never stored (their keys
@@ -109,10 +109,6 @@ pub struct SummaryCache {
 /// Magic bytes opening the current (`DTC2`) on-disk cache file.
 pub const CACHE_MAGIC: [u8; 4] = *b"DTC2";
 
-/// Magic bytes of the legacy `DTC1` format (no checksums; readable, but
-/// any damage discards the whole file).
-pub const CACHE_MAGIC_V1: [u8; 4] = *b"DTC1";
-
 /// Marker bytes opening every `DTC2` record — the resync anchor the
 /// salvaging parser scans for after a damaged record.
 pub const RECORD_MARKER: [u8; 2] = [0xD7, 0xC2];
@@ -124,9 +120,7 @@ pub enum CacheFormat {
     Missing,
     /// Current checksummed format.
     Dtc2,
-    /// Legacy PR-6 format (loads whole-file-or-nothing).
-    Dtc1,
-    /// Neither magic matched — cold start.
+    /// Not a `DTC2` file — a cold start.
     Unrecognized,
 }
 
@@ -280,32 +274,13 @@ impl SummaryCache {
 
     /// Deserialises cache bytes, salvaging what survives damage. `DTC2`
     /// bytes recover every record whose checksum holds (resyncing on the
-    /// record marker after damage); legacy `DTC1` bytes load
-    /// whole-file-or-nothing; anything else is a cold start. Never an
-    /// error: a cache is advisory.
+    /// record marker after damage); anything else is a cold start. Never
+    /// an error: a cache is advisory.
     pub fn from_bytes(bytes: &[u8]) -> (Self, CacheLoadReport) {
         let cache = Self::new();
         if bytes.get(..4) == Some(&CACHE_MAGIC) {
             let report = parse_dtc2(bytes, &mut cache.inner.lock().unwrap());
             return (cache, report);
-        }
-        if bytes.get(..4) == Some(&CACHE_MAGIC_V1) {
-            return match parse_dtc1(bytes) {
-                Some(inner) => {
-                    let entries = inner.sym.len() + inner.ddg.len();
-                    *cache.inner.lock().unwrap() = inner;
-                    (cache, CacheLoadReport::clean(CacheFormat::Dtc1, entries))
-                }
-                // Damaged DTC1 has no record boundaries to resync on:
-                // the whole file is discarded, salvage stays 0.
-                None => (
-                    cache,
-                    CacheLoadReport {
-                        damaged: true,
-                        ..CacheLoadReport::clean(CacheFormat::Dtc1, 0)
-                    },
-                ),
-            };
         }
         let format =
             if bytes.is_empty() { CacheFormat::Missing } else { CacheFormat::Unrecognized };
@@ -325,24 +300,6 @@ impl SummaryCache {
     /// Loads a cache saved by [`Self::save`], discarding the report.
     pub fn load(path: &Path) -> Self {
         Self::load_with_report(path).0
-    }
-
-    /// Serialises both levels in the legacy `DTC1` layout — only for
-    /// migration tests that need a genuine old-format file.
-    pub fn encode_dtc1(&self) -> Vec<u8> {
-        let g = self.inner.lock().unwrap();
-        let mut out = Vec::new();
-        out.extend_from_slice(&CACHE_MAGIC_V1);
-        for map in [&g.sym, &g.ddg] {
-            let sorted: BTreeMap<&u64, &Vec<u8>> = map.iter().collect();
-            out.extend_from_slice(&(sorted.len() as u32).to_le_bytes());
-            for (k, v) in sorted {
-                out.extend_from_slice(&k.to_le_bytes());
-                out.extend_from_slice(&(v.len() as u32).to_le_bytes());
-                out.extend_from_slice(v);
-            }
-        }
-        out
     }
 }
 
@@ -437,43 +394,6 @@ fn level_tag(level: Level) -> u8 {
         Level::Symex => 0,
         Level::Ddg => 1,
     }
-}
-
-/// Legacy whole-file-or-nothing `DTC1` parser, kept for migration.
-fn parse_dtc1(bytes: &[u8]) -> Option<Inner> {
-    let mut pos = 0usize;
-    if bytes.get(..4)? != CACHE_MAGIC_V1 {
-        return None;
-    }
-    pos += 4;
-    let mut maps: Vec<HashMap<u64, Vec<u8>>> = Vec::with_capacity(2);
-    for _ in 0..2 {
-        let n = get_u32(bytes, &mut pos)? as usize;
-        let mut map = HashMap::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            let key = get_u64(bytes, &mut pos)?;
-            let len = get_u32(bytes, &mut pos)? as usize;
-            let blob = bytes.get(pos..pos.checked_add(len)?)?.to_vec();
-            pos += len;
-            map.insert(key, blob);
-        }
-        maps.push(map);
-    }
-    let ddg = maps.pop()?;
-    let sym = maps.pop()?;
-    Some(Inner { sym, ddg, ..Inner::default() })
-}
-
-fn get_u32(b: &[u8], pos: &mut usize) -> Option<u32> {
-    let s = b.get(*pos..*pos + 4)?;
-    *pos += 4;
-    Some(u32::from_le_bytes(s.try_into().ok()?))
-}
-
-fn get_u64(b: &[u8], pos: &mut usize) -> Option<u64> {
-    let s = b.get(*pos..*pos + 8)?;
-    *pos += 8;
-    Some(u64::from_le_bytes(s.try_into().ok()?))
 }
 
 /// A scan's handle on the shared cache, carried inside the stage
@@ -966,28 +886,11 @@ mod tests {
     }
 
     #[test]
-    fn legacy_dtc1_loads_cleanly() {
-        let c = SummaryCache::new();
-        c.store(Level::Symex, "s", 1, vec![10, 11]);
-        c.store(Level::Ddg, "s", 2, vec![20]);
-        let v1 = c.encode_dtc1();
-        assert_eq!(&v1[..4], b"DTC1");
-        let (back, report) = SummaryCache::from_bytes(&v1);
-        assert_eq!(report, CacheLoadReport::clean(CacheFormat::Dtc1, 2));
-        assert_eq!(back.lookup_blob(Level::Symex, 1).as_deref(), Some(&[10u8, 11][..]));
-        assert_eq!(back.lookup_blob(Level::Ddg, 2).as_deref(), Some(&[20u8][..]));
-    }
-
-    #[test]
-    fn damaged_dtc1_is_a_cold_start_not_an_error() {
-        let c = SummaryCache::new();
-        c.store(Level::Symex, "s", 1, vec![10, 11]);
-        let v1 = c.encode_dtc1();
-        let (back, report) = SummaryCache::from_bytes(&v1[..v1.len() - 1]);
+    fn retired_dtc1_bytes_are_an_unrecognized_cold_start() {
+        let (back, report) = SummaryCache::from_bytes(b"DTC1\x01\x00\x00\x00");
         assert_eq!(back.totals().entries, 0);
+        assert_eq!(report.format, CacheFormat::Unrecognized);
         assert!(report.damaged);
-        assert_eq!(report.format, CacheFormat::Dtc1);
-        assert_eq!(report.salvaged, 0, "DTC1 has no record boundaries to salvage");
     }
 
     #[test]

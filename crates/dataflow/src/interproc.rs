@@ -21,20 +21,17 @@
 //! The output, [`ProgramDataflow`], is the data-dependency substrate the
 //! detector traverses backwards from sinks to sources.
 //!
-//! # Parallel construction
+//! # Order
 //!
-//! The bottom-up pass is stratified over the call graph's SCC
-//! condensation: stratum 0 holds functions whose every out-of-component
+//! The bottom-up pass walks the call graph's SCC condensation in
+//! strata: stratum 0 holds functions whose every out-of-component
 //! callee is already done (leaves), stratum *k* those whose callees all
-//! sit in strata < *k*. Functions within one stratum never read each
-//! other's summaries — distinct components at one level share no edge,
-//! and members of one recursive component treat each other as opaque —
-//! so a stratum can be summarised concurrently. Each worker forks the
-//! master [`ExprPool`] and works on a private copy; the merge re-interns
-//! every finished summary into the master in function-address order and
-//! renumbers worker-created unknowns onto the master's counter in
-//! creation order, which makes the result bit-identical to a
-//! single-threaded run regardless of thread count or scheduling.
+//! sit in strata < *k*. The pass is one sequential loop over the
+//! flattened strata (address order within a stratum) on the single
+//! shared [`ExprPool`], so every function sees all of its
+//! out-of-component callees finished, and members of one recursive
+//! component treat each other as opaque. Per-image parallelism lives in
+//! the symbolic stage and across images (`batch --jobs`), not here.
 
 use crate::cache::{self, CacheRef, Level};
 use crate::indirect::{resolve_indirect_calls, ResolvedCall};
@@ -45,11 +42,6 @@ use dtaint_symex::{CalleeRef, Constraint, DefPair, ExprId, FuncSummary};
 use dtaint_telemetry::{Clock, SpanEvent, TraceBuffer, TraceSpec};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::time::{Duration, Instant};
-
-/// Below this many functions, a stratum is summarised directly on the
-/// master pool: forking the pool and merging back costs more than the
-/// work it would spread out.
-const PAR_STRATUM_MIN: usize = 8;
 
 /// Switches for the pipeline stages (used by the ablation benches).
 #[derive(Debug, Clone)]
@@ -69,8 +61,9 @@ pub struct DataflowConfig {
     pub loop_copy_sinks: bool,
     /// Cap on sink observations carried per function (safety valve).
     pub max_sinks_per_fn: usize,
-    /// Worker threads for the bottom-up pass (1 = fully sequential).
-    /// Results are identical for every value.
+    /// Ignored: the bottom-up pass is sequential. Kept only because the
+    /// benchmark package still assigns it; the next benchmark change
+    /// removes it.
     pub threads: usize,
     /// Drop sink observations whose path constraints are contradictory
     /// (`n < 8 && n > 64`) during propagation, before they bubble to
@@ -94,10 +87,10 @@ pub struct DataflowConfig {
     pub panic_on: Option<u32>,
     /// When set, the propagation stage records one span per function
     /// into [`ProgramDataflow::trace_events`] against the given clock
-    /// epoch (worker *i* uses lane `base_lane + i`). Spans carry
-    /// wall-clock durations for trace export only — nothing analysed
-    /// downstream reads them, so `None` vs `Some` never changes
-    /// findings. `None` (the default) records nothing.
+    /// epoch, on lane `base_lane`. Spans carry wall-clock durations for
+    /// trace export only — nothing analysed downstream reads them, so
+    /// `None` vs `Some` never changes findings. `None` (the default)
+    /// records nothing.
     pub trace: Option<TraceSpec>,
     /// Incremental summary cache handle. When set, each function's final
     /// summary is looked up by content key before Algorithm 2's inner
@@ -146,12 +139,11 @@ pub struct DdgTimings {
     pub alias: Duration,
     /// Indirect-call resolution by layout similarity (§III-D).
     pub indirect: Duration,
-    /// The bottom-up propagation itself (Algorithm 2) — the stage the
-    /// `threads` knob parallelises.
+    /// The bottom-up propagation itself (Algorithm 2).
     pub propagate: Duration,
-    /// Interval feasibility pruning inside propagation (only non-zero
-    /// with [`DataflowConfig::interval_guards`]); summed across workers,
-    /// so this is CPU time, not wall-clock.
+    /// Wall time of the interval feasibility pruning inside propagation
+    /// (only non-zero with [`DataflowConfig::interval_guards`]); part of
+    /// [`Self::propagate`].
     pub absint: Duration,
 }
 
@@ -176,9 +168,8 @@ impl SinkKind {
 
 /// A sink observation the interval feasibility pruning dropped, with the
 /// winning contradictory constraint rendered — one decision-audit
-/// record. Collected only under [`DataflowConfig::audit`], in the same
-/// order the sequential propagation prunes (function address, then sink
-/// order), which the parallel merge reproduces exactly.
+/// record. Collected only under [`DataflowConfig::audit`], in the order
+/// the propagation prunes (processing order, then sink order).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PrunedSink {
     /// Sink kind name (`memcpy`, `loop-copy`, …).
@@ -194,7 +185,7 @@ pub struct PrunedSink {
     pub pruned_in_name: String,
     /// The contradictory constraint that proved the path infeasible,
     /// rendered structurally (`ret_0x40 > 64`) so it is identical across
-    /// thread counts and pool forks.
+    /// thread counts.
     pub constraint: String,
 }
 
@@ -250,7 +241,7 @@ pub struct FinalSummary {
 }
 
 /// Accumulator for the interval feasibility pruning performed during
-/// propagation (one per worker; summed at the merge barrier).
+/// propagation.
 #[derive(Debug, Clone, Copy, Default)]
 struct AbsintStats {
     time: Duration,
@@ -282,16 +273,16 @@ pub struct ProgramDataflow {
     /// [`FuncSummary::degraded`]. Sorted by address.
     pub alias_panics: Vec<u32>,
     /// Per-function propagation spans, recorded only when
-    /// [`DataflowConfig::trace`] is set (empty otherwise). Ordered by
-    /// stratum, then by worker, then by address within each worker's
-    /// chunk. Durations are wall-clock and must never feed findings.
+    /// [`DataflowConfig::trace`] is set (empty otherwise), in
+    /// [`Self::order`]. Durations are wall-clock and must never feed
+    /// findings.
     pub trace_events: Vec<SpanEvent>,
     /// Audit records for every observation the interval pruning dropped,
     /// recorded only under [`DataflowConfig::audit`] (empty otherwise).
-    /// Deterministically ordered (stratum, then address, then sink
-    /// order). Cache *hits* re-credit [`Self::pruned_infeasible`] from
-    /// the blob's count but carry no per-sink records — on a warm scan
-    /// this list covers only the functions analyzed cold.
+    /// Ordered by [`Self::order`], then sink order. Cache *hits*
+    /// re-credit [`Self::pruned_infeasible`] from the blob's count but
+    /// carry no per-sink records — on a warm scan this list covers only
+    /// the functions analyzed cold.
     pub pruned_sinks: Vec<PrunedSink>,
 }
 
@@ -464,280 +455,83 @@ pub fn build_dataflow(
         }
     }
 
-    // Stage 3: bottom-up propagation (Algorithm 2), stratified over the
-    // SCC condensation. Strata must be computed *after* indirect
-    // resolution, whose edges can deepen (or entangle) the order.
+    // Stage 3: bottom-up propagation (Algorithm 2) over the flattened
+    // SCC strata. Strata must be computed *after* indirect resolution,
+    // whose edges can deepen (or entangle) the order.
     let t = Instant::now();
-    let strata = callgraph.strata();
-    let order: Vec<u32> = strata.iter().flatten().copied().collect();
+    let order: Vec<u32> = callgraph.strata().into_iter().flatten().collect();
     let comp_of: HashMap<u32, usize> = callgraph
         .sccs()
         .into_iter()
         .enumerate()
         .flat_map(|(i, c)| c.into_iter().map(move |f| (f, i)))
         .collect();
-    let threads = config.threads.max(1);
     // Incremental-cache context: content hashes over the *post-alias*
     // local summaries (so Algorithm 1's rewrites are part of the key),
-    // computed while `by_addr` is still fully populated — the stratum
-    // loop below drains it.
+    // computed while `by_addr` is still fully populated — the loop below
+    // drains it.
     let mut cache_ctx = DdgCacheCtx::build(bin, config, &by_addr, callgraph);
     let mut finals: BTreeMap<u32, FinalSummary> = BTreeMap::new();
-    // Copy the trace spec out so worker closures capture a `Copy` value
-    // rather than borrowing `config` through the scope.
-    let trace = config.trace;
-    let mk_buf = |lane_off: u32| match trace {
-        Some(ts) => TraceBuffer::new(ts.clock, ts.base_lane + lane_off, true),
+    let mut buf = match config.trace {
+        Some(ts) => TraceBuffer::new(ts.clock, ts.base_lane, true),
         None => TraceBuffer::new(Clock::new(), 0, false),
     };
-    let mut trace_events: Vec<SpanEvent> = Vec::new();
     let mut pruned_sinks: Vec<PrunedSink> = Vec::new();
 
-    for stratum in &strata {
-        // Pull this stratum's work out in address order.
-        let work: Vec<(u32, FuncSummary)> =
-            stratum.iter().filter_map(|&f| by_addr.remove(&f).map(|s| (f, s))).collect();
-        if work.is_empty() {
-            continue;
-        }
-
+    for &faddr in &order {
+        let Some(summary) = by_addr.remove(&faddr) else { continue };
+        let t0 = buf.start();
         // Final scan keys compose bottom-up: a function's key folds its
         // own content hash with the keys of its out-of-component callees,
-        // all of which live in earlier strata and are already keyed.
-        // Computed before dispatch so parallel workers read a frozen map.
+        // all of which come earlier in `order` and are already keyed.
+        let key = cache_ctx.as_mut().and_then(|ctx| {
+            let key = ctx.key_for(faddr, &summary, &comp_of, &resolution);
+            ctx.final_keys.insert(faddr, key);
+            key
+        });
+        let before_unknowns = pool.next_unknown_index();
+        let pruned_before = absint.pruned;
+        let mut hit: Option<(FinalSummary, u32)> = None;
+        if let (Some(ctx), Some(k)) = (cache_ctx.as_ref(), key) {
+            if let Some(blob) = ctx.cref.cache.lookup_blob(Level::Ddg, k) {
+                hit = ctx.rehydrate(&blob, faddr, &mut pool);
+            }
+        }
+        let was_hit = hit.is_some();
+        let fs = match hit {
+            Some((fs, blob_pruned)) => {
+                // Re-credit the pruning the cold run performed so
+                // `pruned_infeasible` matches a cold scan exactly.
+                absint.pruned += blob_pruned as usize;
+                fs
+            }
+            None => process_function_caught(
+                bin,
+                faddr,
+                summary,
+                &finals,
+                &comp_of,
+                &resolution,
+                &globals,
+                &mut pool,
+                config,
+                &mut absint,
+                &mut pruned_sinks,
+            ),
+        };
+        if buf.is_enabled() {
+            let mut args = BTreeMap::new();
+            args.insert("addr".to_owned(), faddr as u64);
+            args.insert("fuel".to_owned(), fs.fuel_used);
+            buf.record(&fs.summary.name, "ddg_fn", t0, args);
+        }
+        let created_k = pool.next_unknown_index() - before_unknowns;
+        let fn_pruned = (absint.pruned - pruned_before) as u32;
         if let Some(ctx) = cache_ctx.as_mut() {
-            for (faddr, summary) in &work {
-                let key = ctx.key_for(*faddr, summary, &comp_of, &resolution);
-                ctx.final_keys.insert(*faddr, key);
-            }
+            ctx.push_base(before_unknowns, created_k, faddr);
+            ctx.settle(&pool, faddr, &fs, key, was_hit, fn_pruned, created_k);
         }
-
-        if threads <= 1 || work.len() < PAR_STRATUM_MIN {
-            let mut buf = mk_buf(0);
-            for (faddr, summary) in work {
-                let t0 = buf.start();
-                let key =
-                    cache_ctx.as_ref().and_then(|c| c.final_keys.get(&faddr).copied().flatten());
-                let before_unknowns = pool.next_unknown_index();
-                let pruned_before = absint.pruned;
-                let mut hit: Option<(FinalSummary, u32)> = None;
-                if let (Some(ctx), Some(k)) = (cache_ctx.as_ref(), key) {
-                    if let Some(blob) = ctx.cref.cache.lookup_blob(Level::Ddg, k) {
-                        hit = ctx.rehydrate(&blob, faddr, &mut pool);
-                    }
-                }
-                let was_hit = hit.is_some();
-                let fs = match hit {
-                    Some((fs, blob_pruned)) => {
-                        // Re-credit the pruning the cold run performed so
-                        // `pruned_infeasible` matches a cold scan exactly.
-                        absint.pruned += blob_pruned as usize;
-                        fs
-                    }
-                    None => process_function_caught(
-                        bin,
-                        faddr,
-                        summary,
-                        &finals,
-                        &comp_of,
-                        &resolution,
-                        &globals,
-                        &mut pool,
-                        config,
-                        &mut absint,
-                        &mut pruned_sinks,
-                    ),
-                };
-                if buf.is_enabled() {
-                    let mut args = BTreeMap::new();
-                    args.insert("addr".to_owned(), faddr as u64);
-                    args.insert("fuel".to_owned(), fs.fuel_used);
-                    buf.record(&fs.summary.name, "ddg_fn", t0, args);
-                }
-                let created_k = pool.next_unknown_index() - before_unknowns;
-                let fn_pruned = (absint.pruned - pruned_before) as u32;
-                if let Some(ctx) = cache_ctx.as_mut() {
-                    ctx.push_base(before_unknowns, created_k, faddr);
-                    ctx.settle(&pool, faddr, &fs, key, was_hit, fn_pruned, created_k);
-                }
-                finals.insert(faddr, fs);
-            }
-            trace_events.extend(buf.into_events());
-            continue;
-        }
-
-        // Fork: contiguous address-ordered chunks, one worker each. Every
-        // worker reads only completed lower-strata summaries and writes
-        // to a private pool forked from the master.
-        let nchunks = threads.min(work.len());
-        let chunk_len = work.len().div_ceil(nchunks);
-        let mut work = work;
-        let chunks: Vec<Vec<(u32, FuncSummary)>> = {
-            let mut out = Vec::with_capacity(nchunks);
-            while !work.is_empty() {
-                let rest = work.split_off(chunk_len.min(work.len()));
-                out.push(std::mem::replace(&mut work, rest));
-            }
-            out
-        };
-        type WorkerItem = (u32, FinalSummary, std::ops::Range<u32>, bool, u32);
-        type WorkerOut = (ExprPool, Vec<WorkerItem>, AbsintStats, Vec<SpanEvent>, Vec<PrunedSink>);
-        let fork_base = pool.len();
-        let results: Vec<WorkerOut> = {
-            let pool_ref = &pool;
-            let finals_ref = &finals;
-            let comp_ref = &comp_of;
-            let res_ref = &resolution;
-            let globals_ref = &globals;
-            let ctx_ref = cache_ctx.as_ref();
-            crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = chunks
-                    .into_iter()
-                    .enumerate()
-                    .map(|(widx, chunk)| {
-                        scope.spawn(move |_| {
-                            let mut fork = pool_ref.clone();
-                            let mut out = Vec::with_capacity(chunk.len());
-                            let mut absint = AbsintStats::default();
-                            let mut pruned: Vec<PrunedSink> = Vec::new();
-                            let mut buf = match trace {
-                                Some(ts) => {
-                                    TraceBuffer::new(ts.clock, ts.base_lane + widx as u32, true)
-                                }
-                                None => TraceBuffer::new(Clock::new(), 0, false),
-                            };
-                            for (faddr, summary) in chunk {
-                                let before = fork.next_unknown_index();
-                                let pruned_before = absint.pruned;
-                                let t0 = buf.start();
-                                // Cache probe: decode into the fork — the
-                                // fork inherits the master numbering for
-                                // every earlier stratum, so recorded
-                                // owner bases stay valid; the merge
-                                // renumbers this function's own unknowns
-                                // exactly as it would a cold result.
-                                let key = ctx_ref
-                                    .and_then(|c| c.final_keys.get(&faddr).copied().flatten());
-                                let mut hit: Option<(FinalSummary, u32)> = None;
-                                if let (Some(ctx), Some(k)) = (ctx_ref, key) {
-                                    if let Some(blob) = ctx.cref.cache.lookup_blob(Level::Ddg, k) {
-                                        hit = ctx.rehydrate(&blob, faddr, &mut fork);
-                                    }
-                                }
-                                let was_hit = hit.is_some();
-                                let fs = match hit {
-                                    Some((fs, blob_pruned)) => {
-                                        absint.pruned += blob_pruned as usize;
-                                        fs
-                                    }
-                                    None => process_function_caught(
-                                        bin,
-                                        faddr,
-                                        summary,
-                                        finals_ref,
-                                        comp_ref,
-                                        res_ref,
-                                        globals_ref,
-                                        &mut fork,
-                                        config,
-                                        &mut absint,
-                                        &mut pruned,
-                                    ),
-                                };
-                                if buf.is_enabled() {
-                                    let mut args = BTreeMap::new();
-                                    args.insert("addr".to_owned(), faddr as u64);
-                                    args.insert("fuel".to_owned(), fs.fuel_used);
-                                    buf.record(&fs.summary.name, "ddg_fn", t0, args);
-                                }
-                                let created = before..fork.next_unknown_index();
-                                let fn_pruned = (absint.pruned - pruned_before) as u32;
-                                out.push((faddr, fs, created, was_hit, fn_pruned));
-                            }
-                            (fork, out, absint, buf.into_events(), pruned)
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("ddg worker panicked")).collect()
-            })
-            .expect("ddg worker scope")
-        };
-
-        // Merge: chunks are contiguous and address-ordered, so draining
-        // workers in spawn order visits the stratum in address order, and
-        // remapping each function's created unknowns in creation order
-        // reproduces the single-threaded numbering exactly. Translation
-        // is fork-aware: ids below `fork_base` denote the same node in
-        // the fork and the master, so only fork-created nodes cost work.
-        for (mut fork, items, worker_absint, events, pruned) in results {
-            absint.time += worker_absint.time;
-            absint.pruned += worker_absint.pruned;
-            trace_events.extend(events);
-            // Chunks are address-ordered and drained in spawn order, so
-            // the audit records land exactly as a sequential run emits
-            // them. Constraints were rendered worker-side, structurally,
-            // so the fork pool's private ids never leak.
-            pruned_sinks.extend(pruned);
-            for (faddr, fs, created, was_hit, fn_pruned) in items {
-                let base = pool.next_unknown_index();
-                let created_k = created.end - created.start;
-                let mut memo: HashMap<ExprId, ExprId> = HashMap::new();
-                for k in created {
-                    let src_id = fork.intern(SymNode::Unknown(k));
-                    let dst_id = pool.fresh_unknown();
-                    memo.insert(src_id, dst_id);
-                }
-                let summary =
-                    fs.summary.translate_into_fork(&fork, fork_base, &mut pool, &mut memo);
-                let sinks = fs
-                    .sinks
-                    .iter()
-                    .map(|sk| SinkObservation {
-                        kind: sk.kind.clone(),
-                        sink_ins: sk.sink_ins,
-                        sink_fn: sk.sink_fn,
-                        args: sk
-                            .args
-                            .iter()
-                            .map(|&a| pool.translate_fork(&fork, fork_base, a, &mut memo))
-                            .collect(),
-                        call_chain: sk.call_chain.clone(),
-                        constraints: sk
-                            .constraints
-                            .iter()
-                            .map(|&(op, l, r)| {
-                                (
-                                    op,
-                                    pool.translate_fork(&fork, fork_base, l, &mut memo),
-                                    pool.translate_fork(&fork, fork_base, r, &mut memo),
-                                )
-                            })
-                            .collect(),
-                    })
-                    .collect();
-                finals.insert(
-                    faddr,
-                    FinalSummary {
-                        summary,
-                        sinks,
-                        local_constraints: fs.local_constraints,
-                        panicked: fs.panicked,
-                        budget_exhausted: fs.budget_exhausted,
-                        fuel_used: fs.fuel_used,
-                    },
-                );
-                // Stats and stores run master-side in drain order (which
-                // is address order), so counters and cache contents are
-                // deterministic for every thread count. Blobs encode in
-                // the master numbering, identical to a sequential store.
-                if let Some(ctx) = cache_ctx.as_mut() {
-                    ctx.push_base(base, created_k, faddr);
-                    let key = ctx.final_keys.get(&faddr).copied().flatten();
-                    let merged = finals.get(&faddr).expect("just inserted");
-                    ctx.settle(&pool, faddr, merged, key, was_hit, fn_pruned, created_k);
-                }
-            }
-        }
+        finals.insert(faddr, fs);
     }
     timings.propagate = t.elapsed();
     timings.absint = absint.time;
@@ -751,15 +545,15 @@ pub fn build_dataflow(
         timings,
         pruned_infeasible: absint.pruned,
         alias_panics,
-        trace_events,
+        trace_events: buf.into_events(),
         pruned_sinks,
     }
 }
 
 /// Per-scan state for the incremental DDG cache (see [`crate::cache`]).
 ///
-/// Holds the content hashes computed up front, the per-stratum final
-/// scan keys, and the unknown-ownership table that makes cached blobs
+/// Holds the content hashes computed up front, the final scan keys
+/// (filled in processing order), and the unknown-ownership table that makes cached blobs
 /// relocatable: every `Unknown(n)` serializes as `(owner_addr, n −
 /// base_owner)` and rehydrates against *this* scan's bases.
 struct DdgCacheCtx {
@@ -774,7 +568,7 @@ struct DdgCacheCtx {
     /// (all members fold into every member's key — a change anywhere in
     /// a recursive component invalidates the whole component).
     combined: HashMap<u32, Option<u64>>,
-    /// Final scan key per function, filled stratum by stratum.
+    /// Final scan key per function, filled just before it is processed.
     final_keys: HashMap<u32, Option<u64>>,
     /// `(base, k, addr)` unknown-ownership ranges in master numbering,
     /// sorted by base (strictly increasing; zero-width ranges omitted).
@@ -799,10 +593,10 @@ impl DdgCacheCtx {
         // those bytes plus the config (in the salt) plus the rest of the
         // image's data sections, symbols, and imports (in the env
         // digest), and deliberately NOT of its structural encoding: the
-        // parallel merge rebuilds expressions through normalising
-        // constructors, so structurally distinct but observationally
-        // equal forms exist across thread counts, and keying on them
-        // would make warmth thread-dependent.
+        // symex stage's parallel merge rebuilds expressions through
+        // normalising constructors, so structurally distinct but
+        // observationally equal forms exist across thread counts, and
+        // keying on them would make warmth thread-dependent.
         let mut own: HashMap<u32, Option<u64>> = HashMap::new();
         for (&addr, s) in by_addr {
             let h = (|| {
@@ -1022,7 +816,7 @@ fn process_function_caught(
 /// `finals` must already contain every callee outside the function's own
 /// component — the stratified order guarantees it. Callees *inside* the
 /// component (recursion) are treated as opaque, so members of a cycle
-/// can be summarised in any order, or concurrently, with one result.
+/// can be summarised in any order with one result.
 #[allow(clippy::too_many_arguments)]
 fn process_function(
     bin: &Binary,

@@ -6,11 +6,10 @@
 //!
 //! * a **canonical byte string** of a summary, used as hash input for
 //!   content keys — identical regardless of how the pool happens to be
-//!   laid out (interleaved functions, fork merges, thread counts);
+//!   laid out (interleaved functions, parallel merges, thread counts);
 //! * a **rehydratable blob**: the same byte string, decodable into any
 //!   pool by re-interning every node, with [`SymNode::Unknown`] indices
-//!   renumbered onto the destination pool's counter — the same
-//!   discipline [`ExprPool::translate_fork`] applies at merge time.
+//!   renumbered onto the destination pool's counter.
 //!
 //! Both come from one encoder. Expressions serialise as a memoised
 //! post-order node table (children precede parents, each node written

@@ -240,10 +240,9 @@ impl ExprPool {
 
     /// The index the next [`Self::fresh_unknown`] will use.
     ///
-    /// A pool forked (cloned) for a parallel worker starts from the same
-    /// index as its master; recording the index before and after a
-    /// worker's run delimits exactly the unknowns that run created, which
-    /// the merge remaps onto the master's counter.
+    /// Recording the index before and after one function's run delimits
+    /// exactly the unknowns that run created (the incremental cache keys
+    /// its unknown-ownership table on these ranges).
     pub fn next_unknown_index(&self) -> u32 {
         self.next_unknown
     }
@@ -765,83 +764,6 @@ impl ExprPool {
             }
             SymNode::Cmp(op, a, b) => {
                 let (x, y) = (self.translate(src, a, memo), self.translate(src, b, memo));
-                self.cmp(op, x, y)
-            }
-        };
-        memo.insert(id, out);
-        out
-    }
-
-    /// [`Self::translate`] specialised for forks of this pool.
-    ///
-    /// `fork` must have been cloned from `self` when `self.len()` was
-    /// `base`, with `self` only growing since: every id below `base`
-    /// then denotes the same node in both pools and maps to itself
-    /// with no work, so the cost is proportional to the nodes the
-    /// fork *created*, not to the whole expression.
-    pub fn translate_fork(
-        &mut self,
-        fork: &ExprPool,
-        base: usize,
-        id: ExprId,
-        memo: &mut HashMap<ExprId, ExprId>,
-    ) -> ExprId {
-        if (id.0 as usize) < base {
-            return id;
-        }
-        if let Some(&t) = memo.get(&id) {
-            return t;
-        }
-        let out = match fork.node(id) {
-            n @ (SymNode::Const(_)
-            | SymNode::Arg(_)
-            | SymNode::RetSym(_)
-            | SymNode::CallOut { .. }
-            | SymNode::InitReg(_)
-            | SymNode::StackBase
-            | SymNode::Unknown(_)) => self.intern(n),
-            SymNode::Deref { addr, width } => {
-                let a = self.translate_fork(fork, base, addr, memo);
-                self.deref(a, width)
-            }
-            SymNode::Add(a, b) => {
-                let x = self.translate_fork(fork, base, a, memo);
-                let y = self.translate_fork(fork, base, b, memo);
-                self.add(x, y)
-            }
-            SymNode::Mul(a, b) => {
-                let x = self.translate_fork(fork, base, a, memo);
-                let y = self.translate_fork(fork, base, b, memo);
-                self.mul(x, y)
-            }
-            SymNode::And(a, b) => {
-                let x = self.translate_fork(fork, base, a, memo);
-                let y = self.translate_fork(fork, base, b, memo);
-                self.and_op(x, y)
-            }
-            SymNode::Or(a, b) => {
-                let x = self.translate_fork(fork, base, a, memo);
-                let y = self.translate_fork(fork, base, b, memo);
-                self.or_op(x, y)
-            }
-            SymNode::Xor(a, b) => {
-                let x = self.translate_fork(fork, base, a, memo);
-                let y = self.translate_fork(fork, base, b, memo);
-                self.xor_op(x, y)
-            }
-            SymNode::Shl(a, b) => {
-                let x = self.translate_fork(fork, base, a, memo);
-                let y = self.translate_fork(fork, base, b, memo);
-                self.shl_op(x, y)
-            }
-            SymNode::Shr(a, b) => {
-                let x = self.translate_fork(fork, base, a, memo);
-                let y = self.translate_fork(fork, base, b, memo);
-                self.shr_op(x, y)
-            }
-            SymNode::Cmp(op, a, b) => {
-                let x = self.translate_fork(fork, base, a, memo);
-                let y = self.translate_fork(fork, base, b, memo);
                 self.cmp(op, x, y)
             }
         };

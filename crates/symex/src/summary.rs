@@ -150,46 +150,7 @@ impl FuncSummary {
         dst: &mut crate::pool::ExprPool,
     ) -> FuncSummary {
         let mut memo = HashMap::new();
-        self.translate_into_with(src, dst, &mut memo)
-    }
-
-    /// [`Self::translate_into`] with a caller-provided memo.
-    ///
-    /// Pre-seeding the memo lets the caller pin translations — the
-    /// parallel interprocedural stage maps a worker's fresh unknowns onto
-    /// the master pool's counter this way — and reusing it afterwards
-    /// keeps sibling data (sink observations) consistent with the
-    /// summary's translation.
-    pub fn translate_into_with(
-        &self,
-        src: &crate::pool::ExprPool,
-        dst: &mut crate::pool::ExprPool,
-        memo: &mut HashMap<ExprId, ExprId>,
-    ) -> FuncSummary {
-        self.translate_terms(dst, &mut |e, dst| dst.translate(src, e, memo))
-    }
-
-    /// [`Self::translate_into_with`] for a fork of `dst`: `src` was
-    /// cloned from `dst` at length `base`, so only fork-created nodes
-    /// are re-interned (see [`ExprPool::translate_fork`]).
-    ///
-    /// [`ExprPool::translate_fork`]: crate::pool::ExprPool::translate_fork
-    pub fn translate_into_fork(
-        &self,
-        src: &crate::pool::ExprPool,
-        base: usize,
-        dst: &mut crate::pool::ExprPool,
-        memo: &mut HashMap<ExprId, ExprId>,
-    ) -> FuncSummary {
-        self.translate_terms(dst, &mut |e, dst| dst.translate_fork(src, base, e, memo))
-    }
-
-    /// Rebuilds the summary with every expression mapped through `tr`.
-    fn translate_terms(
-        &self,
-        dst: &mut crate::pool::ExprPool,
-        tr: &mut dyn FnMut(ExprId, &mut crate::pool::ExprPool) -> ExprId,
-    ) -> FuncSummary {
+        let mut tr = |e: ExprId| dst.translate(src, e, &mut memo);
         let mut out = FuncSummary {
             addr: self.addr,
             name: self.name.clone(),
@@ -207,40 +168,36 @@ impl FuncSummary {
             ..FuncSummary::default()
         };
         for dp in &self.def_pairs {
-            out.def_pairs.push(DefPair { d: tr(dp.d, dst), u: tr(dp.u, dst), ..*dp });
+            out.def_pairs.push(DefPair { d: tr(dp.d), u: tr(dp.u), ..*dp });
         }
         for dp in &self.escape_defs {
-            out.escape_defs.push(DefPair { d: tr(dp.d, dst), u: tr(dp.u, dst), ..*dp });
+            out.escape_defs.push(DefPair { d: tr(dp.d), u: tr(dp.u), ..*dp });
         }
         for cs in &self.callsites {
             out.callsites.push(CallsiteInfo {
                 ins_addr: cs.ins_addr,
                 callee: match &cs.callee {
-                    CalleeRef::Indirect(e) => CalleeRef::Indirect(tr(*e, dst)),
+                    CalleeRef::Indirect(e) => CalleeRef::Indirect(tr(*e)),
                     other => other.clone(),
                 },
-                args: cs.args.iter().map(|&a| tr(a, dst)).collect(),
-                ret: tr(cs.ret, dst),
+                args: cs.args.iter().map(|&a| tr(a)).collect(),
+                ret: tr(cs.ret),
                 path: cs.path,
             });
         }
         for c in &self.constraints {
-            out.constraints.push(Constraint { lhs: tr(c.lhs, dst), rhs: tr(c.rhs, dst), ..*c });
+            out.constraints.push(Constraint { lhs: tr(c.lhs), rhs: tr(c.rhs), ..*c });
         }
-        for &r in &self.ret_values {
-            let t = tr(r, dst);
-            out.ret_values.push(t);
-        }
+        out.ret_values = self.ret_values.iter().map(|&r| tr(r)).collect();
         for lc in &self.loop_copies {
             out.loop_copies.push(LoopCopy {
-                dst_addr: tr(lc.dst_addr, dst),
-                value: tr(lc.value, dst),
+                dst_addr: tr(lc.dst_addr),
+                value: tr(lc.value),
                 ..*lc
             });
         }
         for (&e, &t) in &self.types {
-            let te = tr(e, dst);
-            out.observe_type(te, t);
+            out.observe_type(tr(e), t);
         }
         out
     }

@@ -13,7 +13,7 @@
 //! stages emit in their already-sorted iteration order — so the log is
 //! bit-identical across thread counts. Reasons render symbolic
 //! expressions *structurally* (never by pool id), which keeps the text
-//! stable across fork/merge pools.
+//! stable across the pool layouts different thread counts produce.
 //!
 //! Zero-cost when disabled: every emission site is gated on a single
 //! `bool`; no `Decision` is allocated unless auditing was requested.

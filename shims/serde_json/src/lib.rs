@@ -148,12 +148,13 @@ fn write_escaped(out: &mut String, s: &str) {
 // ---------------------------------------------------------------- parsing
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
 fn parse(s: &str) -> Result<Value> {
-    let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
+    let mut p = Parser { src: s, bytes: s.as_bytes(), pos: 0 };
     let v = p.value()?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
@@ -301,13 +302,15 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input came from &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|e| self.err(&format!("invalid UTF-8: {e}")))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash in
+                    // one go. Both are ASCII, so they never occur inside a
+                    // multi-byte scalar and the run ends on a char
+                    // boundary of the already-validated input.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.src[start..self.pos]);
                 }
                 None => return Err(self.err("unterminated string")),
             }
@@ -392,6 +395,25 @@ mod tests {
     fn unicode_escapes() {
         let back: Value = from_str("\"\\u0041\\ud83d\\ude00\"").unwrap();
         assert_eq!(back, Value::Str("A😀".into()));
+    }
+
+    #[test]
+    fn strings_round_trip_every_utf8_width_escapes_and_long_runs() {
+        // 1-, 2-, 3- and 4-byte scalars, every escape the printer emits,
+        // and a string over 1 MiB (linear decoding keeps this fast).
+        let mixed = "a\u{e9}\u{20ac}\u{1f600}\"\\\n\r\t\u{8}\u{c}\u{1}/z";
+        let long = mixed.repeat((1 << 20) / mixed.len() + 1);
+        assert!(long.len() > 1 << 20);
+        for text in [mixed.to_owned(), long] {
+            let v = Value::Arr(vec![Value::Str(text.clone()), Value::Str(String::new())]);
+            for render in [to_string(&v).unwrap(), to_string_pretty(&v).unwrap()] {
+                let back: Value = from_str(&render).unwrap();
+                assert_eq!(back, v);
+            }
+        }
+        let back: Value = from_str("\"\\u00e9\\/x\"").unwrap();
+        assert_eq!(back, Value::Str("\u{e9}/x".into()));
+        assert!(from_str::<Value>("\"\u{e9}unterminated").is_err());
     }
 
     #[test]

@@ -255,33 +255,6 @@ fn corrupt_findings_db_is_quarantined_not_a_spurious_regression() {
     assert!(db.contains("\"router\""), "the db was rebuilt: {db}");
 }
 
-/// A legacy `DTC1` cache file loads whole, serves the warm run, and is
-/// upgraded to `DTC2` in place.
-#[test]
-fn legacy_dtc1_cache_upgrades_in_place_and_stays_warm() {
-    let dir = tmpdir("dtc1");
-    std::fs::write(dir.join("router.fwi"), image_bytes(50, false)).unwrap();
-    let d = dir.to_str().unwrap();
-    let cache_path = dir.join(".dtaint-store/summaries.dtc");
-
-    let (code, out) = run_captured(&["batch", d]);
-    assert_eq!(code, Ok(0), "{out}");
-    assert_eq!(&read(&cache_path)[..4], b"DTC2");
-
-    // Downgrade the file to the PR-6 wire format, as if written by an
-    // older build.
-    let warm = SummaryCache::load(&cache_path);
-    std::fs::write(&cache_path, warm.encode_dtc1()).unwrap();
-    assert_eq!(&read(&cache_path)[..4], b"DTC1");
-
-    let (code, out) = run_captured(&["batch", d]);
-    assert_eq!(code, Ok(0), "{out}");
-    let corpus = std::fs::read_to_string(dir.join(".dtaint-store/reports/corpus.json")).unwrap();
-    assert!(corpus.contains("\"sym_misses\": 0"), "the legacy cache served the run: {corpus}");
-    assert!(corpus.contains("\"ddg_misses\": 0"), "{corpus}");
-    assert_eq!(&read(&cache_path)[..4], b"DTC2", "upgraded in place");
-}
-
 /// The store lock refuses a second live runner and steals locks left by
 /// dead processes.
 #[test]

@@ -5,7 +5,7 @@
 //! the paper-faithful and strict modes (documenting the gaps those
 //! close) and against the concrete emulator.
 
-use dtaint_core::{Dtaint, DtaintConfig};
+use dtaint_core::{BoundsMode, Dtaint, DtaintConfig};
 use dtaint_emu::{validate, AttackConfig, Verdict};
 use dtaint_fwbin::Arch;
 use dtaint_fwgen::compile;
@@ -22,13 +22,8 @@ fn build(kind: PlantKind, sanitized: bool, arch: Arch) -> dtaint_fwbin::Binary {
     compile(&spec, arch).unwrap()
 }
 
-fn analyze(
-    bin: &dtaint_fwbin::Binary,
-    interval: bool,
-    strict: bool,
-) -> dtaint_core::AnalysisReport {
-    let config =
-        DtaintConfig { interval_guards: interval, strict_bounds: strict, ..Default::default() };
+fn analyze(bin: &dtaint_fwbin::Binary, bounds: BoundsMode) -> dtaint_core::AnalysisReport {
+    let config = DtaintConfig { bounds, ..Default::default() };
     Dtaint::with_config(config).analyze(bin, "iv").unwrap()
 }
 
@@ -39,12 +34,16 @@ fn interval_mode_resolves_symbolic_guards() {
         // both syntactic modes trust the guard, the interval solver
         // resolves y and rejects it.
         let weak = build(PlantKind::BofSymbolicBound, false, arch);
-        assert_eq!(analyze(&weak, false, false).vulnerabilities(), 0, "{arch}: paper gap");
-        assert_eq!(analyze(&weak, false, true).vulnerabilities(), 0, "{arch}: strict gap");
-        assert_eq!(analyze(&weak, true, false).vulnerabilities(), 1, "{arch}: interval flags");
+        assert_eq!(analyze(&weak, BoundsMode::Paper).vulnerabilities(), 0, "{arch}: paper gap");
+        assert_eq!(analyze(&weak, BoundsMode::Strict).vulnerabilities(), 0, "{arch}: strict gap");
+        assert_eq!(
+            analyze(&weak, BoundsMode::Interval).vulnerabilities(),
+            1,
+            "{arch}: interval flags"
+        );
         // y = 200 fits: stays sanitized in interval mode too.
         let fitting = build(PlantKind::BofSymbolicBound, true, arch);
-        let r = analyze(&fitting, true, false);
+        let r = analyze(&fitting, BoundsMode::Interval);
         assert_eq!(r.vulnerabilities(), 0, "{arch}: fitting symbolic bound is sanitisation");
         assert!(r.findings.iter().any(|f| f.sanitized()), "{arch}: the flow is seen");
     }
@@ -57,14 +56,14 @@ fn infeasible_paths_are_suppressed() {
         // the syntactic modes report it (Eq guards are not bounding),
         // the interval mode proves the contradiction and drops it.
         let dead = build(PlantKind::BofInfeasiblePath, true, arch);
-        assert_eq!(analyze(&dead, false, false).vulnerabilities(), 1, "{arch}: paper FP");
-        assert_eq!(analyze(&dead, false, true).vulnerabilities(), 1, "{arch}: strict FP");
-        let r = analyze(&dead, true, false);
+        assert_eq!(analyze(&dead, BoundsMode::Paper).vulnerabilities(), 1, "{arch}: paper FP");
+        assert_eq!(analyze(&dead, BoundsMode::Strict).vulnerabilities(), 1, "{arch}: strict FP");
+        let r = analyze(&dead, BoundsMode::Interval);
         assert_eq!(r.vulnerabilities(), 0, "{arch}: contradictory path suppressed");
         assert!(r.infeasible_suppressed >= 1, "{arch}: suppression is counted");
         // The feasible single-check twin stays a finding everywhere.
         let live = build(PlantKind::BofInfeasiblePath, false, arch);
-        let r = analyze(&live, true, false);
+        let r = analyze(&live, BoundsMode::Interval);
         assert_eq!(r.vulnerabilities(), 1, "{arch}: consistent selector path is kept");
     }
 }
@@ -96,10 +95,18 @@ fn global_destinations_get_object_capacity() {
         // strict mode falls back to trusting the guard; the interval
         // mode measures the 64-byte object symbol.
         let weak = build(PlantKind::BofGlobalDst, false, arch);
-        assert_eq!(analyze(&weak, false, true).vulnerabilities(), 0, "{arch}: strict gap");
-        assert_eq!(analyze(&weak, true, false).vulnerabilities(), 1, "{arch}: interval flags");
+        assert_eq!(analyze(&weak, BoundsMode::Strict).vulnerabilities(), 0, "{arch}: strict gap");
+        assert_eq!(
+            analyze(&weak, BoundsMode::Interval).vulnerabilities(),
+            1,
+            "{arch}: interval flags"
+        );
         let fitting = build(PlantKind::BofGlobalDst, true, arch);
-        assert_eq!(analyze(&fitting, true, false).vulnerabilities(), 0, "{arch}: n < 48 fits");
+        assert_eq!(
+            analyze(&fitting, BoundsMode::Interval).vulnerabilities(),
+            0,
+            "{arch}: n < 48 fits"
+        );
     }
 }
 
@@ -109,10 +116,14 @@ fn oversized_counted_loops_are_judged_by_trip_count() {
         // A counted 1024-byte loop into a 64-byte stack buffer: the
         // paper's judgement accepts any counted loop.
         let weak = build(PlantKind::BofLoopcopyOversized, false, arch);
-        assert_eq!(analyze(&weak, false, false).vulnerabilities(), 0, "{arch}: paper gap");
-        assert_eq!(analyze(&weak, true, false).vulnerabilities(), 1, "{arch}: interval flags");
+        assert_eq!(analyze(&weak, BoundsMode::Paper).vulnerabilities(), 0, "{arch}: paper gap");
+        assert_eq!(
+            analyze(&weak, BoundsMode::Interval).vulnerabilities(),
+            1,
+            "{arch}: interval flags"
+        );
         let fitting = build(PlantKind::BofLoopcopyOversized, true, arch);
-        assert_eq!(analyze(&fitting, true, false).vulnerabilities(), 0, "{arch}: 48 fits");
+        assert_eq!(analyze(&fitting, BoundsMode::Interval).vulnerabilities(), 0, "{arch}: 48 fits");
     }
     // And the oversized loop really smashes the frame.
     let bin = build(PlantKind::BofLoopcopyOversized, false, Arch::Arm32e);
@@ -145,7 +156,8 @@ fn interval_findings_are_deterministic_across_threads() {
     let bin = compile(&spec, Arch::Arm32e).unwrap();
 
     let run = |threads: usize| {
-        let config = DtaintConfig { interval_guards: true, threads, ..DtaintConfig::default() };
+        let config =
+            DtaintConfig { bounds: BoundsMode::Interval, threads, ..DtaintConfig::default() };
         Dtaint::with_config(config).analyze(&bin, "det").unwrap()
     };
     let seq = run(1);

@@ -1,6 +1,5 @@
-//! The parallel stages (per-function analysis and the bottom-up DDG
-//! propagation, both merged by pool translation) must be
-//! observationally identical to the sequential path: same findings,
+//! The parallel per-function analysis (merged by pool translation) must
+//! be observationally identical to the sequential path: same findings,
 //! same counts, same rendered expressions — for every thread count, on
 //! every Table II profile.
 
@@ -76,59 +75,6 @@ fn ddg_stage_agrees_across_thread_counts_on_all_profiles() {
                 &par,
                 &format!("profile {} threads={threads}", fw.profile.binary_name),
             );
-        }
-    }
-}
-
-/// The DDG stage in isolation: the whole dataflow result — final
-/// summaries, sink observations rendered through the pool, resolved
-/// indirect calls — must be bit-identical for every thread count, not
-/// just the downstream findings.
-#[test]
-fn dataflow_stage_is_deterministic_across_thread_counts() {
-    use dtaint_dataflow::{build_dataflow, DataflowConfig, ProgramDataflow};
-    use dtaint_symex::{analyze_function, ExprPool, SymexConfig};
-
-    fn fingerprint(df: &ProgramDataflow) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for (addr, fin) in &df.finals {
-            let _ = writeln!(out, "{addr:#x} defs={}", fin.summary.def_pairs.len());
-            for s in &fin.sinks {
-                let args: Vec<String> =
-                    s.args.iter().map(|&a| df.pool.display(a).to_string()).collect();
-                let _ = writeln!(
-                    out,
-                    "  {:?}@{:#x} chain={:?} args=[{}]",
-                    s.kind,
-                    s.sink_ins,
-                    s.call_chain,
-                    args.join(", ")
-                );
-            }
-        }
-        let _ = writeln!(out, "resolved={:?}", df.resolved_indirect);
-        out
-    }
-
-    let fw = capped_firmware(2, 160);
-    let cfgs = dtaint_cfg::build_all_cfgs(&fw.binary).unwrap();
-    let cg = dtaint_cfg::CallGraph::build(&fw.binary, &cfgs);
-    let mut pool = ExprPool::new();
-    let summaries: Vec<_> = cfgs
-        .iter()
-        .map(|c| analyze_function(&fw.binary, c, &mut pool, &SymexConfig::default()))
-        .collect();
-
-    let mut base = None;
-    for threads in [1, 2, 4, 8] {
-        let config = DataflowConfig { threads, ..Default::default() };
-        let df =
-            build_dataflow(&fw.binary, &mut cg.clone(), summaries.clone(), pool.clone(), &config);
-        let fp = fingerprint(&df);
-        match &base {
-            None => base = Some(fp),
-            Some(b) => assert_eq!(&fp, b, "threads={threads} diverged from sequential DDG"),
         }
     }
 }

@@ -3,7 +3,7 @@
 //! default (paper-faithful) detector misses it, the strict detector
 //! flags it, and the emulator proves it exploitable.
 
-use dtaint_core::{Dtaint, DtaintConfig};
+use dtaint_core::{BoundsMode, Dtaint, DtaintConfig};
 use dtaint_emu::{validate, AttackConfig, Verdict};
 use dtaint_fwbin::Arch;
 use dtaint_fwgen::compile;
@@ -36,7 +36,7 @@ fn paper_faithful_mode_trusts_the_weak_bound() {
 fn strict_mode_flags_the_weak_bound_on_both_arches() {
     for arch in [Arch::Arm32e, Arch::Mips32e] {
         let bin = build(false, arch);
-        let config = DtaintConfig { strict_bounds: true, ..Default::default() };
+        let config = DtaintConfig { bounds: BoundsMode::Strict, ..Default::default() };
         let r = Dtaint::with_config(config).analyze(&bin, "wb").unwrap();
         assert_eq!(r.vulnerabilities(), 1, "{arch}: weak bound must be flagged");
     }
@@ -46,7 +46,7 @@ fn strict_mode_flags_the_weak_bound_on_both_arches() {
 fn strict_mode_accepts_a_fitting_bound() {
     for arch in [Arch::Arm32e, Arch::Mips32e] {
         let bin = build(true, arch);
-        let config = DtaintConfig { strict_bounds: true, ..Default::default() };
+        let config = DtaintConfig { bounds: BoundsMode::Strict, ..Default::default() };
         let r = Dtaint::with_config(config).analyze(&bin, "wb").unwrap();
         assert_eq!(r.vulnerabilities(), 0, "{arch}: fitting bound stays sanitized");
     }
