@@ -50,7 +50,8 @@
 //! every subcommand is unit-testable; `main.rs` is a thin wrapper.
 
 use dtaint_core::{
-    AliasMode, AnalysisReport, BoundsMode, CacheRef, Dtaint, DtaintConfig, Finding, SummaryCache,
+    AliasMode, AnalysisReport, BoundsMode, CacheFormat, CacheRef, CacheSnapshot, Dtaint,
+    DtaintConfig, Finding, SummaryCache,
 };
 use dtaint_emu::{poison_all_rodata_names, validate as emu_validate, AttackConfig, Verdict};
 use dtaint_fwbin::{disasm, Binary};
@@ -781,8 +782,9 @@ struct ImageOutcome {
 /// lets an interrupted-and-resumed run reproduce an uninterrupted one
 /// byte-for-byte at `--jobs 1`.
 struct ScanCapture {
-    /// Serialized `DTC2` snapshot to persist at this image's commit.
-    snapshot: Option<Vec<u8>>,
+    /// `DTC2` snapshot to persist at this image's commit — taken only
+    /// when the cache grew past the newest snapshot on disk.
+    snapshot: Option<CacheSnapshot>,
     sym_hits: u64,
     sym_misses: u64,
     ddg_hits: u64,
@@ -797,13 +799,18 @@ struct ScanCapture {
     span: Option<SpanEvent>,
 }
 
-/// Captures the cache snapshot, this image's scan statistics, and its
-/// merged report registry right after its scan settles. Failed and
-/// timed-out images carry zero stats and an empty registry (their
-/// labels never completed a scan).
-fn capture_cache(cache: Option<&std::sync::Arc<SummaryCache>>, oc: &ImageOutcome) -> ScanCapture {
+/// Captures the cache snapshot (if the cache grew past `durable`, the
+/// generation of the newest snapshot on disk), this image's scan
+/// statistics, and its merged report registry right after its scan
+/// settles. Failed and timed-out images carry zero stats and an empty
+/// registry (their labels never completed a scan).
+fn capture_cache(
+    cache: Option<&std::sync::Arc<SummaryCache>>,
+    durable: Option<u64>,
+    oc: &ImageOutcome,
+) -> ScanCapture {
     let mut cap = ScanCapture {
-        snapshot: cache.map(|c| c.to_bytes()),
+        snapshot: cache.and_then(|c| c.snapshot_newer_than(durable)),
         sym_hits: 0,
         sym_misses: 0,
         ddg_hits: 0,
@@ -1151,6 +1158,31 @@ fn cmd_batch(rest: &[String], out: &mut dyn Write) -> Result<i32, String> {
             rep.salvaged, rep.discarded
         ));
     }
+    // The store generation of the newest cache snapshot on disk: a clean
+    // load is generation 0 (the file holds exactly the loaded entries);
+    // a missing, unrecognized, or damaged file is stale (`None`), so the
+    // first commit rewrites it clean. Snapshots are taken and written
+    // only when the cache grew past it.
+    let durable_cache = std::sync::Mutex::new(
+        cache_report.filter(|r| r.format == CacheFormat::Dtc2 && !r.damaged).map(|_| 0u64),
+    );
+    let durable_generation =
+        || *durable_cache.lock().expect("a cache commit panicked holding the generation");
+    let cache_snapshots = std::cell::Cell::new(0u64);
+    // Writes `snap` unless the file on disk is at least as new — which
+    // also keeps a `--jobs` > 1 capture taken before a later-committed
+    // one from overwriting it.
+    let persist_snapshot = |snap: &CacheSnapshot| -> Result<(), String> {
+        if durable_generation().is_some_and(|g| snap.generation <= g) {
+            return Ok(());
+        }
+        dtaint_store::atomic_write(store.fs(), &store.cache_path(), &snap.bytes)
+            .map_err(|e| format!("write {}: {e}", store.cache_path().display()))?;
+        *durable_cache.lock().expect("a cache commit panicked holding the generation") =
+            Some(snap.generation);
+        cache_snapshots.set(cache_snapshots.get() + 1);
+        Ok(())
+    };
 
     // Resume bookkeeping. The semantic-config tag fences journal reuse:
     // an entry recorded under another alias mode (or cache setting)
@@ -1292,8 +1324,7 @@ fn cmd_batch(rest: &[String], out: &mut dyn Write) -> Result<i32, String> {
                 findings = by_fp.into_values().collect();
             }
             if let Some(snap) = &cap.snapshot {
-                dtaint_store::atomic_write(store.fs(), &store.cache_path(), snap)
-                    .map_err(|e| format!("write {}: {e}", store.cache_path().display()))?;
+                persist_snapshot(snap)?;
             }
             store
                 .append_journal(&dtaint_store::JournalEntry {
@@ -1340,7 +1371,8 @@ fn cmd_batch(rest: &[String], out: &mut dyn Write) -> Result<i32, String> {
     // durably in sorted-image order (so the journal prefix after a
     // crash is always an in-order prefix of the corpus).
     let next = std::sync::atomic::AtomicUsize::new(0);
-    let stop_reporter = std::sync::atomic::AtomicBool::new(false);
+    // The reporter's stop flag and the condvar that wakes it on stop.
+    let stop_reporter = (std::sync::Mutex::new(false), std::sync::Condvar::new());
     let (txo, rxo) = std::sync::mpsc::channel::<(usize, ImageOutcome, ScanCapture)>();
     let mut folds: Vec<FoldInput> = Vec::with_capacity(images.len());
     let mut span_events: Vec<SpanEvent> = Vec::new();
@@ -1349,6 +1381,7 @@ fn cmd_batch(rest: &[String], out: &mut dyn Write) -> Result<i32, String> {
         let images = &images;
         let work = &work;
         let cache = &cache;
+        let durable_generation = &durable_generation;
         let drill_stall = &drill_stall;
         let next = &next;
         let progress = &progress;
@@ -1375,7 +1408,7 @@ fn cmd_batch(rest: &[String], out: &mut dyn Write) -> Result<i32, String> {
                 // Capture the cache state *now*, before this worker's
                 // next scan can disturb it — the commit on the main
                 // thread may run arbitrarily later.
-                let mut cap = capture_cache(cache.as_ref(), &oc);
+                let mut cap = capture_cache(cache.as_ref(), durable_generation(), &oc);
                 let outcome = if oc.timeout {
                     FleetOutcome::Timeout
                 } else if oc.error.is_some() {
@@ -1425,19 +1458,22 @@ fn cmd_batch(rest: &[String], out: &mut dyn Write) -> Result<i32, String> {
         }
         drop(txo);
         // The heartbeat reporter: rewrites the status file every ~250ms
-        // and repaints the TTY line. Checks the stop flag every 25ms so
-        // a short batch shuts down promptly.
+        // and repaints the TTY line. It waits on the stop condvar, so
+        // setting the flag ends it at once.
         s.spawn(move || {
             use std::io::IsTerminal;
             let tty = std::io::stderr().is_terminal() && log::enabled(log::Level::Info);
             let mut painted = false;
-            let mut tick = 0u64;
-            while !stop_reporter.load(std::sync::atomic::Ordering::Relaxed) {
-                std::thread::sleep(std::time::Duration::from_millis(25));
-                tick += 1;
-                if !tick.is_multiple_of(10) {
-                    continue;
+            let (stopped, wake) = stop_reporter;
+            loop {
+                let flag = stopped.lock().expect("the batch panicked holding the stop flag");
+                let (flag, _) = wake
+                    .wait_timeout_while(flag, std::time::Duration::from_millis(250), |s| !*s)
+                    .expect("the batch panicked holding the stop flag");
+                if *flag {
+                    break;
                 }
+                drop(flag);
                 let hb = progress.heartbeat("running");
                 write_heartbeat(&hb);
                 if tty {
@@ -1484,7 +1520,8 @@ fn cmd_batch(rest: &[String], out: &mut dyn Write) -> Result<i32, String> {
             };
             folds.push(fold);
         }
-        stop_reporter.store(true, std::sync::atomic::Ordering::Relaxed);
+        *stop_reporter.0.lock().expect("the reporter panicked holding the stop flag") = true;
+        stop_reporter.1.notify_all();
     });
     if let Some(e) = commit_err {
         return Err(e);
@@ -1631,8 +1668,9 @@ fn cmd_batch(rest: &[String], out: &mut dyn Write) -> Result<i32, String> {
         summary.cache_entries = c.totals().entries;
         // Final snapshot: with `--jobs` > 1 late workers may have
         // stored entries after the last per-image snapshot.
-        dtaint_store::atomic_write(store.fs(), &store.cache_path(), &c.to_bytes())
-            .map_err(|e| format!("write {}: {e}", store.cache_path().display()))?;
+        if let Some(snap) = c.snapshot_newer_than(durable_generation()) {
+            persist_snapshot(&snap)?;
+        }
     }
     store.save_db(&db).map_err(|e| format!("write {}: {e}", store.findings_path().display()))?;
     let corpus_path = reports_dir.join("corpus.json");
@@ -1685,6 +1723,7 @@ fn cmd_batch(rest: &[String], out: &mut dyn Write) -> Result<i32, String> {
                 ("resumed".to_owned(), resumed as u64),
                 ("failures".to_owned(), summary.failures as u64),
                 ("timeouts".to_owned(), summary.timeouts as u64),
+                ("cache_snapshots".to_owned(), cache_snapshots.get()),
             ]
             .into_iter()
             .collect(),

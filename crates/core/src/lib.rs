@@ -59,8 +59,8 @@ pub mod taint;
 mod pipeline;
 
 pub use dtaint_dataflow::{
-    AliasConfig, AliasMode, CacheFormat, CacheLoadReport, CacheRef, CacheTotals, ScanStats,
-    SummaryCache,
+    AliasConfig, AliasMode, CacheFormat, CacheLoadReport, CacheRef, CacheSnapshot, CacheTotals,
+    ScanStats, SummaryCache,
 };
 pub use evidence::{EvidenceStep, SanitizeVerdict};
 pub use pipeline::{Dtaint, DtaintConfig};

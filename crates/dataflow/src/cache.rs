@@ -88,15 +88,70 @@ pub struct CacheTotals {
     pub entries: usize,
 }
 
+/// One entry held as its complete `DTC2` record — marker, level tag,
+/// key, blob length, blob, checksum — so the checksum is computed once
+/// (when the entry is stored, or verified on load) and a snapshot only
+/// concatenates records.
+#[derive(Debug)]
+struct Record(Vec<u8>);
+
+impl Record {
+    /// Bytes before the blob: marker, tag, key, length.
+    const HEAD: usize = 15;
+    /// Bytes after the blob: the checksum.
+    const TAIL: usize = 8;
+
+    fn frame(tag: u8, key: u64, blob: &[u8]) -> Record {
+        let mut rec = Vec::with_capacity(Self::HEAD + blob.len() + Self::TAIL);
+        rec.extend_from_slice(&RECORD_MARKER);
+        rec.push(tag);
+        rec.extend_from_slice(&key.to_le_bytes());
+        rec.extend_from_slice(&(blob.len() as u32).to_le_bytes());
+        rec.extend_from_slice(blob);
+        let check = fnv64_bytes(&rec[2..]);
+        rec.extend_from_slice(&check.to_le_bytes());
+        Record(rec)
+    }
+
+    fn blob(&self) -> &[u8] {
+        &self.0[Self::HEAD..self.0.len() - Self::TAIL]
+    }
+}
+
 #[derive(Debug, Default)]
 struct Inner {
-    sym: HashMap<u64, Vec<u8>>,
-    ddg: HashMap<u64, Vec<u8>>,
+    /// Key-ordered, so a snapshot writes records in `DTC2` order as-is.
+    sym: BTreeMap<u64, Record>,
+    ddg: BTreeMap<u64, Record>,
     /// `(scan label, level, function addr) → last key`, across scans —
     /// how a re-scan's key changes are classified as invalidations.
     seen: HashMap<(String, u8, u32), u64>,
     stats: HashMap<String, ScanStats>,
     totals: CacheTotals,
+}
+
+impl Inner {
+    fn insert(&mut self, tag: u8, key: u64, rec: Record) {
+        let map = if tag == 0 { &mut self.sym } else { &mut self.ddg };
+        map.insert(key, rec);
+    }
+
+    /// The `DTC2` bytes of every held entry: a 16-byte header (magic,
+    /// entry count, FNV of the first 8 header bytes), then the records,
+    /// symex level first, each level key-sorted.
+    fn encode(&self) -> Vec<u8> {
+        let records = || self.sym.values().chain(self.ddg.values());
+        let count = (self.sym.len() + self.ddg.len()) as u32;
+        let mut out = Vec::with_capacity(16 + records().map(|r| r.0.len()).sum::<usize>());
+        out.extend_from_slice(&CACHE_MAGIC);
+        out.extend_from_slice(&count.to_le_bytes());
+        let head_check = fnv64_bytes(&out[..8]);
+        out.extend_from_slice(&head_check.to_le_bytes());
+        for rec in records() {
+            out.extend_from_slice(&rec.0);
+        }
+        out
+    }
 }
 
 /// The shared blob store. All methods take `&self`; one instance serves
@@ -149,6 +204,16 @@ impl CacheLoadReport {
     }
 }
 
+/// A `DTC2` snapshot tagged with the store generation it captures.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CacheSnapshot {
+    /// [`CacheTotals::stores`] when the snapshot was taken: a later
+    /// snapshot with the same generation holds the same entries.
+    pub generation: u64,
+    /// The serialized cache, as [`SummaryCache::to_bytes`] returns it.
+    pub bytes: Vec<u8>,
+}
+
 impl SummaryCache {
     /// An empty cache.
     pub fn new() -> Self {
@@ -167,10 +232,11 @@ impl SummaryCache {
     /// attempt settles what actually happened.
     pub fn lookup_blob(&self, level: Level, key: u64) -> Option<Vec<u8>> {
         let g = self.inner.lock().unwrap();
-        match level {
-            Level::Symex => g.sym.get(&key).cloned(),
-            Level::Ddg => g.ddg.get(&key).cloned(),
-        }
+        let map = match level {
+            Level::Symex => &g.sym,
+            Level::Ddg => &g.ddg,
+        };
+        map.get(&key).map(|rec| rec.blob().to_vec())
     }
 
     /// Records a served hit for `scan`.
@@ -216,11 +282,10 @@ impl SummaryCache {
 
     /// Stores a blob under `key`, crediting `scan`.
     pub fn store(&self, level: Level, scan: &str, key: u64, blob: Vec<u8>) {
+        let tag = level_tag(level);
+        let rec = Record::frame(tag, key, &blob);
         let mut g = self.inner.lock().unwrap();
-        match level {
-            Level::Symex => g.sym.insert(key, blob),
-            Level::Ddg => g.ddg.insert(key, blob),
-        };
+        g.insert(tag, key, rec);
         g.stats.entry(scan.to_owned()).or_default().stores += 1;
         g.totals.stores += 1;
     }
@@ -242,34 +307,20 @@ impl SummaryCache {
     /// individually checksummed records. Statistics and the seen-key
     /// table are per-process and not persisted.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let g = self.inner.lock().unwrap();
-        let count = (g.sym.len() + g.ddg.len()) as u32;
-        let mut out = Vec::new();
-        out.extend_from_slice(&CACHE_MAGIC);
-        out.extend_from_slice(&count.to_le_bytes());
-        let head_check = fnv64_bytes(&out[..8]);
-        out.extend_from_slice(&head_check.to_le_bytes());
-        for (tag, map) in [(0u8, &g.sym), (1u8, &g.ddg)] {
-            let sorted: BTreeMap<&u64, &Vec<u8>> = map.iter().collect();
-            for (k, v) in sorted {
-                out.extend_from_slice(&RECORD_MARKER);
-                let body_start = out.len();
-                out.push(tag);
-                out.extend_from_slice(&k.to_le_bytes());
-                out.extend_from_slice(&(v.len() as u32).to_le_bytes());
-                out.extend_from_slice(v);
-                let check = fnv64_bytes(&out[body_start..]);
-                out.extend_from_slice(&check.to_le_bytes());
-            }
-        }
-        out
+        self.inner.lock().unwrap().encode()
     }
 
-    /// Serialises both levels to `path` in `DTC2` format. Prefer
-    /// [`Self::to_bytes`] plus an atomic write for crash safety; this
-    /// plain write is kept for ad-hoc tooling.
-    pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_bytes())
+    /// Encodes a snapshot only if the store generation is newer than
+    /// `durable`: the generation of the newest snapshot on disk, `None`
+    /// when that file is missing or damaged. Checked and encoded under
+    /// one lock, so the bytes hold exactly the entries of the generation
+    /// they carry.
+    pub fn snapshot_newer_than(&self, durable: Option<u64>) -> Option<CacheSnapshot> {
+        let g = self.inner.lock().unwrap();
+        let generation = g.totals.stores;
+        durable
+            .is_none_or(|d| generation > d)
+            .then(|| CacheSnapshot { generation, bytes: g.encode() })
     }
 
     /// Deserialises cache bytes, salvaging what survives damage. `DTC2`
@@ -295,11 +346,6 @@ impl SummaryCache {
             Ok(bytes) => Self::from_bytes(&bytes),
             Err(_) => (Self::new(), CacheLoadReport::clean(CacheFormat::Missing, 0)),
         }
-    }
-
-    /// Loads a cache saved by [`Self::save`], discarding the report.
-    pub fn load(path: &Path) -> Self {
-        Self::load_with_report(path).0
     }
 }
 
@@ -328,11 +374,9 @@ fn parse_dtc2(bytes: &[u8], inner: &mut Inner) -> CacheLoadReport {
     let mut pos = 16.min(bytes.len());
     while pos < bytes.len() {
         match parse_record(bytes, pos) {
-            Some((tag, key, blob, next)) => {
-                match tag {
-                    0 => inner.sym.insert(key, blob),
-                    _ => inner.ddg.insert(key, blob),
-                };
+            Some((tag, key, next)) => {
+                // Verified: keep the framed bytes, checksum included.
+                inner.insert(tag, key, Record(bytes[pos..next].to_vec()));
                 loaded += 1;
                 pos = next;
             }
@@ -361,10 +405,9 @@ fn parse_dtc2(bytes: &[u8], inner: &mut Inner) -> CacheLoadReport {
     }
 }
 
-/// Tries to parse one record at `pos`; returns `(level tag, key, blob,
-/// next pos)` only when the marker, bounds, level, and checksum all
-/// hold.
-fn parse_record(bytes: &[u8], pos: usize) -> Option<(u8, u64, Vec<u8>, usize)> {
+/// Tries to parse one record at `pos`; returns `(level tag, key, next
+/// pos)` only when the marker, bounds, level, and checksum all hold.
+fn parse_record(bytes: &[u8], pos: usize) -> Option<(u8, u64, usize)> {
     if bytes.get(pos..pos + 2)? != RECORD_MARKER {
         return None;
     }
@@ -376,12 +419,11 @@ fn parse_record(bytes: &[u8], pos: usize) -> Option<(u8, u64, Vec<u8>, usize)> {
     let key = u64::from_le_bytes(bytes.get(body + 1..body + 9)?.try_into().ok()?);
     let len = u32::from_le_bytes(bytes.get(body + 9..body + 13)?.try_into().ok()?) as usize;
     let blob_end = (body + 13).checked_add(len)?;
-    let blob = bytes.get(body + 13..blob_end)?;
     let check = u64::from_le_bytes(bytes.get(blob_end..blob_end + 8)?.try_into().ok()?);
     if fnv64_bytes(&bytes[body..blob_end]) != check {
         return None;
     }
-    Some((tag, key, blob.to_vec(), blob_end + 8))
+    Some((tag, key, blob_end + 8))
 }
 
 /// First offset `>= from` where the record marker occurs.
@@ -809,30 +851,90 @@ mod tests {
     }
 
     #[test]
-    fn save_load_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("dtc-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cache.bin");
+    fn bytes_roundtrip() {
         let c = SummaryCache::new();
         c.store(Level::Symex, "s", 1, vec![10, 11]);
         c.store(Level::Ddg, "s", 2, vec![20]);
-        c.save(&path).unwrap();
-        let (back, report) = SummaryCache::load_with_report(&path);
+        let (back, report) = SummaryCache::from_bytes(&c.to_bytes());
         assert_eq!(back.lookup_blob(Level::Symex, 1).as_deref(), Some(&[10u8, 11][..]));
         assert_eq!(back.lookup_blob(Level::Ddg, 2).as_deref(), Some(&[20u8][..]));
         assert_eq!(back.totals().entries, 2);
         assert_eq!(report, CacheLoadReport::clean(CacheFormat::Dtc2, 2));
-        // Corrupt file → cold start, no panic, damage reported.
-        std::fs::write(&path, b"garbage").unwrap();
-        let (cold, report) = SummaryCache::load_with_report(&path);
+        // Corrupt bytes → cold start, no panic, damage reported.
+        let (cold, report) = SummaryCache::from_bytes(b"garbage");
         assert_eq!(cold.totals().entries, 0);
         assert_eq!(report.format, CacheFormat::Unrecognized);
         assert!(report.damaged);
-        // Missing file → cold start.
-        let (cold, report) = SummaryCache::load_with_report(&dir.join("nope.bin"));
+        // No bytes → cold start.
+        let (cold, report) = SummaryCache::from_bytes(&[]);
         assert_eq!(cold.totals().entries, 0);
         assert_eq!(report, CacheLoadReport::clean(CacheFormat::Missing, 0));
-        let _ = std::fs::remove_dir_all(&dir);
+        // A missing file is the same cold start.
+        let missing = std::env::temp_dir().join(format!("dtc-missing-{}", std::process::id()));
+        let (cold, report) = SummaryCache::load_with_report(&missing);
+        assert_eq!(cold.totals().entries, 0);
+        assert_eq!(report, CacheLoadReport::clean(CacheFormat::Missing, 0));
+    }
+
+    /// The `DTC2` encoding as a plain function of the entries: header,
+    /// then per level the key-sorted records, each checksummed here.
+    fn reference_dtc2(entries: &BTreeMap<(u8, u64), Vec<u8>>) -> Vec<u8> {
+        let mut out = CACHE_MAGIC.to_vec();
+        out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+        out.extend_from_slice(&fnv64_bytes(&out[..8]).to_le_bytes());
+        for (&(tag, key), blob) in entries {
+            let mut body = vec![tag];
+            body.extend_from_slice(&key.to_le_bytes());
+            body.extend_from_slice(&(blob.len() as u32).to_le_bytes());
+            body.extend_from_slice(blob);
+            out.extend_from_slice(&RECORD_MARKER);
+            out.extend_from_slice(&body);
+            out.extend_from_slice(&fnv64_bytes(&body).to_le_bytes());
+        }
+        out
+    }
+
+    /// Framing a record once — at store or on load — leaves `to_bytes`
+    /// equal to encoding every entry afresh, for stored, loaded, and
+    /// mixed caches, overwrites included.
+    #[test]
+    fn to_bytes_matches_the_reference_encoding() {
+        let mut want: BTreeMap<(u8, u64), Vec<u8>> = BTreeMap::new();
+        let stored = SummaryCache::new();
+        for k in [9u64, 3, 250, 1 << 40, 7] {
+            for (level, tag) in [(Level::Symex, 0u8), (Level::Ddg, 1)] {
+                let blob = vec![k as u8 ^ tag; (k % 13) as usize + tag as usize];
+                stored.store(level, "s", k, blob.clone());
+                want.insert((tag, k), blob);
+            }
+        }
+        let bytes = stored.to_bytes();
+        assert_eq!(bytes, reference_dtc2(&want), "stored entries");
+
+        let (mixed, report) = SummaryCache::from_bytes(&bytes);
+        assert!(!report.damaged);
+        assert_eq!(mixed.to_bytes(), bytes, "loaded entries");
+        mixed.store(Level::Ddg, "s", 5, vec![1, 2, 3]);
+        mixed.store(Level::Symex, "s", 250, vec![0xD7, 0xC2]);
+        want.insert((1, 5), vec![1, 2, 3]);
+        want.insert((0, 250), vec![0xD7, 0xC2]);
+        assert_eq!(mixed.to_bytes(), reference_dtc2(&want), "loaded + stored + overwritten");
+        let snap = mixed.snapshot_newer_than(None).unwrap();
+        assert_eq!(snap.bytes, mixed.to_bytes());
+    }
+
+    /// A snapshot is taken only when some store happened after the
+    /// durable generation; an unknown (stale) disk always gets one.
+    #[test]
+    fn snapshot_only_when_the_store_generation_advanced() {
+        let (c, _) = SummaryCache::from_bytes(&marker_free_cache(3).to_bytes());
+        let snap = c.snapshot_newer_than(None).expect("stale disk takes a snapshot");
+        assert_eq!(snap.generation, 0, "loaded entries are not stores");
+        assert!(c.snapshot_newer_than(Some(0)).is_none());
+        c.store(Level::Ddg, "s", 99, vec![4]);
+        let snap = c.snapshot_newer_than(Some(0)).expect("a store advances the generation");
+        assert_eq!(snap.generation, 1);
+        assert!(c.snapshot_newer_than(Some(1)).is_none());
     }
 
     /// A cache with `n` entries whose blobs avoid the record marker's

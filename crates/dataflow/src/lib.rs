@@ -33,7 +33,8 @@ pub mod sse;
 
 pub use alias::{alias_pass, alias_replace, AliasConfig, AliasEntry, AliasMode};
 pub use cache::{
-    CacheFormat, CacheLoadReport, CacheRef, CacheTotals, Level, ScanStats, SummaryCache,
+    CacheFormat, CacheLoadReport, CacheRef, CacheSnapshot, CacheTotals, Level, ScanStats,
+    SummaryCache,
 };
 pub use ddg::{backward_trace, Ddg, DdgNode, DdgNodeKind, TraceStep};
 pub use indirect::{resolve_indirect_calls, Installer, ResolvedCall};

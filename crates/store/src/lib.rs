@@ -7,8 +7,9 @@
 //!   ever seen, keyed by its content-addressed fingerprint, with a
 //!   lifecycle status (`Open`/`Resolved`) and first/last-seen
 //!   generation numbers,
-//! * `summaries.dtc` — the incremental summary cache (written by the
-//!   caller via `SummaryCache::save`; this crate only names the path),
+//! * `summaries.dtc` — the incremental summary cache (the caller writes
+//!   `SummaryCache` snapshots with [`atomic_write`]; this crate only
+//!   names the path),
 //! * `reports/` — one `scan --json` report per image per run.
 //!
 //! [`FindingsDb::record_scan`] folds one image's scan results into the

@@ -535,7 +535,13 @@ impl Executor<'_> {
     /// pointer is a formal argument or a returned pointer — the set
     /// Algorithm 2 forwards to callers.
     fn collect_escapes(&mut self, item: &PathItem, summary: &mut FuncSummary) {
-        for (&addr, &val) in &item.state.mem {
+        // Address order, not hash order: the `deref` nodes interned here
+        // and the order of `escape_defs` end up in cached summary blobs,
+        // which must come out identical from run to run.
+        let mut cells: Vec<(ExprId, ExprId)> =
+            item.state.mem.iter().map(|(&a, &v)| (a, v)).collect();
+        cells.sort_unstable();
+        for (addr, val) in cells {
             let w = 4;
             let d = self.pool.deref(addr, w);
             let Some(root) = self.pool.root_ptr(d) else { continue };

@@ -279,6 +279,125 @@ fn store_lock_blocks_live_owners_and_steals_stale_ones() {
 }
 
 // ---------------------------------------------------------------------------
+// Cache persistence — `summaries.dtc` is written only when the cache grew
+// ---------------------------------------------------------------------------
+
+/// Runs one `batch --jobs 1` of `corpus` into `store`, expecting exit 0,
+/// and returns how many times it wrote `summaries.dtc` — the
+/// `cache_snapshots` arg of the `--trace-chrome` batch root span.
+fn batch_counting_snapshots(corpus: &Path, store: &Path) -> i64 {
+    let trace = store.with_extension("trace.json");
+    let (code, out) = run_captured(&[
+        "batch",
+        corpus.to_str().unwrap(),
+        "--store",
+        store.to_str().unwrap(),
+        "--trace-chrome",
+        trace.to_str().unwrap(),
+    ]);
+    assert_eq!(code, Ok(0), "{out}");
+    let doc: serde_json::Value = serde_json::from_str(&String::from_utf8(read(&trace)).unwrap())
+        .expect("the Chrome trace parses");
+    let Some(serde_json::Value::Arr(events)) = doc.get("traceEvents") else {
+        panic!("the Chrome trace has no traceEvents array")
+    };
+    let root = events
+        .iter()
+        .find(|e| e.get("cat") == Some(&serde_json::Value::Str("batch".into())))
+        .expect("the batch root span");
+    match root.get("args").and_then(|a| a.get("cache_snapshots")) {
+        Some(serde_json::Value::Int(n)) => *n,
+        other => panic!("cache_snapshots arg: {other:?}"),
+    }
+}
+
+fn inode(p: &Path) -> u64 {
+    use std::os::unix::fs::MetadataExt;
+    std::fs::metadata(p).unwrap_or_else(|e| panic!("stat {}: {e}", p.display())).ino()
+}
+
+/// A warm batch over an unchanged corpus stores nothing, so it leaves
+/// `summaries.dtc` alone: no snapshot, same inode, same bytes.
+#[test]
+fn unchanged_corpus_leaves_the_cache_file_untouched() {
+    let dir = three_image_corpus("cache-untouched");
+    let store = dir.join("store");
+    assert_eq!(batch_counting_snapshots(&dir, &store), 3, "cold: one snapshot per image");
+    let cache = store.join("summaries.dtc");
+    let (ino, bytes) = (inode(&cache), read(&cache));
+    assert_eq!(batch_counting_snapshots(&dir, &store), 0, "warm: nothing to write");
+    assert_eq!(inode(&cache), ino, "summaries.dtc was replaced");
+    assert_eq!(read(&cache), bytes);
+}
+
+/// Editing one image rewrites the cache exactly once — at that image's
+/// commit, not at every later one nor again at the end of the run.
+#[test]
+fn editing_one_image_rewrites_the_cache_once() {
+    let dir = three_image_corpus("cache-edit");
+    let store = dir.join("store");
+    batch_counting_snapshots(&dir, &store);
+    let cache = store.join("summaries.dtc");
+    let (ino, before) = (inode(&cache), SummaryCache::load_with_report(&cache).0.totals());
+    std::fs::write(dir.join("bravo.fwi"), image_bytes(54, true)).unwrap();
+    assert_eq!(batch_counting_snapshots(&dir, &store), 1);
+    assert_ne!(inode(&cache), ino, "the edit's new summaries were not persisted");
+    let (after, report) = SummaryCache::load_with_report(&cache);
+    assert!(!report.damaged);
+    assert!(after.totals().entries > before.entries, "the edit's summaries are on disk");
+}
+
+/// A damaged cache file is salvaged, then rewritten clean even when the
+/// run stores nothing new (trailing garbage loses no record), so the
+/// next run loads it undamaged — and, summaries being deterministic,
+/// byte-identical to the file before the damage.
+#[test]
+fn damaged_cache_is_salvaged_then_rewritten_clean() {
+    let dir = three_image_corpus("cache-salvage");
+    let store = dir.join("store");
+    batch_counting_snapshots(&dir, &store);
+    let cache = store.join("summaries.dtc");
+    let pristine = read(&cache);
+    let truncated = pristine[..pristine.len() * 3 / 4].to_vec();
+    let garbage = [pristine.as_slice(), b"\x00torn tail"].concat();
+    for (name, damaged) in [("truncated", truncated), ("trailing garbage", garbage)] {
+        std::fs::write(&cache, &damaged).unwrap();
+        assert!(SummaryCache::from_bytes(&damaged).1.damaged, "{name}: the drill damages");
+        assert!(batch_counting_snapshots(&dir, &store) >= 1, "{name}: no clean rewrite");
+        let corpus = String::from_utf8(read(&store.join("reports/corpus.json"))).unwrap();
+        assert!(!corpus.contains("\"cache_salvaged\": 0,"), "{name}: salvage reported: {corpus}");
+        let (_, report) = SummaryCache::load_with_report(&cache);
+        assert!(!report.damaged, "{name}: still damaged after the recovery run: {report:?}");
+        assert_eq!(read(&cache), pristine, "{name}: the rewrite differs from the pristine file");
+        assert_eq!(batch_counting_snapshots(&dir, &store), 0, "{name}: clean file left alone");
+        let corpus = String::from_utf8(read(&store.join("reports/corpus.json"))).unwrap();
+        assert!(corpus.contains("\"cache_salvaged\": 0,"), "{name}: {corpus}");
+        assert!(corpus.contains("\"cache_discarded\": 0,"), "{name}: {corpus}");
+    }
+}
+
+/// Two cold batches into fresh stores write byte-identical cache files:
+/// nothing in a summary blob depends on hash-map iteration order. Full
+/// Table II profiles 1–4, whose functions give such an order the most
+/// room to show (`tests/incremental.rs` pins it per function).
+#[test]
+fn cold_batches_write_identical_cache_files() {
+    let dir = tmpdir("cache-deterministic");
+    for (i, p) in dtaint_fwgen::table2_profiles().into_iter().take(4).enumerate() {
+        let image = dtaint_fwgen::build_firmware(&p).image.pack(false);
+        std::fs::write(dir.join(format!("profile{}.fwi", i + 1)), image).unwrap();
+    }
+    let (sa, sb) = (dir.join("store-a"), dir.join("store-b"));
+    batch_counting_snapshots(&dir, &sa);
+    batch_counting_snapshots(&dir, &sb);
+    assert!(
+        read(&sa.join("summaries.dtc")) == read(&sb.join("summaries.dtc")),
+        "the two cold runs wrote different summaries.dtc files"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+// ---------------------------------------------------------------------------
 // DTC2 salvage — seeded corruption via the fwgen mutate operators
 // ---------------------------------------------------------------------------
 

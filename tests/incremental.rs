@@ -210,6 +210,39 @@ fn batch_cache_survives_a_corrupt_image_in_the_corpus() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Summarizing a function again, each time into a fresh pool, encodes
+/// to the same blob: nothing in a local summary may follow hash-map
+/// iteration order (which changes with every map), or the cached blobs
+/// — and `summaries.dtc` — would differ from run to run. That order
+/// could show wherever a definition escapes, and may show in only a
+/// few runs, so each such function is summarized sixteen times.
+#[test]
+fn local_summary_blobs_repeat_exactly() {
+    use dtaint_symex::{analyze_function, encode_summary, ExprPool, SymexConfig};
+    for index in 0..4 {
+        let fw = build_firmware(&table2_profiles().remove(index));
+        for cfg in dtaint_cfg::build_all_cfgs(&fw.binary).unwrap() {
+            let summarize = || {
+                let mut pool = ExprPool::new();
+                let s = analyze_function(&fw.binary, &cfg, &mut pool, &SymexConfig::default());
+                (s.escape_defs.is_empty(), encode_summary(&pool, &s, &mut |u| Some((0, u))))
+            };
+            let (no_escapes, first) = summarize();
+            if no_escapes {
+                continue;
+            }
+            for _ in 1..16 {
+                assert!(
+                    summarize().1 == first,
+                    "{}: the summary blob of {} changed between runs",
+                    fw.profile.binary_name,
+                    cfg.name
+                );
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
