@@ -440,6 +440,17 @@ fn write_profile(out: &mut dyn Write, report: &AnalysisReport) -> Result<(), Str
             )?;
         }
     }
+    let m = &report.telemetry.metrics;
+    write_out(
+        out,
+        &format!(
+            "     indirect    installers {} sites {} layouts {} resolved {}\n",
+            m.counter("ddg.indirect_installers"),
+            m.counter("ddg.indirect_sites"),
+            m.counter("ddg.layouts_inferred"),
+            report.resolved_indirect,
+        ),
+    )?;
     let hot = report.telemetry.hotspots(5);
     if !hot.is_empty() {
         write_out(out, "     hotspots (by logical work):\n")?;
@@ -2187,12 +2198,17 @@ mod tests {
         d
     }
 
+    /// Tests run in parallel and share the path, so the image is written
+    /// aside and renamed into place: a concurrent scan never reads a
+    /// half-written file.
     fn small_image_path() -> String {
         let mut profile = dtaint_fwgen::table2_profiles().remove(0);
         profile.total_functions = 60;
         let fw = dtaint_fwgen::build_firmware(&profile);
         let p = tmpdir().join("dir645.fwi");
-        std::fs::write(&p, fw.image.pack(false)).unwrap();
+        let aside = p.with_extension(format!("{:?}", std::thread::current().id()));
+        std::fs::write(&aside, fw.image.pack(false)).unwrap();
+        std::fs::rename(&aside, &p).unwrap();
         p.to_string_lossy().into_owned()
     }
 

@@ -602,6 +602,9 @@ impl Dtaint {
         }
         metrics.inc("symex.functions_retried", retried as u64);
         metrics.inc("ddg.pruned_infeasible", df.pruned_infeasible as u64);
+        metrics.inc("ddg.indirect_installers", df.indirect_stats.installers as u64);
+        metrics.inc("ddg.indirect_sites", df.indirect_stats.sites as u64);
+        metrics.inc("ddg.layouts_inferred", df.indirect_stats.layouts_inferred as u64);
         metrics.inc("detect.infeasible_suppressed", outcome.infeasible_suppressed as u64);
         metrics.inc("absint.solver_passes", outcome.absint_passes);
         metrics.inc("detect.findings", outcome.findings.len() as u64);

@@ -34,7 +34,7 @@
 //! the symbolic stage and across images (`batch --jobs`), not here.
 
 use crate::cache::{self, CacheRef, Level};
-use crate::indirect::{resolve_indirect_calls, ResolvedCall};
+use crate::indirect::{resolve_indirect_calls, IndirectStats, ResolvedCall};
 use dtaint_cfg::CallGraph;
 use dtaint_fwbin::Binary;
 use dtaint_symex::pool::{CmpOp, ExprPool, SymNode};
@@ -260,6 +260,8 @@ pub struct ProgramDataflow {
     pub order: Vec<u32>,
     /// Indirect calls resolved by layout similarity.
     pub resolved_indirect: Vec<ResolvedCall>,
+    /// Work counts of the indirect-call resolution.
+    pub indirect_stats: IndirectStats,
     /// Import call sites across the program: `ins_addr → import name`.
     pub import_sites: HashMap<u32, String>,
     /// Wall-clock breakdown of the build.
@@ -433,11 +435,10 @@ pub fn build_dataflow(
 
     // Stage 2: indirect-call resolution (§III-D).
     let t = Instant::now();
-    let resolved: Vec<ResolvedCall> = if config.enable_indirect {
-        let owned: Vec<FuncSummary> = by_addr.values().cloned().collect();
-        resolve_indirect_calls(bin, &owned, &pool)
+    let (resolved, indirect_stats) = if config.enable_indirect {
+        resolve_indirect_calls(bin, by_addr.values(), &pool)
     } else {
-        Vec::new()
+        Default::default()
     };
     timings.indirect = t.elapsed();
     let resolution: HashMap<u32, u32> = resolved.iter().map(|r| (r.ins_addr, r.callee)).collect();
@@ -541,6 +542,7 @@ pub fn build_dataflow(
         finals,
         order,
         resolved_indirect: resolved,
+        indirect_stats,
         import_sites,
         timings,
         pruned_infeasible: absint.pruned,

@@ -37,7 +37,7 @@ pub use cache::{
     SummaryCache,
 };
 pub use ddg::{backward_trace, Ddg, DdgNode, DdgNodeKind, TraceStep};
-pub use indirect::{resolve_indirect_calls, Installer, ResolvedCall};
+pub use indirect::{resolve_indirect_calls, IndirectStats, Installer, ResolvedCall};
 pub use interproc::{
     build_dataflow, DataflowConfig, DdgTimings, FinalSummary, ProgramDataflow, PrunedSink,
     SinkKind, SinkObservation,
@@ -347,6 +347,9 @@ mod tests {
         let df = build_dataflow(&bin, &mut cg, summaries, pool, &DataflowConfig::default());
         assert_eq!(df.resolved_indirect.len(), 1);
         assert_eq!(df.resolved_indirect[0].callee, bin.function("handler").unwrap().addr);
+        // Layouts only for the installer and the dispatcher, not the handler.
+        let stats = IndirectStats { installers: 1, sites: 1, layouts_inferred: 2 };
+        assert_eq!(df.indirect_stats, stats);
         // The system sink bubbles into dispatch through the resolved edge.
         let dispatch_addr = bin.function("dispatch").unwrap().addr;
         assert!(df.finals[&dispatch_addr]
@@ -363,6 +366,7 @@ mod tests {
             DataflowConfig { enable_alias: false, enable_indirect: false, ..Default::default() };
         let df = build_dataflow(&bin, &mut cg, summaries, pool, &config);
         assert!(df.resolved_indirect.is_empty());
+        assert_eq!(df.indirect_stats, IndirectStats::default());
         // The memcpy sink is still observed (it is a direct-flow case).
         let foo = bin.function("foo").unwrap().addr;
         assert!(!df.finals[&foo].sinks.is_empty());

@@ -12,6 +12,9 @@
 
 use crate::{Arch, Error, Result};
 use bytes::{Buf, BufMut};
+use std::collections::HashMap;
+use std::fmt;
+use std::sync::OnceLock;
 
 /// Magic bytes opening every serialized FBF binary.
 pub const FBF_MAGIC: [u8; 4] = *b"FBF1";
@@ -74,6 +77,15 @@ impl Section {
     pub fn contains(&self, addr: u32) -> bool {
         addr >= self.addr && addr < self.addr.wrapping_add(self.size)
     }
+
+    /// Copies the bytes from offset `off` into `out`; bytes past the
+    /// stored data (BSS) read as zero, so `out` must start zeroed.
+    fn copy_into(&self, off: usize, out: &mut [u8]) {
+        if off < self.data.len() {
+            let n = (self.data.len() - off).min(out.len());
+            out[..n].copy_from_slice(&self.data[off..off + n]);
+        }
+    }
 }
 
 /// The kind of a defined symbol.
@@ -126,7 +138,16 @@ pub struct Import {
 /// assert_eq!(bin, reloaded);
 /// # Ok::<(), dtaint_fwbin::Error>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// # Lookup index
+///
+/// [`Binary::function_at`] and [`Binary::import_at`] answer from an
+/// index over `symbols` and `imports` that the first lookup builds. The
+/// index takes no part in equality, `Debug` or [`Binary::to_bytes`], and
+/// a clone starts without one. It is not rebuilt when `symbols` or
+/// `imports` change, so edit them before the first lookup — or, like
+/// `fwgen`'s corruption operators, on a fresh clone.
+#[derive(Clone, PartialEq, Eq)]
 pub struct Binary {
     /// Guest architecture of the code sections.
     pub arch: Arch,
@@ -138,6 +159,67 @@ pub struct Binary {
     pub symbols: Vec<Symbol>,
     /// Imported library functions.
     pub imports: Vec<Import>,
+    index: LookupIndex,
+}
+
+impl fmt::Debug for Binary {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Binary")
+            .field("arch", &self.arch)
+            .field("entry", &self.entry)
+            .field("sections", &self.sections)
+            .field("symbols", &self.symbols)
+            .field("imports", &self.imports)
+            .finish()
+    }
+}
+
+/// The lazily built lookup index of a [`Binary`]. Every index equals
+/// every other and a clone is unbuilt, so it never shows in the
+/// `Binary`'s derived traits.
+#[derive(Default)]
+struct LookupIndex(OnceLock<Index>);
+
+impl Clone for LookupIndex {
+    fn clone(&self) -> Self {
+        LookupIndex::default()
+    }
+}
+
+impl PartialEq for LookupIndex {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for LookupIndex {}
+
+struct Index {
+    /// Function ranges `(start, end, position in symbols)` sorted by
+    /// start, leaving out empty and address-wrapping ranges (they never
+    /// match). `None` when two ranges overlap: lookups then scan the
+    /// table, so the first match in table order still wins.
+    functions: Option<Vec<(u32, u32, usize)>>,
+    /// Stub address → position of the first import in table order.
+    stubs: HashMap<u32, usize>,
+}
+
+impl Index {
+    fn build(symbols: &[Symbol], imports: &[Import]) -> Index {
+        let mut ranges: Vec<(u32, u32, usize)> = symbols
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.kind == SymbolKind::Function && s.size > 0)
+            .filter_map(|(i, s)| Some((s.addr, s.addr.checked_add(s.size)?, i)))
+            .collect();
+        ranges.sort_unstable();
+        let overlapping = ranges.windows(2).any(|w| w[1].0 < w[0].1);
+        let mut stubs = HashMap::with_capacity(imports.len());
+        for (i, imp) in imports.iter().enumerate() {
+            stubs.entry(imp.stub_addr).or_insert(i);
+        }
+        Index { functions: (!overlapping).then_some(ranges), stubs }
+    }
 }
 
 /// Shape statistics of one [`Binary`] (see [`Binary::stats`]).
@@ -156,6 +238,21 @@ pub struct BinStats {
 }
 
 impl Binary {
+    /// A binary made of the given parts.
+    pub fn new(
+        arch: Arch,
+        entry: u32,
+        sections: Vec<Section>,
+        symbols: Vec<Symbol>,
+        imports: Vec<Import>,
+    ) -> Binary {
+        Binary { arch, entry, sections, symbols, imports, index: LookupIndex::default() }
+    }
+
+    fn index(&self) -> &Index {
+        self.index.0.get_or_init(|| Index::build(&self.symbols, &self.imports))
+    }
+
     /// The section of the given kind, if present.
     pub fn section(&self, kind: SectionKind) -> Option<&Section> {
         self.sections.iter().find(|s| s.kind == kind)
@@ -206,16 +303,37 @@ impl Binary {
         v
     }
 
-    /// The function symbol covering `addr`, if any.
+    /// The function symbol covering `addr`, if any: the first in table
+    /// order when ranges overlap. Empty and address-wrapping ranges
+    /// cover nothing.
     pub fn function_at(&self, addr: u32) -> Option<&Symbol> {
-        self.symbols
-            .iter()
-            .find(|s| s.kind == SymbolKind::Function && addr >= s.addr && addr < s.addr + s.size)
+        let Some(ranges) = &self.index().functions else {
+            return self.symbols.iter().find(|s| {
+                s.kind == SymbolKind::Function
+                    && addr >= s.addr
+                    && s.addr.checked_add(s.size).is_some_and(|end| addr < end)
+            });
+        };
+        let i = ranges.partition_point(|&(start, _, _)| start <= addr);
+        let &(_, end, pos) = ranges.get(i.checked_sub(1)?)?;
+        (addr < end).then(|| &self.symbols[pos])
     }
 
-    /// The import whose stub is at `addr`, if any.
+    /// The import whose stub is at `addr`, if any (the first in table
+    /// order when stubs repeat).
     pub fn import_at(&self, addr: u32) -> Option<&Import> {
-        self.imports.iter().find(|i| i.stub_addr == addr)
+        self.index().stubs.get(&addr).map(|&i| &self.imports[i])
+    }
+
+    /// The section holding all of `[addr, addr + len)`, with `addr`'s
+    /// offset into it.
+    fn span(&self, addr: u32, len: u32) -> Option<(&Section, usize)> {
+        let s = self.section_at(addr)?;
+        let end = addr.checked_add(len)?;
+        if end > s.addr + s.size {
+            return None;
+        }
+        Some((s, (addr - s.addr) as usize))
     }
 
     /// Reads `len` bytes at `addr` from whichever section contains them.
@@ -223,24 +341,24 @@ impl Binary {
     /// BSS reads return zeroes. Returns `None` when the range is unmapped
     /// or straddles a section boundary.
     pub fn bytes_at(&self, addr: u32, len: u32) -> Option<Vec<u8>> {
-        let s = self.sections.iter().find(|s| s.contains(addr))?;
-        let end = addr.checked_add(len)?;
-        if end > s.addr + s.size {
-            return None;
-        }
-        let off = (addr - s.addr) as usize;
+        let (s, off) = self.span(addr, len)?;
         let mut out = vec![0u8; len as usize];
-        if off < s.data.len() {
-            let n = (s.data.len() - off).min(len as usize);
-            out[..n].copy_from_slice(&s.data[off..off + n]);
-        }
+        s.copy_into(off, &mut out);
+        Some(out)
+    }
+
+    /// Reads `N` bytes at `addr` without allocating, with the semantics
+    /// of [`Binary::bytes_at`].
+    pub fn array_at<const N: usize>(&self, addr: u32) -> Option<[u8; N]> {
+        let (s, off) = self.span(addr, N as u32)?;
+        let mut out = [0u8; N];
+        s.copy_into(off, &mut out);
         Some(out)
     }
 
     /// Reads a little-endian 32-bit word at `addr`.
     pub fn read_u32(&self, addr: u32) -> Option<u32> {
-        let b = self.bytes_at(addr, 4)?;
-        Some(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        self.array_at(addr).map(u32::from_le_bytes)
     }
 
     /// Reads a NUL-terminated string at `addr` (for rodata literals).
@@ -362,7 +480,7 @@ impl Binary {
             let stub_addr = get_u32(&mut buf)?;
             imports.push(Import { name, stub_addr });
         }
-        Ok(Binary { arch, entry, sections, symbols, imports })
+        Ok(Binary::new(arch, entry, sections, symbols, imports))
     }
 }
 
@@ -413,10 +531,10 @@ mod tests {
     use proptest::prelude::*;
 
     fn sample_binary() -> Binary {
-        Binary {
-            arch: Arch::Arm32e,
-            entry: 0x10000,
-            sections: vec![
+        Binary::new(
+            Arch::Arm32e,
+            0x10000,
+            vec![
                 Section {
                     name: ".text".into(),
                     kind: SectionKind::Text,
@@ -439,11 +557,45 @@ mod tests {
                     data: vec![],
                 },
             ],
-            symbols: vec![
+            vec![
                 Symbol { name: "main".into(), addr: 0x10000, size: 8, kind: SymbolKind::Function },
                 Symbol { name: "greet".into(), addr: 0x20000, size: 3, kind: SymbolKind::Object },
             ],
-            imports: vec![Import { name: "strcpy".into(), stub_addr: 0x18000 }],
+            vec![Import { name: "strcpy".into(), stub_addr: 0x18000 }],
+        )
+    }
+
+    fn func(name: &str, addr: u32, size: u32) -> Symbol {
+        Symbol { name: name.into(), addr, size, kind: SymbolKind::Function }
+    }
+
+    /// The table scan the index replaces, with checked range ends.
+    fn linear_function_at(b: &Binary, addr: u32) -> Option<&Symbol> {
+        b.symbols.iter().find(|s| {
+            s.kind == SymbolKind::Function
+                && addr >= s.addr
+                && s.addr.checked_add(s.size).is_some_and(|end| addr < end)
+        })
+    }
+
+    /// Asserts indexed lookups equal the table scans around every symbol
+    /// and stub.
+    fn assert_lookups_match_scan(b: &Binary) {
+        let mut probes: Vec<u32> = Vec::new();
+        for s in &b.symbols {
+            let end = s.addr.wrapping_add(s.size);
+            probes.extend([s.addr, s.addr.wrapping_sub(1), end, end.wrapping_sub(1)]);
+        }
+        for i in &b.imports {
+            probes.extend([i.stub_addr, i.stub_addr.wrapping_sub(4), i.stub_addr.wrapping_add(4)]);
+        }
+        for addr in probes {
+            let got = b.function_at(addr).map(|s| s as *const Symbol);
+            let want = linear_function_at(b, addr).map(|s| s as *const Symbol);
+            assert_eq!(got, want, "function_at({addr:#x})");
+            let got = b.import_at(addr).map(|i| i as *const Import);
+            let want = b.imports.iter().find(|i| i.stub_addr == addr).map(|i| i as *const Import);
+            assert_eq!(got, want, "import_at({addr:#x})");
         }
     }
 
@@ -482,6 +634,16 @@ mod tests {
         assert_eq!(b.read_u32(0x50000), None);
         // BSS reads back as zeroes.
         assert_eq!(b.read_u32(0x30010), Some(0));
+        // Narrow reads keep the same rules as `bytes_at`.
+        assert_eq!(b.array_at::<2>(0x10006), Some([7, 8]));
+        assert_eq!(b.array_at::<2>(0x10007), None);
+        assert_eq!(b.array_at::<1>(0x20005), Some([0]));
+        assert_eq!(b.array_at::<1>(0x50000), None);
+        assert_eq!(b.array_at::<2>(0x3003e), Some([0, 0]));
+        assert_eq!(b.array_at::<2>(0x3003f), None);
+        for addr in [0x10000, 0x10006, 0x20004, 0x3003e, 0x3003f, 0x50000] {
+            assert_eq!(b.array_at::<2>(addr).map(Vec::from), b.bytes_at(addr, 2), "{addr:#x}");
+        }
     }
 
     #[test]
@@ -501,6 +663,91 @@ mod tests {
         assert_eq!(b.function_at(0x10008), None, "end is exclusive");
         assert_eq!(b.import_at(0x18000).unwrap().name, "strcpy");
         assert_eq!(b.functions().len(), 1);
+        assert_lookups_match_scan(&b);
+    }
+
+    #[test]
+    fn index_is_invisible() {
+        let built = sample_binary();
+        assert!(built.function_at(0x10000).is_some());
+        let fresh = sample_binary();
+        assert_eq!(built, fresh);
+        assert_eq!(format!("{built:?}"), format!("{fresh:?}"));
+        assert!(!format!("{built:?}").contains("index"));
+        assert_eq!(built.to_bytes(), fresh.to_bytes());
+    }
+
+    #[test]
+    fn duplicate_stubs_resolve_to_the_first_import() {
+        let mut b = sample_binary();
+        b.imports = vec![
+            Import { name: "recv".into(), stub_addr: 0x18000 },
+            Import { name: "strcpy".into(), stub_addr: 0x18004 },
+            Import { name: "read".into(), stub_addr: 0x18000 },
+        ];
+        assert_eq!(b.import_at(0x18000).unwrap().name, "recv");
+        assert_eq!(b.import_at(0x18004).unwrap().name, "strcpy");
+        assert_eq!(b.import_at(0x18008), None);
+        assert_lookups_match_scan(&b);
+    }
+
+    #[test]
+    fn zero_size_functions_and_objects_never_match() {
+        let mut b = sample_binary();
+        b.symbols = vec![
+            func("empty", 0x10000, 0),
+            Symbol { name: "table".into(), addr: 0x10000, size: 8, kind: SymbolKind::Object },
+            func("tail", 0x10004, 4),
+        ];
+        assert_eq!(b.function_at(0x10000), None, "zero size and objects cover nothing");
+        assert_eq!(b.function_at(0x10004).unwrap().name, "tail");
+        assert_lookups_match_scan(&b);
+    }
+
+    #[test]
+    fn overlapping_ranges_keep_table_order() {
+        let mut b = sample_binary();
+        b.symbols = vec![func("inner", 0x10004, 4), func("outer", 0x10000, 0x10)];
+        assert_eq!(b.function_at(0x10004).unwrap().name, "inner");
+        assert_eq!(b.function_at(0x10000).unwrap().name, "outer");
+        assert_lookups_match_scan(&b);
+        b = b.clone();
+        b.symbols.reverse();
+        assert_eq!(b.function_at(0x10004).unwrap().name, "outer");
+        assert_lookups_match_scan(&b);
+        // Identical ranges overlap too: the first one wins.
+        b = b.clone();
+        b.symbols = vec![func("a", 0x10000, 8), func("b", 0x10000, 8)];
+        assert_eq!(b.function_at(0x10004).unwrap().name, "a");
+    }
+
+    #[test]
+    fn wrapping_ranges_match_nothing() {
+        let mut b = sample_binary();
+        b.symbols.push(func("wraps", u32::MAX - 4, 0x100));
+        b.symbols.push(func("to_the_top", u32::MAX - 0xf, 0x10));
+        assert_eq!(b.function_at(u32::MAX - 4), None);
+        assert_eq!(b.function_at(u32::MAX), None);
+        assert_eq!(b.function_at(0x10), None);
+        assert_eq!(b.function_at(0x10000).unwrap().name, "main");
+        assert_lookups_match_scan(&b);
+    }
+
+    #[test]
+    fn a_clone_rebuilds_its_index() {
+        let b = sample_binary();
+        assert_eq!(b.function_at(0x10004).unwrap().name, "main");
+        assert_eq!(b.import_at(0x18000).unwrap().name, "strcpy");
+        let mut c = b.clone();
+        c.symbols[0].size = 4;
+        c.symbols.push(func("second", 0x10004, 4));
+        c.imports[0].stub_addr = 0x18010;
+        assert_eq!(c.function_at(0x10004).unwrap().name, "second");
+        assert_eq!(c.import_at(0x18000), None);
+        assert_eq!(c.import_at(0x18010).unwrap().name, "strcpy");
+        assert_lookups_match_scan(&c);
+        // The original keeps answering from its own tables.
+        assert_eq!(b.function_at(0x10004).unwrap().name, "main");
     }
 
     #[test]
@@ -516,19 +763,19 @@ mod tests {
 
         #[test]
         fn roundtrip_arbitrary_section_bytes(data in proptest::collection::vec(any::<u8>(), 0..128)) {
-            let b = Binary {
-                arch: Arch::Mips32e,
-                entry: 0,
-                sections: vec![Section {
+            let b = Binary::new(
+                Arch::Mips32e,
+                0,
+                vec![Section {
                     name: ".text".into(),
                     kind: SectionKind::Text,
                     addr: 0x1000,
                     size: data.len() as u32,
                     data: data.clone(),
                 }],
-                symbols: vec![],
-                imports: vec![],
-            };
+                vec![],
+                vec![],
+            );
             prop_assert_eq!(Binary::from_bytes(&b.to_bytes()).unwrap(), b);
         }
     }

@@ -342,7 +342,7 @@ impl BinaryBuilder {
             .map(|name| Import { name: name.clone(), stub_addr: stub_addrs[name] })
             .collect();
 
-        Ok(Binary { arch: self.arch, entry, sections, symbols, imports })
+        Ok(Binary::new(self.arch, entry, sections, symbols, imports))
     }
 }
 

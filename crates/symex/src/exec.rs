@@ -385,11 +385,10 @@ impl Executor<'_> {
                     if self.bin.is_immutable_addr(caddr) {
                         let loaded = match width {
                             Width::W32 => self.bin.read_u32(caddr),
-                            Width::W16 => self
-                                .bin
-                                .bytes_at(caddr, 2)
-                                .map(|b| u16::from_le_bytes([b[0], b[1]]) as u32),
-                            Width::W8 => self.bin.bytes_at(caddr, 1).map(|b| b[0] as u32),
+                            Width::W16 => {
+                                self.bin.array_at(caddr).map(|b| u16::from_le_bytes(b).into())
+                            }
+                            Width::W8 => self.bin.array_at(caddr).map(|[b]: [u8; 1]| b.into()),
                         };
                         if let Some(v) = loaded {
                             return self.pool.constant(v as i64);

@@ -25,10 +25,15 @@ fn tmpdir() -> std::path::PathBuf {
 }
 
 /// Writes the capped profile as a packed image and returns its path.
+/// Tests run in parallel and share the path, so the image is written
+/// aside and renamed into place: a concurrent scan never reads a
+/// half-written file.
 fn image_path(index: usize, cap: usize) -> String {
     let fw = capped_firmware(index, cap);
     let p = tmpdir().join(format!("audit-p{index}.fwi"));
-    std::fs::write(&p, fw.image.pack(false)).unwrap();
+    let aside = p.with_extension(format!("{:?}", std::thread::current().id()));
+    std::fs::write(&aside, fw.image.pack(false)).unwrap();
+    std::fs::rename(&aside, &p).unwrap();
     p.to_string_lossy().into_owned()
 }
 
