@@ -1,6 +1,5 @@
-use crate::funcfg::FunctionCfg;
+use crate::funcfg::{FunctionCfg, FunctionShape};
 use dtaint_fwbin::Binary;
-use dtaint_ir::JumpKind;
 use std::collections::{HashMap, HashSet};
 
 /// What a call site targets.
@@ -50,17 +49,26 @@ pub struct CallGraph {
 impl CallGraph {
     /// Builds the call graph from the binary and its function CFGs.
     pub fn build(bin: &Binary, cfgs: &[FunctionCfg]) -> CallGraph {
-        let mut functions: Vec<u32> = cfgs.iter().map(|c| c.addr).collect();
+        let shapes: Vec<FunctionShape> = cfgs.iter().map(FunctionCfg::shape).collect();
+        CallGraph::from_shapes(bin, &shapes)
+    }
+
+    /// Builds the call graph from the per-function shape records.
+    ///
+    /// Call targets are classified here, against the whole set of
+    /// lifted functions: a constant target that is one of them is
+    /// direct, one that is an import stub is an import call, and
+    /// anything else is indirect.
+    pub fn from_shapes(bin: &Binary, shapes: &[FunctionShape]) -> CallGraph {
+        let mut functions: Vec<u32> = shapes.iter().map(|s| s.addr).collect();
         functions.sort_unstable();
         let func_set: HashSet<u32> = functions.iter().copied().collect();
         let mut callsites = Vec::new();
         let mut edges: HashMap<u32, Vec<u32>> = HashMap::new();
-        for cfg in cfgs {
-            edges.entry(cfg.addr).or_default();
-            for (&baddr, block) in &cfg.blocks {
-                let JumpKind::Call { return_to } = block.jumpkind else { continue };
-                let ins_addr = block.end() - dtaint_fwbin::INS_SIZE;
-                let target = match block.next_const() {
+        for shape in shapes {
+            edges.entry(shape.addr).or_default();
+            for row in &shape.calls {
+                let target = match row.next_const {
                     Some(t) if func_set.contains(&t) => CallTarget::Direct(t),
                     Some(t) => match bin.import_at(t) {
                         Some(imp) => CallTarget::Import(imp.name.clone()),
@@ -71,16 +79,16 @@ impl CallGraph {
                     None => CallTarget::Indirect,
                 };
                 if let CallTarget::Direct(t) = target {
-                    let out = edges.entry(cfg.addr).or_default();
+                    let out = edges.entry(shape.addr).or_default();
                     if !out.contains(&t) {
                         out.push(t);
                     }
                 }
                 callsites.push(Callsite {
-                    caller: cfg.addr,
-                    block: baddr,
-                    ins_addr,
-                    return_to,
+                    caller: shape.addr,
+                    block: row.block,
+                    ins_addr: row.ins_addr,
+                    return_to: row.return_to,
                     target,
                 });
             }

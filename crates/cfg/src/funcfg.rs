@@ -27,6 +27,40 @@ pub struct FunctionCfg {
     pub back_edges: HashSet<(u32, u32)>,
 }
 
+/// One block of a function that ends in a call, as the call graph reads
+/// it. The target is classified later, against the set of lifted
+/// functions ([`CallGraph::from_shapes`](crate::CallGraph::from_shapes)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CallRow {
+    /// Address of the block ending in the call.
+    pub block: u32,
+    /// Address of the call instruction itself.
+    pub ins_addr: u32,
+    /// Address execution resumes at.
+    pub return_to: u32,
+    /// The call target when it is a constant (`BL`/`JAL`), else `None`.
+    pub next_const: Option<u32>,
+}
+
+/// What a [`FunctionCfg`] leaves behind once its IR is dropped: the
+/// function's identity, its size counters, and its call rows in block
+/// order. The pipeline keeps only these after the per-function pass.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FunctionShape {
+    /// Entry address.
+    pub addr: u32,
+    /// Function name from the symbol table.
+    pub name: String,
+    /// Number of basic blocks.
+    pub blocks: usize,
+    /// Number of intra-function control-flow edges.
+    pub edges: usize,
+    /// Guest instructions covered by the blocks.
+    pub instructions: usize,
+    /// Blocks ending in a call, in block-address order.
+    pub calls: Vec<CallRow>,
+}
+
 impl FunctionCfg {
     /// Number of basic blocks.
     pub fn block_count(&self) -> usize {
@@ -134,6 +168,31 @@ impl FunctionCfg {
             }
         }
         result
+    }
+
+    /// The small record this CFG leaves behind once its IR is dropped.
+    pub fn shape(&self) -> FunctionShape {
+        let calls = self
+            .blocks
+            .iter()
+            .filter_map(|(&block, b)| match b.jumpkind {
+                JumpKind::Call { return_to } => Some(CallRow {
+                    block,
+                    ins_addr: b.end() - INS_SIZE,
+                    return_to,
+                    next_const: b.next_const(),
+                }),
+                _ => None,
+            })
+            .collect();
+        FunctionShape {
+            addr: self.addr,
+            name: self.name.clone(),
+            blocks: self.block_count(),
+            edges: self.edge_count(),
+            instructions: self.blocks.values().map(|b| (b.size / INS_SIZE) as usize).sum(),
+            calls,
+        }
     }
 
     /// Blocks in reverse post-order from the entry (a topological order

@@ -12,7 +12,11 @@
 //!   indirect, with the post-order traversal the bottom-up
 //!   interprocedural analysis walks (callees before callers, each
 //!   function visited once; recursion cycles are broken at the DFS
-//!   back edge).
+//!   back edge),
+//! * [`FunctionShape`] — what a CFG leaves behind once its IR is
+//!   dropped (counts and raw call rows). [`CallGraph::from_shapes`]
+//!   builds the call graph from these, so a pipeline can free each
+//!   function's IR as soon as it has analyzed it.
 //!
 //! # Examples
 //!
@@ -52,4 +56,4 @@ mod funcfg;
 
 pub use callgraph::{CallGraph, CallTarget, Callsite};
 pub use dominators::Dominators;
-pub use funcfg::{build_all_cfgs, build_function_cfg, FunctionCfg};
+pub use funcfg::{build_all_cfgs, build_function_cfg, CallRow, FunctionCfg, FunctionShape};

@@ -297,8 +297,8 @@ fn cmd_scan(rest: &[String], out: &mut dyn Write) -> Result<i32, String> {
             write_out(
                 out,
                 &format!(
-                    "   stages: lift+cfg {:.2?}, ssa {:.2?}, ddg {:.2?} (alias {:.2?}, indirect {:.2?}, propagate {:.2?}), detect {:.2?}\n",
-                    t.lift_cfg, t.ssa, t.ddg, t.ddg_alias, t.ddg_indirect, t.ddg_propagate, t.detect,
+                    "   stages: lift+ssa {:.2?}, callgraph {:.2?}, ddg {:.2?} (alias {:.2?}, indirect {:.2?}, propagate {:.2?}), detect {:.2?}\n",
+                    t.ssa, t.lift_cfg, t.ddg, t.ddg_alias, t.ddg_indirect, t.ddg_propagate, t.detect,
                 ),
             )?;
             if bounds == BoundsMode::Interval {
@@ -414,13 +414,26 @@ fn write_profile(out: &mut dyn Write, report: &AnalysisReport) -> Result<(), Str
     let t = &report.timings;
     let total = t.total().as_micros().max(1) as f64;
     write_out(out, &format!("   profile ({}):\n", report.binary_name))?;
-    for (nm, d) in [("lift+cfg", t.lift_cfg), ("ssa", t.ssa), ("ddg", t.ddg), ("detect", t.detect)]
+    // `lift+ssa` is the fused per-function pass; `callgraph` is symbol
+    // enumeration plus call-graph assembly from the shape records.
+    for (nm, d) in
+        [("lift+ssa", t.ssa), ("callgraph", t.lift_cfg), ("ddg", t.ddg), ("detect", t.detect)]
     {
         write_out(
             out,
             &format!("     {nm:<10} ~{d:.2?} ~{:.1}%\n", 100.0 * d.as_micros() as f64 / total),
         )?;
     }
+    let m = &report.telemetry.metrics;
+    write_out(
+        out,
+        &format!(
+            "     lift        functions {} blocks {} instructions {}\n",
+            m.gauge("image.functions"),
+            m.gauge("image.blocks"),
+            m.counter("lift.instructions"),
+        ),
+    )?;
     // Percentiles over the logical histograms (deterministic: bucket
     // upper bounds of step counts, no wall-clock involved).
     for (label, hist) in [
@@ -440,7 +453,6 @@ fn write_profile(out: &mut dyn Write, report: &AnalysisReport) -> Result<(), Str
             )?;
         }
     }
-    let m = &report.telemetry.metrics;
     write_out(
         out,
         &format!(
@@ -794,7 +806,8 @@ struct ImageOutcome {
 /// byte-for-byte at `--jobs 1`.
 struct ScanCapture {
     /// `DTC2` snapshot to persist at this image's commit — taken only
-    /// when the cache grew past the newest snapshot on disk.
+    /// when the cache grew past the newest snapshot on disk and past the
+    /// one this worker captured for its previous image.
     snapshot: Option<CacheSnapshot>,
     sym_hits: u64,
     sym_misses: u64,
@@ -810,18 +823,19 @@ struct ScanCapture {
     span: Option<SpanEvent>,
 }
 
-/// Captures the cache snapshot (if the cache grew past `durable`, the
-/// generation of the newest snapshot on disk), this image's scan
+/// Captures the cache snapshot (if the cache grew past `newest`, the
+/// generation of the newest snapshot on disk or already captured for an
+/// earlier image that commits first), this image's scan
 /// statistics, and its merged report registry right after its scan
 /// settles. Failed and timed-out images carry zero stats and an empty
 /// registry (their labels never completed a scan).
 fn capture_cache(
     cache: Option<&std::sync::Arc<SummaryCache>>,
-    durable: Option<u64>,
+    newest: Option<u64>,
     oc: &ImageOutcome,
 ) -> ScanCapture {
     let mut cap = ScanCapture {
-        snapshot: cache.and_then(|c| c.snapshot_newer_than(durable)),
+        snapshot: cache.and_then(|c| c.snapshot_newer_than(newest)),
         sym_hits: 0,
         sym_misses: 0,
         ddg_hits: 0,
@@ -1400,6 +1414,13 @@ fn cmd_batch(rest: &[String], out: &mut dyn Write) -> Result<i32, String> {
         let write_heartbeat = &write_heartbeat;
         for widx in 0..worker_count {
             let txo = txo.clone();
+            // The newest snapshot generation this worker has captured. A
+            // worker's images come in increasing order and are committed
+            // in image order, so that capture is on disk before any later
+            // image of this worker commits; encoding the same generation
+            // again would only duplicate the cache in memory, once per
+            // image the commit thread lags behind.
+            let mut captured: Option<u64> = None;
             s.spawn(move || loop {
                 let w = next.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
                 let Some(&i) = work.get(w) else { break };
@@ -1419,7 +1440,11 @@ fn cmd_batch(rest: &[String], out: &mut dyn Write) -> Result<i32, String> {
                 // Capture the cache state *now*, before this worker's
                 // next scan can disturb it — the commit on the main
                 // thread may run arbitrarily later.
-                let mut cap = capture_cache(cache.as_ref(), durable_generation(), &oc);
+                let mut cap =
+                    capture_cache(cache.as_ref(), durable_generation().max(captured), &oc);
+                if let Some(snap) = &cap.snapshot {
+                    captured = Some(snap.generation);
+                }
                 let outcome = if oc.timeout {
                     FleetOutcome::Timeout
                 } else if oc.error.is_some() {

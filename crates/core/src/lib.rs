@@ -10,7 +10,8 @@
 //!    [`dtaint_cfg`]),
 //! 2. run a per-function static symbolic analysis producing definition
 //!    pairs over `deref(base + offset)` variable descriptions
-//!    ([`dtaint_symex`]),
+//!    ([`dtaint_symex`]) — steps 1 and 2 run as one pass per function,
+//!    which frees each function's IR once it is analyzed,
 //! 3. recover pointer aliases, resolve indirect calls by data-structure
 //!    layout similarity, and propagate data flow bottom-up over the call
 //!    graph ([`dtaint_dataflow`]),

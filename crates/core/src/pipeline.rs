@@ -1,8 +1,8 @@
 //! The end-to-end DTaint pipeline (Figure 4 of the paper).
 //!
-//! `binary → IR/CFG → per-function symbolic analysis (parallel) →
-//! pointer aliasing → layout similarity → bottom-up data flow →
-//! sink/source matching → findings`.
+//! `binary → per-function IR/CFG + symbolic analysis (parallel, one
+//! fused pass) → call graph → pointer aliasing → layout similarity →
+//! bottom-up data flow → sink/source matching → findings`.
 
 use crate::report;
 use crate::report::{
@@ -10,10 +10,10 @@ use crate::report::{
 };
 use crate::sinks::{default_sink_names, default_sources};
 use crate::taint;
-use dtaint_cfg::{build_function_cfg, CallGraph, FunctionCfg};
+use dtaint_cfg::{build_function_cfg, CallGraph, FunctionCfg, FunctionShape};
 use dtaint_dataflow::cache::{env_digest, function_content_hash, sym_salt, Level};
 use dtaint_dataflow::{build_dataflow, CacheRef, DataflowConfig, SinkKind};
-use dtaint_fwbin::Binary;
+use dtaint_fwbin::{Binary, Symbol};
 use dtaint_symex::{analyze_function, canonical_encode, SummaryDecoder};
 use dtaint_symex::{ExprPool, FuncSummary, SymexConfig};
 use dtaint_telemetry::{Collector, MetricsRegistry, SpanEvent, TraceBuffer, TraceSpec};
@@ -158,65 +158,55 @@ impl Dtaint {
         // overwrite with a more severe outcome.
         let mut records: BTreeMap<u32, FunctionRecord> = BTreeMap::new();
 
-        // Stage 1: lift + CFGs + call graph. Each function lifts behind
-        // its own error and panic boundary; failures downgrade that one
-        // function to an opaque (absent) summary.
-        let stage_t0 = tel.start();
+        // The symbols to analyze; `lift_cfg` times this plus the
+        // call-graph assembly after the per-function pass.
         let t = Instant::now();
-        let mut syms: Vec<&dtaint_fwbin::Symbol> = bin.functions();
+        let mut syms: Vec<&Symbol> = bin.functions();
         if let Some(filter) = &self.config.function_filter {
             syms.retain(|s| filter.iter().any(|f| s.name.contains(f.as_str())));
         }
         let total_functions = syms.len();
-        let mut cfgs: Vec<FunctionCfg> = Vec::with_capacity(syms.len());
-        for s in &syms {
-            match catch_unwind(AssertUnwindSafe(|| build_function_cfg(bin, s))) {
-                Ok(Ok(cfg)) => cfgs.push(cfg),
-                Ok(Err(e)) => {
-                    if self.config.fail_fast {
-                        return Err(e);
-                    }
-                    record(
-                        &mut records,
-                        s.addr,
-                        &s.name,
-                        FunctionOutcome::LiftFailed,
-                        e.to_string(),
-                    );
-                }
-                Err(_) => {
-                    if self.config.fail_fast {
-                        return Err(dtaint_fwbin::Error::BadFormat(format!(
-                            "panic while lifting `{}`",
-                            s.name
-                        )));
-                    }
-                    record(
-                        &mut records,
-                        s.addr,
-                        &s.name,
-                        FunctionOutcome::Panicked,
-                        "panic during lift/CFG construction".into(),
-                    );
-                }
-            }
-        }
-        let mut callgraph = CallGraph::build(bin, &cfgs);
-        let lift_cfg = t.elapsed();
-        tel.record("lift_cfg", "stage", stage_t0, BTreeMap::new());
+        let enumerate = t.elapsed();
 
-        // Stage 2: per-function static symbolic analysis, in parallel
-        // with private pools, merged afterwards. A panicking function is
-        // rolled back out of its pool and downgraded to an opaque
-        // summary; a fuel-exhausted one is retried once degraded.
+        // Stage 1: the fused per-function pass — lift + CFG, then static
+        // symbolic analysis, in parallel with private pools merged
+        // afterwards. Each function's IR is dropped as soon as it is
+        // analyzed; only its shape record survives. A function that
+        // fails to lift or panics while lifting downgrades to an absent
+        // summary; a panicking analysis is rolled back out of its pool
+        // and downgraded to an opaque summary; a fuel-exhausted one is
+        // retried once degraded.
         let stage_t0 = tel.start();
         let t = Instant::now();
         let sym_cache = self.config.cache.as_ref().map(|cref| SymexCacheCtx {
             cref: cref.clone(),
             salt: sym_salt(env_digest(bin), &self.config.symex),
         });
-        let stage = self.run_symex(bin, &cfgs, tel, sym_cache.as_ref());
-        let SymexStage { summaries, pool, records: symex_records, retried, retry_time } = stage;
+        let stage = self.run_symex(bin, &syms, tel, sym_cache.as_ref());
+        let SymexStage {
+            summaries,
+            pool,
+            shapes,
+            lift_failures,
+            records: symex_records,
+            retried,
+            retry_time,
+        } = stage;
+        // Lift failures first, in address order, so fail-fast reports
+        // the first one before any analysis error.
+        for LiftFailure { addr, name, error } in lift_failures {
+            let (outcome, detail) = match error {
+                Some(e) if self.config.fail_fast => return Err(e),
+                None if self.config.fail_fast => {
+                    return Err(dtaint_fwbin::Error::BadFormat(format!(
+                        "panic while lifting `{name}`"
+                    )));
+                }
+                Some(e) => (FunctionOutcome::LiftFailed, e.to_string()),
+                None => (FunctionOutcome::Panicked, "panic during lift/CFG construction".into()),
+            };
+            record(&mut records, addr, &name, outcome, detail);
+        }
         // Decision audit log, assembled stage by stage in one canonical
         // order (symex budget → ddg prunes/budget/saturation → cache
         // quarantines → detect verdicts); empty unless auditing.
@@ -246,6 +236,15 @@ impl Dtaint {
         }
         let ssa = t.elapsed();
         tel.record("ssa", "stage", stage_t0, BTreeMap::new());
+
+        // Stage 2: the call graph, from the shape records. Target
+        // classification needs the final set of lifted functions, so it
+        // runs here, serially; symex never reads the call graph.
+        let stage_t0 = tel.start();
+        let t = Instant::now();
+        let mut callgraph = CallGraph::from_shapes(bin, &shapes);
+        let lift_cfg = enumerate + t.elapsed();
+        tel.record("lift_cfg", "stage", stage_t0, BTreeMap::new());
 
         // Stage 3: alias + layout similarity + bottom-up propagation.
         let stage_t0 = tel.start();
@@ -409,7 +408,7 @@ impl Dtaint {
         let stage_t0 = tel.start();
         let t = Instant::now();
         let fn_names: HashMap<u32, String> =
-            cfgs.iter().map(|c| (c.addr, c.name.clone())).collect();
+            shapes.iter().map(|s| (s.addr, s.name.clone())).collect();
         let mut outcome = taint::detect_audit(
             &df,
             Some(bin),
@@ -580,9 +579,10 @@ impl Dtaint {
         metrics.set_gauge("image.symbols", stats.symbols as u64);
         metrics.set_gauge("image.imports", stats.imports as u64);
         metrics.set_gauge("image.code_bytes", stats.code_bytes);
-        metrics.set_gauge("image.functions", cfgs.len() as u64);
-        metrics.set_gauge("image.blocks", cfgs.iter().map(|c| c.block_count() as u64).sum());
-        metrics.set_gauge("image.cfg_edges", cfgs.iter().map(|c| c.edge_count() as u64).sum());
+        let blocks: usize = shapes.iter().map(|s| s.blocks).sum();
+        metrics.set_gauge("image.functions", shapes.len() as u64);
+        metrics.set_gauge("image.blocks", blocks as u64);
+        metrics.set_gauge("image.cfg_edges", shapes.iter().map(|s| s.edges as u64).sum());
         metrics.set_gauge("image.call_graph_edges", callgraph.edge_count() as u64);
         metrics.set_gauge("image.sinks", sinks_count as u64);
         metrics.set_gauge("image.resolved_indirect", df.resolved_indirect.len() as u64);
@@ -600,6 +600,7 @@ impl Dtaint {
             metrics.inc("ddg.alias_sse_rewrites", u64::from(f.summary.sse_rewrites));
             metrics.inc("ddg.alias_sse_saturated", u64::from(f.summary.sse_saturated));
         }
+        metrics.inc("lift.instructions", shapes.iter().map(|s| s.instructions as u64).sum());
         metrics.inc("symex.functions_retried", retried as u64);
         metrics.inc("ddg.pruned_infeasible", df.pruned_infeasible as u64);
         metrics.inc("ddg.indirect_installers", df.indirect_stats.installers as u64);
@@ -641,7 +642,7 @@ impl Dtaint {
         // directly, so it is an allocation statistic, not a
         // thread-invariant logical count.
         let mut root_args = BTreeMap::new();
-        root_args.insert("functions".to_owned(), cfgs.len() as u64);
+        root_args.insert("functions".to_owned(), shapes.len() as u64);
         root_args.insert("findings".to_owned(), outcome.findings.len() as u64);
         root_args.insert("pool_nodes".to_owned(), df.pool.len() as u64);
         tel.record(name, "scan", scan_t0, root_args);
@@ -671,8 +672,8 @@ impl Dtaint {
         Ok(AnalysisReport {
             binary_name: name.to_owned(),
             arch: bin.arch.to_string(),
-            functions: cfgs.len(),
-            blocks: cfgs.iter().map(|c| c.block_count()).sum(),
+            functions: shapes.len(),
+            blocks,
             call_graph_edges: callgraph.edge_count(),
             sinks_count,
             resolved_indirect: df.resolved_indirect.len(),
@@ -701,28 +702,34 @@ impl Dtaint {
         threads.clamp(1, work_items.max(1))
     }
 
-    /// Runs the per-function symbolic analysis, parallelised with
-    /// crossbeam scoped threads; each worker interns into a private pool
-    /// that is translated into the global pool at the end. Per-function
-    /// panics are caught and rolled back out of the pool; fuel
-    /// exhaustion triggers one degraded retry (see [`symex_one`]).
+    /// Runs the fused per-function pass — lift + CFG, then symbolic
+    /// analysis — parallelised with crossbeam scoped threads; each worker
+    /// interns into a private pool that is translated into the global
+    /// pool at the end. A function's CFG is dropped on its worker as soon
+    /// as it is analyzed, so at most one function's IR per worker is
+    /// live. Lift errors and panics are caught per function; analysis
+    /// panics are rolled back out of the pool, and fuel exhaustion
+    /// triggers one degraded retry (see [`symex_one`]).
     fn run_symex(
         &self,
         bin: &Binary,
-        cfgs: &[FunctionCfg],
+        syms: &[&Symbol],
         tel: &mut Collector,
         cache: Option<&SymexCacheCtx>,
     ) -> SymexStage {
-        let threads = self.effective_threads(cfgs.len());
+        let threads = self.effective_threads(syms.len());
         let mut stage = SymexStage {
-            summaries: Vec::with_capacity(cfgs.len()),
+            summaries: Vec::with_capacity(syms.len()),
             pool: ExprPool::new(),
+            shapes: Vec::with_capacity(syms.len()),
+            lift_failures: Vec::new(),
             records: Vec::new(),
             retried: 0,
             retry_time: Duration::ZERO,
         };
-        // The per-function body, shared by both schedules: cache probe,
-        // symbolic execution on a miss, one span carrying the logical
+        // The per-function body, shared by both schedules: lift behind a
+        // panic boundary (one `lift_fn` span), then cache probe, symbolic
+        // execution on a miss, one `symex_fn` span carrying the logical
         // counters, then hit/miss bookkeeping and the store against the
         // pool the summary lives in. Settling is order-independent (one
         // key per function), and the canonical encoding is
@@ -730,9 +737,24 @@ impl Dtaint {
         // sequential one. Span recording is a local append guarded by the
         // enabled flag, so the disabled path costs one branch.
         let symex = self.config.symex;
-        let step = |c: &FunctionCfg, pool: &mut ExprPool, buf: &mut TraceBuffer| -> SymexOne {
+        let step = |s: &Symbol, pool: &mut ExprPool, buf: &mut TraceBuffer| -> FnStep {
             let t0 = buf.start();
-            let key = cache.and_then(|cc| cc.key(bin, c));
+            let lifted = catch_unwind(AssertUnwindSafe(|| build_function_cfg(bin, s)));
+            let c = match lifted {
+                Ok(Ok(c)) => c,
+                Ok(Err(e)) => return Err(LiftFailure::of(s, Some(e))),
+                Err(_) => return Err(LiftFailure::of(s, None)),
+            };
+            let shape = c.shape();
+            if buf.is_enabled() {
+                let mut args = BTreeMap::new();
+                args.insert("addr".to_owned(), u64::from(c.addr));
+                args.insert("blocks".to_owned(), shape.blocks as u64);
+                args.insert("instructions".to_owned(), shape.instructions as u64);
+                buf.record(&c.name, "lift_fn", t0, args);
+            }
+            let t0 = buf.start();
+            let key = cache.and_then(|cc| cc.key(bin, &c));
             let hit = match (cache, key) {
                 (Some(cc), Some(k)) => cc.probe(k, pool),
                 _ => None,
@@ -742,7 +764,7 @@ impl Dtaint {
                 Some(summary) => {
                     SymexOne { summary, record: None, retried: false, retry_time: Duration::ZERO }
                 }
-                None => symex_one(bin, c, pool, &symex),
+                None => symex_one(bin, &c, pool, &symex),
             };
             if buf.is_enabled() {
                 let mut args = BTreeMap::new();
@@ -754,32 +776,33 @@ impl Dtaint {
             if let Some(cc) = cache {
                 cc.settle(pool, &one, key, was_hit);
             }
-            one
+            Ok((shape, one))
         };
-        if threads <= 1 || cfgs.len() < 8 {
+        if threads <= 1 || syms.len() < 8 {
             let mut buf = tel.buffer(1);
-            for c in cfgs {
-                let one = step(c, &mut stage.pool, &mut buf);
-                stage.absorb(one, None);
+            for s in syms {
+                let step = step(s, &mut stage.pool, &mut buf);
+                stage.absorb(step, None);
             }
             tel.absorb(buf.into_events());
             return stage;
         }
-        let chunk = cfgs.len().div_ceil(threads);
+        let chunk = syms.len().div_ceil(threads);
         let clock = tel.clock();
         let on = tel.is_enabled();
         let step = &step;
-        let parts: Vec<(Vec<SymexOne>, ExprPool, Vec<SpanEvent>)> =
+        let parts: Vec<(Vec<FnStep>, ExprPool, Vec<SpanEvent>)> =
             crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = cfgs
+                let handles: Vec<_> = syms
                     .chunks(chunk)
                     .enumerate()
                     .map(|(widx, slice)| {
                         scope.spawn(move |_| {
                             let mut pool = ExprPool::new();
                             let mut buf = TraceBuffer::new(clock, 1 + widx as u32, on);
-                            let ones = slice.iter().map(|c| step(c, &mut pool, &mut buf)).collect();
-                            (ones, pool, buf.into_events())
+                            let steps =
+                                slice.iter().map(|s| step(s, &mut pool, &mut buf)).collect();
+                            (steps, pool, buf.into_events())
                         })
                     })
                     .collect();
@@ -787,11 +810,11 @@ impl Dtaint {
             })
             .expect("crossbeam scope");
         // Absorbed in chunk (spawn) order, so the merged event stream and
-        // the summary order are deterministic for a given thread count.
-        for (ones, local, events) in parts {
+        // the summary and shape order are the symbol (address) order.
+        for (steps, local, events) in parts {
             tel.absorb(events);
-            for one in ones {
-                stage.absorb(one, Some(&local));
+            for step in steps {
+                stage.absorb(step, Some(&local));
             }
         }
         stage
@@ -853,20 +876,48 @@ impl SymexCacheCtx {
     }
 }
 
-/// Result of the symbolic-execution stage.
+/// Result of the fused lift + symbolic-execution pass, in symbol order.
 struct SymexStage {
     summaries: Vec<FuncSummary>,
     pool: ExprPool,
-    /// `(addr, name, outcome, detail)` for every non-Analyzed function.
+    /// What each lifted function's CFG left behind.
+    shapes: Vec<FunctionShape>,
+    /// Functions that could not be lifted.
+    lift_failures: Vec<LiftFailure>,
+    /// `(addr, name, outcome, detail)` for every non-Analyzed lifted
+    /// function.
     records: Vec<(u32, String, FunctionOutcome, String)>,
     retried: usize,
     retry_time: Duration,
 }
 
+/// One function's trip through the fused pass: its shape and symex
+/// result, or why it could not be lifted.
+type FnStep = Result<(FunctionShape, SymexOne), LiftFailure>;
+
+/// One function that could not be lifted: `error` is the lift error, or
+/// `None` when lifting panicked.
+struct LiftFailure {
+    addr: u32,
+    name: String,
+    error: Option<dtaint_fwbin::Error>,
+}
+
+impl LiftFailure {
+    fn of(sym: &Symbol, error: Option<dtaint_fwbin::Error>) -> Self {
+        LiftFailure { addr: sym.addr, name: sym.name.clone(), error }
+    }
+}
+
 impl SymexStage {
     /// Folds one function's result in, translating its summary from the
     /// worker's private pool when one is given.
-    fn absorb(&mut self, one: SymexOne, local: Option<&ExprPool>) {
+    fn absorb(&mut self, step: FnStep, local: Option<&ExprPool>) {
+        let (shape, one) = match step {
+            Ok(analyzed) => analyzed,
+            Err(failure) => return self.lift_failures.push(failure),
+        };
+        self.shapes.push(shape);
         let summary = match local {
             Some(local) => one.summary.translate_into(local, &mut self.pool),
             None => one.summary,

@@ -233,9 +233,11 @@ pub struct FunctionRecord {
 /// Wall-clock cost of each pipeline stage.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StageTimings {
-    /// Lifting + CFG + call-graph construction.
+    /// Symbol enumeration plus call-graph assembly from the per-function
+    /// shape records. Lifting itself is part of `ssa`.
     pub lift_cfg: Duration,
-    /// Static symbolic analysis over all functions (Table VII "SSA").
+    /// The fused per-function pass: lifting + CFG construction and
+    /// static symbolic analysis over all functions (Table VII "SSA").
     pub ssa: Duration,
     /// Alias + layout + bottom-up propagation (Table VII "DDG").
     pub ddg: Duration,

@@ -63,9 +63,11 @@ fn spans_nest_scan_function_stage() {
 
     // Per-function spans live on worker lanes, inside the root window,
     // and carry their logical counters as args.
-    let fn_spans: Vec<&SpanEvent> =
-        events.iter().filter(|e| e.cat == "symex_fn" || e.cat == "ddg_fn").collect();
-    assert!(fn_spans.len() >= report.functions, "one span per function per stage");
+    let fn_spans: Vec<&SpanEvent> = events
+        .iter()
+        .filter(|e| e.cat == "lift_fn" || e.cat == "symex_fn" || e.cat == "ddg_fn")
+        .collect();
+    assert!(fn_spans.len() >= 2 * report.functions, "one span per function per stage");
     for ev in &fn_spans {
         assert!(ev.lane >= 1, "function spans use worker lanes");
         assert!(root.contains(ev), "function `{}` nests inside the scan root", ev.name);
@@ -73,6 +75,29 @@ fn spans_nest_scan_function_stage() {
     }
     assert!(fn_spans.iter().any(|e| e.cat == "symex_fn" && e.args.contains_key("blocks")));
     assert!(fn_spans.iter().any(|e| e.cat == "ddg_fn" && e.args.contains_key("fuel")));
+
+    // Lifting is attributable per function: one `lift_fn` span each,
+    // inside the fused `ssa` stage, and the function's `symex_fn` span
+    // starts on the same worker lane once its lift has ended.
+    let ssa = events.iter().find(|e| e.name == "ssa" && e.cat == "stage").unwrap();
+    let lifts: Vec<&SpanEvent> = events.iter().filter(|e| e.cat == "lift_fn").collect();
+    assert_eq!(lifts.len(), report.functions, "one lift span per lifted function");
+    for lift in &lifts {
+        assert!(lift.args["blocks"] > 0 && lift.args["instructions"] > 0, "{}", lift.name);
+        assert!(ssa.contains(lift), "`{}` lifts inside the ssa stage", lift.name);
+        let symex = events
+            .iter()
+            .find(|e| e.cat == "symex_fn" && e.args["addr"] == lift.args["addr"])
+            .unwrap_or_else(|| panic!("no symex span for `{}`", lift.name));
+        assert_eq!(symex.lane, lift.lane, "`{}` lifts and runs on one lane", lift.name);
+        assert!(
+            symex.start_us >= lift.start_us + lift.dur_us,
+            "`{}` symex starts after its lift",
+            lift.name
+        );
+    }
+    let instructions: u64 = lifts.iter().map(|e| e.args["instructions"]).sum();
+    assert_eq!(instructions, report.telemetry.metrics.counter("lift.instructions"));
 }
 
 #[test]
@@ -158,6 +183,7 @@ fn profile_output_stable_modulo_durations() {
     let seq = run("1");
     assert!(seq.contains("profile ("), "{seq}");
     assert!(seq.contains("hotspots (by logical work):"), "{seq}");
+    assert!(seq.contains("lift        functions 60 blocks "), "{seq}");
     // Skip the summary/stage header (raw wall-clock, like the existing
     // CLI tests do), then drop every `~`-prefixed token (the profile's
     // wall-clock-derived ones); what remains — findings, stage names,
