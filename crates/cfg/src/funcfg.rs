@@ -61,6 +61,86 @@ pub struct FunctionShape {
     pub calls: Vec<CallRow>,
 }
 
+impl FunctionShape {
+    /// Appends the compact encoding of everything but `addr` and `name`:
+    /// `blocks`, `edges`, `instructions`, the row count, then each row in
+    /// block order, every field a LEB128 varint. A row stores `block`
+    /// relative to the function entry, `ins_addr` relative to `block` and
+    /// `return_to` relative to `ins_addr` (wrapping deltas), and
+    /// `next_const` as `0` for `None` or `t + 1`.
+    pub fn encode_compact(&self, out: &mut Vec<u8>) {
+        for n in [self.blocks, self.edges, self.instructions, self.calls.len()] {
+            put_varint(out, n as u64);
+        }
+        for row in &self.calls {
+            put_varint(out, u64::from(row.block.wrapping_sub(self.addr)));
+            put_varint(out, u64::from(row.ins_addr.wrapping_sub(row.block)));
+            put_varint(out, u64::from(row.return_to.wrapping_sub(row.ins_addr)));
+            put_varint(out, row.next_const.map_or(0, |t| u64::from(t) + 1));
+        }
+    }
+
+    /// Decodes bytes written by [`FunctionShape::encode_compact`] for the
+    /// function `addr`/`name`. `None` unless `bytes` holds exactly one
+    /// well-formed encoding.
+    pub fn decode_compact(addr: u32, name: String, bytes: &[u8]) -> Option<FunctionShape> {
+        let mut pos = 0;
+        let mut next = || get_varint(bytes, &mut pos);
+        let blocks = usize::try_from(next()?).ok()?;
+        let edges = usize::try_from(next()?).ok()?;
+        let instructions = usize::try_from(next()?).ok()?;
+        let rows = usize::try_from(next()?).ok()?;
+        // A row takes at least four bytes: never reserve more rows than
+        // the input can hold.
+        let mut calls = Vec::with_capacity(rows.min(bytes.len() / 4));
+        for _ in 0..rows {
+            let block = addr.wrapping_add(u32::try_from(next()?).ok()?);
+            let ins_addr = block.wrapping_add(u32::try_from(next()?).ok()?);
+            let return_to = ins_addr.wrapping_add(u32::try_from(next()?).ok()?);
+            let next_const = match next()? {
+                0 => None,
+                t => Some(u32::try_from(t - 1).ok()?),
+            };
+            calls.push(CallRow { block, ins_addr, return_to, next_const });
+        }
+        (pos == bytes.len()).then_some(FunctionShape {
+            addr,
+            name,
+            blocks,
+            edges,
+            instructions,
+            calls,
+        })
+    }
+}
+
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// Reads one LEB128 varint at `*pos`; `None` when it runs off the end
+/// or overflows 64 bits.
+fn get_varint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
+    let mut v = 0u64;
+    for shift in (0..64).step_by(7) {
+        let b = *bytes.get(*pos)?;
+        *pos += 1;
+        let part = u64::from(b & 0x7f);
+        if (part << shift) >> shift != part {
+            return None;
+        }
+        v |= part << shift;
+        if b & 0x80 == 0 {
+            return Some(v);
+        }
+    }
+    None
+}
+
 impl FunctionCfg {
     /// Number of basic blocks.
     pub fn block_count(&self) -> usize {
@@ -564,5 +644,42 @@ mod tests {
             a.ret();
         });
         assert_eq!(cfg.block_count(), 2);
+    }
+
+    /// Wrapping deltas and `next_const` extremes survive the compact
+    /// encoding; anything but exactly one encoding is refused.
+    #[test]
+    fn compact_shape_round_trips_and_refuses_damage() {
+        let addr = 0xffff_fff0;
+        let shape = FunctionShape {
+            addr,
+            name: "f".into(),
+            blocks: 300,
+            edges: 0,
+            instructions: usize::MAX,
+            calls: vec![
+                CallRow { block: addr, ins_addr: addr + 8, return_to: 0, next_const: Some(0) },
+                CallRow { block: 4, ins_addr: 4, return_to: 8, next_const: Some(u32::MAX) },
+                CallRow { block: 0x10, ins_addr: 0x1c, return_to: 0x20, next_const: None },
+            ],
+        };
+        let mut bytes = Vec::new();
+        shape.encode_compact(&mut bytes);
+        assert_eq!(FunctionShape::decode_compact(addr, "f".into(), &bytes), Some(shape));
+        for len in 0..bytes.len() {
+            assert_eq!(FunctionShape::decode_compact(addr, "f".into(), &bytes[..len]), None);
+        }
+        let mut long = bytes.clone();
+        long.push(0);
+        assert_eq!(FunctionShape::decode_compact(addr, "f".into(), &long), None);
+        // A field past its type's range, and a varint past 64 bits.
+        let mut wide = Vec::new();
+        for v in [1u64, 1, 1, 1, 1 << 32, 0, 0, 0] {
+            put_varint(&mut wide, v);
+        }
+        assert_eq!(FunctionShape::decode_compact(addr, "f".into(), &wide), None);
+        let overlong = [0xffu8; 10].iter().chain(&[1u8]).copied().collect::<Vec<_>>();
+        assert_eq!(get_varint(&overlong, &mut 0), None);
+        assert_eq!(get_varint(&[0xff, 0xff, 0xff, 0xff, 0x0f], &mut 0), Some(u64::from(u32::MAX)));
     }
 }

@@ -1201,7 +1201,7 @@ fn cmd_batch(rest: &[String], out: &mut dyn Write) -> Result<i32, String> {
         if durable_generation().is_some_and(|g| snap.generation <= g) {
             return Ok(());
         }
-        dtaint_store::atomic_write(store.fs(), &store.cache_path(), &snap.bytes)
+        dtaint_store::atomic_write_parts(store.fs(), &store.cache_path(), &snap.parts())
             .map_err(|e| format!("write {}: {e}", store.cache_path().display()))?;
         *durable_cache.lock().expect("a cache commit panicked holding the generation") =
             Some(snap.generation);

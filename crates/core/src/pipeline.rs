@@ -11,10 +11,12 @@ use crate::report::{
 use crate::sinks::{default_sink_names, default_sources};
 use crate::taint;
 use dtaint_cfg::{build_function_cfg, CallGraph, FunctionCfg, FunctionShape};
-use dtaint_dataflow::cache::{env_digest, function_content_hash, sym_salt, Level};
+use dtaint_dataflow::cache::{
+    decode_local, encode_local, env_digest, sym_salt, symbol_content_hash, Level,
+};
 use dtaint_dataflow::{build_dataflow, CacheRef, DataflowConfig, SinkKind};
 use dtaint_fwbin::{Binary, Symbol};
-use dtaint_symex::{analyze_function, canonical_encode, SummaryDecoder};
+use dtaint_symex::analyze_function;
 use dtaint_symex::{ExprPool, FuncSummary, SymexConfig};
 use dtaint_telemetry::{Collector, MetricsRegistry, SpanEvent, TraceBuffer, TraceSpec};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -703,7 +705,8 @@ impl Dtaint {
     }
 
     /// Runs the fused per-function pass — lift + CFG, then symbolic
-    /// analysis — parallelised with crossbeam scoped threads; each worker
+    /// analysis, or neither on a symex cache hit — parallelised with
+    /// crossbeam scoped threads; each worker
     /// interns into a private pool that is translated into the global
     /// pool at the end. A function's CFG is dropped on its worker as soon
     /// as it is analyzed, so at most one function's IR per worker is
@@ -727,17 +730,44 @@ impl Dtaint {
             retried: 0,
             retry_time: Duration::ZERO,
         };
-        // The per-function body, shared by both schedules: lift behind a
-        // panic boundary (one `lift_fn` span), then cache probe, symbolic
-        // execution on a miss, one `symex_fn` span carrying the logical
-        // counters, then hit/miss bookkeeping and the store against the
-        // pool the summary lives in. Settling is order-independent (one
-        // key per function), and the canonical encoding is
-        // pool-independent, so a worker's store is byte-identical to a
-        // sequential one. Span recording is a local append guarded by the
-        // enabled flag, so the disabled path costs one branch.
+        // The per-function body, shared by both schedules: the cache
+        // probe first, keyed from the symbol alone. A hit serves the
+        // summary and the shape from the cache record (one `symex_fn`
+        // span) and never lifts. A miss lifts behind a panic boundary
+        // (one `lift_fn` span), runs symbolic execution (one `symex_fn`
+        // span carrying the logical counters), then stores the summary
+        // and the shape against the pool the summary lives in. Settling
+        // is order-independent (one key per function), and the canonical
+        // encoding is pool-independent, so a worker's store is
+        // byte-identical to a sequential one. Span recording is a local
+        // append guarded by the enabled flag, so the disabled path costs
+        // one branch.
         let symex = self.config.symex;
+        let symex_span = |buf: &mut TraceBuffer, s: &FuncSummary, t0| {
+            if buf.is_enabled() {
+                let mut args = BTreeMap::new();
+                args.insert("addr".to_owned(), u64::from(s.addr));
+                args.insert("blocks".to_owned(), u64::from(s.blocks_executed));
+                args.insert("paths".to_owned(), u64::from(s.paths_explored));
+                buf.record(&s.name, "symex_fn", t0, args);
+            }
+        };
         let step = |s: &Symbol, pool: &mut ExprPool, buf: &mut TraceBuffer| -> FnStep {
+            let t0 = buf.start();
+            let key = cache.and_then(|cc| symbol_content_hash(cc.salt, bin, s));
+            if let Some((cc, k)) = cache.zip(key) {
+                if let Some((summary, shape)) = cc.probe(k, pool) {
+                    symex_span(buf, &summary, t0);
+                    let one = SymexOne {
+                        summary,
+                        record: None,
+                        retried: false,
+                        retry_time: Duration::ZERO,
+                    };
+                    cc.settle(pool, &one, &shape, key, true);
+                    return Ok((shape, one));
+                }
+            }
             let t0 = buf.start();
             let lifted = catch_unwind(AssertUnwindSafe(|| build_function_cfg(bin, s)));
             let c = match lifted {
@@ -754,27 +784,10 @@ impl Dtaint {
                 buf.record(&c.name, "lift_fn", t0, args);
             }
             let t0 = buf.start();
-            let key = cache.and_then(|cc| cc.key(bin, &c));
-            let hit = match (cache, key) {
-                (Some(cc), Some(k)) => cc.probe(k, pool),
-                _ => None,
-            };
-            let was_hit = hit.is_some();
-            let one = match hit {
-                Some(summary) => {
-                    SymexOne { summary, record: None, retried: false, retry_time: Duration::ZERO }
-                }
-                None => symex_one(bin, &c, pool, &symex),
-            };
-            if buf.is_enabled() {
-                let mut args = BTreeMap::new();
-                args.insert("addr".to_owned(), u64::from(c.addr));
-                args.insert("blocks".to_owned(), u64::from(one.summary.blocks_executed));
-                args.insert("paths".to_owned(), u64::from(one.summary.paths_explored));
-                buf.record(&c.name, "symex_fn", t0, args);
-            }
+            let one = symex_one(bin, &c, pool, &symex);
+            symex_span(buf, &one.summary, t0);
             if let Some(cc) = cache {
-                cc.settle(pool, &one, key, was_hit);
+                cc.settle(pool, &one, &shape, key, false);
             }
             Ok((shape, one))
         };
@@ -822,32 +835,22 @@ impl Dtaint {
 }
 
 /// Per-scan context for the symex-level summary cache: the config salt
-/// plus the shared store handle.
+/// plus the shared store handle. A function's key is
+/// [`symbol_content_hash`] under the salt, so it needs no lift.
 struct SymexCacheCtx {
     cref: CacheRef,
     salt: u64,
 }
 
 impl SymexCacheCtx {
-    /// Content key for one function: salt + address + name + raw bytes.
-    fn key(&self, bin: &Binary, cfg: &FunctionCfg) -> Option<u64> {
-        let sym = bin.function_at(cfg.addr)?;
-        let bytes = bin.bytes_at(sym.addr, sym.size)?;
-        Some(function_content_hash(self.salt, cfg.addr, &cfg.name, &bytes))
-    }
-
-    /// Attempts to rehydrate a cached local summary into `pool`. Local
-    /// summaries never contain unknowns (only the DDG stage mints
-    /// them), so the unknown-unmapper refuses everything; a malformed
-    /// blob rolls the pool back and falls through to a cold run.
-    fn probe(&self, key: u64, pool: &mut ExprPool) -> Option<FuncSummary> {
+    /// Attempts to rehydrate a cached local summary into `pool`, with
+    /// the function's shape. Local summaries never contain unknowns
+    /// (only the DDG stage mints them); a malformed blob or shape rolls
+    /// the pool back and falls through to a cold run.
+    fn probe(&self, key: u64, pool: &mut ExprPool) -> Option<(FuncSummary, FunctionShape)> {
         let blob = self.cref.cache.lookup_blob(Level::Symex, key)?;
         let mark = pool.mark();
-        let r = (|| {
-            let mut dec = SummaryDecoder::new(&blob, pool, &mut |_, _| None)?;
-            let s = dec.summary()?;
-            dec.at_end().then_some(s)
-        })();
+        let r = decode_local(&blob, pool);
         if r.is_none() {
             pool.rollback(mark);
         }
@@ -856,8 +859,15 @@ impl SymexCacheCtx {
 
     /// Hit/miss bookkeeping plus the store on an eligible miss: only
     /// cleanly analyzed summaries (no outcome record, not degraded, no
-    /// fuel exhaustion) are cached.
-    fn settle(&self, pool: &ExprPool, one: &SymexOne, key: Option<u64>, was_hit: bool) {
+    /// fuel exhaustion) are cached, together with the function's shape.
+    fn settle(
+        &self,
+        pool: &ExprPool,
+        one: &SymexOne,
+        shape: &FunctionShape,
+        key: Option<u64>,
+        was_hit: bool,
+    ) {
         let s = &one.summary;
         if was_hit {
             if let Some(k) = key {
@@ -870,7 +880,7 @@ impl SymexCacheCtx {
         if one.record.is_some() || s.degraded || s.fuel_exhausted {
             return;
         }
-        if let Some(blob) = canonical_encode(pool, s) {
+        if let Some(blob) = encode_local(pool, s, shape) {
             self.cref.cache.store(Level::Symex, &self.cref.scan, k, blob);
         }
     }
@@ -880,7 +890,8 @@ impl SymexCacheCtx {
 struct SymexStage {
     summaries: Vec<FuncSummary>,
     pool: ExprPool,
-    /// What each lifted function's CFG left behind.
+    /// What each function's CFG left behind, lifted or served from the
+    /// cache.
     shapes: Vec<FunctionShape>,
     /// Functions that could not be lifted.
     lift_failures: Vec<LiftFailure>,

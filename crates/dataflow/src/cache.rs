@@ -32,7 +32,7 @@
 //! listed in [`CacheRef::uncacheable`] and are never stored (their keys
 //! still exist, so callers above them can hit).
 
-use dtaint_fwbin::Binary;
+use dtaint_fwbin::{Binary, Symbol};
 use dtaint_symex::encode::Fnv64;
 use dtaint_symex::SymexConfig;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -90,10 +90,10 @@ pub struct CacheTotals {
 
 /// One entry held as its complete `DTC2` record — marker, level tag,
 /// key, blob length, blob, checksum — so the checksum is computed once
-/// (when the entry is stored, or verified on load) and a snapshot only
-/// concatenates records.
+/// (when the entry is stored, or verified on load). Records are shared,
+/// so a snapshot holds handles on them instead of copying their bytes.
 #[derive(Debug)]
-struct Record(Vec<u8>);
+struct Record(Arc<[u8]>);
 
 impl Record {
     /// Bytes before the blob: marker, tag, key, length.
@@ -110,7 +110,7 @@ impl Record {
         rec.extend_from_slice(blob);
         let check = fnv64_bytes(&rec[2..]);
         rec.extend_from_slice(&check.to_le_bytes());
-        Record(rec)
+        Record(rec.into())
     }
 
     fn blob(&self) -> &[u8] {
@@ -136,21 +136,21 @@ impl Inner {
         map.insert(key, rec);
     }
 
-    /// The `DTC2` bytes of every held entry: a 16-byte header (magic,
-    /// entry count, FNV of the first 8 header bytes), then the records,
-    /// symex level first, each level key-sorted.
-    fn encode(&self) -> Vec<u8> {
-        let records = || self.sym.values().chain(self.ddg.values());
+    /// Every held entry as `DTC2` parts: a 16-byte header (magic, entry
+    /// count, FNV of the first 8 header bytes), then handles on the
+    /// records, symex level first, each level key-sorted.
+    fn snapshot(&self) -> CacheSnapshot {
         let count = (self.sym.len() + self.ddg.len()) as u32;
-        let mut out = Vec::with_capacity(16 + records().map(|r| r.0.len()).sum::<usize>());
-        out.extend_from_slice(&CACHE_MAGIC);
-        out.extend_from_slice(&count.to_le_bytes());
-        let head_check = fnv64_bytes(&out[..8]);
-        out.extend_from_slice(&head_check.to_le_bytes());
-        for rec in records() {
-            out.extend_from_slice(&rec.0);
+        let mut header = [0u8; 16];
+        header[..4].copy_from_slice(&CACHE_MAGIC);
+        header[4..8].copy_from_slice(&count.to_le_bytes());
+        let head_check = fnv64_bytes(&header[..8]);
+        header[8..].copy_from_slice(&head_check.to_le_bytes());
+        CacheSnapshot {
+            generation: self.totals.stores,
+            header,
+            records: self.sym.values().chain(self.ddg.values()).map(|r| r.0.clone()).collect(),
         }
-        out
     }
 }
 
@@ -204,14 +204,25 @@ impl CacheLoadReport {
     }
 }
 
-/// A `DTC2` snapshot tagged with the store generation it captures.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A `DTC2` snapshot tagged with the store generation it captures. It
+/// holds the header plus shared handles on the records, so taking one
+/// copies no record bytes.
+#[derive(Debug, Clone)]
 pub struct CacheSnapshot {
     /// [`CacheTotals::stores`] when the snapshot was taken: a later
     /// snapshot with the same generation holds the same entries.
     pub generation: u64,
-    /// The serialized cache, as [`SummaryCache::to_bytes`] returns it.
-    pub bytes: Vec<u8>,
+    header: [u8; 16],
+    records: Vec<Arc<[u8]>>,
+}
+
+impl CacheSnapshot {
+    /// The serialized cache in file order, header first; concatenated,
+    /// the parts are what [`SummaryCache::to_bytes`] returned when the
+    /// snapshot was taken.
+    pub fn parts(&self) -> Vec<&[u8]> {
+        std::iter::once(&self.header[..]).chain(self.records.iter().map(|r| &r[..])).collect()
+    }
 }
 
 impl SummaryCache {
@@ -307,20 +318,18 @@ impl SummaryCache {
     /// individually checksummed records. Statistics and the seen-key
     /// table are per-process and not persisted.
     pub fn to_bytes(&self) -> Vec<u8> {
-        self.inner.lock().unwrap().encode()
+        let snap = self.inner.lock().unwrap().snapshot();
+        snap.parts().concat()
     }
 
-    /// Encodes a snapshot only if the store generation is newer than
+    /// Takes a snapshot only if the store generation is newer than
     /// `durable`: the generation of the newest snapshot on disk, `None`
-    /// when that file is missing or damaged. Checked and encoded under
-    /// one lock, so the bytes hold exactly the entries of the generation
+    /// when that file is missing or damaged. Checked and taken under one
+    /// lock, so the records are exactly the entries of the generation
     /// they carry.
     pub fn snapshot_newer_than(&self, durable: Option<u64>) -> Option<CacheSnapshot> {
         let g = self.inner.lock().unwrap();
-        let generation = g.totals.stores;
-        durable
-            .is_none_or(|d| generation > d)
-            .then(|| CacheSnapshot { generation, bytes: g.encode() })
+        durable.is_none_or(|d| g.totals.stores > d).then(|| g.snapshot())
     }
 
     /// Deserialises cache bytes, salvaging what survives damage. `DTC2`
@@ -376,7 +385,7 @@ fn parse_dtc2(bytes: &[u8], inner: &mut Inner) -> CacheLoadReport {
         match parse_record(bytes, pos) {
             Some((tag, key, next)) => {
                 // Verified: keep the framed bytes, checksum included.
-                inner.insert(tag, key, Record(bytes[pos..next].to_vec()));
+                inner.insert(tag, key, Record(bytes[pos..next].into()));
                 loaded += 1;
                 pos = next;
             }
@@ -515,8 +524,8 @@ fn section_kind_tag(k: dtaint_fwbin::SectionKind) -> u8 {
 /// included so fault-drilled scans never hit healthy entries.
 pub fn sym_salt(env: u64, cfg: &SymexConfig) -> u64 {
     let mut h = Fnv64::new();
-    // v2: the summary blob encoding gained the SSE counters.
-    h.write_str("dtaint-symex/v2");
+    // v3: the blob carries the function's shape after the summary.
+    h.write_str("dtaint-symex/v3");
     h.write_u64(env);
     h.write_u32(cfg.max_paths);
     h.write_u32(cfg.max_blocks_per_path);
@@ -580,6 +589,18 @@ pub fn function_content_hash(salt: u64, addr: u32, name: &str, bytes: &[u8]) -> 
     h.write_u32(bytes.len() as u32);
     h.write(bytes);
     h.finish()
+}
+
+/// [`function_content_hash`] of one function symbol over its own bytes,
+/// `[addr, addr + size)` — not those of whichever symbol covers its
+/// entry first, which differ when symbols overlap. `None` for an empty
+/// symbol or unmapped bytes.
+pub fn symbol_content_hash(salt: u64, bin: &Binary, sym: &Symbol) -> Option<u64> {
+    if sym.size == 0 {
+        return None;
+    }
+    let bytes = bin.bytes_at(sym.addr, sym.size)?;
+    Some(function_content_hash(salt, sym.addr, &sym.name, &bytes))
 }
 
 /// Per-call-site marker kinds for [`compose_final_key`]. Encoded into
@@ -658,11 +679,32 @@ pub fn combine_scc(members: &[(u32, u64)]) -> u64 {
     h.finish()
 }
 
-// --- Final-summary blob codec ---------------------------------------
+// --- Summary blob codecs -------------------------------------------
 
 use crate::interproc::{FinalSummary, SinkKind, SinkObservation};
+use dtaint_cfg::FunctionShape;
 use dtaint_symex::encode::{SummaryDecoder, SummaryEncoder};
-use dtaint_symex::ExprPool;
+use dtaint_symex::{canonical_encode, ExprPool, FuncSummary};
+
+/// Encodes a symex-level blob: the canonical local summary, then the
+/// function's compact shape ([`FunctionShape::encode_compact`]), so a
+/// hit serves both without lifting the function. `None` when the
+/// summary holds unknowns.
+pub fn encode_local(pool: &ExprPool, s: &FuncSummary, shape: &FunctionShape) -> Option<Vec<u8>> {
+    let mut blob = canonical_encode(pool, s)?;
+    shape.encode_compact(&mut blob);
+    Some(blob)
+}
+
+/// Decodes a blob written by [`encode_local`] into `pool`; the shape
+/// takes its address and name from the summary. `None` when any part is
+/// malformed or short — the caller rolls the pool back.
+pub fn decode_local(blob: &[u8], pool: &mut ExprPool) -> Option<(FuncSummary, FunctionShape)> {
+    let mut dec = SummaryDecoder::new(blob, pool, &mut |_, _| None)?;
+    let s = dec.summary()?;
+    let shape = FunctionShape::decode_compact(s.addr, s.name.clone(), dec.rest())?;
+    Some((s, shape))
+}
 
 /// Encodes a final summary (plus the per-function infeasible-pruned
 /// count a hit must re-credit) into a pool-free blob. `k_unknowns` is
@@ -920,7 +962,13 @@ mod tests {
         want.insert((0, 250), vec![0xD7, 0xC2]);
         assert_eq!(mixed.to_bytes(), reference_dtc2(&want), "loaded + stored + overwritten");
         let snap = mixed.snapshot_newer_than(None).unwrap();
-        assert_eq!(snap.bytes, mixed.to_bytes());
+        assert_eq!(snap.parts().concat(), mixed.to_bytes());
+        // A snapshot keeps its generation's bytes after later stores.
+        let before = mixed.to_bytes();
+        mixed.store(Level::Symex, "s", 250, vec![9]);
+        mixed.store(Level::Symex, "s", 4, vec![8]);
+        assert_eq!(snap.parts().concat(), before, "records are shared, not aliased");
+        assert_ne!(mixed.to_bytes(), before);
     }
 
     /// A snapshot is taken only when some store happened after the

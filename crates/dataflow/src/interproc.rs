@@ -36,7 +36,7 @@
 use crate::cache::{self, CacheRef, Level};
 use crate::indirect::{resolve_indirect_calls, IndirectStats, ResolvedCall};
 use dtaint_cfg::CallGraph;
-use dtaint_fwbin::Binary;
+use dtaint_fwbin::{Binary, Symbol};
 use dtaint_symex::pool::{CmpOp, ExprPool, SymNode};
 use dtaint_symex::{CalleeRef, Constraint, DefPair, ExprId, FuncSummary};
 use dtaint_telemetry::{Clock, SpanEvent, TraceBuffer, TraceSpec};
@@ -599,15 +599,20 @@ impl DdgCacheCtx {
         // normalising constructors, so structurally distinct but
         // observationally equal forms exist across thread counts, and
         // keying on them would make warmth thread-dependent.
-        let mut own: HashMap<u32, Option<u64>> = HashMap::new();
-        for (&addr, s) in by_addr {
-            let h = (|| {
-                let sym = bin.function_at(addr)?;
-                let bytes = bin.bytes_at(sym.addr, sym.size)?;
-                Some(cache::function_content_hash(salt, addr, &s.name, &bytes))
-            })();
-            own.insert(addr, h);
+        // Each summary's own symbol, by address and name: when symbols
+        // overlap, the first symbol covering an entry may be another
+        // function, whose bytes would leave this one's edits unseen.
+        let mut syms: HashMap<(u32, &str), &Symbol> = HashMap::new();
+        for sym in bin.functions() {
+            syms.entry((sym.addr, sym.name.as_str())).or_insert(sym);
         }
+        let own: HashMap<u32, Option<u64>> = by_addr
+            .iter()
+            .map(|(&addr, s)| {
+                let sym = syms.get(&(addr, s.name.as_str()));
+                (addr, sym.and_then(|sym| cache::symbol_content_hash(salt, bin, sym)))
+            })
+            .collect();
         let mut combined: HashMap<u32, Option<u64>> = HashMap::new();
         for comp in callgraph.sccs() {
             if comp.len() < 2 {

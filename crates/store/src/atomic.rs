@@ -21,7 +21,7 @@
 //! permanent ones (`ENOSPC`, injected kills) propagate to the caller.
 
 use std::fs::{File, OpenOptions};
-use std::io::{self, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -207,20 +207,37 @@ fn tmp_path(path: &Path) -> PathBuf {
 /// Propagates persistent IO failures (the target is left untouched; a
 /// stale temp file may remain and is ignored by every reader).
 pub fn atomic_write(fs: &FaultFs, path: &Path, bytes: &[u8]) -> io::Result<()> {
+    atomic_write_parts(fs, path, &[bytes])
+}
+
+/// [`atomic_write`] of the concatenation of `parts`, written in order
+/// through one buffer, so a payload held in pieces is never joined in
+/// memory.
+///
+/// # Errors
+///
+/// As [`atomic_write`].
+pub fn atomic_write_parts(fs: &FaultFs, path: &Path, parts: &[&[u8]]) -> io::Result<()> {
     with_retries(|| {
         let tmp = tmp_path(path);
         let res = (|| {
             fs.check(FsOp::CreateTmp)?;
-            let mut f = File::create(&tmp)?;
-            match fs.check(FsOp::WriteChunk) {
-                Ok(()) => f.write_all(bytes)?,
-                Err(e) => {
-                    // Simulate dying mid-write: a prefix lands in the
-                    // temp file, which the rename never publishes.
-                    let _ = f.write_all(&bytes[..bytes.len() / 2]);
-                    return Err(e);
+            let mut w = BufWriter::new(File::create(&tmp)?);
+            if let Err(e) = fs.check(FsOp::WriteChunk) {
+                // Simulate dying mid-write: the first half of the
+                // payload lands in the temp file, which the rename never
+                // publishes.
+                let half = parts.iter().map(|p| p.len()).sum::<usize>() / 2;
+                for p in prefix(parts, half) {
+                    let _ = w.write_all(p);
                 }
+                let _ = w.flush();
+                return Err(e);
             }
+            for p in parts {
+                w.write_all(p)?;
+            }
+            let f = w.into_inner().map_err(io::IntoInnerError::into_error)?;
             fs.check(FsOp::SyncFile)?;
             f.sync_all()?;
             drop(f);
@@ -239,6 +256,18 @@ pub fn atomic_write(fs: &FaultFs, path: &Path, bytes: &[u8]) -> io::Result<()> {
         }
         res
     })
+}
+
+/// The first `n` bytes of the concatenation of `parts`, part by part.
+fn prefix<'a>(parts: &[&'a [u8]], mut n: usize) -> Vec<&'a [u8]> {
+    parts
+        .iter()
+        .map(|p| {
+            let k = n.min(p.len());
+            n -= k;
+            &p[..k]
+        })
+        .collect()
 }
 
 /// Appends `bytes` to `path` durably (create + `O_APPEND` + fsync).
@@ -281,30 +310,56 @@ mod tests {
 
     /// The acceptance drill: inject a permanent failure at every write
     /// step in turn; the target must always hold exactly the old or the
-    /// new version, never a prefix or a mixture.
+    /// new version, never a prefix or a mixture — whether the new
+    /// version is written in one part, two, or many.
     #[test]
     fn failure_at_every_step_leaves_old_or_new() {
         let dir = tdir("steps");
         let target = dir.join("artifact.json");
         let old = b"OLD-CONTENT-OLD-CONTENT".to_vec();
         let new = b"NEW-CONTENT-NEW-CONTENT-LONGER".to_vec();
-        // 5 checked ops per atomic_write attempt.
-        for step in 0..5u64 {
-            atomic_write(&FaultFs::new(), &target, &old).unwrap();
-            let fs =
-                FaultFs::with_plan(FaultPlan::FailOp { index: step, kind: io::ErrorKind::Other });
-            let res = atomic_write(&fs, &target, &new);
-            let on_disk = std::fs::read(&target).unwrap();
-            // A failure injected after the rename (the SyncDir step)
-            // legitimately leaves the new version published; every
-            // earlier failure must leave the old one. Never a mixture.
-            assert!(
-                on_disk == old || (on_disk == new && step == 4),
-                "step {step} ({res:?}): on-disk content is neither old nor complete-new"
-            );
-            assert_eq!(fs.injected(), 1, "step {step}: drill fired");
+        let splits: [&[usize]; 3] = [&[], &[11], &[0, 1, 2, 3, 5, 8, 13, 13, 21, 30]];
+        for cuts in splits {
+            let mut parts: Vec<&[u8]> = Vec::new();
+            let mut at = 0;
+            for &cut in cuts.iter().chain(&[new.len()]) {
+                parts.push(&new[at..cut]);
+                at = cut;
+            }
+            // 5 checked ops per atomic_write attempt.
+            for step in 0..5u64 {
+                atomic_write(&FaultFs::new(), &target, &old).unwrap();
+                let fs = FaultFs::with_plan(FaultPlan::FailOp {
+                    index: step,
+                    kind: io::ErrorKind::Other,
+                });
+                let res = atomic_write_parts(&fs, &target, &parts);
+                let on_disk = std::fs::read(&target).unwrap();
+                // A failure injected after the rename (the SyncDir step)
+                // legitimately leaves the new version published; every
+                // earlier failure must leave the old one. Never a mixture.
+                assert!(
+                    on_disk == old || (on_disk == new && step == 4),
+                    "{} part(s), step {step} ({res:?}): on-disk content is neither old nor \
+                     complete-new",
+                    parts.len()
+                );
+                assert_eq!(fs.injected(), 1, "step {step}: drill fired");
+            }
+            atomic_write_parts(&FaultFs::new(), &target, &parts).unwrap();
+            assert_eq!(std::fs::read(&target).unwrap(), new, "{} part(s)", parts.len());
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A write dying at `WriteChunk` writes the first half of the
+    /// concatenated payload, however it is split.
+    #[test]
+    fn prefix_spans_parts() {
+        let parts: [&[u8]; 4] = [b"ab", b"", b"cdefg", b"hij"];
+        for n in 0..=10 {
+            assert_eq!(prefix(&parts, n).concat(), &b"abcdefghij"[..n], "n = {n}");
+        }
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //!   lifecycle status (`Open`/`Resolved`) and first/last-seen
 //!   generation numbers,
 //! * `summaries.dtc` — the incremental summary cache (the caller writes
-//!   `SummaryCache` snapshots with [`atomic_write`]; this crate only
-//!   names the path),
+//!   `SummaryCache` snapshots with [`atomic_write_parts`]; this crate
+//!   only names the path),
 //! * `reports/` — one `scan --json` report per image per run.
 //!
 //! [`FindingsDb::record_scan`] folds one image's scan results into the
@@ -24,7 +24,9 @@ pub mod journal;
 pub mod lock;
 pub mod runs;
 
-pub use atomic::{append_durable, atomic_write, fnv64, FaultFs, FaultPlan, FsOp};
+pub use atomic::{
+    append_durable, atomic_write, atomic_write_parts, fnv64, FaultFs, FaultPlan, FsOp,
+};
 pub use journal::{JournalEntry, JournalLoad, JournalOutcome, JOURNAL_VERSION};
 pub use lock::{pid_alive, LockError, StoreLock};
 pub use runs::{encode_run, parse_runs, RunSummary, RunsLoad, RUN_VERSION};

@@ -522,6 +522,11 @@ impl SummaryDecoder {
         self.exprs.get(ix).copied()
     }
 
+    /// The body bytes not read yet.
+    pub fn rest(&self) -> &[u8] {
+        &self.body[self.pos..]
+    }
+
     /// True when the whole body was consumed.
     pub fn at_end(&self) -> bool {
         self.pos == self.body.len()

@@ -5,8 +5,16 @@
 //! set of functions that miss the cache after an edit must be exactly
 //! the changed functions plus their transitive callers.
 
+use dtaint_cfg::build_function_cfg;
 use dtaint_core::{AnalysisReport, CacheRef, Dtaint, DtaintConfig, SummaryCache};
-use dtaint_fwgen::{build_firmware, build_version_pair, table2_profiles, GeneratedFirmware};
+use dtaint_dataflow::cache::{decode_local, env_digest, sym_salt, symbol_content_hash, Level};
+use dtaint_fwbin::{Binary, Symbol};
+use dtaint_fwgen::{
+    build_firmware, build_version_pair, corrupt_binary, table2_profiles, BinFault,
+    GeneratedFirmware,
+};
+use dtaint_symex::{ExprPool, SymexConfig};
+use dtaint_telemetry::Collector;
 use proptest::prelude::*;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -20,8 +28,18 @@ fn capped_firmware(index: usize, cap: usize) -> GeneratedFirmware {
 }
 
 fn scan(fw: &GeneratedFirmware, threads: usize, cache: Option<CacheRef>) -> AnalysisReport {
+    scan_bin(&fw.binary, threads, cache)
+}
+
+fn scan_bin(bin: &Binary, threads: usize, cache: Option<CacheRef>) -> AnalysisReport {
     let config = DtaintConfig { threads, cache, ..Default::default() };
-    Dtaint::with_config(config).analyze(&fw.binary, "img").unwrap()
+    Dtaint::with_config(config).analyze(bin, "img").unwrap()
+}
+
+/// The symex-level key of `sym` under the default configuration.
+fn sym_key(bin: &Binary, sym: &Symbol) -> Option<u64> {
+    let salt = sym_salt(env_digest(bin), &SymexConfig::default());
+    symbol_content_hash(salt, bin, sym)
 }
 
 /// Cold scan == warm scan, full `PartialEq` after zeroing the only
@@ -208,6 +226,190 @@ fn batch_cache_survives_a_corrupt_image_in_the_corpus() {
     let corpus = std::fs::read_to_string(dir.join(".dtaint-store/reports/corpus.json")).unwrap();
     assert!(!corpus.contains("\"ddg_hits\": 0,"), "warm run reuses summaries: {corpus}");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A symex hit serves the function's shape from the cache record instead
+/// of lifting it. On every Table II profile and every `BinFault` mutant,
+/// each record a warm scan hits decodes to exactly the shape a lift
+/// gives, and the warm report equals the cold one.
+#[test]
+fn warm_hits_serve_the_lifted_shape_on_profiles_and_mutants() {
+    for index in 0..6 {
+        let fw = capped_firmware(index, 60);
+        let n = fw.binary.functions().len();
+        let mut variants = vec![("pristine".to_owned(), fw.binary.clone())];
+        for fault in [
+            BinFault::LyingSectionSize { index: 0 },
+            BinFault::WrappingSymbol { index: 0 },
+            BinFault::OverlappingSymbols,
+            BinFault::DanglingSymbol,
+            BinFault::GarbageOpcodes { index: 0, seed: 11 },
+            BinFault::GarbageOpcodes { index: n / 2, seed: 11 },
+            BinFault::GarbageOpcodes { index: 1, seed: 7 },
+        ] {
+            variants.push((format!("{fault:?}"), corrupt_binary(&fw.binary, &fault)));
+        }
+        for (fault, bin) in &variants {
+            let label = format!("{} {fault}", fw.profile.binary_name);
+            let cache = Arc::new(SummaryCache::new());
+            let cold = scan_bin(bin, 2, Some(CacheRef::new(cache.clone(), "img")))
+                .with_zeroed_wall_clock();
+            let warm = scan_bin(bin, 2, Some(CacheRef::new(cache.clone(), "img")))
+                .with_zeroed_wall_clock();
+            assert_eq!(warm, cold, "{label}: warm scan diverged");
+            let mut served = 0;
+            for sym in bin.functions() {
+                let Some(blob) = sym_key(bin, sym).and_then(|k| cache.lookup_blob(Level::Symex, k))
+                else {
+                    continue;
+                };
+                let (summary, shape) = decode_local(&blob, &mut ExprPool::new())
+                    .unwrap_or_else(|| panic!("{label}: `{}` record decodes", sym.name));
+                assert_eq!((summary.addr, summary.name.as_str()), (sym.addr, sym.name.as_str()));
+                let lifted = build_function_cfg(bin, sym).expect("cached functions lift").shape();
+                assert_eq!(
+                    shape, lifted,
+                    "{label}: `{}` served a shape a lift disagrees with",
+                    sym.name
+                );
+                served += 1;
+            }
+            let st = cache.scan_stats("img");
+            // A lying text section maps no function bytes, so nothing
+            // has a key there.
+            assert!(served > 0 || fault.starts_with("LyingSectionSize"), "{label}: no hits");
+            assert_eq!(st.sym_hits, served, "{label}: every stored record is hit");
+        }
+    }
+}
+
+/// A warm scan lifts exactly the functions that miss the symex cache:
+/// one `lift_fn` span per miss, none per hit, at every thread count.
+#[test]
+fn warm_scans_lift_only_symex_misses() {
+    let mut p = table2_profiles().remove(2);
+    p.total_functions = 100;
+    let pair = build_version_pair(&p, 11, 2);
+    let cold = scan(&pair.updated, 1, None).with_zeroed_wall_clock();
+    for threads in [1, 2, 8] {
+        let cache = Arc::new(SummaryCache::new());
+        scan(&pair.base, threads, Some(CacheRef::new(cache.clone(), "img")));
+        let config = DtaintConfig {
+            threads,
+            cache: Some(CacheRef::new(cache.clone(), "img")),
+            ..Default::default()
+        };
+        let mut tel = Collector::enabled();
+        let warm = Dtaint::with_config(config)
+            .analyze_traced(&pair.updated.binary, "img", &mut tel)
+            .unwrap()
+            .with_zeroed_wall_clock();
+        assert_eq!(warm, cold, "warm scan diverged at {threads} threads");
+        let st = cache.scan_stats("img");
+        let lifted: Vec<String> =
+            tel.events().iter().filter(|e| e.cat == "lift_fn").map(|e| e.name.clone()).collect();
+        assert!(st.sym_misses > 0 && st.sym_hits > 0, "{st:?}");
+        assert_eq!(lifted.len() as u64, st.sym_misses, "one lift per miss at {threads} threads");
+        assert_eq!(BTreeSet::from_iter(lifted), st.sym_miss_fns, "the lifted functions missed");
+        let symex_spans = tel.events().iter().filter(|e| e.cat == "symex_fn").count() as u64;
+        assert_eq!(symex_spans, st.sym_hits + st.sym_misses, "one symex span per function");
+    }
+}
+
+/// A record whose shape tail is damaged is never served: the probe
+/// rolls the pool back, the function runs cold, its record is stored
+/// afresh, and the report equals a cold scan's.
+#[test]
+fn damaged_shape_tail_falls_back_to_a_cold_run() {
+    let fw = capped_firmware(0, 60);
+    let bin = &fw.binary;
+    let cold = scan(&fw, 1, None).with_zeroed_wall_clock();
+    let cache = Arc::new(SummaryCache::new());
+    scan(&fw, 1, Some(CacheRef::new(cache.clone(), "img")));
+    // The function with the most call rows, so its tail is longest.
+    let (sym, key, blob) = bin
+        .functions()
+        .into_iter()
+        .filter_map(|s| {
+            let k = sym_key(bin, s)?;
+            Some((s, k, cache.lookup_blob(Level::Symex, k)?))
+        })
+        .max_by_key(|(s, ..)| build_function_cfg(bin, s).unwrap().shape().calls.len())
+        .unwrap();
+    let tail_len = {
+        let mut shape = Vec::new();
+        build_function_cfg(bin, sym).unwrap().shape().encode_compact(&mut shape);
+        shape.len()
+    };
+    let mut dangling = blob.clone();
+    *dangling.last_mut().unwrap() |= 0x80;
+    let mut long = blob.clone();
+    long.push(0);
+    let damaged = [
+        ("truncated", blob[..blob.len() - 1].to_vec()),
+        ("summary only", blob[..blob.len() - tail_len].to_vec()),
+        ("dangling varint", dangling),
+        ("trailing byte", long),
+    ];
+    for (what, bad) in damaged {
+        cache.store(Level::Symex, "seed", key, bad);
+        let warm = scan(&fw, 2, Some(CacheRef::new(cache.clone(), "img"))).with_zeroed_wall_clock();
+        assert_eq!(warm, cold, "{what}: report diverged");
+        let st = cache.scan_stats("img");
+        assert_eq!(st.sym_miss_fns, BTreeSet::from([sym.name.clone()]), "{what}");
+        assert_eq!(cache.lookup_blob(Level::Symex, key), Some(blob.clone()), "{what}: re-stored");
+    }
+
+    // A bit flipped on disk inside the tail fails the record checksum:
+    // the record is discarded on load and the function runs cold.
+    let mut bytes = cache.to_bytes();
+    let at = bytes.windows(blob.len()).position(|w| w == blob).unwrap() + blob.len() - 1;
+    bytes[at] ^= 0x01;
+    let (loaded, report) = SummaryCache::from_bytes(&bytes);
+    assert!(report.damaged && report.discarded == 1, "{report:?}");
+    let loaded = Arc::new(loaded);
+    let warm = scan(&fw, 2, Some(CacheRef::new(loaded.clone(), "img"))).with_zeroed_wall_clock();
+    assert_eq!(warm, cold, "bit flip on disk: report diverged");
+    assert_eq!(loaded.scan_stats("img").sym_miss_fns, BTreeSet::from([sym.name.clone()]));
+}
+
+/// The symex key hashes the function's own bytes, not those of the first
+/// symbol covering its entry. On the overlapping-symbols mutant the
+/// first function runs 8 bytes into the second, so an edit further into
+/// the second function must still miss, and the warm report must equal
+/// a cold scan of the edited image.
+#[test]
+fn overlapping_symbols_key_each_function_by_its_own_bytes() {
+    let fw = capped_firmware(0, 60);
+    let overlapped = corrupt_binary(&fw.binary, &BinFault::OverlappingSymbols);
+    let funcs = overlapped.functions();
+    let (first, second) = (funcs[0].clone(), funcs[1].clone());
+    assert_eq!(
+        overlapped.function_at(second.addr).map(|s| s.name.as_str()),
+        Some(first.name.as_str()),
+        "the first function covers the second one's entry"
+    );
+    // The first bit flip past the overlap that still lifts, so the
+    // function is analyzed (a lift failure is never a cache probe).
+    let edited = (8..second.size)
+        .flat_map(|off| (0..8).map(move |bit| (off, bit)))
+        .find_map(|(off, bit)| {
+            let mut b = overlapped.clone();
+            let addr = second.addr + off;
+            let text = b.sections.iter_mut().find(|s| s.contains(addr)).unwrap();
+            text.data[(addr - text.addr) as usize] ^= 1 << bit;
+            build_function_cfg(&b, &second).is_ok().then_some(b)
+        })
+        .expect("some flip keeps the function liftable");
+    let cold = scan_bin(&edited, 1, None).with_zeroed_wall_clock();
+    let cache = Arc::new(SummaryCache::new());
+    scan_bin(&overlapped, 1, Some(CacheRef::new(cache.clone(), "img")));
+    let warm =
+        scan_bin(&edited, 2, Some(CacheRef::new(cache.clone(), "img"))).with_zeroed_wall_clock();
+    let st = cache.scan_stats("img");
+    assert_eq!(st.sym_miss_fns, BTreeSet::from([second.name.clone()]), "{st:?}");
+    assert!(st.ddg_miss_fns.contains(&second.name), "{st:?}");
+    assert_eq!(warm, cold, "warm scan of the edited overlap diverged from cold");
 }
 
 /// Summarizing a function again, each time into a fresh pool, encodes
