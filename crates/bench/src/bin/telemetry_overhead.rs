@@ -1,6 +1,8 @@
 //! Telemetry overhead check — whole-pipeline wall time with the
-//! collector disabled (the `analyze` default) versus enabled with no
-//! exporter attached, on a mid-sized Table II profile. The instrumented
+//! collector disabled (the `analyze` default, which still records the
+//! eight lane-0 root and stage spans) versus enabled (every
+//! per-function span too) with no exporter attached, on a mid-sized
+//! Table II profile. The instrumented
 //! run must stay within 5% of the baseline (plus a small absolute slack
 //! to absorb timer noise on fast scans).
 //!

@@ -264,7 +264,8 @@ fn cmd_scan(rest: &[String], out: &mut dyn Write) -> Result<i32, String> {
 
     // One collector for the whole invocation: spans from every binary
     // in the image share the clock epoch, and the registry accumulates.
-    // Span recording is only paid for when something will consume it.
+    // The stage spans are always recorded (they are the scan's clock);
+    // per-function spans only when something will consume them.
     let want_spans = profile || trace_out.is_some() || trace_chrome.is_some();
     let mut tel = if want_spans { Collector::enabled() } else { Collector::disabled() };
 
@@ -290,25 +291,31 @@ fn cmd_scan(rest: &[String], out: &mut dyn Write) -> Result<i32, String> {
                     report.sinks_count,
                     report.vulnerable_paths().len(),
                     report.vulnerabilities(),
-                    report.timings.total(),
+                    report.stage("scan"),
                 ),
             )?;
-            let t = &report.timings;
+            let t = |nm| report.stage(nm);
             write_out(
                 out,
                 &format!(
                     "   stages: lift+ssa {:.2?}, callgraph {:.2?}, ddg {:.2?} (alias {:.2?}, indirect {:.2?}, propagate {:.2?}), detect {:.2?}\n",
-                    t.ssa, t.lift_cfg, t.ddg, t.ddg_alias, t.ddg_indirect, t.ddg_propagate, t.detect,
+                    t("ssa"),
+                    t("lift_cfg"),
+                    t("ddg"),
+                    t("ddg_alias"),
+                    t("ddg_indirect"),
+                    t("ddg_propagate"),
+                    t("detect"),
                 ),
             )?;
             if bounds == BoundsMode::Interval {
+                // Logical counts only: both are identical at any thread
+                // count.
                 write_out(
                     out,
                     &format!(
-                        "   interval: absint {:.2?} (ddg {:.2?}, detect {:.2?}), {} infeasible path(s) suppressed\n",
-                        t.ddg_absint + t.detect_absint,
-                        t.ddg_absint,
-                        t.detect_absint,
+                        "   interval: absint {} solver pass(es), {} infeasible path(s) suppressed\n",
+                        report.telemetry.metrics.counter("absint.solver_passes"),
                         report.infeasible_suppressed,
                     ),
                 )?;
@@ -338,18 +345,15 @@ fn cmd_scan(rest: &[String], out: &mut dyn Write) -> Result<i32, String> {
         if profile {
             write_profile(out, &report)?;
         }
-        // Stage wall-clock as gauges, for `--metrics-out`. Durations are
-        // confined to `stage.*_us` names so consumers can filter them
-        // out of determinism comparisons. Summed across binaries.
-        let t = &report.timings;
-        for (nm, d) in [
-            ("stage.lift_cfg_us", t.lift_cfg),
-            ("stage.ssa_us", t.ssa),
-            ("stage.ddg_us", t.ddg),
-            ("stage.detect_us", t.detect),
-        ] {
-            let prev = tel.metrics.gauge(nm);
-            tel.metrics.set_gauge(nm, prev + d.as_micros() as u64);
+        // Stage wall-clock as gauges, for `--metrics-out`: one
+        // `stage.<span>_us` per lane-0 span (`stage.scan_us` for the
+        // root). Durations are confined to `stage.*_us` names so
+        // consumers can filter them out of determinism comparisons.
+        // Summed across binaries.
+        for (span, us) in &report.stage_us {
+            let nm = format!("stage.{span}_us");
+            let prev = tel.metrics.gauge(&nm);
+            tel.metrics.set_gauge(&nm, prev + us);
         }
         any_vuln |= report.vulnerabilities() > 0;
         any_partial |= !report.coverage_complete();
@@ -411,14 +415,15 @@ fn cmd_scan(rest: &[String], out: &mut dyn Write) -> Result<i32, String> {
 /// is prefixed `~` — strip those and the output is bit-identical across
 /// thread counts, because everything else comes from logical counters.
 fn write_profile(out: &mut dyn Write, report: &AnalysisReport) -> Result<(), String> {
-    let t = &report.timings;
-    let total = t.total().as_micros().max(1) as f64;
+    let total = report.stage("scan").as_micros().max(1) as f64;
     write_out(out, &format!("   profile ({}):\n", report.binary_name))?;
-    // `lift+ssa` is the fused per-function pass; `callgraph` is symbol
-    // enumeration plus call-graph assembly from the shape records.
-    for (nm, d) in
-        [("lift+ssa", t.ssa), ("callgraph", t.lift_cfg), ("ddg", t.ddg), ("detect", t.detect)]
+    // `lift+ssa` is the fused per-function pass; `callgraph` is the
+    // call-graph assembly from the shape records. Shares are of the
+    // whole scan.
+    for (nm, span) in
+        [("lift+ssa", "ssa"), ("callgraph", "lift_cfg"), ("ddg", "ddg"), ("detect", "detect")]
     {
+        let d = report.stage(span);
         write_out(
             out,
             &format!("     {nm:<10} ~{d:.2?} ~{:.1}%\n", 100.0 * d.as_micros() as f64 / total),

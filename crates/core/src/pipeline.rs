@@ -5,9 +5,7 @@
 //! bottom-up data flow → sink/source matching → findings`.
 
 use crate::report;
-use crate::report::{
-    AnalysisReport, FnCost, FunctionOutcome, FunctionRecord, StageTimings, TelemetrySection,
-};
+use crate::report::{AnalysisReport, FnCost, FunctionOutcome, FunctionRecord, TelemetrySection};
 use crate::sinks::{default_sink_names, default_sources};
 use crate::taint;
 use dtaint_cfg::{build_function_cfg, CallGraph, FunctionCfg, FunctionShape};
@@ -21,7 +19,6 @@ use dtaint_symex::{ExprPool, FuncSummary, SymexConfig};
 use dtaint_telemetry::{Collector, MetricsRegistry, SpanEvent, TraceBuffer, TraceSpec};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::{Duration, Instant};
 
 /// Configuration of the whole pipeline.
 #[derive(Debug, Clone)]
@@ -130,9 +127,12 @@ impl Dtaint {
     }
 
     /// [`Dtaint::analyze`] with telemetry: hierarchical spans (scan →
-    /// function → stage) are recorded into `tel` when it is enabled, and
-    /// the metrics registry is populated either way (metrics are logical
-    /// counters — free to keep, and bit-identical across thread counts).
+    /// stage → function) are recorded into `tel`, and the metrics
+    /// registry is populated (metrics are logical counters — free to
+    /// keep, and bit-identical across thread counts). The scan root and
+    /// stage spans on lane 0 are always recorded, and every duration in
+    /// [`AnalysisReport::stage_us`] is read from them; the per-function
+    /// spans on worker lanes only when `tel` is enabled.
     ///
     /// Spans carry wall-clock durations *and* logical work counters; the
     /// two are kept strictly separate, and nothing the analysis computes
@@ -160,15 +160,11 @@ impl Dtaint {
         // overwrite with a more severe outcome.
         let mut records: BTreeMap<u32, FunctionRecord> = BTreeMap::new();
 
-        // The symbols to analyze; `lift_cfg` times this plus the
-        // call-graph assembly after the per-function pass.
-        let t = Instant::now();
         let mut syms: Vec<&Symbol> = bin.functions();
         if let Some(filter) = &self.config.function_filter {
             syms.retain(|s| filter.iter().any(|f| s.name.contains(f.as_str())));
         }
         let total_functions = syms.len();
-        let enumerate = t.elapsed();
 
         // Stage 1: the fused per-function pass — lift + CFG, then static
         // symbolic analysis, in parallel with private pools merged
@@ -179,21 +175,13 @@ impl Dtaint {
         // and downgraded to an opaque summary; a fuel-exhausted one is
         // retried once degraded.
         let stage_t0 = tel.start();
-        let t = Instant::now();
         let sym_cache = self.config.cache.as_ref().map(|cref| SymexCacheCtx {
             cref: cref.clone(),
             salt: sym_salt(env_digest(bin), &self.config.symex),
         });
         let stage = self.run_symex(bin, &syms, tel, sym_cache.as_ref());
-        let SymexStage {
-            summaries,
-            pool,
-            shapes,
-            lift_failures,
-            records: symex_records,
-            retried,
-            retry_time,
-        } = stage;
+        let SymexStage { summaries, pool, shapes, lift_failures, records: symex_records, retried } =
+            stage;
         // Lift failures first, in address order, so fail-fast reports
         // the first one before any analysis error.
         for LiftFailure { addr, name, error } in lift_failures {
@@ -236,25 +224,22 @@ impl Dtaint {
             }
             record(&mut records, addr, &name, outcome, detail);
         }
-        let ssa = t.elapsed();
         tel.record("ssa", "stage", stage_t0, BTreeMap::new());
 
         // Stage 2: the call graph, from the shape records. Target
         // classification needs the final set of lifted functions, so it
         // runs here, serially; symex never reads the call graph.
         let stage_t0 = tel.start();
-        let t = Instant::now();
         let mut callgraph = CallGraph::from_shapes(bin, &shapes);
-        let lift_cfg = enumerate + t.elapsed();
         tel.record("lift_cfg", "stage", stage_t0, BTreeMap::new());
 
         // Stage 3: alias + layout similarity + bottom-up propagation.
         let stage_t0 = tel.start();
-        let t = Instant::now();
         let mut df_config = self.config.dataflow.clone();
         df_config.interval_guards = self.config.bounds == taint::BoundsMode::Interval;
         df_config.audit = self.config.audit;
-        df_config.trace = tel.is_enabled().then(|| TraceSpec { clock: tel.clock(), base_lane: 1 });
+        df_config.trace =
+            Some(TraceSpec { clock: tel.clock(), base_lane: 1, workers: tel.is_enabled() });
         // Quarantine every function with a non-Analyzed outcome so far
         // (lift failures, symex panics/degradations): the DDG stage must
         // never store their summaries — a faulted artefact in the cache
@@ -381,34 +366,10 @@ impl Dtaint {
                 }
             }
         }
-        let ddg = t.elapsed();
         tel.record("ddg", "stage", stage_t0, BTreeMap::new());
-        // The DDG sub-stages run back-to-back inside `build_dataflow`,
-        // so their spans can be reconstructed from its timing breakdown
-        // at the stage's start offset without plumbing a clock through.
-        if tel.is_enabled() {
-            let mut off = stage_t0;
-            for (nm, d) in [
-                ("ddg_alias", df.timings.alias),
-                ("ddg_indirect", df.timings.indirect),
-                ("ddg_propagate", df.timings.propagate),
-            ] {
-                let dur = d.as_micros() as u64;
-                tel.push(SpanEvent {
-                    name: nm.to_owned(),
-                    cat: "stage".to_owned(),
-                    lane: 0,
-                    start_us: off,
-                    dur_us: dur,
-                    args: BTreeMap::new(),
-                });
-                off += dur;
-            }
-        }
 
         // Stage 4: taint judgement.
         let stage_t0 = tel.start();
-        let t = Instant::now();
         let fn_names: HashMap<u32, String> =
             shapes.iter().map(|s| (s.addr, s.name.clone())).collect();
         let mut outcome = taint::detect_audit(
@@ -482,7 +443,6 @@ impl Dtaint {
                 "panic during taint judgement".into(),
             );
         }
-        let detect = t.elapsed();
         tel.record("detect", "stage", stage_t0, BTreeMap::new());
 
         let sinks_count = df
@@ -538,9 +498,9 @@ impl Dtaint {
             })
             .count();
 
-        // Per-function wall-clock, looked up from the spans this scan
-        // recorded (empty maps when the collector is disabled). These
-        // feed only the `*_us` display fields of `FnCost`.
+        // Per-function wall-clock, looked up from the worker-lane spans
+        // this scan recorded (empty maps when the collector is disabled).
+        // These feed only the `*_us` display fields of `FnCost`.
         let mut symex_us: HashMap<u32, u64> = HashMap::new();
         let mut ddg_us: HashMap<u32, u64> = HashMap::new();
         for ev in &tel.events()[watermark..] {
@@ -638,34 +598,23 @@ impl Dtaint {
         }
 
         // Root span last: it closes after everything it contains. The
-        // pool size rides here rather than in the registry: the parallel
-        // symex merge translates only summary-reachable nodes into the
-        // master pool while the sequential path interns intermediates
-        // directly, so it is an allocation statistic, not a
-        // thread-invariant logical count.
+        // pool size rides here rather than in the registry: it is an
+        // allocation statistic, not a logical count.
         let mut root_args = BTreeMap::new();
         root_args.insert("functions".to_owned(), shapes.len() as u64);
         root_args.insert("findings".to_owned(), outcome.findings.len() as u64);
         root_args.insert("pool_nodes".to_owned(), df.pool.len() as u64);
         tel.record(name, "scan", scan_t0, root_args);
-
-        let timings = StageTimings {
-            lift_cfg,
-            ssa,
-            ddg,
-            detect,
-            ddg_alias: df.timings.alias,
-            ddg_indirect: df.timings.indirect,
-            ddg_propagate: df.timings.propagate,
-            ddg_absint: df.timings.absint,
-            detect_absint: outcome.absint,
-            ssa_retry: retry_time,
-        };
-        debug_assert!(
-            timings.consistency_error(Duration::from_millis(50)).is_none(),
-            "stage timing drift: {:?}",
-            timings.consistency_error(Duration::from_millis(50))
-        );
+        // The report's wall clock: this scan's lane-0 spans, the root
+        // under `scan`.
+        let stage_us = tel.events()[watermark..]
+            .iter()
+            .filter_map(|ev| match ev.cat.as_str() {
+                "scan" => Some(("scan".to_owned(), ev.dur_us)),
+                "stage" => Some((ev.name.clone(), ev.dur_us)),
+                _ => None,
+            })
+            .collect();
 
         // Detect-stage decisions (including duplicate folds) close out
         // the canonical audit order.
@@ -686,7 +635,7 @@ impl Dtaint {
             functions_retried: retried,
             loop_copy_sinks,
             skipped_functions: records.into_values().collect(),
-            timings,
+            stage_us,
             telemetry: TelemetrySection { metrics, functions: fn_costs },
             sink_coverage,
             decisions,
@@ -705,12 +654,14 @@ impl Dtaint {
     }
 
     /// Runs the fused per-function pass — lift + CFG, then symbolic
-    /// analysis, or neither on a symex cache hit — parallelised with
-    /// crossbeam scoped threads; each worker
-    /// interns into a private pool that is translated into the global
-    /// pool at the end. A function's CFG is dropped on its worker as soon
-    /// as it is analyzed, so at most one function's IR per worker is
-    /// live. Lift errors and panics are caught per function; analysis
+    /// analysis, or neither on a symex cache hit — over contiguous
+    /// chunks of the symbols on crossbeam scoped threads, one chunk per
+    /// worker (a single chunk at one thread); each worker interns into a
+    /// private pool that is translated into the global pool at the end.
+    /// The one schedule at every thread count keeps the master pool,
+    /// and so every cache record, identical across thread counts. A
+    /// function's CFG is dropped on its worker as soon as it is analyzed,
+    /// so at most one function's IR per worker is live. Lift errors and panics are caught per function; analysis
     /// panics are rolled back out of the pool, and fuel exhaustion
     /// triggers one degraded retry (see [`symex_one`]).
     fn run_symex(
@@ -728,20 +679,16 @@ impl Dtaint {
             lift_failures: Vec::new(),
             records: Vec::new(),
             retried: 0,
-            retry_time: Duration::ZERO,
         };
-        // The per-function body, shared by both schedules: the cache
-        // probe first, keyed from the symbol alone. A hit serves the
-        // summary and the shape from the cache record (one `symex_fn`
-        // span) and never lifts. A miss lifts behind a panic boundary
-        // (one `lift_fn` span), runs symbolic execution (one `symex_fn`
-        // span carrying the logical counters), then stores the summary
-        // and the shape against the pool the summary lives in. Settling
-        // is order-independent (one key per function), and the canonical
-        // encoding is pool-independent, so a worker's store is
-        // byte-identical to a sequential one. Span recording is a local
-        // append guarded by the enabled flag, so the disabled path costs
-        // one branch.
+        // The per-function body: the cache probe first, keyed from the
+        // symbol alone. A hit serves the summary and the shape from the
+        // cache record (one `symex_fn` span) and never lifts. A miss
+        // lifts behind a panic boundary (one `lift_fn` span), runs
+        // symbolic execution (one `symex_fn` span carrying the logical
+        // counters), then stores the summary and the shape against the
+        // pool the summary lives in. Settling is order-independent (one
+        // key per function). Span recording is a local append guarded by
+        // the enabled flag, so the disabled path costs one branch.
         let symex = self.config.symex;
         let symex_span = |buf: &mut TraceBuffer, s: &FuncSummary, t0| {
             if buf.is_enabled() {
@@ -758,12 +705,7 @@ impl Dtaint {
             if let Some((cc, k)) = cache.zip(key) {
                 if let Some((summary, shape)) = cc.probe(k, pool) {
                     symex_span(buf, &summary, t0);
-                    let one = SymexOne {
-                        summary,
-                        record: None,
-                        retried: false,
-                        retry_time: Duration::ZERO,
-                    };
+                    let one = SymexOne { summary, record: None, retried: false };
                     cc.settle(pool, &one, &shape, key, true);
                     return Ok((shape, one));
                 }
@@ -791,16 +733,7 @@ impl Dtaint {
             }
             Ok((shape, one))
         };
-        if threads <= 1 || syms.len() < 8 {
-            let mut buf = tel.buffer(1);
-            for s in syms {
-                let step = step(s, &mut stage.pool, &mut buf);
-                stage.absorb(step, None);
-            }
-            tel.absorb(buf.into_events());
-            return stage;
-        }
-        let chunk = syms.len().div_ceil(threads);
+        let chunk = syms.len().div_ceil(threads).max(1);
         let clock = tel.clock();
         let on = tel.is_enabled();
         let step = &step;
@@ -827,7 +760,7 @@ impl Dtaint {
         for (steps, local, events) in parts {
             tel.absorb(events);
             for step in steps {
-                stage.absorb(step, Some(&local));
+                stage.absorb(step, &local);
             }
         }
         stage
@@ -899,7 +832,6 @@ struct SymexStage {
     /// function.
     records: Vec<(u32, String, FunctionOutcome, String)>,
     retried: usize,
-    retry_time: Duration,
 }
 
 /// One function's trip through the fused pass: its shape and symex
@@ -922,24 +854,18 @@ impl LiftFailure {
 
 impl SymexStage {
     /// Folds one function's result in, translating its summary from the
-    /// worker's private pool when one is given.
-    fn absorb(&mut self, step: FnStep, local: Option<&ExprPool>) {
+    /// worker's private pool.
+    fn absorb(&mut self, step: FnStep, local: &ExprPool) {
         let (shape, one) = match step {
             Ok(analyzed) => analyzed,
             Err(failure) => return self.lift_failures.push(failure),
         };
         self.shapes.push(shape);
-        let summary = match local {
-            Some(local) => one.summary.translate_into(local, &mut self.pool),
-            None => one.summary,
-        };
+        let summary = one.summary.translate_into(local, &mut self.pool);
         if let Some((outcome, detail)) = one.record {
             self.records.push((summary.addr, summary.name.clone(), outcome, detail));
         }
-        if one.retried {
-            self.retried += 1;
-            self.retry_time += one.retry_time;
-        }
+        self.retried += usize::from(one.retried);
         self.summaries.push(summary);
     }
 }
@@ -949,7 +875,6 @@ struct SymexOne {
     summary: FuncSummary,
     record: Option<(FunctionOutcome, String)>,
     retried: bool,
-    retry_time: Duration,
 }
 
 /// Analyzes one function behind a panic boundary with fuel-exhaustion
@@ -979,11 +904,9 @@ fn symex_one(
                 summary: opaque_summary(cfg),
                 record: Some((FunctionOutcome::Panicked, "panic during symbolic execution".into())),
                 retried: false,
-                retry_time: Duration::ZERO,
             }
         }
         Ok(summary) if summary.fuel_exhausted => {
-            let t = Instant::now();
             pool.rollback(mark);
             let degraded_config = config.degraded();
             let retry = catch_unwind(AssertUnwindSafe(|| {
@@ -999,7 +922,6 @@ fn symex_one(
                             "panic during degraded symbolic execution".into(),
                         )),
                         retried: true,
-                        retry_time: t.elapsed(),
                     }
                 }
                 Ok(mut summary) => {
@@ -1021,18 +943,11 @@ fn symex_one(
                             ),
                         )
                     };
-                    SymexOne {
-                        summary,
-                        record: Some(record),
-                        retried: true,
-                        retry_time: t.elapsed(),
-                    }
+                    SymexOne { summary, record: Some(record), retried: true }
                 }
             }
         }
-        Ok(summary) => {
-            SymexOne { summary, record: None, retried: false, retry_time: Duration::ZERO }
-        }
+        Ok(summary) => SymexOne { summary, record: None, retried: false },
     }
 }
 

@@ -4,7 +4,7 @@ use crate::evidence::{EvidenceStep, SanitizeVerdict};
 use crate::sinks::VulnKind;
 use dtaint_telemetry::{Decision, MetricsRegistry};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::time::Duration;
 
@@ -230,81 +230,6 @@ pub struct FunctionRecord {
     pub detail: String,
 }
 
-/// Wall-clock cost of each pipeline stage.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct StageTimings {
-    /// Symbol enumeration plus call-graph assembly from the per-function
-    /// shape records. Lifting itself is part of `ssa`.
-    pub lift_cfg: Duration,
-    /// The fused per-function pass: lifting + CFG construction and
-    /// static symbolic analysis over all functions (Table VII "SSA").
-    pub ssa: Duration,
-    /// Alias + layout + bottom-up propagation (Table VII "DDG").
-    pub ddg: Duration,
-    /// Sink/source matching and sanitisation checks.
-    pub detect: Duration,
-    /// DDG sub-stage: pointer-alias resolution.
-    #[serde(default)]
-    pub ddg_alias: Duration,
-    /// DDG sub-stage: indirect-call resolution by layout similarity.
-    #[serde(default)]
-    pub ddg_indirect: Duration,
-    /// DDG sub-stage: bottom-up summary propagation (Algorithm 2).
-    #[serde(default)]
-    pub ddg_propagate: Duration,
-    /// Interval-solver time spent pruning infeasible observations during
-    /// propagation (interval-guards mode; zero otherwise). Wall time,
-    /// part of `ddg_propagate`.
-    #[serde(default)]
-    pub ddg_absint: Duration,
-    /// Interval-solver time spent judging guards during detection
-    /// (interval-guards mode; zero otherwise).
-    #[serde(default)]
-    pub detect_absint: Duration,
-    /// Time spent re-running fuel-exhausted functions under the
-    /// degraded symbolic-execution profile (part of `ssa` wall-clock).
-    #[serde(default)]
-    pub ssa_retry: Duration,
-}
-
-impl StageTimings {
-    /// Total across all stages.
-    pub fn total(&self) -> Duration {
-        self.lift_cfg + self.ssa + self.ddg + self.detect
-    }
-
-    /// Checks the internal accounting invariants: each recorded
-    /// sub-stage must fit inside its parent stage's wall-clock (within
-    /// `tolerance`, to absorb timer granularity). Returns a description
-    /// of the first violation, or `None` when the timings are coherent.
-    ///
-    /// `ssa_retry` is exempt: it is summed across symex workers (CPU
-    /// time), so it legitimately exceeds its parent's wall-clock share
-    /// under parallelism. `ddg_absint` is not checked separately: it is
-    /// part of `ddg_propagate`.
-    pub fn consistency_error(&self, tolerance: Duration) -> Option<String> {
-        let ddg_subs = self.ddg_alias + self.ddg_indirect + self.ddg_propagate;
-        if ddg_subs > self.ddg + tolerance {
-            return Some(format!(
-                "ddg sub-stages ({ddg_subs:?}) exceed ddg wall-clock ({:?})",
-                self.ddg
-            ));
-        }
-        if self.detect_absint > self.detect + tolerance {
-            return Some(format!(
-                "detect_absint ({:?}) exceeds detect wall-clock ({:?})",
-                self.detect_absint, self.detect
-            ));
-        }
-        let total = self.total();
-        let parts = self.lift_cfg + self.ssa + self.ddg + self.detect;
-        if total + tolerance < parts || parts + tolerance < total {
-            return Some(format!("total ({total:?}) drifted from stage sum ({parts:?})"));
-        }
-        None
-    }
-}
-
 /// Logical cost profile of one function, aggregated across pipeline
 /// stages. Every field except the `*_us` durations is a deterministic
 /// work counter — bit-identical across thread counts — and only those
@@ -482,8 +407,13 @@ pub struct AnalysisReport {
     /// in address order — the skip table `dtaint scan` prints.
     #[serde(default)]
     pub skipped_functions: Vec<FunctionRecord>,
-    /// Stage timings.
-    pub timings: StageTimings,
+    /// The scan's wall clock: the duration in microseconds of each span
+    /// the scan recorded on lane 0, keyed by span name (`lift_cfg`,
+    /// `ssa`, `ddg`, `ddg_alias`, `ddg_indirect`, `ddg_propagate`,
+    /// `detect`), with the root span under `scan`. Display only — see
+    /// [`Self::stage`].
+    #[serde(default)]
+    pub stage_us: BTreeMap<String, u64>,
     /// Logical metrics and per-function cost profiles. The counters in
     /// here are deterministic (bit-identical across thread counts);
     /// wall-clock only appears in fields documented as such.
@@ -509,20 +439,27 @@ impl AnalysisReport {
         self.findings.iter().filter(|f| !f.sanitized()).collect()
     }
 
-    /// The report with every wall-clock field zeroed: stage timings and
-    /// the per-function `symex_us`/`ddg_us` display costs. Everything
-    /// left is a deterministic logical quantity, so two reports of the
-    /// same image compare equal under `==` regardless of machine load,
-    /// thread count, or whether an incremental cache served the scan —
-    /// the comparison the differential cold-vs-warm harness performs.
+    /// The report with every wall-clock field zeroed: `stage_us` cleared
+    /// and the per-function `symex_us`/`ddg_us` display costs zeroed.
+    /// Everything left is a deterministic logical quantity, so two
+    /// reports of the same image compare equal under `==` regardless of
+    /// machine load, thread count, or whether an incremental cache served
+    /// the scan — the comparison the differential cold-vs-warm harness
+    /// performs.
     #[must_use]
     pub fn with_zeroed_wall_clock(mut self) -> AnalysisReport {
-        self.timings = StageTimings::default();
+        self.stage_us.clear();
         for f in &mut self.telemetry.functions {
             f.symex_us = 0;
             f.ddg_us = 0;
         }
         self
+    }
+
+    /// Wall-clock duration of the named lane-0 span (`scan` for the whole
+    /// scan); zero when the scan recorded no such span.
+    pub fn stage(&self, name: &str) -> Duration {
+        Duration::from_micros(self.stage_us.get(name).copied().unwrap_or(0))
     }
 
     /// Distinct vulnerable sink sites (Table III "Vulnerability").
@@ -610,7 +547,7 @@ impl AnalysisReport {
             let _ = writeln!(md, "| functions retried (degraded) | {} |", self.functions_retried);
         }
         let _ = writeln!(md, "| **vulnerabilities** | **{}** |", self.vulnerabilities());
-        let _ = writeln!(md, "| analysis time | {:.2?} |", self.timings.total());
+        let _ = writeln!(md, "| analysis time | {:.2?} |", self.stage("scan"));
         let vulnerable = self.vulnerable_paths();
         if !vulnerable.is_empty() {
             let _ = writeln!(md, "\n## Vulnerabilities\n");
@@ -792,7 +729,7 @@ mod tests {
             functions_retried: 0,
             loop_copy_sinks: 0,
             skipped_functions: Vec::new(),
-            timings: StageTimings::default(),
+            stage_us: BTreeMap::new(),
             telemetry: TelemetrySection::default(),
             sink_coverage: SinkCoverage::default(),
             decisions: Vec::new(),
@@ -814,6 +751,23 @@ mod tests {
         assert_eq!(back.findings.len(), 3);
         assert_eq!(back.binary_name, "t");
         assert_eq!(back, r, "round-trip must preserve every field");
+    }
+
+    #[test]
+    fn stored_report_with_old_timings_still_parses() {
+        // A report written before `stage_us`: it carried a `timings`
+        // object instead, which is now ignored.
+        let mut r = report();
+        r.stage_us.insert("scan".into(), 7);
+        let s = r.to_json().unwrap();
+        let old = s.replace(
+            "\"stage_us\": {\n    \"scan\": 7\n  }",
+            "\"timings\": {\"lift_cfg\": {\"secs\": 0, \"nanos\": 5}}",
+        );
+        assert_ne!(old, s, "the old layout replaced the map");
+        let back = AnalysisReport::from_json(&old).unwrap();
+        assert!(back.stage_us.is_empty());
+        assert_eq!(back, r.with_zeroed_wall_clock());
     }
 
     #[test]
@@ -867,34 +821,6 @@ mod tests {
         // fields still parse.
         let back = AnalysisReport::from_json(&r.to_json().unwrap()).unwrap();
         assert_eq!(back.skipped_functions, r.skipped_functions);
-    }
-
-    #[test]
-    fn stage_timings_consistency() {
-        let mut t = StageTimings::default();
-        assert!(t.consistency_error(Duration::ZERO).is_none());
-        t.lift_cfg = Duration::from_millis(10);
-        t.ssa = Duration::from_millis(20);
-        t.ddg = Duration::from_millis(30);
-        t.detect = Duration::from_millis(5);
-        t.ddg_alias = Duration::from_millis(10);
-        t.ddg_indirect = Duration::from_millis(5);
-        t.ddg_propagate = Duration::from_millis(14);
-        t.detect_absint = Duration::from_millis(4);
-        assert!(t.consistency_error(Duration::from_millis(1)).is_none());
-        // Sub-stages exceeding their parent is flagged…
-        t.ddg_propagate = Duration::from_millis(40);
-        let err = t.consistency_error(Duration::from_millis(1)).unwrap();
-        assert!(err.contains("ddg sub-stages"), "{err}");
-        t.ddg_propagate = Duration::from_millis(14);
-        t.detect_absint = Duration::from_millis(50);
-        let err = t.consistency_error(Duration::from_millis(1)).unwrap();
-        assert!(err.contains("detect_absint"), "{err}");
-        // …but the CPU-summed fields are exempt by design.
-        t.detect_absint = Duration::ZERO;
-        t.ddg_absint = Duration::from_secs(100);
-        t.ssa_retry = Duration::from_secs(100);
-        assert!(t.consistency_error(Duration::from_millis(1)).is_none());
     }
 
     #[test]

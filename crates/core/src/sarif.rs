@@ -165,7 +165,7 @@ pub fn to_sarif_string(reports: &[AnalysisReport]) -> String {
 mod tests {
     use super::*;
     use crate::evidence::SanitizeVerdict;
-    use crate::report::{SourceRef, StageTimings, TelemetrySection};
+    use crate::report::{SourceRef, TelemetrySection};
 
     fn sample_report() -> AnalysisReport {
         let sources = vec![SourceRef { name: "recv".into(), ins_addr: 0x100 }];
@@ -210,7 +210,7 @@ mod tests {
             functions_retried: 0,
             loop_copy_sinks: 0,
             skipped_functions: Vec::new(),
-            timings: StageTimings::default(),
+            stage_us: Default::default(),
             telemetry: TelemetrySection::default(),
             sink_coverage: Default::default(),
             decisions: Vec::new(),

@@ -106,7 +106,7 @@ pub fn score(report: &AnalysisReport, truth: &[GroundTruthFlow]) -> Score {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::{Finding, SourceRef, StageTimings, VulnKindRepr};
+    use crate::report::{Finding, SourceRef, VulnKindRepr};
 
     fn finding(sink: &str, source: &str, sink_ins: u32, sanitized: bool) -> Finding {
         Finding {
@@ -143,7 +143,7 @@ mod tests {
             resolved_indirect: 0,
             findings,
             infeasible_suppressed: 0,
-            timings: StageTimings::default(),
+            stage_us: Default::default(),
             functions_analyzed: 1,
             functions_skipped: 0,
             functions_retried: 0,

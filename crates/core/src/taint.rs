@@ -35,7 +35,6 @@ use dtaint_symex::pool::{CmpOp, SymNode};
 use dtaint_symex::{ExprId, ExprPool};
 use dtaint_telemetry::{Decision, DecisionKind, DecisionReason};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::time::{Duration, Instant};
 
 /// ASCII code of the classic command separator (the first entry of
 /// [`CMD_SEPARATORS`], kept for backward compatibility).
@@ -83,10 +82,8 @@ pub struct TaintOutcome {
     /// Tainted observations dropped because their path constraints are
     /// contradictory ([`BoundsMode::Interval`] only; zero otherwise).
     pub infeasible_suppressed: usize,
-    /// CPU time spent in the interval solver.
-    pub absint: Duration,
     /// Interval-solver passes run across all observations — a
-    /// deterministic step count (unlike `absint`, which is wall-clock).
+    /// deterministic step count.
     pub absint_passes: u64,
     /// Observing functions whose judgement panicked and was caught —
     /// their sink observations yielded no findings. Sorted by address.
@@ -266,7 +263,6 @@ pub fn detect_audit(
     let mut findings = Vec::new();
     let mut infeasible_suppressed = 0usize;
     let mut duplicates_suppressed = 0usize;
-    let mut absint = Duration::ZERO;
     let mut absint_passes = 0u64;
     let mut seen: HashSet<(u32, Vec<u32>, Vec<SourceRef>, String)> = HashSet::new();
     let mut failed_holders: Vec<u32> = Vec::new();
@@ -291,7 +287,6 @@ pub fn detect_audit(
             continue;
         };
         infeasible_suppressed += judged.suppressed;
-        absint += judged.absint;
         absint_passes += judged.absint_passes;
         for (key, rank) in judged.site_ranks {
             let entry = site_outcomes.entry(key).or_insert(rank);
@@ -324,7 +319,6 @@ pub fn detect_audit(
     TaintOutcome {
         findings,
         infeasible_suppressed,
-        absint,
         absint_passes,
         failed_holders,
         duplicates_suppressed,
@@ -338,7 +332,6 @@ pub fn detect_audit(
 struct HolderJudgement {
     candidates: Vec<Finding>,
     suppressed: usize,
-    absint: Duration,
     absint_passes: u64,
     /// Site key → best rank this holder proved (see [`site_rank`]).
     site_ranks: Vec<((String, u32), u8)>,
@@ -362,7 +355,6 @@ fn judge_holder(
 ) -> HolderJudgement {
     let mut findings = Vec::new();
     let mut infeasible_suppressed = 0usize;
-    let mut absint = Duration::ZERO;
     let mut absint_passes = 0u64;
     let mut site_ranks: Vec<((String, u32), u8)> = Vec::new();
     let mut decisions: Vec<Decision> = Vec::new();
@@ -449,7 +441,6 @@ fn judge_holder(
             // means no input reaches the sink with these guards taken.
             let mut ranges: Option<IntervalAnalysis> = None;
             if let Some(base) = &base_absint {
-                let t = Instant::now();
                 let witness = dtaint_absint::path_feasible_witness(&df.pool, &obs.constraints);
                 if witness.is_none() {
                     let mut a = base.clone();
@@ -458,7 +449,6 @@ fn judge_holder(
                     absint_passes += u64::from(a.passes_run());
                     ranges = Some(a);
                 }
-                absint += t.elapsed();
                 if let Some((op, l, r)) = witness {
                     infeasible_suppressed += 1;
                     site_ranks.push(((sink_name.clone(), obs.sink_ins), site_rank::INFEASIBLE));
@@ -616,7 +606,6 @@ fn judge_holder(
     HolderJudgement {
         candidates: findings,
         suppressed: infeasible_suppressed,
-        absint,
         absint_passes,
         site_ranks,
         decisions,

@@ -41,7 +41,6 @@ use dtaint_symex::pool::{CmpOp, ExprPool, SymNode};
 use dtaint_symex::{CalleeRef, Constraint, DefPair, ExprId, FuncSummary};
 use dtaint_telemetry::{Clock, SpanEvent, TraceBuffer, TraceSpec};
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::time::{Duration, Instant};
 
 /// Switches for the pipeline stages (used by the ablation benches).
 #[derive(Debug, Clone)]
@@ -85,12 +84,13 @@ pub struct DataflowConfig {
     /// this address. Exercises the per-function `catch_unwind`
     /// isolation in tests; `None` in production.
     pub panic_on: Option<u32>,
-    /// When set, the propagation stage records one span per function
-    /// into [`ProgramDataflow::trace_events`] against the given clock
-    /// epoch, on lane `base_lane`. Spans carry wall-clock durations for
-    /// trace export only — nothing analysed downstream reads them, so
-    /// `None` vs `Some` never changes findings. `None` (the default)
-    /// records nothing.
+    /// The clock the build's spans are measured on. The three sub-stage
+    /// spans go to lane 0 of [`ProgramDataflow::trace_events`] either
+    /// way; with [`TraceSpec::workers`] set, the propagation stage also
+    /// records one span per function on lane `base_lane`. Spans carry
+    /// wall-clock durations for display and trace export only — nothing
+    /// analysed downstream reads them, so this never changes findings.
+    /// `None` (the default) measures the sub-stages on a fresh clock.
     pub trace: Option<TraceSpec>,
     /// Incremental summary cache handle. When set, each function's final
     /// summary is looked up by content key before Algorithm 2's inner
@@ -130,21 +130,6 @@ impl Default for DataflowConfig {
             audit: false,
         }
     }
-}
-
-/// Wall-clock breakdown of [`build_dataflow`]'s stages.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DdgTimings {
-    /// Pointer-aliasing recognition (Algorithm 1).
-    pub alias: Duration,
-    /// Indirect-call resolution by layout similarity (§III-D).
-    pub indirect: Duration,
-    /// The bottom-up propagation itself (Algorithm 2).
-    pub propagate: Duration,
-    /// Wall time of the interval feasibility pruning inside propagation
-    /// (only non-zero with [`DataflowConfig::interval_guards`]); part of
-    /// [`Self::propagate`].
-    pub absint: Duration,
 }
 
 /// What kind of sink an observation describes.
@@ -240,14 +225,6 @@ pub struct FinalSummary {
     pub fuel_used: u64,
 }
 
-/// Accumulator for the interval feasibility pruning performed during
-/// propagation.
-#[derive(Debug, Clone, Copy, Default)]
-struct AbsintStats {
-    time: Duration,
-    pruned: usize,
-}
-
 /// The whole-program data-flow result.
 #[derive(Debug)]
 pub struct ProgramDataflow {
@@ -264,8 +241,6 @@ pub struct ProgramDataflow {
     pub indirect_stats: IndirectStats,
     /// Import call sites across the program: `ins_addr → import name`.
     pub import_sites: HashMap<u32, String>,
-    /// Wall-clock breakdown of the build.
-    pub timings: DdgTimings,
     /// Sink observations dropped because their accumulated path
     /// constraints are contradictory (only with
     /// [`DataflowConfig::interval_guards`]; zero otherwise).
@@ -274,10 +249,11 @@ pub struct ProgramDataflow {
     /// kept the pre-alias form (no rewriting) and were flagged
     /// [`FuncSummary::degraded`]. Sorted by address.
     pub alias_panics: Vec<u32>,
-    /// Per-function propagation spans, recorded only when
-    /// [`DataflowConfig::trace`] is set (empty otherwise), in
-    /// [`Self::order`]. Durations are wall-clock and must never feed
-    /// findings.
+    /// The build's spans: one lane-0 stage span per sub-stage
+    /// (`ddg_alias`, `ddg_indirect`, `ddg_propagate`, always recorded),
+    /// then the per-function propagation spans in [`Self::order`] when
+    /// [`DataflowConfig::trace`] asks for worker spans. Durations are
+    /// wall-clock and must never feed findings.
     pub trace_events: Vec<SpanEvent>,
     /// Audit records for every observation the interval pruning dropped,
     /// recorded only under [`DataflowConfig::audit`] (empty otherwise).
@@ -398,8 +374,10 @@ pub fn build_dataflow(
     mut pool: ExprPool,
     config: &DataflowConfig,
 ) -> ProgramDataflow {
-    let mut timings = DdgTimings::default();
-    let mut absint = AbsintStats::default();
+    let spec =
+        config.trace.unwrap_or(TraceSpec { clock: Clock::new(), base_lane: 1, workers: false });
+    let mut stages = TraceBuffer::new(spec.clock, 0, true);
+    let mut pruned_infeasible = 0usize;
     // Ordered, so per-function passes intern into the pool in a fixed
     // order regardless of how `locals` arrived.
     let mut by_addr: BTreeMap<u32, FuncSummary> = locals.into_iter().map(|s| (s.addr, s)).collect();
@@ -410,7 +388,7 @@ pub fn build_dataflow(
     // panic inside it downgrades just that function — the pristine
     // summary is restored, the pool rolled back, and the scan
     // continues.
-    let t = Instant::now();
+    let t0 = stages.start();
     let globals = crate::sse::GlobalMap::build(bin);
     let mut alias_panics: Vec<u32> = Vec::new();
     if config.enable_alias {
@@ -431,16 +409,16 @@ pub fn build_dataflow(
             }
         }
     }
-    timings.alias = t.elapsed();
+    stages.record("ddg_alias", "stage", t0, BTreeMap::new());
 
     // Stage 2: indirect-call resolution (§III-D).
-    let t = Instant::now();
+    let t0 = stages.start();
     let (resolved, indirect_stats) = if config.enable_indirect {
         resolve_indirect_calls(bin, by_addr.values(), &pool)
     } else {
         Default::default()
     };
-    timings.indirect = t.elapsed();
+    stages.record("ddg_indirect", "stage", t0, BTreeMap::new());
     let resolution: HashMap<u32, u32> = resolved.iter().map(|r| (r.ins_addr, r.callee)).collect();
     for r in &resolved {
         callgraph.add_resolved_indirect(r.ins_addr, r.callee);
@@ -459,7 +437,7 @@ pub fn build_dataflow(
     // Stage 3: bottom-up propagation (Algorithm 2) over the flattened
     // SCC strata. Strata must be computed *after* indirect resolution,
     // whose edges can deepen (or entangle) the order.
-    let t = Instant::now();
+    let propagate_t0 = stages.start();
     let order: Vec<u32> = callgraph.strata().into_iter().flatten().collect();
     let comp_of: HashMap<u32, usize> = callgraph
         .sccs()
@@ -473,10 +451,7 @@ pub fn build_dataflow(
     // drains it.
     let mut cache_ctx = DdgCacheCtx::build(bin, config, &by_addr, callgraph);
     let mut finals: BTreeMap<u32, FinalSummary> = BTreeMap::new();
-    let mut buf = match config.trace {
-        Some(ts) => TraceBuffer::new(ts.clock, ts.base_lane, true),
-        None => TraceBuffer::new(Clock::new(), 0, false),
-    };
+    let mut buf = TraceBuffer::new(spec.clock, spec.base_lane, spec.workers);
     let mut pruned_sinks: Vec<PrunedSink> = Vec::new();
 
     for &faddr in &order {
@@ -491,7 +466,7 @@ pub fn build_dataflow(
             key
         });
         let before_unknowns = pool.next_unknown_index();
-        let pruned_before = absint.pruned;
+        let pruned_before = pruned_infeasible;
         let mut hit: Option<(FinalSummary, u32)> = None;
         if let (Some(ctx), Some(k)) = (cache_ctx.as_ref(), key) {
             if let Some(blob) = ctx.cref.cache.lookup_blob(Level::Ddg, k) {
@@ -503,7 +478,7 @@ pub fn build_dataflow(
             Some((fs, blob_pruned)) => {
                 // Re-credit the pruning the cold run performed so
                 // `pruned_infeasible` matches a cold scan exactly.
-                absint.pruned += blob_pruned as usize;
+                pruned_infeasible += blob_pruned as usize;
                 fs
             }
             None => process_function_caught(
@@ -516,7 +491,7 @@ pub fn build_dataflow(
                 &globals,
                 &mut pool,
                 config,
-                &mut absint,
+                &mut pruned_infeasible,
                 &mut pruned_sinks,
             ),
         };
@@ -527,15 +502,16 @@ pub fn build_dataflow(
             buf.record(&fs.summary.name, "ddg_fn", t0, args);
         }
         let created_k = pool.next_unknown_index() - before_unknowns;
-        let fn_pruned = (absint.pruned - pruned_before) as u32;
+        let fn_pruned = (pruned_infeasible - pruned_before) as u32;
         if let Some(ctx) = cache_ctx.as_mut() {
             ctx.push_base(before_unknowns, created_k, faddr);
             ctx.settle(&pool, faddr, &fs, key, was_hit, fn_pruned, created_k);
         }
         finals.insert(faddr, fs);
     }
-    timings.propagate = t.elapsed();
-    timings.absint = absint.time;
+    stages.record("ddg_propagate", "stage", propagate_t0, BTreeMap::new());
+    let mut trace_events = stages.into_events();
+    trace_events.extend(buf.into_events());
 
     ProgramDataflow {
         pool,
@@ -544,10 +520,9 @@ pub fn build_dataflow(
         resolved_indirect: resolved,
         indirect_stats,
         import_sites,
-        timings,
-        pruned_infeasible: absint.pruned,
+        pruned_infeasible,
         alias_panics,
-        trace_events: buf.into_events(),
+        trace_events,
         pruned_sinks,
     }
 }
@@ -786,23 +761,33 @@ fn process_function_caught(
     globals: &crate::sse::GlobalMap,
     pool: &mut ExprPool,
     config: &DataflowConfig,
-    absint: &mut AbsintStats,
+    pruned_infeasible: &mut usize,
     pruned: &mut Vec<PrunedSink>,
 ) -> FinalSummary {
     let name = summary.name.clone();
     let mark = pool.mark();
-    let saved_absint = *absint;
+    let saved_pruned_infeasible = *pruned_infeasible;
     let saved_pruned = pruned.len();
     let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         process_function(
-            bin, faddr, summary, finals, comp_of, resolution, globals, pool, config, absint, pruned,
+            bin,
+            faddr,
+            summary,
+            finals,
+            comp_of,
+            resolution,
+            globals,
+            pool,
+            config,
+            pruned_infeasible,
+            pruned,
         )
     }));
     match r {
         Ok(fs) => fs,
         Err(_) => {
             pool.rollback(mark);
-            *absint = saved_absint;
+            *pruned_infeasible = saved_pruned_infeasible;
             pruned.truncate(saved_pruned);
             FinalSummary {
                 summary: FuncSummary { addr: faddr, name, ..FuncSummary::default() },
@@ -835,7 +820,7 @@ fn process_function(
     globals: &crate::sse::GlobalMap,
     pool: &mut ExprPool,
     config: &DataflowConfig,
-    absint: &mut AbsintStats,
+    pruned_infeasible: &mut usize,
     pruned: &mut Vec<PrunedSink>,
 ) -> FinalSummary {
     if config.panic_on == Some(faddr) {
@@ -941,7 +926,6 @@ fn process_function(
     // contradict each other describes a path the program cannot take;
     // dropping it here also stops it bubbling further up the call graph.
     if config.interval_guards {
-        let t = Instant::now();
         if config.audit {
             // Same decision, witness-carrying query: record what was
             // dropped and the constraint that won.
@@ -950,7 +934,7 @@ fn process_function(
                 match dtaint_absint::path_feasible_witness(pool, &sk.constraints) {
                     None => kept.push(sk),
                     Some((op, l, r)) => {
-                        absint.pruned += 1;
+                        *pruned_infeasible += 1;
                         pruned.push(PrunedSink {
                             sink: sk.kind.name().to_owned(),
                             sink_ins: sk.sink_ins,
@@ -966,9 +950,8 @@ fn process_function(
         } else {
             let before = sinks.len();
             sinks.retain(|sk| dtaint_absint::path_feasible(pool, &sk.constraints));
-            absint.pruned += before - sinks.len();
+            *pruned_infeasible += before - sinks.len();
         }
-        absint.time += t.elapsed();
     }
 
     sinks.truncate(config.max_sinks_per_fn);

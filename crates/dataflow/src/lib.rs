@@ -39,8 +39,8 @@ pub use cache::{
 pub use ddg::{backward_trace, Ddg, DdgNode, DdgNodeKind, TraceStep};
 pub use indirect::{resolve_indirect_calls, IndirectStats, Installer, ResolvedCall};
 pub use interproc::{
-    build_dataflow, DataflowConfig, DdgTimings, FinalSummary, ProgramDataflow, PrunedSink,
-    SinkKind, SinkObservation,
+    build_dataflow, DataflowConfig, FinalSummary, ProgramDataflow, PrunedSink, SinkKind,
+    SinkObservation,
 };
 pub use layout::{infer_layouts, root_and_path, AccessPath, Layout};
 pub use sse::{canonicalize, sse_replace, Sse, SseStats};

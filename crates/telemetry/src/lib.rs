@@ -12,8 +12,10 @@
 //! Pieces:
 //!
 //! * [`Collector`] — the per-scan accumulator: a shared [`Clock`] epoch,
-//!   the span event stream, and a [`MetricsRegistry`]. Cheap to carry
-//!   around disabled ([`Collector::disabled`] records nothing).
+//!   the span event stream, and a [`MetricsRegistry`]. Lane-0 spans
+//!   (the scan root and its stages) are always recorded — they are the
+//!   scan's only wall clock; [`Collector::disabled`] drops just the
+//!   per-function worker-lane spans, so it stays cheap to carry around.
 //! * [`TraceBuffer`] — a thread-local span buffer for parallel stages;
 //!   workers record into private buffers that the owner
 //!   [`Collector::absorb`]s in a deterministic order.

@@ -43,14 +43,18 @@ impl Default for Clock {
     }
 }
 
-/// Where a parallel stage should record its spans: the shared clock and
-/// the first lane its workers may use (worker *i* takes `base_lane + i`).
+/// Where a stage should record its spans: the shared clock, the first
+/// lane its workers may use (worker *i* takes `base_lane + i`), and
+/// whether those worker-lane spans are recorded. Lane-0 stage spans are
+/// recorded either way.
 #[derive(Debug, Clone, Copy)]
 pub struct TraceSpec {
     /// The scan's clock epoch.
     pub clock: Clock,
     /// First worker lane.
     pub base_lane: u32,
+    /// Record per-function spans on the worker lanes.
+    pub workers: bool,
 }
 
 /// One completed span.
@@ -134,6 +138,10 @@ impl TraceBuffer {
 
 /// The per-scan telemetry accumulator: clock epoch, span events, and the
 /// metrics registry.
+///
+/// Lane-0 spans (the scan root and its stages, a handful per binary) are
+/// always recorded: they are the scan's only wall clock. The enabled bit
+/// gates the per-function spans on worker lanes.
 #[derive(Debug)]
 pub struct Collector {
     on: bool,
@@ -154,13 +162,14 @@ impl Collector {
         }
     }
 
-    /// A no-op collector: spans are dropped; the metrics registry still
-    /// works (metrics are logical counters, free to keep).
+    /// A collector that keeps lane-0 spans and drops worker-lane spans;
+    /// the metrics registry still works (metrics are logical counters,
+    /// free to keep).
     pub fn disabled() -> Collector {
         Collector { on: false, ..Collector::enabled() }
     }
 
-    /// True when spans are recorded.
+    /// True when worker-lane spans are recorded.
     pub fn is_enabled(&self) -> bool {
         self.on
     }
@@ -175,22 +184,15 @@ impl Collector {
         TraceBuffer::new(self.clock, lane, self.on)
     }
 
-    /// A start timestamp for a span about to open (0 when disabled).
+    /// A start timestamp for a lane-0 span about to open.
     pub fn start(&self) -> u64 {
-        if self.on {
-            self.clock.now_us()
-        } else {
-            0
-        }
+        self.clock.now_us()
     }
 
     /// Completes a lane-0 span opened at `start_us`.
     pub fn record(&mut self, name: &str, cat: &str, start_us: u64, args: BTreeMap<String, u64>) {
-        if !self.on {
-            return;
-        }
         let now = self.clock.now_us();
-        self.push(SpanEvent {
+        self.events.push(SpanEvent {
             name: name.to_owned(),
             cat: cat.to_owned(),
             lane: 0,
@@ -200,18 +202,9 @@ impl Collector {
         });
     }
 
-    /// Appends one pre-built event.
-    pub fn push(&mut self, ev: SpanEvent) {
-        if self.on {
-            self.events.push(ev);
-        }
-    }
-
     /// Folds a worker buffer's (or stage's) events in.
     pub fn absorb(&mut self, events: Vec<SpanEvent>) {
-        if self.on {
-            self.events.extend(events);
-        }
+        self.events.extend(events);
     }
 
     /// All recorded events, in absorption order.
@@ -285,7 +278,7 @@ mod tests {
     }
 
     #[test]
-    fn disabled_collector_records_nothing() {
+    fn disabled_collector_keeps_lane_zero_and_drops_worker_lanes() {
         let mut c = Collector::disabled();
         let s = c.start();
         c.record("scan", "scan", s, BTreeMap::new());
@@ -293,7 +286,13 @@ mod tests {
         let s = b.start();
         b.record("f", "function", s, BTreeMap::new());
         c.absorb(b.into_events());
-        assert!(c.events().is_empty());
+        // A stage's own lane-0 buffer on the collector's clock records.
+        let mut stage = TraceBuffer::new(c.clock(), 0, true);
+        stage.record("ddg_alias", "stage", stage.start(), BTreeMap::new());
+        c.absorb(stage.into_events());
+        let names: Vec<&str> = c.events().iter().map(|e| e.name.as_str()).collect();
+        assert_eq!(names, ["scan", "ddg_alias"]);
+        assert!(c.events().iter().all(|e| e.lane == 0));
     }
 
     #[test]

@@ -55,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.functions,
         report.blocks,
         report.sinks_count,
-        report.timings.total()
+        report.stage("scan")
     );
     println!();
     for finding in &report.findings {

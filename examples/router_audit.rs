@@ -47,9 +47,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let report = Dtaint::new().analyze(binary, profile.firmware_version)?;
     println!(
         "analysis took {:.2?} (ssa {:.2?}, ddg {:.2?})",
-        report.timings.total(),
-        report.timings.ssa,
-        report.timings.ddg
+        report.stage("scan"),
+        report.stage("ssa"),
+        report.stage("ddg")
     );
     println!();
     println!("== findings ==");

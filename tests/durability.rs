@@ -286,15 +286,22 @@ fn store_lock_blocks_live_owners_and_steals_stale_ones() {
 /// and returns how many times it wrote `summaries.dtc` — the
 /// `cache_snapshots` arg of the `--trace-chrome` batch root span.
 fn batch_counting_snapshots(corpus: &Path, store: &Path) -> i64 {
+    batch_counting_snapshots_with(corpus, store, &[])
+}
+
+/// [`batch_counting_snapshots`] with extra `batch` arguments.
+fn batch_counting_snapshots_with(corpus: &Path, store: &Path, extra: &[&str]) -> i64 {
     let trace = store.with_extension("trace.json");
-    let (code, out) = run_captured(&[
+    let mut args = vec![
         "batch",
         corpus.to_str().unwrap(),
         "--store",
         store.to_str().unwrap(),
         "--trace-chrome",
         trace.to_str().unwrap(),
-    ]);
+    ];
+    args.extend_from_slice(extra);
+    let (code, out) = run_captured(&args);
     assert_eq!(code, Ok(0), "{out}");
     let doc: serde_json::Value = serde_json::from_str(&String::from_utf8(read(&trace)).unwrap())
         .expect("the Chrome trace parses");
@@ -379,7 +386,10 @@ fn damaged_cache_is_salvaged_then_rewritten_clean() {
 /// Two cold batches into fresh stores write byte-identical cache files:
 /// nothing in a summary blob depends on hash-map iteration order. Full
 /// Table II profiles 1–4, whose functions give such an order the most
-/// room to show (`tests/incremental.rs` pins it per function).
+/// room to show (`tests/incremental.rs` pins it per function). The same
+/// holds across symex thread counts: one worker at `--threads 1` and
+/// two at `--threads 2` leave the same master pool, so the DDG blobs
+/// encoded from it match too.
 #[test]
 fn cold_batches_write_identical_cache_files() {
     let dir = tmpdir("cache-deterministic");
@@ -393,6 +403,13 @@ fn cold_batches_write_identical_cache_files() {
     assert!(
         read(&sa.join("summaries.dtc")) == read(&sb.join("summaries.dtc")),
         "the two cold runs wrote different summaries.dtc files"
+    );
+    let (t2, t1) = (dir.join("store-threads-2"), dir.join("store-threads-1"));
+    batch_counting_snapshots_with(&dir, &t2, &["--threads", "2"]);
+    batch_counting_snapshots_with(&dir, &t1, &["--threads", "1"]);
+    assert!(
+        read(&t2.join("summaries.dtc")) == read(&t1.join("summaries.dtc")),
+        "cold runs at --threads 2 and --threads 1 wrote different summaries.dtc files"
     );
     std::fs::remove_dir_all(&dir).ok();
 }

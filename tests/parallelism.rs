@@ -1,5 +1,5 @@
 //! The parallel per-function analysis (merged by pool translation) must
-//! be observationally identical to the sequential path: same findings,
+//! be observationally identical to the single-worker run: same findings,
 //! same counts, same rendered expressions — for every thread count, on
 //! every Table II profile.
 

@@ -54,11 +54,24 @@ fn spans_nest_scan_function_stage() {
         assert_eq!(ev.lane, 0, "stage `{}` on the scan lane", ev.name);
         assert!(root.contains(ev), "stage `{}` nests inside the scan root", ev.name);
     }
-    // The DDG sub-stages nest inside the ddg stage.
+    // The DDG sub-stages nest inside the ddg stage, one after another.
     let ddg = events.iter().find(|e| e.name == "ddg" && e.cat == "stage").unwrap();
+    let mut prev_end = ddg.start_us;
     for nm in ["ddg_alias", "ddg_indirect", "ddg_propagate"] {
         let sub = events.iter().find(|e| e.name == nm).unwrap();
         assert!(ddg.contains(sub), "`{nm}` nests inside `ddg`");
+        assert!(sub.start_us >= prev_end, "`{nm}` starts after the previous sub-stage");
+        prev_end = sub.start_us + sub.dur_us;
+    }
+
+    // The report's wall clock is read off these spans: one entry per
+    // lane-0 span, each equal to that span's duration, the root under
+    // `scan`.
+    let lane0: Vec<&SpanEvent> = events.iter().filter(|e| e.lane == 0).collect();
+    assert_eq!(report.stage_us.len(), lane0.len(), "{:?}", report.stage_us);
+    for ev in lane0 {
+        let key = if ev.cat == "scan" { "scan" } else { ev.name.as_str() };
+        assert_eq!(report.stage_us.get(key), Some(&ev.dur_us), "`{key}` differs from its span");
     }
 
     // Per-function spans live on worker lanes, inside the root window,
@@ -98,6 +111,23 @@ fn spans_nest_scan_function_stage() {
     }
     let instructions: u64 = lifts.iter().map(|e| e.args["instructions"]).sum();
     assert_eq!(instructions, report.telemetry.metrics.counter("lift.instructions"));
+}
+
+/// Without tracing, a scan still records its lane-0 spans — the root and
+/// the seven stage spans, the report's only clock — and nothing else.
+#[test]
+fn disabled_collector_keeps_only_stage_spans() {
+    let fw = capped_firmware(1, 80);
+    let config = DtaintConfig { threads: 2, ..Default::default() };
+    let mut tel = Collector::disabled();
+    let report = Dtaint::with_config(config).analyze_traced(&fw.binary, "quiet", &mut tel).unwrap();
+    let events = tel.events();
+    assert_eq!(events.len(), 8, "{events:?}");
+    assert!(events.iter().all(|e| e.lane == 0), "no worker-lane spans when disabled");
+    assert_eq!(report.stage_us.len(), 8);
+    let root = events.iter().find(|e| e.cat == "scan").expect("the scan root");
+    assert_eq!(report.stage_us["scan"], root.dur_us);
+    assert!(report.telemetry.functions.iter().all(|f| f.symex_us == 0 && f.ddg_us == 0));
 }
 
 #[test]
