@@ -433,10 +433,11 @@ fn write_profile(out: &mut dyn Write, report: &AnalysisReport) -> Result<(), Str
     write_out(
         out,
         &format!(
-            "     lift        functions {} blocks {} instructions {}\n",
+            "     lift        functions {} blocks {} instructions {} nodes-translated {}\n",
             m.gauge("image.functions"),
             m.gauge("image.blocks"),
             m.counter("lift.instructions"),
+            m.counter("symex.nodes_translated"),
         ),
     )?;
     // Percentiles over the logical histograms (deterministic: bucket

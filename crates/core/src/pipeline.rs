@@ -15,10 +15,12 @@ use dtaint_dataflow::cache::{
 use dtaint_dataflow::{build_dataflow, CacheRef, DataflowConfig, SinkKind};
 use dtaint_fwbin::{Binary, Symbol};
 use dtaint_symex::analyze_function;
-use dtaint_symex::{ExprPool, FuncSummary, SymexConfig};
+use dtaint_symex::{ExprPool, FuncSummary, SymexConfig, TranslationMemo};
 use dtaint_telemetry::{Collector, MetricsRegistry, SpanEvent, TraceBuffer, TraceSpec};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Configuration of the whole pipeline.
 #[derive(Debug, Clone)]
@@ -167,21 +169,28 @@ impl Dtaint {
         let total_functions = syms.len();
 
         // Stage 1: the fused per-function pass — lift + CFG, then static
-        // symbolic analysis, in parallel with private pools merged
-        // afterwards. Each function's IR is dropped as soon as it is
-        // analyzed; only its shape record survives. A function that
-        // fails to lift or panics while lifting downgrades to an absent
-        // summary; a panicking analysis is rolled back out of its pool
-        // and downgraded to an opaque summary; a fuel-exhausted one is
-        // retried once degraded.
+        // symbolic analysis, in parallel over fixed chunks whose private
+        // pools are merged in chunk order. Each function's IR is dropped
+        // as soon as it is analyzed; only its shape record survives. A
+        // function that fails to lift or panics while lifting downgrades
+        // to an absent summary; a panicking analysis is rolled back out
+        // of its pool and downgraded to an opaque summary; a
+        // fuel-exhausted one is retried once degraded.
         let stage_t0 = tel.start();
         let sym_cache = self.config.cache.as_ref().map(|cref| SymexCacheCtx {
             cref: cref.clone(),
             salt: sym_salt(env_digest(bin), &self.config.symex),
         });
         let stage = self.run_symex(bin, &syms, tel, sym_cache.as_ref());
-        let SymexStage { summaries, pool, shapes, lift_failures, records: symex_records, retried } =
-            stage;
+        let SymexStage {
+            summaries,
+            pool,
+            shapes,
+            lift_failures,
+            records: symex_records,
+            retried,
+            nodes_translated,
+        } = stage;
         // Lift failures first, in address order, so fail-fast reports
         // the first one before any analysis error.
         for LiftFailure { addr, name, error } in lift_failures {
@@ -564,6 +573,7 @@ impl Dtaint {
         }
         metrics.inc("lift.instructions", shapes.iter().map(|s| s.instructions as u64).sum());
         metrics.inc("symex.functions_retried", retried as u64);
+        metrics.inc("symex.nodes_translated", nodes_translated);
         metrics.inc("ddg.pruned_infeasible", df.pruned_infeasible as u64);
         metrics.inc("ddg.indirect_installers", df.indirect_stats.installers as u64);
         metrics.inc("ddg.indirect_sites", df.indirect_stats.sites as u64);
@@ -654,16 +664,18 @@ impl Dtaint {
     }
 
     /// Runs the fused per-function pass — lift + CFG, then symbolic
-    /// analysis, or neither on a symex cache hit — over contiguous
-    /// chunks of the symbols on crossbeam scoped threads, one chunk per
-    /// worker (a single chunk at one thread); each worker interns into a
-    /// private pool that is translated into the global pool at the end.
-    /// The one schedule at every thread count keeps the master pool,
-    /// and so every cache record, identical across thread counts. A
-    /// function's CFG is dropped on its worker as soon as it is analyzed,
-    /// so at most one function's IR per worker is live. Lift errors and panics are caught per function; analysis
-    /// panics are rolled back out of the pool, and fuel exhaustion
-    /// triggers one degraded retry (see [`symex_one`]).
+    /// analysis, or neither on a symex cache hit — on crossbeam scoped
+    /// workers that take fixed, address-ordered chunks of
+    /// [`SYMEX_CHUNK`] symbols from a shared cursor. Each chunk interns
+    /// into a fresh pool; whichever worker completes the chunk the merge
+    /// waits for translates it, and every completed chunk after it, into
+    /// the master pool in chunk order. The chunk boundaries and the merge
+    /// order do not depend on the thread count, so neither do the master
+    /// pool and the cache records. A function's CFG is dropped on its
+    /// worker as soon as it is analyzed, and a chunk's pool as soon as it
+    /// is merged. Lift errors and panics are caught per function;
+    /// analysis panics are rolled back out of the pool, and fuel
+    /// exhaustion triggers one degraded retry (see [`symex_one`]).
     fn run_symex(
         &self,
         bin: &Binary,
@@ -671,14 +683,16 @@ impl Dtaint {
         tel: &mut Collector,
         cache: Option<&SymexCacheCtx>,
     ) -> SymexStage {
-        let threads = self.effective_threads(syms.len());
-        let mut stage = SymexStage {
+        let chunks: Vec<&[&Symbol]> = syms.chunks(SYMEX_CHUNK).collect();
+        let threads = self.effective_threads(chunks.len());
+        let stage = SymexStage {
             summaries: Vec::with_capacity(syms.len()),
             pool: ExprPool::new(),
             shapes: Vec::with_capacity(syms.len()),
             lift_failures: Vec::new(),
             records: Vec::new(),
             retried: 0,
+            nodes_translated: 0,
         };
         // The per-function body: the cache probe first, keyed from the
         // symbol alone. A hit serves the summary and the shape from the
@@ -733,37 +747,101 @@ impl Dtaint {
             }
             Ok((shape, one))
         };
-        let chunk = syms.len().div_ceil(threads).max(1);
         let clock = tel.clock();
         let on = tel.is_enabled();
         let step = &step;
-        let parts: Vec<(Vec<FnStep>, ExprPool, Vec<SpanEvent>)> =
-            crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = syms
-                    .chunks(chunk)
-                    .enumerate()
-                    .map(|(widx, slice)| {
-                        scope.spawn(move |_| {
-                            let mut pool = ExprPool::new();
-                            let mut buf = TraceBuffer::new(clock, 1 + widx as u32, on);
-                            let steps =
-                                slice.iter().map(|s| step(s, &mut pool, &mut buf)).collect();
-                            (steps, pool, buf.into_events())
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("symex worker panicked")).collect()
-            })
-            .expect("crossbeam scope");
-        // Absorbed in chunk (spawn) order, so the merged event stream and
-        // the summary and shape order are the symbol (address) order.
-        for (steps, local, events) in parts {
-            tel.absorb(events);
-            for step in steps {
-                stage.absorb(step, &local);
+        let chunks = &chunks;
+        let cursor = AtomicUsize::new(0);
+        let merge = Mutex::new(ChunkMerge {
+            stage,
+            events: Vec::new(),
+            ready: chunks.iter().map(|_| None).collect(),
+            next: 0,
+        });
+        crossbeam::thread::scope(|scope| {
+            for widx in 0..threads {
+                let (cursor, merge) = (&cursor, &merge);
+                scope.spawn(move |_| {
+                    let mut buf = TraceBuffer::new(clock, 1 + widx as u32, on);
+                    // The cursor hands out chunk indices and publishes
+                    // nothing else: chunk results travel through the mutex.
+                    loop {
+                        let index = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(slice) = chunks.get(index) else { break };
+                        let mut pool = ExprPool::new();
+                        let steps = slice.iter().map(|s| step(s, &mut pool, &mut buf)).collect();
+                        let done = SymexChunk { steps, pool, events: buf.take_events() };
+                        let mut merge =
+                            merge.lock().expect("a symex worker panicked while merging");
+                        merge.park(index, done, &mut buf);
+                    }
+                });
             }
-        }
+        })
+        .expect("symex worker panicked");
+        let ChunkMerge { stage, events, next, .. } =
+            merge.into_inner().expect("a symex worker panicked while merging");
+        debug_assert_eq!(next, chunks.len(), "every chunk merged");
+        tel.absorb(events);
         stage
+    }
+}
+
+/// Symbols per work unit of the fused pass. Fixed, so the chunk
+/// boundaries — and with them the merge order, the
+/// `symex.nodes_translated` count and every pool id — are the same at
+/// every thread count.
+const SYMEX_CHUNK: usize = 64;
+
+/// One chunk's trip through the fused pass: a step per symbol, the pool
+/// its summaries live in, and its worker-lane spans.
+struct SymexChunk {
+    steps: Vec<FnStep>,
+    pool: ExprPool,
+    events: Vec<SpanEvent>,
+}
+
+/// The fused pass's in-order merge, shared by its workers behind one
+/// mutex. Chunks complete in any order and wait in `ready` until every
+/// chunk before them is merged.
+struct ChunkMerge {
+    stage: SymexStage,
+    /// Worker-lane spans, in chunk order.
+    events: Vec<SpanEvent>,
+    ready: Vec<Option<SymexChunk>>,
+    /// The first chunk not merged yet.
+    next: usize,
+}
+
+impl ChunkMerge {
+    /// Parks chunk `index`; when it is the one the merge waits for,
+    /// merges it and every consecutive completed chunk after it. `buf`
+    /// is the calling worker's lane, for one `symex_merge` span per
+    /// merged chunk.
+    fn park(&mut self, index: usize, chunk: SymexChunk, buf: &mut TraceBuffer) {
+        self.ready[index] = Some(chunk);
+        while let Some(SymexChunk { steps, pool, events }) =
+            self.ready.get_mut(self.next).and_then(Option::take)
+        {
+            let t0 = buf.start();
+            let functions = steps.len() as u64;
+            let mut memo = TranslationMemo::for_pool(&pool);
+            for step in steps {
+                self.stage.absorb(step, &pool, &mut memo);
+            }
+            let nodes = memo.translated() as u64;
+            self.stage.nodes_translated += nodes;
+            if buf.is_enabled() {
+                let mut args = BTreeMap::new();
+                args.insert("chunk".to_owned(), self.next as u64);
+                args.insert("functions".to_owned(), functions);
+                args.insert("nodes".to_owned(), nodes);
+                buf.record("symex_merge", "symex_merge", t0, args);
+            }
+            self.events.extend(events);
+            self.events.append(&mut buf.take_events());
+            self.next += 1;
+        }
     }
 }
 
@@ -832,6 +910,8 @@ struct SymexStage {
     /// function.
     records: Vec<(u32, String, FunctionOutcome, String)>,
     retried: usize,
+    /// Source nodes copied into `pool`: the chunk memos' misses.
+    nodes_translated: u64,
 }
 
 /// One function's trip through the fused pass: its shape and symex
@@ -853,15 +933,15 @@ impl LiftFailure {
 }
 
 impl SymexStage {
-    /// Folds one function's result in, translating its summary from the
-    /// worker's private pool.
-    fn absorb(&mut self, step: FnStep, local: &ExprPool) {
+    /// Folds one function's result in, translating its summary from its
+    /// chunk's pool through the chunk's memo.
+    fn absorb(&mut self, step: FnStep, local: &ExprPool, memo: &mut TranslationMemo) {
         let (shape, one) = match step {
             Ok(analyzed) => analyzed,
             Err(failure) => return self.lift_failures.push(failure),
         };
         self.shapes.push(shape);
-        let summary = one.summary.translate_into(local, &mut self.pool);
+        let summary = one.summary.translate_with(local, &mut self.pool, memo);
         if let Some((outcome, detail)) = one.record {
             self.records.push((summary.addr, summary.name.clone(), outcome, detail));
         }

@@ -364,7 +364,7 @@ impl ProgramDataflow {
 /// Runs the bottom-up interprocedural analysis.
 ///
 /// `locals` are the per-function symbolic summaries, all interned in
-/// `pool` (see [`FuncSummary::translate_into`] for merging parallel
+/// `pool` (see [`FuncSummary::translate_with`] for merging parallel
 /// results). The call graph gains edges for indirect calls resolved
 /// during the run.
 pub fn build_dataflow(
@@ -510,8 +510,8 @@ pub fn build_dataflow(
         finals.insert(faddr, fs);
     }
     stages.record("ddg_propagate", "stage", propagate_t0, BTreeMap::new());
-    let mut trace_events = stages.into_events();
-    trace_events.extend(buf.into_events());
+    let mut trace_events = stages.take_events();
+    trace_events.extend(buf.take_events());
 
     ProgramDataflow {
         pool,

@@ -712,15 +712,18 @@ impl ExprPool {
     ///
     /// Used when merging per-function analysis results (computed in
     /// parallel with private pools) into the global pool of the
-    /// interprocedural stage.
-    pub fn translate(
-        &mut self,
-        src: &ExprPool,
-        id: ExprId,
-        memo: &mut HashMap<ExprId, ExprId>,
-    ) -> ExprId {
-        if let Some(&t) = memo.get(&id) {
-            return t;
+    /// interprocedural stage. `memo` remembers what is already
+    /// translated from `src`; sharing one memo across many expressions
+    /// yields exactly the ids separate memos would, since a memo hit is
+    /// what re-translation finds through deduplication.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `memo` was sized for a smaller pool than `src`.
+    pub fn translate(&mut self, src: &ExprPool, id: ExprId, memo: &mut TranslationMemo) -> ExprId {
+        let slot = id.0 as usize;
+        if memo.map[slot] != TranslationMemo::UNSET {
+            return ExprId(memo.map[slot]);
         }
         let out = match src.node(id) {
             n @ (SymNode::Const(_)
@@ -767,13 +770,34 @@ impl ExprPool {
                 self.cmp(op, x, y)
             }
         };
-        memo.insert(id, out);
+        memo.map[slot] = out.0;
         out
     }
 
     /// A displayable view of an expression in the paper's notation.
     pub fn display(&self, id: ExprId) -> DisplayExpr<'_> {
         DisplayExpr { pool: self, id }
+    }
+}
+
+/// What [`ExprPool::translate`] has already copied out of one source
+/// pool: a dense map from source id to destination id.
+#[derive(Debug, Clone)]
+pub struct TranslationMemo {
+    map: Vec<u32>,
+}
+
+impl TranslationMemo {
+    const UNSET: u32 = u32::MAX;
+
+    /// An empty memo for translating out of `src`.
+    pub fn for_pool(src: &ExprPool) -> Self {
+        TranslationMemo { map: vec![Self::UNSET; src.len()] }
+    }
+
+    /// Source nodes translated so far — the memo's misses.
+    pub fn translated(&self) -> usize {
+        self.map.iter().filter(|&&t| t != Self::UNSET).count()
     }
 }
 
@@ -959,12 +983,13 @@ mod tests {
         // Pre-populate dst so the ids diverge.
         dst.arg(7);
         dst.constant(99);
-        let mut memo = HashMap::new();
+        let mut memo = TranslationMemo::for_pool(&src);
         let t = dst.translate(&src, var, &mut memo);
         assert_eq!(dst.display(t).to_string(), src.display(var).to_string());
         // Translation is memoised and idempotent.
         let t2 = dst.translate(&src, var, &mut memo);
         assert_eq!(t, t2);
+        assert_eq!(memo.translated(), src.len());
     }
 
     #[test]

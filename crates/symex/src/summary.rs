@@ -1,6 +1,6 @@
 //! Per-function analysis results.
 
-use crate::pool::{CmpOp, ExprId};
+use crate::pool::{CmpOp, ExprId, ExprPool, TranslationMemo};
 use crate::types::VType;
 use std::collections::{BTreeSet, HashMap};
 
@@ -79,7 +79,7 @@ pub struct LoopCopy {
 ///
 /// Produced by [`analyze_function`](crate::analyze_function); consumed by
 /// the alias, layout and interprocedural stages in `dtaint-dataflow`.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FuncSummary {
     /// Function entry address.
     pub addr: u32,
@@ -143,14 +143,25 @@ impl FuncSummary {
     /// Re-interns every expression of this summary from `src` into `dst`.
     ///
     /// Per-function analyses run in parallel with private pools; the
-    /// interprocedural stage merges them into one global pool with this.
-    pub fn translate_into(
+    /// interprocedural stage merges them into one global pool with
+    /// [`translate_with`](Self::translate_with). This is its one-summary
+    /// call.
+    pub fn translate_into(&self, src: &ExprPool, dst: &mut ExprPool) -> FuncSummary {
+        self.translate_with(src, dst, &mut TranslationMemo::for_pool(src))
+    }
+
+    /// [`translate_into`](Self::translate_into) through a memo shared by
+    /// every summary translated out of `src`, so a sub-expression they
+    /// share is translated once. The summaries come out equal, and `dst`
+    /// ends up node-for-node identical, to translating each summary on
+    /// its own.
+    pub fn translate_with(
         &self,
-        src: &crate::pool::ExprPool,
-        dst: &mut crate::pool::ExprPool,
+        src: &ExprPool,
+        dst: &mut ExprPool,
+        memo: &mut TranslationMemo,
     ) -> FuncSummary {
-        let mut memo = HashMap::new();
-        let mut tr = |e: ExprId| dst.translate(src, e, &mut memo);
+        let mut tr = |e: ExprId| dst.translate(src, e, memo);
         let mut out = FuncSummary {
             addr: self.addr,
             name: self.name.clone(),
@@ -328,5 +339,91 @@ mod tests {
         });
         assert_eq!(s.calls_to_import("recv").len(), 1);
         assert!(s.calls_to_import("strcpy").is_empty());
+    }
+
+    /// Summaries over one source pool whose expressions overlap: all of
+    /// them reach `deref(arg0 + 0x4c)`, pairs of neighbours share a
+    /// field deref and its nested deref, and each has a constant of its
+    /// own. The shared nodes are interned before the private ones, so
+    /// source and destination ids diverge.
+    fn overlapping_summaries(src: &mut ExprPool) -> Vec<FuncSummary> {
+        let arg0 = src.arg(0);
+        let field = src.add_const(arg0, 0x4c);
+        let shared = src.deref(field, 4);
+        (0..9u32)
+            .map(|k| {
+                let base = src.arg(1 + (k / 2 % 3) as u8);
+                let addr = src.add_const(base, 4 + 4 * i64::from(k / 2));
+                let near = src.deref(addr, 4);
+                let nested = src.deref(near, 1);
+                let own = src.constant(1000 + i64::from(k));
+                let sum = src.add(nested, own);
+                let product = src.mul(sum, shared);
+                let ret = src.ret_sym(0x2000 + k);
+                let mut s = FuncSummary {
+                    addr: 0x1000 + 0x100 * k,
+                    name: format!("f{k}"),
+                    paths_explored: k,
+                    ..FuncSummary::default()
+                };
+                s.def_pairs.push(DefPair { d: near, u: shared, ins_addr: s.addr, path: 0 });
+                s.escape_defs.push(DefPair { d: nested, u: product, ins_addr: s.addr, path: 1 });
+                s.callsites.push(CallsiteInfo {
+                    ins_addr: s.addr + 8,
+                    callee: CalleeRef::Indirect(near),
+                    args: vec![shared, sum],
+                    ret,
+                    path: 0,
+                });
+                s.constraints.push(Constraint {
+                    op: CmpOp::Lt,
+                    lhs: sum,
+                    rhs: own,
+                    ins_addr: s.addr + 4,
+                    path: 0,
+                });
+                s.ret_values.push(product);
+                s.loop_copies.push(LoopCopy {
+                    ins_addr: s.addr + 12,
+                    dst_addr: addr,
+                    value: near,
+                    path: 0,
+                });
+                s.observe_type(near, VType::CharPtr);
+                s.observe_type(shared, VType::Ptr);
+                s
+            })
+            .collect()
+    }
+
+    fn nodes(pool: &ExprPool) -> Vec<crate::pool::SymNode> {
+        (0..pool.len() as u32).map(|i| pool.node(ExprId(i))).collect()
+    }
+
+    #[test]
+    fn a_shared_memo_translates_like_one_memo_per_summary() {
+        let mut src = ExprPool::new();
+        let summaries = overlapping_summaries(&mut src);
+        // Both destinations start with the same unrelated nodes.
+        let seeded = || {
+            let mut p = ExprPool::new();
+            p.arg(7);
+            p.constant(99);
+            p
+        };
+        let (mut a, mut b) = (seeded(), seeded());
+        let mut memo = TranslationMemo::for_pool(&src);
+        let shared: Vec<FuncSummary> =
+            summaries.iter().map(|s| s.translate_with(&src, &mut a, &mut memo)).collect();
+        let alone: Vec<FuncSummary> =
+            summaries.iter().map(|s| s.translate_into(&src, &mut b)).collect();
+        assert_eq!(nodes(&a), nodes(&b), "destination pools differ");
+        assert_eq!(shared, alone, "translated summaries differ");
+        for (t, s) in shared.iter().zip(&summaries) {
+            assert_eq!(t.render(&a), s.render(&src), "{} changed in translation", s.name);
+        }
+        // Every source node is reachable from some summary, and each was
+        // translated exactly once.
+        assert_eq!(memo.translated(), src.len());
     }
 }

@@ -9,9 +9,9 @@
 //! (`ph: "X"`) events.
 //!
 //! Parallel stages record into per-worker [`TraceBuffer`]s sharing the
-//! collector's clock; the owner absorbs them in worker order, so the
-//! *set* of events is deterministic even though their timestamps are
-//! not. Nothing downstream of the exporters ever reads a timestamp.
+//! collector's clock; the owner absorbs them in a fixed order (the
+//! symex pass's in chunk order), so the *set* of events is
+//! deterministic even though their timestamps are not. Nothing downstream of the exporters ever reads a timestamp.
 
 use crate::metrics::MetricsRegistry;
 use serde::{Deserialize, Serialize};
@@ -130,9 +130,9 @@ impl TraceBuffer {
         });
     }
 
-    /// Surrenders the recorded events.
-    pub fn into_events(self) -> Vec<SpanEvent> {
-        self.events
+    /// Surrenders the events recorded so far, leaving the buffer empty.
+    pub fn take_events(&mut self) -> Vec<SpanEvent> {
+        std::mem::take(&mut self.events)
     }
 }
 
@@ -285,11 +285,11 @@ mod tests {
         let mut b = c.buffer(1);
         let s = b.start();
         b.record("f", "function", s, BTreeMap::new());
-        c.absorb(b.into_events());
+        c.absorb(b.take_events());
         // A stage's own lane-0 buffer on the collector's clock records.
         let mut stage = TraceBuffer::new(c.clock(), 0, true);
         stage.record("ddg_alias", "stage", stage.start(), BTreeMap::new());
-        c.absorb(stage.into_events());
+        c.absorb(stage.take_events());
         let names: Vec<&str> = c.events().iter().map(|e| e.name.as_str()).collect();
         assert_eq!(names, ["scan", "ddg_alias"]);
         assert!(c.events().iter().all(|e| e.lane == 0));
@@ -302,8 +302,8 @@ mod tests {
         let mut b2 = c.buffer(2);
         b1.record("f1", "function", b1.start(), BTreeMap::new());
         b2.record("f2", "function", b2.start(), BTreeMap::new());
-        c.absorb(b1.into_events());
-        c.absorb(b2.into_events());
+        c.absorb(b1.take_events());
+        c.absorb(b2.take_events());
         assert_eq!(c.events().len(), 2);
         assert_eq!(c.events()[0].lane, 1);
         assert_eq!(c.events()[1].lane, 2);

@@ -10,13 +10,15 @@
 //! and 8 threads.
 
 use dtaint_cfg::{build_function_cfg, CallGraph, CallTarget, Callsite, FunctionCfg, FunctionShape};
-use dtaint_core::{Dtaint, DtaintConfig, FunctionOutcome, FunctionRecord};
-use dtaint_fwbin::{Binary, INS_SIZE};
+use dtaint_core::{CacheRef, Dtaint, DtaintConfig, FunctionOutcome, FunctionRecord, SummaryCache};
+use dtaint_fwbin::{Binary, SymbolKind, INS_SIZE};
 use dtaint_fwgen::{build_firmware, corrupt_binary, fbf_fault_corpus, table2_profiles, BinFault};
 use dtaint_ir::JumpKind;
 use dtaint_symex::{analyze_function, ExprPool, SymexConfig};
+use dtaint_telemetry::Collector;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 /// The call-graph classification as it was written over full CFGs,
 /// before shape records existed: the reference the records must match.
@@ -262,4 +264,84 @@ fn fused_pass_outcomes_equal_the_staged_reference_on_the_fault_corpus() {
     }
     assert!(lift_failed > 0, "the corpus must exercise lift failures");
     assert!(errors > 0, "the corpus must exercise fail-fast errors");
+}
+
+/// Profile 1 (Netgear) capped at 200 functions, then cut to its first
+/// `n` function symbols in address order (the generator cannot go below
+/// a couple of dozen functions).
+fn first_functions(n: usize) -> Binary {
+    let mut p = table2_profiles().remove(0);
+    p.total_functions = 200;
+    let full = build_firmware(&p).binary;
+    let last = full.functions()[n - 1].addr;
+    let mut bin = full.clone();
+    bin.symbols.retain(|s| s.kind != SymbolKind::Function || s.addr <= last);
+    bin
+}
+
+/// The fused pass works in fixed 64-symbol chunks. On either side of a
+/// chunk boundary, and at thread counts that do not divide the chunk
+/// count, a scan gives the same report (audit log included), the same
+/// master pool size and the same cold cache bytes.
+#[test]
+fn chunk_boundaries_and_thread_counts_do_not_change_the_scan() {
+    for cap in [1, 63, 64, 65, 200] {
+        let bin = first_functions(cap);
+        assert_eq!(bin.functions().len(), cap, "the image has {cap} functions");
+        let scan = |threads: usize| {
+            let cache = Arc::new(SummaryCache::new());
+            let config = DtaintConfig {
+                threads,
+                audit: true,
+                cache: Some(CacheRef::new(cache.clone(), "img")),
+                ..Default::default()
+            };
+            let mut tel = Collector::disabled();
+            let report =
+                Dtaint::with_config(config).analyze_traced(&bin, "chunks", &mut tel).unwrap();
+            let root = tel.events().iter().find(|e| e.cat == "scan").expect("the root span");
+            (report.with_zeroed_wall_clock(), root.args["pool_nodes"], cache.to_bytes())
+        };
+        let want = scan(1);
+        assert_eq!(want.0.functions, cap);
+        for threads in [2, 3, 8] {
+            let got = scan(threads);
+            assert!(got.0 == want.0, "{cap} functions: report differs at {threads} threads");
+            assert_eq!(got.1, want.1, "{cap} functions: pool_nodes at {threads} threads");
+            assert!(got.2 == want.2, "{cap} functions: cache bytes differ at {threads} threads");
+        }
+    }
+}
+
+/// Faults in the last function of a chunk: a symex panic ending chunk
+/// 0, lift failures ending chunks 1 and 2. Whichever chunk finishes
+/// first, the outcome records match the staged reference, and a
+/// fail-fast scan reports the first lift failure in address order.
+#[test]
+fn faults_at_chunk_ends_keep_address_order() {
+    let pristine = first_functions(200);
+    let bin = [127, 191].iter().fold(pristine, |b, &index| {
+        corrupt_binary(&b, &BinFault::GarbageOpcodes { index, seed: 11 })
+    });
+    let syms = bin.functions();
+    let lift_error = build_function_cfg(&bin, syms[127]).expect_err("garbage does not lift");
+    let symex = SymexConfig { panic_on: Some(syms[63].addr), ..Default::default() };
+    for fail_fast in [false, true] {
+        let config = DtaintConfig { symex, fail_fast, ..Default::default() };
+        let want = staged_outcomes(&bin, &config);
+        match &want {
+            Ok((records, _)) => {
+                let outcome =
+                    |i: usize| records.iter().find(|r| r.addr == syms[i].addr).map(|r| r.outcome);
+                assert_eq!(outcome(63), Some(FunctionOutcome::Panicked));
+                assert_eq!(outcome(127), Some(FunctionOutcome::LiftFailed));
+                assert_eq!(outcome(191), Some(FunctionOutcome::LiftFailed));
+            }
+            Err(e) => assert_eq!(e, &lift_error.to_string()),
+        }
+        for threads in [1, 2, 3, 8] {
+            let got = fused_outcomes(&bin, &DtaintConfig { threads, ..config.clone() });
+            assert_eq!(got, want, "fail_fast {fail_fast} at {threads} thread(s)");
+        }
+    }
 }

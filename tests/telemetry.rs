@@ -6,8 +6,8 @@
 //! durations and `~`-prefixed display tokens, but never feeds findings
 //! or logical counters.
 
-use dtaint_core::{AnalysisReport, Dtaint, DtaintConfig, FnCost};
-use dtaint_fwgen::{build_firmware, table2_profiles, GeneratedFirmware};
+use dtaint_core::{AnalysisReport, Dtaint, DtaintConfig, FnCost, FunctionOutcome};
+use dtaint_fwgen::{build_firmware, corrupt_binary, table2_profiles, BinFault, GeneratedFirmware};
 use dtaint_telemetry::{export_chrome, export_jsonl, Collector, SpanEvent};
 
 fn capped_firmware(index: usize, cap: usize) -> GeneratedFirmware {
@@ -113,6 +113,39 @@ fn spans_nest_scan_function_stage() {
     assert_eq!(instructions, report.telemetry.metrics.counter("lift.instructions"));
 }
 
+/// The fused pass merges each 64-symbol chunk once, on a worker lane
+/// inside `ssa`: one `symex_merge` span per chunk, in chunk order, even
+/// for a chunk with a function that failed to lift. Their node counts
+/// add up to `symex.nodes_translated`.
+#[test]
+fn one_merge_span_per_chunk_inside_ssa() {
+    let fw = capped_firmware(0, 150);
+    let bin = corrupt_binary(&fw.binary, &BinFault::GarbageOpcodes { index: 100, seed: 11 });
+    let symbols = bin.functions().len() as u64;
+    for threads in [1, 2, 8] {
+        let config = DtaintConfig { threads, ..Default::default() };
+        let mut tel = Collector::enabled();
+        let report = Dtaint::with_config(config).analyze_traced(&bin, "merge", &mut tel).unwrap();
+        assert!(
+            report.skipped_functions.iter().any(|r| r.outcome == FunctionOutcome::LiftFailed),
+            "the corrupted function fails to lift"
+        );
+        let events = tel.events();
+        let ssa = events.iter().find(|e| e.name == "ssa" && e.cat == "stage").unwrap();
+        let merges: Vec<&SpanEvent> = events.iter().filter(|e| e.cat == "symex_merge").collect();
+        assert_eq!(merges.len() as u64, symbols.div_ceil(64), "one merge per chunk");
+        for (i, m) in merges.iter().enumerate() {
+            assert_eq!(m.args["chunk"], i as u64, "merged in chunk order");
+            assert!(m.lane >= 1, "merges run on worker lanes");
+            assert!(ssa.contains(m), "merge of chunk {i} nests inside ssa");
+        }
+        let functions: u64 = merges.iter().map(|m| m.args["functions"]).sum();
+        assert_eq!(functions, symbols, "lift failures count in their chunk");
+        let nodes: u64 = merges.iter().map(|m| m.args["nodes"]).sum();
+        assert_eq!(nodes, report.telemetry.metrics.counter("symex.nodes_translated"));
+    }
+}
+
 /// Without tracing, a scan still records its lane-0 spans — the root and
 /// the seven stage spans, the report's only clock — and nothing else.
 #[test]
@@ -136,6 +169,8 @@ fn logical_counters_bit_identical_across_threads() {
     let (base, base_tel) = traced_report(&fw, 1);
     assert!(base.telemetry.metrics.counter("symex.blocks_executed") > 0);
     assert!(base.telemetry.metrics.gauge("image.functions") > 0);
+    // Chunk boundaries are fixed, so the pool merge's work is too.
+    assert!(base.telemetry.metrics.counter("symex.nodes_translated") > 0);
     for threads in [2, 8] {
         let (r, tel) = traced_report(&fw, threads);
         assert_eq!(
