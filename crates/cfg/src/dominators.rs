@@ -24,6 +24,8 @@ impl Dominators {
     /// Computes dominators for a CFG.
     pub fn compute(cfg: &FunctionCfg) -> Dominators {
         let rpo = cfg.rpo();
+        let preds = cfg.preds();
+        let blocks = cfg.blocks();
         let order: HashMap<u32, usize> = rpo.iter().enumerate().map(|(i, &b)| (b, i)).collect();
         let mut idom: HashMap<u32, u32> = HashMap::new();
         idom.insert(cfg.addr, cfg.addr);
@@ -32,9 +34,9 @@ impl Dominators {
             changed = false;
             for &b in rpo.iter().skip(1) {
                 // First processed predecessor.
-                let preds = cfg.preds.get(&b).map(|v| v.as_slice()).unwrap_or(&[]);
+                let index = cfg.index_of(b).expect("rpo lists blocks");
                 let mut new_idom: Option<u32> = None;
-                for &p in preds {
+                for p in preds[index].iter().map(|&p| blocks[p as usize].addr) {
                     if !idom.contains_key(&p) {
                         continue;
                     }
@@ -142,7 +144,7 @@ mod tests {
             a.ret();
         });
         let dom = Dominators::compute(&cfg);
-        let blocks: Vec<u32> = cfg.blocks.keys().copied().collect();
+        let blocks: Vec<u32> = cfg.blocks().iter().map(|b| b.addr).collect();
         let entry = blocks[0];
         let (then_b, else_b, join) = (blocks[1], blocks[2], blocks[3]);
         assert!(dom.dominates(entry, join));
@@ -163,7 +165,7 @@ mod tests {
             a.ret();
         });
         let dom = Dominators::compute(&cfg);
-        let blocks: Vec<u32> = cfg.blocks.keys().copied().collect();
+        let blocks: Vec<u32> = cfg.blocks().iter().map(|b| b.addr).collect();
         let (entry, sink, out) = (blocks[0], blocks[1], blocks[2]);
         assert!(dom.dominates(entry, sink));
         assert!(dom.dominates(entry, out));
@@ -184,7 +186,7 @@ mod tests {
         });
         let dom = Dominators::compute(&cfg);
         let head = cfg.addr + 4;
-        for &b in cfg.blocks.keys() {
+        for b in cfg.blocks().iter().map(|b| b.addr) {
             if b != cfg.addr {
                 assert!(dom.dominates(head, b), "head dominates {b:#x}");
             }

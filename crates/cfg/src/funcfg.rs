@@ -1,14 +1,23 @@
 use dtaint_fwbin::{Binary, Result, Symbol, INS_SIZE};
-use dtaint_ir::lift::lift_block;
-use dtaint_ir::{IrBlock, JumpKind};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use dtaint_ir::lift::{lift_block, lift_ins, Terminator};
+use dtaint_ir::{IrBlock, IrStmt, JumpKind};
 
 /// The control-flow graph of one function.
 ///
-/// Blocks are keyed by start address. Edges within the function are in
-/// `succs`/`preds`; a call's only intra-function successor is its return
-/// site (the callee is an edge in the [`CallGraph`](crate::CallGraph),
-/// not here).
+/// Blocks are stored flat in one `Vec`, sorted by start address; a
+/// block's position in that order is its *index*, and the entry is index
+/// 0. Successor edges are block indices in compressed-sparse-row form:
+/// block `i`'s successors are `succ_targets[succ_offsets[i]..succ_offsets[i
+/// + 1]]`, in the order the block's exits list them (side exits first,
+/// then the fall-through, jump or return site), with a repeat of the
+/// previous successor dropped. A call's only intra-function successor is
+/// its return site (the callee is an edge in the
+/// [`CallGraph`](crate::CallGraph), not here).
+///
+/// Only what symbolic execution reads is built eagerly: the blocks, the
+/// address lookup ([`FunctionCfg::block`]) and the successor lists.
+/// [`FunctionCfg::loop_blocks`], [`FunctionCfg::preds`] and
+/// [`FunctionCfg::back_edges`] are computed on demand.
 #[derive(Debug, Clone)]
 pub struct FunctionCfg {
     /// Entry address (also the function symbol's address).
@@ -17,14 +26,9 @@ pub struct FunctionCfg {
     pub name: String,
     /// End address (exclusive).
     pub end: u32,
-    /// Basic blocks keyed by start address.
-    pub blocks: BTreeMap<u32, IrBlock>,
-    /// Successor edges.
-    pub succs: HashMap<u32, Vec<u32>>,
-    /// Predecessor edges.
-    pub preds: HashMap<u32, Vec<u32>>,
-    /// DFS back edges `(from, to)` — the heads of loops.
-    pub back_edges: HashSet<(u32, u32)>,
+    blocks: Vec<IrBlock>,
+    succ_offsets: Vec<u32>,
+    succ_targets: Vec<u32>,
 }
 
 /// One block of a function that ends in a call, as the call graph reads
@@ -142,6 +146,27 @@ fn get_varint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
 }
 
 impl FunctionCfg {
+    /// The basic blocks in address order; a block's position is its index.
+    pub fn blocks(&self) -> &[IrBlock] {
+        &self.blocks
+    }
+
+    /// Index of the block starting at `addr`.
+    pub fn index_of(&self, addr: u32) -> Option<usize> {
+        self.blocks.binary_search_by_key(&addr, |b| b.addr).ok()
+    }
+
+    /// The block starting at `addr`.
+    pub fn block(&self, addr: u32) -> Option<&IrBlock> {
+        self.index_of(addr).map(|i| &self.blocks[i])
+    }
+
+    /// Successor indices of block `index`, in edge order.
+    pub fn succs(&self, index: usize) -> &[u32] {
+        let (from, to) = (self.succ_offsets[index], self.succ_offsets[index + 1]);
+        &self.succ_targets[from as usize..to as usize]
+    }
+
     /// Number of basic blocks.
     pub fn block_count(&self) -> usize {
         self.blocks.len()
@@ -149,105 +174,122 @@ impl FunctionCfg {
 
     /// Number of intra-function control-flow edges.
     pub fn edge_count(&self) -> usize {
-        self.succs.values().map(Vec::len).sum()
+        self.succ_targets.len()
     }
 
     /// The entry block.
     ///
     /// # Panics
     ///
-    /// Panics when the function is empty (zero-size symbol) — builders
-    /// never produce such CFGs.
+    /// Panics when the function has no blocks — builders never produce
+    /// such CFGs.
     pub fn entry_block(&self) -> &IrBlock {
-        &self.blocks[&self.addr]
+        self.block(self.addr).expect("the entry is a block")
     }
 
-    /// True when `(from, to)` closes a loop.
+    /// Predecessor indices per block index, each list ascending.
+    /// Computed on each call.
+    pub fn preds(&self) -> Vec<Vec<u32>> {
+        let mut preds = vec![Vec::new(); self.blocks.len()];
+        for from in 0..self.blocks.len() {
+            for &to in self.succs(from) {
+                preds[to as usize].push(from as u32);
+            }
+        }
+        preds
+    }
+
+    /// The back edges `(from, to)` of a depth-first search from the entry
+    /// (block addresses; `to` heads a loop), in the order the search
+    /// meets them. Computed on each call.
+    pub fn back_edges(&self) -> Vec<(u32, u32)> {
+        let mut edges = Vec::new();
+        let mut visited = vec![false; self.blocks.len()];
+        let mut on_stack = vec![false; self.blocks.len()];
+        let mut stack: Vec<(usize, usize)> = vec![(0, 0)];
+        visited[0] = true;
+        on_stack[0] = true;
+        while let Some(&mut (node, ref mut pos)) = stack.last_mut() {
+            if let Some(&s) = self.succs(node).get(*pos) {
+                *pos += 1;
+                let s = s as usize;
+                if on_stack[s] {
+                    edges.push((self.blocks[node].addr, self.blocks[s].addr));
+                } else if !visited[s] {
+                    visited[s] = true;
+                    on_stack[s] = true;
+                    stack.push((s, 0));
+                }
+            } else {
+                on_stack[node] = false;
+                stack.pop();
+            }
+        }
+        edges
+    }
+
+    /// True when `(from, to)` (block addresses) closes a loop; see
+    /// [`FunctionCfg::back_edges`].
     pub fn is_back_edge(&self, from: u32, to: u32) -> bool {
-        self.back_edges.contains(&(from, to))
+        self.back_edges().contains(&(from, to))
     }
 
-    /// Addresses of blocks that are part of some loop (a non-trivial
-    /// strongly connected component, or a self-loop).
+    /// Per block index, whether the block is part of some loop (a
+    /// non-trivial strongly connected component, or a self-loop).
     ///
     /// The paper's loop-copy sink ("copy statements in the loop", §IV)
-    /// queries this set.
-    pub fn loop_blocks(&self) -> HashSet<u32> {
-        // Iterative Tarjan SCC over the block graph.
-        #[derive(Clone, Copy)]
-        struct NodeInfo {
-            index: u32,
-            lowlink: u32,
-            on_stack: bool,
-        }
-        let mut info: HashMap<u32, NodeInfo> = HashMap::new();
+    /// tests this bitmap.
+    pub fn loop_blocks(&self) -> Vec<bool> {
+        // Iterative Tarjan SCC over block indices.
+        const UNVISITED: u32 = u32::MAX;
+        let n = self.blocks.len();
+        let mut index = vec![UNVISITED; n];
+        let mut lowlink = vec![0u32; n];
+        let mut on_stack = vec![false; n];
+        let mut in_loop = vec![false; n];
+        let mut scc: Vec<usize> = Vec::new();
+        let mut calls: Vec<(usize, usize)> = Vec::new();
         let mut next_index = 0u32;
-        let mut scc_stack: Vec<u32> = Vec::new();
-        let mut result: HashSet<u32> = HashSet::new();
-        let mut self_loops: HashSet<u32> = HashSet::new();
-        for (&a, outs) in &self.succs {
-            if outs.contains(&a) {
-                self_loops.insert(a);
-            }
-        }
-        for &root in self.blocks.keys() {
-            if info.contains_key(&root) {
+        for root in 0..n {
+            if index[root] != UNVISITED {
                 continue;
             }
-            let mut call_stack: Vec<(u32, usize)> = vec![(root, 0)];
-            info.insert(root, NodeInfo { index: next_index, lowlink: next_index, on_stack: true });
-            scc_stack.push(root);
-            next_index += 1;
-            while let Some(&mut (node, ref mut idx)) = call_stack.last_mut() {
-                let succs = self.succs.get(&node).map(|v| v.as_slice()).unwrap_or(&[]);
-                if *idx < succs.len() {
-                    let s = succs[*idx];
-                    *idx += 1;
-                    match info.get(&s) {
-                        None => {
-                            info.insert(
-                                s,
-                                NodeInfo { index: next_index, lowlink: next_index, on_stack: true },
-                            );
-                            scc_stack.push(s);
-                            next_index += 1;
-                            call_stack.push((s, 0));
-                        }
-                        Some(si) if si.on_stack => {
-                            let s_index = si.index;
-                            let ni = info.get_mut(&node).expect("node visited");
-                            ni.lowlink = ni.lowlink.min(s_index);
-                        }
-                        Some(_) => {}
+            calls.push((root, 0));
+            while let Some(&mut (node, ref mut pos)) = calls.last_mut() {
+                if index[node] == UNVISITED {
+                    index[node] = next_index;
+                    lowlink[node] = next_index;
+                    next_index += 1;
+                    on_stack[node] = true;
+                    scc.push(node);
+                }
+                if let Some(&s) = self.succs(node).get(*pos) {
+                    *pos += 1;
+                    let s = s as usize;
+                    if index[s] == UNVISITED {
+                        calls.push((s, 0));
+                    } else if on_stack[s] {
+                        lowlink[node] = lowlink[node].min(index[s]);
                     }
-                } else {
-                    call_stack.pop();
-                    let node_info = info[&node];
-                    if let Some(&(parent, _)) = call_stack.last() {
-                        let pi = info.get_mut(&parent).expect("parent visited");
-                        pi.lowlink = pi.lowlink.min(node_info.lowlink);
-                    }
-                    if node_info.lowlink == node_info.index {
-                        // Pop the SCC rooted here.
-                        let mut members = Vec::new();
-                        loop {
-                            let m = scc_stack.pop().expect("scc stack nonempty");
-                            info.get_mut(&m).expect("member visited").on_stack = false;
-                            members.push(m);
-                            if m == node {
-                                break;
-                            }
-                        }
-                        if members.len() > 1 {
-                            result.extend(members);
-                        } else if self_loops.contains(&members[0]) {
-                            result.insert(members[0]);
-                        }
+                    continue;
+                }
+                calls.pop();
+                if let Some(&(parent, _)) = calls.last() {
+                    lowlink[parent] = lowlink[parent].min(lowlink[node]);
+                }
+                if lowlink[node] == index[node] {
+                    // Pop the SCC rooted here.
+                    let root_at = scc.iter().rposition(|&m| m == node).expect("root on stack");
+                    let looped =
+                        scc.len() - root_at > 1 || self.succs(node).contains(&(node as u32));
+                    for m in scc.drain(root_at..) {
+                        on_stack[m] = false;
+                        in_loop[m] = looped;
                     }
                 }
             }
         }
-        result
+        in_loop
     }
 
     /// The small record this CFG leaves behind once its IR is dropped.
@@ -255,9 +297,9 @@ impl FunctionCfg {
         let calls = self
             .blocks
             .iter()
-            .filter_map(|(&block, b)| match b.jumpkind {
+            .filter_map(|b| match b.jumpkind {
                 JumpKind::Call { return_to } => Some(CallRow {
-                    block,
+                    block: b.addr,
                     ins_addr: b.end() - INS_SIZE,
                     return_to,
                     next_const: b.next_const(),
@@ -270,29 +312,29 @@ impl FunctionCfg {
             name: self.name.clone(),
             blocks: self.block_count(),
             edges: self.edge_count(),
-            instructions: self.blocks.values().map(|b| (b.size / INS_SIZE) as usize).sum(),
+            instructions: self.blocks.iter().map(|b| (b.size / INS_SIZE) as usize).sum(),
             calls,
         }
     }
 
-    /// Blocks in reverse post-order from the entry (a topological order
-    /// ignoring back edges).
+    /// Block addresses in reverse post-order from the entry (a
+    /// topological order ignoring back edges).
     pub fn rpo(&self) -> Vec<u32> {
-        let mut visited = HashSet::new();
-        let mut post = Vec::new();
+        let mut post = Vec::with_capacity(self.blocks.len());
+        let mut visited = vec![false; self.blocks.len()];
         // Iterative DFS with an explicit stack of (node, next-succ-index).
-        let mut stack: Vec<(u32, usize)> = vec![(self.addr, 0)];
-        visited.insert(self.addr);
-        while let Some(&mut (node, ref mut idx)) = stack.last_mut() {
-            let succs = self.succs.get(&node).map(|v| v.as_slice()).unwrap_or(&[]);
-            if *idx < succs.len() {
-                let s = succs[*idx];
-                *idx += 1;
-                if visited.insert(s) {
+        let mut stack: Vec<(usize, usize)> = vec![(0, 0)];
+        visited[0] = true;
+        while let Some(&mut (node, ref mut pos)) = stack.last_mut() {
+            if let Some(&s) = self.succs(node).get(*pos) {
+                *pos += 1;
+                let s = s as usize;
+                if !visited[s] {
+                    visited[s] = true;
                     stack.push((s, 0));
                 }
             } else {
-                post.push(node);
+                post.push(self.blocks[node].addr);
                 stack.pop();
             }
         }
@@ -305,9 +347,12 @@ impl FunctionCfg {
 ///
 /// The builder first performs a linear sweep over `[sym.addr, sym.addr +
 /// sym.size)` to discover *leaders* (the entry, branch targets, and the
-/// instruction after every terminator), then lifts one block per leader,
-/// bounded by the next leader. This yields non-overlapping blocks even
-/// when branches target the middle of straight-line runs.
+/// instruction after every terminator), lifting only the terminators,
+/// with [`lift_ins`] into one reused buffer. It then lifts one block per
+/// leader, bounded by the next leader, into the address-sorted block
+/// `Vec`, and lays the successor edges out as index lists. This yields
+/// non-overlapping blocks even when branches target the middle of
+/// straight-line runs.
 ///
 /// # Errors
 ///
@@ -322,13 +367,13 @@ pub fn build_function_cfg(bin: &Binary, sym: &Symbol) -> Result<FunctionCfg> {
         .checked_add(sym.size)
         .ok_or_else(|| dtaint_fwbin::Error::BadSymbol { name: sym.name.clone(), addr: sym.addr })?;
 
-    // Pass 1: discover leaders by lifting one instruction at a time.
-    // Terminator-ness comes from the decoded instruction, not from the
-    // lifted shape: a `B +0` (jump to the next instruction) looks exactly
-    // like fall-through in the IR but still ends its block in pass 2, so
-    // its target must be a leader.
-    let mut leaders: BTreeSet<u32> = BTreeSet::new();
-    leaders.insert(start);
+    // Pass 1: discover leaders, lifting only the terminators, one at a
+    // time into one reused buffer. Terminator-ness comes from the decoded
+    // instruction, not from the lifted shape: a `B +0` (jump to the next
+    // instruction) looks exactly like fall-through in the IR but still
+    // ends its block in pass 2, so its target must be a leader.
+    let mut leaders = vec![start];
+    let mut probe: Vec<IrStmt> = Vec::new();
     let mut pc = start;
     while pc < end {
         let word = bin.read_u32(pc).ok_or(dtaint_fwbin::Error::Truncated)?;
@@ -341,100 +386,57 @@ pub fn build_function_cfg(bin: &Binary, sym: &Symbol) -> Result<FunctionCfg> {
             }
         };
         if is_term {
-            let one = lift_block(bin, pc, pc + INS_SIZE)?;
-            for t in one.exit_targets() {
-                if (start..end).contains(&t) {
-                    leaders.insert(t);
-                }
-            }
-            match one.jumpkind {
-                JumpKind::Boring => {
-                    if let Some(t) = one.next_const() {
-                        if (start..end).contains(&t) {
-                            leaders.insert(t);
-                        }
-                    }
-                }
-                JumpKind::Call { return_to } => {
-                    if (start..end).contains(&return_to) {
-                        leaders.insert(return_to);
-                    }
-                }
-                JumpKind::Ret => {}
-            }
-            if pc + INS_SIZE < end && !one.exit_targets().is_empty() {
-                leaders.insert(pc + INS_SIZE);
-            }
+            probe.clear();
+            let term = lift_ins(bin, pc, &mut probe)?;
+            let exits = probe.iter().filter_map(|s| match *s {
+                IrStmt::Exit { target, .. } => Some(target),
+                _ => None,
+            });
+            // A side exit comes only from a conditional branch, whose
+            // fall-through makes the next instruction a leader.
+            let flow = match term {
+                None | Some(Terminator::CondBranch) => Some(pc + INS_SIZE),
+                Some(Terminator::Jump(next)) => next.as_const(),
+                Some(Terminator::Call { return_to, .. }) => Some(return_to),
+                Some(Terminator::Ret(_)) => None,
+            };
+            leaders.extend(exits.chain(flow).filter(|t| (start..end).contains(t)));
         }
         pc += INS_SIZE;
     }
+    leaders.sort_unstable();
+    leaders.dedup();
 
     // Pass 2: lift one block per leader, bounded by the next leader.
-    let mut blocks: BTreeMap<u32, IrBlock> = BTreeMap::new();
-    let leader_list: Vec<u32> = leaders.iter().copied().collect();
-    for (i, &leader) in leader_list.iter().enumerate() {
-        let limit = leader_list.get(i + 1).copied().unwrap_or(end);
-        let block = lift_block(bin, leader, limit)?;
-        blocks.insert(leader, block);
+    let mut blocks = Vec::with_capacity(leaders.len());
+    for (i, &leader) in leaders.iter().enumerate() {
+        let limit = leaders.get(i + 1).copied().unwrap_or(end);
+        blocks.push(lift_block(bin, leader, limit)?);
     }
 
-    // Edges.
-    let mut succs: HashMap<u32, Vec<u32>> = HashMap::new();
-    let mut preds: HashMap<u32, Vec<u32>> = HashMap::new();
-    for (&a, b) in &blocks {
-        let mut out: Vec<u32> = Vec::new();
-        for t in b.exit_targets() {
-            if blocks.contains_key(&t) {
-                out.push(t);
+    // Successor edges, as block indices.
+    let index_of = |t: u32| blocks.binary_search_by_key(&t, |b: &IrBlock| b.addr).ok();
+    let mut succ_offsets = Vec::with_capacity(blocks.len() + 1);
+    let mut succ_targets: Vec<u32> = Vec::with_capacity(2 * blocks.len());
+    succ_offsets.push(0);
+    for b in &blocks {
+        let first = succ_targets.len();
+        let flow = match b.jumpkind {
+            JumpKind::Ret => None,
+            JumpKind::Call { return_to } => Some(return_to),
+            JumpKind::Boring => b.next_const(),
+        };
+        for t in b.exit_targets().chain(flow) {
+            let Some(i) = index_of(t) else { continue };
+            // Drop a repeat of the previous successor (`Vec::dedup`).
+            if succ_targets[first..].last() != Some(&(i as u32)) {
+                succ_targets.push(i as u32);
             }
         }
-        match b.jumpkind {
-            JumpKind::Ret => {}
-            JumpKind::Call { return_to } => {
-                if blocks.contains_key(&return_to) {
-                    out.push(return_to);
-                }
-            }
-            JumpKind::Boring => {
-                if let Some(t) = b.next_const() {
-                    if blocks.contains_key(&t) {
-                        out.push(t);
-                    }
-                }
-            }
-        }
-        out.dedup();
-        for &s in &out {
-            preds.entry(s).or_default().push(a);
-        }
-        succs.insert(a, out);
+        succ_offsets.push(succ_targets.len() as u32);
     }
 
-    // DFS back edges.
-    let mut back_edges = HashSet::new();
-    let mut on_stack: HashSet<u32> = HashSet::new();
-    let mut visited: HashSet<u32> = HashSet::new();
-    let mut stack: Vec<(u32, usize)> = vec![(start, 0)];
-    visited.insert(start);
-    on_stack.insert(start);
-    while let Some(&mut (node, ref mut idx)) = stack.last_mut() {
-        let ss = succs.get(&node).map(|v| v.as_slice()).unwrap_or(&[]);
-        if *idx < ss.len() {
-            let s = ss[*idx];
-            *idx += 1;
-            if on_stack.contains(&s) {
-                back_edges.insert((node, s));
-            } else if visited.insert(s) {
-                on_stack.insert(s);
-                stack.push((s, 0));
-            }
-        } else {
-            on_stack.remove(&node);
-            stack.pop();
-        }
-    }
-
-    Ok(FunctionCfg { addr: start, name: sym.name.clone(), end, blocks, succs, preds, back_edges })
+    Ok(FunctionCfg { addr: start, name: sym.name.clone(), end, blocks, succ_offsets, succ_targets })
 }
 
 /// Builds CFGs for every function symbol in the binary, in address order.
@@ -465,6 +467,17 @@ mod tests {
         (bin, cfg)
     }
 
+    /// Successor addresses of the block at `addr`.
+    fn succ_addrs(cfg: &FunctionCfg, addr: u32) -> Vec<u32> {
+        let index = cfg.index_of(addr).unwrap();
+        cfg.succs(index).iter().map(|&s| cfg.blocks()[s as usize].addr).collect()
+    }
+
+    /// Whether the block at `addr` is in a loop.
+    fn in_loop(cfg: &FunctionCfg, addr: u32) -> bool {
+        cfg.loop_blocks()[cfg.index_of(addr).unwrap()]
+    }
+
     #[test]
     fn straight_line_is_single_block() {
         let (_, cfg) = build(Arch::Arm32e, |a| {
@@ -473,8 +486,8 @@ mod tests {
             a.ret();
         });
         assert_eq!(cfg.block_count(), 1);
-        assert!(cfg.succs[&cfg.addr].is_empty());
-        assert!(cfg.back_edges.is_empty());
+        assert!(cfg.succs(0).is_empty());
+        assert!(cfg.back_edges().is_empty());
     }
 
     #[test]
@@ -490,12 +503,10 @@ mod tests {
             a.ret();
         });
         assert_eq!(cfg.block_count(), 4);
-        let entry_succs = &cfg.succs[&cfg.addr];
-        assert_eq!(entry_succs.len(), 2);
+        assert_eq!(cfg.succs(0).len(), 2);
         // Both arms join at the return block.
-        let join = *cfg.blocks.keys().last().unwrap();
-        assert_eq!(cfg.preds[&join].len(), 2);
-        assert!(cfg.back_edges.is_empty());
+        assert_eq!(cfg.preds()[3], [1, 2]);
+        assert!(cfg.back_edges().is_empty());
     }
 
     #[test]
@@ -510,9 +521,12 @@ mod tests {
             a.label("out");
             a.ret();
         });
-        assert_eq!(cfg.back_edges.len(), 1);
-        let (_, to) = *cfg.back_edges.iter().next().unwrap();
+        let back = cfg.back_edges();
+        assert_eq!(back.len(), 1);
+        let (from, to) = back[0];
         assert_eq!(to, cfg.addr + 4, "loop head is the second instruction");
+        assert!(cfg.is_back_edge(from, to));
+        assert!(!cfg.is_back_edge(cfg.addr, to));
     }
 
     #[test]
@@ -524,12 +538,12 @@ mod tests {
             a.ret();
         });
         assert_eq!(cfg.block_count(), 2);
-        let call_block = &cfg.blocks[&cfg.addr];
+        let call_block = cfg.entry_block();
         assert!(matches!(call_block.jumpkind, JumpKind::Call { .. }));
         // The call block's CFG successor is its return site, not the stub.
         let stub = bin.imports[0].stub_addr;
-        assert_eq!(cfg.succs[&cfg.addr], vec![cfg.addr + 8]);
-        assert_ne!(cfg.succs[&cfg.addr][0], stub);
+        assert_eq!(succ_addrs(&cfg, cfg.addr), [cfg.addr + 8]);
+        assert_ne!(succ_addrs(&cfg, cfg.addr)[0], stub);
     }
 
     #[test]
@@ -544,8 +558,8 @@ mod tests {
             a.arm_b(Cond::Lt, "mid");
             a.ret();
         });
-        assert!(cfg.blocks.contains_key(&(cfg.addr + 4)), "mid is a leader");
-        assert_eq!(cfg.back_edges.len(), 1);
+        assert!(cfg.block(cfg.addr + 4).is_some(), "mid is a leader");
+        assert_eq!(cfg.back_edges().len(), 1);
     }
 
     #[test]
@@ -570,7 +584,7 @@ mod tests {
             a.mips_bgtz(Reg(8), "head");
             a.ret();
         });
-        assert_eq!(cfg.back_edges.len(), 1);
+        assert_eq!(cfg.back_edges().len(), 1);
         assert!(cfg.block_count() >= 3);
     }
 
@@ -586,11 +600,10 @@ mod tests {
             a.label("out");
             a.ret();
         });
-        let loops = cfg.loop_blocks();
-        assert!(loops.contains(&(cfg.addr + 4)), "loop head in loop");
-        assert!(!loops.contains(&cfg.addr), "pre-header not in loop");
-        let out = *cfg.blocks.keys().last().unwrap();
-        assert!(!loops.contains(&out), "exit block not in loop");
+        assert!(in_loop(&cfg, cfg.addr + 4), "loop head in loop");
+        assert!(!in_loop(&cfg, cfg.addr), "pre-header not in loop");
+        let out = cfg.blocks().last().unwrap().addr;
+        assert!(!in_loop(&cfg, out), "exit block not in loop");
     }
 
     #[test]
@@ -601,7 +614,7 @@ mod tests {
             a.label("x");
             a.ret();
         });
-        assert!(cfg.loop_blocks().is_empty());
+        assert_eq!(cfg.loop_blocks(), [false, false]);
     }
 
     #[test]
@@ -613,8 +626,21 @@ mod tests {
             a.arm_b(Cond::Ne, "spin");
             a.ret();
         });
-        let loops = cfg.loop_blocks();
-        assert!(loops.contains(&(cfg.addr + 4)));
+        assert!(in_loop(&cfg, cfg.addr + 4));
+        assert!(!in_loop(&cfg, cfg.addr));
+    }
+
+    /// A zero-size symbol still has its entry as a leader: one empty
+    /// block that falls through to itself.
+    #[test]
+    fn zero_size_function_is_one_empty_block() {
+        let (bin, _) = build(Arch::Arm32e, |a| a.ret());
+        let sym = Symbol { size: 0, ..bin.function("f").unwrap().clone() };
+        let cfg = build_function_cfg(&bin, &sym).unwrap();
+        assert_eq!(cfg.block_count(), 1);
+        assert_eq!(cfg.entry_block().size, 0);
+        assert_eq!(succ_addrs(&cfg, cfg.addr), [cfg.addr]);
+        assert_eq!(cfg.loop_blocks(), [true]);
     }
 
     #[test]
@@ -644,6 +670,9 @@ mod tests {
             a.ret();
         });
         assert_eq!(cfg.block_count(), 2);
+        // The side exit and the fall-through reach the same block: one edge.
+        assert_eq!(succ_addrs(&cfg, cfg.addr), [cfg.addr + 8]);
+        assert_eq!(cfg.edge_count(), 1);
     }
 
     /// Wrapping deltas and `next_const` extremes survive the compact

@@ -1,13 +1,15 @@
-//! Control-flow graphs, loop back edges, and the call graph.
+//! Control-flow graphs, loop membership, and the call graph.
 //!
 //! DTaint "performs a static analysis on the firmware to generate the CFG
 //! for each function separately" (§III-B). This crate provides exactly
 //! that layer on top of the lifted IR:
 //!
-//! * [`FunctionCfg`] — per-function basic blocks and edges, built by an
-//!   exact linear sweep (both dialects use fixed-width instructions and
-//!   contiguous function bodies), plus DFS back edges for the paper's
-//!   *blocks in the same loop are only analyzed once* heuristic,
+//! * [`FunctionCfg`] — per-function basic blocks (flat, address-sorted)
+//!   and successor edges (block indices), built by an exact linear sweep
+//!   (both dialects use fixed-width instructions and contiguous function
+//!   bodies), plus the per-block loop membership that marks the paper's
+//!   "copy statements in the loop"; predecessors, DFS back edges and
+//!   reverse post-order are computed on demand,
 //! * [`CallGraph`] — call sites classified as direct, import (library) or
 //!   indirect, with the post-order traversal the bottom-up
 //!   interprocedural analysis walks (callees before callers, each

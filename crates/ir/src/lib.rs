@@ -12,7 +12,8 @@
 //! * [`IrBlock`] — one basic block with its final jump kind (fall-through,
 //!   call, return, indirect),
 //! * [`lift::lift_block`] — decodes and lifts a block from a loaded
-//!   [`Binary`](dtaint_fwbin::Binary).
+//!   [`Binary`](dtaint_fwbin::Binary); [`lift::lift_ins`] lifts one
+//!   instruction, appending to a caller's statement buffer.
 //!
 //! Architecture differences are normalised here so that every later stage
 //! is ISA-agnostic: ARM condition flags become explicit compare operands

@@ -10,8 +10,8 @@ use dtaint_fwbin::{Arch, Binary, Error, Result, INS_SIZE};
 pub const MAX_BLOCK_BYTES: u32 = 16 * 1024;
 
 /// How one lifted instruction affects control flow.
-#[derive(Debug)]
-pub(crate) enum Terminator {
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Terminator {
     /// Unconditional transfer to an address expression.
     Jump(IrExpr),
     /// A conditional branch: an [`IrStmt::Exit`] has been emitted and the
@@ -28,22 +28,24 @@ pub(crate) enum Terminator {
     Ret(IrExpr),
 }
 
-/// The lifting of a single guest instruction.
-#[derive(Debug)]
-pub(crate) struct Lifted {
-    /// Statements the instruction contributes (excluding its `Imark`).
-    pub stmts: Vec<IrStmt>,
-    /// Set when the instruction ends the basic block.
-    pub terminator: Option<Terminator>,
-}
-
-impl Lifted {
-    pub(crate) fn flow(stmts: Vec<IrStmt>) -> Lifted {
-        Lifted { stmts, terminator: None }
-    }
-
-    pub(crate) fn end(stmts: Vec<IrStmt>, terminator: Terminator) -> Lifted {
-        Lifted { stmts, terminator: Some(terminator) }
+/// Lifts the one guest instruction at `pc`, appending its statements
+/// (without an `Imark`) to `out`, and returns how it ends the block:
+/// `None` when control falls through to the next instruction.
+///
+/// `out` is only appended to — its earlier contents stay as they are —
+/// so a caller lifts a whole block, or probes one instruction at a time,
+/// into one reused buffer.
+///
+/// # Errors
+///
+/// Returns [`Error::Truncated`] when `pc` is outside the mapped text and
+/// [`Error::BadInstruction`] when the word fails to decode; `out` is
+/// unchanged then.
+pub fn lift_ins(bin: &Binary, pc: u32, out: &mut Vec<IrStmt>) -> Result<Option<Terminator>> {
+    let word = bin.read_u32(pc).ok_or(Error::Truncated)?;
+    match bin.arch {
+        Arch::Arm32e => lift_arm::lift_ins(word, pc, out),
+        Arch::Mips32e => lift_mips::lift_ins(word, pc, out),
     }
 }
 
@@ -53,6 +55,8 @@ impl Lifted {
 /// (typically the end of the enclosing function), or after
 /// [`MAX_BLOCK_BYTES`]. When the block ends without a control-flow
 /// instruction it falls through (`JumpKind::Boring` to the next address).
+/// Every instruction contributes an [`IrStmt::Imark`] followed by its
+/// [`lift_ins`] statements, all appended to the block's one buffer.
 ///
 /// Note that a block ended by a *conditional* branch has the branch
 /// recorded as an [`IrStmt::Exit`] side exit and falls through, exactly
@@ -63,39 +67,33 @@ impl Lifted {
 /// Returns [`Error::BadInstruction`] when a word fails to decode and
 /// [`Error::Truncated`] when `addr` is outside the mapped text.
 pub fn lift_block(bin: &Binary, addr: u32, limit: u32) -> Result<IrBlock> {
-    let mut stmts = Vec::new();
+    // Most instructions lift to one statement after their `Imark`. The
+    // cap keeps a far `limit` from reserving much more than a typical
+    // block (about five instructions) uses.
+    let ins = limit.saturating_sub(addr) / INS_SIZE;
+    let mut stmts = Vec::with_capacity(2 * ins.min(32) as usize);
     let mut pc = addr;
-    let mut next = None;
-    let mut jumpkind = JumpKind::Boring;
     while pc < limit && pc - addr < MAX_BLOCK_BYTES {
-        let word = bin.read_u32(pc).ok_or(Error::Truncated)?;
-        let lifted = match bin.arch {
-            Arch::Arm32e => lift_arm::lift_ins(word, pc)?,
-            Arch::Mips32e => lift_mips::lift_ins(word, pc)?,
-        };
         stmts.push(IrStmt::Imark { addr: pc, len: INS_SIZE });
-        stmts.extend(lifted.stmts);
+        let term = lift_ins(bin, pc, &mut stmts)?;
         pc += INS_SIZE;
-        if let Some(term) = lifted.terminator {
-            match term {
-                Terminator::Jump(e) => next = Some((e, JumpKind::Boring)),
-                Terminator::CondBranch => {
-                    next = Some((IrExpr::Const(pc), JumpKind::Boring));
-                }
-                Terminator::Call { next: e, return_to } => {
-                    next = Some((e, JumpKind::Call { return_to }));
-                }
-                Terminator::Ret(e) => next = Some((e, JumpKind::Ret)),
-            }
-            break;
-        }
-    }
-    if let Some((n, k)) = next {
-        jumpkind = k;
-        return Ok(IrBlock { addr, size: pc - addr, stmts, next: n, jumpkind });
+        let (next, jumpkind) = match term {
+            None => continue,
+            Some(Terminator::Jump(e)) => (e, JumpKind::Boring),
+            Some(Terminator::CondBranch) => (IrExpr::Const(pc), JumpKind::Boring),
+            Some(Terminator::Call { next, return_to }) => (next, JumpKind::Call { return_to }),
+            Some(Terminator::Ret(e)) => (e, JumpKind::Ret),
+        };
+        return Ok(IrBlock { addr, size: pc - addr, stmts, next, jumpkind });
     }
     // Fell off the end (or hit the limit): plain fall-through.
-    Ok(IrBlock { addr, size: pc - addr, stmts, next: IrExpr::Const(pc), jumpkind })
+    Ok(IrBlock {
+        addr,
+        size: pc - addr,
+        stmts,
+        next: IrExpr::Const(pc),
+        jumpkind: JumpKind::Boring,
+    })
 }
 
 #[cfg(test)]
@@ -130,6 +128,110 @@ mod tests {
     fn lift_fn(bin: &Binary) -> IrBlock {
         let f = bin.function("f").unwrap();
         lift_block(bin, f.addr, f.addr + f.size).unwrap()
+    }
+
+    /// Checks the contract between the two lifting entry points on every
+    /// block of `f`, and on each block cut short one instruction before
+    /// its end: `lift_block` is, instruction by instruction, an `Imark`
+    /// followed by what `lift_ins` appends; `lift_ins` leaves the
+    /// buffer's earlier contents untouched; only the last instruction
+    /// terminates, and its terminator gives the block's exit.
+    fn assert_blocks_are_their_instructions(bin: &Binary) {
+        let f = bin.function("f").unwrap();
+        let end = f.addr + f.size;
+        let earlier = vec![
+            IrStmt::Imark { addr: 0xdead_0000, len: INS_SIZE },
+            IrStmt::Put { reg: Reg(7), value: IrExpr::Const(7) },
+        ];
+        let check = |addr: u32, limit: u32| -> u32 {
+            let block = lift_block(bin, addr, limit).unwrap();
+            let mut want = Vec::new();
+            let mut exit = (IrExpr::Const(block.end()), JumpKind::Boring);
+            for pc in (addr..block.end()).step_by(INS_SIZE as usize) {
+                let mut buf = earlier.clone();
+                let term = lift_ins(bin, pc, &mut buf).unwrap();
+                assert_eq!(buf[..earlier.len()], earlier[..], "{pc:#x}: earlier contents kept");
+                want.push(IrStmt::Imark { addr: pc, len: INS_SIZE });
+                want.extend(buf.drain(earlier.len()..));
+                let last = pc + INS_SIZE == block.end();
+                assert!(last || term.is_none(), "{pc:#x}: only the last instruction ends a block");
+                exit = match term {
+                    None => continue,
+                    Some(Terminator::Jump(e)) => (e, JumpKind::Boring),
+                    Some(Terminator::CondBranch) => (IrExpr::Const(block.end()), JumpKind::Boring),
+                    Some(Terminator::Call { next, return_to }) => {
+                        (next, JumpKind::Call { return_to })
+                    }
+                    Some(Terminator::Ret(e)) => (e, JumpKind::Ret),
+                };
+            }
+            assert_eq!(block.stmts, want, "block {addr:#x}..{limit:#x}");
+            assert_eq!((block.next.clone(), block.jumpkind), exit, "block {addr:#x}..{limit:#x}");
+            block.end()
+        };
+        let mut pc = f.addr;
+        let mut blocks = 0;
+        while pc < end {
+            let next = check(pc, end);
+            if next - pc > INS_SIZE {
+                check(pc, next - INS_SIZE);
+            }
+            pc = next;
+            blocks += 1;
+        }
+        assert!(blocks >= 4, "the range spans several blocks");
+    }
+
+    #[test]
+    fn arm_lift_block_is_imark_plus_lift_ins_per_instruction() {
+        let bin = arm_bin(|a| {
+            a.arm(ArmIns::Push { mask: 0b0100_0000_0011_0000 });
+            a.arm(ArmIns::Ldr { rt: Reg(1), rn: Reg(5), off: 0x4c });
+            a.arm(ArmIns::MovT { rd: Reg(2), imm: 0x1234 });
+            a.arm(ArmIns::Strb { rt: Reg(1), rn: Reg::SP, off: -3 });
+            a.arm(ArmIns::CmpI { rn: Reg(1), imm: 64 });
+            a.arm_b(Cond::Ge, "out");
+            a.arm(ArmIns::LslI { rd: Reg(3), rn: Reg(1), sh: 2 });
+            a.arm(ArmIns::Ldrh { rt: Reg(0), rn: Reg(3), off: 6 });
+            a.call("memcpy");
+            a.arm(ArmIns::Blx { rm: Reg(3) });
+            a.arm(ArmIns::EorR { rd: Reg(0), rn: Reg(0), rm: Reg(0) });
+            a.jump("out");
+            a.label("out");
+            a.arm(ArmIns::Pop { mask: 0b0100_0000_0011_0000 });
+            a.ret();
+        });
+        assert_blocks_are_their_instructions(&bin);
+    }
+
+    #[test]
+    fn mips_lift_block_is_imark_plus_lift_ins_per_instruction() {
+        let bin = mips_bin(|a| {
+            a.mips(MipsIns::Addiu { rt: Reg::SP, rs: Reg::SP, imm: -32 });
+            a.mips(MipsIns::Lw { rt: Reg(8), base: Reg(4), off: 8 });
+            a.mips(MipsIns::Addu { rd: Reg(0), rs: Reg(8), rt: Reg(5) });
+            a.mips(MipsIns::Sh { rt: Reg(8), base: Reg::SP, off: 2 });
+            a.mips(MipsIns::Slt { rd: Reg(9), rs: Reg(8), rt: Reg(0) });
+            a.mips_beq(Reg(9), Reg::ZERO, "out");
+            a.mips(MipsIns::Lui { rt: Reg(10), imm: 0x40 });
+            a.mips(MipsIns::Bne { rs: Reg(4), rt: Reg(4), off: 3 });
+            a.mips(MipsIns::Lb { rt: Reg(11), base: Reg(10), off: -1 });
+            a.call("memcpy");
+            a.call_reg(Reg(25));
+            a.mips_bgtz(Reg(8), "out");
+            a.jump("out");
+            a.label("out");
+            a.ret();
+        });
+        assert_blocks_are_their_instructions(&bin);
+    }
+
+    #[test]
+    fn lift_ins_errors_leave_the_buffer_alone() {
+        let bin = arm_bin(|a| a.ret());
+        let mut buf = vec![IrStmt::Imark { addr: 4, len: INS_SIZE }];
+        assert_eq!(lift_ins(&bin, 0xdead_0000, &mut buf).unwrap_err(), Error::Truncated);
+        assert_eq!(buf, [IrStmt::Imark { addr: 4, len: INS_SIZE }]);
     }
 
     #[test]
@@ -269,8 +371,7 @@ mod tests {
             a.ret();
         });
         let b = lift_fn(&bin);
-        let exits = b.exit_targets();
-        assert_eq!(exits.len(), 1);
+        assert_eq!(b.exit_targets().count(), 1);
         assert!(b.stmts.iter().any(|s| matches!(
             s,
             IrStmt::Exit { cond: IrExpr::Binop { op: BinOp::CmpNe, .. }, .. }
@@ -290,7 +391,7 @@ mod tests {
         let b = lift_block(&bin, f.addr, f.addr + f.size).unwrap();
         assert_eq!(b.jumpkind, JumpKind::Boring);
         assert_eq!(b.next_const(), Some(f.addr + 8));
-        assert!(b.exit_targets().is_empty());
+        assert_eq!(b.exit_targets().next(), None);
         assert_eq!(b.size, 4);
     }
 

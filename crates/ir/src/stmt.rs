@@ -98,25 +98,20 @@ impl IrBlock {
     }
 
     /// Guest addresses of the lifted instructions, from the `Imark`s.
-    pub fn instruction_addrs(&self) -> Vec<u32> {
-        self.stmts
-            .iter()
-            .filter_map(|s| match s {
-                IrStmt::Imark { addr, .. } => Some(*addr),
-                _ => None,
-            })
-            .collect()
+    pub fn instruction_addrs(&self) -> impl Iterator<Item = u32> + '_ {
+        self.stmts.iter().filter_map(|s| match s {
+            IrStmt::Imark { addr, .. } => Some(*addr),
+            _ => None,
+        })
     }
 
-    /// Targets of the conditional side exits in the block.
-    pub fn exit_targets(&self) -> Vec<u32> {
-        self.stmts
-            .iter()
-            .filter_map(|s| match s {
-                IrStmt::Exit { target, .. } => Some(*target),
-                _ => None,
-            })
-            .collect()
+    /// Targets of the conditional side exits in the block, in statement
+    /// order.
+    pub fn exit_targets(&self) -> impl Iterator<Item = u32> + '_ {
+        self.stmts.iter().filter_map(|s| match s {
+            IrStmt::Exit { target, .. } => Some(*target),
+            _ => None,
+        })
     }
 
     /// The constant fall-through / jump target, when direct.
@@ -168,8 +163,8 @@ mod tests {
     fn accessors() {
         let b = sample_block();
         assert_eq!(b.end(), 0x100c);
-        assert_eq!(b.instruction_addrs(), vec![0x1000, 0x1004, 0x1008]);
-        assert_eq!(b.exit_targets(), vec![0x2000]);
+        assert_eq!(b.instruction_addrs().collect::<Vec<_>>(), [0x1000, 0x1004, 0x1008]);
+        assert_eq!(b.exit_targets().collect::<Vec<_>>(), [0x2000]);
         assert_eq!(b.next_const(), Some(0x100c));
     }
 

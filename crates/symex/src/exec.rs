@@ -13,7 +13,7 @@ use crate::summary::{CalleeRef, CallsiteInfo, Constraint, DefPair, FuncSummary, 
 use crate::types::VType;
 use dtaint_cfg::FunctionCfg;
 use dtaint_fwbin::{Binary, Reg};
-use dtaint_ir::{BinOp, IrExpr, IrStmt, JumpKind, Width};
+use dtaint_ir::{BinOp, IrBlock, IrExpr, IrStmt, JumpKind, Width};
 use std::collections::{HashMap, HashSet};
 
 /// Tuning knobs for path exploration.
@@ -110,23 +110,25 @@ struct Executor<'a> {
     cfg: &'a FunctionCfg,
     pool: &'a mut ExprPool,
     config: &'a SymexConfig,
-    loop_blocks: HashSet<u32>,
+    /// Per block index, whether the block is in a loop.
+    loop_blocks: Vec<bool>,
     escape_seen: HashSet<(ExprId, ExprId)>,
     fuel_used: u32,
 }
 
-impl Executor<'_> {
+impl<'a> Executor<'a> {
     fn run(mut self) -> FuncSummary {
-        let mut summary = FuncSummary {
-            addr: self.cfg.addr,
-            name: self.cfg.name.clone(),
-            ..FuncSummary::default()
-        };
-        if self.cfg.blocks.is_empty() {
+        // Blocks are read in place through this copy of the `&'a`
+        // reference, so holding one does not borrow `self`: no block is
+        // ever cloned.
+        let cfg: &'a FunctionCfg = self.cfg;
+        let mut summary =
+            FuncSummary { addr: cfg.addr, name: cfg.name.clone(), ..FuncSummary::default() };
+        if cfg.blocks().is_empty() {
             return summary;
         }
         let mut stack = vec![PathItem {
-            block: self.cfg.addr,
+            block: cfg.addr,
             state: self.initial_state(),
             visited: HashSet::new(),
             steps: 0,
@@ -162,9 +164,9 @@ impl Executor<'_> {
                 self.fuel_used += 1;
                 item.steps += 1;
                 item.visited.insert(item.block);
-                let Some(block) = self.cfg.blocks.get(&item.block) else { break true };
-                let block = block.clone();
-                let in_loop = self.loop_blocks.contains(&item.block);
+                let Some(index) = cfg.index_of(item.block) else { break true };
+                let block = &cfg.blocks()[index];
+                let in_loop = self.loop_blocks[index];
                 let mut exit: Option<(ExprId, CmpOp, ExprId, u32, u32)> = None;
                 let mut ins_addr = block.addr;
                 for stmt in &block.stmts {
@@ -219,8 +221,8 @@ impl Executor<'_> {
                         break true;
                     }
                     JumpKind::Call { return_to } => {
-                        self.handle_call(&mut item, &mut summary, &block, return_to);
-                        if self.cfg.blocks.contains_key(&return_to) {
+                        self.handle_call(&mut item, &mut summary, block);
+                        if cfg.index_of(return_to).is_some() {
                             item.block = return_to;
                             continue;
                         }
@@ -319,7 +321,7 @@ impl Executor<'_> {
     /// Loop-once heuristic: a path never re-enters a block it already
     /// executed.
     fn may_enter(&self, item: &PathItem, block: u32) -> bool {
-        self.cfg.blocks.contains_key(&block) && !item.visited.contains(&block)
+        self.cfg.index_of(block).is_some() && !item.visited.contains(&block)
     }
 
     fn initial_state(&mut self) -> SymState {
@@ -438,13 +440,7 @@ impl Executor<'_> {
         self.pool.any_node(v, &mut |n| matches!(n, SymNode::Deref { .. } | SymNode::CallOut { .. }))
     }
 
-    fn handle_call(
-        &mut self,
-        item: &mut PathItem,
-        summary: &mut FuncSummary,
-        block: &dtaint_ir::IrBlock,
-        _return_to: u32,
-    ) {
+    fn handle_call(&mut self, item: &mut PathItem, summary: &mut FuncSummary, block: &IrBlock) {
         let arch = self.bin.arch;
         let cs_addr = block.end() - dtaint_fwbin::INS_SIZE;
         // Register arguments.

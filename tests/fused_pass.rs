@@ -2,21 +2,24 @@
 //! give what the staged pipeline gave: lift every function first, keep
 //! all CFGs, build the call graph over them, then run symbolic analysis.
 //!
-//! Two differentials hold it there. The call graph assembled from the
-//! per-function shape records equals the one classified over full CFGs,
-//! on every Table II profile and every `BinFault` mutant. The outcome
-//! records, the fail-fast error and `functions_analyzed` of a scan equal
-//! those of a lift-all-then-symex reference on the fault corpus, at 1, 2
-//! and 8 threads.
+//! Three differentials hold it there. Every function's flat CFG equals
+//! the map-based construction it replaced, block by block and edge by
+//! edge, on every Table II profile and every `BinFault` mutant. The call
+//! graph assembled from the per-function shape records equals the one
+//! classified over full CFGs, on the same images. The outcome records,
+//! the fail-fast error and `functions_analyzed` of a scan equal those of
+//! a lift-all-then-symex reference on the fault corpus, at 1, 2 and 8
+//! threads.
 
 use dtaint_cfg::{build_function_cfg, CallGraph, CallTarget, Callsite, FunctionCfg, FunctionShape};
 use dtaint_core::{CacheRef, Dtaint, DtaintConfig, FunctionOutcome, FunctionRecord, SummaryCache};
-use dtaint_fwbin::{Binary, SymbolKind, INS_SIZE};
+use dtaint_fwbin::{Binary, Symbol, SymbolKind, INS_SIZE};
 use dtaint_fwgen::{build_firmware, corrupt_binary, fbf_fault_corpus, table2_profiles, BinFault};
-use dtaint_ir::JumpKind;
+use dtaint_ir::lift::lift_block;
+use dtaint_ir::{IrBlock, JumpKind};
 use dtaint_symex::{analyze_function, ExprPool, SymexConfig};
 use dtaint_telemetry::Collector;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -30,7 +33,8 @@ fn reference_callgraph(bin: &Binary, cfgs: &[FunctionCfg]) -> CallGraph {
     let mut edges: HashMap<u32, Vec<u32>> = HashMap::new();
     for cfg in cfgs {
         edges.entry(cfg.addr).or_default();
-        for (&block, b) in &cfg.blocks {
+        for b in cfg.blocks() {
+            let block = b.addr;
             let JumpKind::Call { return_to } = b.jumpkind else { continue };
             let target = match b.next_const() {
                 Some(t) if func_set.contains(&t) => CallTarget::Direct(t),
@@ -61,6 +65,315 @@ fn assert_same_graph(got: &CallGraph, want: &CallGraph, label: &str) {
     assert_eq!(got.strata(), want.strata(), "{label}: strata");
 }
 
+/// The per-function CFG as it was built before blocks were stored flat:
+/// `BTreeMap` blocks, `HashMap` successor and predecessor lists, eager
+/// DFS back edges and a `HashMap` Tarjan. The reference the flat
+/// `FunctionCfg` must match.
+struct ReferenceCfg {
+    addr: u32,
+    blocks: BTreeMap<u32, IrBlock>,
+    succs: HashMap<u32, Vec<u32>>,
+    preds: HashMap<u32, Vec<u32>>,
+    back_edges: HashSet<(u32, u32)>,
+}
+
+fn reference_cfg(bin: &Binary, sym: &Symbol) -> dtaint_fwbin::Result<ReferenceCfg> {
+    let start = sym.addr;
+    let end = sym
+        .addr
+        .checked_add(sym.size)
+        .ok_or_else(|| dtaint_fwbin::Error::BadSymbol { name: sym.name.clone(), addr: sym.addr })?;
+
+    // Pass 1: leaders, lifting each terminator as a one-instruction block.
+    let mut leaders: BTreeSet<u32> = BTreeSet::new();
+    leaders.insert(start);
+    let mut pc = start;
+    while pc < end {
+        let word = bin.read_u32(pc).ok_or(dtaint_fwbin::Error::Truncated)?;
+        let is_term = match bin.arch {
+            dtaint_fwbin::Arch::Arm32e => {
+                dtaint_fwbin::arm::ArmIns::decode(word, pc)?.is_terminator()
+            }
+            dtaint_fwbin::Arch::Mips32e => {
+                dtaint_fwbin::mips::MipsIns::decode(word, pc)?.is_terminator()
+            }
+        };
+        if is_term {
+            let one = lift_block(bin, pc, pc + INS_SIZE)?;
+            let exits: Vec<u32> = one.exit_targets().collect();
+            for &t in &exits {
+                if (start..end).contains(&t) {
+                    leaders.insert(t);
+                }
+            }
+            match one.jumpkind {
+                JumpKind::Boring => {
+                    if let Some(t) = one.next_const() {
+                        if (start..end).contains(&t) {
+                            leaders.insert(t);
+                        }
+                    }
+                }
+                JumpKind::Call { return_to } => {
+                    if (start..end).contains(&return_to) {
+                        leaders.insert(return_to);
+                    }
+                }
+                JumpKind::Ret => {}
+            }
+            if pc + INS_SIZE < end && !exits.is_empty() {
+                leaders.insert(pc + INS_SIZE);
+            }
+        }
+        pc += INS_SIZE;
+    }
+
+    // Pass 2: one block per leader, bounded by the next leader.
+    let mut blocks: BTreeMap<u32, IrBlock> = BTreeMap::new();
+    let leader_list: Vec<u32> = leaders.iter().copied().collect();
+    for (i, &leader) in leader_list.iter().enumerate() {
+        let limit = leader_list.get(i + 1).copied().unwrap_or(end);
+        blocks.insert(leader, lift_block(bin, leader, limit)?);
+    }
+
+    let mut succs: HashMap<u32, Vec<u32>> = HashMap::new();
+    let mut preds: HashMap<u32, Vec<u32>> = HashMap::new();
+    for (&a, b) in &blocks {
+        let mut out: Vec<u32> = b.exit_targets().filter(|t| blocks.contains_key(t)).collect();
+        match b.jumpkind {
+            JumpKind::Ret => {}
+            JumpKind::Call { return_to } => {
+                if blocks.contains_key(&return_to) {
+                    out.push(return_to);
+                }
+            }
+            JumpKind::Boring => {
+                if let Some(t) = b.next_const() {
+                    if blocks.contains_key(&t) {
+                        out.push(t);
+                    }
+                }
+            }
+        }
+        out.dedup();
+        for &s in &out {
+            preds.entry(s).or_default().push(a);
+        }
+        succs.insert(a, out);
+    }
+
+    let mut back_edges = HashSet::new();
+    let mut on_stack: HashSet<u32> = HashSet::new();
+    let mut visited: HashSet<u32> = HashSet::new();
+    let mut stack: Vec<(u32, usize)> = vec![(start, 0)];
+    visited.insert(start);
+    on_stack.insert(start);
+    while let Some(&mut (node, ref mut idx)) = stack.last_mut() {
+        let ss = succs.get(&node).map(|v| v.as_slice()).unwrap_or(&[]);
+        if *idx < ss.len() {
+            let s = ss[*idx];
+            *idx += 1;
+            if on_stack.contains(&s) {
+                back_edges.insert((node, s));
+            } else if visited.insert(s) {
+                on_stack.insert(s);
+                stack.push((s, 0));
+            }
+        } else {
+            on_stack.remove(&node);
+            stack.pop();
+        }
+    }
+    Ok(ReferenceCfg { addr: start, blocks, succs, preds, back_edges })
+}
+
+impl ReferenceCfg {
+    fn succs_of(&self, a: u32) -> &[u32] {
+        self.succs.get(&a).map(|v| v.as_slice()).unwrap_or(&[])
+    }
+
+    /// Iterative Tarjan SCC over block addresses.
+    fn loop_blocks(&self) -> HashSet<u32> {
+        #[derive(Clone, Copy)]
+        struct NodeInfo {
+            index: u32,
+            lowlink: u32,
+            on_stack: bool,
+        }
+        let mut info: HashMap<u32, NodeInfo> = HashMap::new();
+        let mut next_index = 0u32;
+        let mut scc_stack: Vec<u32> = Vec::new();
+        let mut result: HashSet<u32> = HashSet::new();
+        let self_loops: HashSet<u32> =
+            self.succs.iter().filter(|(a, outs)| outs.contains(a)).map(|(&a, _)| a).collect();
+        for &root in self.blocks.keys() {
+            if info.contains_key(&root) {
+                continue;
+            }
+            let mut call_stack: Vec<(u32, usize)> = vec![(root, 0)];
+            info.insert(root, NodeInfo { index: next_index, lowlink: next_index, on_stack: true });
+            scc_stack.push(root);
+            next_index += 1;
+            while let Some(&mut (node, ref mut idx)) = call_stack.last_mut() {
+                let succs = self.succs_of(node);
+                if *idx < succs.len() {
+                    let s = succs[*idx];
+                    *idx += 1;
+                    match info.get(&s) {
+                        None => {
+                            info.insert(
+                                s,
+                                NodeInfo { index: next_index, lowlink: next_index, on_stack: true },
+                            );
+                            scc_stack.push(s);
+                            next_index += 1;
+                            call_stack.push((s, 0));
+                        }
+                        Some(si) if si.on_stack => {
+                            let s_index = si.index;
+                            let ni = info.get_mut(&node).unwrap();
+                            ni.lowlink = ni.lowlink.min(s_index);
+                        }
+                        Some(_) => {}
+                    }
+                } else {
+                    call_stack.pop();
+                    let node_info = info[&node];
+                    if let Some(&(parent, _)) = call_stack.last() {
+                        let pi = info.get_mut(&parent).unwrap();
+                        pi.lowlink = pi.lowlink.min(node_info.lowlink);
+                    }
+                    if node_info.lowlink == node_info.index {
+                        let mut members = Vec::new();
+                        loop {
+                            let m = scc_stack.pop().unwrap();
+                            info.get_mut(&m).unwrap().on_stack = false;
+                            members.push(m);
+                            if m == node {
+                                break;
+                            }
+                        }
+                        if members.len() > 1 {
+                            result.extend(members);
+                        } else if self_loops.contains(&members[0]) {
+                            result.insert(members[0]);
+                        }
+                    }
+                }
+            }
+        }
+        result
+    }
+
+    fn rpo(&self) -> Vec<u32> {
+        let mut visited = HashSet::new();
+        let mut post = Vec::new();
+        let mut stack: Vec<(u32, usize)> = vec![(self.addr, 0)];
+        visited.insert(self.addr);
+        while let Some(&mut (node, ref mut idx)) = stack.last_mut() {
+            let succs = self.succs_of(node);
+            if *idx < succs.len() {
+                let s = succs[*idx];
+                *idx += 1;
+                if visited.insert(s) {
+                    stack.push((s, 0));
+                }
+            } else {
+                post.push(node);
+                stack.pop();
+            }
+        }
+        post.reverse();
+        post
+    }
+
+    fn edge_count(&self) -> usize {
+        self.succs.values().map(Vec::len).sum()
+    }
+
+    fn shape(&self, name: &str) -> FunctionShape {
+        let calls = self
+            .blocks
+            .iter()
+            .filter_map(|(&block, b)| match b.jumpkind {
+                JumpKind::Call { return_to } => Some(dtaint_cfg::CallRow {
+                    block,
+                    ins_addr: b.end() - INS_SIZE,
+                    return_to,
+                    next_const: b.next_const(),
+                }),
+                _ => None,
+            })
+            .collect();
+        FunctionShape {
+            addr: self.addr,
+            name: name.to_owned(),
+            blocks: self.blocks.len(),
+            edges: self.edge_count(),
+            instructions: self.blocks.values().map(|b| (b.size / INS_SIZE) as usize).sum(),
+            calls,
+        }
+    }
+}
+
+/// Every function of `bin`, built flat and by the reference: the same
+/// result (or the same error, or a panic on both sides), and for a built
+/// CFG the same blocks, successor lists in order, predecessors, back
+/// edges, loop blocks, reverse post-order, counts and shape.
+fn assert_cfgs_equal_the_reference(bin: &Binary, label: &str) {
+    for s in bin.functions() {
+        let label = format!("{label} `{}` at {:#x}", s.name, s.addr);
+        let got = catch_unwind(AssertUnwindSafe(|| build_function_cfg(bin, s)));
+        let want = catch_unwind(AssertUnwindSafe(|| reference_cfg(bin, s)));
+        let (got, want) = match (got, want) {
+            (Ok(Ok(got)), Ok(Ok(want))) => (got, want),
+            (Ok(Err(got)), Ok(Err(want))) => {
+                assert_eq!(got, want, "{label}: error");
+                continue;
+            }
+            (Err(_), Err(_)) => continue,
+            (got, want) => panic!(
+                "{label}: flat build {} where the reference {}",
+                outcome(&got),
+                outcome(&want)
+            ),
+        };
+        let addrs: Vec<u32> = got.blocks().iter().map(|b| b.addr).collect();
+        let to_addrs =
+            |indices: &[u32]| -> Vec<u32> { indices.iter().map(|&i| addrs[i as usize]).collect() };
+        assert!(got.blocks().iter().eq(want.blocks.values()), "{label}: blocks");
+        for (i, &a) in addrs.iter().enumerate() {
+            assert_eq!(to_addrs(got.succs(i)), want.succs[&a], "{label}: successors of {a:#x}");
+        }
+        let preds: HashMap<u32, Vec<u32>> = got
+            .preds()
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| !p.is_empty())
+            .map(|(i, p)| (addrs[i], to_addrs(p)))
+            .collect();
+        assert_eq!(preds, want.preds, "{label}: predecessors");
+        let back = got.back_edges();
+        assert_eq!(back.iter().copied().collect::<HashSet<_>>(), want.back_edges, "{label}");
+        assert_eq!(back.len(), want.back_edges.len(), "{label}: back edges repeat");
+        let loops: HashSet<u32> =
+            got.loop_blocks().iter().zip(&addrs).filter(|(l, _)| **l).map(|(_, &a)| a).collect();
+        assert_eq!(loops, want.loop_blocks(), "{label}: loop blocks");
+        assert_eq!(got.rpo(), want.rpo(), "{label}: rpo");
+        assert_eq!(got.block_count(), want.blocks.len(), "{label}: block_count");
+        assert_eq!(got.edge_count(), want.edge_count(), "{label}: edge_count");
+        assert_eq!(got.shape(), want.shape(&s.name), "{label}: shape");
+    }
+}
+
+fn outcome<T, E: std::fmt::Debug>(r: &std::thread::Result<Result<T, E>>) -> String {
+    match r {
+        Ok(Ok(_)) => "built".to_owned(),
+        Ok(Err(e)) => format!("failed with {e:?}"),
+        Err(_) => "panicked".to_owned(),
+    }
+}
+
 /// Lifts every function the way the fused pass does — one at a time,
 /// behind a panic boundary, keeping only the shape — and also keeps the
 /// full CFGs for the reference.
@@ -76,14 +389,16 @@ fn lift(bin: &Binary) -> (Vec<FunctionCfg>, Vec<FunctionShape>) {
     (cfgs, shapes)
 }
 
-/// Checks the shape-built call graph of one Table II profile, pristine
-/// and under every `BinFault` mutant, against the full-CFG reference.
+/// Checks one Table II profile, pristine and under every `BinFault`
+/// mutant: each flat CFG against the map-based reference, and the
+/// shape-built call graph against the full-CFG reference.
 fn check_profile(index: usize) {
     let profile = table2_profiles().remove(index);
     let bin = build_firmware(&profile).binary;
     let n_funcs = bin.functions().len();
     let check = |label: &str, variant: &Binary| {
         let label = format!("{} {label}", profile.binary_name);
+        assert_cfgs_equal_the_reference(variant, &label);
         let (cfgs, shapes) = lift(variant);
         let want = reference_callgraph(variant, &cfgs);
         assert_same_graph(&CallGraph::from_shapes(variant, &shapes), &want, &label);
