@@ -133,12 +133,16 @@ pub fn analyze_topdown(
             result.contexts_analyzed += 1;
             reached.insert(faddr);
 
-            // Context substitution of this summary's expressions.
+            // Context substitution of this summary's expressions: an
+            // argument the context lacks maps to one fresh unknown per
+            // expression.
             let subst = |pool: &mut ExprPool, e: ExprId| -> ExprId {
+                let mut missing: HashMap<u8, ExprId> = HashMap::new();
                 pool.rewrite(e, &mut |p, id| match p.node(id) {
-                    dtaint_symex::SymNode::Arg(i) => {
-                        ctx_args.get(i as usize).copied().or_else(|| Some(p.fresh_unknown()))
-                    }
+                    dtaint_symex::SymNode::Arg(i) => Some(match ctx_args.get(i as usize) {
+                        Some(&a) => a,
+                        None => *missing.entry(i).or_insert_with(|| p.fresh_unknown()),
+                    }),
                     _ => None,
                 })
             };

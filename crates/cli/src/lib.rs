@@ -275,6 +275,8 @@ fn cmd_scan(rest: &[String], out: &mut dyn Write) -> Result<i32, String> {
     let mut audit_decisions: Vec<dtaint_telemetry::Decision> = Vec::new();
     for (name, bin) in load_binaries(path)? {
         log::debug(&format!("scanning {name}"));
+        let interns_before =
+            [tel.metrics.counter("pool.interns"), tel.metrics.counter("pool.intern_cache_hits")];
         let report = analyzer.analyze_traced(&bin, &name, &mut tel).map_err(|e| e.to_string())?;
         if has_flag(rest, "--json") {
             let json = report.to_json().map_err(|e| e.to_string())?;
@@ -343,7 +345,9 @@ fn cmd_scan(rest: &[String], out: &mut dyn Write) -> Result<i32, String> {
             }
         }
         if profile {
-            write_profile(out, &report)?;
+            let interns = tel.metrics.counter("pool.interns") - interns_before[0];
+            let hits = tel.metrics.counter("pool.intern_cache_hits") - interns_before[1];
+            write_profile(out, &report, interns, hits)?;
         }
         // Stage wall-clock as gauges, for `--metrics-out`: one
         // `stage.<span>_us` per lane-0 span (`stage.scan_us` for the
@@ -414,7 +418,13 @@ fn cmd_scan(rest: &[String], out: &mut dyn Write) -> Result<i32, String> {
 /// cost percentiles, and the hotspot table. Every duration-derived token
 /// is prefixed `~` — strip those and the output is bit-identical across
 /// thread counts, because everything else comes from logical counters.
-fn write_profile(out: &mut dyn Write, report: &AnalysisReport) -> Result<(), String> {
+/// `interns` and `cache_hits` are this binary's expression-pool counts.
+fn write_profile(
+    out: &mut dyn Write,
+    report: &AnalysisReport,
+    interns: u64,
+    cache_hits: u64,
+) -> Result<(), String> {
     let total = report.stage("scan").as_micros().max(1) as f64;
     write_out(out, &format!("   profile ({}):\n", report.binary_name))?;
     // `lift+ssa` is the fused per-function pass; `callgraph` is the
@@ -433,11 +443,13 @@ fn write_profile(out: &mut dyn Write, report: &AnalysisReport) -> Result<(), Str
     write_out(
         out,
         &format!(
-            "     lift        functions {} blocks {} instructions {} nodes-translated {}\n",
+            "     lift        functions {} blocks {} instructions {} nodes-translated {} interns {} intern-cache-hits {}\n",
             m.gauge("image.functions"),
             m.gauge("image.blocks"),
             m.counter("lift.instructions"),
             m.counter("symex.nodes_translated"),
+            interns,
+            cache_hits,
         ),
     )?;
     // Percentiles over the logical histograms (deterministic: bucket

@@ -15,7 +15,7 @@ use dtaint_dataflow::cache::{
 use dtaint_dataflow::{build_dataflow, CacheRef, DataflowConfig, SinkKind};
 use dtaint_fwbin::{Binary, Symbol};
 use dtaint_symex::analyze_function;
-use dtaint_symex::{ExprPool, FuncSummary, SymexConfig, TranslationMemo};
+use dtaint_symex::{ExprPool, FuncSummary, PoolStats, SymexConfig, TranslationMemo};
 use dtaint_telemetry::{Collector, MetricsRegistry, SpanEvent, TraceBuffer, TraceSpec};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -190,6 +190,7 @@ impl Dtaint {
             records: symex_records,
             retried,
             nodes_translated,
+            chunk_pools,
         } = stage;
         // Lift failures first, in address order, so fail-fast reports
         // the first one before any analysis error.
@@ -269,7 +270,9 @@ impl Dtaint {
                     .collect(),
             ),
         });
+        let walks_before = pool.stats().walk_visits;
         let mut df = build_dataflow(bin, &mut callgraph, summaries, pool, &df_config);
+        let ddg_walk_visits = df.pool.stats().walk_visits - walks_before;
         tel.absorb(std::mem::take(&mut df.trace_events));
         let df = df;
         let fn_name_of = |addr: u32| {
@@ -597,6 +600,14 @@ impl Dtaint {
         // not of the analysis result, so it goes only into the
         // collector's registry — after the merge above — keeping the
         // report itself byte-identical between cold and warm scans.
+        // Pool work depends on cache warmth too (a hit decodes instead of
+        // executing, a DDG hit walks nothing), so it joins the session
+        // registry beside the cache traffic.
+        let mut pools = chunk_pools;
+        pools += df.pool.stats();
+        tel.metrics.inc("pool.interns", pools.interns);
+        tel.metrics.inc("pool.intern_cache_hits", pools.intern_cache_hits);
+        tel.metrics.inc("ddg.walk_visits", ddg_walk_visits);
         if let Some(cref) = &self.config.cache {
             let st = cref.cache.scan_stats(&cref.scan);
             tel.metrics.inc("cache.symex.hits", st.sym_hits);
@@ -693,6 +704,7 @@ impl Dtaint {
             records: Vec::new(),
             retried: 0,
             nodes_translated: 0,
+            chunk_pools: PoolStats::default(),
         };
         // The per-function body: the cache probe first, keyed from the
         // symbol alone. A hit serves the summary and the shape from the
@@ -831,6 +843,7 @@ impl ChunkMerge {
             }
             let nodes = memo.translated() as u64;
             self.stage.nodes_translated += nodes;
+            self.stage.chunk_pools += pool.stats();
             if buf.is_enabled() {
                 let mut args = BTreeMap::new();
                 args.insert("chunk".to_owned(), self.next as u64);
@@ -912,6 +925,8 @@ struct SymexStage {
     retried: usize,
     /// Source nodes copied into `pool`: the chunk memos' misses.
     nodes_translated: u64,
+    /// The chunk pools' work counters, summed as each is merged.
+    chunk_pools: PoolStats,
 }
 
 /// One function's trip through the fused pass: its shape and symex

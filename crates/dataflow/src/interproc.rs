@@ -983,15 +983,18 @@ fn apply_callee(
     config: &DataflowConfig,
 ) {
     // Maps a callee-namespace expression into the caller's namespace.
+    // An argument the call site does not pass maps to one fresh unknown
+    // per expression, so the rewrite answers as a function of the node.
     let mut stack_unknown: Option<ExprId> = None;
     let mut reg_unknowns: HashMap<u8, ExprId> = HashMap::new();
     let mut map_expr = |e: ExprId, pool: &mut ExprPool| -> ExprId {
         let mut su = stack_unknown;
         let mut ru = std::mem::take(&mut reg_unknowns);
+        let mut missing: HashMap<u8, ExprId> = HashMap::new();
         let out = pool.rewrite(e, &mut |p, id| match p.node(id) {
             SymNode::Arg(i) => Some(match actual_args.get(i as usize) {
                 Some(&a) => a,
-                None => p.fresh_unknown(),
+                None => *missing.entry(i).or_insert_with(|| p.fresh_unknown()),
             }),
             SymNode::StackBase => Some(*su.get_or_insert_with(|| p.fresh_unknown())),
             SymNode::InitReg(r) => Some(*ru.entry(r).or_insert_with(|| p.fresh_unknown())),

@@ -13,8 +13,8 @@ use crate::summary::{CalleeRef, CallsiteInfo, Constraint, DefPair, FuncSummary, 
 use crate::types::VType;
 use dtaint_cfg::FunctionCfg;
 use dtaint_fwbin::{Binary, Reg};
-use dtaint_ir::{BinOp, IrBlock, IrExpr, IrStmt, JumpKind, Width};
-use std::collections::{HashMap, HashSet};
+use dtaint_ir::{BinOp, IrBlock, IrExpr, IrStmt, JumpKind, Width, CMP_L, CMP_R};
+use std::collections::HashSet;
 
 /// Tuning knobs for path exploration.
 #[derive(Debug, Clone, Copy)]
@@ -59,11 +59,74 @@ impl SymexConfig {
     }
 }
 
-/// One path's machine state.
-#[derive(Debug, Clone, Default)]
+/// Slots in a path's register file: the architectural registers
+/// `0..=31` (ARM uses `0..=15`, MIPS all of them) and the lifter's two
+/// compare pseudo-registers.
+const REG_SLOTS: usize = 34;
+
+/// The register-file slot of `r`.
+///
+/// # Panics
+///
+/// Panics on a register no lifter emits.
+fn reg_slot(r: Reg) -> usize {
+    match r {
+        Reg(n @ 0..=31) => n as usize,
+        CMP_L => 32,
+        CMP_R => 33,
+        Reg(n) => panic!("register {n} is outside the symex register file"),
+    }
+}
+
+/// One path's machine state. Nothing here hashes: a fork copies one
+/// array and one vector.
+#[derive(Debug, Clone)]
 struct SymState {
-    regs: HashMap<u8, ExprId>,
-    mem: HashMap<ExprId, ExprId>,
+    /// Per [`reg_slot`], the register's value once written or read.
+    regs: [Option<ExprId>; REG_SLOTS],
+    /// Memory cells `(address, value)`, sorted by address id.
+    mem: Vec<(ExprId, ExprId)>,
+}
+
+impl SymState {
+    fn new() -> Self {
+        SymState { regs: [None; REG_SLOTS], mem: Vec::new() }
+    }
+
+    fn set_reg(&mut self, r: Reg, v: ExprId) {
+        self.regs[reg_slot(r)] = Some(v);
+    }
+
+    fn load(&self, addr: ExprId) -> Option<ExprId> {
+        let i = self.mem.binary_search_by_key(&addr, |&(a, _)| a).ok()?;
+        Some(self.mem[i].1)
+    }
+
+    fn store(&mut self, addr: ExprId, v: ExprId) {
+        match self.mem.binary_search_by_key(&addr, |&(a, _)| a) {
+            Ok(i) => self.mem[i].1 = v,
+            Err(i) => self.mem.insert(i, (addr, v)),
+        }
+    }
+}
+
+/// The blocks one path has executed: a bit per [`FunctionCfg`] block
+/// index.
+#[derive(Debug, Clone)]
+struct BlockSet(Vec<u64>);
+
+impl BlockSet {
+    fn new(blocks: usize) -> Self {
+        BlockSet(vec![0; blocks.div_ceil(64)])
+    }
+
+    fn insert(&mut self, index: usize) {
+        self.0[index / 64] |= 1 << (index % 64);
+    }
+
+    fn contains(&self, index: usize) -> bool {
+        self.0[index / 64] >> (index % 64) & 1 != 0
+    }
 }
 
 /// Work item: a path positioned at the start of `block`.
@@ -71,7 +134,7 @@ struct SymState {
 struct PathItem {
     block: u32,
     state: SymState,
-    visited: HashSet<u32>,
+    visited: BlockSet,
     steps: u32,
     def_pairs: Vec<DefPair>,
     constraints: Vec<Constraint>,
@@ -130,7 +193,7 @@ impl<'a> Executor<'a> {
         let mut stack = vec![PathItem {
             block: cfg.addr,
             state: self.initial_state(),
-            visited: HashSet::new(),
+            visited: BlockSet::new(cfg.blocks().len()),
             steps: 0,
             def_pairs: Vec::new(),
             constraints: Vec::new(),
@@ -163,8 +226,8 @@ impl<'a> Executor<'a> {
                 }
                 self.fuel_used += 1;
                 item.steps += 1;
-                item.visited.insert(item.block);
                 let Some(index) = cfg.index_of(item.block) else { break true };
+                item.visited.insert(index);
                 let block = &cfg.blocks()[index];
                 let in_loop = self.loop_blocks[index];
                 let mut exit: Option<(ExprId, CmpOp, ExprId, u32, u32)> = None;
@@ -174,13 +237,13 @@ impl<'a> Executor<'a> {
                         IrStmt::Imark { addr, .. } => ins_addr = *addr,
                         IrStmt::Put { reg, value } => {
                             let v = self.eval(&mut item, &mut summary, value, ins_addr);
-                            item.state.regs.insert(reg.0, v);
+                            item.state.set_reg(*reg, v);
                         }
                         IrStmt::Store { addr, value, width } => {
                             let a = self.eval(&mut item, &mut summary, addr, ins_addr);
                             let v = self.eval(&mut item, &mut summary, value, ins_addr);
                             self.note_pointer_base(&mut summary, a);
-                            item.state.mem.insert(a, v);
+                            item.state.store(a, v);
                             let w = width.bytes() as u8;
                             let d = self.pool.deref(a, w);
                             item.def_pairs.push(DefPair { d, u: v, ins_addr, path: 0 });
@@ -321,33 +384,34 @@ impl<'a> Executor<'a> {
     /// Loop-once heuristic: a path never re-enters a block it already
     /// executed.
     fn may_enter(&self, item: &PathItem, block: u32) -> bool {
-        self.cfg.index_of(block).is_some() && !item.visited.contains(&block)
+        self.cfg.index_of(block).is_some_and(|index| !item.visited.contains(index))
     }
 
     fn initial_state(&mut self) -> SymState {
         let arch = self.bin.arch;
-        let mut state = SymState::default();
+        let mut state = SymState::new();
         for (i, r) in arch.arg_regs().into_iter().enumerate() {
             let a = self.pool.arg(i as u8);
-            state.regs.insert(r.0, a);
+            state.set_reg(r, a);
         }
         let sp0 = self.pool.stack_base();
-        state.regs.insert(arch.sp().0, sp0);
+        state.set_reg(arch.sp(), sp0);
         // Stack-passed arguments live just above the entry SP.
         for k in 0..self.config.stack_args {
             let slot = self.pool.add_const(sp0, 4 * k as i64);
             let a = self.pool.arg(4 + k);
-            state.mem.insert(slot, a);
+            state.store(slot, a);
         }
         state
     }
 
     fn read_reg(&mut self, state: &mut SymState, r: Reg) -> ExprId {
-        if let Some(&v) = state.regs.get(&r.0) {
+        let slot = &mut state.regs[reg_slot(r)];
+        if let Some(v) = *slot {
             return v;
         }
         let v = self.pool.init_reg(r.0);
-        state.regs.insert(r.0, v);
+        *slot = Some(v);
         v
     }
 
@@ -374,7 +438,7 @@ impl<'a> Executor<'a> {
                 if let Some(i) = self.arg_index(a) {
                     summary.args_used.insert(i);
                 }
-                if let Some(&v) = item.state.mem.get(&a) {
+                if let Some(v) = item.state.load(a) {
                     return v;
                 }
                 // Concrete addresses in *immutable* sections read through
@@ -450,8 +514,8 @@ impl<'a> Executor<'a> {
         let sp = self.read_reg(&mut item.state, arch.sp());
         for k in 0..self.config.stack_args {
             let slot = self.pool.add_const(sp, 4 * k as i64);
-            match item.state.mem.get(&slot) {
-                Some(&v) => args.push(v),
+            match item.state.load(slot) {
+                Some(v) => args.push(v),
                 None => break,
             }
         }
@@ -486,7 +550,7 @@ impl<'a> Executor<'a> {
                         WriteEffect::Fills { dst } => {
                             if let Some(&p) = args.get(dst) {
                                 let out = self.pool.call_out(cs_addr, dst as u8);
-                                item.state.mem.insert(p, out);
+                                item.state.store(p, out);
                                 let d = self.pool.deref(p, 1);
                                 item.def_pairs.push(DefPair {
                                     d,
@@ -498,11 +562,11 @@ impl<'a> Executor<'a> {
                         }
                         WriteEffect::Copies { dst, src } => {
                             if let (Some(&pd), Some(&ps)) = (args.get(dst), args.get(src)) {
-                                let data = match item.state.mem.get(&ps) {
-                                    Some(&v) => v,
+                                let data = match item.state.load(ps) {
+                                    Some(v) => v,
                                     None => self.pool.deref(ps, 1),
                                 };
-                                item.state.mem.insert(pd, data);
+                                item.state.store(pd, data);
                                 let d = self.pool.deref(pd, 1);
                                 item.def_pairs.push(DefPair {
                                     d,
@@ -516,13 +580,13 @@ impl<'a> Executor<'a> {
                 }
                 if sig.ret_points_to_external {
                     let out = self.pool.call_out(cs_addr, crate::RET_PTR_ARG);
-                    item.state.mem.insert(ret, out);
+                    item.state.store(ret, out);
                     let d = self.pool.deref(ret, 1);
                     item.def_pairs.push(DefPair { d, u: out, ins_addr: cs_addr, path: 0 });
                 }
             }
         }
-        item.state.regs.insert(arch.ret_reg().0, ret);
+        item.state.set_reg(arch.ret_reg(), ret);
         item.callsites.push(CallsiteInfo { ins_addr: cs_addr, callee, args, ret, path: 0 });
     }
 
@@ -530,13 +594,10 @@ impl<'a> Executor<'a> {
     /// pointer is a formal argument or a returned pointer — the set
     /// Algorithm 2 forwards to callers.
     fn collect_escapes(&mut self, item: &PathItem, summary: &mut FuncSummary) {
-        // Address order, not hash order: the `deref` nodes interned here
-        // and the order of `escape_defs` end up in cached summary blobs,
-        // which must come out identical from run to run.
-        let mut cells: Vec<(ExprId, ExprId)> =
-            item.state.mem.iter().map(|(&a, &v)| (a, v)).collect();
-        cells.sort_unstable();
-        for (addr, val) in cells {
+        // Address order: the `deref` nodes interned here and the order of
+        // `escape_defs` end up in cached summary blobs, which must come
+        // out identical from run to run.
+        for &(addr, val) in &item.state.mem {
             let w = 4;
             let d = self.pool.deref(addr, w);
             let Some(root) = self.pool.root_ptr(d) else { continue };
@@ -601,5 +662,99 @@ fn cmp_of(op: BinOp) -> CmpOp {
         BinOp::CmpLe => CmpOp::Le,
         BinOp::CmpGt => CmpOp::Gt,
         other => unreachable!("{other:?} is not a comparison"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dtaint_fwbin::arm::ArmIns;
+    use dtaint_fwbin::asm::Assembler;
+    use dtaint_fwbin::link::BinaryBuilder;
+    use dtaint_fwbin::mips::MipsIns;
+    use dtaint_fwbin::{Arch, INS_SIZE};
+    use dtaint_ir::lift::{lift_ins, Terminator};
+    use std::collections::BTreeSet;
+
+    fn regs_in(e: &IrExpr, out: &mut BTreeSet<Reg>) {
+        match e {
+            IrExpr::Const(_) => {}
+            IrExpr::Get(r) => {
+                out.insert(*r);
+            }
+            IrExpr::Load { addr, .. } => regs_in(addr, out),
+            IrExpr::Binop { lhs, rhs, .. } => {
+                regs_in(lhs, out);
+                regs_in(rhs, out);
+            }
+        }
+    }
+
+    /// Every register the lifter reads or writes over every word that
+    /// decodes, with each register field at every value `0..32`.
+    fn lifted_regs(arch: Arch) -> BTreeSet<Reg> {
+        let mut asm = Assembler::new(arch);
+        for op in 0..64u32 {
+            for r in 0..32u32 {
+                for imm in [0, 0x7ff, 0xffff] {
+                    let word = op << 26 | r << 21 | r << 16 | r << 11 | imm;
+                    match arch {
+                        Arch::Arm32e => match ArmIns::decode(word, 0) {
+                            Ok(ins) if ins.encode().is_ok() => asm.arm(ins),
+                            _ => {}
+                        },
+                        Arch::Mips32e => match MipsIns::decode(word, 0) {
+                            Ok(ins) if ins.encode().is_ok() => asm.mips(ins),
+                            _ => {}
+                        },
+                    }
+                }
+            }
+        }
+        let mut b = BinaryBuilder::new(arch);
+        b.add_function("every_word", asm);
+        let bin = b.link().unwrap();
+        let f = bin.function("every_word").unwrap();
+        let mut regs = BTreeSet::new();
+        let mut stmts = Vec::new();
+        for pc in (f.addr..f.addr + f.size).step_by(INS_SIZE as usize) {
+            stmts.clear();
+            let term = lift_ins(&bin, pc, &mut stmts).unwrap();
+            for stmt in &stmts {
+                match stmt {
+                    IrStmt::Imark { .. } => {}
+                    IrStmt::Put { reg, value } => {
+                        regs.insert(*reg);
+                        regs_in(value, &mut regs);
+                    }
+                    IrStmt::Store { addr, value, .. } => {
+                        regs_in(addr, &mut regs);
+                        regs_in(value, &mut regs);
+                    }
+                    IrStmt::Exit { cond, .. } => regs_in(cond, &mut regs),
+                }
+            }
+            match term {
+                Some(
+                    Terminator::Jump(e) | Terminator::Ret(e) | Terminator::Call { next: e, .. },
+                ) => regs_in(&e, &mut regs),
+                Some(Terminator::CondBranch) | None => {}
+            }
+        }
+        regs
+    }
+
+    #[test]
+    fn register_file_covers_every_lifted_register() {
+        let arm = lifted_regs(Arch::Arm32e);
+        let mips = lifted_regs(Arch::Mips32e);
+        assert_eq!(arm.iter().filter(|r| r.0 < 16).count(), 16, "every ARM register lifted");
+        assert!(arm.contains(&CMP_L) && arm.contains(&CMP_R), "ARM compares lifted");
+        // `$zero` lifts to the constant 0.
+        assert!((1..32).all(|n| mips.contains(&Reg(n))), "every MIPS register lifted");
+        let slots: BTreeSet<usize> = arm.iter().chain(&mips).map(|&r| reg_slot(r)).collect();
+        let regs: BTreeSet<Reg> = arm.union(&mips).copied().collect();
+        assert_eq!(slots.len(), regs.len(), "distinct registers get distinct slots");
+        assert!(slots.iter().all(|&s| s < REG_SLOTS));
     }
 }

@@ -76,7 +76,7 @@ mod exec;
 
 pub use encode::{canonical_encode, encode_summary, fnv64, Fnv64, SummaryDecoder, SummaryEncoder};
 pub use exec::{analyze_function, SymexConfig};
-pub use pool::{CmpOp, ExprId, ExprPool, PoolMark, SymNode, TranslationMemo};
+pub use pool::{CmpOp, ExprId, ExprPool, PoolMark, PoolStats, SymNode, TranslationMemo};
 pub use summary::{CalleeRef, CallsiteInfo, Constraint, DefPair, FuncSummary, LoopCopy};
 pub use types::VType;
 

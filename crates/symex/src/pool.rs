@@ -16,8 +16,10 @@
 //!   primitive used by the paper's Algorithm 1 (alias rewriting) and
 //!   Algorithm 2 (formal→actual argument substitution).
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// An interned symbolic expression (index into an [`ExprPool`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -87,7 +89,7 @@ impl fmt::Display for CmpOp {
 }
 
 /// The structure of one symbolic term.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SymNode {
     /// A concrete 64-bit constant (addresses and immediates are
     /// sign-agnostic 32-bit values widened for arithmetic).
@@ -137,6 +139,61 @@ pub enum SymNode {
     Cmp(CmpOp, ExprId, ExprId),
 }
 
+impl SymNode {
+    /// The node as one `u128`: a variant tag in bits 96..104, the first
+    /// operand in bits 64..96 and the last in bits 0..64. Distinct nodes
+    /// pack to distinct values, so hashing this one word hashes the node.
+    pub fn packed(self) -> u128 {
+        use SymNode::*;
+        let (tag, hi, lo): (u8, u32, u64) = match self {
+            Const(v) => (0, 0, v as u64),
+            Arg(i) => (1, 0, i.into()),
+            RetSym(cs) => (2, 0, cs.into()),
+            CallOut { callsite, arg } => (3, arg.into(), callsite.into()),
+            InitReg(r) => (4, 0, r.into()),
+            StackBase => (5, 0, 0),
+            Unknown(n) => (6, 0, n.into()),
+            Deref { addr, width } => (7, width.into(), addr.0.into()),
+            Add(a, b) => (8, a.0, b.0.into()),
+            Mul(a, b) => (9, a.0, b.0.into()),
+            And(a, b) => (10, a.0, b.0.into()),
+            Or(a, b) => (11, a.0, b.0.into()),
+            Xor(a, b) => (12, a.0, b.0.into()),
+            Shl(a, b) => (13, a.0, b.0.into()),
+            Shr(a, b) => (14, a.0, b.0.into()),
+            Cmp(op, a, b) => (15 + op as u8, a.0, b.0.into()),
+        };
+        u128::from(tag) << 96 | u128::from(hi) << 64 | u128::from(lo)
+    }
+
+    /// True for a node without operands. Walks answer these directly,
+    /// outside their memo.
+    fn is_leaf(self) -> bool {
+        use SymNode::*;
+        matches!(
+            self,
+            Const(_) | Arg(_) | RetSym(_) | CallOut { .. } | InitReg(_) | StackBase | Unknown(_)
+        )
+    }
+}
+
+impl Hash for SymNode {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u128(self.packed());
+    }
+}
+
+/// Slots in a pool's intern cache: 4 KiB of `u32` ids, in two-way sets.
+const INTERN_CACHE_SLOTS: usize = 1 << 10;
+
+/// The intern-cache set of a packed node: a fixed multiplicative hash
+/// (Fibonacci hashing) of the word's two halves.
+fn intern_set(packed: u128) -> usize {
+    let sets = (INTERN_CACHE_SLOTS / 2).trailing_zeros();
+    let folded = (packed as u64) ^ ((packed >> 64) as u64).rotate_left(32);
+    (folded.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - sets)) as usize
+}
+
 /// An interning arena of [`SymNode`]s.
 ///
 /// # Examples
@@ -158,8 +215,79 @@ pub enum SymNode {
 #[derive(Debug, Clone, Default)]
 pub struct ExprPool {
     nodes: Vec<SymNode>,
+    /// The authority on what is interned: keyed std SipHash, so
+    /// attacker-chosen constants cannot force collisions.
     dedup: HashMap<SymNode, ExprId>,
+    /// A cache in front of `dedup`: per [`intern_set`], the ids of the
+    /// two nodes of that set interned most recently, the latest first.
+    /// A slot is only a guess — it is used when `nodes` holds the same
+    /// node at that id — so stale slots (after [`Self::rollback`]) and
+    /// colliding nodes only cost a miss. Allocated on the first intern.
+    recent: Vec<u32>,
     next_unknown: u32,
+    interns: u64,
+    intern_cache_hits: u64,
+    /// A cell because the read-only walks count too.
+    walk_visits: Cell<u64>,
+}
+
+/// Logical work counters of one [`ExprPool`]: deterministic for a
+/// deterministic sequence of calls, so thread-invariant wherever the
+/// pool's history is.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PoolStats {
+    /// Calls to [`ExprPool::intern`], direct or through a constructor.
+    pub interns: u64,
+    /// Interns answered by the intern cache, without hashing.
+    pub intern_cache_hits: u64,
+    /// Interior nodes entered by the DAG walks (`replace`, `rewrite`,
+    /// `any_node`, `contains`, `deref_depth`, `ptrs_in`), memoised
+    /// revisits included.
+    pub walk_visits: u64,
+}
+
+impl std::ops::AddAssign for PoolStats {
+    fn add_assign(&mut self, other: PoolStats) {
+        self.interns += other.interns;
+        self.intern_cache_hits += other.intern_cache_hits;
+        self.walk_visits += other.walk_visits;
+    }
+}
+
+/// What one walk over an expression DAG has worked out: per interior
+/// node, its answer. Hash-consing shares subterms freely (`x + x` holds
+/// `x` once), so a walk that recursed into every occurrence would take
+/// time exponential in the depth of the sharing. Past its first
+/// [`WALK_MEMO_AFTER`] interior visits a walk remembers every answer
+/// and works each distinct node out once; shorter walks — nearly all of
+/// them — cost what plain recursion costs. Leaves are answered directly.
+struct WalkMemo<T> {
+    /// Allocated when the walk starts memoising.
+    done: Option<HashMap<ExprId, T>>,
+    visits: u64,
+}
+
+/// Interior-node visits a walk makes before it starts memoising.
+const WALK_MEMO_AFTER: u64 = 64;
+
+impl<T: Copy> WalkMemo<T> {
+    fn new() -> Self {
+        WalkMemo { done: None, visits: 0 }
+    }
+
+    /// Counts a visit of `id`; its answer when the walk already has one.
+    fn enter(&mut self, id: ExprId) -> Option<T> {
+        self.visits += 1;
+        self.done.as_ref()?.get(&id).copied()
+    }
+
+    /// Records `id`'s answer, once the walk memoises, and returns it.
+    fn leave(&mut self, id: ExprId, answer: T) -> T {
+        if self.visits > WALK_MEMO_AFTER {
+            self.done.get_or_insert_with(HashMap::new).insert(id, answer);
+        }
+        answer
+    }
 }
 
 impl ExprPool {
@@ -187,14 +315,43 @@ impl ExprPool {
         self.nodes[id.0 as usize]
     }
 
-    /// Interns a node verbatim (no normalisation).
-    pub fn intern(&mut self, node: SymNode) -> ExprId {
-        if let Some(&id) = self.dedup.get(&node) {
-            return id;
+    /// The pool's logical work counters.
+    pub fn stats(&self) -> PoolStats {
+        PoolStats {
+            interns: self.interns,
+            intern_cache_hits: self.intern_cache_hits,
+            walk_visits: self.walk_visits.get(),
         }
-        let id = ExprId(self.nodes.len() as u32);
-        self.nodes.push(node);
-        self.dedup.insert(node, id);
+    }
+
+    /// Interns a node verbatim (no normalisation).
+    ///
+    /// The intern cache answers most calls without hashing; a miss falls
+    /// through to the dedup map. Either way the node becomes its set's
+    /// latest entry.
+    pub fn intern(&mut self, node: SymNode) -> ExprId {
+        self.interns += 1;
+        if self.recent.is_empty() {
+            self.recent = vec![u32::MAX; INTERN_CACHE_SLOTS];
+        }
+        let set = 2 * intern_set(node.packed());
+        let (recent, older) = (self.recent[set], self.recent[set + 1]);
+        if self.nodes.get(recent as usize) == Some(&node) {
+            self.intern_cache_hits += 1;
+            return ExprId(recent);
+        }
+        let id = if self.nodes.get(older as usize) == Some(&node) {
+            self.intern_cache_hits += 1;
+            ExprId(older)
+        } else {
+            let nodes = &mut self.nodes;
+            *self.dedup.entry(node).or_insert_with(|| {
+                nodes.push(node);
+                ExprId(nodes.len() as u32 - 1)
+            })
+        };
+        self.recent[set] = id.0;
+        self.recent[set + 1] = recent;
         id
     }
 
@@ -267,7 +424,8 @@ impl ExprPool {
     /// Reverts the pool to a [`Self::mark`] taken earlier.
     ///
     /// Cost is proportional to the nodes interned since the mark, not to
-    /// the pool size.
+    /// the pool size. The intern cache needs no undo: a slot naming an
+    /// erased id fails validation like any other stale slot.
     ///
     /// # Panics
     ///
@@ -441,11 +599,27 @@ impl ExprPool {
     /// True when `sub` occurs anywhere inside `id` (including `id`
     /// itself).
     pub fn contains(&self, id: ExprId, sub: ExprId) -> bool {
+        self.walk(|p, memo| p.contains_in(id, sub, memo))
+    }
+
+    fn contains_in(&self, id: ExprId, sub: ExprId, memo: &mut WalkMemo<bool>) -> bool {
         if id == sub {
             return true;
         }
-        match self.node(id) {
-            SymNode::Deref { addr, .. } => self.contains(addr, sub),
+        // Nothing below a node older than `sub` can be `sub` (see
+        // `replace_in`).
+        if id < sub {
+            return false;
+        }
+        let node = self.node(id);
+        if node.is_leaf() {
+            return false;
+        }
+        if let Some(hit) = memo.enter(id) {
+            return hit;
+        }
+        let hit = match node {
+            SymNode::Deref { addr, .. } => self.contains_in(addr, sub, memo),
             SymNode::Add(a, b)
             | SymNode::Mul(a, b)
             | SymNode::And(a, b)
@@ -453,28 +627,51 @@ impl ExprPool {
             | SymNode::Xor(a, b)
             | SymNode::Shl(a, b)
             | SymNode::Shr(a, b)
-            | SymNode::Cmp(_, a, b) => self.contains(a, sub) || self.contains(b, sub),
+            | SymNode::Cmp(_, a, b) => {
+                self.contains_in(a, sub, memo) || self.contains_in(b, sub, memo)
+            }
             _ => false,
-        }
+        };
+        memo.leave(id, hit)
     }
 
     /// True when any node inside `id` satisfies the predicate.
+    ///
+    /// The predicate must answer as a function of the node: a long walk
+    /// asks it once per distinct node, a short one once per occurrence.
     pub fn any_node(&self, id: ExprId, pred: &mut impl FnMut(SymNode) -> bool) -> bool {
-        if pred(self.node(id)) {
-            return true;
+        self.walk(|p, memo| p.any_node_in(id, pred, memo))
+    }
+
+    fn any_node_in(
+        &self,
+        id: ExprId,
+        pred: &mut impl FnMut(SymNode) -> bool,
+        memo: &mut WalkMemo<bool>,
+    ) -> bool {
+        let node = self.node(id);
+        if node.is_leaf() {
+            return pred(node);
         }
-        match self.node(id) {
-            SymNode::Deref { addr, .. } => self.any_node(addr, pred),
-            SymNode::Add(a, b)
-            | SymNode::Mul(a, b)
-            | SymNode::And(a, b)
-            | SymNode::Or(a, b)
-            | SymNode::Xor(a, b)
-            | SymNode::Shl(a, b)
-            | SymNode::Shr(a, b)
-            | SymNode::Cmp(_, a, b) => self.any_node(a, pred) || self.any_node(b, pred),
-            _ => false,
+        if let Some(hit) = memo.enter(id) {
+            return hit;
         }
+        let hit = pred(node)
+            || match node {
+                SymNode::Deref { addr, .. } => self.any_node_in(addr, pred, memo),
+                SymNode::Add(a, b)
+                | SymNode::Mul(a, b)
+                | SymNode::And(a, b)
+                | SymNode::Or(a, b)
+                | SymNode::Xor(a, b)
+                | SymNode::Shl(a, b)
+                | SymNode::Shr(a, b)
+                | SymNode::Cmp(_, a, b) => {
+                    self.any_node_in(a, pred, memo) || self.any_node_in(b, pred, memo)
+                }
+                _ => false,
+            };
+        memo.leave(id, hit)
     }
 
     /// All base pointers contained in `id` — the paper's `GetPtrInVar`.
@@ -484,7 +681,7 @@ impl ExprPool {
     /// a memory access, outermost first.
     pub fn ptrs_in(&self, id: ExprId) -> Vec<ExprId> {
         let mut out = Vec::new();
-        self.collect_ptrs(id, &mut out);
+        self.ptrs_in_into(id, &mut out);
         out
     }
 
@@ -492,14 +689,25 @@ impl ExprPool {
     /// loops can reuse one allocation across many expressions.
     pub fn ptrs_in_into(&self, id: ExprId, out: &mut Vec<ExprId>) {
         out.clear();
-        self.collect_ptrs(id, out);
+        self.walk(|p, memo| p.collect_ptrs(id, out, memo));
     }
 
     /// Maximum `Deref` nesting depth anywhere inside `id`; 0 when the
     /// expression touches no memory. `deref(deref(a+4)+8)` has depth 2.
     pub fn deref_depth(&self, id: ExprId) -> u32 {
-        match self.node(id) {
-            SymNode::Deref { addr, .. } => 1 + self.deref_depth(addr),
+        self.walk(|p, memo| p.deref_depth_in(id, memo))
+    }
+
+    fn deref_depth_in(&self, id: ExprId, memo: &mut WalkMemo<u32>) -> u32 {
+        let node = self.node(id);
+        if node.is_leaf() {
+            return 0;
+        }
+        if let Some(depth) = memo.enter(id) {
+            return depth;
+        }
+        let depth = match node {
+            SymNode::Deref { addr, .. } => 1 + self.deref_depth_in(addr, memo),
             SymNode::Add(a, b)
             | SymNode::Mul(a, b)
             | SymNode::And(a, b)
@@ -507,19 +715,28 @@ impl ExprPool {
             | SymNode::Xor(a, b)
             | SymNode::Shl(a, b)
             | SymNode::Shr(a, b)
-            | SymNode::Cmp(_, a, b) => self.deref_depth(a).max(self.deref_depth(b)),
+            | SymNode::Cmp(_, a, b) => {
+                self.deref_depth_in(a, memo).max(self.deref_depth_in(b, memo))
+            }
             _ => 0,
-        }
+        };
+        memo.leave(id, depth)
     }
 
-    fn collect_ptrs(&self, id: ExprId, out: &mut Vec<ExprId>) {
-        match self.node(id) {
+    /// Appends the bases below `id` that `out` lacks. A node already
+    /// walked has nothing left to add.
+    fn collect_ptrs(&self, id: ExprId, out: &mut Vec<ExprId>, memo: &mut WalkMemo<()>) {
+        let node = self.node(id);
+        if node.is_leaf() || memo.enter(id).is_some() {
+            return;
+        }
+        match node {
             SymNode::Deref { addr, .. } => {
                 let (base, _) = self.base_offset(addr);
                 if !out.contains(&base) {
                     out.push(base);
                 }
-                self.collect_ptrs(addr, out);
+                self.collect_ptrs(addr, out, memo);
             }
             SymNode::Add(a, b)
             | SymNode::Mul(a, b)
@@ -529,11 +746,21 @@ impl ExprPool {
             | SymNode::Shl(a, b)
             | SymNode::Shr(a, b)
             | SymNode::Cmp(_, a, b) => {
-                self.collect_ptrs(a, out);
-                self.collect_ptrs(b, out);
+                self.collect_ptrs(a, out, memo);
+                self.collect_ptrs(b, out, memo);
             }
             _ => {}
         }
+        memo.leave(id, ());
+    }
+
+    /// Runs one DAG walk with a fresh memo and adds its visits to
+    /// [`PoolStats::walk_visits`].
+    fn walk<T: Copy, R>(&self, body: impl FnOnce(&Self, &mut WalkMemo<T>) -> R) -> R {
+        let mut memo = WalkMemo::new();
+        let out = body(self, &mut memo);
+        self.walk_visits.set(self.walk_visits.get() + memo.visits);
+        out
     }
 
     /// The innermost (root) pointer of `id`, when `id` is memory-shaped.
@@ -554,158 +781,132 @@ impl ExprPool {
     /// re-normalising along the way — the `Replace` primitive of
     /// Algorithms 1 and 2.
     pub fn replace(&mut self, id: ExprId, from: ExprId, to: ExprId) -> ExprId {
+        self.walk_mut(|p, memo| p.replace_in(id, from, to, memo))
+    }
+
+    /// [`Self::walk`] for the walks that intern.
+    fn walk_mut<R>(&mut self, body: impl FnOnce(&mut Self, &mut WalkMemo<ExprId>) -> R) -> R {
+        let mut memo = WalkMemo::new();
+        let out = body(self, &mut memo);
+        *self.walk_visits.get_mut() += memo.visits;
+        out
+    }
+
+    fn replace_in(
+        &mut self,
+        id: ExprId,
+        from: ExprId,
+        to: ExprId,
+        memo: &mut WalkMemo<ExprId>,
+    ) -> ExprId {
         if id == from {
             return to;
         }
-        match self.node(id) {
+        // Operands are interned before the nodes that use them, so
+        // nothing below an older node can be `from`.
+        if id < from {
+            return id;
+        }
+        let node = self.node(id);
+        if node.is_leaf() {
+            return id;
+        }
+        if let Some(out) = memo.enter(id) {
+            return out;
+        }
+        let mut pair = |p: &mut Self, a, b| {
+            let (x, y) = (p.replace_in(a, from, to, memo), p.replace_in(b, from, to, memo));
+            ((x, y) != (a, b)).then_some((x, y))
+        };
+        let out = match node {
             SymNode::Deref { addr, width } => {
-                let new_addr = self.replace(addr, from, to);
+                let new_addr = self.replace_in(addr, from, to, memo);
                 if new_addr == addr {
                     id
                 } else {
                     self.deref(new_addr, width)
                 }
             }
-            SymNode::Add(a, b) => {
-                let (na, nb) = (self.replace(a, from, to), self.replace(b, from, to));
-                if (na, nb) == (a, b) {
-                    id
-                } else {
-                    self.add(na, nb)
-                }
+            SymNode::Add(a, b) => pair(self, a, b).map_or(id, |(x, y)| self.add(x, y)),
+            SymNode::Mul(a, b) => pair(self, a, b).map_or(id, |(x, y)| self.mul(x, y)),
+            SymNode::And(a, b) => {
+                pair(self, a, b).map_or(id, |(x, y)| self.intern(SymNode::And(x, y)))
             }
-            SymNode::Mul(a, b) => {
-                let (na, nb) = (self.replace(a, from, to), self.replace(b, from, to));
-                if (na, nb) == (a, b) {
-                    id
-                } else {
-                    self.mul(na, nb)
-                }
+            SymNode::Or(a, b) => {
+                pair(self, a, b).map_or(id, |(x, y)| self.intern(SymNode::Or(x, y)))
             }
-            SymNode::And(a, b) => self.replace_bitop(id, SymNode::And, a, b, from, to),
-            SymNode::Or(a, b) => self.replace_bitop(id, SymNode::Or, a, b, from, to),
-            SymNode::Xor(a, b) => self.replace_bitop(id, SymNode::Xor, a, b, from, to),
-            SymNode::Shl(a, b) => self.replace_bitop(id, SymNode::Shl, a, b, from, to),
-            SymNode::Shr(a, b) => self.replace_bitop(id, SymNode::Shr, a, b, from, to),
-            SymNode::Cmp(op, a, b) => {
-                let (na, nb) = (self.replace(a, from, to), self.replace(b, from, to));
-                if (na, nb) == (a, b) {
-                    id
-                } else {
-                    self.cmp(op, na, nb)
-                }
+            SymNode::Xor(a, b) => {
+                pair(self, a, b).map_or(id, |(x, y)| self.intern(SymNode::Xor(x, y)))
             }
+            SymNode::Shl(a, b) => {
+                pair(self, a, b).map_or(id, |(x, y)| self.intern(SymNode::Shl(x, y)))
+            }
+            SymNode::Shr(a, b) => {
+                pair(self, a, b).map_or(id, |(x, y)| self.intern(SymNode::Shr(x, y)))
+            }
+            SymNode::Cmp(op, a, b) => pair(self, a, b).map_or(id, |(x, y)| self.cmp(op, x, y)),
             _ => id,
-        }
-    }
-
-    fn replace_bitop(
-        &mut self,
-        id: ExprId,
-        make: fn(ExprId, ExprId) -> SymNode,
-        a: ExprId,
-        b: ExprId,
-        from: ExprId,
-        to: ExprId,
-    ) -> ExprId {
-        let (na, nb) = (self.replace(a, from, to), self.replace(b, from, to));
-        if (na, nb) == (a, b) {
-            id
-        } else {
-            self.intern(make(na, nb))
-        }
+        };
+        memo.leave(id, out)
     }
 
     /// Rebuilds an expression bottom-up, letting `f` override any node.
     ///
-    /// `f` is called on every node (leaves and interior); returning
-    /// `Some(id)` replaces that whole subtree, returning `None` keeps the
-    /// node and rewrites its children. Used by the interprocedural stage
-    /// to map callee expressions into a caller's namespace
-    /// (`arg_i → actual argument`, callee stack → fresh unknown).
+    /// `f` is called top-down on the nodes (leaves and interior);
+    /// returning `Some(id)` replaces that whole subtree, returning `None`
+    /// keeps the node and rewrites its children. `f` must answer as a
+    /// function of the node: a long walk asks it once per distinct node,
+    /// a short one once per occurrence. Used by the interprocedural stage to map callee expressions into a
+    /// caller's namespace (`arg_i → actual argument`, callee stack →
+    /// fresh unknown).
     pub fn rewrite(
         &mut self,
         id: ExprId,
         f: &mut impl FnMut(&mut ExprPool, ExprId) -> Option<ExprId>,
     ) -> ExprId {
-        if let Some(out) = f(self, id) {
+        self.walk_mut(|p, memo| p.rewrite_in(id, f, memo))
+    }
+
+    fn rewrite_in(
+        &mut self,
+        id: ExprId,
+        f: &mut impl FnMut(&mut ExprPool, ExprId) -> Option<ExprId>,
+        memo: &mut WalkMemo<ExprId>,
+    ) -> ExprId {
+        let node = self.node(id);
+        if node.is_leaf() {
+            return f(self, id).unwrap_or(id);
+        }
+        if let Some(out) = memo.enter(id) {
             return out;
         }
-        match self.node(id) {
+        if let Some(out) = f(self, id) {
+            return memo.leave(id, out);
+        }
+        let mut pair = |p: &mut Self, a, b| {
+            let (x, y) = (p.rewrite_in(a, f, memo), p.rewrite_in(b, f, memo));
+            ((x, y) != (a, b)).then_some((x, y))
+        };
+        let out = match node {
             SymNode::Deref { addr, width } => {
-                let a = self.rewrite(addr, f);
+                let a = self.rewrite_in(addr, f, memo);
                 if a == addr {
                     id
                 } else {
                     self.deref(a, width)
                 }
             }
-            SymNode::Add(a, b) => {
-                let (x, y) = (self.rewrite(a, f), self.rewrite(b, f));
-                if (x, y) == (a, b) {
-                    id
-                } else {
-                    self.add(x, y)
-                }
-            }
-            SymNode::Mul(a, b) => {
-                let (x, y) = (self.rewrite(a, f), self.rewrite(b, f));
-                if (x, y) == (a, b) {
-                    id
-                } else {
-                    self.mul(x, y)
-                }
-            }
-            SymNode::And(a, b) => {
-                let (x, y) = (self.rewrite(a, f), self.rewrite(b, f));
-                if (x, y) == (a, b) {
-                    id
-                } else {
-                    self.and_op(x, y)
-                }
-            }
-            SymNode::Or(a, b) => {
-                let (x, y) = (self.rewrite(a, f), self.rewrite(b, f));
-                if (x, y) == (a, b) {
-                    id
-                } else {
-                    self.or_op(x, y)
-                }
-            }
-            SymNode::Xor(a, b) => {
-                let (x, y) = (self.rewrite(a, f), self.rewrite(b, f));
-                if (x, y) == (a, b) {
-                    id
-                } else {
-                    self.xor_op(x, y)
-                }
-            }
-            SymNode::Shl(a, b) => {
-                let (x, y) = (self.rewrite(a, f), self.rewrite(b, f));
-                if (x, y) == (a, b) {
-                    id
-                } else {
-                    self.shl_op(x, y)
-                }
-            }
-            SymNode::Shr(a, b) => {
-                let (x, y) = (self.rewrite(a, f), self.rewrite(b, f));
-                if (x, y) == (a, b) {
-                    id
-                } else {
-                    self.shr_op(x, y)
-                }
-            }
-            SymNode::Cmp(op, a, b) => {
-                let (x, y) = (self.rewrite(a, f), self.rewrite(b, f));
-                if (x, y) == (a, b) {
-                    id
-                } else {
-                    self.cmp(op, x, y)
-                }
-            }
+            SymNode::Add(a, b) => pair(self, a, b).map_or(id, |(x, y)| self.add(x, y)),
+            SymNode::Mul(a, b) => pair(self, a, b).map_or(id, |(x, y)| self.mul(x, y)),
+            SymNode::And(a, b) => pair(self, a, b).map_or(id, |(x, y)| self.and_op(x, y)),
+            SymNode::Or(a, b) => pair(self, a, b).map_or(id, |(x, y)| self.or_op(x, y)),
+            SymNode::Xor(a, b) => pair(self, a, b).map_or(id, |(x, y)| self.xor_op(x, y)),
+            SymNode::Shl(a, b) => pair(self, a, b).map_or(id, |(x, y)| self.shl_op(x, y)),
+            SymNode::Shr(a, b) => pair(self, a, b).map_or(id, |(x, y)| self.shr_op(x, y)),
+            SymNode::Cmp(op, a, b) => pair(self, a, b).map_or(id, |(x, y)| self.cmp(op, x, y)),
             _ => id,
-        }
+        };
+        memo.leave(id, out)
     }
 
     /// Re-interns an expression from another pool into this one.
@@ -1046,7 +1247,192 @@ mod tests {
         assert_eq!(u2, u);
     }
 
+    /// `x_{k+1} = x_k + x_k` from `x_0 = base`: `k + 1` distinct nodes,
+    /// but `2^k` occurrences of `base` as a tree.
+    fn doubling(p: &mut ExprPool, base: ExprId, k: usize) -> ExprId {
+        (0..k).fold(base, |x, _| p.intern(SymNode::Add(x, x)))
+    }
+
+    /// Walk visits the call makes, which must stay linear in the DAG.
+    fn visits_of<R>(p: &mut ExprPool, walk: impl FnOnce(&mut ExprPool) -> R) -> (R, u64) {
+        let before = p.stats().walk_visits;
+        let out = walk(p);
+        (out, p.stats().walk_visits - before)
+    }
+
+    #[test]
+    fn replace_walks_a_shared_dag_once_per_node() {
+        let mut p = ExprPool::new();
+        let (arg0, sp) = (p.arg(0), p.stack_base());
+        let x = doubling(&mut p, arg0, 64);
+        let want = doubling(&mut p, sp, 64);
+        let (out, visits) = visits_of(&mut p, |p| p.replace(x, arg0, sp));
+        assert_eq!(out, want);
+        assert!(visits <= 64 + 3 * 65, "replace visited {visits} nodes");
+        // `from` newer than the whole expression: nothing to walk.
+        let fresh = p.arg(7);
+        assert_eq!(visits_of(&mut p, |p| p.replace(x, fresh, sp)), (x, 0));
+    }
+
+    #[test]
+    fn rewrite_walks_a_shared_dag_once_per_node() {
+        let mut p = ExprPool::new();
+        let (arg0, sp) = (p.arg(0), p.stack_base());
+        let x = doubling(&mut p, arg0, 64);
+        let want = doubling(&mut p, sp, 64);
+        let mut asked = 0u64;
+        let (out, visits) = visits_of(&mut p, |p| {
+            p.rewrite(x, &mut |p, id| {
+                asked += 1;
+                (p.node(id) == SymNode::Arg(0)).then_some(sp)
+            })
+        });
+        assert_eq!(out, want);
+        assert!(visits <= 64 + 3 * 65, "rewrite visited {visits} nodes");
+        assert!(asked <= visits);
+    }
+
+    #[test]
+    fn read_only_walks_visit_a_shared_dag_once_per_node() {
+        let mut p = ExprPool::new();
+        let (arg0, sp) = (p.arg(0), p.stack_base());
+        let x = doubling(&mut p, arg0, 64);
+        let bound = 64 + 3 * 65;
+        let (hit, visits) = visits_of(&mut p, |p| p.any_node(x, &mut |n| n == SymNode::StackBase));
+        assert!(!hit && visits <= bound, "any_node visited {visits} nodes");
+        let (hit, visits) = visits_of(&mut p, |p| p.any_node(x, &mut |n| n == SymNode::Arg(0)));
+        assert!(hit && visits <= bound);
+        let (hit, visits) = visits_of(&mut p, |p| p.contains(x, arg0));
+        assert!(hit && visits <= bound);
+        let (hit, visits) = visits_of(&mut p, |p| p.contains(x, sp));
+        assert!(!hit && visits <= bound);
+        let fresh = p.arg(7);
+        assert_eq!(visits_of(&mut p, |p| p.contains(x, fresh)), (false, 0), "arg7 is newer than x");
+        // d_{k+1} = deref(d_k + d_k): depth and bases of a shared deref DAG.
+        let mut d = arg0;
+        let mut bases = Vec::new();
+        for _ in 0..64 {
+            let addr = p.intern(SymNode::Add(d, d));
+            bases.push(addr);
+            d = p.deref(addr, 4);
+        }
+        bases.reverse();
+        let (depth, visits) = visits_of(&mut p, |p| p.deref_depth(d));
+        assert!(depth == 64 && visits <= 2 * bound, "deref_depth visited {visits} nodes");
+        let (ptrs, visits) = visits_of(&mut p, |p| p.ptrs_in(d));
+        assert!(ptrs == bases && visits <= 2 * bound, "ptrs_in visited {visits} nodes");
+    }
+
+    /// A reference pool that interns through its map alone.
+    #[derive(Default)]
+    struct PlainPool {
+        nodes: Vec<SymNode>,
+        map: HashMap<SymNode, ExprId>,
+    }
+
+    impl PlainPool {
+        fn intern(&mut self, node: SymNode) -> ExprId {
+            let next = ExprId(self.nodes.len() as u32);
+            let id = *self.map.entry(node).or_insert(next);
+            if id == next {
+                self.nodes.push(node);
+            }
+            id
+        }
+
+        fn rollback(&mut self, len: usize) {
+            for node in self.nodes.drain(len..) {
+                self.map.remove(&node);
+            }
+        }
+    }
+
+    /// Constants that all land in intern-cache set 0.
+    fn colliding_constants() -> Vec<i64> {
+        let set0 = |v: i64| intern_set(SymNode::Const(v).packed()) == 0;
+        let found: Vec<i64> = (0..1 << 20).filter(|&v| set0(v)).take(12).collect();
+        assert_eq!(found.len(), 12);
+        found
+    }
+
+    #[test]
+    fn packed_is_injective_on_variants() {
+        let (a, b) = (ExprId(1), ExprId(2));
+        let nodes = [
+            SymNode::Const(1),
+            SymNode::Const(-1),
+            SymNode::Arg(1),
+            SymNode::RetSym(1),
+            SymNode::CallOut { callsite: 1, arg: 0 },
+            SymNode::CallOut { callsite: 0, arg: 1 },
+            SymNode::InitReg(1),
+            SymNode::StackBase,
+            SymNode::Unknown(1),
+            SymNode::Deref { addr: a, width: 1 },
+            SymNode::Deref { addr: a, width: 4 },
+            SymNode::Add(a, b),
+            SymNode::Add(b, a),
+            SymNode::Mul(a, b),
+            SymNode::And(a, b),
+            SymNode::Or(a, b),
+            SymNode::Xor(a, b),
+            SymNode::Shl(a, b),
+            SymNode::Shr(a, b),
+            SymNode::Cmp(CmpOp::Eq, a, b),
+            SymNode::Cmp(CmpOp::Ne, a, b),
+            SymNode::Cmp(CmpOp::Lt, a, b),
+            SymNode::Cmp(CmpOp::Ge, a, b),
+            SymNode::Cmp(CmpOp::Le, a, b),
+            SymNode::Cmp(CmpOp::Gt, a, b),
+        ];
+        let packed: std::collections::HashSet<u128> = nodes.iter().map(|n| n.packed()).collect();
+        assert_eq!(packed.len(), nodes.len());
+    }
+
     proptest! {
+        /// The intern cache never changes what interning returns: under
+        /// random interns (many into one cache set), marks and rollbacks,
+        /// ids, `len()` and `node()` match a pool that only uses a map.
+        #[test]
+        fn intern_cache_matches_a_plain_map(
+            ops in proptest::collection::vec((0u8..10, any::<u32>(), any::<u32>()), 1..300)
+        ) {
+            let colliding = colliding_constants();
+            let (mut p, mut r) = (ExprPool::new(), PlainPool::default());
+            let mut marks: Vec<PoolMark> = Vec::new();
+            let mut interns = 0;
+            for (kind, x, y) in ops {
+                let len = p.len() as u32;
+                let pick = |v: u32| ExprId(v % len);
+                let node = match kind {
+                    0..=3 => SymNode::Const(colliding[x as usize % colliding.len()]),
+                    4 => SymNode::Arg((x % 6) as u8),
+                    5 if len > 0 => SymNode::Add(pick(x), pick(y)),
+                    6 if len > 0 => SymNode::Deref { addr: pick(x), width: 4 },
+                    7 if len > 0 => SymNode::Cmp(CmpOp::Lt, pick(x), pick(y)),
+                    8 => {
+                        marks.push(p.mark());
+                        continue;
+                    }
+                    9 => {
+                        if let Some(m) = marks.pop() {
+                            p.rollback(m);
+                            r.rollback(m.len);
+                        }
+                        continue;
+                    }
+                    _ => SymNode::RetSym(x % 4),
+                };
+                interns += 1;
+                prop_assert_eq!(p.intern(node), r.intern(node));
+                prop_assert_eq!(p.len(), r.nodes.len());
+            }
+            for (i, &node) in r.nodes.iter().enumerate() {
+                prop_assert_eq!(p.node(ExprId(i as u32)), node);
+            }
+            prop_assert_eq!(p.stats().interns, interns);
+        }
+
         #[test]
         fn add_chain_always_folds_to_single_offset(offs in proptest::collection::vec(-1000i64..1000, 1..8)) {
             let mut p = ExprPool::new();

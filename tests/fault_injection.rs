@@ -12,6 +12,7 @@ use dtaint_fwgen::{
 };
 use dtaint_fwimage::{extract_binaries, extract_image};
 use dtaint_symex::SymexConfig;
+use dtaint_telemetry::Collector;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 fn small_firmware() -> dtaint_fwgen::GeneratedFirmware {
@@ -64,6 +65,34 @@ fn corrupt_fwi_bytes_error_cleanly_never_panic() {
     for (name, mutant) in fwi_fault_corpus(&fw.image, 13) {
         let parsed = catch_unwind(AssertUnwindSafe(|| extract_image(&mutant)));
         assert!(parsed.is_ok(), "image extractor panicked on mutant `{name}`");
+    }
+}
+
+/// Profile 2 (DAP-2695) capped at 150 functions, pristine and with
+/// `util_fn10`'s opcodes garbled. Its call chains substitute deeply
+/// shared expression DAGs (in `cgi_fn19` and `cgi_fn7`); walked as
+/// trees they took 2.4 G `replace` steps and ~12 s of `ddg_propagate`.
+/// Each DAG walk works a node out once, so the DDG's walk visits — a
+/// step count, the same at every thread count — stay under a ceiling.
+#[test]
+fn shared_expression_dags_keep_ddg_walks_linear() {
+    let mut p = table2_profiles().remove(1);
+    p.total_functions = 150;
+    let pristine = build_firmware(&p).binary;
+    let garbled = corrupt_binary(&pristine, &BinFault::GarbageOpcodes { index: 70, seed: 11 });
+    for (label, bin) in [("pristine", &pristine), ("garbled", &garbled)] {
+        let mut seen = Vec::new();
+        for threads in [1, 2, 8] {
+            let mut tel = Collector::disabled();
+            let report = Dtaint::with_config(config_threads(threads))
+                .analyze_traced(bin, label, &mut tel)
+                .unwrap();
+            // ~156 k on this image.
+            let visits = tel.metrics.counter("ddg.walk_visits");
+            assert!(visits > 0 && visits <= 300_000, "{label}: {visits} DDG walk visits");
+            seen.push((visits, report.with_zeroed_wall_clock()));
+        }
+        assert!(seen.windows(2).all(|w| w[0] == w[1]), "{label}: differs across threads");
     }
 }
 

@@ -581,6 +581,28 @@ fn fused_pass_outcomes_equal_the_staged_reference_on_the_fault_corpus() {
     assert!(errors > 0, "the corpus must exercise fail-fast errors");
 }
 
+/// Symex keeps a path's registers in a fixed file. A register the
+/// lifters emit without a slot there would panic every function that
+/// touches it, and each would be downgraded to `Panicked`: on every
+/// profile, none is.
+#[test]
+fn no_function_panics_on_any_profile() {
+    for p in table2_profiles() {
+        let bin = build_firmware(&p).binary;
+        let report = Dtaint::with_config(DtaintConfig { threads: 2, ..Default::default() })
+            .analyze(&bin, p.binary_name)
+            .unwrap();
+        let panicked: Vec<&str> = report
+            .skipped_functions
+            .iter()
+            .filter(|r| r.outcome == FunctionOutcome::Panicked)
+            .map(|r| r.name.as_str())
+            .collect();
+        assert!(panicked.is_empty(), "{}: panicked functions {panicked:?}", p.binary_name);
+        assert!(report.telemetry.metrics.counter("symex.blocks_executed") > 0);
+    }
+}
+
 /// Profile 1 (Netgear) capped at 200 functions, then cut to its first
 /// `n` function symbols in address order (the generator cannot go below
 /// a couple of dozen functions).
