@@ -59,8 +59,8 @@ use dtaint_fwimage::{
     extract_binaries, extract_image, generate_corpus, scan, triage, CorpusConfig, FwImage,
 };
 use dtaint_telemetry::{
-    export_chrome, export_jsonl, export_prometheus, log, Collector, FleetOutcome, FleetProgress,
-    Heartbeat, ImageCacheStats, MetricsRegistry, SpanEvent,
+    export_chrome, export_jsonl, export_prometheus, log, Collector, FleetProgress, Heartbeat,
+    ImageCacheStats, ImageOutcome, MetricsRegistry, SpanEvent,
 };
 use std::io::Write;
 
@@ -156,6 +156,18 @@ fn flag_value<'a>(rest: &'a [String], name: &str) -> Option<&'a str> {
     rest.iter().position(|a| a == name).and_then(|i| rest.get(i + 1)).map(String::as_str)
 }
 
+/// Parses the value of the numeric flag `name` of command `cmd`,
+/// `default` when the flag is absent.
+fn flag_number<T: std::str::FromStr>(
+    rest: &[String],
+    cmd: &str,
+    name: &str,
+    default: T,
+) -> Result<T, String> {
+    flag_value(rest, name)
+        .map_or(Ok(default), |v| v.parse().map_err(|_| format!("{cmd}: {name} expects a number")))
+}
+
 fn has_flag(rest: &[String], name: &str) -> bool {
     rest.iter().any(|a| a == name)
 }
@@ -232,10 +244,7 @@ fn cmd_scan(rest: &[String], out: &mut dyn Write) -> Result<i32, String> {
     let path = pos.first().ok_or("scan: missing input path")?;
     let filter =
         flag_value(rest, "--filter").map(|f| f.split(',').map(str::to_owned).collect::<Vec<_>>());
-    let threads = match flag_value(rest, "--threads") {
-        Some(v) => v.parse().map_err(|_| "scan: --threads expects a number".to_owned())?,
-        None => 0,
-    };
+    let threads = flag_number(rest, "scan", "--threads", 0)?;
     let bounds =
         if has_flag(rest, "--interval-guards") { BoundsMode::Interval } else { BoundsMode::Paper };
     let alias_mode = parse_alias_mode(rest, "scan")?;
@@ -802,85 +811,75 @@ fn write_counter_deltas(
     Ok(())
 }
 
-/// One image's worth of work inside `batch`: every binary scanned, or
-/// the error that stopped the image (other images are unaffected).
-struct ImageOutcome {
-    /// One report per executable in the image.
-    reports: Vec<AnalysisReport>,
-    /// The cache scan labels used, one per report.
-    labels: Vec<String>,
-    /// Set when the image could not be scanned at all.
-    error: Option<String>,
-    /// The per-image deadline expired (`error` holds the message).
-    timeout: bool,
-}
+/// One image's worth of work inside `batch`: a report and a cache scan
+/// label per executable, or how and why the image failed (other images
+/// are unaffected).
+type ImageScan = Result<(Vec<AnalysisReport>, Vec<String>), (ImageOutcome, String)>;
 
-/// Cache state captured by the scan worker the moment an image's scan
-/// completes — *before* the same worker's next scan can reset the
-/// per-label statistics or store new summaries into the shared cache.
-/// Committing from this capture (rather than reading the live cache at
-/// commit time, which races with the worker running ahead) is what
-/// lets an interrupted-and-resumed run reproduce an uninterrupted one
-/// byte-for-byte at `--jobs 1`.
-struct ScanCapture {
-    /// `DTC2` snapshot to persist at this image's commit — taken only
-    /// when the cache grew past the newest snapshot on disk and past the
-    /// one this worker captured for its previous image.
-    snapshot: Option<CacheSnapshot>,
-    sym_hits: u64,
-    sym_misses: u64,
-    ddg_hits: u64,
-    ddg_misses: u64,
-    /// Cache entries invalidated by content/config drift on this image.
-    invalidations: u64,
-    /// The image's merged report registry — logical counters only, so
-    /// the corpus rollup built from these is jobs/warmth-invariant.
-    metrics: MetricsRegistry,
-    /// The image's scheduler span for `--trace-chrome` (wall-clock;
-    /// never journaled, never part of any determinism contract).
-    span: Option<SpanEvent>,
-}
-
-/// Captures the cache snapshot (if the cache grew past `newest`, the
-/// generation of the newest snapshot on disk or already captured for an
-/// earlier image that commits first), this image's scan
-/// statistics, and its merged report registry right after its scan
-/// settles. Failed and timed-out images carry zero stats and an empty
-/// registry (their labels never completed a scan).
-fn capture_cache(
+/// Builds an image's journal entry on its scan worker, right after the
+/// scan settles and before the same worker's next scan can reset the
+/// per-label cache statistics. The commit on the main thread may run
+/// arbitrarily later; building the record here (rather than reading the
+/// live cache at commit time, which races with the worker running
+/// ahead) is what lets an interrupted-and-resumed run reproduce an
+/// uninterrupted one byte-for-byte at `--jobs 1`. Failed and timed-out
+/// images carry no findings, zero cache traffic and an empty registry.
+/// Returns the reports beside the entry for the commit to write.
+fn journal_entry(
+    job: &ImageJob,
+    config: &str,
     cache: Option<&std::sync::Arc<SummaryCache>>,
-    newest: Option<u64>,
-    oc: &ImageOutcome,
-) -> ScanCapture {
-    let mut cap = ScanCapture {
-        snapshot: cache.and_then(|c| c.snapshot_newer_than(newest)),
-        sym_hits: 0,
-        sym_misses: 0,
-        ddg_hits: 0,
-        ddg_misses: 0,
-        invalidations: 0,
-        metrics: MetricsRegistry::default(),
-        span: None,
+    scan: ImageScan,
+) -> (dtaint_store::JournalEntry, Vec<AnalysisReport>) {
+    let mut entry = dtaint_store::JournalEntry {
+        v: dtaint_store::JOURNAL_VERSION,
+        image: job.name.clone(),
+        content: job.content.clone(),
+        config: config.to_owned(),
+        ..Default::default()
+    };
+    let (reports, labels) = match scan {
+        Ok(scanned) => scanned,
+        Err((outcome, error)) => {
+            entry.outcome = outcome;
+            entry.error = Some(error);
+            return (entry, Vec::new());
+        }
     };
     if let Some(c) = cache {
-        if oc.error.is_none() {
-            for label in &oc.labels {
-                let st = c.scan_stats(label);
-                cap.sym_hits += st.sym_hits;
-                cap.sym_misses += st.sym_misses;
-                cap.ddg_hits += st.ddg_hits;
-                cap.ddg_misses += st.ddg_misses;
-                cap.invalidations += st.invalidations;
-            }
+        for label in &labels {
+            let st = c.scan_stats(label);
+            entry.sym_hits += st.sym_hits;
+            entry.sym_misses += st.sym_misses;
+            entry.ddg_hits += st.ddg_hits;
+            entry.ddg_misses += st.ddg_misses;
+            entry.invalidations += st.invalidations;
         }
     }
     // Report registries hold only logical counters and `image.*`
     // gauges — cache traffic never enters them — so this merge is
     // bit-identical across `--jobs`, `--threads`, and cache warmth.
-    for r in &oc.reports {
-        cap.metrics.merge_summing_gauges(&r.telemetry.metrics);
+    for r in &reports {
+        entry.metrics.merge_summing_gauges(&r.telemetry.metrics);
     }
-    cap
+    // One exemplar per fingerprint, vulnerable winning over sanitized
+    // (the `diff` convention), before the store fold.
+    let mut by_fp: std::collections::BTreeMap<&str, dtaint_store::ScanFinding> =
+        std::collections::BTreeMap::new();
+    for f in reports.iter().flat_map(|r| &r.findings) {
+        let kept =
+            by_fp.entry(f.fingerprint.as_str()).or_insert_with(|| dtaint_store::ScanFinding {
+                fingerprint: f.fingerprint.clone(),
+                vulnerable: false,
+                sink: f.sink.clone(),
+                sink_fn: f.sink_fn.clone(),
+            });
+        kept.vulnerable |= !f.sanitized();
+    }
+    entry.findings = by_fp.into_values().collect();
+    entry.binaries = reports.len();
+    entry.report = Some(format!("{}.json", job.name));
+    (entry, reports)
 }
 
 /// One image as enumerated from the corpus directory, with the content
@@ -895,43 +894,6 @@ struct ImageJob {
     content: String,
 }
 
-/// Everything the end-of-run fold needs for one image — built either
-/// from a fresh scan's commit or replayed from a journal entry, so a
-/// resumed run folds exactly what an uninterrupted one would.
-struct FoldInput {
-    name: String,
-    binaries: usize,
-    findings: Vec<dtaint_store::ScanFinding>,
-    error: Option<String>,
-    timeout: bool,
-    sym_hits: u64,
-    sym_misses: u64,
-    ddg_hits: u64,
-    ddg_misses: u64,
-    invalidations: u64,
-    /// The image's report registry, journaled so a resumed run rebuilds
-    /// the corpus rollup without re-scanning.
-    metrics: MetricsRegistry,
-}
-
-impl FoldInput {
-    fn from_journal(e: &dtaint_store::JournalEntry) -> FoldInput {
-        FoldInput {
-            name: e.image.clone(),
-            binaries: e.binaries,
-            findings: e.findings.clone(),
-            error: e.error.clone(),
-            timeout: e.outcome == dtaint_store::JournalOutcome::Timeout,
-            sym_hits: e.sym_hits,
-            sym_misses: e.sym_misses,
-            ddg_hits: e.ddg_hits,
-            ddg_misses: e.ddg_misses,
-            invalidations: e.invalidations,
-            metrics: e.metrics.clone(),
-        }
-    }
-}
-
 /// Scans one image: every executable through the pipeline, panics
 /// caught (with their payload string — "scan panicked" alone names
 /// nothing), per-image errors isolated.
@@ -943,9 +905,7 @@ fn scan_image_attempt(
     alias_mode: Option<AliasMode>,
     audit: bool,
     stall: bool,
-) -> ImageOutcome {
-    let mut outcome =
-        ImageOutcome { reports: Vec::new(), labels: Vec::new(), error: None, timeout: false };
+) -> ImageScan {
     let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
         || -> Result<(Vec<AnalysisReport>, Vec<String>), String> {
             if stall {
@@ -975,22 +935,16 @@ fn scan_image_attempt(
             Ok((reports, labels))
         },
     ));
-    match attempt {
-        Ok(Ok((reports, labels))) => {
-            outcome.reports = reports;
-            outcome.labels = labels;
-        }
-        Ok(Err(e)) => outcome.error = Some(e),
-        Err(payload) => {
+    attempt
+        .unwrap_or_else(|payload| {
             let msg = payload
                 .downcast_ref::<&str>()
                 .map(|s| (*s).to_owned())
                 .or_else(|| payload.downcast_ref::<String>().cloned())
                 .unwrap_or_else(|| "unknown payload".to_owned());
-            outcome.error = Some(format!("scan panicked: {msg}"));
-        }
-    }
-    outcome
+            Err(format!("scan panicked: {msg}"))
+        })
+        .map_err(|e| (ImageOutcome::Error, e))
 }
 
 /// Runs [`scan_image_attempt`] under a wall-clock watchdog. The scan
@@ -1009,7 +963,7 @@ fn scan_with_deadline(
     audit: bool,
     stall: bool,
     deadline_secs: u64,
-) -> ImageOutcome {
+) -> ImageScan {
     if deadline_secs == 0 {
         return scan_image_attempt(&path, &name, cache.as_ref(), threads, alias_mode, audit, stall);
     }
@@ -1025,19 +979,16 @@ fn scan_with_deadline(
             stall,
         ));
     });
-    match rx.recv_timeout(std::time::Duration::from_secs(deadline_secs)) {
-        Ok(oc) => oc,
-        Err(_) => ImageOutcome {
-            reports: Vec::new(),
-            labels: Vec::new(),
-            error: Some(format!("deadline: exceeded the {deadline_secs}s wall-clock budget")),
-            timeout: true,
-        },
-    }
+    rx.recv_timeout(std::time::Duration::from_secs(deadline_secs)).unwrap_or_else(|_| {
+        Err((
+            ImageOutcome::Timeout,
+            format!("deadline: exceeded the {deadline_secs}s wall-clock budget"),
+        ))
+    })
 }
 
 /// Per-image entry of `corpus.json`.
-#[derive(serde::Serialize)]
+#[derive(Default, serde::Serialize)]
 struct CorpusImage {
     name: String,
     binaries: usize,
@@ -1064,7 +1015,7 @@ struct CorpusImage {
 }
 
 /// The corpus-level summary written next to the per-image reports.
-#[derive(serde::Serialize)]
+#[derive(Default, serde::Serialize)]
 struct CorpusSummary {
     generation: u64,
     images: Vec<CorpusImage>,
@@ -1122,21 +1073,12 @@ fn cmd_batch(rest: &[String], out: &mut dyn Write) -> Result<i32, String> {
         .unwrap_or_else(|| store.reports_dir());
     std::fs::create_dir_all(&reports_dir)
         .map_err(|e| format!("batch: create {}: {e}", reports_dir.display()))?;
-    let jobs: usize = match flag_value(rest, "--jobs") {
-        Some(v) => v.parse().map_err(|_| "batch: --jobs expects a number".to_owned())?,
-        None => 1,
-    };
-    let threads: usize = match flag_value(rest, "--threads") {
-        Some(v) => v.parse().map_err(|_| "batch: --threads expects a number".to_owned())?,
-        None => 0,
-    };
+    let jobs: usize = flag_number(rest, "batch", "--jobs", 1)?;
+    let threads: usize = flag_number(rest, "batch", "--threads", 0)?;
     let no_cache = has_flag(rest, "--no-cache");
     let alias_mode = parse_alias_mode(rest, "batch")?;
     let resume = has_flag(rest, "--resume");
-    let deadline_secs: u64 = match flag_value(rest, "--deadline-secs") {
-        Some(v) => v.parse().map_err(|_| "batch: --deadline-secs expects a number".to_owned())?,
-        None => 0,
-    };
+    let deadline_secs: u64 = flag_number(rest, "batch", "--deadline-secs", 0)?;
     let drill_stall = flag_value(rest, "--drill-stall").map(str::to_owned);
     let status_out = flag_value(rest, "--status-out").map(std::path::PathBuf::from);
     // `--audit-dir` switches every scan into audit mode and lands one
@@ -1266,7 +1208,7 @@ fn cmd_batch(rest: &[String], out: &mut dyn Write) -> Result<i32, String> {
             journaled.get(j.name.as_str()).copied().filter(|e| {
                 e.content == j.content
                     && e.config == config_tag
-                    && e.outcome != dtaint_store::JournalOutcome::Timeout
+                    && e.outcome != ImageOutcome::Timeout
             })
         })
         .collect();
@@ -1285,11 +1227,7 @@ fn cmd_batch(rest: &[String], out: &mut dyn Write) -> Result<i32, String> {
     // contract.
     let progress = FleetProgress::new(images.len(), worker_count, &config_tag);
     for e in plan.iter().flatten() {
-        progress.note_resumed(match e.outcome {
-            dtaint_store::JournalOutcome::Error => FleetOutcome::Failed,
-            dtaint_store::JournalOutcome::Timeout => FleetOutcome::Timeout,
-            dtaint_store::JournalOutcome::Ok => FleetOutcome::Ok,
-        });
+        progress.note_resumed(e.outcome);
     }
     let write_heartbeat = |hb: &Heartbeat| {
         if let Ok(json) = serde_json::to_string_pretty(hb) {
@@ -1308,106 +1246,54 @@ fn cmd_batch(rest: &[String], out: &mut dyn Write) -> Result<i32, String> {
     let batch_clock = dtaint_telemetry::Clock::new();
 
     // Commits one freshly-scanned image durably, in order: report →
-    // cache snapshot → journal append. The journal append is the commit
-    // point — a crash before it re-scans the image on resume, a crash
-    // after it replays the entry, and the per-image cache snapshot
-    // keeps a resumed run's warm state identical to an uninterrupted
-    // one's.
-    let commit =
-        |j: &ImageJob, oc: &ImageOutcome, cap: &ScanCapture| -> Result<FoldInput, String> {
-            let mut report_name = None;
-            let mut findings: Vec<dtaint_store::ScanFinding> = Vec::new();
-            if oc.error.is_none() {
-                // One report file per image: a single JSON object when the
-                // image holds one executable (the common case, `diff`-able
-                // as-is), else a JSON array.
-                let texts: Result<Vec<String>, String> =
-                    oc.reports.iter().map(|r| r.to_json().map_err(|e| e.to_string())).collect();
-                let texts = texts?;
-                let doc = if texts.len() == 1 {
-                    texts[0].clone()
-                } else {
-                    format!("[\n{}\n]", texts.join(",\n"))
-                };
-                let report_path = reports_dir.join(format!("{}.json", j.name));
-                dtaint_store::atomic_write(store.fs(), &report_path, doc.as_bytes())
-                    .map_err(|e| format!("write {}: {e}", report_path.display()))?;
-                report_name = Some(format!("{}.json", j.name));
+    // audit file → cache snapshot → journal append, and returns the
+    // entry for the fold. The journal append is the commit point — a
+    // crash before it re-scans the image on resume, a crash after it
+    // replays the entry, and the per-image cache snapshot keeps a
+    // resumed run's warm state identical to an uninterrupted one's.
+    let commit = |entry: dtaint_store::JournalEntry,
+                  reports: &[AnalysisReport],
+                  snapshot: Option<&CacheSnapshot>|
+     -> Result<dtaint_store::JournalEntry, String> {
+        if let Some(report_name) = &entry.report {
+            // One report file per image: a single JSON object when the
+            // image holds one executable (the common case, `diff`-able
+            // as-is), else a JSON array.
+            let texts: Result<Vec<String>, String> =
+                reports.iter().map(|r| r.to_json().map_err(|e| e.to_string())).collect();
+            let texts = texts?;
+            let doc = if texts.len() == 1 {
+                texts[0].clone()
+            } else {
+                format!("[\n{}\n]", texts.join(",\n"))
+            };
+            let report_path = reports_dir.join(report_name);
+            dtaint_store::atomic_write(store.fs(), &report_path, doc.as_bytes())
+                .map_err(|e| format!("write {}: {e}", report_path.display()))?;
 
-                // The per-image decision log, durable before the journal
-                // commit point so a replayed image always has its audit
-                // file on disk.
-                if let Some(adir) = &audit_dir {
-                    let decisions: Vec<dtaint_telemetry::Decision> =
-                        oc.reports.iter().flat_map(|r| r.decisions.iter().cloned()).collect();
-                    let audit_path = adir.join(format!("{}.audit.jsonl", j.name));
-                    dtaint_store::atomic_write(
-                        store.fs(),
-                        &audit_path,
-                        dtaint_telemetry::export_audit_jsonl(&decisions).as_bytes(),
-                    )
-                    .map_err(|e| format!("write {}: {e}", audit_path.display()))?;
-                }
-
-                // One exemplar per fingerprint, vulnerable winning over
-                // sanitized (the `diff` convention), before the store fold.
-                let mut by_fp: std::collections::BTreeMap<&str, dtaint_store::ScanFinding> =
-                    std::collections::BTreeMap::new();
-                for f in oc.reports.iter().flat_map(|r| &r.findings) {
-                    let entry = by_fp.entry(f.fingerprint.as_str()).or_insert_with(|| {
-                        dtaint_store::ScanFinding {
-                            fingerprint: f.fingerprint.clone(),
-                            vulnerable: false,
-                            sink: f.sink.clone(),
-                            sink_fn: f.sink_fn.clone(),
-                        }
-                    });
-                    entry.vulnerable |= !f.sanitized();
-                }
-                findings = by_fp.into_values().collect();
+            // The per-image decision log, durable before the journal
+            // commit point so a replayed image always has its audit
+            // file on disk.
+            if let Some(adir) = &audit_dir {
+                let decisions: Vec<dtaint_telemetry::Decision> =
+                    reports.iter().flat_map(|r| r.decisions.iter().cloned()).collect();
+                let audit_path = adir.join(format!("{}.audit.jsonl", entry.image));
+                dtaint_store::atomic_write(
+                    store.fs(),
+                    &audit_path,
+                    dtaint_telemetry::export_audit_jsonl(&decisions).as_bytes(),
+                )
+                .map_err(|e| format!("write {}: {e}", audit_path.display()))?;
             }
-            if let Some(snap) = &cap.snapshot {
-                persist_snapshot(snap)?;
-            }
-            store
-                .append_journal(&dtaint_store::JournalEntry {
-                    v: dtaint_store::JOURNAL_VERSION,
-                    image: j.name.clone(),
-                    content: j.content.clone(),
-                    config: config_tag.clone(),
-                    report: report_name,
-                    outcome: if oc.timeout {
-                        dtaint_store::JournalOutcome::Timeout
-                    } else if oc.error.is_some() {
-                        dtaint_store::JournalOutcome::Error
-                    } else {
-                        dtaint_store::JournalOutcome::Ok
-                    },
-                    error: oc.error.clone(),
-                    binaries: oc.reports.len(),
-                    findings: findings.clone(),
-                    sym_hits: cap.sym_hits,
-                    sym_misses: cap.sym_misses,
-                    ddg_hits: cap.ddg_hits,
-                    ddg_misses: cap.ddg_misses,
-                    invalidations: cap.invalidations,
-                    metrics: cap.metrics.clone(),
-                })
-                .map_err(|e| format!("write {}: {e}", store.journal_path().display()))?;
-            Ok(FoldInput {
-                name: j.name.clone(),
-                binaries: oc.reports.len(),
-                findings,
-                error: oc.error.clone(),
-                timeout: oc.timeout,
-                sym_hits: cap.sym_hits,
-                sym_misses: cap.sym_misses,
-                ddg_hits: cap.ddg_hits,
-                ddg_misses: cap.ddg_misses,
-                invalidations: cap.invalidations,
-                metrics: cap.metrics.clone(),
-            })
-        };
+        }
+        if let Some(snap) = snapshot {
+            persist_snapshot(snap)?;
+        }
+        store
+            .append_journal(&entry)
+            .map_err(|e| format!("write {}: {e}", store.journal_path().display()))?;
+        Ok(entry)
+    };
 
     // Work-stealing across the un-journaled images: workers pull the
     // next index and send outcomes back; the main thread commits them
@@ -1416,8 +1302,13 @@ fn cmd_batch(rest: &[String], out: &mut dyn Write) -> Result<i32, String> {
     let next = std::sync::atomic::AtomicUsize::new(0);
     // The reporter's stop flag and the condvar that wakes it on stop.
     let stop_reporter = (std::sync::Mutex::new(false), std::sync::Condvar::new());
-    let (txo, rxo) = std::sync::mpsc::channel::<(usize, ImageOutcome, ScanCapture)>();
-    let mut folds: Vec<FoldInput> = Vec::with_capacity(images.len());
+    // A scanned image on its way to the commit: its entry, the reports
+    // to write, the cache snapshot to persist and its scheduler span for
+    // `--trace-chrome` (wall-clock; never journaled).
+    type Scanned =
+        (dtaint_store::JournalEntry, Vec<AnalysisReport>, Option<CacheSnapshot>, SpanEvent);
+    let (txo, rxo) = std::sync::mpsc::channel::<(usize, Scanned)>();
+    let mut entries: Vec<dtaint_store::JournalEntry> = Vec::with_capacity(images.len());
     let mut span_events: Vec<SpanEvent> = Vec::new();
     let mut commit_err: Option<String> = None;
     std::thread::scope(|s| {
@@ -1426,6 +1317,7 @@ fn cmd_batch(rest: &[String], out: &mut dyn Write) -> Result<i32, String> {
         let cache = &cache;
         let durable_generation = &durable_generation;
         let drill_stall = &drill_stall;
+        let config_tag = &config_tag;
         let next = &next;
         let progress = &progress;
         let stop_reporter = &stop_reporter;
@@ -1445,7 +1337,7 @@ fn cmd_batch(rest: &[String], out: &mut dyn Write) -> Result<i32, String> {
                 let j = &images[i];
                 progress.start_image(widx, &j.name);
                 let span_start = batch_clock.now_us();
-                let oc = scan_with_deadline(
+                let scan = scan_with_deadline(
                     j.path.clone(),
                     j.name.clone(),
                     cache.clone(),
@@ -1455,59 +1347,39 @@ fn cmd_batch(rest: &[String], out: &mut dyn Write) -> Result<i32, String> {
                     drill_stall.as_deref() == Some(j.name.as_str()),
                     deadline_secs,
                 );
-                // Capture the cache state *now*, before this worker's
-                // next scan can disturb it — the commit on the main
-                // thread may run arbitrarily later.
-                let mut cap =
-                    capture_cache(cache.as_ref(), durable_generation().max(captured), &oc);
-                if let Some(snap) = &cap.snapshot {
+                // Take the snapshot and build the entry *now*, before
+                // this worker's next scan can disturb the cache — the
+                // commit on the main thread may run arbitrarily later.
+                // The snapshot is taken only when the cache grew past
+                // the newest one on disk and past this worker's last.
+                let snapshot = cache
+                    .as_ref()
+                    .and_then(|c| c.snapshot_newer_than(durable_generation().max(captured)));
+                if let Some(snap) = &snapshot {
                     captured = Some(snap.generation);
                 }
-                let outcome = if oc.timeout {
-                    FleetOutcome::Timeout
-                } else if oc.error.is_some() {
-                    FleetOutcome::Failed
-                } else {
-                    FleetOutcome::Ok
-                };
-                cap.span = Some(SpanEvent {
+                let (entry, reports) = journal_entry(j, config_tag, cache.as_ref(), scan);
+                let span = SpanEvent {
                     name: j.name.clone(),
                     cat: "image".into(),
                     lane: widx as u32 + 1,
                     start_us: span_start,
                     dur_us: batch_clock.now_us().saturating_sub(span_start),
                     args: [
-                        ("binaries".to_owned(), oc.reports.len() as u64),
+                        ("binaries".to_owned(), entry.binaries as u64),
                         (
                             "findings".to_owned(),
-                            oc.reports.iter().map(|r| r.findings.len() as u64).sum(),
+                            reports.iter().map(|r| r.findings.len() as u64).sum(),
                         ),
-                        ("sym_hits".to_owned(), cap.sym_hits),
-                        ("ddg_hits".to_owned(), cap.ddg_hits),
-                        (
-                            "outcome".to_owned(),
-                            match outcome {
-                                FleetOutcome::Ok => 0,
-                                FleetOutcome::Failed => 1,
-                                FleetOutcome::Timeout => 2,
-                            },
-                        ),
+                        ("sym_hits".to_owned(), entry.sym_hits),
+                        ("ddg_hits".to_owned(), entry.ddg_hits),
+                        ("outcome".to_owned(), entry.outcome as u64),
                     ]
                     .into_iter()
                     .collect(),
-                });
-                progress.finish_image(
-                    widx,
-                    outcome,
-                    &ImageCacheStats {
-                        sym_hits: cap.sym_hits,
-                        sym_misses: cap.sym_misses,
-                        ddg_hits: cap.ddg_hits,
-                        ddg_misses: cap.ddg_misses,
-                        invalidations: cap.invalidations,
-                    },
-                );
-                let _ = txo.send((i, oc, cap));
+                };
+                progress.finish_image(widx, entry.outcome, entry.cache());
+                let _ = txo.send((i, (entry, reports, snapshot, span)));
             });
         }
         drop(txo);
@@ -1539,20 +1411,20 @@ fn cmd_batch(rest: &[String], out: &mut dyn Write) -> Result<i32, String> {
                 eprint!("\r\x1b[K");
             }
         });
-        let mut pending: std::collections::BTreeMap<usize, (ImageOutcome, ScanCapture)> =
+        let mut pending: std::collections::BTreeMap<usize, Scanned> =
             std::collections::BTreeMap::new();
-        'commit: for (i, j) in images.iter().enumerate() {
-            let fold = match plan[i] {
-                Some(entry) => FoldInput::from_journal(entry),
+        'commit: for (i, planned) in plan.iter().enumerate() {
+            let entry = match planned {
+                Some(entry) => (*entry).clone(),
                 None => {
-                    let (oc, cap) = loop {
+                    let (entry, reports, snapshot, span) = loop {
                         if let Some(got) = pending.remove(&i) {
                             break got;
                         }
                         match rxo.recv() {
-                            Ok((k, oc, cap)) if k == i => break (oc, cap),
-                            Ok((k, oc, cap)) => {
-                                pending.insert(k, (oc, cap));
+                            Ok((k, got)) if k == i => break got,
+                            Ok((k, got)) => {
+                                pending.insert(k, got);
                             }
                             Err(_) => {
                                 commit_err = Some("batch: a scan worker died".into());
@@ -1560,11 +1432,9 @@ fn cmd_batch(rest: &[String], out: &mut dyn Write) -> Result<i32, String> {
                             }
                         }
                     };
-                    if let Some(sp) = &cap.span {
-                        span_events.push(sp.clone());
-                    }
-                    match commit(j, &oc, &cap) {
-                        Ok(f) => f,
+                    span_events.push(span);
+                    match commit(entry, &reports, snapshot.as_ref()) {
+                        Ok(entry) => entry,
                         Err(e) => {
                             commit_err = Some(format!("batch: {e}"));
                             break 'commit;
@@ -1572,7 +1442,7 @@ fn cmd_batch(rest: &[String], out: &mut dyn Write) -> Result<i32, String> {
                     }
                 }
             };
-            folds.push(fold);
+            entries.push(entry);
         }
         *stop_reporter.0.lock().expect("the reporter panicked holding the stop flag") = true;
         stop_reporter.1.notify_all();
@@ -1582,71 +1452,46 @@ fn cmd_batch(rest: &[String], out: &mut dyn Write) -> Result<i32, String> {
     }
 
     // Deterministic fold, in sorted-image order: record findings and
-    // aggregate the corpus summary. Because resumed images replay the
-    // exact fold inputs their original scan journaled, the database and
-    // `corpus.json` come out byte-identical to an uninterrupted run.
+    // aggregate the corpus summary. A resumed image folds the entry its
+    // original scan journaled, so the database and `corpus.json` come
+    // out byte-identical to an uninterrupted run.
     let mut summary = CorpusSummary {
-        generation: 0,
-        images: Vec::new(),
-        failures: 0,
-        timeouts: 0,
-        regressions: 0,
-        vulnerable: 0,
-        sym_hits: 0,
-        sym_misses: 0,
-        ddg_hits: 0,
-        ddg_misses: 0,
-        invalidations: 0,
-        duplicates_suppressed: 0,
-        infeasible_suppressed: 0,
-        cache_entries: 0,
         cache_salvaged: cache_report.map_or(0, |r| r.salvaged),
         cache_discarded: cache_report.map_or(0, |r| r.discarded),
-        metrics: MetricsRegistry::default(),
+        ..Default::default()
     };
+    let mut traffic = ImageCacheStats::default();
     let mut baselines = 0usize;
     let mut totals_new = 0usize;
     let mut totals_reopened = 0usize;
     let mut totals_resolved = 0usize;
-    for fi in folds {
+    for e in entries {
         // The corpus rollup folds every image's report registry in
         // sorted-image order; gauges sum, so the result is independent
         // of worker scheduling and identical under `--resume`.
-        summary.metrics.merge_summing_gauges(&fi.metrics);
-        summary.invalidations += fi.invalidations;
-        if let Some(err) = fi.error {
+        summary.metrics.merge_summing_gauges(&e.metrics);
+        let cache = e.cache();
+        traffic += cache;
+        if let Some(err) = e.error {
             // Failed and timed-out images never fold findings into the
             // database — a partial scan must not resolve or baseline
             // anything.
-            if fi.timeout {
+            let timeout = e.outcome == ImageOutcome::Timeout;
+            if timeout {
                 summary.timeouts += 1;
             } else {
                 summary.failures += 1;
             }
-            write_out(out, &format!("!! {}: {err}\n", fi.name))?;
+            write_out(out, &format!("!! {}: {err}\n", e.image))?;
             summary.images.push(CorpusImage {
-                name: fi.name,
-                binaries: 0,
-                findings: 0,
-                vulnerable: 0,
-                baseline: false,
-                new: 0,
-                reopened: 0,
-                resolved: 0,
-                regression: false,
-                sym_hits: 0,
-                sym_misses: 0,
-                ddg_hits: 0,
-                ddg_misses: 0,
-                invalidations: 0,
-                duplicates_suppressed: 0,
-                infeasible_suppressed: 0,
-                timeout: fi.timeout,
-                error: Some(err.clone()),
+                name: e.image,
+                timeout,
+                error: Some(err),
+                ..Default::default()
             });
             continue;
         }
-        let delta = db.record_scan(&fi.name, &fi.findings);
+        let delta = db.record_scan(&e.image, &e.findings);
         baselines += usize::from(delta.is_baseline);
         totals_new += delta.new.len();
         totals_reopened += delta.reopened.len();
@@ -1654,28 +1499,25 @@ fn cmd_batch(rest: &[String], out: &mut dyn Write) -> Result<i32, String> {
         // Suppression counters come from the journaled report registry,
         // so a resumed image surfaces the same numbers a fresh scan
         // would.
-        let duplicates_suppressed = fi.metrics.counter("detect.duplicates_suppressed");
-        let infeasible_suppressed = fi.metrics.counter("detect.infeasible_suppressed")
-            + fi.metrics.counter("ddg.pruned_infeasible");
         let img = CorpusImage {
-            name: fi.name,
-            binaries: fi.binaries,
-            findings: fi.findings.len(),
-            vulnerable: fi.findings.iter().filter(|f| f.vulnerable).count(),
+            name: e.image,
+            binaries: e.binaries,
+            findings: e.findings.len(),
+            vulnerable: e.findings.iter().filter(|f| f.vulnerable).count(),
             baseline: delta.is_baseline,
             new: delta.new.len(),
             reopened: delta.reopened.len(),
             resolved: delta.resolved.len(),
             regression: delta.is_regression(),
-            sym_hits: fi.sym_hits,
-            sym_misses: fi.sym_misses,
-            ddg_hits: fi.ddg_hits,
-            ddg_misses: fi.ddg_misses,
-            invalidations: fi.invalidations,
-            duplicates_suppressed,
-            infeasible_suppressed,
-            timeout: false,
-            error: None,
+            sym_hits: cache.sym_hits,
+            sym_misses: cache.sym_misses,
+            ddg_hits: cache.ddg_hits,
+            ddg_misses: cache.ddg_misses,
+            invalidations: cache.invalidations,
+            duplicates_suppressed: e.metrics.counter("detect.duplicates_suppressed"),
+            infeasible_suppressed: e.metrics.counter("detect.infeasible_suppressed")
+                + e.metrics.counter("ddg.pruned_infeasible"),
+            ..Default::default()
         };
         let status = if delta.is_baseline {
             "baseline".to_owned()
@@ -1692,31 +1534,26 @@ fn cmd_batch(rest: &[String], out: &mut dyn Write) -> Result<i32, String> {
         write_out(
             out,
             &format!(
-                "== {}: {} binarie(s), {} finding(s), {} vulnerable, cache sym {}/{} ddg {}/{} inv {} dup {} inf {} [{}]\n",
+                "== {}: {} binarie(s), {} finding(s), {} vulnerable, cache {cache} dup {} inf {} [{status}]\n",
                 img.name,
                 img.binaries,
                 img.findings,
                 img.vulnerable,
-                img.sym_hits,
-                img.sym_hits + img.sym_misses,
-                img.ddg_hits,
-                img.ddg_hits + img.ddg_misses,
-                img.invalidations,
                 img.duplicates_suppressed,
                 img.infeasible_suppressed,
-                status,
             ),
         )?;
         summary.vulnerable += img.vulnerable;
         summary.regressions += usize::from(img.regression);
-        summary.sym_hits += img.sym_hits;
-        summary.sym_misses += img.sym_misses;
-        summary.ddg_hits += img.ddg_hits;
-        summary.ddg_misses += img.ddg_misses;
         summary.duplicates_suppressed += img.duplicates_suppressed;
         summary.infeasible_suppressed += img.infeasible_suppressed;
         summary.images.push(img);
     }
+    summary.sym_hits = traffic.sym_hits;
+    summary.sym_misses = traffic.sym_misses;
+    summary.ddg_hits = traffic.ddg_hits;
+    summary.ddg_misses = traffic.ddg_misses;
+    summary.invalidations = traffic.invalidations;
     summary.generation = db.generation;
     if let Some(c) = &cache {
         summary.cache_entries = c.totals().entries;
@@ -1753,11 +1590,11 @@ fn cmd_batch(rest: &[String], out: &mut dyn Write) -> Result<i32, String> {
         export.set_gauge("batch.regressions", summary.regressions as u64);
         export.set_gauge("batch.vulnerable", summary.vulnerable as u64);
         export.set_gauge("batch.cache_entries", summary.cache_entries as u64);
-        export.inc("batch.cache.sym_hits", summary.sym_hits);
-        export.inc("batch.cache.sym_misses", summary.sym_misses);
-        export.inc("batch.cache.ddg_hits", summary.ddg_hits);
-        export.inc("batch.cache.ddg_misses", summary.ddg_misses);
-        export.inc("batch.cache.invalidations", summary.invalidations);
+        export.inc("batch.cache.sym_hits", traffic.sym_hits);
+        export.inc("batch.cache.sym_misses", traffic.sym_misses);
+        export.inc("batch.cache.ddg_hits", traffic.ddg_hits);
+        export.inc("batch.cache.ddg_misses", traffic.ddg_misses);
+        export.inc("batch.cache.invalidations", traffic.invalidations);
         std::fs::write(dest, export_prometheus(&export, "dtaint_"))
             .map_err(|e| format!("write {dest}: {e}"))?;
         log::info(&format!("wrote Prometheus textfile to {dest}"));
@@ -1808,11 +1645,11 @@ fn cmd_batch(rest: &[String], out: &mut dyn Write) -> Result<i32, String> {
         resolved: totals_resolved,
         regressions: summary.regressions,
         open_vulnerable: db.open_vulnerable(),
-        sym_hits: summary.sym_hits,
-        sym_misses: summary.sym_misses,
-        ddg_hits: summary.ddg_hits,
-        ddg_misses: summary.ddg_misses,
-        invalidations: summary.invalidations,
+        sym_hits: traffic.sym_hits,
+        sym_misses: traffic.sym_misses,
+        ddg_hits: traffic.ddg_hits,
+        ddg_misses: traffic.ddg_misses,
+        invalidations: traffic.invalidations,
         cache_entries: summary.cache_entries,
         journal_discarded: prior.discarded_lines,
     };
@@ -1831,17 +1668,12 @@ fn cmd_batch(rest: &[String], out: &mut dyn Write) -> Result<i32, String> {
     write_out(
         out,
         &format!(
-            "corpus: {} image(s), {} vulnerable finding(s), {} regression(s), {} failure(s){}; cache sym {}/{} ddg {}/{} inv {} ({} entries)\n",
+            "corpus: {} image(s), {} vulnerable finding(s), {} regression(s), {} failure(s){}; cache {traffic} ({} entries)\n",
             summary.images.len(),
             summary.vulnerable,
             summary.regressions,
             summary.failures,
             timeouts_note,
-            summary.sym_hits,
-            summary.sym_hits + summary.sym_misses,
-            summary.ddg_hits,
-            summary.ddg_hits + summary.ddg_misses,
-            summary.invalidations,
             summary.cache_entries,
         ),
     )?;
@@ -1946,9 +1778,9 @@ fn cmd_status(rest: &[String], out: &mut dyn Write) -> Result<i32, String> {
         let mut timed_out: Vec<&str> = Vec::new();
         for (name, e) in &last {
             let outcome = match e.outcome {
-                dtaint_store::JournalOutcome::Ok => "ok",
-                dtaint_store::JournalOutcome::Error => "error",
-                dtaint_store::JournalOutcome::Timeout => {
+                ImageOutcome::Ok => "ok",
+                ImageOutcome::Error => "error",
+                ImageOutcome::Timeout => {
                     timed_out.push(name);
                     "timeout"
                 }
@@ -2163,8 +1995,8 @@ fn cmd_gen(rest: &[String], out: &mut dyn Write) -> Result<i32, String> {
 }
 
 fn cmd_corpus(rest: &[String], out: &mut dyn Write) -> Result<i32, String> {
-    let n = flag_value(rest, "--n").and_then(|v| v.parse().ok()).unwrap_or(2000);
-    let seed = flag_value(rest, "--seed").and_then(|v| v.parse().ok()).unwrap_or(7);
+    let n = flag_number(rest, "corpus", "--n", 2000)?;
+    let seed = flag_number(rest, "corpus", "--seed", 7)?;
     let corpus = generate_corpus(&CorpusConfig { n_images: n, seed, ..Default::default() });
     let stats = triage(&corpus);
     write_out(out, "year  total  unpacked  emulated\n")?;
@@ -2292,6 +2124,26 @@ mod tests {
         assert_eq!(body(&seq), body(&par));
         let (code, _) = run_captured(&["scan", &p, "--threads", "zero"]);
         assert!(code.is_err());
+    }
+
+    #[test]
+    fn non_numeric_values_of_numeric_flags_are_usage_errors() {
+        let dir = tmpdir().join("numeric-flags");
+        std::fs::create_dir_all(&dir).unwrap();
+        let d = dir.to_str().unwrap();
+        for (args, err) in [
+            (vec!["scan", "fw.bin", "--threads", "zero"], "scan: --threads expects a number"),
+            (vec!["batch", d, "--jobs", "two"], "batch: --jobs expects a number"),
+            (vec!["batch", d, "--threads", "1.5"], "batch: --threads expects a number"),
+            (vec!["batch", d, "--deadline-secs", "-1"], "batch: --deadline-secs expects a number"),
+            (vec!["corpus", "--n", "abc"], "corpus: --n expects a number"),
+            (vec!["corpus", "--seed", "7x"], "corpus: --seed expects a number"),
+        ] {
+            assert_eq!(run_captured(&args).0, Err(err.to_owned()), "{args:?}");
+        }
+        let (code, out) = run_captured(&["corpus", "--n", "20", "--seed", "3"]);
+        assert_eq!(code, Ok(0), "{out}");
+        assert!(out.contains("emulation success"), "{out}");
     }
 
     #[test]

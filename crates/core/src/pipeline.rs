@@ -396,50 +396,34 @@ impl Dtaint {
         // observations from different holders; this catches findings
         // that are identical in every field (usually zero). Both counts
         // feed the `detect.duplicates_suppressed` counter. Under audit
-        // the structural pass is replaced by a capturing dedup so every
-        // suppressed duplicate still yields a Decision record — the
-        // retained order and counts are identical to `dedup_findings`.
+        // every suppressed duplicate also yields a Decision record.
+        let audit = self.config.audit;
         let duplicates_suppressed = outcome.duplicates_suppressed
-            + if self.config.audit {
-                let mut removed: Vec<(String, u32, String, String)> = Vec::new();
-                outcome.findings.dedup_by(|dup, kept| {
-                    let same = dup == kept;
-                    if same {
-                        removed.push((
-                            dup.observed_in.clone(),
-                            dup.sink_ins,
-                            dup.sink.clone(),
-                            kept.fingerprint.clone(),
-                        ));
-                    }
-                    same
-                });
-                for (observed_in, sink_ins, sink, fingerprint) in &removed {
-                    // The observing function's address is not on the
-                    // finding; resolve it back through the name map.
-                    let addr = fn_names
-                        .iter()
-                        .filter(|(_, n)| *n == observed_in)
-                        .map(|(&a, _)| a)
-                        .min()
-                        .unwrap_or(0);
-                    outcome.decisions.push(
-                        dtaint_telemetry::Decision::new(
-                            dtaint_telemetry::DecisionKind::DuplicateSuppressed,
-                            "detect",
-                            observed_in,
-                            addr,
-                            dtaint_telemetry::DecisionReason::Duplicate {
-                                fingerprint: fingerprint.clone(),
-                            },
-                        )
-                        .at_sink(*sink_ins, sink),
-                    );
+            + report::dedup_findings_with(&mut outcome.findings, |dup, kept| {
+                if !audit {
+                    return;
                 }
-                removed.len()
-            } else {
-                report::dedup_findings(&mut outcome.findings)
-            };
+                // The observing function's address is not on the
+                // finding; resolve it back through the name map.
+                let addr = fn_names
+                    .iter()
+                    .filter(|(_, n)| **n == dup.observed_in)
+                    .map(|(&a, _)| a)
+                    .min()
+                    .unwrap_or(0);
+                outcome.decisions.push(
+                    dtaint_telemetry::Decision::new(
+                        dtaint_telemetry::DecisionKind::DuplicateSuppressed,
+                        "detect",
+                        &dup.observed_in,
+                        addr,
+                        dtaint_telemetry::DecisionReason::Duplicate {
+                            fingerprint: kept.fingerprint.clone(),
+                        },
+                    )
+                    .at_sink(dup.sink_ins, &dup.sink),
+                );
+            });
         for &addr in &outcome.failed_holders {
             if self.config.fail_fast {
                 return Err(dtaint_fwbin::Error::BadFormat(format!(

@@ -174,8 +174,23 @@ pub fn sort_findings(findings: &mut [Finding]) {
 /// suppressed. Expects the canonically sorted order produced by
 /// [`sort_findings`], under which identical findings are adjacent.
 pub fn dedup_findings(findings: &mut Vec<Finding>) -> usize {
+    dedup_findings_with(findings, |_, _| {})
+}
+
+/// [`dedup_findings`], calling `suppressed(dup, kept)` for each dropped
+/// finding, in order.
+pub fn dedup_findings_with(
+    findings: &mut Vec<Finding>,
+    mut suppressed: impl FnMut(&Finding, &Finding),
+) -> usize {
     let before = findings.len();
-    findings.dedup();
+    findings.dedup_by(|dup, kept| {
+        let same = dup == kept;
+        if same {
+            suppressed(dup, kept);
+        }
+        same
+    });
     before - findings.len()
 }
 
@@ -949,5 +964,14 @@ mod tests {
         assert_eq!(dedup_findings(&mut v), 1);
         assert_eq!(v.len(), 3);
         assert!(!v[0].sanitized() && v[2].sanitized());
+        // The capturing form sees each dropped duplicate beside the
+        // finding it duplicates.
+        let mut w = vec![vuln_a.clone(), vuln_a.clone(), vuln_a.clone(), sane.clone()];
+        let mut dropped = 0;
+        let n = dedup_findings_with(&mut w, |dup, kept| {
+            assert_eq!((dup, kept), (&vuln_a, &vuln_a));
+            dropped += 1;
+        });
+        assert_eq!((n, dropped, w.len()), (2, 2, 2));
     }
 }

@@ -19,26 +19,15 @@
 //! [`crate::StoreDir::load_journal`] counts and discards.
 
 use crate::ScanFinding;
-use dtaint_telemetry::MetricsRegistry;
+pub use dtaint_telemetry::ImageOutcome as JournalOutcome;
+use dtaint_telemetry::{ImageCacheStats, MetricsRegistry};
 use serde::{Deserialize, Serialize};
-
-/// How an image's scan ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "lowercase")]
-pub enum JournalOutcome {
-    /// Scanned cleanly; `findings` are the fold inputs.
-    Ok,
-    /// The image could not be scanned (`error` says why). Final: a
-    /// resumed run does not retry it.
-    Error,
-    /// The per-image deadline expired. Not final: a resumed run
-    /// re-scans the image (wall-clock is not a property of the image).
-    Timeout,
-}
 
 /// One journal line — everything `batch` needs to fold the image into
 /// the corpus summary and findings database without re-scanning it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The scan worker builds it, the commit persists it, and the fold
+/// reads it, for fresh and replayed images alike.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct JournalEntry {
     /// Journal format version.
     pub v: u32,
@@ -76,6 +65,20 @@ pub struct JournalEntry {
     /// without re-scanning (v2).
     #[serde(default)]
     pub metrics: MetricsRegistry,
+}
+
+impl JournalEntry {
+    /// The image's cache traffic.
+    #[must_use]
+    pub fn cache(&self) -> ImageCacheStats {
+        ImageCacheStats {
+            sym_hits: self.sym_hits,
+            sym_misses: self.sym_misses,
+            ddg_hits: self.ddg_hits,
+            ddg_misses: self.ddg_misses,
+            invalidations: self.invalidations,
+        }
+    }
 }
 
 /// Current journal line version. v2 added `invalidations` and the
@@ -189,6 +192,19 @@ mod tests {
         assert_eq!(load.entries.len(), 1);
         assert_eq!(load.entries[0].invalidations, 0);
         assert_eq!(load.entries[0].metrics, MetricsRegistry::default());
+    }
+
+    #[test]
+    fn outcomes_are_spelled_as_their_variant_names() {
+        for (outcome, spelled) in [
+            (JournalOutcome::Ok, r#""outcome":"Ok""#),
+            (JournalOutcome::Error, r#""outcome":"Error""#),
+            (JournalOutcome::Timeout, r#""outcome":"Timeout""#),
+        ] {
+            let line = String::from_utf8(encode_entry(&entry("router", outcome)).unwrap()).unwrap();
+            assert!(line.contains(spelled), "{line}");
+            assert_eq!(parse_journal(line.as_bytes()).entries[0].outcome, outcome);
+        }
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! Like the journal, lines are versioned and a load discards what it
 //! cannot parse, so the format can grow without migrations.
 
+use dtaint_telemetry::ImageCacheStats;
 use serde::{Deserialize, Serialize};
 
 /// Version stamp on [`RunSummary`]; bump on schema changes.
@@ -70,13 +71,14 @@ impl RunSummary {
     /// Combined cache hit rate in `[0, 1]` (0 when no traffic).
     #[must_use]
     pub fn cache_hit_rate(&self) -> f64 {
-        let hits = self.sym_hits + self.ddg_hits;
-        let total = hits + self.sym_misses + self.ddg_misses;
-        if total == 0 {
-            0.0
-        } else {
-            hits as f64 / total as f64
+        ImageCacheStats {
+            sym_hits: self.sym_hits,
+            sym_misses: self.sym_misses,
+            ddg_hits: self.ddg_hits,
+            ddg_misses: self.ddg_misses,
+            invalidations: self.invalidations,
         }
+        .hit_rate()
     }
 }
 

@@ -22,18 +22,26 @@ use std::time::Instant;
 /// Version stamp on [`Heartbeat`]; bump on schema changes.
 pub const HEARTBEAT_VERSION: u32 = 1;
 
-/// How one image's scan ended, as counted by the tracker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FleetOutcome {
-    /// Scan completed (with or without findings).
-    Ok,
-    /// Scan failed with an error.
-    Failed,
-    /// Scan exceeded the deadline.
-    Timeout,
+/// How one image's scan ended. The one outcome type of a batch run: the
+/// scan worker, the progress tracker, the run journal (re-exported as
+/// `dtaint_store::JournalOutcome`, spelled `"Ok"`/`"Error"`/`"Timeout"`
+/// on each line) and the corpus fold all read it. The discriminant is
+/// the image span's `outcome` arg.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub enum ImageOutcome {
+    /// Scanned cleanly (with or without findings).
+    #[default]
+    Ok = 0,
+    /// The image could not be scanned. Final: a resumed run does not
+    /// retry it.
+    Error = 1,
+    /// The per-image deadline expired. Not final: a resumed run
+    /// re-scans the image (wall-clock is not a property of the image).
+    Timeout = 2,
 }
 
-/// Per-image cache traffic, reported at image completion.
+/// Cache traffic of one image or of a whole run — the one in-memory
+/// form of the five counters the serialized records spell out flat.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ImageCacheStats {
     /// Per-function symbolic-summary cache hits.
@@ -46,6 +54,47 @@ pub struct ImageCacheStats {
     pub ddg_misses: u64,
     /// Cache entries invalidated by content/config drift.
     pub invalidations: u64,
+}
+
+impl ImageCacheStats {
+    /// Fraction of hits over all cache lookups, in `[0, 1]` (0 when
+    /// there were none).
+    #[must_use]
+    pub fn hit_rate(&self) -> f64 {
+        let hits = self.sym_hits + self.ddg_hits;
+        let total = hits + self.sym_misses + self.ddg_misses;
+        if total == 0 {
+            0.0
+        } else {
+            hits as f64 / total as f64
+        }
+    }
+}
+
+impl std::ops::AddAssign for ImageCacheStats {
+    fn add_assign(&mut self, o: ImageCacheStats) {
+        self.sym_hits += o.sym_hits;
+        self.sym_misses += o.sym_misses;
+        self.ddg_hits += o.ddg_hits;
+        self.ddg_misses += o.ddg_misses;
+        self.invalidations += o.invalidations;
+    }
+}
+
+/// `sym H/N ddg H/N inv I`: hits over lookups per level, then
+/// invalidations.
+impl std::fmt::Display for ImageCacheStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "sym {}/{} ddg {}/{} inv {}",
+            self.sym_hits,
+            self.sym_hits + self.sym_misses,
+            self.ddg_hits,
+            self.ddg_hits + self.ddg_misses,
+            self.invalidations
+        )
+    }
 }
 
 /// One worker's slot in a heartbeat: what it is scanning and for how
@@ -112,17 +161,6 @@ pub struct Heartbeat {
 }
 
 impl Heartbeat {
-    /// Fraction of hits over all cache lookups (0 when none).
-    fn hit_rate(sym_hits: u64, sym_misses: u64, ddg_hits: u64, ddg_misses: u64) -> f64 {
-        let hits = sym_hits + ddg_hits;
-        let total = hits + sym_misses + ddg_misses;
-        if total == 0 {
-            0.0
-        } else {
-            hits as f64 / total as f64
-        }
-    }
-
     /// One-line human rendering for the TTY status line.
     pub fn render_line(&self) -> String {
         let pct =
@@ -165,11 +203,9 @@ fn format_secs(secs: u64) -> String {
 /// Mutable progress state behind the [`FleetProgress`] mutex.
 #[derive(Debug)]
 struct FleetInner {
-    done: usize,
     resumed: usize,
-    ok: usize,
-    failed: usize,
-    timeouts: usize,
+    /// Committed images per [`ImageOutcome`], indexed by discriminant.
+    outcomes: [usize; 3],
     cache: ImageCacheStats,
     /// Per-worker `(current image, start time)`.
     workers: Vec<(Option<String>, Instant)>,
@@ -197,11 +233,8 @@ impl FleetProgress {
             config: config.to_owned(),
             total,
             inner: Mutex::new(FleetInner {
-                done: 0,
                 resumed: 0,
-                ok: 0,
-                failed: 0,
-                timeouts: 0,
+                outcomes: [0; 3],
                 cache: ImageCacheStats::default(),
                 workers: vec![(None, Instant::now()); workers],
             }),
@@ -210,15 +243,10 @@ impl FleetProgress {
 
     /// Records one image replayed from the journal (counts toward
     /// `done` but not toward the throughput rate).
-    pub fn note_resumed(&self, outcome: FleetOutcome) {
+    pub fn note_resumed(&self, outcome: ImageOutcome) {
         let mut g = self.inner.lock().unwrap();
-        g.done += 1;
         g.resumed += 1;
-        match outcome {
-            FleetOutcome::Ok => g.ok += 1,
-            FleetOutcome::Failed => g.failed += 1,
-            FleetOutcome::Timeout => g.timeouts += 1,
-        }
+        g.outcomes[outcome as usize] += 1;
     }
 
     /// Marks worker `worker` (0-based) as scanning `image`.
@@ -230,36 +258,28 @@ impl FleetProgress {
     }
 
     /// Records a fresh scan finishing on worker `worker`.
-    pub fn finish_image(&self, worker: usize, outcome: FleetOutcome, cache: &ImageCacheStats) {
+    pub fn finish_image(&self, worker: usize, outcome: ImageOutcome, cache: ImageCacheStats) {
         let mut g = self.inner.lock().unwrap();
         if let Some(slot) = g.workers.get_mut(worker) {
             slot.0 = None;
         }
-        g.done += 1;
-        match outcome {
-            FleetOutcome::Ok => g.ok += 1,
-            FleetOutcome::Failed => g.failed += 1,
-            FleetOutcome::Timeout => g.timeouts += 1,
-        }
-        g.cache.sym_hits += cache.sym_hits;
-        g.cache.sym_misses += cache.sym_misses;
-        g.cache.ddg_hits += cache.ddg_hits;
-        g.cache.ddg_misses += cache.ddg_misses;
-        g.cache.invalidations += cache.invalidations;
+        g.outcomes[outcome as usize] += 1;
+        g.cache += cache;
     }
 
     /// A point-in-time snapshot with the given `phase`.
     pub fn heartbeat(&self, phase: &str) -> Heartbeat {
         let g = self.inner.lock().unwrap();
         let elapsed = self.started.elapsed().as_secs_f64();
-        let fresh = g.done.saturating_sub(g.resumed);
+        let done: usize = g.outcomes.iter().sum();
+        let fresh = done.saturating_sub(g.resumed);
         // Zero freshly-scanned images (a warm `--resume` run replaying
         // everything from the journal) must yield a finite zero rate and
         // an unknown ETA — never a division by zero or an inf/NaN that
         // would poison the heartbeat JSON.
         let raw_rate = if elapsed > 0.0 && fresh > 0 { fresh as f64 / elapsed } else { 0.0 };
         let rate = if raw_rate.is_finite() { raw_rate } else { 0.0 };
-        let remaining = self.total.saturating_sub(g.done);
+        let remaining = self.total.saturating_sub(done);
         let eta_secs = if remaining == 0 {
             Some(0)
         } else if rate > 0.0 {
@@ -288,11 +308,11 @@ impl FleetProgress {
             phase: phase.to_owned(),
             config: self.config.clone(),
             total: self.total,
-            done: g.done,
+            done,
             resumed: g.resumed,
-            ok: g.ok,
-            failed: g.failed,
-            timeouts: g.timeouts,
+            ok: g.outcomes[ImageOutcome::Ok as usize],
+            failed: g.outcomes[ImageOutcome::Error as usize],
+            timeouts: g.outcomes[ImageOutcome::Timeout as usize],
             elapsed_secs: elapsed,
             images_per_sec: rate,
             eta_secs,
@@ -301,12 +321,7 @@ impl FleetProgress {
             ddg_hits: g.cache.ddg_hits,
             ddg_misses: g.cache.ddg_misses,
             invalidations: g.cache.invalidations,
-            cache_hit_rate: Heartbeat::hit_rate(
-                g.cache.sym_hits,
-                g.cache.sym_misses,
-                g.cache.ddg_hits,
-                g.cache.ddg_misses,
-            ),
+            cache_hit_rate: g.cache.hit_rate(),
             workers,
         }
     }
@@ -319,7 +334,7 @@ mod tests {
     #[test]
     fn progress_counts_outcomes_and_cache() {
         let p = FleetProgress::new(4, 2, "alias=sse;cache=on");
-        p.note_resumed(FleetOutcome::Ok);
+        p.note_resumed(ImageOutcome::Ok);
         p.start_image(0, "alpha");
         p.start_image(1, "bravo");
         let hb = p.heartbeat("running");
@@ -333,10 +348,10 @@ mod tests {
 
         p.finish_image(
             0,
-            FleetOutcome::Ok,
-            &ImageCacheStats { sym_hits: 3, sym_misses: 1, ..Default::default() },
+            ImageOutcome::Ok,
+            ImageCacheStats { sym_hits: 3, sym_misses: 1, ..Default::default() },
         );
-        p.finish_image(1, FleetOutcome::Timeout, &ImageCacheStats::default());
+        p.finish_image(1, ImageOutcome::Timeout, ImageCacheStats::default());
         let hb = p.heartbeat("running");
         assert_eq!(hb.done, 3);
         assert_eq!(hb.ok, 2);
@@ -344,17 +359,25 @@ mod tests {
         assert_eq!(hb.sym_hits, 3);
         assert!((hb.cache_hit_rate - 0.75).abs() < 1e-9);
         assert!(hb.workers.iter().all(|w| w.image.is_none()), "slots cleared on finish");
+        let traffic = ImageCacheStats {
+            sym_hits: 3,
+            sym_misses: 1,
+            ddg_hits: 2,
+            ddg_misses: 2,
+            invalidations: 1,
+        };
+        assert_eq!(traffic.to_string(), "sym 3/4 ddg 2/4 inv 1");
     }
 
     #[test]
     fn eta_is_zero_when_done_and_absent_without_rate() {
         let p = FleetProgress::new(2, 1, "cfg");
         // Only resumed images: fresh rate is 0, ETA unknown.
-        p.note_resumed(FleetOutcome::Ok);
+        p.note_resumed(ImageOutcome::Ok);
         let hb = p.heartbeat("running");
         assert_eq!(hb.eta_secs, None);
         assert_eq!(hb.images_per_sec, 0.0);
-        p.note_resumed(FleetOutcome::Ok);
+        p.note_resumed(ImageOutcome::Ok);
         let hb = p.heartbeat("done");
         assert_eq!(hb.eta_secs, Some(0), "nothing remaining");
         assert_eq!(hb.phase, "done");
@@ -365,8 +388,8 @@ mod tests {
         // A fully warm `--resume` run: every image replays from the
         // journal, nothing is freshly scanned.
         let p = FleetProgress::new(3, 1, "cfg");
-        p.note_resumed(FleetOutcome::Ok);
-        p.note_resumed(FleetOutcome::Ok);
+        p.note_resumed(ImageOutcome::Ok);
+        p.note_resumed(ImageOutcome::Ok);
         let hb = p.heartbeat("running");
         assert!(hb.images_per_sec.is_finite());
         assert_eq!(hb.images_per_sec, 0.0, "resumed images never count toward throughput");
@@ -376,7 +399,7 @@ mod tests {
         assert!(!line.contains("inf") && !line.contains("NaN"), "line: {line}");
         // The last replay completes the batch: ETA collapses to zero
         // even though the rate is still zero.
-        p.note_resumed(FleetOutcome::Ok);
+        p.note_resumed(ImageOutcome::Ok);
         let done = p.heartbeat("done");
         assert_eq!(done.eta_secs, Some(0), "nothing remaining");
         assert!(done.images_per_sec.is_finite());
@@ -398,7 +421,7 @@ mod tests {
     fn render_line_shows_progress_and_workers() {
         let p = FleetProgress::new(10, 2, "cfg");
         p.start_image(0, "alpha");
-        p.finish_image(1, FleetOutcome::Ok, &ImageCacheStats::default());
+        p.finish_image(1, ImageOutcome::Ok, ImageCacheStats::default());
         // Re-mark worker 1 busy after the finish cleared it.
         p.start_image(1, "bravo");
         let line = p.heartbeat("running").render_line();

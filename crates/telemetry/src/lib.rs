@@ -42,7 +42,7 @@ pub mod prometheus;
 pub mod span;
 
 pub use audit::{export_audit_jsonl, Decision, DecisionKind, DecisionReason, AUDIT_VERSION};
-pub use fleet::{FleetOutcome, FleetProgress, Heartbeat, ImageCacheStats, WorkerHeartbeat};
+pub use fleet::{FleetProgress, Heartbeat, ImageCacheStats, ImageOutcome, WorkerHeartbeat};
 pub use metrics::{Histogram, MetricsRegistry, HISTOGRAM_BUCKETS};
 pub use prometheus::{export_prometheus, lint_textfile, sanitize_metric_name};
 pub use span::{export_chrome, export_jsonl, Clock, Collector, SpanEvent, TraceBuffer, TraceSpec};

@@ -152,6 +152,53 @@ fn plain_rerun_after_interrupt_discards_the_journal_and_rescans() {
     );
 }
 
+/// A failed image is final: when it is the journaled prefix of a killed
+/// run, `--resume` folds its journaled failure instead of re-scanning
+/// it, and the database and corpus summary still come out
+/// byte-identical to an uninterrupted run.
+#[test]
+fn resume_replays_a_journaled_failed_image() {
+    let dir = tmpdir("resume-failed");
+    std::fs::write(dir.join("aaa-broken.fwi"), b"not a firmware image").unwrap();
+    std::fs::write(dir.join("bravo.fwi"), image_bytes(54, false)).unwrap();
+    std::fs::write(dir.join("charlie.fwi"), image_bytes(50, true)).unwrap();
+    let d = dir.to_str().unwrap();
+    let sa = dir.join("store-a");
+    let sb = dir.join("store-b");
+
+    let (code, out) = run_captured(&["batch", d, "--store", sa.to_str().unwrap()]);
+    assert_eq!(code, Ok(4), "the broken image fails the run: {out}");
+
+    // The broken image's failure is the one committed journal line.
+    let (code, out) = run_captured(&[
+        "batch",
+        d,
+        "--store",
+        sb.to_str().unwrap(),
+        "--drill-io",
+        "kill-after-appends:1",
+    ]);
+    let err = code.expect_err("the drill must kill the run");
+    assert!(err.contains("injected kill"), "died for the drilled reason: {err}\n{out}");
+
+    let (code, out) = run_captured(&["batch", d, "--store", sb.to_str().unwrap(), "--resume"]);
+    assert_eq!(code, Ok(4), "the replayed failure still fails the run: {out}");
+    assert!(out.contains("!! aaa-broken: "), "{out}");
+    let runs = dtaint_store::parse_runs(&read(&sb.join("runs.jsonl")));
+    assert_eq!(runs.runs.last().map(|r| r.resumed), Some(1), "the failure was replayed");
+
+    assert_eq!(
+        read(&sa.join("findings.json")),
+        read(&sb.join("findings.json")),
+        "findings db diverged from the uninterrupted run"
+    );
+    assert_eq!(
+        read(&sa.join("reports/corpus.json")),
+        read(&sb.join("reports/corpus.json")),
+        "corpus summary diverged from the uninterrupted run"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Deadlines
 // ---------------------------------------------------------------------------

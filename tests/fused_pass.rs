@@ -585,6 +585,14 @@ fn fused_pass_outcomes_equal_the_staged_reference_on_the_fault_corpus() {
 /// lifters emit without a slot there would panic every function that
 /// touches it, and each would be downgraded to `Panicked`: on every
 /// profile, none is.
+///
+/// Hikvision also holds two logical gates. Indirect-call resolution
+/// infers layouts only for the functions it compares: its four handler
+/// calls resolve with no more layouts than installers plus matched
+/// sites (a whole-image pass infers one per function, ~14k). And the
+/// lift and symex layers' counts equal their pinned values, so a lifter
+/// or CFG rewrite that changes the graph fails here with no timing
+/// involved.
 #[test]
 fn no_function_panics_on_any_profile() {
     for p in table2_profiles() {
@@ -599,7 +607,25 @@ fn no_function_panics_on_any_profile() {
             .map(|r| r.name.as_str())
             .collect();
         assert!(panicked.is_empty(), "{}: panicked functions {panicked:?}", p.binary_name);
-        assert!(report.telemetry.metrics.counter("symex.blocks_executed") > 0);
+        let m = &report.telemetry.metrics;
+        assert!(m.counter("symex.blocks_executed") > 0);
+        if p.manufacturer != "Hikvision" {
+            continue;
+        }
+        assert_eq!(m.gauge("image.resolved_indirect"), 4);
+        let inferred = m.counter("ddg.layouts_inferred");
+        let bound = m.counter("ddg.indirect_installers") + m.counter("ddg.indirect_sites");
+        assert!(inferred <= bound, "{inferred} layouts inferred > {bound} installers + sites");
+        for (name, pinned) in [
+            ("lift.instructions", 1_083_440),
+            ("image.blocks", 220_846),
+            ("image.cfg_edges", 252_077),
+            ("symex.blocks_executed", 272_680),
+            ("symex.paths_explored", 36_917),
+        ] {
+            let got = m.counters.get(name).or_else(|| m.gauges.get(name)).copied();
+            assert_eq!(got, Some(pinned), "Hikvision {name}");
+        }
     }
 }
 
