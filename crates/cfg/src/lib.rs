@@ -53,9 +53,7 @@
 //! ```
 
 mod callgraph;
-mod dominators;
 mod funcfg;
 
 pub use callgraph::{CallGraph, CallTarget, Callsite};
-pub use dominators::Dominators;
 pub use funcfg::{build_all_cfgs, build_function_cfg, CallRow, FunctionCfg, FunctionShape};

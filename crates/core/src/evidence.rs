@@ -19,6 +19,7 @@
 //! that survives benign relinking, where every raw address shifts.
 
 use crate::report::VulnKindRepr;
+use dtaint_symex::Fnv64;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -232,18 +233,24 @@ pub fn fingerprint(
     sources: &[crate::report::SourceRef],
 ) -> String {
     let names: BTreeSet<&str> = sources.iter().map(|s| s.name.as_str()).collect();
-    let mut h = Fnv::new();
-    h.eat(match kind {
+    let mut h = Fnv64::new();
+    // Each field ends in a `0x1f` unit separator so field boundaries
+    // cannot alias (`("ab","c")` never collides with `("a","bc")`).
+    let mut eat = |field: &str| {
+        h.write(field.as_bytes());
+        h.write_u8(0x1f);
+    };
+    eat(match kind {
         VulnKindRepr::BufferOverflow => "BufferOverflow",
         VulnKindRepr::CommandInjection => "CommandInjection",
     });
-    h.eat(sink);
-    h.eat(sink_fn);
-    h.eat(&normalize_addresses(tainted_expr));
+    eat(sink);
+    eat(sink_fn);
+    eat(&normalize_addresses(tainted_expr));
     for n in names {
-        h.eat(n);
+        eat(n);
     }
-    format!("{:016x}", h.0)
+    format!("{:016x}", h.finish())
 }
 
 /// Replaces every `0x` hex literal with the placeholder `0xN` (so two
@@ -283,24 +290,6 @@ pub fn normalize_addresses(s: &str) -> String {
         i += 1;
     }
     out
-}
-
-/// 64-bit FNV-1a, inlined to keep the workspace dependency-free. Each
-/// field is terminated with a `0x1f` unit separator so field boundaries
-/// cannot alias (`("ab","c")` never collides with `("a","bc")`).
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn eat(&mut self, s: &str) {
-        for b in s.bytes().chain(std::iter::once(0x1f)) {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
 }
 
 #[cfg(test)]

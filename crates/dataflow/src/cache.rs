@@ -5,7 +5,8 @@
 //! out-of-component callees, (c) the indirect-call resolution at its
 //! call sites, and (d) the analysis configuration. That purity is what
 //! makes summary reuse across scans sound: key each serialized summary
-//! by an FNV content hash of exactly those inputs, composed bottom-up
+//! by an FNV content hash of what determines those inputs (for (a), the
+//! function's raw bytes), composed bottom-up
 //! over the SCC condensation, and a re-scan of a modified image misses
 //! only on the changed functions and their transitive callers.
 //!
@@ -14,7 +15,8 @@
 //! * **symex** — the per-function local summary, keyed by the function's
 //!   raw bytes under a config salt. A hit skips symbolic execution.
 //! * **ddg** — the final (post-propagation) summary plus its sink
-//!   observations, keyed by the local summary's canonical encoding
+//!   observations, keyed by the function's raw bytes (its local summary
+//!   is a function of them, the config and the environment digest)
 //!   composed with every callee's final key (whole-SCC granularity for
 //!   recursive components: members treat each other as opaque, so the
 //!   sorted member hashes stand in for the cycle). A hit skips the
@@ -33,8 +35,7 @@
 //! still exist, so callers above them can hit).
 
 use dtaint_fwbin::{Binary, Symbol};
-use dtaint_symex::encode::Fnv64;
-use dtaint_symex::SymexConfig;
+use dtaint_symex::{fnv64, Fnv64, SymexConfig};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
@@ -108,7 +109,7 @@ impl Record {
         rec.extend_from_slice(&key.to_le_bytes());
         rec.extend_from_slice(&(blob.len() as u32).to_le_bytes());
         rec.extend_from_slice(blob);
-        let check = fnv64_bytes(&rec[2..]);
+        let check = fnv64(&rec[2..]);
         rec.extend_from_slice(&check.to_le_bytes());
         Record(rec.into())
     }
@@ -144,7 +145,7 @@ impl Inner {
         let mut header = [0u8; 16];
         header[..4].copy_from_slice(&CACHE_MAGIC);
         header[4..8].copy_from_slice(&count.to_le_bytes());
-        let head_check = fnv64_bytes(&header[..8]);
+        let head_check = fnv64(&header[..8]);
         header[8..].copy_from_slice(&head_check.to_le_bytes());
         CacheSnapshot {
             generation: self.totals.stores,
@@ -358,23 +359,12 @@ impl SummaryCache {
     }
 }
 
-/// FNV-1a 64 over raw bytes (checksums; same function as the key
-/// hasher's primitive, duplicated to keep the codec self-contained).
-fn fnv64_bytes(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Parses `DTC2` bytes into `inner`, salvaging intact records. The
 /// header's entry count (when its own checksum holds) is the promise
 /// that prices the damage: `discarded = promised − loaded`.
 fn parse_dtc2(bytes: &[u8], inner: &mut Inner) -> CacheLoadReport {
     let header_ok = bytes.len() >= 16
-        && fnv64_bytes(&bytes[..8]) == u64::from_le_bytes(bytes[8..16].try_into().unwrap());
+        && fnv64(&bytes[..8]) == u64::from_le_bytes(bytes[8..16].try_into().unwrap());
     let promised: Option<u64> =
         header_ok.then(|| u64::from(u32::from_le_bytes(bytes[4..8].try_into().unwrap())));
 
@@ -429,7 +419,7 @@ fn parse_record(bytes: &[u8], pos: usize) -> Option<(u8, u64, usize)> {
     let len = u32::from_le_bytes(bytes.get(body + 9..body + 13)?.try_into().ok()?) as usize;
     let blob_end = (body + 13).checked_add(len)?;
     let check = u64::from_le_bytes(bytes.get(blob_end..blob_end + 8)?.try_into().ok()?);
-    if fnv64_bytes(&bytes[body..blob_end]) != check {
+    if fnv64(&bytes[body..blob_end]) != check {
         return None;
     }
     Some((tag, key, blob_end + 8))
@@ -744,7 +734,7 @@ pub fn encode_final(
         }
         enc.u32(sk.constraints.len() as u32);
         for &(op, l, r) in &sk.constraints {
-            enc.u8(cmp_op_tag(op));
+            enc.u8(op as u8);
             enc.expr(l);
             enc.expr(r);
         }
@@ -764,31 +754,6 @@ pub fn blob_k_unknowns(blob: &[u8]) -> Option<u32> {
     blob.len()
         .checked_sub(4)
         .and_then(|s| blob.get(s..).map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]])))
-}
-
-fn cmp_op_tag(op: dtaint_symex::CmpOp) -> u8 {
-    use dtaint_symex::CmpOp::*;
-    match op {
-        Eq => 0,
-        Ne => 1,
-        Lt => 2,
-        Ge => 3,
-        Le => 4,
-        Gt => 5,
-    }
-}
-
-fn cmp_op_untag(t: u8) -> Option<dtaint_symex::CmpOp> {
-    use dtaint_symex::CmpOp::*;
-    Some(match t {
-        0 => Eq,
-        1 => Ne,
-        2 => Lt,
-        3 => Ge,
-        4 => Le,
-        5 => Gt,
-        _ => return None,
-    })
 }
 
 /// Decodes a blob written by [`encode_final`] into `pool`. Returns the
@@ -825,7 +790,7 @@ pub fn decode_final(
         }
         let mut constraints = Vec::new();
         for _ in 0..dec.u32()? {
-            let op = cmp_op_untag(dec.u8()?)?;
+            let op = dtaint_symex::CmpOp::from_tag(dec.u8()?)?;
             let l = dec.expr()?;
             let r = dec.expr()?;
             constraints.push((op, l, r));
@@ -923,7 +888,7 @@ mod tests {
     fn reference_dtc2(entries: &BTreeMap<(u8, u64), Vec<u8>>) -> Vec<u8> {
         let mut out = CACHE_MAGIC.to_vec();
         out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-        out.extend_from_slice(&fnv64_bytes(&out[..8]).to_le_bytes());
+        out.extend_from_slice(&fnv64(&out[..8]).to_le_bytes());
         for (&(tag, key), blob) in entries {
             let mut body = vec![tag];
             body.extend_from_slice(&key.to_le_bytes());
@@ -931,7 +896,7 @@ mod tests {
             body.extend_from_slice(blob);
             out.extend_from_slice(&RECORD_MARKER);
             out.extend_from_slice(&body);
-            out.extend_from_slice(&fnv64_bytes(&body).to_le_bytes());
+            out.extend_from_slice(&fnv64(&body).to_le_bytes());
         }
         out
     }

@@ -1,26 +1,22 @@
-//! An explicit data-dependency graph with backward sink→source
-//! traversal.
+//! Backward sink→source traversal over the data dependencies.
 //!
 //! The paper: "Based on the data flow graph, we track the sinks and
 //! perform backward depth-first traversal to generate paths from sinks
 //! to sources" (§I). The propagation stage already *substitutes* callee
-//! knowledge into expressions; this module materialises the dependency
-//! relation those expressions encode as a graph one can walk and render:
+//! knowledge into expressions, so the dependency relation is implicit in
+//! the final summaries: a definition pair `(d, u)` — location `d`
+//! received value `u` at some instruction — feeds every value that
+//! mentions `d`, and a source-import call site feeds every value that
+//! mentions its return or output symbols.
 //!
-//! * a **def node** per definition pair `(d, u)` — location `d` received
-//!   value `u` at some instruction,
-//! * a **source node** per source-import call site,
-//! * an edge `A → B` when `B`'s value mentions the location `A` defines
-//!   (or the source symbol `A` produces).
-//!
-//! [`backward_trace`] performs the paper's backward DFS from a sink
-//! variable to the sources feeding it, returning a printable
-//! step-by-step path.
+//! [`backward_trace`] performs the paper's backward DFS along that
+//! relation from a sink variable to the sources feeding it, returning a
+//! printable step-by-step path.
 
 use crate::interproc::ProgramDataflow;
 use dtaint_symex::pool::SymNode;
 use dtaint_symex::ExprId;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// One step of a sink-to-source path (printed source-first).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,136 +54,6 @@ impl std::fmt::Display for TraceStep {
             TraceStep::Sink { expr } => write!(f, "sink var {expr}"),
         }
     }
-}
-
-/// A whole-program dependency graph built from the final summaries.
-#[derive(Debug, Default)]
-pub struct Ddg {
-    /// Graph nodes.
-    pub nodes: Vec<DdgNode>,
-    /// `edges[i]` = indices of nodes that node `i` feeds.
-    pub edges: Vec<Vec<usize>>,
-}
-
-/// One node of the [`Ddg`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DdgNode {
-    /// Function the node belongs to.
-    pub func: u32,
-    /// Instruction address.
-    pub ins_addr: u32,
-    /// What the node is.
-    pub kind: DdgNodeKind,
-}
-
-/// Node classification.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DdgNodeKind {
-    /// A definition: `var` receives `value`.
-    Def {
-        /// Defined location.
-        var: ExprId,
-        /// Assigned value.
-        value: ExprId,
-    },
-    /// A source call site.
-    Source {
-        /// Import name.
-        name: String,
-    },
-}
-
-impl Ddg {
-    /// Builds the graph over every function's final definition pairs.
-    ///
-    /// `sources` filters which import call sites become source nodes.
-    pub fn build(df: &ProgramDataflow, sources: &HashSet<String>) -> Ddg {
-        let mut nodes = Vec::new();
-        // Source nodes, indexed by call site.
-        let mut source_idx: HashMap<u32, usize> = HashMap::new();
-        for (&cs, name) in &df.import_sites {
-            if sources.contains(name) {
-                source_idx.insert(cs, nodes.len());
-                nodes.push(DdgNode {
-                    func: 0,
-                    ins_addr: cs,
-                    kind: DdgNodeKind::Source { name: clone_name(name) },
-                });
-            }
-        }
-        // Def nodes.
-        let mut defs: Vec<(usize, ExprId, ExprId)> = Vec::new();
-        for f in df.finals.values() {
-            for dp in &f.summary.def_pairs {
-                let idx = nodes.len();
-                nodes.push(DdgNode {
-                    func: f.summary.addr,
-                    ins_addr: dp.ins_addr,
-                    kind: DdgNodeKind::Def { var: dp.d, value: dp.u },
-                });
-                defs.push((idx, dp.d, dp.u));
-            }
-        }
-        // Edges: def A feeds def B when B's value mentions A's location;
-        // a source feeds B when B's value mentions its symbols.
-        let mut edges = vec![Vec::new(); nodes.len()];
-        for &(bi, _, bu) in &defs {
-            for &(ai, ad, _) in &defs {
-                if ai != bi && df.pool.contains(bu, ad) {
-                    edges[ai].push(bi);
-                }
-            }
-            df.pool.any_node(bu, &mut |n| {
-                let cs = match n {
-                    SymNode::RetSym(cs) | SymNode::CallOut { callsite: cs, .. } => Some(cs),
-                    _ => None,
-                };
-                if let Some(cs) = cs {
-                    if let Some(&si) = source_idx.get(&cs) {
-                        if !edges[si].contains(&bi) {
-                            edges[si].push(bi);
-                        }
-                    }
-                }
-                false
-            });
-        }
-        Ddg { nodes, edges }
-    }
-
-    /// Number of edges.
-    pub fn edge_count(&self) -> usize {
-        self.edges.iter().map(Vec::len).sum()
-    }
-
-    /// Source nodes reaching the given node (forward closure check).
-    pub fn sources_reaching(&self, target: usize) -> Vec<usize> {
-        // Reverse reachability: BFS backwards.
-        let mut reverse: Vec<Vec<usize>> = vec![Vec::new(); self.nodes.len()];
-        for (a, outs) in self.edges.iter().enumerate() {
-            for &b in outs {
-                reverse[b].push(a);
-            }
-        }
-        let mut seen = HashSet::new();
-        let mut stack = vec![target];
-        let mut out = Vec::new();
-        while let Some(n) = stack.pop() {
-            if !seen.insert(n) {
-                continue;
-            }
-            if matches!(self.nodes[n].kind, DdgNodeKind::Source { .. }) {
-                out.push(n);
-            }
-            stack.extend(reverse[n].iter().copied());
-        }
-        out.sort_unstable();
-        out
-    }
-}
-
-fn clone_name(s: &str) -> String {
-    s.to_owned()
 }
 
 /// Backward depth-first traversal from a sink variable to the sources
@@ -336,23 +202,6 @@ mod tests {
     }
 
     #[test]
-    fn graph_has_source_and_def_nodes_with_edges() {
-        let (_, df) = dataflow_sample();
-        let ddg = Ddg::build(&df, &sources());
-        let n_sources =
-            ddg.nodes.iter().filter(|n| matches!(n.kind, DdgNodeKind::Source { .. })).count();
-        assert_eq!(n_sources, 1, "one recv source");
-        assert!(ddg.nodes.len() > 1, "def nodes exist");
-        assert!(ddg.edge_count() >= 1, "the recv source feeds defs");
-        // Some def is reachable from the source.
-        let src =
-            ddg.nodes.iter().position(|n| matches!(n.kind, DdgNodeKind::Source { .. })).unwrap();
-        assert!(!ddg.edges[src].is_empty());
-        let target = ddg.edges[src][0];
-        assert_eq!(ddg.sources_reaching(target), vec![src]);
-    }
-
-    #[test]
     fn backward_trace_finds_the_recv_source() {
         let (bin, df) = dataflow_sample();
         let f_addr = bin.function("f").unwrap().addr;
@@ -421,33 +270,6 @@ mod tests {
                 .expect("some constant arg")
         };
         assert!(backward_trace(&df, f_addr, c, &sources(), 8).is_empty());
-    }
-
-    #[test]
-    fn graph_scales_linearly_on_generated_firmware() {
-        let mut p = dtaint_fwgen::table2_profiles().remove(0);
-        p.total_functions = 60;
-        let fw = dtaint_fwgen::build_firmware(&p);
-        let cfgs = build_all_cfgs(&fw.binary).unwrap();
-        let mut cg = CallGraph::build(&fw.binary, &cfgs);
-        let mut pool = ExprPool::new();
-        let sums: Vec<_> = cfgs
-            .iter()
-            .map(|c| analyze_function(&fw.binary, c, &mut pool, &SymexConfig::default()))
-            .collect();
-        let df = build_dataflow(&fw.binary, &mut cg, sums, pool, &DataflowConfig::default());
-        let all_sources: HashSet<String> = ["read", "recv", "getenv", "websGetVar", "find_var"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let ddg = Ddg::build(&df, &all_sources);
-        assert!(ddg.nodes.len() > 50);
-        // Every source with an outgoing edge reaches at least one def.
-        for (i, n) in ddg.nodes.iter().enumerate() {
-            if matches!(n.kind, DdgNodeKind::Source { .. }) && !ddg.edges[i].is_empty() {
-                assert!(!ddg.sources_reaching(ddg.edges[i][0]).is_empty());
-            }
-        }
     }
 
     #[test]

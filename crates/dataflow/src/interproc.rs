@@ -445,10 +445,9 @@ pub fn build_dataflow(
         .enumerate()
         .flat_map(|(i, c)| c.into_iter().map(move |f| (f, i)))
         .collect();
-    // Incremental-cache context: content hashes over the *post-alias*
-    // local summaries (so Algorithm 1's rewrites are part of the key),
-    // computed while `by_addr` is still fully populated — the loop below
-    // drains it.
+    // Incremental-cache context: content hashes over each function's
+    // raw bytes, computed while `by_addr` is still fully populated — the
+    // loop below drains it.
     let mut cache_ctx = DdgCacheCtx::build(bin, config, &by_addr, callgraph);
     let mut finals: BTreeMap<u32, FinalSummary> = BTreeMap::new();
     let mut buf = TraceBuffer::new(spec.clock, spec.base_lane, spec.workers);
@@ -536,10 +535,10 @@ pub fn build_dataflow(
 struct DdgCacheCtx {
     cref: CacheRef,
     salt: u64,
-    /// Per-function content hash over raw bytes + post-alias canonical
-    /// summary encoding. `None` when the function has no binary symbol
-    /// or its summary refuses canonical encoding (then it can never hit
-    /// or be stored, and neither can its callers).
+    /// Per-function content hash over the symbol's raw bytes. `None`
+    /// when the function has no binary symbol, or an empty or unmapped
+    /// one (then it can never hit or be stored, and neither can its
+    /// callers).
     own: HashMap<u32, Option<u64>>,
     /// For members of multi-function SCCs: the combined component hash
     /// (all members fold into every member's key — a change anywhere in

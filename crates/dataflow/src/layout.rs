@@ -130,35 +130,26 @@ fn collect_fields(
     pool: &ExprPool,
     layouts: &mut BTreeMap<ExprId, Layout>,
 ) {
-    match pool.node(e) {
-        SymNode::Deref { addr, .. } => {
-            let (base, off) = pool.base_offset(addr);
-            if let Some((root, mut path)) = root_and_path(base, pool) {
-                let ftype = summary.type_of(e);
-                layouts
-                    .entry(root)
-                    .or_default()
-                    .groups
-                    .entry(std::mem::take(&mut path))
-                    .or_default()
-                    .entry(off)
-                    .and_modify(|t| *t = t.join(ftype))
-                    .or_insert(ftype);
-            }
-            collect_fields(addr, summary, pool, layouts);
+    let node = pool.node(e);
+    let Some((a, b)) = node.operands() else { return };
+    if let SymNode::Deref { addr, .. } = node {
+        let (base, off) = pool.base_offset(addr);
+        if let Some((root, path)) = root_and_path(base, pool) {
+            let ftype = summary.type_of(e);
+            layouts
+                .entry(root)
+                .or_default()
+                .groups
+                .entry(path)
+                .or_default()
+                .entry(off)
+                .and_modify(|t| *t = t.join(ftype))
+                .or_insert(ftype);
         }
-        SymNode::Add(a, b)
-        | SymNode::Mul(a, b)
-        | SymNode::And(a, b)
-        | SymNode::Or(a, b)
-        | SymNode::Xor(a, b)
-        | SymNode::Shl(a, b)
-        | SymNode::Shr(a, b)
-        | SymNode::Cmp(_, a, b) => {
-            collect_fields(a, summary, pool, layouts);
-            collect_fields(b, summary, pool, layouts);
-        }
-        _ => {}
+    }
+    collect_fields(a, summary, pool, layouts);
+    if let Some(b) = b {
+        collect_fields(b, summary, pool, layouts);
     }
 }
 
@@ -176,14 +167,7 @@ pub fn root_and_path(base: ExprId, pool: &ExprPool) -> Option<(ExprId, AccessPat
             path.push(off);
             Some((root, path))
         }
-        SymNode::Arg(_)
-        | SymNode::RetSym(_)
-        | SymNode::InitReg(_)
-        | SymNode::StackBase
-        | SymNode::CallOut { .. }
-        | SymNode::Unknown(_)
-        | SymNode::Const(_) => Some((base, Vec::new())),
-        _ => None,
+        node => node.operands().is_none().then(|| (base, Vec::new())),
     }
 }
 

@@ -36,7 +36,7 @@ pub use cache::{
     CacheFormat, CacheLoadReport, CacheRef, CacheSnapshot, CacheTotals, Level, ScanStats,
     SummaryCache,
 };
-pub use ddg::{backward_trace, Ddg, DdgNode, DdgNodeKind, TraceStep};
+pub use ddg::{backward_trace, TraceStep};
 pub use indirect::{resolve_indirect_calls, IndirectStats, Installer, ResolvedCall};
 pub use interproc::{
     build_dataflow, DataflowConfig, FinalSummary, ProgramDataflow, PrunedSink, SinkKind,

@@ -108,29 +108,6 @@ const TAG_SHL: u8 = 13;
 const TAG_SHR: u8 = 14;
 const TAG_CMP: u8 = 15;
 
-fn cmp_tag(op: CmpOp) -> u8 {
-    match op {
-        CmpOp::Eq => 0,
-        CmpOp::Ne => 1,
-        CmpOp::Lt => 2,
-        CmpOp::Ge => 3,
-        CmpOp::Le => 4,
-        CmpOp::Gt => 5,
-    }
-}
-
-fn cmp_untag(t: u8) -> Option<CmpOp> {
-    Some(match t {
-        0 => CmpOp::Eq,
-        1 => CmpOp::Ne,
-        2 => CmpOp::Lt,
-        3 => CmpOp::Ge,
-        4 => CmpOp::Le,
-        5 => CmpOp::Gt,
-        _ => return None,
-    })
-}
-
 fn vtype_tag(t: VType) -> u8 {
     match t {
         VType::Unknown => 0,
@@ -232,7 +209,7 @@ impl<'p, 'm> SummaryEncoder<'p, 'm> {
             SymNode::Shl(a, b) => (TAG_SHL, two(self.node_index(a), self.node_index(b))),
             SymNode::Shr(a, b) => (TAG_SHR, two(self.node_index(a), self.node_index(b))),
             SymNode::Cmp(op, a, b) => {
-                let mut f = vec![cmp_tag(op)];
+                let mut f = vec![op as u8];
                 f.extend_from_slice(&two(self.node_index(a), self.node_index(b)));
                 (TAG_CMP, f)
             }
@@ -313,7 +290,7 @@ impl<'p, 'm> SummaryEncoder<'p, 'm> {
         }
         self.u32(s.constraints.len() as u32);
         for c in &s.constraints {
-            self.u8(cmp_tag(c.op));
+            self.u8(c.op as u8);
             self.expr(c.lhs);
             self.expr(c.rhs);
             self.u32(c.ins_addr);
@@ -478,7 +455,7 @@ impl SummaryDecoder {
                     }
                 }
                 TAG_CMP => {
-                    let op = cmp_untag(read_u8(blob, &mut pos)?)?;
+                    let op = CmpOp::from_tag(read_u8(blob, &mut pos)?)?;
                     let a = *exprs.get(read_u32(blob, &mut pos)? as usize)?;
                     let b = *exprs.get(read_u32(blob, &mut pos)? as usize)?;
                     SymNode::Cmp(op, a, b)
@@ -554,7 +531,7 @@ impl SummaryDecoder {
             s.callsites.push(CallsiteInfo { ins_addr, callee, args, ret, path });
         }
         for _ in 0..self.u32()? {
-            let op = cmp_untag(self.u8()?)?;
+            let op = CmpOp::from_tag(self.u8()?)?;
             let lhs = self.expr()?;
             let rhs = self.expr()?;
             let ins_addr = self.u32()?;

@@ -26,6 +26,10 @@ use std::hash::{Hash, Hasher};
 pub struct ExprId(pub u32);
 
 /// Comparison operators appearing in path constraints.
+///
+/// `op as u8` is the operator's tag in [`SymNode::packed`] and in every
+/// serialized form; the numbering is part of the on-disk format, so the
+/// variants are never reordered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpOp {
     /// Equality.
@@ -71,6 +75,12 @@ impl CmpOp {
     /// tainted length (the paper's sanitisation check).
     pub fn is_bounding(self) -> bool {
         matches!(self, CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge)
+    }
+
+    /// The operator whose tag (`op as u8`) is `t`.
+    pub fn from_tag(t: u8) -> Option<CmpOp> {
+        use CmpOp::*;
+        [Eq, Ne, Lt, Ge, Le, Gt].get(usize::from(t)).copied()
     }
 }
 
@@ -166,14 +176,31 @@ impl SymNode {
         u128::from(tag) << 96 | u128::from(hi) << 64 | u128::from(lo)
     }
 
-    /// True for a node without operands. Walks answer these directly,
-    /// outside their memo.
-    fn is_leaf(self) -> bool {
+    /// The node's operands: `(addr, None)` for a `Deref`, `(a, Some(b))`
+    /// for a binary node, `None` for a leaf. The DAG walks read a node's
+    /// structure only through this (and rebuild it through the pool's
+    /// private `rebuild`); they answer leaves directly, outside their
+    /// memo.
+    pub fn operands(self) -> Option<(ExprId, Option<ExprId>)> {
         use SymNode::*;
-        matches!(
-            self,
-            Const(_) | Arg(_) | RetSym(_) | CallOut { .. } | InitReg(_) | StackBase | Unknown(_)
-        )
+        match self {
+            Const(_)
+            | Arg(_)
+            | RetSym(_)
+            | CallOut { .. }
+            | InitReg(_)
+            | StackBase
+            | Unknown(_) => None,
+            Deref { addr, .. } => Some((addr, None)),
+            Add(a, b)
+            | Mul(a, b)
+            | And(a, b)
+            | Or(a, b)
+            | Xor(a, b)
+            | Shl(a, b)
+            | Shr(a, b)
+            | Cmp(_, a, b) => Some((a, Some(b))),
+        }
     }
 }
 
@@ -611,27 +638,12 @@ impl ExprPool {
         if id < sub {
             return false;
         }
-        let node = self.node(id);
-        if node.is_leaf() {
-            return false;
-        }
+        let Some((a, b)) = self.node(id).operands() else { return false };
         if let Some(hit) = memo.enter(id) {
             return hit;
         }
-        let hit = match node {
-            SymNode::Deref { addr, .. } => self.contains_in(addr, sub, memo),
-            SymNode::Add(a, b)
-            | SymNode::Mul(a, b)
-            | SymNode::And(a, b)
-            | SymNode::Or(a, b)
-            | SymNode::Xor(a, b)
-            | SymNode::Shl(a, b)
-            | SymNode::Shr(a, b)
-            | SymNode::Cmp(_, a, b) => {
-                self.contains_in(a, sub, memo) || self.contains_in(b, sub, memo)
-            }
-            _ => false,
-        };
+        let hit =
+            self.contains_in(a, sub, memo) || b.is_some_and(|b| self.contains_in(b, sub, memo));
         memo.leave(id, hit)
     }
 
@@ -650,27 +662,13 @@ impl ExprPool {
         memo: &mut WalkMemo<bool>,
     ) -> bool {
         let node = self.node(id);
-        if node.is_leaf() {
-            return pred(node);
-        }
+        let Some((a, b)) = node.operands() else { return pred(node) };
         if let Some(hit) = memo.enter(id) {
             return hit;
         }
         let hit = pred(node)
-            || match node {
-                SymNode::Deref { addr, .. } => self.any_node_in(addr, pred, memo),
-                SymNode::Add(a, b)
-                | SymNode::Mul(a, b)
-                | SymNode::And(a, b)
-                | SymNode::Or(a, b)
-                | SymNode::Xor(a, b)
-                | SymNode::Shl(a, b)
-                | SymNode::Shr(a, b)
-                | SymNode::Cmp(_, a, b) => {
-                    self.any_node_in(a, pred, memo) || self.any_node_in(b, pred, memo)
-                }
-                _ => false,
-            };
+            || self.any_node_in(a, pred, memo)
+            || b.is_some_and(|b| self.any_node_in(b, pred, memo));
         memo.leave(id, hit)
     }
 
@@ -700,56 +698,31 @@ impl ExprPool {
 
     fn deref_depth_in(&self, id: ExprId, memo: &mut WalkMemo<u32>) -> u32 {
         let node = self.node(id);
-        if node.is_leaf() {
-            return 0;
-        }
+        let Some((a, b)) = node.operands() else { return 0 };
         if let Some(depth) = memo.enter(id) {
             return depth;
         }
-        let depth = match node {
-            SymNode::Deref { addr, .. } => 1 + self.deref_depth_in(addr, memo),
-            SymNode::Add(a, b)
-            | SymNode::Mul(a, b)
-            | SymNode::And(a, b)
-            | SymNode::Or(a, b)
-            | SymNode::Xor(a, b)
-            | SymNode::Shl(a, b)
-            | SymNode::Shr(a, b)
-            | SymNode::Cmp(_, a, b) => {
-                self.deref_depth_in(a, memo).max(self.deref_depth_in(b, memo))
-            }
-            _ => 0,
-        };
-        memo.leave(id, depth)
+        let below = self.deref_depth_in(a, memo).max(b.map_or(0, |b| self.deref_depth_in(b, memo)));
+        memo.leave(id, below + u32::from(matches!(node, SymNode::Deref { .. })))
     }
 
     /// Appends the bases below `id` that `out` lacks. A node already
     /// walked has nothing left to add.
     fn collect_ptrs(&self, id: ExprId, out: &mut Vec<ExprId>, memo: &mut WalkMemo<()>) {
         let node = self.node(id);
-        if node.is_leaf() || memo.enter(id).is_some() {
+        let Some((a, b)) = node.operands() else { return };
+        if memo.enter(id).is_some() {
             return;
         }
-        match node {
-            SymNode::Deref { addr, .. } => {
-                let (base, _) = self.base_offset(addr);
-                if !out.contains(&base) {
-                    out.push(base);
-                }
-                self.collect_ptrs(addr, out, memo);
+        if let SymNode::Deref { addr, .. } = node {
+            let (base, _) = self.base_offset(addr);
+            if !out.contains(&base) {
+                out.push(base);
             }
-            SymNode::Add(a, b)
-            | SymNode::Mul(a, b)
-            | SymNode::And(a, b)
-            | SymNode::Or(a, b)
-            | SymNode::Xor(a, b)
-            | SymNode::Shl(a, b)
-            | SymNode::Shr(a, b)
-            | SymNode::Cmp(_, a, b) => {
-                self.collect_ptrs(a, out, memo);
-                self.collect_ptrs(b, out, memo);
-            }
-            _ => {}
+        }
+        self.collect_ptrs(a, out, memo);
+        if let Some(b) = b {
+            self.collect_ptrs(b, out, memo);
         }
         memo.leave(id, ());
     }
@@ -808,44 +781,23 @@ impl ExprPool {
             return id;
         }
         let node = self.node(id);
-        if node.is_leaf() {
-            return id;
-        }
+        let Some((a, b)) = node.operands() else { return id };
         if let Some(out) = memo.enter(id) {
             return out;
         }
-        let mut pair = |p: &mut Self, a, b| {
-            let (x, y) = (p.replace_in(a, from, to, memo), p.replace_in(b, from, to, memo));
-            ((x, y) != (a, b)).then_some((x, y))
-        };
-        let out = match node {
-            SymNode::Deref { addr, width } => {
-                let new_addr = self.replace_in(addr, from, to, memo);
-                if new_addr == addr {
-                    id
-                } else {
-                    self.deref(new_addr, width)
-                }
-            }
-            SymNode::Add(a, b) => pair(self, a, b).map_or(id, |(x, y)| self.add(x, y)),
-            SymNode::Mul(a, b) => pair(self, a, b).map_or(id, |(x, y)| self.mul(x, y)),
-            SymNode::And(a, b) => {
-                pair(self, a, b).map_or(id, |(x, y)| self.intern(SymNode::And(x, y)))
-            }
-            SymNode::Or(a, b) => {
-                pair(self, a, b).map_or(id, |(x, y)| self.intern(SymNode::Or(x, y)))
-            }
-            SymNode::Xor(a, b) => {
-                pair(self, a, b).map_or(id, |(x, y)| self.intern(SymNode::Xor(x, y)))
-            }
-            SymNode::Shl(a, b) => {
-                pair(self, a, b).map_or(id, |(x, y)| self.intern(SymNode::Shl(x, y)))
-            }
-            SymNode::Shr(a, b) => {
-                pair(self, a, b).map_or(id, |(x, y)| self.intern(SymNode::Shr(x, y)))
-            }
-            SymNode::Cmp(op, a, b) => pair(self, a, b).map_or(id, |(x, y)| self.cmp(op, x, y)),
-            _ => id,
+        let x = self.replace_in(a, from, to, memo);
+        let y = b.map(|b| self.replace_in(b, from, to, memo));
+        // `Replace` interns the bitwise kinds verbatim: folding them would
+        // change some DDG summaries, and cached ones would need a
+        // `dtaint-ddg` salt bump.
+        let out = match (node, y) {
+            _ if (x, y) == (a, b) => id,
+            (SymNode::And(..), Some(y)) => self.intern(SymNode::And(x, y)),
+            (SymNode::Or(..), Some(y)) => self.intern(SymNode::Or(x, y)),
+            (SymNode::Xor(..), Some(y)) => self.intern(SymNode::Xor(x, y)),
+            (SymNode::Shl(..), Some(y)) => self.intern(SymNode::Shl(x, y)),
+            (SymNode::Shr(..), Some(y)) => self.intern(SymNode::Shr(x, y)),
+            _ => self.rebuild(node, x, y),
         };
         memo.leave(id, out)
     }
@@ -874,38 +826,16 @@ impl ExprPool {
         memo: &mut WalkMemo<ExprId>,
     ) -> ExprId {
         let node = self.node(id);
-        if node.is_leaf() {
-            return f(self, id).unwrap_or(id);
-        }
+        let Some((a, b)) = node.operands() else { return f(self, id).unwrap_or(id) };
         if let Some(out) = memo.enter(id) {
             return out;
         }
         if let Some(out) = f(self, id) {
             return memo.leave(id, out);
         }
-        let mut pair = |p: &mut Self, a, b| {
-            let (x, y) = (p.rewrite_in(a, f, memo), p.rewrite_in(b, f, memo));
-            ((x, y) != (a, b)).then_some((x, y))
-        };
-        let out = match node {
-            SymNode::Deref { addr, width } => {
-                let a = self.rewrite_in(addr, f, memo);
-                if a == addr {
-                    id
-                } else {
-                    self.deref(a, width)
-                }
-            }
-            SymNode::Add(a, b) => pair(self, a, b).map_or(id, |(x, y)| self.add(x, y)),
-            SymNode::Mul(a, b) => pair(self, a, b).map_or(id, |(x, y)| self.mul(x, y)),
-            SymNode::And(a, b) => pair(self, a, b).map_or(id, |(x, y)| self.and_op(x, y)),
-            SymNode::Or(a, b) => pair(self, a, b).map_or(id, |(x, y)| self.or_op(x, y)),
-            SymNode::Xor(a, b) => pair(self, a, b).map_or(id, |(x, y)| self.xor_op(x, y)),
-            SymNode::Shl(a, b) => pair(self, a, b).map_or(id, |(x, y)| self.shl_op(x, y)),
-            SymNode::Shr(a, b) => pair(self, a, b).map_or(id, |(x, y)| self.shr_op(x, y)),
-            SymNode::Cmp(op, a, b) => pair(self, a, b).map_or(id, |(x, y)| self.cmp(op, x, y)),
-            _ => id,
-        };
+        let x = self.rewrite_in(a, f, memo);
+        let y = b.map(|b| self.rewrite_in(b, f, memo));
+        let out = if (x, y) == (a, b) { id } else { self.rebuild(node, x, y) };
         memo.leave(id, out)
     }
 
@@ -926,53 +856,41 @@ impl ExprPool {
         if memo.map[slot] != TranslationMemo::UNSET {
             return ExprId(memo.map[slot]);
         }
-        let out = match src.node(id) {
-            n @ (SymNode::Const(_)
-            | SymNode::Arg(_)
-            | SymNode::RetSym(_)
-            | SymNode::CallOut { .. }
-            | SymNode::InitReg(_)
-            | SymNode::StackBase
-            | SymNode::Unknown(_)) => self.intern(n),
-            SymNode::Deref { addr, width } => {
-                let a = self.translate(src, addr, memo);
-                self.deref(a, width)
-            }
-            SymNode::Add(a, b) => {
-                let (x, y) = (self.translate(src, a, memo), self.translate(src, b, memo));
-                self.add(x, y)
-            }
-            SymNode::Mul(a, b) => {
-                let (x, y) = (self.translate(src, a, memo), self.translate(src, b, memo));
-                self.mul(x, y)
-            }
-            SymNode::And(a, b) => {
-                let (x, y) = (self.translate(src, a, memo), self.translate(src, b, memo));
-                self.and_op(x, y)
-            }
-            SymNode::Or(a, b) => {
-                let (x, y) = (self.translate(src, a, memo), self.translate(src, b, memo));
-                self.or_op(x, y)
-            }
-            SymNode::Xor(a, b) => {
-                let (x, y) = (self.translate(src, a, memo), self.translate(src, b, memo));
-                self.xor_op(x, y)
-            }
-            SymNode::Shl(a, b) => {
-                let (x, y) = (self.translate(src, a, memo), self.translate(src, b, memo));
-                self.shl_op(x, y)
-            }
-            SymNode::Shr(a, b) => {
-                let (x, y) = (self.translate(src, a, memo), self.translate(src, b, memo));
-                self.shr_op(x, y)
-            }
-            SymNode::Cmp(op, a, b) => {
-                let (x, y) = (self.translate(src, a, memo), self.translate(src, b, memo));
-                self.cmp(op, x, y)
+        let node = src.node(id);
+        let out = match node.operands() {
+            None => self.intern(node),
+            Some((a, b)) => {
+                let x = self.translate(src, a, memo);
+                let y = b.map(|b| self.translate(src, b, memo));
+                self.rebuild(node, x, y)
             }
         };
         memo.map[slot] = out.0;
         out
+    }
+
+    /// Interns `node`'s kind over new operands `x` (and `y`, for a binary
+    /// node) through that kind's normalising constructor — the one place
+    /// that says which constructor rebuilds which kind.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `node` is a leaf or the operands do not fit it (see
+    /// [`SymNode::operands`]).
+    fn rebuild(&mut self, node: SymNode, x: ExprId, y: Option<ExprId>) -> ExprId {
+        use SymNode::*;
+        match (node, y) {
+            (Deref { width, .. }, None) => self.deref(x, width),
+            (Add(..), Some(y)) => self.add(x, y),
+            (Mul(..), Some(y)) => self.mul(x, y),
+            (And(..), Some(y)) => self.and_op(x, y),
+            (Or(..), Some(y)) => self.or_op(x, y),
+            (Xor(..), Some(y)) => self.xor_op(x, y),
+            (Shl(..), Some(y)) => self.shl_op(x, y),
+            (Shr(..), Some(y)) => self.shr_op(x, y),
+            (Cmp(op, ..), Some(y)) => self.cmp(op, x, y),
+            _ => unreachable!("operands do not fit {node:?}"),
+        }
     }
 
     /// A displayable view of an expression in the paper's notation.
@@ -1161,6 +1079,24 @@ mod tests {
         assert_eq!(p.replace(e, a, sp), e);
     }
 
+    /// `replace` interns the bitwise kinds verbatim, where `rewrite` and
+    /// the constructors fold: the cached DDG summaries depend on it.
+    #[test]
+    fn replace_keeps_bitwise_nodes_verbatim() {
+        let mut p = ExprPool::new();
+        let (arg0, c) = (p.arg(0), p.constant(0xff));
+        let four = p.constant(4);
+        let and = p.intern(SymNode::And(arg0, c));
+        let shl = p.intern(SymNode::Shl(arg0, c));
+        let out = p.replace(and, arg0, four);
+        assert_eq!(p.node(out), SymNode::And(four, c));
+        let out = p.replace(shl, arg0, four);
+        assert_eq!(p.node(out), SymNode::Shl(four, c));
+        // The folding path gives the constant instead.
+        let folded = p.rewrite(and, &mut |_, id| (id == arg0).then_some(four));
+        assert_eq!(p.as_const(folded), Some(4));
+    }
+
     #[test]
     fn contains_traverses_deref_chains() {
         let mut p = ExprPool::new();
@@ -1208,13 +1144,19 @@ mod tests {
 
     #[test]
     fn cmp_op_properties() {
-        for op in [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Ge, CmpOp::Le, CmpOp::Gt] {
+        for (tag, op) in [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Ge, CmpOp::Le, CmpOp::Gt]
+            .into_iter()
+            .enumerate()
+        {
+            // The on-disk tag is the declaration order.
+            assert_eq!((op as u8, CmpOp::from_tag(tag as u8)), (tag as u8, Some(op)));
             assert_eq!(op.negate().negate(), op);
             // negation flips evaluation on every input
             for (l, r) in [(1, 2), (2, 2), (3, 2)] {
                 assert_ne!(op.eval(l, r), op.negate().eval(l, r));
             }
         }
+        assert_eq!(CmpOp::from_tag(6), None);
         assert!(CmpOp::Lt.is_bounding());
         assert!(!CmpOp::Eq.is_bounding());
     }

@@ -592,13 +592,14 @@ fn fused_pass_outcomes_equal_the_staged_reference_on_the_fault_corpus() {
 /// sites (a whole-image pass infers one per function, ~14k). And the
 /// lift and symex layers' counts equal their pinned values, so a lifter
 /// or CFG rewrite that changes the graph fails here with no timing
-/// involved.
+/// involved; so do the expression pools' walk, intern and merge counts.
 #[test]
 fn no_function_panics_on_any_profile() {
     for p in table2_profiles() {
         let bin = build_firmware(&p).binary;
+        let mut tel = Collector::disabled();
         let report = Dtaint::with_config(DtaintConfig { threads: 2, ..Default::default() })
-            .analyze(&bin, p.binary_name)
+            .analyze_traced(&bin, p.binary_name, &mut tel)
             .unwrap();
         let panicked: Vec<&str> = report
             .skipped_functions
@@ -626,6 +627,18 @@ fn no_function_panics_on_any_profile() {
             let got = m.counters.get(name).or_else(|| m.gauges.get(name)).copied();
             assert_eq!(got, Some(pinned), "Hikvision {name}");
         }
+        // The expression pools' logical work, from the session registry:
+        // a rewrite of the DAG walks or the merge must leave it alone.
+        for (name, pinned) in [
+            ("ddg.walk_visits", 3_837_428),
+            ("pool.interns", 3_365_498),
+            ("pool.intern_cache_hits", 2_986_487),
+            ("symex.nodes_translated", 120_924),
+        ] {
+            assert_eq!(tel.metrics.counter(name), pinned, "Hikvision {name}");
+        }
+        let root = tel.events().iter().find(|e| e.cat == "scan").expect("the root span");
+        assert_eq!(root.args["pool_nodes"], 134_788, "Hikvision root pool_nodes");
     }
 }
 
