@@ -177,11 +177,7 @@ impl Dtaint {
         // of its pool and downgraded to an opaque summary; a
         // fuel-exhausted one is retried once degraded.
         let stage_t0 = tel.start();
-        let sym_cache = self.config.cache.as_ref().map(|cref| SymexCacheCtx {
-            cref: cref.clone(),
-            salt: sym_salt(env_digest(bin), &self.config.symex),
-        });
-        let stage = self.run_symex(bin, &syms, tel, sym_cache.as_ref());
+        let stage = self.run_symex(bin, &syms, tel);
         let SymexStage {
             summaries,
             pool,
@@ -392,38 +388,6 @@ impl Dtaint {
             self.config.bounds,
             self.config.audit,
         );
-        // Insert-time dedup: detect_full already collapses same-path
-        // observations from different holders; this catches findings
-        // that are identical in every field (usually zero). Both counts
-        // feed the `detect.duplicates_suppressed` counter. Under audit
-        // every suppressed duplicate also yields a Decision record.
-        let audit = self.config.audit;
-        let duplicates_suppressed = outcome.duplicates_suppressed
-            + report::dedup_findings_with(&mut outcome.findings, |dup, kept| {
-                if !audit {
-                    return;
-                }
-                // The observing function's address is not on the
-                // finding; resolve it back through the name map.
-                let addr = fn_names
-                    .iter()
-                    .filter(|(_, n)| **n == dup.observed_in)
-                    .map(|(&a, _)| a)
-                    .min()
-                    .unwrap_or(0);
-                outcome.decisions.push(
-                    dtaint_telemetry::Decision::new(
-                        dtaint_telemetry::DecisionKind::DuplicateSuppressed,
-                        "detect",
-                        &dup.observed_in,
-                        addr,
-                        dtaint_telemetry::DecisionReason::Duplicate {
-                            fingerprint: kept.fingerprint.clone(),
-                        },
-                    )
-                    .at_sink(dup.sink_ins, &dup.sink),
-                );
-            });
         for &addr in &outcome.failed_holders {
             if self.config.fail_fast {
                 return Err(dtaint_fwbin::Error::BadFormat(format!(
@@ -484,7 +448,7 @@ impl Dtaint {
         let sink_coverage = report::SinkCoverage {
             rows: rows.into_values().collect(),
             ddg_pruned: df.pruned_infeasible,
-            duplicates: duplicates_suppressed,
+            duplicates: outcome.duplicates_suppressed,
         };
 
         let functions_skipped = records
@@ -568,7 +532,7 @@ impl Dtaint {
         metrics.inc("detect.infeasible_suppressed", outcome.infeasible_suppressed as u64);
         metrics.inc("absint.solver_passes", outcome.absint_passes);
         metrics.inc("detect.findings", outcome.findings.len() as u64);
-        metrics.inc("detect.duplicates_suppressed", duplicates_suppressed as u64);
+        metrics.inc("detect.duplicates_suppressed", outcome.duplicates_suppressed as u64);
         // Coverage rows as gauges: the batch rollup sums gauges across
         // images (`merge_summing_gauges`), so per-kind site accounting
         // aggregates into corpus.json without extra plumbing.
@@ -671,13 +635,7 @@ impl Dtaint {
     /// is merged. Lift errors and panics are caught per function;
     /// analysis panics are rolled back out of the pool, and fuel
     /// exhaustion triggers one degraded retry (see [`symex_one`]).
-    fn run_symex(
-        &self,
-        bin: &Binary,
-        syms: &[&Symbol],
-        tel: &mut Collector,
-        cache: Option<&SymexCacheCtx>,
-    ) -> SymexStage {
+    fn run_symex(&self, bin: &Binary, syms: &[&Symbol], tel: &mut Collector) -> SymexStage {
         let chunks: Vec<&[&Symbol]> = syms.chunks(SYMEX_CHUNK).collect();
         let threads = self.effective_threads(chunks.len());
         let stage = SymexStage {
@@ -691,15 +649,18 @@ impl Dtaint {
             chunk_pools: PoolStats::default(),
         };
         // The per-function body: the cache probe first, keyed from the
-        // symbol alone. A hit serves the summary and the shape from the
-        // cache record (one `symex_fn` span) and never lifts. A miss
-        // lifts behind a panic boundary (one `lift_fn` span), runs
+        // symbol alone under the config salt. A hit serves the summary
+        // and the shape from the cache record (one `symex_fn` span) and
+        // never lifts; a malformed record rolls back and falls through.
+        // A miss lifts behind a panic boundary (one `lift_fn` span), runs
         // symbolic execution (one `symex_fn` span carrying the logical
         // counters), then stores the summary and the shape against the
-        // pool the summary lives in. Settling is order-independent (one
-        // key per function). Span recording is a local append guarded by
-        // the enabled flag, so the disabled path costs one branch.
+        // pool the summary lives in — only when it was cleanly analyzed.
+        // Settling is order-independent (one key per function). Span
+        // recording is a local append guarded by the enabled flag, so
+        // the disabled path costs one branch.
         let symex = self.config.symex;
+        let cache = self.config.cache.as_ref().map(|c| (c, sym_salt(env_digest(bin), &symex)));
         let symex_span = |buf: &mut TraceBuffer, s: &FuncSummary, t0| {
             if buf.is_enabled() {
                 let mut args = BTreeMap::new();
@@ -711,35 +672,45 @@ impl Dtaint {
         };
         let step = |s: &Symbol, pool: &mut ExprPool, buf: &mut TraceBuffer| -> FnStep {
             let t0 = buf.start();
-            let key = cache.and_then(|cc| symbol_content_hash(cc.salt, bin, s));
-            if let Some((cc, k)) = cache.zip(key) {
-                if let Some((summary, shape)) = cc.probe(k, pool) {
+            let key = cache.and_then(|(_, salt)| symbol_content_hash(salt, bin, s));
+            let hit = cache.zip(key).and_then(|((cref, _), k)| {
+                let blob = cref.cache.lookup_blob(Level::Symex, k)?;
+                pool.attempt(|p| decode_local(&blob, p))
+            });
+            let was_hit = hit.is_some();
+            let (shape, one) = match hit {
+                Some((summary, shape)) => {
                     symex_span(buf, &summary, t0);
-                    let one = SymexOne { summary, record: None, retried: false };
-                    cc.settle(pool, &one, &shape, key, true);
-                    return Ok((shape, one));
+                    (shape, SymexOne { summary, record: None, retried: false })
                 }
-            }
-            let t0 = buf.start();
-            let lifted = catch_unwind(AssertUnwindSafe(|| build_function_cfg(bin, s)));
-            let c = match lifted {
-                Ok(Ok(c)) => c,
-                Ok(Err(e)) => return Err(LiftFailure::of(s, Some(e))),
-                Err(_) => return Err(LiftFailure::of(s, None)),
+                None => {
+                    let t0 = buf.start();
+                    let lifted = catch_unwind(AssertUnwindSafe(|| build_function_cfg(bin, s)));
+                    let c = match lifted {
+                        Ok(Ok(c)) => c,
+                        Ok(Err(e)) => return Err(LiftFailure::of(s, Some(e))),
+                        Err(_) => return Err(LiftFailure::of(s, None)),
+                    };
+                    let shape = c.shape();
+                    if buf.is_enabled() {
+                        let mut args = BTreeMap::new();
+                        args.insert("addr".to_owned(), u64::from(c.addr));
+                        args.insert("blocks".to_owned(), shape.blocks as u64);
+                        args.insert("instructions".to_owned(), shape.instructions as u64);
+                        buf.record(&c.name, "lift_fn", t0, args);
+                    }
+                    let t0 = buf.start();
+                    let one = symex_one(bin, &c, pool, &symex);
+                    symex_span(buf, &one.summary, t0);
+                    (shape, one)
+                }
             };
-            let shape = c.shape();
-            if buf.is_enabled() {
-                let mut args = BTreeMap::new();
-                args.insert("addr".to_owned(), u64::from(c.addr));
-                args.insert("blocks".to_owned(), shape.blocks as u64);
-                args.insert("instructions".to_owned(), shape.instructions as u64);
-                buf.record(&c.name, "lift_fn", t0, args);
-            }
-            let t0 = buf.start();
-            let one = symex_one(bin, &c, pool, &symex);
-            symex_span(buf, &one.summary, t0);
-            if let Some(cc) = cache {
-                cc.settle(pool, &one, &shape, key, false);
+            if let Some((cref, _)) = cache {
+                let s = &one.summary;
+                cref.cache.settle(Level::Symex, &cref.scan, s.addr, &s.name, key, was_hit, || {
+                    let clean = one.record.is_none() && !s.degraded && !s.fuel_exhausted;
+                    clean.then(|| encode_local(pool, s, &shape))?
+                });
             }
             Ok((shape, one))
         };
@@ -842,58 +813,6 @@ impl ChunkMerge {
     }
 }
 
-/// Per-scan context for the symex-level summary cache: the config salt
-/// plus the shared store handle. A function's key is
-/// [`symbol_content_hash`] under the salt, so it needs no lift.
-struct SymexCacheCtx {
-    cref: CacheRef,
-    salt: u64,
-}
-
-impl SymexCacheCtx {
-    /// Attempts to rehydrate a cached local summary into `pool`, with
-    /// the function's shape. Local summaries never contain unknowns
-    /// (only the DDG stage mints them); a malformed blob or shape rolls
-    /// the pool back and falls through to a cold run.
-    fn probe(&self, key: u64, pool: &mut ExprPool) -> Option<(FuncSummary, FunctionShape)> {
-        let blob = self.cref.cache.lookup_blob(Level::Symex, key)?;
-        let mark = pool.mark();
-        let r = decode_local(&blob, pool);
-        if r.is_none() {
-            pool.rollback(mark);
-        }
-        r
-    }
-
-    /// Hit/miss bookkeeping plus the store on an eligible miss: only
-    /// cleanly analyzed summaries (no outcome record, not degraded, no
-    /// fuel exhaustion) are cached, together with the function's shape.
-    fn settle(
-        &self,
-        pool: &ExprPool,
-        one: &SymexOne,
-        shape: &FunctionShape,
-        key: Option<u64>,
-        was_hit: bool,
-    ) {
-        let s = &one.summary;
-        if was_hit {
-            if let Some(k) = key {
-                self.cref.cache.note_hit(Level::Symex, &self.cref.scan, s.addr, k);
-            }
-            return;
-        }
-        self.cref.cache.note_miss(Level::Symex, &self.cref.scan, &s.name, s.addr, key);
-        let Some(k) = key else { return };
-        if one.record.is_some() || s.degraded || s.fuel_exhausted {
-            return;
-        }
-        if let Some(blob) = encode_local(pool, s, shape) {
-            self.cref.cache.store(Level::Symex, &self.cref.scan, k, blob);
-        }
-    }
-}
-
 /// Result of the fused lift + symbolic-execution pass, in symbol order.
 struct SymexStage {
     summaries: Vec<FuncSummary>,
@@ -956,8 +875,8 @@ struct SymexOne {
     retried: bool,
 }
 
-/// Analyzes one function behind a panic boundary with fuel-exhaustion
-/// retry.
+/// Analyzes one function behind the pool's rollback boundary
+/// ([`ExprPool::attempt`]) with fuel-exhaustion retry.
 ///
 /// * A panic rolls the pool back to its pre-function state — erasing
 ///   every node and unknown index the failed run interned, so the
@@ -974,60 +893,36 @@ fn symex_one(
     pool: &mut ExprPool,
     config: &SymexConfig,
 ) -> SymexOne {
-    let mark = pool.mark();
-    let full = catch_unwind(AssertUnwindSafe(|| analyze_function(bin, cfg, pool, config)));
-    match full {
-        Err(_) => {
-            pool.rollback(mark);
-            SymexOne {
-                summary: opaque_summary(cfg),
-                record: Some((FunctionOutcome::Panicked, "panic during symbolic execution".into())),
-                retried: false,
-            }
-        }
-        Ok(summary) if summary.fuel_exhausted => {
-            pool.rollback(mark);
-            let degraded_config = config.degraded();
-            let retry = catch_unwind(AssertUnwindSafe(|| {
-                analyze_function(bin, cfg, pool, &degraded_config)
-            }));
-            match retry {
-                Err(_) => {
-                    pool.rollback(mark);
-                    SymexOne {
-                        summary: opaque_summary(cfg),
-                        record: Some((
-                            FunctionOutcome::Panicked,
-                            "panic during degraded symbolic execution".into(),
-                        )),
-                        retried: true,
-                    }
-                }
-                Ok(mut summary) => {
-                    summary.degraded = true;
-                    let record = if summary.fuel_exhausted {
-                        (
-                            FunctionOutcome::BudgetExceeded,
-                            format!(
-                                "fuel exhausted at full and degraded strength (max_fuel = {})",
-                                config.max_fuel
-                            ),
-                        )
-                    } else {
-                        (
-                            FunctionOutcome::Degraded,
-                            format!(
-                                "retried degraded after fuel exhaustion (max_fuel = {})",
-                                config.max_fuel
-                            ),
-                        )
-                    };
-                    SymexOne { summary, record: Some(record), retried: true }
-                }
-            }
-        }
-        Ok(summary) => SymexOne { summary, record: None, retried: false },
+    let panicked = |detail: &str, retried| SymexOne {
+        summary: opaque_summary(cfg),
+        record: Some((FunctionOutcome::Panicked, detail.to_owned())),
+        retried,
+    };
+    // Tells a fuel-exhausted full run (retried) from a panicked one.
+    let mut exhausted = false;
+    let full = pool.attempt(|p| {
+        let summary = analyze_function(bin, cfg, p, config);
+        exhausted = summary.fuel_exhausted;
+        (!exhausted).then_some(summary)
+    });
+    if let Some(summary) = full {
+        return SymexOne { summary, record: None, retried: false };
     }
+    if !exhausted {
+        return panicked("panic during symbolic execution", false);
+    }
+    let degraded = config.degraded();
+    let Some(mut summary) = pool.attempt(|p| Some(analyze_function(bin, cfg, p, &degraded))) else {
+        return panicked("panic during degraded symbolic execution", true);
+    };
+    summary.degraded = true;
+    let (outcome, what) = if summary.fuel_exhausted {
+        (FunctionOutcome::BudgetExceeded, "fuel exhausted at full and degraded strength")
+    } else {
+        (FunctionOutcome::Degraded, "retried degraded after fuel exhaustion")
+    };
+    let detail = format!("{what} (max_fuel = {})", config.max_fuel);
+    SymexOne { summary, record: Some((outcome, detail)), retried: true }
 }
 
 /// The opaque summary a failed function downgrades to: no defs, no

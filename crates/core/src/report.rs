@@ -174,23 +174,8 @@ pub fn sort_findings(findings: &mut [Finding]) {
 /// suppressed. Expects the canonically sorted order produced by
 /// [`sort_findings`], under which identical findings are adjacent.
 pub fn dedup_findings(findings: &mut Vec<Finding>) -> usize {
-    dedup_findings_with(findings, |_, _| {})
-}
-
-/// [`dedup_findings`], calling `suppressed(dup, kept)` for each dropped
-/// finding, in order.
-pub fn dedup_findings_with(
-    findings: &mut Vec<Finding>,
-    mut suppressed: impl FnMut(&Finding, &Finding),
-) -> usize {
     let before = findings.len();
-    findings.dedup_by(|dup, kept| {
-        let same = dup == kept;
-        if same {
-            suppressed(dup, kept);
-        }
-        same
-    });
+    findings.dedup();
     before - findings.len()
 }
 
@@ -480,11 +465,6 @@ impl AnalysisReport {
     /// Distinct vulnerable sink sites (Table III "Vulnerability").
     pub fn vulnerabilities(&self) -> usize {
         self.vulnerable_paths().iter().map(|f| f.sink_ins).collect::<BTreeSet<_>>().len()
-    }
-
-    /// Vulnerable findings of one kind.
-    pub fn findings_of_kind(&self, kind: VulnKindRepr) -> Vec<&Finding> {
-        self.vulnerable_paths().into_iter().filter(|f| f.kind == kind).collect()
     }
 
     /// True when no function was downgraded to an opaque summary — the
@@ -964,14 +944,5 @@ mod tests {
         assert_eq!(dedup_findings(&mut v), 1);
         assert_eq!(v.len(), 3);
         assert!(!v[0].sanitized() && v[2].sanitized());
-        // The capturing form sees each dropped duplicate beside the
-        // finding it duplicates.
-        let mut w = vec![vuln_a.clone(), vuln_a.clone(), vuln_a.clone(), sane.clone()];
-        let mut dropped = 0;
-        let n = dedup_findings_with(&mut w, |dup, kept| {
-            assert_eq!((dup, kept), (&vuln_a, &vuln_a));
-            dropped += 1;
-        });
-        assert_eq!((n, dropped, w.len()), (2, 2, 2));
     }
 }

@@ -214,19 +214,6 @@ fn direct_atoms(
     });
 }
 
-/// Runs the taint judgement over every sink observation.
-///
-/// `sources` is the set of import names treated as attacker-controlled
-/// inputs; `fn_names` maps function entry addresses to names for
-/// reporting.
-pub fn detect(
-    df: &ProgramDataflow,
-    sources: &HashSet<String>,
-    fn_names: &HashMap<u32, String>,
-) -> Vec<Finding> {
-    detect_full(df, None, sources, fn_names, BoundsMode::Paper).findings
-}
-
 /// The full judgement with an explicit [`BoundsMode`] and, optionally,
 /// the binary (for global-destination capacities in interval mode).
 ///

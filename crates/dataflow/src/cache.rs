@@ -240,8 +240,8 @@ impl SummaryCache {
     }
 
     /// The blob stored under `key`, if any. Pure lookup — call
-    /// [`Self::note_hit`] or [`Self::note_miss`] after the decode
-    /// attempt settles what actually happened.
+    /// [`Self::settle`] once the decode attempt decides what actually
+    /// happened.
     pub fn lookup_blob(&self, level: Level, key: u64) -> Option<Vec<u8>> {
         let g = self.inner.lock().unwrap();
         let map = match level {
@@ -251,8 +251,37 @@ impl SummaryCache {
         map.get(&key).map(|rec| rec.blob().to_vec())
     }
 
+    /// Settles one function's probe for `scan`: counts a `hit`, or
+    /// counts a miss (an invalidation when `addr` had another key
+    /// before) and, when the function has a `key` and `blob` yields
+    /// bytes, stores them. `blob` runs only on a keyed miss and returns
+    /// `None` for a function that must not be cached (a faulted or
+    /// partial result), so an ineligible function is never stored.
+    #[allow(clippy::too_many_arguments)]
+    pub fn settle(
+        &self,
+        level: Level,
+        scan: &str,
+        addr: u32,
+        name: &str,
+        key: Option<u64>,
+        hit: bool,
+        blob: impl FnOnce() -> Option<Vec<u8>>,
+    ) {
+        if hit {
+            if let Some(k) = key {
+                self.note_hit(level, scan, addr, k);
+            }
+            return;
+        }
+        self.note_miss(level, scan, name, addr, key);
+        if let Some((k, b)) = key.and_then(|k| Some((k, blob()?))) {
+            self.store(level, scan, k, b);
+        }
+    }
+
     /// Records a served hit for `scan`.
-    pub fn note_hit(&self, level: Level, scan: &str, addr: u32, key: u64) {
+    fn note_hit(&self, level: Level, scan: &str, addr: u32, key: u64) {
         let mut g = self.inner.lock().unwrap();
         g.seen.insert((scan.to_owned(), level_tag(level), addr), key);
         let st = g.stats.entry(scan.to_owned()).or_default();
@@ -265,7 +294,7 @@ impl SummaryCache {
 
     /// Records a miss for `scan`; a previously-seen different key for
     /// the same `(scan, level, addr)` also counts as an invalidation.
-    pub fn note_miss(&self, level: Level, scan: &str, fn_name: &str, addr: u32, key: Option<u64>) {
+    fn note_miss(&self, level: Level, scan: &str, fn_name: &str, addr: u32, key: Option<u64>) {
         let mut g = self.inner.lock().unwrap();
         let mut invalidated = false;
         if let Some(k) = key {

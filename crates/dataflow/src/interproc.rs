@@ -80,9 +80,11 @@ pub struct DataflowConfig {
     /// [`FinalSummary::budget_exhausted`]. The default is far above any
     /// realistic function, so it only binds when lowered explicitly.
     pub max_fuel: u64,
-    /// Fault-injection drill: panic when propagating the function at
-    /// this address. Exercises the per-function `catch_unwind`
-    /// isolation in tests; `None` in production.
+    /// Fault-injection drill: panic at the end of propagating the
+    /// function at this address, after it has interned nodes, minted
+    /// unknowns and pruned sinks — everything the per-function
+    /// [`ExprPool::attempt`] boundary must undo. For tests; `None` in
+    /// production.
     pub panic_on: Option<u32>,
     /// The clock the build's spans are measured on. The three sub-stage
     /// spans go to lane 0 of [`ProgramDataflow::trace_events`] either
@@ -265,33 +267,6 @@ pub struct ProgramDataflow {
 }
 
 impl ProgramDataflow {
-    /// Sinks observed at "root" level — in functions with no analyzed
-    /// callers, where argument substitution has gone as far as it can.
-    ///
-    /// Deduplicated by sink instruction: each sink is reported in its
-    /// most-contextualised form(s).
-    pub fn root_sinks(&self) -> Vec<(&FinalSummary, &SinkObservation)> {
-        let called: HashSet<u32> = self
-            .finals
-            .values()
-            .flat_map(|f| f.summary.callsites.iter())
-            .filter_map(|c| match c.callee {
-                CalleeRef::Direct(a) => Some(a),
-                _ => None,
-            })
-            .collect();
-        let mut out = Vec::new();
-        for f in self.finals.values() {
-            if called.contains(&f.summary.addr) {
-                continue;
-            }
-            for s in &f.sinks {
-                out.push((f, s));
-            }
-        }
-        out
-    }
-
     /// Every sink observation, across all functions.
     pub fn all_sinks(&self) -> impl Iterator<Item = (&FinalSummary, &SinkObservation)> {
         self.finals.values().flat_map(|f| f.sinks.iter().map(move |s| (f, s)))
@@ -396,13 +371,12 @@ pub fn build_dataflow(
             if s.degraded {
                 continue;
             }
-            let mark = pool.mark();
             let saved = s.clone();
-            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                crate::alias::alias_pass(s, &mut pool, &config.alias, &|c| globals.base_of(c))
-            }));
-            if r.is_err() {
-                pool.rollback(mark);
+            let done = pool.attempt(|p| {
+                crate::alias::alias_pass(s, p, &config.alias, &|c| globals.base_of(c));
+                Some(())
+            });
+            if done.is_none() {
                 *s = saved;
                 s.degraded = true;
                 alias_panics.push(s.addr);
@@ -465,35 +439,50 @@ pub fn build_dataflow(
             key
         });
         let before_unknowns = pool.next_unknown_index();
-        let pruned_before = pruned_infeasible;
-        let mut hit: Option<(FinalSummary, u32)> = None;
-        if let (Some(ctx), Some(k)) = (cache_ctx.as_ref(), key) {
-            if let Some(blob) = ctx.cref.cache.lookup_blob(Level::Ddg, k) {
-                hit = ctx.rehydrate(&blob, faddr, &mut pool);
-            }
-        }
+        let hit = cache_ctx.as_ref().zip(key).and_then(|(ctx, k)| {
+            let blob = ctx.cref.cache.lookup_blob(Level::Ddg, k)?;
+            ctx.rehydrate(&blob, faddr, &mut pool)
+        });
         let was_hit = hit.is_some();
-        let fs = match hit {
-            Some((fs, blob_pruned)) => {
-                // Re-credit the pruning the cold run performed so
-                // `pruned_infeasible` matches a cold scan exactly.
-                pruned_infeasible += blob_pruned as usize;
-                fs
+        // A hit carries the pruning count of the cold run that stored
+        // it, so `pruned_infeasible` matches a cold scan exactly. A
+        // panic rolls the pool back (later functions see bit-identical
+        // ids) and downgrades to an opaque summary, which prunes nothing.
+        let (fs, fn_pruned) = hit.unwrap_or_else(|| {
+            let name = summary.name.clone();
+            let propagated = pool.attempt(|p| {
+                Some(process_function(
+                    bin,
+                    faddr,
+                    summary,
+                    &finals,
+                    &comp_of,
+                    &resolution,
+                    &globals,
+                    p,
+                    config,
+                ))
+            });
+            match propagated {
+                Some((fs, fn_pruned, mut pruned)) => {
+                    pruned_sinks.append(&mut pruned);
+                    (fs, fn_pruned)
+                }
+                None => {
+                    let summary = FuncSummary { addr: faddr, name, ..FuncSummary::default() };
+                    let fs = FinalSummary {
+                        summary,
+                        sinks: Vec::new(),
+                        local_constraints: 0,
+                        panicked: true,
+                        budget_exhausted: false,
+                        fuel_used: 0,
+                    };
+                    (fs, 0)
+                }
             }
-            None => process_function_caught(
-                bin,
-                faddr,
-                summary,
-                &finals,
-                &comp_of,
-                &resolution,
-                &globals,
-                &mut pool,
-                config,
-                &mut pruned_infeasible,
-                &mut pruned_sinks,
-            ),
-        };
+        });
+        pruned_infeasible += fn_pruned as usize;
         if buf.is_enabled() {
             let mut args = BTreeMap::new();
             args.insert("addr".to_owned(), faddr as u64);
@@ -501,10 +490,23 @@ pub fn build_dataflow(
             buf.record(&fs.summary.name, "ddg_fn", t0, args);
         }
         let created_k = pool.next_unknown_index() - before_unknowns;
-        let fn_pruned = (pruned_infeasible - pruned_before) as u32;
         if let Some(ctx) = cache_ctx.as_mut() {
             ctx.push_base(before_unknowns, created_k, faddr);
-            ctx.settle(&pool, faddr, &fs, key, was_hit, fn_pruned, created_k);
+            let (cache_store, scan) = (&ctx.cref.cache, &ctx.cref.scan);
+            cache_store.settle(Level::Ddg, scan, faddr, &fs.summary.name, key, was_hit, || {
+                // Faulted results — panicked, budget-exhausted, degraded,
+                // or symex-quarantined (`uncacheable`) — are never
+                // stored: a cache must not launder a partial summary
+                // into a healthy-looking one.
+                if fs.panicked
+                    || fs.budget_exhausted
+                    || fs.summary.degraded
+                    || ctx.cref.uncacheable.contains(&faddr)
+                {
+                    return None;
+                }
+                cache::encode_final(&pool, &fs, fn_pruned, created_k, &mut |abs| ctx.map_abs(abs))
+            });
         }
         finals.insert(faddr, fs);
     }
@@ -686,123 +688,27 @@ impl DdgCacheCtx {
         pool: &mut ExprPool,
     ) -> Option<(FinalSummary, u32)> {
         let k = cache::blob_k_unknowns(blob)?;
-        let mark = pool.mark();
-        let base = pool.next_unknown_index();
-        for _ in 0..k {
-            pool.fresh_unknown();
-        }
-        let r = cache::decode_final(blob, pool, &mut |owner, rel| {
-            if owner == faddr {
-                (rel < k).then_some(base + rel)
-            } else {
-                self.base_of.get(&owner).and_then(|&(b, bk)| (rel < bk).then_some(b + rel))
+        pool.attempt(|pool| {
+            let base = pool.next_unknown_index();
+            for _ in 0..k {
+                pool.fresh_unknown();
             }
-        });
-        if r.is_none() {
-            pool.rollback(mark);
-        }
-        r
-    }
-
-    /// Post-processing bookkeeping for one function: hit/miss counters
-    /// and, on an eligible miss, the store. Faulted results — panicked,
-    /// budget-exhausted, degraded, or symex-quarantined (`uncacheable`)
-    /// — are never stored: a cache must not launder a partial summary
-    /// into a healthy-looking one.
-    #[allow(clippy::too_many_arguments)]
-    fn settle(
-        &self,
-        pool: &ExprPool,
-        faddr: u32,
-        fs: &FinalSummary,
-        key: Option<u64>,
-        was_hit: bool,
-        fn_pruned: u32,
-        created_k: u32,
-    ) {
-        let cache_store = &self.cref.cache;
-        if was_hit {
-            if let Some(k) = key {
-                cache_store.note_hit(Level::Ddg, &self.cref.scan, faddr, k);
-            }
-            return;
-        }
-        cache_store.note_miss(Level::Ddg, &self.cref.scan, &fs.summary.name, faddr, key);
-        let Some(k) = key else { return };
-        if fs.panicked
-            || fs.budget_exhausted
-            || fs.summary.degraded
-            || self.cref.uncacheable.contains(&faddr)
-        {
-            return;
-        }
-        let blob =
-            cache::encode_final(pool, fs, fn_pruned, created_k, &mut |abs| self.map_abs(abs));
-        if let Some(b) = blob {
-            cache_store.store(Level::Ddg, &self.cref.scan, k, b);
-        }
-    }
-}
-
-/// [`process_function`] behind a panic boundary: a panic while
-/// propagating one function rolls the pool back to its pre-function
-/// state (erasing every node and unknown the failed run interned, so
-/// later functions see bit-identical ids) and yields an opaque
-/// [`FinalSummary`] — no defs, no sinks — flagged `panicked`.
-#[allow(clippy::too_many_arguments)]
-fn process_function_caught(
-    bin: &Binary,
-    faddr: u32,
-    summary: FuncSummary,
-    finals: &BTreeMap<u32, FinalSummary>,
-    comp_of: &HashMap<u32, usize>,
-    resolution: &HashMap<u32, u32>,
-    globals: &crate::sse::GlobalMap,
-    pool: &mut ExprPool,
-    config: &DataflowConfig,
-    pruned_infeasible: &mut usize,
-    pruned: &mut Vec<PrunedSink>,
-) -> FinalSummary {
-    let name = summary.name.clone();
-    let mark = pool.mark();
-    let saved_pruned_infeasible = *pruned_infeasible;
-    let saved_pruned = pruned.len();
-    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        process_function(
-            bin,
-            faddr,
-            summary,
-            finals,
-            comp_of,
-            resolution,
-            globals,
-            pool,
-            config,
-            pruned_infeasible,
-            pruned,
-        )
-    }));
-    match r {
-        Ok(fs) => fs,
-        Err(_) => {
-            pool.rollback(mark);
-            *pruned_infeasible = saved_pruned_infeasible;
-            pruned.truncate(saved_pruned);
-            FinalSummary {
-                summary: FuncSummary { addr: faddr, name, ..FuncSummary::default() },
-                sinks: Vec::new(),
-                local_constraints: 0,
-                panicked: true,
-                budget_exhausted: false,
-                fuel_used: 0,
-            }
-        }
+            cache::decode_final(blob, pool, &mut |owner, rel| {
+                if owner == faddr {
+                    (rel < k).then_some(base + rel)
+                } else {
+                    self.base_of.get(&owner).and_then(|&(b, bk)| (rel < bk).then_some(b + rel))
+                }
+            })
+        })
     }
 }
 
 /// Summarises one function (Algorithm 2 outer-loop body): collects its
 /// own sinks, then applies every already-summarised callee at each call
-/// site.
+/// site. Returns the final summary, how many sink observations the
+/// interval pruning dropped, and — under [`DataflowConfig::audit`] — one
+/// [`PrunedSink`] per drop.
 ///
 /// `finals` must already contain every callee outside the function's own
 /// component — the stratified order guarantees it. Callees *inside* the
@@ -819,12 +725,7 @@ fn process_function(
     globals: &crate::sse::GlobalMap,
     pool: &mut ExprPool,
     config: &DataflowConfig,
-    pruned_infeasible: &mut usize,
-    pruned: &mut Vec<PrunedSink>,
-) -> FinalSummary {
-    if config.panic_on == Some(faddr) {
-        panic!("injected fault: ddg panic drill at {faddr:#x}");
-    }
+) -> (FinalSummary, u32, Vec<PrunedSink>) {
     let local_constraints = summary.constraints.len();
     let mut sinks: Vec<SinkObservation> = Vec::new();
     let mut fuel = config.max_fuel;
@@ -924,44 +825,43 @@ fn process_function(
     // Interval extension: an observation whose accumulated constraints
     // contradict each other describes a path the program cannot take;
     // dropping it here also stops it bubbling further up the call graph.
+    // Under audit, each drop also records the constraint that won.
+    let before = sinks.len();
+    let mut pruned = Vec::new();
     if config.interval_guards {
-        if config.audit {
-            // Same decision, witness-carrying query: record what was
-            // dropped and the constraint that won.
-            let mut kept = Vec::with_capacity(sinks.len());
-            for sk in sinks.drain(..) {
-                match dtaint_absint::path_feasible_witness(pool, &sk.constraints) {
-                    None => kept.push(sk),
-                    Some((op, l, r)) => {
-                        *pruned_infeasible += 1;
-                        pruned.push(PrunedSink {
-                            sink: sk.kind.name().to_owned(),
-                            sink_ins: sk.sink_ins,
-                            sink_fn: sk.sink_fn,
-                            pruned_in: faddr,
-                            pruned_in_name: summary.name.clone(),
-                            constraint: format!("{} {} {}", pool.display(l), op, pool.display(r)),
-                        });
-                    }
-                }
+        sinks.retain(|sk| {
+            let Some((op, l, r)) = dtaint_absint::path_feasible_witness(pool, &sk.constraints)
+            else {
+                return true;
+            };
+            if config.audit {
+                pruned.push(PrunedSink {
+                    sink: sk.kind.name().to_owned(),
+                    sink_ins: sk.sink_ins,
+                    sink_fn: sk.sink_fn,
+                    pruned_in: faddr,
+                    pruned_in_name: summary.name.clone(),
+                    constraint: format!("{} {} {}", pool.display(l), op, pool.display(r)),
+                });
             }
-            sinks = kept;
-        } else {
-            let before = sinks.len();
-            sinks.retain(|sk| dtaint_absint::path_feasible(pool, &sk.constraints));
-            *pruned_infeasible += before - sinks.len();
-        }
+            false
+        });
+    }
+    let fn_pruned = (before - sinks.len()) as u32;
+    if config.panic_on == Some(faddr) {
+        panic!("injected fault: ddg panic drill at {faddr:#x}");
     }
 
     sinks.truncate(config.max_sinks_per_fn);
-    FinalSummary {
+    let fs = FinalSummary {
         summary,
         sinks,
         local_constraints,
         panicked: false,
         budget_exhausted,
         fuel_used: config.max_fuel - fuel,
-    }
+    };
+    (fs, fn_pruned, pruned)
 }
 
 fn constraints_on_path(summary: &FuncSummary, path: u32) -> Vec<(CmpOp, ExprId, ExprId)> {

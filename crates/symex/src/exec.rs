@@ -33,8 +33,8 @@ pub struct SymexConfig {
     /// binds when lowered explicitly.
     pub max_fuel: u32,
     /// Fault-injection drill: panic on entry when analyzing the function
-    /// at this address. Exercises the pipeline's `catch_unwind` isolation
-    /// in tests; `None` in production.
+    /// at this address. Exercises the pipeline's rollback boundary
+    /// ([`ExprPool::attempt`]) in tests; `None` in production.
     pub panic_on: Option<u32>,
 }
 

@@ -20,6 +20,7 @@ use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// An interned symbolic expression (index into an [`ExprPool`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -438,12 +439,12 @@ impl ExprPool {
 
     /// Snapshots the pool so a failed analysis can be undone.
     ///
-    /// Interning only ever appends, so a mark is two integers. Taken
-    /// before running untrusted per-function analysis; if that analysis
-    /// panics, [`Self::rollback`] erases every node (and unknown index)
-    /// it interned, leaving the pool bit-identical to the snapshot —
-    /// required so a caught panic cannot perturb expression ids or
-    /// unknown numbering for the functions analysed afterwards.
+    /// Interning only ever appends, so a mark is two integers.
+    /// [`Self::rollback`] erases every node (and unknown index) interned
+    /// since, leaving the pool bit-identical to the snapshot — required
+    /// so a caught panic cannot perturb expression ids or unknown
+    /// numbering for the functions analysed afterwards. Per-function
+    /// analysis pairs the two through [`Self::attempt`].
     pub fn mark(&self) -> PoolMark {
         PoolMark { len: self.nodes.len(), next_unknown: self.next_unknown }
     }
@@ -464,6 +465,20 @@ impl ExprPool {
             self.dedup.remove(&node);
         }
         self.next_unknown = mark.next_unknown;
+    }
+
+    /// Runs one fallible per-function step as a unit: when `f` panics or
+    /// returns `None`, every node, dedup entry and unknown index it
+    /// interned is rolled back, so the pool is exactly as if the step
+    /// never ran and later ids do not depend on whether it failed.
+    /// `Some` keeps what `f` interned.
+    pub fn attempt<T>(&mut self, f: impl FnOnce(&mut ExprPool) -> Option<T>) -> Option<T> {
+        let mark = self.mark();
+        let r = catch_unwind(AssertUnwindSafe(|| f(self))).ok().flatten();
+        if r.is_none() {
+            self.rollback(mark);
+        }
+        r
     }
 
     /// Interns a normalised addition: constants fold, and a constant
@@ -1187,6 +1202,34 @@ mod tests {
         let u2 = p.fresh_unknown();
         assert_eq!(p.node(u2), SymNode::Unknown(unk_before));
         assert_eq!(u2, u);
+    }
+
+    #[test]
+    fn attempt_rolls_back_panics_and_none_and_keeps_some() {
+        let mut p = ExprPool::new();
+        let arg0 = p.arg(0);
+        let pollute = |p: &mut ExprPool| {
+            let u = p.fresh_unknown();
+            let junk = p.add(arg0, u);
+            p.deref(junk, 4)
+        };
+        let (len, unk) = (p.len(), p.next_unknown_index());
+        let panicked: Option<()> = p.attempt(|p| {
+            pollute(p);
+            panic!("drill")
+        });
+        assert!(panicked.is_none());
+        assert_eq!((p.len(), p.next_unknown_index()), (len, unk));
+        let declined: Option<ExprId> = p.attempt(|p| {
+            pollute(p);
+            None
+        });
+        assert!(declined.is_none());
+        assert_eq!((p.len(), p.next_unknown_index()), (len, unk));
+        let kept = p.attempt(|p| Some(pollute(p))).expect("step succeeds");
+        assert_eq!(p.len(), len + 3);
+        assert_eq!(p.next_unknown_index(), unk + 1);
+        assert_eq!(p.node(kept), SymNode::Deref { addr: ExprId(kept.0 - 1), width: 4 });
     }
 
     /// `x_{k+1} = x_k + x_k` from `x_0 = base`: `k + 1` distinct nodes,

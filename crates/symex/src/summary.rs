@@ -233,11 +233,6 @@ impl FuncSummary {
             .collect()
     }
 
-    /// Constraints recorded on the given path.
-    pub fn constraints_on_path(&self, path: u32) -> Vec<&Constraint> {
-        self.constraints.iter().filter(|c| c.path == path).collect()
-    }
-
     /// Renders the summary in the paper's Figure 6 style: the symbolic
     /// call sites, definition pairs and constraints the static analysis
     /// derived for this function.

@@ -391,3 +391,77 @@ fn fail_fast_aborts_where_keep_going_reports() {
     let err = Dtaint::with_config(fast).analyze(&fw.binary, "aborted");
     assert!(err.is_err(), "fail-fast must abort on the drilled panic");
 }
+
+/// The DDG `panic_on` drill panics at the end of one function's
+/// propagation, after it has interned nodes and pruned infeasible sinks
+/// (profile 2, interval bounds, audit on). The rollback boundary must
+/// undo all of it: the function is recorded `Panicked`, none of its
+/// prunes reach the audit stream, the pool keeps nothing it interned,
+/// and the report and audit stream are identical at every thread count.
+#[test]
+fn ddg_panic_drill_rolls_back_the_functions_propagation() {
+    use dtaint_core::BoundsMode;
+    use dtaint_telemetry::DecisionKind;
+    let bin = build_firmware(&table2_profiles().remove(1)).binary;
+    let config = |threads, panic_on| {
+        let mut c = DtaintConfig {
+            threads,
+            bounds: BoundsMode::Interval,
+            audit: true,
+            ..Default::default()
+        };
+        c.dataflow.panic_on = panic_on;
+        c
+    };
+    let scan = |config: DtaintConfig| {
+        let mut tel = Collector::disabled();
+        let report = Dtaint::with_config(config).analyze_traced(&bin, "ddg-drill", &mut tel);
+        let root = tel.events().iter().find(|e| e.cat == "scan").expect("root span");
+        (report.unwrap().with_zeroed_wall_clock(), root.args["pool_nodes"])
+    };
+    let (pristine, pristine_nodes) = scan(config(1, None));
+    // A function nothing calls, so no other function reads its final
+    // summary: only its own rolled-back propagation separates the
+    // drilled pool from the pristine one.
+    let cfgs: Vec<_> = bin
+        .functions()
+        .into_iter()
+        .filter_map(|s| dtaint_cfg::build_function_cfg(&bin, s).ok())
+        .collect();
+    let graph = dtaint_cfg::CallGraph::build(&bin, &cfgs);
+    let victim = pristine
+        .decisions
+        .iter()
+        .find(|d| {
+            d.kind == DecisionKind::PathPruned && graph.callers_of(d.function_addr).is_empty()
+        })
+        .expect("an uncalled function prunes a sink");
+    let (addr, name) = (victim.function_addr, victim.function.clone());
+    let names_victim = |d: &&dtaint_telemetry::Decision| {
+        d.kind == DecisionKind::PathPruned && d.function_addr == addr
+    };
+
+    let mut drilled = Vec::new();
+    for threads in [1, 2, 8] {
+        let (report, nodes) = scan(config(threads, Some(addr)));
+        let rec = report.skipped_functions.iter().find(|r| r.addr == addr).expect("recorded");
+        assert_eq!(rec.outcome, FunctionOutcome::Panicked);
+        assert_eq!(report.skipped_functions.len(), 1);
+        assert!(!report.decisions.iter().any(|d| names_victim(&d)), "t={threads}: prunes kept");
+        assert!(nodes < pristine_nodes, "t={threads}: the drilled propagation stayed in the pool");
+        drilled.push((report, nodes));
+    }
+    assert!(drilled.windows(2).all(|w| w[0] == w[1]), "drilled scans differ across threads");
+    // The other functions' prunes all survive.
+    let pruned = |r: &dtaint_core::AnalysisReport| {
+        r.decisions
+            .iter()
+            .filter(|d| d.kind == DecisionKind::PathPruned && !names_victim(d))
+            .count()
+    };
+    assert_eq!(pruned(&drilled[0].0), pruned(&pristine));
+
+    let fast = DtaintConfig { fail_fast: true, ..config(1, Some(addr)) };
+    let err = Dtaint::with_config(fast).analyze(&bin, "ddg-drill").expect_err("fail-fast aborts");
+    assert!(err.to_string().contains(&format!("panic while analyzing `{name}`")), "{err}");
+}

@@ -637,6 +637,9 @@ fn no_function_panics_on_any_profile() {
         ] {
             assert_eq!(tel.metrics.counter(name), pinned, "Hikvision {name}");
         }
+        let (interns, hits) =
+            (tel.metrics.counter("pool.interns"), tel.metrics.counter("pool.intern_cache_hits"));
+        assert!(hits * 5 >= interns * 4, "intern cache answered {hits} of {interns} (< 80 %)");
         let root = tel.events().iter().find(|e| e.cat == "scan").expect("the root span");
         assert_eq!(root.args["pool_nodes"], 134_788, "Hikvision root pool_nodes");
     }

@@ -9,6 +9,7 @@
 use dtaint_core::{AnalysisReport, Dtaint, DtaintConfig, FnCost, FunctionOutcome};
 use dtaint_fwgen::{build_firmware, corrupt_binary, table2_profiles, BinFault, GeneratedFirmware};
 use dtaint_telemetry::{export_chrome, export_jsonl, Collector, SpanEvent};
+use std::collections::BTreeMap;
 
 fn capped_firmware(index: usize, cap: usize) -> GeneratedFirmware {
     let mut p = table2_profiles().remove(index);
@@ -310,4 +311,18 @@ fn scan_exporter_flags_write_parseable_files() {
     assert!(m.counter("symex.blocks_executed") > 0);
     assert!(m.gauge("stage.ddg_us") > 0 || metrics_json.contains("stage.ddg_us"));
     assert!(m.gauge("image.functions") > 0);
+    // Spans are the only clock: every `stage.<name>_us` gauge is the
+    // `<name>` lane-0 span's duration summed over the scan's binaries
+    // (`scan` is the root span).
+    let mut summed: BTreeMap<String, u64> = BTreeMap::new();
+    for s in spans.iter().filter(|s| s.lane == 0 && (s.cat == "scan" || s.cat == "stage")) {
+        let key = if s.cat == "scan" { "scan" } else { s.name.as_str() };
+        *summed.entry(key.to_owned()).or_default() += s.dur_us;
+    }
+    let gauges: BTreeMap<String, u64> = m
+        .gauges
+        .iter()
+        .filter_map(|(k, &v)| Some((k.strip_prefix("stage.")?.strip_suffix("_us")?.to_owned(), v)))
+        .collect();
+    assert_eq!(gauges, summed, "stage gauges differ from the lane-0 span sums");
 }
