@@ -36,10 +36,6 @@ use dtaint_symex::{ExprId, ExprPool};
 use dtaint_telemetry::{Decision, DecisionKind, DecisionReason};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
-/// ASCII code of the classic command separator (the first entry of
-/// [`CMD_SEPARATORS`], kept for backward compatibility).
-pub const SEMICOLON: i64 = b';' as i64;
-
 /// How bounding guards on buffer-overflow paths are judged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BoundsMode {
