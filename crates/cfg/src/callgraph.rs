@@ -249,52 +249,6 @@ impl CallGraph {
         }
         out
     }
-
-    /// Functions in post-order over direct call edges: callees before
-    /// callers, each function exactly once.
-    ///
-    /// Recursion cycles are broken at the DFS back edge, so members of a
-    /// cycle appear in DFS finish order — the bottom-up pass then analyzes
-    /// each exactly once, as the paper specifies.
-    pub fn post_order(&self) -> Vec<u32> {
-        let mut visited: HashSet<u32> = HashSet::new();
-        let mut order = Vec::with_capacity(self.functions.len());
-        // Roots: functions nobody calls, then anything left (cycles).
-        let mut callees: HashSet<u32> = HashSet::new();
-        for outs in self.edges.values() {
-            callees.extend(outs.iter().copied());
-        }
-        let roots: Vec<u32> = self
-            .functions
-            .iter()
-            .copied()
-            .filter(|f| !callees.contains(f))
-            .chain(self.functions.iter().copied())
-            .collect();
-        for root in roots {
-            if visited.contains(&root) {
-                continue;
-            }
-            // Iterative DFS with finish-time collection.
-            let mut stack: Vec<(u32, usize)> = vec![(root, 0)];
-            visited.insert(root);
-            while let Some(&mut (node, ref mut idx)) = stack.last_mut() {
-                let outs = self.edges.get(&node).map(|v| v.as_slice()).unwrap_or(&[]);
-                if *idx < outs.len() {
-                    let s = outs[*idx];
-                    *idx += 1;
-                    if !visited.contains(&s) {
-                        visited.insert(s);
-                        stack.push((s, 0));
-                    }
-                } else {
-                    order.push(node);
-                    stack.pop();
-                }
-            }
-        }
-        order
-    }
 }
 
 #[cfg(test)]
@@ -341,38 +295,6 @@ mod tests {
         assert!(kinds.contains(&&CallTarget::Indirect));
         let main_addr = bin.function("main").unwrap().addr;
         assert_eq!(cg.edges[&main_addr].len(), 2);
-    }
-
-    #[test]
-    fn post_order_visits_callees_first() {
-        let (bin, _, cg) = sample();
-        let order = cg.post_order();
-        let pos = |name: &str| {
-            let addr = bin.function(name).unwrap().addr;
-            order.iter().position(|&x| x == addr).unwrap()
-        };
-        assert!(pos("b") < pos("a"), "b before a");
-        assert!(pos("a") < pos("main"), "a before main");
-        assert_eq!(order.len(), 3, "each function exactly once");
-    }
-
-    #[test]
-    fn recursion_does_not_hang_post_order() {
-        let arch = Arch::Mips32e;
-        let mut f = Assembler::new(arch);
-        f.call("g");
-        f.ret();
-        let mut g = Assembler::new(arch);
-        g.call("f");
-        g.ret();
-        let mut bb = BinaryBuilder::new(arch);
-        bb.add_function("f", f);
-        bb.add_function("g", g);
-        let bin = bb.link().unwrap();
-        let cfgs = build_all_cfgs(&bin).unwrap();
-        let cg = CallGraph::build(&bin, &cfgs);
-        let order = cg.post_order();
-        assert_eq!(order.len(), 2);
     }
 
     #[test]

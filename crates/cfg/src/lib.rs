@@ -11,10 +11,9 @@
 //!   "copy statements in the loop"; predecessors, DFS back edges and
 //!   reverse post-order are computed on demand,
 //! * [`CallGraph`] — call sites classified as direct, import (library) or
-//!   indirect, with the post-order traversal the bottom-up
-//!   interprocedural analysis walks (callees before callers, each
-//!   function visited once; recursion cycles are broken at the DFS
-//!   back edge),
+//!   indirect, with the SCC strata the bottom-up interprocedural
+//!   analysis walks (callees before callers, each function visited
+//!   once; the members of a recursion cycle share a stratum),
 //! * [`FunctionShape`] — what a CFG leaves behind once its IR is
 //!   dropped (counts and raw call rows). [`CallGraph::from_shapes`]
 //!   builds the call graph from these, so a pipeline can free each
@@ -45,10 +44,10 @@
 //! let cg = CallGraph::build(&bin, &cfgs);
 //! let helper_addr = bin.function("helper").unwrap().addr;
 //! let main_addr = bin.function("main").unwrap().addr;
-//! let order = cg.post_order();
-//! // Bottom-up: helper is visited before main.
-//! assert!(order.iter().position(|&a| a == helper_addr)
-//!     < order.iter().position(|&a| a == main_addr));
+//! let strata = cg.strata();
+//! // Bottom-up: helper's stratum comes before main's.
+//! let stratum_of = |a: u32| strata.iter().position(|s| s.contains(&a));
+//! assert!(stratum_of(helper_addr) < stratum_of(main_addr));
 //! # Ok::<(), dtaint_fwbin::Error>(())
 //! ```
 

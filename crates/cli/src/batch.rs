@@ -189,8 +189,8 @@ struct CorpusImage {
     /// Findings folded away as duplicates across observer functions
     /// (from the image's `detect.duplicates_suppressed` counter).
     duplicates_suppressed: u64,
-    /// Sink paths suppressed as infeasible, detect-side and inside DDG
-    /// propagation combined.
+    /// Sink paths suppressed as infeasible during DDG propagation
+    /// (from the image's `ddg.pruned_infeasible` counter).
     infeasible_suppressed: u64,
     timeout: bool,
     error: Option<String>,
@@ -687,8 +687,7 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<i32, String> {
             ddg_misses: cache.ddg_misses,
             invalidations: cache.invalidations,
             duplicates_suppressed: e.metrics.counter("detect.duplicates_suppressed"),
-            infeasible_suppressed: e.metrics.counter("detect.infeasible_suppressed")
-                + e.metrics.counter("ddg.pruned_infeasible"),
+            infeasible_suppressed: e.metrics.counter("ddg.pruned_infeasible"),
             ..Default::default()
         };
         let status = if delta.is_baseline {

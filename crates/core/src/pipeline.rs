@@ -7,16 +7,19 @@
 use crate::report;
 use crate::report::{AnalysisReport, FnCost, FunctionOutcome, FunctionRecord, TelemetrySection};
 use crate::sinks::{default_sink_names, default_sources};
-use crate::taint;
+use crate::taint::{self, Judged};
 use dtaint_cfg::{build_function_cfg, CallGraph, FunctionCfg, FunctionShape};
 use dtaint_dataflow::cache::{
     decode_local, encode_local, env_digest, sym_salt, symbol_content_hash, Level,
 };
-use dtaint_dataflow::{build_dataflow, CacheRef, DataflowConfig, SinkKind};
+use dtaint_dataflow::{build_dataflow, CacheRef, DataflowConfig, ProgramDataflow, SinkKind};
 use dtaint_fwbin::{Binary, Symbol};
 use dtaint_symex::analyze_function;
 use dtaint_symex::{ExprPool, FuncSummary, PoolStats, SymexConfig, TranslationMemo};
-use dtaint_telemetry::{Collector, MetricsRegistry, SpanEvent, TraceBuffer, TraceSpec};
+use dtaint_telemetry::{
+    Collector, Decision, DecisionKind, DecisionReason, MetricsRegistry, SpanEvent, TraceBuffer,
+    TraceSpec,
+};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -58,10 +61,10 @@ pub struct DtaintConfig {
     /// metrics, never in the report. `None` (the default) scans cold.
     pub cache: Option<CacheRef>,
     /// Collect the decision audit log ([`AnalysisReport::decisions`]):
-    /// one typed [`dtaint_telemetry::Decision`] per negative analysis
-    /// decision, for `dtaint why`. Off by default; the analysis result
-    /// is identical either way — the flag only controls whether records
-    /// are materialised (zero allocation when off).
+    /// one typed [`Decision`] per negative analysis decision, for
+    /// `dtaint why`. Off by default; the analysis result is identical
+    /// either way — the flag only decides whether the log is rendered
+    /// from the stages' typed results (nothing is rendered when off).
     pub audit: bool,
 }
 
@@ -203,32 +206,13 @@ impl Dtaint {
             };
             record(&mut records, addr, &name, outcome, detail);
         }
-        // Decision audit log, assembled stage by stage in one canonical
-        // order (symex budget → ddg prunes/budget/saturation → cache
-        // quarantines → detect verdicts); empty unless auditing.
-        let mut decisions: Vec<dtaint_telemetry::Decision> = Vec::new();
-        for (addr, name, outcome, detail) in symex_records {
-            if self.config.fail_fast && outcome == FunctionOutcome::Panicked {
+        for (addr, name, outcome, detail) in &symex_records {
+            if self.config.fail_fast && *outcome == FunctionOutcome::Panicked {
                 return Err(dtaint_fwbin::Error::BadFormat(format!(
                     "panic while analyzing `{name}`"
                 )));
             }
-            if self.config.audit
-                && matches!(outcome, FunctionOutcome::Degraded | FunctionOutcome::BudgetExceeded)
-            {
-                decisions.push(dtaint_telemetry::Decision::new(
-                    dtaint_telemetry::DecisionKind::BudgetDegraded,
-                    "symex",
-                    &name,
-                    addr,
-                    dtaint_telemetry::DecisionReason::FuelExhausted {
-                        stage: "symex".to_owned(),
-                        fuel_used: u64::from(self.config.symex.max_fuel),
-                        retried: true,
-                    },
-                ));
-            }
-            record(&mut records, addr, &name, outcome, detail);
+            record(&mut records, *addr, name, *outcome, detail.clone());
         }
         tel.record("ssa", "stage", stage_t0, BTreeMap::new());
 
@@ -243,7 +227,6 @@ impl Dtaint {
         let stage_t0 = tel.start();
         let mut df_config = self.config.dataflow.clone();
         df_config.interval_guards = self.config.bounds == taint::BoundsMode::Interval;
-        df_config.audit = self.config.audit;
         df_config.trace =
             Some(TraceSpec { clock: tel.clock(), base_lane: 1, workers: tel.is_enabled() });
         // Quarantine every function with a non-Analyzed outcome so far
@@ -271,12 +254,7 @@ impl Dtaint {
         let ddg_walk_visits = df.pool.stats().walk_visits - walks_before;
         tel.absorb(std::mem::take(&mut df.trace_events));
         let df = df;
-        let fn_name_of = |addr: u32| {
-            df.finals
-                .get(&addr)
-                .map(|f| f.summary.name.clone())
-                .unwrap_or_else(|| format!("{addr:#x}"))
-        };
+        let fn_name_of = |addr: u32| function_name(&df, addr);
         for &addr in &df.alias_panics {
             record(
                 &mut records,
@@ -313,81 +291,22 @@ impl Dtaint {
                 )));
             }
         }
-        if self.config.audit {
-            use dtaint_telemetry::{Decision, DecisionKind, DecisionReason};
-            // DDG fuel exhaustion, in finals (address) order.
-            for f in df.finals.values().filter(|f| f.budget_exhausted) {
-                decisions.push(Decision::new(
-                    DecisionKind::BudgetDegraded,
-                    "ddg",
-                    &f.summary.name,
-                    f.summary.addr,
-                    DecisionReason::FuelExhausted {
-                        stage: "ddg".to_owned(),
-                        fuel_used: f.fuel_used,
-                        retried: false,
-                    },
-                ));
-            }
-            // Interval prunes inside Algorithm 2, in the deterministic
-            // drain order `build_dataflow` produced them in. Cache-hit
-            // functions re-credit the aggregate count but carry no
-            // per-sink records, so warm scans only list cold-analyzed
-            // prunes (see `ProgramDataflow::pruned_sinks`).
-            for p in &df.pruned_sinks {
-                decisions.push(
-                    Decision::new(
-                        DecisionKind::PathPruned,
-                        "ddg",
-                        &p.pruned_in_name,
-                        p.pruned_in,
-                        DecisionReason::InfeasiblePath { constraint: p.constraint.clone() },
-                    )
-                    .at_sink(p.sink_ins, &p.sink),
-                );
-            }
-            // Alias SSE fixpoints that hit their round budget.
-            for f in df.finals.values().filter(|f| f.summary.sse_saturated) {
-                decisions.push(Decision::new(
-                    DecisionKind::AliasSaturated,
-                    "ddg",
-                    &f.summary.name,
-                    f.summary.addr,
-                    DecisionReason::Saturated { rounds: u64::from(f.summary.sse_rounds) },
-                ));
-            }
-            // Functions quarantined from the incremental cache, in
-            // address order (absent entirely on cache-less scans).
-            if let Some(cref) = &df_config.cache {
-                for &addr in cref.uncacheable.iter() {
-                    let (name, outcome) = match records.get(&addr) {
-                        Some(r) => (r.name.clone(), r.outcome.to_string()),
-                        None => (fn_name_of(addr), "quarantined by prior scan".to_owned()),
-                    };
-                    decisions.push(Decision::new(
-                        DecisionKind::CacheQuarantined,
-                        "cache",
-                        &name,
-                        addr,
-                        DecisionReason::Quarantined { outcome },
-                    ));
-                }
-            }
-        }
         tel.record("ddg", "stage", stage_t0, BTreeMap::new());
 
         // Stage 4: taint judgement.
         let stage_t0 = tel.start();
         let fn_names: HashMap<u32, String> =
             shapes.iter().map(|s| (s.addr, s.name.clone())).collect();
-        let mut outcome = taint::detect_audit(
-            &df,
-            Some(bin),
-            &self.config.sources,
-            &fn_names,
-            self.config.bounds,
-            self.config.audit,
-        );
+        let outcome =
+            taint::detect_full(&df, Some(bin), &self.config.sources, &fn_names, self.config.bounds);
+        // The audit log reads the outcome records as the DDG stage left
+        // them, so it is rendered before detect-stage panics join them.
+        let decisions = if self.config.audit {
+            let quarantine = df_config.cache.as_ref();
+            self.audit_log(&symex_records, &df, quarantine, &records, &fn_names, &outcome.verdicts)
+        } else {
+            Vec::new()
+        };
         for &addr in &outcome.failed_holders {
             if self.config.fail_fast {
                 return Err(dtaint_fwbin::Error::BadFormat(format!(
@@ -419,29 +338,35 @@ impl Dtaint {
             .count();
 
         // Sink coverage: classify every distinct sink site the data-flow
-        // stage surfaced by the best judgement any observer reached.
-        // Classification is detect-side only, so the section is
-        // identical between cold and warm cache runs (DDG-level prunes
-        // stay an aggregate — cache blobs carry no per-site records).
-        let mut best_rank: BTreeMap<(String, u32), u8> = BTreeMap::new();
+        // stage surfaced by the most severe verdict any observer reached
+        // (0 unreached, 1 sanitized, 2 reported): a site reported
+        // anywhere counts as reported. DDG prunes stay an aggregate —
+        // cache blobs carry no per-site records — so the section is
+        // identical between cold and warm cache runs.
+        let mut worst: BTreeMap<(&str, u32), u8> = BTreeMap::new();
         for s in df.finals.values().flat_map(|f| f.sinks.iter()) {
-            best_rank.entry((s.kind.name().to_owned(), s.sink_ins)).or_insert(0);
+            worst.entry((s.kind.name(), s.sink_ins)).or_insert(0);
         }
-        for (key, rank) in &outcome.site_outcomes {
-            let e = best_rank.entry(key.clone()).or_insert(*rank);
-            *e = (*e).max(*rank);
+        for v in &outcome.verdicts {
+            let rank = match v.judged {
+                Judged::Unreached => 0,
+                Judged::Sanitized(_) => 1,
+                Judged::Vulnerable => 2,
+            };
+            let s = v.observation(&df);
+            let e = worst.entry((s.kind.name(), s.sink_ins)).or_insert(rank);
+            *e = (*e).max(rank);
         }
-        let mut rows: BTreeMap<String, report::SinkCoverageRow> = BTreeMap::new();
-        for ((sink, _ins), rank) in &best_rank {
-            let row = rows.entry(sink.clone()).or_insert_with(|| report::SinkCoverageRow {
-                sink: sink.clone(),
+        let mut rows: BTreeMap<&str, report::SinkCoverageRow> = BTreeMap::new();
+        for (&(sink, _ins), rank) in &worst {
+            let row = rows.entry(sink).or_insert_with(|| report::SinkCoverageRow {
+                sink: sink.to_owned(),
                 ..Default::default()
             });
             row.sites += 1;
-            match *rank {
-                taint::site_rank::REPORTED => row.reported += 1,
-                taint::site_rank::SANITIZED => row.sanitized += 1,
-                taint::site_rank::INFEASIBLE => row.infeasible += 1,
+            match rank {
+                2 => row.reported += 1,
+                1 => row.sanitized += 1,
                 _ => row.unreached += 1,
             }
         }
@@ -529,7 +454,6 @@ impl Dtaint {
         metrics.inc("ddg.indirect_installers", df.indirect_stats.installers as u64);
         metrics.inc("ddg.indirect_sites", df.indirect_stats.sites as u64);
         metrics.inc("ddg.layouts_inferred", df.indirect_stats.layouts_inferred as u64);
-        metrics.inc("detect.infeasible_suppressed", outcome.infeasible_suppressed as u64);
         metrics.inc("absint.solver_passes", outcome.absint_passes);
         metrics.inc("detect.findings", outcome.findings.len() as u64);
         metrics.inc("detect.duplicates_suppressed", outcome.duplicates_suppressed as u64);
@@ -585,10 +509,6 @@ impl Dtaint {
             })
             .collect();
 
-        // Detect-stage decisions (including duplicate folds) close out
-        // the canonical audit order.
-        decisions.append(&mut outcome.decisions);
-
         Ok(AnalysisReport {
             binary_name: name.to_owned(),
             arch: bin.arch.to_string(),
@@ -598,7 +518,7 @@ impl Dtaint {
             sinks_count,
             resolved_indirect: df.resolved_indirect.len(),
             findings: outcome.findings,
-            infeasible_suppressed: outcome.infeasible_suppressed + df.pruned_infeasible,
+            infeasible_suppressed: df.pruned_infeasible,
             functions_analyzed: total_functions - functions_skipped,
             functions_skipped,
             functions_retried: retried,
@@ -609,6 +529,101 @@ impl Dtaint {
             sink_coverage,
             decisions,
         })
+    }
+
+    /// The decision audit log ([`AnalysisReport::decisions`]), rendered
+    /// from the stages' typed results in one canonical order: symex
+    /// budget, DDG budget, DDG prunes, alias saturation, cache
+    /// quarantines, detect verdicts (holder address order, then
+    /// observation order), and duplicate folds last. `records` are the
+    /// outcome records as the DDG stage left them; `quarantine` is the
+    /// cache handle the DDG stage ran with.
+    fn audit_log(
+        &self,
+        symex_records: &[(u32, String, FunctionOutcome, String)],
+        df: &ProgramDataflow,
+        quarantine: Option<&CacheRef>,
+        records: &BTreeMap<u32, FunctionRecord>,
+        fn_names: &HashMap<u32, String>,
+        verdicts: &[taint::SiteVerdict],
+    ) -> Vec<Decision> {
+        let mut log = Vec::new();
+        let fuel_exhausted = |stage: &str, fuel_used, retried| DecisionReason::FuelExhausted {
+            stage: stage.to_owned(),
+            fuel_used,
+            retried,
+        };
+        for (addr, name, outcome, _) in symex_records {
+            if matches!(outcome, FunctionOutcome::Degraded | FunctionOutcome::BudgetExceeded) {
+                let reason = fuel_exhausted("symex", u64::from(self.config.symex.max_fuel), true);
+                log.push(Decision::new(DecisionKind::BudgetDegraded, "symex", name, *addr, reason));
+            }
+        }
+        for f in df.finals.values().filter(|f| f.budget_exhausted) {
+            let (name, addr) = (&f.summary.name, f.summary.addr);
+            let reason = fuel_exhausted("ddg", f.fuel_used, false);
+            log.push(Decision::new(DecisionKind::BudgetDegraded, "ddg", name, addr, reason));
+        }
+        // Cache-hit functions re-credit the aggregate prune count but
+        // carry no per-sink records, so warm scans list only the prunes
+        // of functions analyzed cold.
+        for p in &df.pruned_sinks {
+            let (op, l, r) = p.witness;
+            let constraint = format!("{} {} {}", df.pool.display(l), op, df.pool.display(r));
+            let reason = DecisionReason::InfeasiblePath { constraint };
+            let name = function_name(df, p.pruned_in);
+            log.push(
+                Decision::new(DecisionKind::PathPruned, "ddg", &name, p.pruned_in, reason)
+                    .at_sink(p.sink_ins, p.kind.name()),
+            );
+        }
+        for f in df.finals.values().filter(|f| f.summary.sse_saturated) {
+            let (name, addr) = (&f.summary.name, f.summary.addr);
+            let reason = DecisionReason::Saturated { rounds: u64::from(f.summary.sse_rounds) };
+            log.push(Decision::new(DecisionKind::AliasSaturated, "ddg", name, addr, reason));
+        }
+        // Functions quarantined from the incremental cache, in address
+        // order (none on cache-less scans).
+        for &addr in quarantine.iter().flat_map(|c| c.uncacheable.iter()) {
+            let (name, outcome) = match records.get(&addr) {
+                Some(r) => (r.name.clone(), r.outcome.to_string()),
+                None => (function_name(df, addr), "quarantined by prior scan".to_owned()),
+            };
+            let reason = DecisionReason::Quarantined { outcome };
+            log.push(Decision::new(DecisionKind::CacheQuarantined, "cache", &name, addr, reason));
+        }
+        let holder_name = |addr: u32| fn_names.get(&addr).map_or("<unknown>", String::as_str);
+        for v in verdicts {
+            let (kind, reason) = match &v.judged {
+                Judged::Unreached => (DecisionKind::SinkUnreached, DecisionReason::Untainted),
+                Judged::Sanitized(verdict) => (
+                    DecisionKind::SanitizeSuppressed,
+                    DecisionReason::Sanitized { verdict: verdict.to_string() },
+                ),
+                Judged::Vulnerable => continue,
+            };
+            let s = v.observation(df);
+            log.push(
+                Decision::new(kind, "detect", holder_name(v.holder), v.holder, reason)
+                    .at_sink(s.sink_ins, s.kind.name()),
+            );
+        }
+        for v in verdicts {
+            let Some(fingerprint) = &v.folded else { continue };
+            let s = v.observation(df);
+            let reason = DecisionReason::Duplicate { fingerprint: fingerprint.to_string() };
+            log.push(
+                Decision::new(
+                    DecisionKind::DuplicateSuppressed,
+                    "detect",
+                    holder_name(v.holder),
+                    v.holder,
+                    reason,
+                )
+                .at_sink(s.sink_ins, s.kind.name()),
+            );
+        }
+        log
     }
 
     /// Resolves the session thread count (0 = all cores) against the
@@ -930,6 +945,12 @@ fn symex_one(
 /// imports (`ret_{cs}` stays symbolic), a conservative pass-through.
 fn opaque_summary(cfg: &FunctionCfg) -> FuncSummary {
     FuncSummary { addr: cfg.addr, name: cfg.name.clone(), ..FuncSummary::default() }
+}
+
+/// The name of the function at `addr`, or its address when the data-flow
+/// result has no summary for it.
+fn function_name(df: &ProgramDataflow, addr: u32) -> String {
+    df.finals.get(&addr).map_or_else(|| format!("{addr:#x}"), |f| f.summary.name.clone())
 }
 
 /// Inserts or upgrades a per-function outcome record, keeping the more

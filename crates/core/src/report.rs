@@ -315,7 +315,10 @@ pub struct SinkCoverageRow {
     pub reported: usize,
     /// Sites whose best outcome was a sanitize-suppressed finding.
     pub sanitized: usize,
-    /// Sites whose every tainted observation was judged infeasible.
+    /// Sites whose every tainted observation was judged infeasible. A
+    /// pipeline scan drops infeasible observations during DDG
+    /// propagation, before the detector sees them — they count only in
+    /// [`SinkCoverage::ddg_pruned`] — so this is 0 there.
     pub infeasible: usize,
     /// Sites no tainted data reached.
     pub unreached: usize,
@@ -381,8 +384,8 @@ pub struct AnalysisReport {
     pub resolved_indirect: usize,
     /// Every judged `(source, path, sink)` tuple.
     pub findings: Vec<Finding>,
-    /// Tainted sink observations suppressed because their path
-    /// constraints are contradictory (interval-guards mode only).
+    /// Sink observations suppressed during DDG propagation because their
+    /// path constraints are contradictory (interval-guards mode only).
     #[serde(default)]
     pub infeasible_suppressed: usize,
     /// Functions that produced results — [`FunctionOutcome::Analyzed`],

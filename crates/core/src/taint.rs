@@ -23,7 +23,8 @@
 //! paper's syntactic check, the strict-bounds extension (constant guards
 //! must fit the destination), and the interval extension (guards are
 //! evaluated over an interval abstract domain, so symbolic guards are
-//! judged too and contradictory paths are suppressed).
+//! judged too; the pipeline's DDG drops contradictory paths before they
+//! reach the detector).
 
 use crate::evidence::{self, EvidenceStep, SanitizeVerdict};
 use crate::report::{Finding, SourceRef};
@@ -33,8 +34,7 @@ use dtaint_dataflow::{FinalSummary, ProgramDataflow, SinkKind, SinkObservation, 
 use dtaint_fwbin::{Binary, SymbolKind};
 use dtaint_symex::pool::{CmpOp, SymNode};
 use dtaint_symex::{ExprId, ExprPool};
-use dtaint_telemetry::{Decision, DecisionKind, DecisionReason};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// How bounding guards on buffer-overflow paths are judged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -51,33 +51,17 @@ pub enum BoundsMode {
     /// inferred range of the copied length provably fits the
     /// destination's capacity (stack *or* named writable global), and
     /// observations whose path constraints are contradictory are
-    /// suppressed outright. Subsumes [`BoundsMode::Strict`].
+    /// suppressed outright (the pipeline builds the DDG with
+    /// `interval_guards` in this mode). Subsumes [`BoundsMode::Strict`].
     Interval,
-}
-
-/// Per-site judgement rank used by the sink-coverage report. Higher
-/// outranks lower when the same sink instruction is judged from several
-/// observing functions (max-merge): a site reported anywhere counts as
-/// reported, even if another holder saw it sanitised.
-pub mod site_rank {
-    /// Seen by the detector but the sensitive variable carried no taint.
-    pub const UNREACHED: u8 = 0;
-    /// Tainted, but every observation's path constraints contradict.
-    pub const INFEASIBLE: u8 = 1;
-    /// Tainted and feasible, but a sanitising guard covers the data.
-    pub const SANITIZED: u8 = 2;
-    /// Reported as a finding (vulnerable or sanitised candidate kept).
-    pub const REPORTED: u8 = 3;
 }
 
 /// The complete result of one taint-judgement pass.
 #[derive(Debug, Clone, Default)]
 pub struct TaintOutcome {
-    /// Every judged `(source, path, sink)` tuple.
+    /// Every judged `(source, path, sink)` tuple, minus cross-holder
+    /// duplicates.
     pub findings: Vec<Finding>,
-    /// Tainted observations dropped because their path constraints are
-    /// contradictory ([`BoundsMode::Interval`] only; zero otherwise).
-    pub infeasible_suppressed: usize,
     /// Interval-solver passes run across all observations — a
     /// deterministic step count.
     pub absint_passes: u64,
@@ -88,16 +72,47 @@ pub struct TaintOutcome {
     /// sink instruction, call chain, source set and sink name observed
     /// from more than one holder).
     pub duplicates_suppressed: usize,
-    /// Best judgement per distinct sink site `(sink name, instruction)`
-    /// across all observing functions (see [`site_rank`]). Always
-    /// populated — the sink-coverage report is built from it.
-    pub site_outcomes: BTreeMap<(String, u32), u8>,
-    /// Typed audit records for every negative judgement — only
-    /// populated when the audit log is enabled; empty (and zero-cost)
-    /// otherwise. Ordered by observing function address, then
-    /// observation order, with cross-holder duplicate suppressions
-    /// appended last in the same holder order a clean run visits.
-    pub decisions: Vec<Decision>,
+    /// One verdict per judged sink observation, in holder address order
+    /// and then observation order. The sink-coverage report and the
+    /// audit log's detect-stage decisions are built from it.
+    pub verdicts: Vec<SiteVerdict>,
+}
+
+/// The detector's verdict on one sink observation. It names the
+/// observation by position instead of copying it, so the record stays
+/// small and allocation-free for the common unreached case.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SiteVerdict {
+    /// The observing function's entry address.
+    pub holder: u32,
+    /// The observation's index in the holder's [`FinalSummary::sinks`].
+    pub obs: u32,
+    /// What the judgement found.
+    pub judged: Judged,
+    /// The finding's fingerprint when an earlier holder already
+    /// reported the same flow and this one was folded away.
+    pub folded: Option<Box<str>>,
+}
+
+impl SiteVerdict {
+    /// The judged observation, looked up in the data-flow result the
+    /// verdict came from.
+    pub(crate) fn observation<'a>(&self, df: &'a ProgramDataflow) -> &'a SinkObservation {
+        &df.finals[&self.holder].sinks[self.obs as usize]
+    }
+}
+
+/// What the detector concluded about one sink observation, from least
+/// to most severe.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Judged {
+    /// The sink's sensitive variable carried no taint.
+    Unreached,
+    /// Tainted, but a sanitising guard covers the data (boxed: most
+    /// observations are unreached, and each verdict record stays small).
+    Sanitized(Box<SanitizeVerdict>),
+    /// Tainted and unguarded: a vulnerable finding.
+    Vulnerable,
 }
 
 /// Object-granular taint knowledge for one observing function.
@@ -216,9 +231,11 @@ fn direct_atoms(
 /// In [`BoundsMode::Interval`] every holder function gets one
 /// [`IntervalAnalysis`] seeded from its definition pairs; each tainted
 /// observation clones it, assumes the observation's path constraints,
-/// and solves. A contradictory path suppresses the observation; an
-/// otherwise-guarded copy is sanitised only when the solved range of the
-/// length fits the destination capacity.
+/// and solves. An otherwise-guarded copy is sanitised only when the
+/// solved range of the length fits the destination capacity. Interval
+/// mode expects a data-flow result built with
+/// [`dtaint_dataflow::DataflowConfig::interval_guards`], which drops
+/// the observations whose path constraints contradict.
 pub fn detect_full(
     df: &ProgramDataflow,
     bin: Option<&Binary>,
@@ -226,32 +243,8 @@ pub fn detect_full(
     fn_names: &HashMap<u32, String>,
     mode: BoundsMode,
 ) -> TaintOutcome {
-    detect_audit(df, bin, sources, fn_names, mode, false)
-}
-
-/// [`detect_full`] with the decision audit log switched on or off.
-///
-/// With `audit == false` the result is identical to [`detect_full`]
-/// (same findings, counters, and [`TaintOutcome::site_outcomes`]) and
-/// no [`Decision`] records are built — the judgement itself never
-/// branches on the flag, only the record construction does.
-pub fn detect_audit(
-    df: &ProgramDataflow,
-    bin: Option<&Binary>,
-    sources: &HashSet<String>,
-    fn_names: &HashMap<u32, String>,
-    mode: BoundsMode,
-    audit: bool,
-) -> TaintOutcome {
-    let mut findings = Vec::new();
-    let mut infeasible_suppressed = 0usize;
-    let mut duplicates_suppressed = 0usize;
-    let mut absint_passes = 0u64;
+    let mut out = TaintOutcome::default();
     let mut seen: HashSet<(u32, Vec<u32>, Vec<SourceRef>, String)> = HashSet::new();
-    let mut failed_holders: Vec<u32> = Vec::new();
-    let mut site_outcomes: BTreeMap<(String, u32), u8> = BTreeMap::new();
-    let mut decisions: Vec<Decision> = Vec::new();
-    let mut dup_decisions: Vec<Decision> = Vec::new();
     let mut holders: Vec<&FinalSummary> = df.finals.values().collect();
     holders.sort_by_key(|f| f.summary.addr);
     // Caller/callee names per call instruction, shared by every
@@ -261,70 +254,51 @@ pub fn detect_audit(
         // Judge each observing function behind a panic boundary: the
         // pool is only read here, so a caught panic loses that holder's
         // findings and nothing else. Cross-holder deduplication stays
-        // out here, applied in the same holder order as a clean run.
+        // out here, applied in holder order.
+        let addr = holder.summary.addr;
         let judged = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            judge_holder(df, bin, sources, fn_names, mode, holder, &callsites, audit)
+            judge_holder(df, bin, sources, fn_names, mode, holder, &callsites)
         }));
-        let Ok(judged) = judged else {
-            failed_holders.push(holder.summary.addr);
+        let Ok((judgements, passes)) = judged else {
+            out.failed_holders.push(addr);
             continue;
         };
-        infeasible_suppressed += judged.suppressed;
-        absint_passes += judged.absint_passes;
-        for (key, rank) in judged.site_ranks {
-            let entry = site_outcomes.entry(key).or_insert(rank);
-            *entry = (*entry).max(rank);
-        }
-        decisions.extend(judged.decisions);
-        for f in judged.candidates {
-            let key = (f.sink_ins, f.call_chain.clone(), f.sources.clone(), f.sink.clone());
-            if seen.insert(key) {
-                findings.push(f);
-            } else {
-                duplicates_suppressed += 1;
-                if audit {
-                    dup_decisions.push(
-                        Decision::new(
-                            DecisionKind::DuplicateSuppressed,
-                            "detect",
-                            &f.observed_in,
-                            holder.summary.addr,
-                            DecisionReason::Duplicate { fingerprint: f.fingerprint.clone() },
-                        )
-                        .at_sink(f.sink_ins, &f.sink),
-                    );
+        out.absint_passes += passes;
+        for (obs, finding) in judgements {
+            let (judged, folded) = match finding {
+                None => (Judged::Unreached, None),
+                Some(f) => {
+                    let judged = if f.verdict.sanitized() {
+                        Judged::Sanitized(Box::new(f.verdict.clone()))
+                    } else {
+                        Judged::Vulnerable
+                    };
+                    let key = (f.sink_ins, f.call_chain.clone(), f.sources.clone(), f.sink.clone());
+                    if seen.insert(key) {
+                        out.findings.push(*f);
+                        (judged, None)
+                    } else {
+                        (judged, Some(f.fingerprint.into_boxed_str()))
+                    }
                 }
-            }
+            };
+            out.verdicts.push(SiteVerdict { holder: addr, obs, judged, folded });
         }
     }
-    decisions.append(&mut dup_decisions);
-    crate::report::sort_findings(&mut findings);
-    TaintOutcome {
-        findings,
-        infeasible_suppressed,
-        absint_passes,
-        failed_holders,
-        duplicates_suppressed,
-        site_outcomes,
-        decisions,
-    }
+    out.duplicates_suppressed = out.verdicts.iter().filter(|v| v.folded.is_some()).count();
+    crate::report::sort_findings(&mut out.findings);
+    out
 }
 
-/// Per-holder result of [`judge_holder`], before cross-holder
-/// deduplication.
-struct HolderJudgement {
-    candidates: Vec<Finding>,
-    suppressed: usize,
-    absint_passes: u64,
-    /// Site key → best rank this holder proved (see [`site_rank`]).
-    site_ranks: Vec<((String, u32), u8)>,
-    /// Audit records in observation order; empty unless auditing.
-    decisions: Vec<Decision>,
-}
+/// One judged sink observation: its index in the holder's sinks, and the
+/// finding its tainted flow was judged into (sanitised or not), or
+/// `None` when no taint reached the sink.
+type Judgement = (u32, Option<Box<Finding>>);
 
-/// Judges every sink observation of one observing function. Pure reader
-/// of the data-flow result — it never mutates the pool — so it can run
-/// behind `catch_unwind` without poisoning shared state.
+/// Judges every sink observation of one observing function, in order,
+/// and counts the interval-solver passes it ran. Pure reader of the
+/// data-flow result — it never mutates the pool — so it can run behind
+/// `catch_unwind` without poisoning shared state.
 #[allow(clippy::too_many_arguments)]
 fn judge_holder(
     df: &ProgramDataflow,
@@ -334,244 +308,187 @@ fn judge_holder(
     mode: BoundsMode,
     holder: &FinalSummary,
     callsites: &HashMap<u32, (String, String)>,
-    audit: bool,
-) -> HolderJudgement {
-    let mut findings = Vec::new();
-    let mut infeasible_suppressed = 0usize;
+) -> (Vec<Judgement>, u64) {
+    let mut judgements = Vec::with_capacity(holder.sinks.len());
     let mut absint_passes = 0u64;
-    let mut site_ranks: Vec<((String, u32), u8)> = Vec::new();
-    let mut decisions: Vec<Decision> = Vec::new();
-    let holder_name =
-        fn_names.get(&holder.summary.addr).cloned().unwrap_or_else(|| "<unknown>".to_owned());
-    {
-        // One object-taint index per observing function, shared by all
-        // of its sink observations.
-        let index = TaintIndex::build(df, holder, sources);
-        // Interval mode: one definition-seeded base environment per
-        // holder, cloned and specialised per observation below.
-        let base_absint = (mode == BoundsMode::Interval).then(|| {
-            let mut a = IntervalAnalysis::new(&df.pool);
-            for dp in &holder.summary.def_pairs {
-                a.seed_def(dp.d, dp.u);
+    // One object-taint index per observing function, shared by all
+    // of its sink observations.
+    let index = TaintIndex::build(df, holder, sources);
+    // Interval mode: one definition-seeded base environment per
+    // holder, cloned and specialised per observation below.
+    let base_absint = (mode == BoundsMode::Interval).then(|| {
+        let mut a = IntervalAnalysis::new(&df.pool);
+        for dp in &holder.summary.def_pairs {
+            a.seed_def(dp.d, dp.u);
+        }
+        a
+    });
+    for (at, obs) in (0u32..).zip(&holder.sinks) {
+        let (kind, sink_name) = match &obs.kind {
+            SinkKind::Import(name) => {
+                let Some(spec) = sink_spec(name) else { continue };
+                (spec.kind, name.clone())
             }
+            SinkKind::LoopCopy => (VulnKind::BufferOverflow, "loop-copy".to_owned()),
+        };
+
+        // 1. Taint on the sink's sensitive variable.
+        let mut source_refs: BTreeSet<SourceRef> = BTreeSet::new();
+        let mut tainted_rendered: Option<ExprId> = None;
+        let mut note_taint = |e: ExprId, atoms: BTreeSet<SourceRef>| {
+            if !atoms.is_empty() {
+                source_refs.extend(atoms);
+                tainted_rendered.get_or_insert(e);
+            }
+        };
+        match &obs.kind {
+            SinkKind::LoopCopy => {
+                if let Some(&value) = obs.args.get(1) {
+                    note_taint(value, index.atoms_in(value));
+                }
+            }
+            SinkKind::Import(name) => {
+                let spec = sink_spec(name).expect("checked above");
+                match spec.tainted {
+                    TaintedVar::Arg(i) => {
+                        if let Some(&a) = obs.args.get(i) {
+                            note_taint(a, index.atoms_in(a));
+                        }
+                    }
+                    TaintedVar::Pointee(i) => {
+                        if let Some(&p) = obs.args.get(i) {
+                            note_taint(p, index.pointee_atoms(holder.summary.addr, p));
+                        }
+                    }
+                    TaintedVar::PointeesFrom(i) => {
+                        for &p in obs.args.iter().skip(i) {
+                            note_taint(p, index.pointee_atoms(holder.summary.addr, p));
+                        }
+                    }
+                }
+            }
+        }
+        if source_refs.is_empty() {
+            judgements.push((at, None));
+            continue;
+        }
+
+        // 2. Interval mode: the observation's per-path ranges. The DDG,
+        // built with `interval_guards`, already dropped every
+        // observation whose path constraints contradict.
+        let ranges = base_absint.as_ref().map(|base| {
+            let mut a = base.clone();
+            a.assume_all(&obs.constraints);
+            a.solve();
+            absint_passes += u64::from(a.passes_run());
             a
         });
-        for obs in &holder.sinks {
-            let (kind, sink_name) = match &obs.kind {
-                SinkKind::Import(name) => {
-                    let Some(spec) = sink_spec(name) else { continue };
-                    (spec.kind, name.clone())
-                }
-                SinkKind::LoopCopy => (VulnKind::BufferOverflow, "loop-copy".to_owned()),
-            };
 
-            // 1. Taint on the sink's sensitive variable.
-            let mut source_refs: BTreeSet<SourceRef> = BTreeSet::new();
-            let mut tainted_rendered: Option<ExprId> = None;
-            let mut note_taint = |e: ExprId, atoms: BTreeSet<SourceRef>| {
-                if !atoms.is_empty() {
-                    source_refs.extend(atoms);
-                    tainted_rendered.get_or_insert(e);
-                }
-            };
-            match &obs.kind {
-                SinkKind::LoopCopy => {
-                    if let Some(&value) = obs.args.get(1) {
-                        note_taint(value, index.atoms_in(value));
-                    }
-                }
+        // 3. Sanitisation.
+        let capacity = match mode {
+            BoundsMode::Paper => None,
+            // Strict mode keeps its documented stack-only scope;
+            // only interval mode rates named global destinations.
+            BoundsMode::Strict => obs.args.first().and_then(|&d| stack_capacity(&df.pool, d)),
+            BoundsMode::Interval => dest_capacity(df, bin, obs),
+        };
+        let verdict = match kind {
+            VulnKind::BufferOverflow => match &obs.kind {
+                SinkKind::LoopCopy => loop_copy_verdict(df, obs, capacity, mode),
                 SinkKind::Import(name) => {
                     let spec = sink_spec(name).expect("checked above");
-                    match spec.tainted {
-                        TaintedVar::Arg(i) => {
-                            if let Some(&a) = obs.args.get(i) {
-                                note_taint(a, index.atoms_in(a));
-                            }
-                        }
-                        TaintedVar::Pointee(i) => {
-                            if let Some(&p) = obs.args.get(i) {
-                                note_taint(p, index.pointee_atoms(holder.summary.addr, p));
-                            }
-                        }
-                        TaintedVar::PointeesFrom(i) => {
-                            for &p in obs.args.iter().skip(i) {
-                                note_taint(p, index.pointee_atoms(holder.summary.addr, p));
-                            }
-                        }
+                    match (&ranges, spec.tainted) {
+                        (Some(a), TaintedVar::Arg(i)) => obs
+                            .args
+                            .get(i)
+                            .map(|&len| interval_upper_bound(&index, a, obs, len, capacity))
+                            .unwrap_or_default(),
+                        _ => upper_bound_verdict(&index, obs, capacity),
+                    }
+                }
+            },
+            VulnKind::CommandInjection => separator_verdict(df, &index, obs),
+        };
+
+        let srcs: Vec<SourceRef> = source_refs.into_iter().collect();
+        let unknown = "<unknown>".to_owned();
+        let observed_name = fn_names.get(&holder.summary.addr).unwrap_or(&unknown).clone();
+        let sink_fn_name = fn_names.get(&obs.sink_fn).unwrap_or(&unknown).clone();
+
+        // Typed provenance chain, source-first: the backward DDG
+        // walk, then the transformations that carried the
+        // observation (alias rewrites, callsite substitutions), the
+        // interval refinement when it ran, and the verdict last.
+        let mut chain: Vec<EvidenceStep> = Vec::new();
+        if let Some(e) = tainted_rendered {
+            for step in dtaint_dataflow::backward_trace(df, holder.summary.addr, e, sources, 12) {
+                match step {
+                    TraceStep::Source { name, ins_addr } => {
+                        chain.push(EvidenceStep::Source { name, ins_addr });
+                    }
+                    TraceStep::Def { ins_addr, location, value } => {
+                        chain.push(EvidenceStep::DefUse {
+                            ins_addr,
+                            location,
+                            value,
+                            function: observed_name.clone(),
+                        });
+                    }
+                    // The finding itself records the sink; the
+                    // chain ends at the verdict instead.
+                    TraceStep::Sink { .. } => {}
+                }
+            }
+        }
+        // Object-granular taint can have no single def chain; the
+        // source set is still known, so lead with it.
+        if !chain.iter().any(|s| matches!(s, EvidenceStep::Source { .. })) {
+            let mut pre: Vec<EvidenceStep> = srcs
+                .iter()
+                .map(|s| EvidenceStep::Source { name: s.name.clone(), ins_addr: s.ins_addr })
+                .collect();
+            pre.append(&mut chain);
+            chain = pre;
+        }
+        if holder.summary.alias_rewrites > 0 {
+            chain.push(EvidenceStep::AliasRewrite {
+                function: observed_name.clone(),
+                rewrites: u64::from(holder.summary.alias_rewrites),
+                rounds: u64::from(holder.summary.sse_rounds),
+                depth: u64::from(holder.summary.sse_depth),
+            });
+        }
+        for &cs in &obs.call_chain {
+            let (caller, callee) = callsites
+                .get(&cs)
+                .cloned()
+                .unwrap_or_else(|| (observed_name.clone(), sink_fn_name.clone()));
+            chain.push(EvidenceStep::CallsiteSubstitution { ins_addr: cs, caller, callee });
+        }
+        if kind == VulnKind::BufferOverflow {
+            if let (Some(a), SinkKind::Import(name)) = (&ranges, &obs.kind) {
+                let spec = sink_spec(name).expect("checked above");
+                if let TaintedVar::Arg(i) = spec.tainted {
+                    if let Some(&len) = obs.args.get(i) {
+                        let r = a.range_of(len);
+                        chain.push(EvidenceStep::IntervalGuard {
+                            expr: df.pool.display(len).to_string(),
+                            lower: r.lower(),
+                            upper: r.upper(),
+                        });
                     }
                 }
             }
-            if source_refs.is_empty() {
-                site_ranks.push(((sink_name.clone(), obs.sink_ins), site_rank::UNREACHED));
-                if audit {
-                    decisions.push(
-                        Decision::new(
-                            DecisionKind::SinkUnreached,
-                            "detect",
-                            &holder_name,
-                            holder.summary.addr,
-                            DecisionReason::Untainted,
-                        )
-                        .at_sink(obs.sink_ins, &sink_name),
-                    );
-                }
-                continue;
-            }
+        }
+        chain.push(EvidenceStep::Verdict(verdict.clone()));
 
-            // 2. Interval feasibility and per-path ranges. Infeasibility
-            // comes from the path constraints alone (never from the
-            // flow-insensitive definition seeds): a contradiction there
-            // means no input reaches the sink with these guards taken.
-            let mut ranges: Option<IntervalAnalysis> = None;
-            if let Some(base) = &base_absint {
-                let witness = dtaint_absint::path_feasible_witness(&df.pool, &obs.constraints);
-                if witness.is_none() {
-                    let mut a = base.clone();
-                    a.assume_all(&obs.constraints);
-                    a.solve();
-                    absint_passes += u64::from(a.passes_run());
-                    ranges = Some(a);
-                }
-                if let Some((op, l, r)) = witness {
-                    infeasible_suppressed += 1;
-                    site_ranks.push(((sink_name.clone(), obs.sink_ins), site_rank::INFEASIBLE));
-                    if audit {
-                        let constraint =
-                            format!("{} {} {}", df.pool.display(l), op, df.pool.display(r));
-                        decisions.push(
-                            Decision::new(
-                                DecisionKind::PathPruned,
-                                "detect",
-                                &holder_name,
-                                holder.summary.addr,
-                                DecisionReason::InfeasiblePath { constraint },
-                            )
-                            .at_sink(obs.sink_ins, &sink_name),
-                        );
-                    }
-                    continue;
-                }
-            }
-
-            // 3. Sanitisation.
-            let capacity = match mode {
-                BoundsMode::Paper => None,
-                // Strict mode keeps its documented stack-only scope;
-                // only interval mode rates named global destinations.
-                BoundsMode::Strict => obs.args.first().and_then(|&d| stack_capacity(&df.pool, d)),
-                BoundsMode::Interval => dest_capacity(df, bin, obs),
-            };
-            let verdict = match kind {
-                VulnKind::BufferOverflow => match &obs.kind {
-                    SinkKind::LoopCopy => loop_copy_verdict(df, obs, capacity, mode),
-                    SinkKind::Import(name) => {
-                        let spec = sink_spec(name).expect("checked above");
-                        match (&ranges, spec.tainted) {
-                            (Some(a), TaintedVar::Arg(i)) => obs
-                                .args
-                                .get(i)
-                                .map(|&len| interval_upper_bound(&index, a, obs, len, capacity))
-                                .unwrap_or_default(),
-                            _ => upper_bound_verdict(&index, obs, capacity),
-                        }
-                    }
-                },
-                VulnKind::CommandInjection => separator_verdict(df, &index, obs),
-            };
-
-            let srcs: Vec<SourceRef> = source_refs.into_iter().collect();
-            let unknown = "<unknown>".to_owned();
-            let observed_name = fn_names.get(&holder.summary.addr).unwrap_or(&unknown).clone();
-            let sink_fn_name = fn_names.get(&obs.sink_fn).unwrap_or(&unknown).clone();
-
-            // Typed provenance chain, source-first: the backward DDG
-            // walk, then the transformations that carried the
-            // observation (alias rewrites, callsite substitutions), the
-            // interval refinement when it ran, and the verdict last.
-            let mut chain: Vec<EvidenceStep> = Vec::new();
-            if let Some(e) = tainted_rendered {
-                for step in dtaint_dataflow::backward_trace(df, holder.summary.addr, e, sources, 12)
-                {
-                    match step {
-                        TraceStep::Source { name, ins_addr } => {
-                            chain.push(EvidenceStep::Source { name, ins_addr });
-                        }
-                        TraceStep::Def { ins_addr, location, value } => {
-                            chain.push(EvidenceStep::DefUse {
-                                ins_addr,
-                                location,
-                                value,
-                                function: observed_name.clone(),
-                            });
-                        }
-                        // The finding itself records the sink; the
-                        // chain ends at the verdict instead.
-                        TraceStep::Sink { .. } => {}
-                    }
-                }
-            }
-            // Object-granular taint can have no single def chain; the
-            // source set is still known, so lead with it.
-            if !chain.iter().any(|s| matches!(s, EvidenceStep::Source { .. })) {
-                let mut pre: Vec<EvidenceStep> = srcs
-                    .iter()
-                    .map(|s| EvidenceStep::Source { name: s.name.clone(), ins_addr: s.ins_addr })
-                    .collect();
-                pre.append(&mut chain);
-                chain = pre;
-            }
-            if holder.summary.alias_rewrites > 0 {
-                chain.push(EvidenceStep::AliasRewrite {
-                    function: observed_name.clone(),
-                    rewrites: u64::from(holder.summary.alias_rewrites),
-                    rounds: u64::from(holder.summary.sse_rounds),
-                    depth: u64::from(holder.summary.sse_depth),
-                });
-            }
-            for &cs in &obs.call_chain {
-                let (caller, callee) = callsites
-                    .get(&cs)
-                    .cloned()
-                    .unwrap_or_else(|| (observed_name.clone(), sink_fn_name.clone()));
-                chain.push(EvidenceStep::CallsiteSubstitution { ins_addr: cs, caller, callee });
-            }
-            if kind == VulnKind::BufferOverflow {
-                if let (Some(a), SinkKind::Import(name)) = (&ranges, &obs.kind) {
-                    let spec = sink_spec(name).expect("checked above");
-                    if let TaintedVar::Arg(i) = spec.tainted {
-                        if let Some(&len) = obs.args.get(i) {
-                            let r = a.range_of(len);
-                            chain.push(EvidenceStep::IntervalGuard {
-                                expr: df.pool.display(len).to_string(),
-                                lower: r.lower(),
-                                upper: r.upper(),
-                            });
-                        }
-                    }
-                }
-            }
-            chain.push(EvidenceStep::Verdict(verdict.clone()));
-
-            let rank = if verdict.sanitized() { site_rank::SANITIZED } else { site_rank::REPORTED };
-            site_ranks.push(((sink_name.clone(), obs.sink_ins), rank));
-            if audit && verdict.sanitized() {
-                decisions.push(
-                    Decision::new(
-                        DecisionKind::SanitizeSuppressed,
-                        "detect",
-                        &holder_name,
-                        holder.summary.addr,
-                        DecisionReason::Sanitized { verdict: verdict.to_string() },
-                    )
-                    .at_sink(obs.sink_ins, &sink_name),
-                );
-            }
-
-            let tainted_expr =
-                tainted_rendered.map(|e| df.pool.display(e).to_string()).unwrap_or_default();
-            let fingerprint =
-                evidence::fingerprint(kind.into(), &sink_name, &sink_fn_name, &tainted_expr, &srcs);
-            findings.push(Finding {
+        let tainted_expr =
+            tainted_rendered.map(|e| df.pool.display(e).to_string()).unwrap_or_default();
+        let fingerprint =
+            evidence::fingerprint(kind.into(), &sink_name, &sink_fn_name, &tainted_expr, &srcs);
+        judgements.push((
+            at,
+            Some(Box::new(Finding {
                 kind: kind.into(),
                 sink: sink_name,
                 sink_ins: obs.sink_ins,
@@ -583,16 +500,10 @@ fn judge_holder(
                 fingerprint,
                 verdict,
                 evidence: chain,
-            });
-        }
+            })),
+        ));
     }
-    HolderJudgement {
-        candidates: findings,
-        suppressed: infeasible_suppressed,
-        absint_passes,
-        site_ranks,
-        decisions,
-    }
+    (judgements, absint_passes)
 }
 
 /// Judges bounding constraints covering the tainted data:

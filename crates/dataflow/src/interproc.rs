@@ -100,13 +100,6 @@ pub struct DataflowConfig {
     /// default) analyzes everything cold. Hits and misses never change
     /// results — only whether they are recomputed or rehydrated.
     pub cache: Option<crate::cache::CacheRef>,
-    /// Record one [`PrunedSink`] per observation the interval pruning
-    /// drops, with the winning contradictory constraint rendered — the
-    /// decision-audit feed. The feasibility *decision* is identical
-    /// either way; auditing only captures evidence, so findings and
-    /// counters never depend on this flag. `false` (the default)
-    /// records nothing and allocates nothing.
-    pub audit: bool,
 }
 
 impl Default for DataflowConfig {
@@ -129,7 +122,6 @@ impl Default for DataflowConfig {
             panic_on: None,
             trace: None,
             cache: None,
-            audit: false,
         }
     }
 }
@@ -154,26 +146,21 @@ impl SinkKind {
 }
 
 /// A sink observation the interval feasibility pruning dropped, with the
-/// winning contradictory constraint rendered — one decision-audit
-/// record. Collected only under [`DataflowConfig::audit`], in the order
-/// the propagation prunes (processing order, then sink order).
+/// constraint that proved its path infeasible. Recorded under
+/// [`DataflowConfig::interval_guards`], in the order the propagation
+/// prunes (processing order, then sink order).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PrunedSink {
-    /// Sink kind name (`memcpy`, `loop-copy`, …).
-    pub sink: String,
+    /// The dropped observation's sink kind.
+    pub kind: SinkKind,
     /// Instruction address of the sink itself.
     pub sink_ins: u32,
-    /// Function that contains the sink.
-    pub sink_fn: u32,
     /// Function whose propagation dropped the observation (the sink's
     /// own function, or a caller it had bubbled into).
     pub pruned_in: u32,
-    /// Name of that function.
-    pub pruned_in_name: String,
-    /// The contradictory constraint that proved the path infeasible,
-    /// rendered structurally (`ret_0x40 > 64`) so it is identical across
-    /// thread counts.
-    pub constraint: String,
+    /// The contradictory constraint, in the shared pool: the witness
+    /// [`dtaint_absint::path_feasible_witness`] returned.
+    pub witness: (CmpOp, ExprId, ExprId),
 }
 
 /// A sensitive sink, as visible from some function up the call chain.
@@ -257,12 +244,12 @@ pub struct ProgramDataflow {
     /// [`DataflowConfig::trace`] asks for worker spans. Durations are
     /// wall-clock and must never feed findings.
     pub trace_events: Vec<SpanEvent>,
-    /// Audit records for every observation the interval pruning dropped,
-    /// recorded only under [`DataflowConfig::audit`] (empty otherwise).
-    /// Ordered by [`Self::order`], then sink order. Cache *hits*
-    /// re-credit [`Self::pruned_infeasible`] from the blob's count but
-    /// carry no per-sink records — on a warm scan this list covers only
-    /// the functions analyzed cold.
+    /// One record per observation the interval pruning dropped (empty
+    /// without [`DataflowConfig::interval_guards`]). Ordered by
+    /// [`Self::order`], then sink order. Cache *hits* re-credit
+    /// [`Self::pruned_infeasible`] from the blob's count but carry no
+    /// per-sink records — on a warm scan this list covers only the
+    /// functions analyzed cold.
     pub pruned_sinks: Vec<PrunedSink>,
 }
 
@@ -464,7 +451,8 @@ pub fn build_dataflow(
                 ))
             });
             match propagated {
-                Some((fs, fn_pruned, mut pruned)) => {
+                Some((fs, mut pruned)) => {
+                    let fn_pruned = pruned.len() as u32;
                     pruned_sinks.append(&mut pruned);
                     (fs, fn_pruned)
                 }
@@ -706,9 +694,8 @@ impl DdgCacheCtx {
 
 /// Summarises one function (Algorithm 2 outer-loop body): collects its
 /// own sinks, then applies every already-summarised callee at each call
-/// site. Returns the final summary, how many sink observations the
-/// interval pruning dropped, and — under [`DataflowConfig::audit`] — one
-/// [`PrunedSink`] per drop.
+/// site. Returns the final summary and one [`PrunedSink`] per sink
+/// observation the interval pruning dropped.
 ///
 /// `finals` must already contain every callee outside the function's own
 /// component — the stratified order guarantees it. Callees *inside* the
@@ -725,7 +712,7 @@ fn process_function(
     globals: &crate::sse::GlobalMap,
     pool: &mut ExprPool,
     config: &DataflowConfig,
-) -> (FinalSummary, u32, Vec<PrunedSink>) {
+) -> (FinalSummary, Vec<PrunedSink>) {
     let local_constraints = summary.constraints.len();
     let mut sinks: Vec<SinkObservation> = Vec::new();
     let mut fuel = config.max_fuel;
@@ -825,29 +812,22 @@ fn process_function(
     // Interval extension: an observation whose accumulated constraints
     // contradict each other describes a path the program cannot take;
     // dropping it here also stops it bubbling further up the call graph.
-    // Under audit, each drop also records the constraint that won.
-    let before = sinks.len();
+    // Each drop records the constraint that won.
     let mut pruned = Vec::new();
     if config.interval_guards {
         sinks.retain(|sk| {
-            let Some((op, l, r)) = dtaint_absint::path_feasible_witness(pool, &sk.constraints)
-            else {
+            let Some(witness) = dtaint_absint::path_feasible_witness(pool, &sk.constraints) else {
                 return true;
             };
-            if config.audit {
-                pruned.push(PrunedSink {
-                    sink: sk.kind.name().to_owned(),
-                    sink_ins: sk.sink_ins,
-                    sink_fn: sk.sink_fn,
-                    pruned_in: faddr,
-                    pruned_in_name: summary.name.clone(),
-                    constraint: format!("{} {} {}", pool.display(l), op, pool.display(r)),
-                });
-            }
+            pruned.push(PrunedSink {
+                kind: sk.kind.clone(),
+                sink_ins: sk.sink_ins,
+                pruned_in: faddr,
+                witness,
+            });
             false
         });
     }
-    let fn_pruned = (before - sinks.len()) as u32;
     if config.panic_on == Some(faddr) {
         panic!("injected fault: ddg panic drill at {faddr:#x}");
     }
@@ -861,7 +841,7 @@ fn process_function(
         budget_exhausted,
         fuel_used: config.max_fuel - fuel,
     };
-    (fs, fn_pruned, pruned)
+    (fs, pruned)
 }
 
 fn constraints_on_path(summary: &FuncSummary, path: u32) -> Vec<(CmpOp, ExprId, ExprId)> {

@@ -2,21 +2,20 @@
 //! the pipeline makes — paths pruned, findings sanitized away, duplicates
 //! folded, budgets degraded, caches quarantined, sinks never reached.
 //!
-//! Aggregate counters (`detect.infeasible_suppressed`,
-//! `ddg.pruned_infeasible`, …) say *how many* flows were dropped; the
-//! audit log says *which* and *why*, one [`Decision`] per event, so a
+//! Aggregate counters (`ddg.pruned_infeasible`,
+//! `detect.duplicates_suppressed`, …) say *how many* flows were dropped;
+//! the audit log says *which* and *why*, one [`Decision`] per event, so a
 //! missed plant is triaged with `dtaint why` instead of a debugger.
 //!
-//! Determinism contract: decisions are collected through the same
-//! discipline as spans — parallel stages buffer into worker-local
-//! vectors that the owner absorbs in spawn (address) order, sequential
-//! stages emit in their already-sorted iteration order — so the log is
-//! bit-identical across thread counts. Reasons render symbolic
-//! expressions *structurally* (never by pool id), which keeps the text
-//! stable across the pool layouts different thread counts produce.
+//! Determinism contract: the analysis stages return what they decided as
+//! typed, address-ordered records, and the pipeline renders the whole log
+//! from them in one canonical order — so the log is bit-identical across
+//! thread counts. Reasons render symbolic expressions *structurally*
+//! (never by pool id), which keeps the text stable across the pool
+//! layouts different thread counts produce.
 //!
-//! Zero-cost when disabled: every emission site is gated on a single
-//! `bool`; no `Decision` is allocated unless auditing was requested.
+//! Zero-cost when disabled: the log is rendered only when auditing was
+//! requested; no `Decision` is allocated otherwise.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -28,8 +27,8 @@ pub const AUDIT_VERSION: u32 = 1;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum DecisionKind {
     /// A sink observation was dropped because its accumulated path
-    /// constraints are contradictory (interval-guard pruning, either
-    /// inside Algorithm 2 or at judgement time).
+    /// constraints are contradictory (interval-guard pruning inside
+    /// Algorithm 2).
     PathPruned,
     /// A tainted flow reached the sink but a sanitize verdict judged the
     /// guard sufficient; the finding is recorded but not reported.

@@ -3,10 +3,11 @@
 //! is exactly reconciled by the decisions that explain it, and the
 //! sink-coverage rows partition the sink population.
 //!
-//! The determinism contract under test: decisions are assembled in one
-//! canonical order (symex budget → ddg prunes/budget/saturation →
-//! cache quarantines → detect verdicts), all of it derived from
-//! logical analysis state — wall-clock never enters a decision.
+//! The determinism contract under test: decisions are rendered in one
+//! canonical order (symex budget → ddg budget → ddg prunes → alias
+//! saturation → cache quarantines → detect verdicts → duplicate folds),
+//! all of it derived from logical analysis state — wall-clock never
+//! enters a decision.
 
 use dtaint_core::AnalysisReport;
 use dtaint_fwgen::{build_firmware, table2_profiles, GeneratedFirmware};
@@ -69,22 +70,22 @@ fn audit_stream_is_bit_identical_across_thread_counts() {
 
 /// Every suppressed/degraded counter in the report is explained by
 /// exactly as many decisions, and the coverage rows partition their
-/// sink sites — no silent suppression, no double counting.
+/// sink sites — no silent suppression, no double counting. Checked in
+/// the paper's bounds mode and with `--interval-guards`, where the DDG
+/// prunes infeasible paths, so the prune reconciliation compares
+/// non-zero counts.
 #[test]
 fn decisions_reconcile_every_suppression_counter() {
-    for index in 0..6 {
+    let mut interval_prunes = 0;
+    for (index, mode) in (0..6).flat_map(|i| [(i, None), (i, Some("--interval-guards"))]) {
         let p = image_path(index, 60);
-        let audit = tmpdir().join(format!("audit-rec-p{index}.jsonl"));
-        let (code, json) = dtaint_cli::run_captured(&[
-            "scan",
-            &p,
-            "--json",
-            "--threads",
-            "2",
-            "--audit-out",
-            audit.to_str().unwrap(),
-        ]);
-        assert!(matches!(code, Ok(0 | 2 | 4)), "profile {index}: {code:?}");
+        let tag = if mode.is_some() { "interval" } else { "paper" };
+        let audit = tmpdir().join(format!("audit-rec-p{index}-{tag}.jsonl"));
+        let mut args =
+            vec!["scan", &p, "--json", "--threads", "2", "--audit-out", audit.to_str().unwrap()];
+        args.extend(mode);
+        let (code, json) = dtaint_cli::run_captured(&args);
+        assert!(matches!(code, Ok(0 | 2 | 4)), "profile {index} {tag}: {code:?}");
         let report = AnalysisReport::from_json(json.trim()).unwrap();
         let counter = |n: &str| report.telemetry.metrics.counter(n);
         let kind_count =
@@ -93,42 +94,47 @@ fn decisions_reconcile_every_suppression_counter() {
             report.decisions.iter().filter(|d| d.kind == k && d.stage == s).count() as u64
         };
 
+        // The DDG drops every infeasible observation before the
+        // detector sees it, so no prune is ever decided at detect time.
         assert_eq!(
             stage_count(DecisionKind::PathPruned, "detect"),
-            counter("detect.infeasible_suppressed"),
-            "profile {index}: detect-side prune decisions match the counter"
+            0,
+            "profile {index} {tag}: no detect-side prune decisions"
         );
         // A cache-less scan analyzes everything cold, so the per-sink
         // DDG prune records cover the whole aggregate count.
         assert_eq!(
             stage_count(DecisionKind::PathPruned, "ddg"),
             counter("ddg.pruned_infeasible"),
-            "profile {index}: ddg prune decisions match the counter"
+            "profile {index} {tag}: ddg prune decisions match the counter"
         );
+        if mode.is_some() {
+            interval_prunes += counter("ddg.pruned_infeasible");
+        }
         assert_eq!(
             kind_count(DecisionKind::DuplicateSuppressed),
             counter("detect.duplicates_suppressed"),
-            "profile {index}: duplicate decisions match the counter"
+            "profile {index} {tag}: duplicate decisions match the counter"
         );
         assert_eq!(
             kind_count(DecisionKind::SanitizeSuppressed),
             report.findings.iter().filter(|f| f.sanitized()).count() as u64,
-            "profile {index}: one decision per sanitized finding"
+            "profile {index} {tag}: one decision per sanitized finding"
         );
         assert_eq!(
             stage_count(DecisionKind::BudgetDegraded, "symex"),
             counter("symex.functions_retried"),
-            "profile {index}: symex degradations match the retry counter"
+            "profile {index} {tag}: symex degradations match the retry counter"
         );
         assert_eq!(
             kind_count(DecisionKind::AliasSaturated),
             counter("ddg.alias_sse_saturated"),
-            "profile {index}: saturation decisions match the counter"
+            "profile {index} {tag}: saturation decisions match the counter"
         );
         assert_eq!(
             kind_count(DecisionKind::CacheQuarantined),
             0,
-            "profile {index}: no cache configured → no quarantine decisions"
+            "profile {index} {tag}: no cache configured → no quarantine decisions"
         );
 
         // Coverage rows partition their sites, and the aggregates agree
@@ -137,7 +143,7 @@ fn decisions_reconcile_every_suppression_counter() {
             assert_eq!(
                 row.sites,
                 row.reported + row.sanitized + row.infeasible + row.unreached,
-                "profile {index}: row `{}` partitions its sites",
+                "profile {index} {tag}: row `{}` partitions its sites",
                 row.sink
             );
             assert_eq!(row.reached(), row.reported + row.sanitized + row.infeasible);
@@ -146,24 +152,25 @@ fn decisions_reconcile_every_suppression_counter() {
         assert_eq!(
             t.sites,
             report.sink_coverage.rows.iter().map(|r| r.sites).sum::<usize>(),
-            "profile {index}: totals sum the rows"
+            "profile {index} {tag}: totals sum the rows"
         );
-        assert!(t.sites > 0, "profile {index}: the profiles plant sinks");
+        assert!(t.sites > 0, "profile {index} {tag}: the profiles plant sinks");
         assert_eq!(
             report.sink_coverage.ddg_pruned as u64,
             counter("ddg.pruned_infeasible"),
-            "profile {index}: coverage aggregate mirrors the DDG counter"
+            "profile {index} {tag}: coverage aggregate mirrors the DDG counter"
         );
         assert_eq!(
             report.sink_coverage.duplicates as u64,
             counter("detect.duplicates_suppressed"),
-            "profile {index}: coverage aggregate mirrors the dedup counter"
+            "profile {index} {tag}: coverage aggregate mirrors the dedup counter"
         );
 
         // The JSONL stream is the same decision list the report embeds.
         let text = std::fs::read_to_string(&audit).unwrap();
         assert_eq!(text.lines().count(), report.decisions.len());
     }
+    assert!(interval_prunes > 0, "interval mode prunes infeasible paths on the profiles");
 }
 
 /// Audit off (the default) records nothing — the report's decision list

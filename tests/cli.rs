@@ -351,6 +351,72 @@ fn batch_cold_then_warm_reuses_the_cache_and_stays_quiet() {
     assert!(!text.contains("\"sym_hits\": 0,"), "warm run hits the cache: {text}");
 }
 
+/// A cold batch under `--alias sse` populates the store under the SSE
+/// salts; the warm re-run reuses every summary at both levels and
+/// reproduces the per-image report exactly, apart from its wall clock
+/// (`stage_us`) and embedded telemetry.
+#[test]
+fn batch_cold_then_warm_reuses_the_cache_under_alias_sse() {
+    let dir = tmpdir().join("corpus-sse");
+    std::fs::create_dir_all(&dir).unwrap();
+    let image = dir.join("dir890l.fwi");
+    let (code, out) = run_captured(&["gen", "2", "--out", image.to_str().unwrap()]);
+    assert_eq!(code, Ok(0), "{out}");
+    let d = dir.to_str().unwrap();
+    let (code, out) = run_captured(&["batch", d, "--alias", "sse"]);
+    assert_eq!(code, Ok(0), "cold sse batch: {out}");
+    let reports = dir.join(".dtaint-store/reports");
+    let cold = std::fs::read_to_string(reports.join("dir890l.json")).unwrap();
+    let (code, out) = run_captured(&["batch", d, "--alias", "sse"]);
+    assert_eq!(code, Ok(0), "warm sse batch: {out}");
+    let corpus: Value =
+        serde_json::from_str(&std::fs::read_to_string(reports.join("corpus.json")).unwrap())
+            .unwrap();
+    let count = |key: &str| match corpus.get(key) {
+        Some(Value::Int(n)) => *n,
+        other => panic!("corpus.json `{key}`: {other:?}"),
+    };
+    assert!(count("sym_hits") > 0 && count("ddg_hits") > 0, "warm run hits both levels");
+    assert_eq!((count("sym_misses"), count("ddg_misses")), (0, 0), "warm run misses nothing");
+    // The report minus its wall clock and telemetry, per binary.
+    let stable = |text: &str| -> Vec<Value> {
+        let reports = match serde_json::from_str(text).unwrap() {
+            Value::Arr(reports) => reports,
+            one => vec![one],
+        };
+        let keep = |(k, _): &(String, Value)| k != "stage_us" && k != "telemetry";
+        reports
+            .into_iter()
+            .map(|r| match r {
+                Value::Obj(pairs) => Value::Obj(pairs.into_iter().filter(keep).collect()),
+                other => panic!("a report is an object: {}", other.kind()),
+            })
+            .collect()
+    };
+    let warm = std::fs::read_to_string(reports.join("dir890l.json")).unwrap();
+    assert!(stable(&cold) == stable(&warm), "warm sse report differs from cold");
+}
+
+/// The DIR-890L profile plants a two-level pointer chain split across
+/// callees (`handle_deep_link`). The store-based single alias pass
+/// misses it; the SSE fixpoint connects it. Both modes still find the
+/// flat plants, so both scans exit 2.
+#[test]
+fn alias_store_misses_the_deep_chain_that_sse_finds() {
+    let image = tmpdir().join("alias-gen2.fwi");
+    let path = image.to_str().unwrap();
+    let (code, out) = run_captured(&["gen", "2", "--out", path]);
+    assert_eq!(code, Ok(0), "{out}");
+    let deep_findings = |alias: &str| {
+        let (code, json) = run_captured(&["scan", path, "--alias", alias, "--json"]);
+        assert_eq!(code, Ok(2), "--alias {alias}: {json}");
+        let report = AnalysisReport::from_json(json.trim()).unwrap();
+        report.findings.iter().filter(|f| f.sink_fn == "handle_deep_link").count()
+    };
+    assert_eq!(deep_findings("store"), 0, "store mode must miss the multi-level chain");
+    assert!(deep_findings("sse") > 0, "SSE mode must detect the planted multi-level chain");
+}
+
 #[test]
 fn batch_no_cache_scans_cold() {
     let (dir, full, _) = corpus_dir("nocache");

@@ -593,13 +593,15 @@ fn fused_pass_outcomes_equal_the_staged_reference_on_the_fault_corpus() {
 /// lift and symex layers' counts equal their pinned values, so a lifter
 /// or CFG rewrite that changes the graph fails here with no timing
 /// involved; so do the expression pools' walk, intern and merge counts.
+/// Scanned again at 1 and 8 threads, Hikvision panics nowhere, its
+/// report registry is unchanged, and so are the merge's and the pools'
+/// counts.
 #[test]
 fn no_function_panics_on_any_profile() {
-    for p in table2_profiles() {
-        let bin = build_firmware(&p).binary;
+    let scan = |bin: &Binary, name: &str, threads: usize| {
         let mut tel = Collector::disabled();
-        let report = Dtaint::with_config(DtaintConfig { threads: 2, ..Default::default() })
-            .analyze_traced(&bin, p.binary_name, &mut tel)
+        let report = Dtaint::with_config(DtaintConfig { threads, ..Default::default() })
+            .analyze_traced(bin, name, &mut tel)
             .unwrap();
         let panicked: Vec<&str> = report
             .skipped_functions
@@ -607,7 +609,27 @@ fn no_function_panics_on_any_profile() {
             .filter(|r| r.outcome == FunctionOutcome::Panicked)
             .map(|r| r.name.as_str())
             .collect();
-        assert!(panicked.is_empty(), "{}: panicked functions {panicked:?}", p.binary_name);
+        assert!(
+            panicked.is_empty(),
+            "{name} at {threads} threads: panicked functions {panicked:?}"
+        );
+        (report, tel)
+    };
+    // The merge's and the pools' logical work: the translated nodes,
+    // the root span's pool size and the intern counts.
+    let pool_counts = |tel: &Collector| {
+        let root = tel.events().iter().find(|e| e.cat == "scan").expect("the root span");
+        let m = &tel.metrics;
+        [
+            m.counter("symex.nodes_translated"),
+            root.args["pool_nodes"],
+            m.counter("pool.interns"),
+            m.counter("pool.intern_cache_hits"),
+        ]
+    };
+    for p in table2_profiles() {
+        let bin = build_firmware(&p).binary;
+        let (report, tel) = scan(&bin, p.binary_name, 2);
         let m = &report.telemetry.metrics;
         assert!(m.counter("symex.blocks_executed") > 0);
         if p.manufacturer != "Hikvision" {
@@ -642,6 +664,15 @@ fn no_function_panics_on_any_profile() {
         assert!(hits * 5 >= interns * 4, "intern cache answered {hits} of {interns} (< 80 %)");
         let root = tel.events().iter().find(|e| e.cat == "scan").expect("the root span");
         assert_eq!(root.args["pool_nodes"], 134_788, "Hikvision root pool_nodes");
+        for threads in [1, 8] {
+            let (other, other_tel) = scan(&bin, p.binary_name, threads);
+            assert!(other.telemetry.metrics == *m, "Hikvision registry at {threads} threads");
+            assert_eq!(
+                pool_counts(&other_tel),
+                pool_counts(&tel),
+                "Hikvision at {threads} threads"
+            );
+        }
     }
 }
 

@@ -295,19 +295,6 @@ fn corpus_statistics_are_stable_across_seeds() {
     }
 }
 
-/// `audit` never salts cache keys: decisions are derived *from* the
-/// analysis, they never change it, so an audited run must reuse the
-/// summaries an unaudited run stored (and vice versa).
-#[test]
-fn cache_salts_ignore_audit_mode() {
-    use dtaint_dataflow::cache::ddg_salt;
-    use dtaint_dataflow::DataflowConfig;
-    let env = 0x1234_5678_9abc_def0;
-    let plain = DataflowConfig::default();
-    let audited = DataflowConfig { audit: true, ..Default::default() };
-    assert_eq!(ddg_salt(env, &plain), ddg_salt(env, &audited), "audit must not salt DDG keys");
-}
-
 proptest! {
     /// The Prometheus name rewrite is idempotent and always lands in
     /// the legal charset `[a-zA-Z0-9_:]` with no leading digit.
