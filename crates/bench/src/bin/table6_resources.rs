@@ -15,6 +15,7 @@ use dtaint_cfg::{build_all_cfgs, CallGraph};
 use dtaint_dataflow::{build_dataflow, DataflowConfig};
 use dtaint_fwgen::{build_firmware, table2_profiles};
 use dtaint_symex::{analyze_function, ExprPool, SymexConfig};
+use dtaint_telemetry::heap;
 use std::time::Instant;
 
 #[global_allocator]
@@ -36,7 +37,7 @@ fn main() {
     let wall = Instant::now();
 
     // Stage 1: static symbolic analysis.
-    CountingAlloc::reset();
+    heap::reset_peak();
     let t = Instant::now();
     let mut pool = ExprPool::new();
     let summaries: Vec<_> = cfgs
@@ -44,14 +45,14 @@ fn main() {
         .map(|c| analyze_function(&fw.binary, c, &mut pool, &SymexConfig::default()))
         .collect();
     let ssa_time = t.elapsed();
-    let ssa_peak = CountingAlloc::peak();
+    let ssa_peak = heap::peak();
 
     // Stage 2: data-flow generation.
-    CountingAlloc::reset();
+    heap::reset_peak();
     let t = Instant::now();
     let df = build_dataflow(&fw.binary, &mut cg, summaries, pool, &DataflowConfig::default());
     let ddg_time = t.elapsed();
-    let ddg_peak = CountingAlloc::peak();
+    let ddg_peak = heap::peak();
     let wall = wall.elapsed();
 
     let rows = vec![

@@ -2,8 +2,9 @@
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the
 //! paper; this library provides the common pieces: profile scaling,
-//! analysis wrappers, table rendering, and a counting allocator for the
-//! Table VI memory measurements.
+//! analysis wrappers, table rendering, and (re-exported from the
+//! telemetry crate) the counting allocator for the Table VI memory
+//! measurements.
 //!
 //! Set `DTAINT_SCALE` (default `1.0`) to shrink or grow the generated
 //! firmware sizes, e.g. `DTAINT_SCALE=0.1 cargo run --bin
@@ -11,8 +12,13 @@
 
 use dtaint_core::{AnalysisReport, Dtaint, DtaintConfig};
 use dtaint_fwgen::{build_firmware, FirmwareProfile, GeneratedFirmware};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// The counting global allocator for the Table VI memory column, from
+/// the telemetry crate: install it with `#[global_allocator]` in the
+/// harness binary, then bracket the measured stage with
+/// [`dtaint_telemetry::heap::reset_peak`] and
+/// [`dtaint_telemetry::heap::peak`].
+pub use dtaint_telemetry::CountingAlloc;
 
 /// The scale factor applied to profile function counts (`DTAINT_SCALE`).
 pub fn scale() -> f64 {
@@ -71,49 +77,6 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
         out.push('\n');
     }
     out
-}
-
-/// A counting wrapper around the system allocator, for the Table VI
-/// memory column. Register with `#[global_allocator]` in the harness
-/// binary, then bracket the measured stage with [`CountingAlloc::reset`]
-/// and [`CountingAlloc::peak`].
-pub struct CountingAlloc;
-
-static CURRENT: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-impl CountingAlloc {
-    /// Resets the peak tracker to the current live size.
-    pub fn reset() {
-        PEAK.store(CURRENT.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
-    /// Peak live bytes since the last [`CountingAlloc::reset`].
-    pub fn peak() -> usize {
-        PEAK.load(Ordering::Relaxed)
-    }
-
-    /// Currently live bytes.
-    pub fn current() -> usize {
-        CURRENT.load(Ordering::Relaxed)
-    }
-}
-
-// SAFETY: delegates directly to `System`, only adding relaxed counters.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            let cur = CURRENT.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
-            PEAK.fetch_max(cur, Ordering::Relaxed);
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        CURRENT.fetch_sub(layout.size(), Ordering::Relaxed);
-        System.dealloc(ptr, layout);
-    }
 }
 
 /// Pretty-prints a byte count.

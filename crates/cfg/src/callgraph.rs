@@ -63,8 +63,8 @@ impl CallGraph {
         let mut functions: Vec<u32> = shapes.iter().map(|s| s.addr).collect();
         functions.sort_unstable();
         let func_set: HashSet<u32> = functions.iter().copied().collect();
-        let mut callsites = Vec::new();
-        let mut edges: HashMap<u32, Vec<u32>> = HashMap::new();
+        let mut callsites = Vec::with_capacity(shapes.iter().map(|s| s.calls.len()).sum());
+        let mut edges: HashMap<u32, Vec<u32>> = HashMap::with_capacity(shapes.len());
         for shape in shapes {
             edges.entry(shape.addr).or_default();
             for row in &shape.calls {

@@ -7,12 +7,12 @@
 use crate::report;
 use crate::report::{AnalysisReport, FnCost, FunctionOutcome, FunctionRecord, TelemetrySection};
 use crate::sinks::{default_sink_names, default_sources};
-use crate::taint::{self, Judged};
+use crate::taint;
 use dtaint_cfg::{build_function_cfg, CallGraph, FunctionCfg, FunctionShape};
 use dtaint_dataflow::cache::{
     decode_local, encode_local, env_digest, sym_salt, symbol_content_hash, Level,
 };
-use dtaint_dataflow::{build_dataflow, CacheRef, DataflowConfig, ProgramDataflow, SinkKind};
+use dtaint_dataflow::{build_dataflow_judged, CacheRef, DataflowConfig, ProgramDataflow};
 use dtaint_fwbin::{Binary, Symbol};
 use dtaint_symex::analyze_function;
 use dtaint_symex::{ExprPool, FuncSummary, PoolStats, SymexConfig, TranslationMemo};
@@ -20,6 +20,7 @@ use dtaint_telemetry::{
     Collector, Decision, DecisionKind, DecisionReason, MetricsRegistry, SpanEvent, TraceBuffer,
     TraceSpec,
 };
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -223,7 +224,10 @@ impl Dtaint {
         let mut callgraph = CallGraph::from_shapes(bin, &shapes);
         tel.record("lift_cfg", "stage", stage_t0, BTreeMap::new());
 
-        // Stage 3: alias + layout similarity + bottom-up propagation.
+        // Stage 3: alias + layout similarity + bottom-up propagation. The
+        // taint judgement of each function as a holder runs inside the
+        // propagation loop, as soon as its final summary is settled, and
+        // the summary is dropped once its last caller has applied it.
         let stage_t0 = tel.start();
         let mut df_config = self.config.dataflow.clone();
         df_config.interval_guards = self.config.bounds == taint::BoundsMode::Interval;
@@ -249,12 +253,34 @@ impl Dtaint {
                     .collect(),
             ),
         });
+        let fn_names: HashMap<u32, &str> =
+            shapes.iter().map(|s| (s.addr, s.name.as_str())).collect();
+        let fn_name_of = |addr: u32| function_name(&fn_names, addr);
+        let detector = taint::Detector {
+            bin: Some(bin),
+            sources: &self.config.sources,
+            fn_names: &fn_names,
+            mode: self.config.bounds,
+        };
+        let mut judged = Vec::new();
+        // The judge's own DAG walks stay out of `ddg.walk_visits`.
+        let mut judge_walks = 0;
         let walks_before = pool.stats().walk_visits;
-        let mut df = build_dataflow(bin, &mut callgraph, summaries, pool, &df_config);
-        let ddg_walk_visits = df.pool.stats().walk_visits - walks_before;
+        let mut df = build_dataflow_judged(
+            bin,
+            &mut callgraph,
+            summaries,
+            pool,
+            &df_config,
+            &mut |view, holder| {
+                let before = view.pool.stats().walk_visits;
+                judged.push(detector.judge(view, holder));
+                judge_walks += view.pool.stats().walk_visits - before;
+            },
+        );
+        let ddg_walk_visits = df.pool.stats().walk_visits - walks_before - judge_walks;
         tel.absorb(std::mem::take(&mut df.trace_events));
         let df = df;
-        let fn_name_of = |addr: u32| function_name(&df, addr);
         for &addr in &df.alias_panics {
             record(
                 &mut records,
@@ -264,20 +290,20 @@ impl Dtaint {
                 "alias stage panicked; alias rewriting skipped".into(),
             );
         }
-        for f in df.finals.values() {
+        for (&addr, f) in &df.functions {
             if f.panicked {
                 record(
                     &mut records,
-                    f.summary.addr,
-                    &f.summary.name,
+                    addr,
+                    &fn_name_of(addr),
                     FunctionOutcome::Panicked,
                     "panic during data-flow propagation".into(),
                 );
             } else if f.budget_exhausted {
                 record(
                     &mut records,
-                    f.summary.addr,
-                    &f.summary.name,
+                    addr,
+                    &fn_name_of(addr),
                     FunctionOutcome::BudgetExceeded,
                     format!("data-flow fuel exhausted (max_fuel = {})", df_config.max_fuel),
                 );
@@ -293,12 +319,15 @@ impl Dtaint {
         }
         tel.record("ddg", "stage", stage_t0, BTreeMap::new());
 
-        // Stage 4: taint judgement.
+        // Stage 4: the holders' verdicts, folded in holder address order
+        // (cross-holder dedup, callsite names for the findings' chains).
         let stage_t0 = tel.start();
-        let fn_names: HashMap<u32, String> =
-            shapes.iter().map(|s| (s.addr, s.name.clone())).collect();
-        let outcome =
-            taint::detect_full(&df, Some(bin), &self.config.sources, &fn_names, self.config.bounds);
+        judged.sort_by_key(|j| j.holder);
+        let outcome = taint::fold(judged, |ins| {
+            df.callsite_names(ins, |a| {
+                fn_names.get(&a).copied().filter(|_| df.functions.contains_key(&a))
+            })
+        });
         // The audit log reads the outcome records as the DDG stage left
         // them, so it is rendered before detect-stage panics join them.
         let decisions = if self.config.audit {
@@ -324,18 +353,8 @@ impl Dtaint {
         }
         tel.record("detect", "stage", stage_t0, BTreeMap::new());
 
-        let sinks_count = df
-            .finals
-            .values()
-            .flat_map(|f| f.sinks.iter())
-            .filter(|s| s.call_chain.is_empty())
-            .count();
-        let loop_copy_sinks = df
-            .finals
-            .values()
-            .flat_map(|f| f.sinks.iter())
-            .filter(|s| s.kind == SinkKind::LoopCopy && s.call_chain.is_empty())
-            .count();
+        let sinks_count = df.sinks.own;
+        let loop_copy_sinks = df.sinks.own_loop_copies;
 
         // Sink coverage: classify every distinct sink site the data-flow
         // stage surfaced by the most severe verdict any observer reached
@@ -343,35 +362,30 @@ impl Dtaint {
         // anywhere counts as reported. DDG prunes stay an aggregate —
         // cache blobs carry no per-site records — so the section is
         // identical between cold and warm cache runs.
-        let mut worst: BTreeMap<(&str, u32), u8> = BTreeMap::new();
-        for s in df.finals.values().flat_map(|f| f.sinks.iter()) {
-            worst.entry((s.kind.name(), s.sink_ins)).or_insert(0);
-        }
+        let mut worst: HashMap<(&str, u32), u8> = HashMap::new();
         for v in &outcome.verdicts {
-            let rank = match v.judged {
-                Judged::Unreached => 0,
-                Judged::Sanitized(_) => 1,
-                Judged::Vulnerable => 2,
-            };
-            let s = v.observation(&df);
-            let e = worst.entry((s.kind.name(), s.sink_ins)).or_insert(rank);
-            *e = (*e).max(rank);
+            let e = worst.entry((v.sink, v.sink_ins)).or_insert(0);
+            *e = (*e).max(v.judged.rank());
         }
-        let mut rows: BTreeMap<&str, report::SinkCoverageRow> = BTreeMap::new();
-        for (&(sink, _ins), rank) in &worst {
-            let row = rows.entry(sink).or_insert_with(|| report::SinkCoverageRow {
-                sink: sink.to_owned(),
-                ..Default::default()
-            });
-            row.sites += 1;
-            match rank {
-                2 => row.reported += 1,
-                1 => row.sanitized += 1,
-                _ => row.unreached += 1,
-            }
-        }
+        let rows = df
+            .sinks
+            .sites
+            .iter()
+            .map(|(sink, sites)| {
+                let mut row = report::SinkCoverageRow { sink: sink.clone(), ..Default::default() };
+                for &ins in sites {
+                    row.sites += 1;
+                    match worst.get(&(sink.as_str(), ins)) {
+                        Some(2) => row.reported += 1,
+                        Some(1) => row.sanitized += 1,
+                        _ => row.unreached += 1,
+                    }
+                }
+                row
+            })
+            .collect();
         let sink_coverage = report::SinkCoverage {
-            rows: rows.into_values().collect(),
+            rows,
             ddg_pruned: df.pruned_infeasible,
             duplicates: outcome.duplicates_suppressed,
         };
@@ -402,18 +416,18 @@ impl Dtaint {
             }
         }
         let fn_costs: Vec<FnCost> = df
-            .finals
-            .values()
-            .map(|f| FnCost {
-                addr: f.summary.addr,
-                name: f.summary.name.clone(),
-                blocks_executed: u64::from(f.summary.blocks_executed),
-                paths_explored: u64::from(f.summary.paths_explored),
-                alias_rewrites: u64::from(f.summary.alias_rewrites),
+            .functions
+            .iter()
+            .map(|(&addr, f)| FnCost {
+                addr,
+                name: fn_name_of(addr).into_owned(),
+                blocks_executed: u64::from(f.blocks_executed),
+                paths_explored: u64::from(f.paths_explored),
+                alias_rewrites: u64::from(f.alias_rewrites),
                 ddg_fuel: f.fuel_used,
-                sinks: f.sinks.len() as u64,
-                symex_us: symex_us.get(&f.summary.addr).copied().unwrap_or(0),
-                ddg_us: ddg_us.get(&f.summary.addr).copied().unwrap_or(0),
+                sinks: u64::from(f.sinks),
+                symex_us: symex_us.get(&addr).copied().unwrap_or(0),
+                ddg_us: ddg_us.get(&addr).copied().unwrap_or(0),
             })
             .collect();
 
@@ -442,10 +456,10 @@ impl Dtaint {
             metrics.observe("ddg.fuel_per_fn", f.ddg_fuel);
             metrics.observe("fn.sinks", f.sinks);
         }
-        for f in df.finals.values() {
-            metrics.inc("ddg.alias_sse_rounds", u64::from(f.summary.sse_rounds));
-            metrics.inc("ddg.alias_sse_rewrites", u64::from(f.summary.sse_rewrites));
-            metrics.inc("ddg.alias_sse_saturated", u64::from(f.summary.sse_saturated));
+        for f in df.functions.values() {
+            metrics.inc("ddg.alias_sse_rounds", u64::from(f.sse_rounds));
+            metrics.inc("ddg.alias_sse_rewrites", u64::from(f.sse_rewrites));
+            metrics.inc("ddg.alias_sse_saturated", u64::from(f.sse_saturated));
         }
         metrics.inc("lift.instructions", shapes.iter().map(|s| s.instructions as u64).sum());
         metrics.inc("symex.functions_retried", retried as u64);
@@ -544,7 +558,7 @@ impl Dtaint {
         df: &ProgramDataflow,
         quarantine: Option<&CacheRef>,
         records: &BTreeMap<u32, FunctionRecord>,
-        fn_names: &HashMap<u32, String>,
+        fn_names: &HashMap<u32, &str>,
         verdicts: &[taint::SiteVerdict],
     ) -> Vec<Decision> {
         let mut log = Vec::new();
@@ -559,10 +573,16 @@ impl Dtaint {
                 log.push(Decision::new(DecisionKind::BudgetDegraded, "symex", name, *addr, reason));
             }
         }
-        for f in df.finals.values().filter(|f| f.budget_exhausted) {
-            let (name, addr) = (&f.summary.name, f.summary.addr);
+        let name_of = |addr: u32| function_name(fn_names, addr);
+        for (&addr, f) in df.functions.iter().filter(|(_, f)| f.budget_exhausted) {
             let reason = fuel_exhausted("ddg", f.fuel_used, false);
-            log.push(Decision::new(DecisionKind::BudgetDegraded, "ddg", name, addr, reason));
+            log.push(Decision::new(
+                DecisionKind::BudgetDegraded,
+                "ddg",
+                &name_of(addr),
+                addr,
+                reason,
+            ));
         }
         // Cache-hit functions re-credit the aggregate prune count but
         // carry no per-sink records, so warm scans list only the prunes
@@ -571,58 +591,40 @@ impl Dtaint {
             let (op, l, r) = p.witness;
             let constraint = format!("{} {} {}", df.pool.display(l), op, df.pool.display(r));
             let reason = DecisionReason::InfeasiblePath { constraint };
-            let name = function_name(df, p.pruned_in);
             log.push(
-                Decision::new(DecisionKind::PathPruned, "ddg", &name, p.pruned_in, reason)
-                    .at_sink(p.sink_ins, p.kind.name()),
+                Decision::new(
+                    DecisionKind::PathPruned,
+                    "ddg",
+                    &name_of(p.pruned_in),
+                    p.pruned_in,
+                    reason,
+                )
+                .at_sink(p.sink_ins, p.kind.name()),
             );
         }
-        for f in df.finals.values().filter(|f| f.summary.sse_saturated) {
-            let (name, addr) = (&f.summary.name, f.summary.addr);
-            let reason = DecisionReason::Saturated { rounds: u64::from(f.summary.sse_rounds) };
-            log.push(Decision::new(DecisionKind::AliasSaturated, "ddg", name, addr, reason));
+        for (&addr, f) in df.functions.iter().filter(|(_, f)| f.sse_saturated) {
+            let reason = DecisionReason::Saturated { rounds: u64::from(f.sse_rounds) };
+            log.push(Decision::new(
+                DecisionKind::AliasSaturated,
+                "ddg",
+                &name_of(addr),
+                addr,
+                reason,
+            ));
         }
         // Functions quarantined from the incremental cache, in address
         // order (none on cache-less scans).
         for &addr in quarantine.iter().flat_map(|c| c.uncacheable.iter()) {
             let (name, outcome) = match records.get(&addr) {
-                Some(r) => (r.name.clone(), r.outcome.to_string()),
-                None => (function_name(df, addr), "quarantined by prior scan".to_owned()),
+                Some(r) => (Cow::Borrowed(r.name.as_str()), r.outcome.to_string()),
+                None => (name_of(addr), "quarantined by prior scan".to_owned()),
             };
             let reason = DecisionReason::Quarantined { outcome };
             log.push(Decision::new(DecisionKind::CacheQuarantined, "cache", &name, addr, reason));
         }
-        let holder_name = |addr: u32| fn_names.get(&addr).map_or("<unknown>", String::as_str);
-        for v in verdicts {
-            let (kind, reason) = match &v.judged {
-                Judged::Unreached => (DecisionKind::SinkUnreached, DecisionReason::Untainted),
-                Judged::Sanitized(verdict) => (
-                    DecisionKind::SanitizeSuppressed,
-                    DecisionReason::Sanitized { verdict: verdict.to_string() },
-                ),
-                Judged::Vulnerable => continue,
-            };
-            let s = v.observation(df);
-            log.push(
-                Decision::new(kind, "detect", holder_name(v.holder), v.holder, reason)
-                    .at_sink(s.sink_ins, s.kind.name()),
-            );
-        }
-        for v in verdicts {
-            let Some(fingerprint) = &v.folded else { continue };
-            let s = v.observation(df);
-            let reason = DecisionReason::Duplicate { fingerprint: fingerprint.to_string() };
-            log.push(
-                Decision::new(
-                    DecisionKind::DuplicateSuppressed,
-                    "detect",
-                    holder_name(v.holder),
-                    v.holder,
-                    reason,
-                )
-                .at_sink(s.sink_ins, s.kind.name()),
-            );
-        }
+        log.extend(taint::detect_decisions(verdicts, |addr| {
+            fn_names.get(&addr).copied().unwrap_or("<unknown>")
+        }));
         log
     }
 
@@ -947,10 +949,10 @@ fn opaque_summary(cfg: &FunctionCfg) -> FuncSummary {
     FuncSummary { addr: cfg.addr, name: cfg.name.clone(), ..FuncSummary::default() }
 }
 
-/// The name of the function at `addr`, or its address when the data-flow
-/// result has no summary for it.
-fn function_name(df: &ProgramDataflow, addr: u32) -> String {
-    df.finals.get(&addr).map_or_else(|| format!("{addr:#x}"), |f| f.summary.name.clone())
+/// The name of the function at `addr`, borrowed from the shape records,
+/// or its address when no lifted function starts there.
+fn function_name<'n>(fn_names: &HashMap<u32, &'n str>, addr: u32) -> Cow<'n, str> {
+    fn_names.get(&addr).map_or_else(|| Cow::Owned(format!("{addr:#x}")), |&n| Cow::Borrowed(n))
 }
 
 /// Inserts or upgrades a per-function outcome record, keeping the more

@@ -30,11 +30,15 @@ use crate::evidence::{self, EvidenceStep, SanitizeVerdict};
 use crate::report::{Finding, SourceRef};
 use crate::sinks::{sink_spec, TaintedVar, VulnKind, CMD_SEPARATORS};
 use dtaint_absint::IntervalAnalysis;
-use dtaint_dataflow::{FinalSummary, ProgramDataflow, SinkKind, SinkObservation, TraceStep};
+use dtaint_dataflow::{
+    DataflowView, FinalSummary, ProgramDataflow, SinkKind, SinkObservation, TraceStep,
+};
 use dtaint_fwbin::{Binary, SymbolKind};
 use dtaint_symex::pool::{CmpOp, SymNode};
 use dtaint_symex::{ExprId, ExprPool};
+use dtaint_telemetry::{Decision, DecisionKind, DecisionReason};
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// How bounding guards on buffer-overflow paths are judged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -78,28 +82,21 @@ pub struct TaintOutcome {
     pub verdicts: Vec<SiteVerdict>,
 }
 
-/// The detector's verdict on one sink observation. It names the
-/// observation by position instead of copying it, so the record stays
-/// small and allocation-free for the common unreached case.
+/// The detector's verdict on one sink observation: a small record that
+/// allocates nothing in the common unreached case.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SiteVerdict {
     /// The observing function's entry address.
     pub holder: u32,
-    /// The observation's index in the holder's [`FinalSummary::sinks`].
-    pub obs: u32,
+    /// The sink's name: its import name, or `loop-copy`.
+    pub sink: &'static str,
+    /// Instruction address of the sink.
+    pub sink_ins: u32,
     /// What the judgement found.
     pub judged: Judged,
     /// The finding's fingerprint when an earlier holder already
     /// reported the same flow and this one was folded away.
     pub folded: Option<Box<str>>,
-}
-
-impl SiteVerdict {
-    /// The judged observation, looked up in the data-flow result the
-    /// verdict came from.
-    pub(crate) fn observation<'a>(&self, df: &'a ProgramDataflow) -> &'a SinkObservation {
-        &df.finals[&self.holder].sinks[self.obs as usize]
-    }
 }
 
 /// What the detector concluded about one sink observation, from least
@@ -115,16 +112,28 @@ pub enum Judged {
     Vulnerable,
 }
 
+impl Judged {
+    /// Severity rank: 0 unreached, 1 sanitized, 2 reported.
+    pub fn rank(&self) -> u8 {
+        match self {
+            Judged::Unreached => 0,
+            Judged::Sanitized(_) => 1,
+            Judged::Vulnerable => 2,
+        }
+    }
+}
+
 /// Object-granular taint knowledge for one observing function.
 struct TaintIndex<'a> {
-    df: &'a ProgramDataflow,
+    df: DataflowView<'a>,
+    holder: &'a FinalSummary,
     sources: &'a HashSet<String>,
     /// Buffer base → sources whose data was stored into the buffer.
     tainted_bases: HashMap<ExprId, BTreeSet<SourceRef>>,
 }
 
 impl<'a> TaintIndex<'a> {
-    fn build(df: &'a ProgramDataflow, holder: &FinalSummary, sources: &'a HashSet<String>) -> Self {
+    fn build(df: DataflowView<'a>, holder: &'a FinalSummary, sources: &'a HashSet<String>) -> Self {
         let mut tainted_bases: HashMap<ExprId, BTreeSet<SourceRef>> = HashMap::new();
         for dp in &holder.summary.def_pairs {
             let mut atoms = BTreeSet::new();
@@ -156,7 +165,7 @@ impl<'a> TaintIndex<'a> {
                 break;
             }
         }
-        TaintIndex { df, sources, tainted_bases }
+        TaintIndex { df, holder, sources, tainted_bases }
     }
 
     /// All source references carried by an expression (value taint plus
@@ -178,14 +187,15 @@ impl<'a> TaintIndex<'a> {
     }
 
     /// Taint of the *pointee* of a pointer-valued expression: the buffer
-    /// the pointer designates, resolved through the definition pairs.
-    fn pointee_atoms(&self, holder_fn: u32, ptr: ExprId) -> BTreeSet<SourceRef> {
+    /// the pointer designates, resolved through the holder's definition
+    /// pairs.
+    fn pointee_atoms(&self, ptr: ExprId) -> BTreeSet<SourceRef> {
         let mut out = BTreeSet::new();
         // The pointer value itself may be a source (getenv's return).
         out.extend(self.atoms_in(ptr));
         // Values the pointer resolves to, plus what memory holds there.
         let mut vals = vec![ptr];
-        for v in self.df.pointee_values(holder_fn, ptr) {
+        for v in self.holder.pointee_values(self.df.pool, ptr) {
             out.extend(self.atoms_in(v));
             if !vals.contains(&v) {
                 vals.push(v);
@@ -203,7 +213,7 @@ impl<'a> TaintIndex<'a> {
 }
 
 fn direct_atoms(
-    df: &ProgramDataflow,
+    df: DataflowView<'_>,
     sources: &HashSet<String>,
     e: ExprId,
     out: &mut BTreeSet<SourceRef>,
@@ -225,8 +235,38 @@ fn direct_atoms(
     });
 }
 
-/// The full judgement with an explicit [`BoundsMode`] and, optionally,
-/// the binary (for global-destination capacities in interval mode).
+/// The detector's settings: everything a holder's judgement reads
+/// besides the data-flow view and the holder itself.
+#[derive(Debug)]
+pub struct Detector<'a, S> {
+    /// The binary, for global-destination capacities in interval mode.
+    pub bin: Option<&'a Binary>,
+    /// Import names treated as attacker-controlled sources.
+    pub sources: &'a HashSet<String>,
+    /// Function names by entry address, for the findings' function
+    /// fields (`<unknown>` for an address without one).
+    pub fn_names: &'a HashMap<u32, S>,
+    /// How bounding guards are judged.
+    pub mode: BoundsMode,
+}
+
+/// One holder's [`Judgement`]s and interval-solver passes, waiting for
+/// [`fold`]; `None` when the judgement panicked.
+#[derive(Debug)]
+pub struct HolderJudgement {
+    /// The observing function's entry address.
+    pub holder: u32,
+    judged: Option<(Vec<Judgement>, u64)>,
+}
+
+/// One judged observation: its verdict, and the finding its tainted flow
+/// was judged into (sanitised or not), or `None` when no taint reached
+/// the sink.
+type Judgement = (SiteVerdict, Option<Box<Finding>>);
+
+/// The full judgement over a data-flow result that kept every final
+/// summary ([`dtaint_dataflow::build_dataflow`]): each holder judged in
+/// address order, then [`fold`]ed.
 ///
 /// In [`BoundsMode::Interval`] every holder function gets one
 /// [`IntervalAnalysis`] seeded from its definition pairs; each tainted
@@ -236,79 +276,127 @@ fn direct_atoms(
 /// mode expects a data-flow result built with
 /// [`dtaint_dataflow::DataflowConfig::interval_guards`], which drops
 /// the observations whose path constraints contradict.
-pub fn detect_full(
+pub fn detect_full<S: AsRef<str>>(
     df: &ProgramDataflow,
     bin: Option<&Binary>,
     sources: &HashSet<String>,
-    fn_names: &HashMap<u32, String>,
+    fn_names: &HashMap<u32, S>,
     mode: BoundsMode,
+) -> TaintOutcome {
+    let detector = Detector { bin, sources, fn_names, mode };
+    let judged = df.finals.values().map(|f| detector.judge(df.view(), f));
+    fold(judged, |ins| {
+        df.callsite_names(ins, |a| df.finals.get(&a).map(|f| f.summary.name.as_str()))
+    })
+}
+
+/// Folds holder judgements, given in holder address order, into one
+/// outcome. A finding whose sink instruction, call chain, source set and
+/// sink name an earlier (lower-addressed) holder already reported is
+/// folded away: its verdict keeps the fingerprint and it counts as a
+/// duplicate. The surviving findings' callsite-substitution steps are
+/// named by `callsite_names` (caller and callee of a call instruction),
+/// falling back to the finding's observing and sink functions.
+pub fn fold(
+    judged: impl IntoIterator<Item = HolderJudgement>,
+    callsite_names: impl Fn(u32) -> Option<(String, String)>,
 ) -> TaintOutcome {
     let mut out = TaintOutcome::default();
     let mut seen: HashSet<(u32, Vec<u32>, Vec<SourceRef>, String)> = HashSet::new();
-    let mut holders: Vec<&FinalSummary> = df.finals.values().collect();
-    holders.sort_by_key(|f| f.summary.addr);
-    // Caller/callee names per call instruction, shared by every
-    // holder's evidence assembly.
-    let callsites = df.callsite_index();
-    for holder in holders {
-        // Judge each observing function behind a panic boundary: the
-        // pool is only read here, so a caught panic loses that holder's
-        // findings and nothing else. Cross-holder deduplication stays
-        // out here, applied in holder order.
-        let addr = holder.summary.addr;
-        let judged = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            judge_holder(df, bin, sources, fn_names, mode, holder, &callsites)
-        }));
-        let Ok((judgements, passes)) = judged else {
-            out.failed_holders.push(addr);
+    for HolderJudgement { holder, judged } in judged {
+        let Some((judgements, passes)) = judged else {
+            out.failed_holders.push(holder);
             continue;
         };
         out.absint_passes += passes;
-        for (obs, finding) in judgements {
-            let (judged, folded) = match finding {
-                None => (Judged::Unreached, None),
-                Some(f) => {
-                    let judged = if f.verdict.sanitized() {
-                        Judged::Sanitized(Box::new(f.verdict.clone()))
-                    } else {
-                        Judged::Vulnerable
-                    };
-                    let key = (f.sink_ins, f.call_chain.clone(), f.sources.clone(), f.sink.clone());
-                    if seen.insert(key) {
-                        out.findings.push(*f);
-                        (judged, None)
-                    } else {
-                        (judged, Some(f.fingerprint.into_boxed_str()))
-                    }
+        for (mut verdict, finding) in judgements {
+            if let Some(f) = finding {
+                let key = (f.sink_ins, f.call_chain.clone(), f.sources.clone(), f.sink.clone());
+                if seen.insert(key) {
+                    out.findings.push(*f);
+                } else {
+                    verdict.folded = Some(f.fingerprint.into_boxed_str());
                 }
-            };
-            out.verdicts.push(SiteVerdict { holder: addr, obs, judged, folded });
+            }
+            out.verdicts.push(verdict);
         }
     }
     out.duplicates_suppressed = out.verdicts.iter().filter(|v| v.folded.is_some()).count();
+    for f in &mut out.findings {
+        let Finding { evidence, observed_in, sink_fn, .. } = f;
+        for step in evidence {
+            if let EvidenceStep::CallsiteSubstitution { ins_addr, caller, callee } = step {
+                (*caller, *callee) = callsite_names(*ins_addr)
+                    .unwrap_or_else(|| (observed_in.clone(), sink_fn.clone()));
+            }
+        }
+    }
     crate::report::sort_findings(&mut out.findings);
     out
 }
 
-/// One judged sink observation: its index in the holder's sinks, and the
-/// finding its tainted flow was judged into (sanitised or not), or
-/// `None` when no taint reached the sink.
-type Judgement = (u32, Option<Box<Finding>>);
+/// The detect stage's audit decisions, in the log's order: one per
+/// unreached or sanitised verdict (holder address order, then
+/// observation order), then one per duplicate the fold suppressed.
+/// Vulnerable verdicts are findings, not decisions.
+pub(crate) fn detect_decisions<'n>(
+    verdicts: &[SiteVerdict],
+    holder_name: impl Fn(u32) -> &'n str,
+) -> Vec<Decision> {
+    let mut log = Vec::new();
+    for v in verdicts {
+        let (kind, reason) = match &v.judged {
+            Judged::Unreached => (DecisionKind::SinkUnreached, DecisionReason::Untainted),
+            Judged::Sanitized(verdict) => (
+                DecisionKind::SanitizeSuppressed,
+                DecisionReason::Sanitized { verdict: verdict.to_string() },
+            ),
+            Judged::Vulnerable => continue,
+        };
+        log.push(
+            Decision::new(kind, "detect", holder_name(v.holder), v.holder, reason)
+                .at_sink(v.sink_ins, v.sink),
+        );
+    }
+    for v in verdicts {
+        let Some(fingerprint) = &v.folded else { continue };
+        let reason = DecisionReason::Duplicate { fingerprint: fingerprint.to_string() };
+        log.push(
+            Decision::new(
+                DecisionKind::DuplicateSuppressed,
+                "detect",
+                holder_name(v.holder),
+                v.holder,
+                reason,
+            )
+            .at_sink(v.sink_ins, v.sink),
+        );
+    }
+    log
+}
 
-/// Judges every sink observation of one observing function, in order,
-/// and counts the interval-solver passes it ran. Pure reader of the
-/// data-flow result — it never mutates the pool — so it can run behind
-/// `catch_unwind` without poisoning shared state.
-#[allow(clippy::too_many_arguments)]
-fn judge_holder(
-    df: &ProgramDataflow,
-    bin: Option<&Binary>,
-    sources: &HashSet<String>,
-    fn_names: &HashMap<u32, String>,
-    mode: BoundsMode,
+impl<S: AsRef<str>> Detector<'_, S> {
+    /// Judges every sink observation of one observing function, in
+    /// order, behind a panic boundary: the judgement only reads the pool
+    /// and the holder, so a caught panic loses that holder's verdicts and
+    /// nothing else.
+    pub fn judge(&self, df: DataflowView<'_>, holder: &FinalSummary) -> HolderJudgement {
+        let judged = catch_unwind(AssertUnwindSafe(|| judge_holder(self, df, holder))).ok();
+        HolderJudgement { holder: holder.summary.addr, judged }
+    }
+}
+
+/// The judgement behind [`Detector::judge`]. Observations of a sink
+/// without a [`sink_spec`] get no verdict; callsite-substitution
+/// evidence is left unnamed for [`fold`].
+fn judge_holder<S: AsRef<str>>(
+    detector: &Detector<'_, S>,
+    df: DataflowView<'_>,
     holder: &FinalSummary,
-    callsites: &HashMap<u32, (String, String)>,
 ) -> (Vec<Judgement>, u64) {
+    let Detector { bin, sources, fn_names, mode } = *detector;
+    let addr = holder.summary.addr;
+    let name_of = |a: u32| fn_names.get(&a).map_or("<unknown>", AsRef::as_ref).to_owned();
     let mut judgements = Vec::with_capacity(holder.sinks.len());
     let mut absint_passes = 0u64;
     // One object-taint index per observing function, shared by all
@@ -317,19 +405,26 @@ fn judge_holder(
     // Interval mode: one definition-seeded base environment per
     // holder, cloned and specialised per observation below.
     let base_absint = (mode == BoundsMode::Interval).then(|| {
-        let mut a = IntervalAnalysis::new(&df.pool);
+        let mut a = IntervalAnalysis::new(df.pool);
         for dp in &holder.summary.def_pairs {
             a.seed_def(dp.d, dp.u);
         }
         a
     });
-    for (at, obs) in (0u32..).zip(&holder.sinks) {
-        let (kind, sink_name) = match &obs.kind {
+    for obs in &holder.sinks {
+        let (kind, sink): (VulnKind, &'static str) = match &obs.kind {
             SinkKind::Import(name) => {
                 let Some(spec) = sink_spec(name) else { continue };
-                (spec.kind, name.clone())
+                (spec.kind, spec.name)
             }
-            SinkKind::LoopCopy => (VulnKind::BufferOverflow, "loop-copy".to_owned()),
+            SinkKind::LoopCopy => (VulnKind::BufferOverflow, "loop-copy"),
+        };
+        let mut site = SiteVerdict {
+            holder: addr,
+            sink,
+            sink_ins: obs.sink_ins,
+            judged: Judged::Unreached,
+            folded: None,
         };
 
         // 1. Taint on the sink's sensitive variable.
@@ -357,19 +452,19 @@ fn judge_holder(
                     }
                     TaintedVar::Pointee(i) => {
                         if let Some(&p) = obs.args.get(i) {
-                            note_taint(p, index.pointee_atoms(holder.summary.addr, p));
+                            note_taint(p, index.pointee_atoms(p));
                         }
                     }
                     TaintedVar::PointeesFrom(i) => {
                         for &p in obs.args.iter().skip(i) {
-                            note_taint(p, index.pointee_atoms(holder.summary.addr, p));
+                            note_taint(p, index.pointee_atoms(p));
                         }
                     }
                 }
             }
         }
         if source_refs.is_empty() {
-            judgements.push((at, None));
+            judgements.push((site, None));
             continue;
         }
 
@@ -389,12 +484,12 @@ fn judge_holder(
             BoundsMode::Paper => None,
             // Strict mode keeps its documented stack-only scope;
             // only interval mode rates named global destinations.
-            BoundsMode::Strict => obs.args.first().and_then(|&d| stack_capacity(&df.pool, d)),
-            BoundsMode::Interval => dest_capacity(df, bin, obs),
+            BoundsMode::Strict => obs.args.first().and_then(|&d| stack_capacity(df.pool, d)),
+            BoundsMode::Interval => dest_capacity(df.pool, bin, obs),
         };
         let verdict = match kind {
             VulnKind::BufferOverflow => match &obs.kind {
-                SinkKind::LoopCopy => loop_copy_verdict(df, obs, capacity, mode),
+                SinkKind::LoopCopy => loop_copy_verdict(df.pool, obs, capacity, mode),
                 SinkKind::Import(name) => {
                     let spec = sink_spec(name).expect("checked above");
                     match (&ranges, spec.tainted) {
@@ -407,13 +502,12 @@ fn judge_holder(
                     }
                 }
             },
-            VulnKind::CommandInjection => separator_verdict(df, &index, obs),
+            VulnKind::CommandInjection => separator_verdict(df.pool, &index, obs),
         };
 
         let srcs: Vec<SourceRef> = source_refs.into_iter().collect();
-        let unknown = "<unknown>".to_owned();
-        let observed_name = fn_names.get(&holder.summary.addr).unwrap_or(&unknown).clone();
-        let sink_fn_name = fn_names.get(&obs.sink_fn).unwrap_or(&unknown).clone();
+        let observed_name = name_of(addr);
+        let sink_fn_name = name_of(obs.sink_fn);
 
         // Typed provenance chain, source-first: the backward DDG
         // walk, then the transformations that carried the
@@ -421,7 +515,7 @@ fn judge_holder(
         // interval refinement when it ran, and the verdict last.
         let mut chain: Vec<EvidenceStep> = Vec::new();
         if let Some(e) = tainted_rendered {
-            for step in dtaint_dataflow::backward_trace(df, holder.summary.addr, e, sources, 12) {
+            for step in dtaint_dataflow::backward_trace(df, holder, e, sources, 12) {
                 match step {
                     TraceStep::Source { name, ins_addr } => {
                         chain.push(EvidenceStep::Source { name, ins_addr });
@@ -459,11 +553,11 @@ fn judge_holder(
             });
         }
         for &cs in &obs.call_chain {
-            let (caller, callee) = callsites
-                .get(&cs)
-                .cloned()
-                .unwrap_or_else(|| (observed_name.clone(), sink_fn_name.clone()));
-            chain.push(EvidenceStep::CallsiteSubstitution { ins_addr: cs, caller, callee });
+            chain.push(EvidenceStep::CallsiteSubstitution {
+                ins_addr: cs,
+                caller: String::new(),
+                callee: String::new(),
+            });
         }
         if kind == VulnKind::BufferOverflow {
             if let (Some(a), SinkKind::Import(name)) = (&ranges, &obs.kind) {
@@ -482,26 +576,29 @@ fn judge_holder(
         }
         chain.push(EvidenceStep::Verdict(verdict.clone()));
 
+        site.judged = if verdict.sanitized() {
+            Judged::Sanitized(Box::new(verdict.clone()))
+        } else {
+            Judged::Vulnerable
+        };
         let tainted_expr =
             tainted_rendered.map(|e| df.pool.display(e).to_string()).unwrap_or_default();
         let fingerprint =
-            evidence::fingerprint(kind.into(), &sink_name, &sink_fn_name, &tainted_expr, &srcs);
-        judgements.push((
-            at,
-            Some(Box::new(Finding {
-                kind: kind.into(),
-                sink: sink_name,
-                sink_ins: obs.sink_ins,
-                sink_fn: sink_fn_name,
-                observed_in: observed_name,
-                sources: srcs,
-                call_chain: obs.call_chain.clone(),
-                tainted_expr,
-                fingerprint,
-                verdict,
-                evidence: chain,
-            })),
-        ));
+            evidence::fingerprint(kind.into(), sink, &sink_fn_name, &tainted_expr, &srcs);
+        let finding = Finding {
+            kind: kind.into(),
+            sink: sink.to_owned(),
+            sink_ins: obs.sink_ins,
+            sink_fn: sink_fn_name,
+            observed_in: observed_name,
+            sources: srcs,
+            call_chain: obs.call_chain.clone(),
+            tainted_expr,
+            fingerprint,
+            verdict,
+            evidence: chain,
+        };
+        judgements.push((site, Some(Box::new(finding))));
     }
     (judgements, absint_passes)
 }
@@ -610,14 +707,14 @@ fn interval_upper_bound(
 /// buffer to the saved-return slot, or the distance from a writable
 /// global to the end of its covering `Object` symbol. `None` when the
 /// destination is symbolic (heap pointers, unresolved arguments).
-fn dest_capacity(df: &ProgramDataflow, bin: Option<&Binary>, obs: &SinkObservation) -> Option<i64> {
+fn dest_capacity(pool: &ExprPool, bin: Option<&Binary>, obs: &SinkObservation) -> Option<i64> {
     let dst = *obs.args.first()?;
-    if let Some(cap) = stack_capacity(&df.pool, dst) {
+    if let Some(cap) = stack_capacity(pool, dst) {
         return Some(cap);
     }
     let bin = bin?;
-    let (base, off) = deep_base_offset(&df.pool, dst);
-    let addr = u32::try_from(df.pool.as_const(base)? + off).ok()?;
+    let (base, off) = deep_base_offset(pool, dst);
+    let addr = u32::try_from(pool.as_const(base)? + off).ok()?;
     if bin.is_immutable_addr(addr) {
         return None;
     }
@@ -662,7 +759,7 @@ pub(crate) fn stack_capacity(pool: &ExprPool, dst: ExprId) -> Option<i64> {
 /// additionally fit the destination's capacity, so an oversized counted
 /// copy is judged exactly like a weak constant `memcpy` bound.
 fn loop_copy_verdict(
-    df: &ProgramDataflow,
+    pool: &ExprPool,
     obs: &SinkObservation,
     capacity: Option<i64>,
     mode: BoundsMode,
@@ -681,8 +778,8 @@ fn loop_copy_verdict(
     let trips: Vec<i64> = bounding
         .iter()
         .filter_map(|(_, l, r)| {
-            let (bl, ol) = deep_base_offset(&df.pool, *l);
-            let (br, orr) = deep_base_offset(&df.pool, *r);
+            let (bl, ol) = deep_base_offset(pool, *l);
+            let (br, orr) = deep_base_offset(pool, *r);
             (bl == br).then(|| (orr - ol).abs())
         })
         .collect();
@@ -702,11 +799,11 @@ fn loop_copy_verdict(
 /// [`CMD_SEPARATORS`]. The verdict collects every separator character
 /// actually checked.
 fn separator_verdict(
-    df: &ProgramDataflow,
+    pool: &ExprPool,
     index: &TaintIndex<'_>,
     obs: &SinkObservation,
 ) -> SanitizeVerdict {
-    let sep_const = |e: ExprId| df.pool.as_const(e).filter(|c| CMD_SEPARATORS.contains(c));
+    let sep_const = |e: ExprId| pool.as_const(e).filter(|c| CMD_SEPARATORS.contains(c));
     let mut chars: BTreeSet<char> = BTreeSet::new();
     for (op, l, r) in &obs.constraints {
         if !matches!(op, CmpOp::Eq | CmpOp::Ne) {
@@ -735,6 +832,81 @@ fn separator_verdict(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Two holders report the same flow: same sink instruction, call
+    /// chain, sources and sink name. The fold keeps the lower holder's
+    /// finding and names its callsite step, and the higher holder's
+    /// duplicate decision is rendered after every verdict decision.
+    #[test]
+    fn fold_keeps_the_lowest_holder_and_renders_the_duplicate_last() {
+        let finding = |observed: &str| Finding {
+            kind: VulnKind::BufferOverflow.into(),
+            sink: "memcpy".into(),
+            sink_ins: 0x1000,
+            sink_fn: "copy".into(),
+            observed_in: observed.into(),
+            sources: vec![SourceRef { name: "recv".into(), ins_addr: 0x2000 }],
+            call_chain: vec![0x3000],
+            tainted_expr: "ret_0x2000".into(),
+            fingerprint: "fp".into(),
+            verdict: SanitizeVerdict::UncheckedFlow,
+            evidence: vec![EvidenceStep::CallsiteSubstitution {
+                ins_addr: 0x3000,
+                caller: String::new(),
+                callee: String::new(),
+            }],
+        };
+        let verdict = |holder, judged| SiteVerdict {
+            holder,
+            sink: "memcpy",
+            sink_ins: 0x1000,
+            judged,
+            folded: None,
+        };
+        let holder = |addr: u32, observed: &str| HolderJudgement {
+            holder: addr,
+            judged: Some((
+                vec![
+                    (verdict(addr, Judged::Unreached), None),
+                    (verdict(addr, Judged::Vulnerable), Some(Box::new(finding(observed)))),
+                ],
+                0,
+            )),
+        };
+        let out = fold([holder(0x100, "low"), holder(0x200, "high")], |ins| {
+            (ins == 0x3000).then(|| ("caller".to_owned(), "callee".to_owned()))
+        });
+
+        assert_eq!(out.findings.len(), 1);
+        assert_eq!(out.findings[0].observed_in, "low", "the lowest holder address wins");
+        assert_eq!(
+            out.findings[0].evidence,
+            [EvidenceStep::CallsiteSubstitution {
+                ins_addr: 0x3000,
+                caller: "caller".into(),
+                callee: "callee".into(),
+            }]
+        );
+        assert_eq!(out.duplicates_suppressed, 1);
+        let folded: Vec<(u32, Option<&str>)> =
+            out.verdicts.iter().map(|v| (v.holder, v.folded.as_deref())).collect();
+        assert_eq!(folded, [(0x100, None), (0x100, None), (0x200, None), (0x200, Some("fp"))]);
+
+        let log = detect_decisions(&out.verdicts, |a| if a == 0x100 { "low" } else { "high" });
+        let kinds: Vec<DecisionKind> = log.iter().map(|d| d.kind).collect();
+        assert_eq!(
+            kinds,
+            [
+                DecisionKind::SinkUnreached,
+                DecisionKind::SinkUnreached,
+                DecisionKind::DuplicateSuppressed
+            ]
+        );
+        let dup = &log[2];
+        assert_eq!((dup.function.as_str(), dup.function_addr), ("high", 0x200));
+        assert_eq!((dup.site, dup.sink.as_deref()), (Some(0x1000), Some("memcpy")));
+        assert_eq!(dup.reason, DecisionReason::Duplicate { fingerprint: "fp".into() });
+    }
 
     #[test]
     fn stack_capacity_measures_distance_to_saved_return() {

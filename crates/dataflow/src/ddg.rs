@@ -13,7 +13,7 @@
 //! relation from a sink variable to the sources feeding it, returning a
 //! printable step-by-step path.
 
-use crate::interproc::ProgramDataflow;
+use crate::interproc::{DataflowView, FinalSummary};
 use dtaint_symex::pool::SymNode;
 use dtaint_symex::ExprId;
 use std::collections::HashSet;
@@ -57,19 +57,19 @@ impl std::fmt::Display for TraceStep {
 }
 
 /// Backward depth-first traversal from a sink variable to the sources
-/// feeding it, within the observing function's final summary.
+/// feeding it, within the observing function's (`holder`'s) final
+/// summary.
 ///
 /// Returns the first source-reaching path, rendered source-first
 /// (`Source → Def* → Sink`), or an empty vector when the expression is
 /// not source-derived. `max_depth` bounds the def-chain length.
 pub fn backward_trace(
-    df: &ProgramDataflow,
-    holder_fn: u32,
+    df: DataflowView<'_>,
+    holder: &FinalSummary,
     sink_expr: ExprId,
     sources: &HashSet<String>,
     max_depth: usize,
 ) -> Vec<TraceStep> {
-    let Some(holder) = df.finals.get(&holder_fn) else { return Vec::new() };
     let mut visited: HashSet<ExprId> = HashSet::new();
     let mut steps: Vec<TraceStep> = Vec::new();
     if dfs(df, holder, sink_expr, sources, max_depth, &mut visited, &mut steps) {
@@ -85,8 +85,8 @@ pub fn backward_trace(
 /// DFS helper: true when `expr` reaches a source; `steps` collects the
 /// path from the sink side down.
 fn dfs(
-    df: &ProgramDataflow,
-    holder: &crate::interproc::FinalSummary,
+    df: DataflowView<'_>,
+    holder: &FinalSummary,
     expr: ExprId,
     sources: &HashSet<String>,
     depth: usize,
@@ -137,7 +137,7 @@ fn dfs(
 
 /// True when `expr` reads memory from the same object base that `def_d`
 /// defines (offset-insensitive, the Heartbleed `buf+1` case).
-fn same_object_read(df: &ProgramDataflow, expr: ExprId, def_d: ExprId) -> bool {
+fn same_object_read(df: DataflowView<'_>, expr: ExprId, def_d: ExprId) -> bool {
     let SymNode::Deref { addr: daddr, .. } = df.pool.node(def_d) else { return false };
     let (dbase, _) = df.pool.base_offset(daddr);
     let mut hit = false;
@@ -156,7 +156,7 @@ fn same_object_read(df: &ProgramDataflow, expr: ExprId, def_d: ExprId) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interproc::{build_dataflow, DataflowConfig};
+    use crate::interproc::{build_dataflow, DataflowConfig, ProgramDataflow};
     use dtaint_cfg::{build_all_cfgs, CallGraph};
     use dtaint_fwbin::arm::ArmIns;
     use dtaint_fwbin::asm::Assembler;
@@ -212,7 +212,7 @@ mod tests {
             .find(|s| matches!(&s.kind, crate::SinkKind::Import(n) if n == "memcpy"))
             .unwrap();
         let len = sink.args[2];
-        let trace = backward_trace(&df, f_addr, len, &sources(), 8);
+        let trace = backward_trace(df.view(), &df.finals[&f_addr], len, &sources(), 8);
         assert!(!trace.is_empty(), "length is source-derived");
         assert!(matches!(&trace[0], TraceStep::Source { name, .. } if name == "recv"));
         assert!(matches!(trace.last().unwrap(), TraceStep::Sink { .. }));
@@ -251,7 +251,7 @@ mod tests {
             .iter()
             .find(|s| matches!(&s.kind, crate::SinkKind::Import(n) if n == "system"))
             .unwrap();
-        let trace = backward_trace(&df, f_addr, sink.args[0], &sources(), 8);
+        let trace = backward_trace(df.view(), &df.finals[&f_addr], sink.args[0], &sources(), 8);
         assert!(matches!(&trace.first(), Some(TraceStep::Source { name, .. }) if name == "getenv"));
     }
 
@@ -269,7 +269,7 @@ mod tests {
                 .find_map(|cs| cs.args.iter().copied().find(|&a| df.pool.as_const(a).is_some()))
                 .expect("some constant arg")
         };
-        assert!(backward_trace(&df, f_addr, c, &sources(), 8).is_empty());
+        assert!(backward_trace(df.view(), &df.finals[&f_addr], c, &sources(), 8).is_empty());
     }
 
     #[test]

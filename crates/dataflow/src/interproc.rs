@@ -38,9 +38,9 @@ use crate::indirect::{resolve_indirect_calls, IndirectStats, ResolvedCall};
 use dtaint_cfg::CallGraph;
 use dtaint_fwbin::{Binary, Symbol};
 use dtaint_symex::pool::{CmpOp, ExprPool, SymNode};
-use dtaint_symex::{CalleeRef, Constraint, DefPair, ExprId, FuncSummary};
+use dtaint_symex::{CalleeRef, CallsiteInfo, Constraint, DefPair, ExprId, FuncSummary};
 use dtaint_telemetry::{Clock, SpanEvent, TraceBuffer, TraceSpec};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 /// Switches for the pipeline stages (used by the ablation benches).
 #[derive(Debug, Clone)]
@@ -214,14 +214,185 @@ pub struct FinalSummary {
     pub fuel_used: u64,
 }
 
+impl FinalSummary {
+    /// Values known to be stored at the pointee of `ptr` within this
+    /// function's final definition pairs (any access width).
+    ///
+    /// A copy sink like `strcpy(dst, src)` receives the *pointer* `src`;
+    /// the tainted payload is what memory holds at `deref(src)`. This
+    /// resolves that indirection.
+    pub fn pointee_values(&self, pool: &ExprPool, ptr: ExprId) -> Vec<ExprId> {
+        // Value closure of the pointer: the pointer expression itself
+        // plus anything the definition pairs say it evaluates to (e.g.
+        // `deref(g + 0x10) = &buf` resolves a field-loaded pointer to
+        // the buffer it designates).
+        let mut vals = vec![ptr];
+        let mut i = 0;
+        while i < vals.len() && vals.len() < 32 {
+            let v = vals[i];
+            i += 1;
+            for dp in &self.summary.def_pairs {
+                if dp.d == v && !vals.contains(&dp.u) {
+                    vals.push(dp.u);
+                }
+            }
+        }
+        let mut out = Vec::new();
+        for dp in &self.summary.def_pairs {
+            if let SymNode::Deref { addr, .. } = pool.node(dp.d) {
+                if vals.contains(&addr) && !out.contains(&dp.u) {
+                    out.push(dp.u);
+                }
+            }
+        }
+        out
+    }
+}
+
+/// What the bottom-up pass keeps of a function after its final summary
+/// is dropped: the counters and flags the report reads.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct FnResidue {
+    /// [`FuncSummary::blocks_executed`].
+    pub blocks_executed: u32,
+    /// [`FuncSummary::paths_explored`].
+    pub paths_explored: u32,
+    /// [`FuncSummary::alias_rewrites`].
+    pub alias_rewrites: u32,
+    /// [`FuncSummary::sse_rounds`].
+    pub sse_rounds: u32,
+    /// [`FuncSummary::sse_rewrites`].
+    pub sse_rewrites: u32,
+    /// [`FuncSummary::sse_saturated`].
+    pub sse_saturated: bool,
+    /// [`FinalSummary::fuel_used`].
+    pub fuel_used: u64,
+    /// [`FinalSummary::panicked`].
+    pub panicked: bool,
+    /// [`FinalSummary::budget_exhausted`].
+    pub budget_exhausted: bool,
+    /// Sink observations the final summary held, own and inherited.
+    pub sinks: u32,
+}
+
+impl FnResidue {
+    fn of(fs: &FinalSummary) -> FnResidue {
+        let s = &fs.summary;
+        FnResidue {
+            blocks_executed: s.blocks_executed,
+            paths_explored: s.paths_explored,
+            alias_rewrites: s.alias_rewrites,
+            sse_rounds: s.sse_rounds,
+            sse_rewrites: s.sse_rewrites,
+            sse_saturated: s.sse_saturated,
+            fuel_used: fs.fuel_used,
+            panicked: fs.panicked,
+            budget_exhausted: fs.budget_exhausted,
+            sinks: fs.sinks.len() as u32,
+        }
+    }
+}
+
+/// Every distinct sink site the propagation surfaced, and how many
+/// observations sit in their sink's own function.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SinkCensus {
+    /// Distinct sink instructions, by sink kind name
+    /// ([`SinkKind::name`]).
+    pub sites: BTreeMap<String, BTreeSet<u32>>,
+    /// Observations with an empty call chain: sinks seen in the function
+    /// that contains them.
+    pub own: usize,
+    /// Of those, loop copies.
+    pub own_loop_copies: usize,
+}
+
+impl SinkCensus {
+    fn note(&mut self, fs: &FinalSummary) {
+        for s in &fs.sinks {
+            match self.sites.get_mut(s.kind.name()) {
+                Some(sites) => {
+                    sites.insert(s.sink_ins);
+                }
+                None => {
+                    self.sites.insert(s.kind.name().to_owned(), BTreeSet::from([s.sink_ins]));
+                }
+            }
+            if s.call_chain.is_empty() {
+                self.own += 1;
+                self.own_loop_copies += usize::from(s.kind == SinkKind::LoopCopy);
+            }
+        }
+    }
+}
+
+/// The caller and callee of every call site in the program, as
+/// addresses, keyed by the call instruction. Names are resolved only on
+/// demand ([`ProgramDataflow::callsite_names`]): for the call chains of
+/// reported findings.
+#[derive(Debug, Clone, Default)]
+pub struct CallsiteIndex {
+    sites: HashMap<u32, (u32, CallTarget)>,
+}
+
+/// Where one call site goes.
+#[derive(Debug, Clone, Copy)]
+enum CallTarget {
+    /// A function: a direct callee, or an indirect call resolved by
+    /// layout similarity.
+    Function(u32),
+    /// An import, named by [`ProgramDataflow::import_sites`].
+    Import,
+    /// An indirect call no layout resolved.
+    Unresolved,
+}
+
+impl CallsiteIndex {
+    /// Indexes one final summary's call sites. A call instruction that
+    /// several (overlapping) functions contain belongs to the one with
+    /// the highest entry address, whatever order they are noted in.
+    fn note(&mut self, fs: &FinalSummary, resolution: &HashMap<u32, u32>) {
+        let caller = fs.summary.addr;
+        for cs in &fs.summary.callsites {
+            let target = match &cs.callee {
+                CalleeRef::Direct(a) => CallTarget::Function(*a),
+                CalleeRef::Import(_) => CallTarget::Import,
+                CalleeRef::Indirect(_) => resolution
+                    .get(&cs.ins_addr)
+                    .map_or(CallTarget::Unresolved, |&a| CallTarget::Function(a)),
+            };
+            let slot = self.sites.entry(cs.ins_addr).or_insert((caller, target));
+            if slot.0 <= caller {
+                *slot = (caller, target);
+            }
+        }
+    }
+}
+
+/// The program-wide state a holder's judgement reads besides the
+/// holder's own final summary.
+#[derive(Debug, Clone, Copy)]
+pub struct DataflowView<'a> {
+    /// The shared expression pool.
+    pub pool: &'a ExprPool,
+    /// Import call sites across the program: `ins_addr → import name`.
+    pub import_sites: &'a HashMap<u32, String>,
+}
+
 /// The whole-program data-flow result.
 #[derive(Debug)]
 pub struct ProgramDataflow {
     /// The shared expression pool.
     pub pool: ExprPool,
     /// Final summaries keyed by function entry address. Ordered, so every
-    /// whole-program iteration downstream is deterministic.
+    /// whole-program iteration downstream is deterministic. Holds every
+    /// function after [`build_dataflow`]; empty after
+    /// [`build_dataflow_judged`], which drops each summary once its last
+    /// caller has applied it.
     pub finals: BTreeMap<u32, FinalSummary>,
+    /// What each function kept of its final summary, by entry address —
+    /// one entry per function the pass summarised.
+    pub functions: BTreeMap<u32, FnResidue>,
     /// The bottom-up analysis order used (the flattened strata).
     pub order: Vec<u32>,
     /// Indirect calls resolved by layout similarity.
@@ -230,6 +401,10 @@ pub struct ProgramDataflow {
     pub indirect_stats: IndirectStats,
     /// Import call sites across the program: `ins_addr → import name`.
     pub import_sites: HashMap<u32, String>,
+    /// Caller and callee of every call site in the final summaries.
+    pub callsites: CallsiteIndex,
+    /// The sink sites across all final summaries.
+    pub sinks: SinkCensus,
     /// Sink observations dropped because their accumulated path
     /// constraints are contradictory (only with
     /// [`DataflowConfig::interval_guards`]; zero otherwise).
@@ -259,71 +434,35 @@ impl ProgramDataflow {
         self.finals.values().flat_map(|f| f.sinks.iter().map(move |s| (f, s)))
     }
 
-    /// Caller/callee names for every call site in the program, keyed by
-    /// the call instruction address. Direct callees resolve through
-    /// their final summaries, imports keep their import name, and
-    /// indirect calls resolve through the layout-similarity matches
-    /// (falling back to `"<indirect>"` when unresolved). Feeds the
-    /// per-finding provenance chain: each `call_chain` entry becomes a
-    /// named callsite-substitution evidence step.
-    pub fn callsite_index(&self) -> HashMap<u32, (String, String)> {
-        let resolved: HashMap<u32, u32> =
-            self.resolved_indirect.iter().map(|r| (r.ins_addr, r.callee)).collect();
-        let name_of = |addr: u32| {
-            self.finals.get(&addr).map_or_else(|| format!("{addr:#x}"), |f| f.summary.name.clone())
-        };
-        let mut out = HashMap::new();
-        for f in self.finals.values() {
-            for cs in &f.summary.callsites {
-                let callee = match &cs.callee {
-                    CalleeRef::Direct(a) => name_of(*a),
-                    CalleeRef::Import(n) => n.clone(),
-                    CalleeRef::Indirect(_) => resolved
-                        .get(&cs.ins_addr)
-                        .map_or_else(|| "<indirect>".to_owned(), |&a| name_of(a)),
-                };
-                out.insert(cs.ins_addr, (f.summary.name.clone(), callee));
-            }
-        }
-        out
+    /// The pool and import sites, for judging a holder.
+    pub fn view(&self) -> DataflowView<'_> {
+        DataflowView { pool: &self.pool, import_sites: &self.import_sites }
     }
 
-    /// Values known to be stored at the pointee of `ptr` within the given
-    /// function's final definition pairs (any access width).
-    ///
-    /// A copy sink like `strcpy(dst, src)` receives the *pointer* `src`;
-    /// the tainted payload is what memory holds at `deref(src)`. This
-    /// resolves that indirection.
-    pub fn pointee_values(&self, func: u32, ptr: ExprId) -> Vec<ExprId> {
-        let Some(f) = self.finals.get(&func) else { return Vec::new() };
-        // Value closure of the pointer: the pointer expression itself
-        // plus anything the definition pairs say it evaluates to (e.g.
-        // `deref(g + 0x10) = &buf` resolves a field-loaded pointer to
-        // the buffer it designates).
-        let mut vals = vec![ptr];
-        let mut i = 0;
-        while i < vals.len() && vals.len() < 32 {
-            let v = vals[i];
-            i += 1;
-            for dp in &f.summary.def_pairs {
-                if dp.d == v && !vals.contains(&dp.u) {
-                    vals.push(dp.u);
-                }
-            }
-        }
-        let mut out = Vec::new();
-        for dp in &f.summary.def_pairs {
-            if let SymNode::Deref { addr, .. } = self.pool.node(dp.d) {
-                if vals.contains(&addr) && !out.contains(&dp.u) {
-                    out.push(dp.u);
-                }
-            }
-        }
-        out
+    /// Caller and callee names of the call at `ins`, or `None` when no
+    /// final summary holds it. Functions are named by `name_of`, or by
+    /// address when it has no name for them; imports keep their import
+    /// name, and unresolved indirect calls read `"<indirect>"`. Feeds
+    /// the per-finding provenance chain: each `call_chain` entry becomes
+    /// a named callsite-substitution evidence step.
+    pub fn callsite_names<'n>(
+        &self,
+        ins: u32,
+        name_of: impl Fn(u32) -> Option<&'n str>,
+    ) -> Option<(String, String)> {
+        let &(caller, target) = self.callsites.sites.get(&ins)?;
+        let name = |addr: u32| name_of(addr).map_or_else(|| format!("{addr:#x}"), str::to_owned);
+        let callee = match target {
+            CallTarget::Function(a) => name(a),
+            CallTarget::Import => self.import_sites.get(&ins)?.clone(),
+            CallTarget::Unresolved => "<indirect>".to_owned(),
+        };
+        Some((name(caller), callee))
     }
 }
 
-/// Runs the bottom-up interprocedural analysis.
+/// Runs the bottom-up interprocedural analysis and keeps every final
+/// summary in [`ProgramDataflow::finals`].
 ///
 /// `locals` are the per-function symbolic summaries, all interned in
 /// `pool` (see [`FuncSummary::translate_with`] for merging parallel
@@ -333,8 +472,42 @@ pub fn build_dataflow(
     bin: &Binary,
     callgraph: &mut CallGraph,
     locals: Vec<FuncSummary>,
+    pool: ExprPool,
+    config: &DataflowConfig,
+) -> ProgramDataflow {
+    propagate(bin, callgraph, locals, pool, config, None)
+}
+
+/// [`build_dataflow`] for a caller that needs each final summary only
+/// once: `judge` sees every function's final summary as soon as it is
+/// settled (cache store included), in processing order, and the summary
+/// is dropped once its last out-of-component caller has applied it. So
+/// the live summaries are the call-graph frontier, not the image.
+/// [`ProgramDataflow::finals`] comes back empty; everything else is
+/// what [`build_dataflow`] returns.
+pub fn build_dataflow_judged(
+    bin: &Binary,
+    callgraph: &mut CallGraph,
+    locals: Vec<FuncSummary>,
+    pool: ExprPool,
+    config: &DataflowConfig,
+    judge: &mut dyn FnMut(DataflowView<'_>, &FinalSummary),
+) -> ProgramDataflow {
+    propagate(bin, callgraph, locals, pool, config, Some(judge))
+}
+
+/// The per-holder callback of [`build_dataflow_judged`].
+type Judge<'j> = &'j mut dyn FnMut(DataflowView<'_>, &FinalSummary);
+
+/// The one bottom-up loop behind [`build_dataflow`] (no `judge`: keep
+/// every final summary) and [`build_dataflow_judged`].
+fn propagate(
+    bin: &Binary,
+    callgraph: &mut CallGraph,
+    locals: Vec<FuncSummary>,
     mut pool: ExprPool,
     config: &DataflowConfig,
+    mut judge: Option<Judge<'_>>,
 ) -> ProgramDataflow {
     let spec =
         config.trace.unwrap_or(TraceSpec { clock: Clock::new(), base_lane: 1, workers: false });
@@ -410,12 +583,25 @@ pub fn build_dataflow(
     // raw bytes, computed while `by_addr` is still fully populated — the
     // loop below drains it.
     let mut cache_ctx = DdgCacheCtx::build(bin, config, &by_addr, callgraph);
+    // Out-of-component callers still to apply each function's final
+    // summary, counted from the same callee resolution the propagation
+    // applies (`applied_callees`), once per calling function.
+    let mut callers_left: HashMap<u32, u32> = HashMap::new();
+    for (&faddr, s) in &by_addr {
+        for callee in applied_callees(faddr, s, &comp_of, &resolution) {
+            *callers_left.entry(callee).or_default() += 1;
+        }
+    }
     let mut finals: BTreeMap<u32, FinalSummary> = BTreeMap::new();
+    let mut functions: BTreeMap<u32, FnResidue> = BTreeMap::new();
+    let mut callsites = CallsiteIndex::default();
+    let mut sinks = SinkCensus::default();
     let mut buf = TraceBuffer::new(spec.clock, spec.base_lane, spec.workers);
     let mut pruned_sinks: Vec<PrunedSink> = Vec::new();
 
     for &faddr in &order {
         let Some(summary) = by_addr.remove(&faddr) else { continue };
+        let callees = applied_callees(faddr, &summary, &comp_of, &resolution);
         let t0 = buf.start();
         // Final scan keys compose bottom-up: a function's key folds its
         // own content hash with the keys of its out-of-component callees,
@@ -496,7 +682,30 @@ pub fn build_dataflow(
                 cache::encode_final(&pool, &fs, fn_pruned, created_k, &mut |abs| ctx.map_abs(abs))
             });
         }
-        finals.insert(faddr, fs);
+        callsites.note(&fs, &resolution);
+        sinks.note(&fs);
+        functions.insert(faddr, FnResidue::of(&fs));
+        let Some(judge) = judge.as_deref_mut() else {
+            finals.insert(faddr, fs);
+            continue;
+        };
+        judge(DataflowView { pool: &pool, import_sites: &import_sites }, &fs);
+        // Keep the summary only while some caller has yet to apply it,
+        // and drop each callee this function was the last to apply.
+        if callers_left.get(&faddr).is_some_and(|&n| n > 0) {
+            finals.insert(faddr, fs);
+        }
+        for callee in callees {
+            let Some(n) = callers_left.get_mut(&callee) else { continue };
+            *n -= 1;
+            if *n == 0 {
+                finals.remove(&callee);
+            }
+        }
+    }
+    if judge.is_some() {
+        // Callers outside `order` never ran; nothing reads these now.
+        finals.clear();
     }
     stages.record("ddg_propagate", "stage", propagate_t0, BTreeMap::new());
     let mut trace_events = stages.take_events();
@@ -505,10 +714,13 @@ pub fn build_dataflow(
     ProgramDataflow {
         pool,
         finals,
+        functions,
         order,
         resolved_indirect: resolved,
         indirect_stats,
         import_sites,
+        callsites,
+        sinks,
         pruned_infeasible,
         alias_panics,
         trace_events,
@@ -739,32 +951,21 @@ fn process_function(
     for idx in 0..summary.callsites.len() {
         let cs = summary.callsites[idx].clone();
         let cs = &cs;
-        let callee_addr = match &cs.callee {
-            CalleeRef::Direct(a) => Some(*a),
-            CalleeRef::Indirect(_) => resolution.get(&cs.ins_addr).copied(),
-            CalleeRef::Import(name) => {
-                if config.sink_names.contains(name) {
-                    let cons = constraints_on_path(&summary, cs.path);
-                    sinks.push(SinkObservation {
-                        kind: SinkKind::Import(name.clone()),
-                        sink_ins: cs.ins_addr,
-                        sink_fn: faddr,
-                        args: cs.args.clone(),
-                        call_chain: vec![],
-                        constraints: cons,
-                    });
-                }
-                None
+        if let CalleeRef::Import(name) = &cs.callee {
+            if config.sink_names.contains(name) {
+                let cons = constraints_on_path(&summary, cs.path);
+                sinks.push(SinkObservation {
+                    kind: SinkKind::Import(name.clone()),
+                    sink_ins: cs.ins_addr,
+                    sink_fn: faddr,
+                    args: cs.args.clone(),
+                    call_chain: vec![],
+                    constraints: cons,
+                });
             }
-        };
-        let Some(callee_addr) = callee_addr else { continue };
-        if comp_of.get(&callee_addr) == comp_of.get(&faddr) {
-            // Recursion (self or mutual): the callee is in this
-            // function's own component, treated as opaque so each
-            // function is analyzed exactly once, as the paper
-            // prescribes — independent of summarisation order.
             continue;
         }
+        let Some(callee_addr) = applied_callee(faddr, cs, comp_of, resolution) else { continue };
         let Some(callee) = finals.get(&callee_addr) else { continue };
         // Fuel: one unit for the application itself plus one per callee
         // term that must be substituted up. Charged before applying so
@@ -842,6 +1043,44 @@ fn process_function(
         fuel_used: config.max_fuel - fuel,
     };
     (fs, pruned)
+}
+
+/// The function whose final summary a call site applies: its direct
+/// callee, or the layout-similarity resolution of an indirect call.
+/// `None` for imports, unresolved indirect calls, and callees in the
+/// caller's own component — recursion (self or mutual) is treated as
+/// opaque so each function is analyzed exactly once, as the paper
+/// prescribes, independent of summarisation order.
+fn applied_callee(
+    faddr: u32,
+    cs: &CallsiteInfo,
+    comp_of: &HashMap<u32, usize>,
+    resolution: &HashMap<u32, u32>,
+) -> Option<u32> {
+    let callee = match &cs.callee {
+        CalleeRef::Direct(a) => *a,
+        CalleeRef::Indirect(_) => *resolution.get(&cs.ins_addr)?,
+        CalleeRef::Import(_) => return None,
+    };
+    (comp_of.get(&callee) != comp_of.get(&faddr)).then_some(callee)
+}
+
+/// The distinct functions `summary`'s call sites apply, in address
+/// order ([`applied_callee`]).
+fn applied_callees(
+    faddr: u32,
+    summary: &FuncSummary,
+    comp_of: &HashMap<u32, usize>,
+    resolution: &HashMap<u32, u32>,
+) -> Vec<u32> {
+    let mut out: Vec<u32> = summary
+        .callsites
+        .iter()
+        .filter_map(|cs| applied_callee(faddr, cs, comp_of, resolution))
+        .collect();
+    out.sort_unstable();
+    out.dedup();
+    out
 }
 
 fn constraints_on_path(summary: &FuncSummary, path: u32) -> Vec<(CmpOp, ExprId, ExprId)> {

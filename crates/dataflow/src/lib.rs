@@ -39,8 +39,8 @@ pub use cache::{
 pub use ddg::{backward_trace, TraceStep};
 pub use indirect::{resolve_indirect_calls, IndirectStats, Installer, ResolvedCall};
 pub use interproc::{
-    build_dataflow, DataflowConfig, FinalSummary, ProgramDataflow, PrunedSink, SinkKind,
-    SinkObservation,
+    build_dataflow, build_dataflow_judged, CallsiteIndex, DataflowConfig, DataflowView,
+    FinalSummary, FnResidue, ProgramDataflow, PrunedSink, SinkCensus, SinkKind, SinkObservation,
 };
 pub use layout::{infer_layouts, root_and_path, AccessPath, Layout};
 pub use sse::{canonicalize, sse_replace, Sse, SseStats};
@@ -131,7 +131,7 @@ mod tests {
         // The source (src argument, index 1) is a pointer whose pointee
         // must carry recv's output after woo's stores are pushed up.
         let src = memcpy_sink.args[1];
-        let mut carriers = df.pointee_values(foo, src);
+        let mut carriers = df.finals[&foo].pointee_values(&df.pool, src);
         carriers.push(src);
         let has_recv_data = carriers.iter().any(|&v| {
             df.pool.any_node(v, &mut |n| {
@@ -143,7 +143,8 @@ mod tests {
             has_recv_data,
             "memcpy src pointee must carry recv output, got {} (pointees: {:?})",
             df.pool.display(src),
-            df.pointee_values(foo, src)
+            df.finals[&foo]
+                .pointee_values(&df.pool, src)
                 .iter()
                 .map(|&v| df.pool.display(v).to_string())
                 .collect::<Vec<_>>()

@@ -30,12 +30,15 @@
 //! * [`export_prometheus`] — the Prometheus text exposition format for
 //!   textfile-collector scraping.
 //! * [`log`] — a leveled stderr facade replacing ad-hoc `eprintln!`s.
+//! * [`heap`] — the [`CountingAlloc`] global allocator; once a binary
+//!   installs it, lane-0 spans carry live and peak heap bytes.
 //! * [`audit`] — the typed decision audit log ([`Decision`]) recording
 //!   every negative analysis decision for `dtaint why`, collected with
 //!   the same thread-deterministic discipline as spans.
 
 pub mod audit;
 pub mod fleet;
+pub mod heap;
 pub mod log;
 pub mod metrics;
 pub mod prometheus;
@@ -43,6 +46,9 @@ pub mod span;
 
 pub use audit::{export_audit_jsonl, Decision, DecisionKind, DecisionReason, AUDIT_VERSION};
 pub use fleet::{FleetProgress, Heartbeat, ImageCacheStats, ImageOutcome, WorkerHeartbeat};
+pub use heap::CountingAlloc;
 pub use metrics::{Histogram, MetricsRegistry, HISTOGRAM_BUCKETS};
 pub use prometheus::{export_prometheus, lint_textfile, sanitize_metric_name};
-pub use span::{export_chrome, export_jsonl, Clock, Collector, SpanEvent, TraceBuffer, TraceSpec};
+pub use span::{
+    export_chrome, export_jsonl, Clock, Collector, SpanEvent, SpanStart, TraceBuffer, TraceSpec,
+};

@@ -13,6 +13,7 @@
 //! symex pass's in chunk order), so the *set* of events is
 //! deterministic even though their timestamps are not. Nothing downstream of the exporters ever reads a timestamp.
 
+use crate::heap;
 use crate::metrics::MetricsRegistry;
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
@@ -55,6 +56,48 @@ pub struct TraceSpec {
     pub base_lane: u32,
     /// Record per-function spans on the worker lanes.
     pub workers: bool,
+}
+
+/// Where an open span started: its clock offset and, on lane 0 when a
+/// [`heap::CountingAlloc`] is installed, the heap window it opened.
+#[derive(Debug, Clone, Copy)]
+pub struct SpanStart {
+    /// Start offset from the scan epoch, microseconds (0 on a disabled
+    /// buffer).
+    pub us: u64,
+    heap: Option<heap::Mark>,
+}
+
+impl SpanStart {
+    fn open(clock: &Clock, lane: u32) -> SpanStart {
+        SpanStart { us: clock.now_us(), heap: if lane == 0 { heap::mark() } else { None } }
+    }
+}
+
+/// Closes a span opened at `start` into an event, adding the heap
+/// window's `live_bytes` and `peak_bytes` when it opened one.
+fn close(
+    clock: &Clock,
+    name: &str,
+    cat: &str,
+    lane: u32,
+    start: SpanStart,
+    mut args: BTreeMap<String, u64>,
+) -> SpanEvent {
+    let now = clock.now_us();
+    if let Some(mark) = start.heap {
+        let (live, peak) = heap::close(mark);
+        args.insert("live_bytes".to_owned(), live as u64);
+        args.insert("peak_bytes".to_owned(), peak as u64);
+    }
+    SpanEvent {
+        name: name.to_owned(),
+        cat: cat.to_owned(),
+        lane,
+        start_us: start.us,
+        dur_us: now.saturating_sub(start.us),
+        args,
+    }
 }
 
 /// One completed span.
@@ -105,29 +148,22 @@ impl TraceBuffer {
         self.on
     }
 
-    /// A start timestamp for a span about to open (0 when disabled).
-    pub fn start(&self) -> u64 {
+    /// Opens a span (a zero start when disabled). Lane-0 spans also
+    /// open a heap window when the counting allocator is installed.
+    pub fn start(&self) -> SpanStart {
         if self.on {
-            self.clock.now_us()
+            SpanStart::open(&self.clock, self.lane)
         } else {
-            0
+            SpanStart { us: 0, heap: None }
         }
     }
 
-    /// Completes a span opened at `start_us`.
-    pub fn record(&mut self, name: &str, cat: &str, start_us: u64, args: BTreeMap<String, u64>) {
+    /// Completes a span opened at `start`.
+    pub fn record(&mut self, name: &str, cat: &str, start: SpanStart, args: BTreeMap<String, u64>) {
         if !self.on {
             return;
         }
-        let now = self.clock.now_us();
-        self.events.push(SpanEvent {
-            name: name.to_owned(),
-            cat: cat.to_owned(),
-            lane: self.lane,
-            start_us,
-            dur_us: now.saturating_sub(start_us),
-            args,
-        });
+        self.events.push(close(&self.clock, name, cat, self.lane, start, args));
     }
 
     /// Surrenders the events recorded so far, leaving the buffer empty.
@@ -184,22 +220,15 @@ impl Collector {
         TraceBuffer::new(self.clock, lane, self.on)
     }
 
-    /// A start timestamp for a lane-0 span about to open.
-    pub fn start(&self) -> u64 {
-        self.clock.now_us()
+    /// Opens a lane-0 span (and its heap window when the counting
+    /// allocator is installed).
+    pub fn start(&self) -> SpanStart {
+        SpanStart::open(&self.clock, 0)
     }
 
-    /// Completes a lane-0 span opened at `start_us`.
-    pub fn record(&mut self, name: &str, cat: &str, start_us: u64, args: BTreeMap<String, u64>) {
-        let now = self.clock.now_us();
-        self.events.push(SpanEvent {
-            name: name.to_owned(),
-            cat: cat.to_owned(),
-            lane: 0,
-            start_us,
-            dur_us: now.saturating_sub(start_us),
-            args,
-        });
+    /// Completes a lane-0 span opened at `start`.
+    pub fn record(&mut self, name: &str, cat: &str, start: SpanStart, args: BTreeMap<String, u64>) {
+        self.events.push(close(&self.clock, name, cat, 0, start, args));
     }
 
     /// Folds a worker buffer's (or stage's) events in.
