@@ -3,7 +3,7 @@
 //! the fleet observability exporters.
 
 use crate::report::exemplars;
-use crate::{analysis_config, export, load_binaries, Args};
+use crate::{analysis_config, export, export_with, load_binaries, Args};
 use dtaint_core::{
     AnalysisReport, CacheFormat, CacheRef, CacheSnapshot, Dtaint, DtaintConfig, SummaryCache,
 };
@@ -786,7 +786,9 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<i32, String> {
             .collect(),
         }];
         events.extend(span_events);
-        export(dest, export_chrome(&events), "batch Chrome trace (chrome://tracing, Perfetto)")?;
+        export_with(dest, "batch Chrome trace (chrome://tracing, Perfetto)", |out| {
+            export_chrome(&events, out)
+        })?;
     }
 
     // One run-history line per completed run. Advisory like the

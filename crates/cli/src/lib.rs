@@ -187,7 +187,19 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<i32, String> {
 /// Writes one exporter file (`--metrics-out FILE` and the like) and
 /// logs `wrote {what} to {dest}`.
 fn export(dest: &str, contents: impl AsRef<[u8]>, what: &str) -> Result<(), String> {
-    std::fs::write(dest, contents).map_err(|e| format!("write {dest}: {e}"))?;
+    export_with(dest, what, |out| out.write_all(contents.as_ref()))
+}
+
+/// [`export`] for a file rendered piece by piece: `write` streams it
+/// into a buffered writer on `dest`.
+fn export_with(
+    dest: &str,
+    what: &str,
+    write: impl FnOnce(&mut std::io::BufWriter<std::fs::File>) -> std::io::Result<()>,
+) -> Result<(), String> {
+    let fail = |e: std::io::Error| format!("write {dest}: {e}");
+    let mut out = std::io::BufWriter::new(std::fs::File::create(dest).map_err(fail)?);
+    write(&mut out).and_then(|()| out.flush()).map_err(fail)?;
     log::info(&format!("wrote {what} to {dest}"));
     Ok(())
 }

@@ -1,6 +1,6 @@
 //! `dtaint scan`: one image or binary through the whole pipeline.
 
-use crate::{analysis_config, export, load_binaries, Args};
+use crate::{analysis_config, export, export_with, load_binaries, Args};
 use dtaint_core::{AnalysisReport, BoundsMode, Dtaint};
 use dtaint_emu::{poison_all_rodata_names, validate as emu_validate, AttackConfig};
 use dtaint_telemetry::{export_chrome, export_jsonl, log, Collector};
@@ -139,10 +139,13 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<i32, String> {
         export(dest, sarif, &format!("SARIF ({} run(s))", sarif_reports.len()))?;
     }
     if let Some(dest) = trace_out {
-        export(dest, export_jsonl(tel.events()), &format!("{} span(s)", tel.events().len()))?;
+        let what = format!("{} span(s)", tel.events().len());
+        export_with(dest, &what, |out| export_jsonl(tel.events(), out))?;
     }
     if let Some(dest) = trace_chrome {
-        export(dest, export_chrome(tel.events()), "Chrome trace (chrome://tracing, Perfetto)")?;
+        export_with(dest, "Chrome trace (chrome://tracing, Perfetto)", |out| {
+            export_chrome(tel.events(), out)
+        })?;
     }
     if let Some(dest) = args.value("--metrics-out") {
         let json = serde_json::to_string_pretty(&tel.metrics).map_err(|e| e.to_string())?;

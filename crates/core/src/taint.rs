@@ -225,9 +225,9 @@ fn direct_atoms(
             _ => None,
         };
         if let Some(cs) = cs {
-            if let Some(name) = df.import_sites.get(&cs) {
+            if let Some(name) = df.import_sites.get(cs) {
                 if sources.contains(name) {
-                    out.insert(SourceRef { name: name.clone(), ins_addr: cs });
+                    out.insert(SourceRef { name: name.to_owned(), ins_addr: cs });
                 }
             }
         }

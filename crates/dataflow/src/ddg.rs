@@ -104,9 +104,9 @@ fn dfs(
             _ => None,
         };
         if let Some(cs) = cs {
-            if let Some(name) = df.import_sites.get(&cs) {
+            if let Some(name) = df.import_sites.get(cs) {
                 if sources.contains(name) && found.is_none() {
-                    found = Some((name.clone(), cs));
+                    found = Some((name.to_owned(), cs));
                 }
             }
         }

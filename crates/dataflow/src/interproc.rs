@@ -369,14 +369,62 @@ impl CallsiteIndex {
     }
 }
 
+/// Import call sites across the program: `ins_addr → import name`.
+/// Each distinct name is stored once; a site is eight bytes in a
+/// vector sorted by instruction address.
+#[derive(Debug, Clone, Default)]
+pub struct ImportSites {
+    /// `(call instruction, index into names)`, one per instruction.
+    sites: Vec<(u32, u32)>,
+    names: Vec<String>,
+}
+
+impl ImportSites {
+    /// Indexes import calls given as `(call instruction, import name)`,
+    /// function by function in address order. A call instruction that
+    /// several (overlapping) functions hold keeps the name noted last.
+    fn from_calls<'a>(calls: impl IntoIterator<Item = (u32, &'a str)>) -> Self {
+        let mut index: HashMap<&str, u32> = HashMap::new();
+        let mut names = Vec::new();
+        let mut sites: Vec<(u32, u32)> = calls
+            .into_iter()
+            .map(|(ins, name)| {
+                let n = *index.entry(name).or_insert_with(|| {
+                    names.push(name.to_owned());
+                    names.len() as u32 - 1
+                });
+                (ins, n)
+            })
+            .collect();
+        // A stable sort keeps each instruction's notes in order; the
+        // last one overwrites the one kept.
+        sites.sort_by_key(|&(ins, _)| ins);
+        sites.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                *kept = *later;
+            }
+            same
+        });
+        sites.shrink_to_fit();
+        ImportSites { sites, names }
+    }
+
+    /// The import called at `ins`, if `ins` is an import call site.
+    pub fn get(&self, ins: u32) -> Option<&str> {
+        let i = self.sites.binary_search_by_key(&ins, |&(at, _)| at).ok()?;
+        Some(&self.names[self.sites[i].1 as usize])
+    }
+}
+
 /// The program-wide state a holder's judgement reads besides the
 /// holder's own final summary.
 #[derive(Debug, Clone, Copy)]
 pub struct DataflowView<'a> {
     /// The shared expression pool.
     pub pool: &'a ExprPool,
-    /// Import call sites across the program: `ins_addr → import name`.
-    pub import_sites: &'a HashMap<u32, String>,
+    /// Import call sites across the program.
+    pub import_sites: &'a ImportSites,
 }
 
 /// The whole-program data-flow result.
@@ -399,8 +447,8 @@ pub struct ProgramDataflow {
     pub resolved_indirect: Vec<ResolvedCall>,
     /// Work counts of the indirect-call resolution.
     pub indirect_stats: IndirectStats,
-    /// Import call sites across the program: `ins_addr → import name`.
-    pub import_sites: HashMap<u32, String>,
+    /// Import call sites across the program.
+    pub import_sites: ImportSites,
     /// Caller and callee of every call site in the final summaries.
     pub callsites: CallsiteIndex,
     /// The sink sites across all final summaries.
@@ -454,7 +502,7 @@ impl ProgramDataflow {
         let name = |addr: u32| name_of(addr).map_or_else(|| format!("{addr:#x}"), str::to_owned);
         let callee = match target {
             CallTarget::Function(a) => name(a),
-            CallTarget::Import => self.import_sites.get(&ins)?.clone(),
+            CallTarget::Import => self.import_sites.get(ins)?.to_owned(),
             CallTarget::Unresolved => "<indirect>".to_owned(),
         };
         Some((name(caller), callee))
@@ -559,14 +607,12 @@ fn propagate(
     }
 
     // Import call sites (for the detector's source lookup).
-    let mut import_sites: HashMap<u32, String> = HashMap::new();
-    for s in by_addr.values() {
-        for cs in &s.callsites {
-            if let CalleeRef::Import(name) = &cs.callee {
-                import_sites.insert(cs.ins_addr, name.clone());
-            }
-        }
-    }
+    let import_sites = ImportSites::from_calls(by_addr.values().flat_map(|s| {
+        s.callsites.iter().filter_map(|cs| match &cs.callee {
+            CalleeRef::Import(name) => Some((cs.ins_addr, name.as_str())),
+            _ => None,
+        })
+    }));
 
     // Stage 3: bottom-up propagation (Algorithm 2) over the flattened
     // SCC strata. Strata must be computed *after* indirect resolution,
@@ -1273,5 +1319,35 @@ fn substitute_everywhere(
             *l = pool.replace(*l, from, to);
             *r = pool.replace(*r, from, to);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn import_sites_keep_the_last_name_noted_per_instruction() {
+        // Two overlapping functions, noted in address order, both hold
+        // the calls at 0x1010 and 0x1020; the later one names them.
+        let calls = [
+            (0x1010, "recv"),
+            (0x1020, "getenv"),
+            (0x1000, "strcpy"),
+            (0x1010, "read"),
+            (0x1020, "getenv"),
+            (0x1030, "recv"),
+        ];
+        let sites = ImportSites::from_calls(calls);
+        assert_eq!(sites.sites.len(), 4);
+        let kept = [(0x1000, "strcpy"), (0x1010, "read"), (0x1020, "getenv"), (0x1030, "recv")];
+        for (ins, name) in kept {
+            assert_eq!(sites.get(ins), Some(name), "{ins:#x}");
+        }
+        assert_eq!(sites.names.len(), 4, "each name stored once");
+        for miss in [0, 0x1004, 0x1040, u32::MAX] {
+            assert_eq!(sites.get(miss), None);
+        }
+        assert!(ImportSites::from_calls([]).sites.is_empty());
     }
 }

@@ -17,9 +17,10 @@
 //!   Algorithm 2 (formal→actual argument substitution).
 
 use std::cell::Cell;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::BuildHasher;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// An interned symbolic expression (index into an [`ExprPool`]).
@@ -205,12 +206,6 @@ impl SymNode {
     }
 }
 
-impl Hash for SymNode {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u128(self.packed());
-    }
-}
-
 /// Slots in a pool's intern cache: 4 KiB of `u32` ids, in two-way sets.
 const INTERN_CACHE_SLOTS: usize = 1 << 10;
 
@@ -220,6 +215,87 @@ fn intern_set(packed: u128) -> usize {
     let sets = (INTERN_CACHE_SLOTS / 2).trailing_zeros();
     let folded = (packed as u64) ^ ((packed >> 64) as u64).rotate_left(32);
     (folded.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - sets)) as usize
+}
+
+/// The pool's dedup index: open addressing with linear probing over
+/// node ids, 4 bytes a slot. A slot stores no key — a probe confirms a
+/// hit against the pool's node array — where a std map bucket holds the
+/// node beside its id in 25 bytes. Slots are found by keyed std
+/// SipHash of [`SymNode::packed`] (a per-pool [`RandomState`]), so
+/// attacker-chosen constants cannot force collisions; ids follow push
+/// order alone, never the hash.
+#[derive(Debug, Clone, Default)]
+struct DedupTable {
+    keys: RandomState,
+    /// [`Self::EMPTY`] or an id; a power of two long once anything is
+    /// interned, and at most three quarters full.
+    slots: Vec<u32>,
+}
+
+impl DedupTable {
+    const EMPTY: u32 = u32::MAX;
+    /// Slots of a table's first allocation.
+    const MIN_SLOTS: usize = 64;
+
+    /// Where `node`'s probe sequence starts.
+    fn home(&self, node: SymNode) -> usize {
+        self.keys.hash_one(node.packed()) as usize & (self.slots.len() - 1)
+    }
+
+    /// The slot holding `node`'s id, or the empty slot that ends its
+    /// probe sequence.
+    fn find(&self, nodes: &[SymNode], node: SymNode) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(node);
+        loop {
+            match self.slots[i] {
+                Self::EMPTY => return i,
+                id if nodes[id as usize] == node => return i,
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    /// The id of `node`, pushing it onto `nodes` when it is new.
+    fn intern(&mut self, nodes: &mut Vec<SymNode>, node: SymNode) -> ExprId {
+        if (nodes.len() + 1) * 4 > self.slots.len() * 3 {
+            self.resize(nodes, (self.slots.len() * 2).max(Self::MIN_SLOTS));
+        }
+        let i = self.find(nodes, node);
+        if self.slots[i] == Self::EMPTY {
+            self.slots[i] = nodes.len() as u32;
+            nodes.push(node);
+        }
+        ExprId(self.slots[i])
+    }
+
+    /// Rebuilds the table at `slots` slots by inserting every id in
+    /// order. The old slots are freed first, so a growth never holds
+    /// two tables.
+    fn resize(&mut self, nodes: &[SymNode], slots: usize) {
+        self.slots = Vec::new();
+        self.slots = vec![Self::EMPTY; slots];
+        for (id, &node) in nodes.iter().enumerate() {
+            let i = self.find(nodes, node);
+            self.slots[i] = id as u32;
+        }
+    }
+
+    /// Erases the ids from `len` on, newest first, before `nodes` is
+    /// truncated to `len`.
+    ///
+    /// The table always holds exactly what inserting ids `0..nodes.len()`
+    /// in order gives (a resize re-inserts in id order), and an insert
+    /// only fills the first empty slot of its probe sequence, a slot no
+    /// older id's probe sequence runs through. So emptying the newest
+    /// id's slot undoes its insert exactly — nothing later in the
+    /// cluster needs shifting back, and no tombstone is left.
+    fn truncate(&mut self, nodes: &[SymNode], len: usize) {
+        for &node in nodes[len..].iter().rev() {
+            let i = self.find(nodes, node);
+            self.slots[i] = Self::EMPTY;
+        }
+    }
 }
 
 /// An interning arena of [`SymNode`]s.
@@ -242,10 +318,10 @@ fn intern_set(packed: u128) -> usize {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ExprPool {
+    /// 16 bytes a node; an id is an index.
     nodes: Vec<SymNode>,
-    /// The authority on what is interned: keyed std SipHash, so
-    /// attacker-chosen constants cannot force collisions.
-    dedup: HashMap<SymNode, ExprId>,
+    /// The authority on what is interned.
+    dedup: DedupTable,
     /// A cache in front of `dedup`: per [`intern_set`], the ids of the
     /// two nodes of that set interned most recently, the latest first.
     /// A slot is only a guess — it is used when `nodes` holds the same
@@ -355,7 +431,7 @@ impl ExprPool {
     /// Interns a node verbatim (no normalisation).
     ///
     /// The intern cache answers most calls without hashing; a miss falls
-    /// through to the dedup map. Either way the node becomes its set's
+    /// through to the dedup table. Either way the node becomes its set's
     /// latest entry.
     pub fn intern(&mut self, node: SymNode) -> ExprId {
         self.interns += 1;
@@ -372,11 +448,7 @@ impl ExprPool {
             self.intern_cache_hits += 1;
             ExprId(older)
         } else {
-            let nodes = &mut self.nodes;
-            *self.dedup.entry(node).or_insert_with(|| {
-                nodes.push(node);
-                ExprId(nodes.len() as u32 - 1)
-            })
+            self.dedup.intern(&mut self.nodes, node)
         };
         self.recent[set] = id.0;
         self.recent[set + 1] = recent;
@@ -461,9 +533,8 @@ impl ExprPool {
     /// pool has fewer nodes than the mark records).
     pub fn rollback(&mut self, mark: PoolMark) {
         assert!(mark.len <= self.nodes.len(), "rollback mark is from the future");
-        for node in self.nodes.drain(mark.len..) {
-            self.dedup.remove(&node);
-        }
+        self.dedup.truncate(&self.nodes, mark.len);
+        self.nodes.truncate(mark.len);
         self.next_unknown = mark.next_unknown;
     }
 
@@ -1308,17 +1379,18 @@ mod tests {
         assert!(ptrs == bases && visits <= 2 * bound, "ptrs_in visited {visits} nodes");
     }
 
-    /// A reference pool that interns through its map alone.
+    /// A reference pool that interns through a std map alone, keyed by
+    /// the packed node.
     #[derive(Default)]
     struct PlainPool {
         nodes: Vec<SymNode>,
-        map: HashMap<SymNode, ExprId>,
+        map: HashMap<u128, ExprId>,
     }
 
     impl PlainPool {
         fn intern(&mut self, node: SymNode) -> ExprId {
             let next = ExprId(self.nodes.len() as u32);
-            let id = *self.map.entry(node).or_insert(next);
+            let id = *self.map.entry(node.packed()).or_insert(next);
             if id == next {
                 self.nodes.push(node);
             }
@@ -1327,7 +1399,7 @@ mod tests {
 
         fn rollback(&mut self, len: usize) {
             for node in self.nodes.drain(len..) {
-                self.map.remove(&node);
+                self.map.remove(&node.packed());
             }
         }
     }
@@ -1372,6 +1444,68 @@ mod tests {
         ];
         let packed: std::collections::HashSet<u128> = nodes.iter().map(|n| n.packed()).collect();
         assert_eq!(packed.len(), nodes.len());
+    }
+
+    /// The dedup table against a plain map through 200k distinct
+    /// nodes. Every other round of interns is rolled back; the rounds
+    /// grow with the pool, so many straddle a growth of the table, and
+    /// at three-quarters load some probe clusters wrap past its end.
+    /// After each round the table is slot for slot what inserting the
+    /// surviving ids in order gives.
+    #[test]
+    fn dedup_table_matches_a_plain_map_through_growth_and_rollback() {
+        assert_eq!(std::mem::size_of::<SymNode>(), 16, "the node array's bytes a node");
+        let (mut p, mut r) = (ExprPool::new(), PlainPool::default());
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut below = |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        assert_eq!(p.intern(SymNode::StackBase), r.intern(SymNode::StackBase));
+        let pick = |i: usize| ExprId(i as u32);
+        let (mut fresh, mut undone_growths, mut wraps) = (0, 0, 0);
+        for round in 0.. {
+            if r.nodes.len() >= 200_000 {
+                break;
+            }
+            let (mark, slots) = (p.mark(), p.dedup.slots.len());
+            for _ in 0..r.nodes.len() / 2 + 64 {
+                let len = r.nodes.len();
+                let node = match below(4) {
+                    0 => {
+                        fresh += 1;
+                        SymNode::Const(fresh)
+                    }
+                    1 => SymNode::Add(pick(below(len)), pick(below(len))),
+                    2 => SymNode::Deref { addr: pick(below(len)), width: 4 },
+                    _ => r.nodes[below(len)],
+                };
+                assert_eq!(p.intern(node), r.intern(node), "round {round}");
+                assert_eq!(p.len(), r.nodes.len());
+            }
+            if round % 2 == 1 {
+                undone_growths += usize::from(p.dedup.slots.len() > slots);
+                p.rollback(mark);
+                r.rollback(mark.len);
+                assert_eq!(p.len(), r.nodes.len());
+            }
+            let mut rebuilt = p.dedup.clone();
+            rebuilt.resize(&p.nodes, rebuilt.slots.len());
+            assert!(rebuilt.slots == p.dedup.slots, "round {round}: table differs from a rebuild");
+            let ends = [p.dedup.slots[0], p.dedup.slots[p.dedup.slots.len() - 1]];
+            wraps += usize::from(!ends.contains(&DedupTable::EMPTY));
+            for (i, &node) in r.nodes.iter().enumerate() {
+                assert_eq!(p.node(ExprId(i as u32)), node);
+            }
+        }
+        assert!(undone_growths > 0 && wraps > 0, "{undone_growths} undone growths, {wraps} wraps");
+        // Every kept node is still found, under its own id.
+        for (i, &node) in r.nodes.iter().enumerate() {
+            assert_eq!(p.intern(node), ExprId(i as u32));
+        }
+        assert_eq!(p.len(), r.nodes.len());
     }
 
     proptest! {

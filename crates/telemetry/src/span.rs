@@ -18,6 +18,7 @@ use crate::metrics::MetricsRegistry;
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 use std::collections::BTreeMap;
+use std::io::{self, Write};
 use std::time::Instant;
 
 /// A shared monotonic epoch; all span timestamps are offsets from it.
@@ -242,43 +243,60 @@ impl Collector {
     }
 }
 
-/// Renders events as a JSONL stream: one [`SpanEvent`] JSON object per
-/// line, round-trippable through `serde_json`.
-pub fn export_jsonl(events: &[SpanEvent]) -> String {
-    let mut out = String::new();
+/// Writes events as a JSONL stream: one [`SpanEvent`] JSON object per
+/// line, round-trippable through `serde_json`. Renders one event at a
+/// time, so a large trace never sits in memory whole.
+///
+/// # Errors
+///
+/// Fails when `out` does.
+pub fn export_jsonl(events: &[SpanEvent], mut out: impl Write) -> io::Result<()> {
     for ev in events {
-        out.push_str(&serde_json::to_string(ev).unwrap_or_default());
-        out.push('\n');
+        out.write_all(serde_json::to_string(ev).unwrap_or_default().as_bytes())?;
+        out.write_all(b"\n")?;
     }
-    out
+    Ok(())
 }
 
-/// Renders events in the Chrome `trace_event` format (complete events,
+/// Writes events in the Chrome `trace_event` format (complete events,
 /// `ph: "X"`), loadable in `chrome://tracing` and Perfetto. Lanes map to
 /// thread ids; nesting is inferred per-lane by containment.
-pub fn export_chrome(events: &[SpanEvent]) -> String {
-    let trace_events: Vec<Value> = events
-        .iter()
-        .map(|ev| {
-            let args: Vec<(String, Value)> =
-                ev.args.iter().map(|(k, v)| (k.clone(), Value::Int(*v as i64))).collect();
-            Value::Obj(vec![
-                ("name".into(), Value::Str(ev.name.clone())),
-                ("cat".into(), Value::Str(ev.cat.clone())),
-                ("ph".into(), Value::Str("X".into())),
-                ("ts".into(), Value::Int(ev.start_us as i64)),
-                ("dur".into(), Value::Int(ev.dur_us as i64)),
-                ("pid".into(), Value::Int(1)),
-                ("tid".into(), Value::Int(i64::from(ev.lane))),
-                ("args".into(), Value::Obj(args)),
-            ])
-        })
-        .collect();
-    let doc = Value::Obj(vec![
-        ("traceEvents".into(), Value::Arr(trace_events)),
-        ("displayTimeUnit".into(), Value::Str("ms".into())),
-    ]);
-    serde_json::to_string_pretty(&doc).unwrap_or_default()
+///
+/// The document is the 2-space-indented JSON of
+/// `{"traceEvents": [..], "displayTimeUnit": "ms"}`, written one event
+/// at a time: each event is rendered alone and indented to its depth in
+/// the array (JSON strings escape newlines, so every newline in an
+/// event's rendering is layout).
+///
+/// # Errors
+///
+/// Fails when `out` does.
+pub fn export_chrome(events: &[SpanEvent], mut out: impl Write) -> io::Result<()> {
+    out.write_all(b"{\n  \"traceEvents\": [")?;
+    for (i, ev) in events.iter().enumerate() {
+        let item = serde_json::to_string_pretty(&chrome_event(ev)).unwrap_or_default();
+        out.write_all(if i == 0 { b"\n    " } else { b",\n    " })?;
+        out.write_all(item.replace('\n', "\n    ").as_bytes())?;
+    }
+    if !events.is_empty() {
+        out.write_all(b"\n  ")?;
+    }
+    out.write_all(b"],\n  \"displayTimeUnit\": \"ms\"\n}")
+}
+
+/// One event as a Chrome `trace_event` object.
+fn chrome_event(ev: &SpanEvent) -> Value {
+    let args = ev.args.iter().map(|(k, v)| (k.clone(), Value::Int(*v as i64))).collect();
+    Value::Obj(vec![
+        ("name".into(), Value::Str(ev.name.clone())),
+        ("cat".into(), Value::Str(ev.cat.clone())),
+        ("ph".into(), Value::Str("X".into())),
+        ("ts".into(), Value::Int(ev.start_us as i64)),
+        ("dur".into(), Value::Int(ev.dur_us as i64)),
+        ("pid".into(), Value::Int(1)),
+        ("tid".into(), Value::Int(i64::from(ev.lane))),
+        ("args".into(), Value::Obj(args)),
+    ])
 }
 
 #[cfg(test)]
@@ -338,10 +356,49 @@ mod tests {
         assert_eq!(c.events()[1].lane, 2);
     }
 
+    fn rendered(export: impl FnOnce(&mut Vec<u8>) -> io::Result<()>) -> String {
+        let mut out = Vec::new();
+        export(&mut out).expect("a Vec takes every write");
+        String::from_utf8(out).expect("UTF-8")
+    }
+
+    /// The exporters as they were before streaming: the whole document
+    /// built as one `Value` tree, then rendered as one `String`.
+    fn chrome_reference(events: &[SpanEvent]) -> String {
+        let doc = Value::Obj(vec![
+            ("traceEvents".into(), Value::Arr(events.iter().map(chrome_event).collect())),
+            ("displayTimeUnit".into(), Value::Str("ms".into())),
+        ]);
+        serde_json::to_string_pretty(&doc).unwrap_or_default()
+    }
+
+    fn jsonl_reference(events: &[SpanEvent]) -> String {
+        events.iter().map(|ev| serde_json::to_string(ev).unwrap_or_default() + "\n").collect()
+    }
+
+    #[test]
+    fn streamed_exports_match_the_whole_document_renderers() {
+        let mut odd = ev("quote\" back\\ nl\n tab\t ctl\u{1} é ✓", 3, 7, 9);
+        odd.cat = "cat\"\n".into();
+        odd.args.insert("key \"with\"\nescapes".to_owned(), u64::MAX);
+        let mut bare = ev("bare", 1, 0, 0);
+        bare.args.clear();
+        let cases: [&[SpanEvent]; 4] = [
+            &[],
+            &[ev("scan", 0, 0, 100)],
+            &[ev("scan", 0, 0, 100), odd.clone(), bare.clone()],
+            &[bare, odd],
+        ];
+        for events in cases {
+            assert_eq!(rendered(|w| export_chrome(events, w)), chrome_reference(events));
+            assert_eq!(rendered(|w| export_jsonl(events, w)), jsonl_reference(events));
+        }
+    }
+
     #[test]
     fn jsonl_roundtrips_through_serde() {
         let events = vec![ev("scan", 0, 0, 100), ev("ssa", 0, 10, 50)];
-        let jsonl = export_jsonl(&events);
+        let jsonl = rendered(|w| export_jsonl(&events, w));
         let back: Vec<SpanEvent> = jsonl
             .lines()
             .map(|l| serde_json::from_str::<SpanEvent>(l).expect("line parses"))
@@ -352,7 +409,8 @@ mod tests {
     #[test]
     fn chrome_export_is_valid_trace_event_json() {
         let events = vec![ev("scan", 0, 0, 100), ev("main", 1, 5, 20)];
-        let doc: Value = serde_json::from_str(&export_chrome(&events)).expect("parses");
+        let doc: Value =
+            serde_json::from_str(&rendered(|w| export_chrome(&events, w))).expect("parses");
         let Some(Value::Arr(items)) = doc.get("traceEvents") else {
             panic!("missing traceEvents array")
         };

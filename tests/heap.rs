@@ -44,14 +44,14 @@ fn hikvision_live_heap_stays_within_budget() {
         measured.push((stage, mib(span("stage", stage), "live_bytes")));
     }
     let budgets = [
-        ("peak", 42.0),
-        ("ssa", 31.5),
-        ("lift_cfg", 35.5),
-        ("ddg_alias", 36.0),
-        ("ddg_indirect", 36.0),
-        ("ddg_propagate", 29.75),
-        ("ddg", 29.25),
-        ("detect", 28.75),
+        ("peak", 37.25),
+        ("ssa", 29.0),
+        ("lift_cfg", 32.75),
+        ("ddg_alias", 33.25),
+        ("ddg_indirect", 33.25),
+        ("ddg_propagate", 22.25),
+        ("ddg", 21.75),
+        ("detect", 21.0),
     ];
     for ((name, got), (_, budget)) in measured.iter().zip(budgets) {
         assert!(*got <= budget, "Hikvision {name}: {got:.2} MiB over {budget} MiB ({measured:?})");

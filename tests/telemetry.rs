@@ -198,7 +198,9 @@ fn logical_counters_bit_identical_across_threads() {
 fn jsonl_export_round_trips() {
     let fw = capped_firmware(0, 60);
     let (_, tel) = traced_report(&fw, 2);
-    let jsonl = export_jsonl(tel.events());
+    let mut jsonl = Vec::new();
+    export_jsonl(tel.events(), &mut jsonl).unwrap();
+    let jsonl = String::from_utf8(jsonl).unwrap();
     let lines: Vec<&str> = jsonl.lines().collect();
     assert_eq!(lines.len(), tel.events().len());
     for (line, original) in lines.iter().zip(tel.events()) {
@@ -211,7 +213,9 @@ fn jsonl_export_round_trips() {
 fn chrome_export_is_valid_trace_event_json() {
     let fw = capped_firmware(0, 60);
     let (_, tel) = traced_report(&fw, 2);
-    let chrome = export_chrome(tel.events());
+    let mut chrome = Vec::new();
+    export_chrome(tel.events(), &mut chrome).unwrap();
+    let chrome = String::from_utf8(chrome).unwrap();
     let v: serde_json::Value = serde_json::from_str(&chrome).unwrap();
     let serde_json::Value::Obj(top) = &v else { panic!("top level must be an object") };
     let events = top
