@@ -20,6 +20,7 @@
 //! the re-analysis factor measurable.
 
 use dtaint_cfg::{CallGraph, FunctionCfg};
+use dtaint_dataflow::SINK_NAMES;
 use dtaint_fwbin::Binary;
 use dtaint_symex::pool::ExprPool;
 use dtaint_symex::{analyze_function, CalleeRef, ExprId, FuncSummary, SymexConfig};
@@ -34,8 +35,6 @@ pub struct BaselineConfig {
     /// path budget than DTaint's, reflecting the generic engine's lack
     /// of the loop-once specialisation.
     pub symex: SymexConfig,
-    /// Import names recorded as sinks (for result parity with DTaint).
-    pub sink_names: HashSet<String>,
     /// Hard cap on analyzed contexts (safety valve for pathological
     /// call graphs).
     pub max_contexts: usize,
@@ -46,12 +45,6 @@ impl Default for BaselineConfig {
         BaselineConfig {
             max_depth: 8,
             symex: SymexConfig { max_paths: 128, ..SymexConfig::default() },
-            sink_names: [
-                "strcpy", "strncpy", "sprintf", "memcpy", "strcat", "sscanf", "system", "popen",
-            ]
-            .into_iter()
-            .map(str::to_owned)
-            .collect(),
             max_contexts: 200_000,
         }
     }
@@ -150,7 +143,8 @@ pub fn analyze_topdown(
             for cs in &summary.callsites {
                 match &cs.callee {
                     CalleeRef::Import(name) => {
-                        if config.sink_names.contains(name) {
+                        // DTaint's sink list, for result parity.
+                        if SINK_NAMES.contains(&name.as_str()) {
                             let args = cs.args.iter().map(|&a| subst(&mut pool, a)).collect();
                             result.sinks.push(ContextSink {
                                 name: name.clone(),

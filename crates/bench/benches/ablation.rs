@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use dtaint_baseline::{analyze_topdown, BaselineConfig};
 use dtaint_cfg::{build_all_cfgs, CallGraph};
-use dtaint_dataflow::{build_dataflow, DataflowConfig};
+use dtaint_dataflow::{build_dataflow, AliasConfig, AliasMode, DataflowConfig};
 use dtaint_fwbin::Binary;
 use dtaint_fwgen::{build_firmware, table2_profiles};
 use dtaint_symex::{analyze_function, ExprPool, SymexConfig};
@@ -60,11 +60,11 @@ fn ablation_stages(c: &mut Criterion) {
     let cfgs = build_all_cfgs(&bin).unwrap();
     let mut g = c.benchmark_group("stages");
     g.sample_size(20);
-    for (label, alias, indirect) in [
-        ("full", true, true),
-        ("no_alias", false, true),
-        ("no_indirect", true, false),
-        ("neither", false, false),
+    for (label, mode, indirect) in [
+        ("full", AliasMode::Sse, true),
+        ("no_alias", AliasMode::Off, true),
+        ("no_indirect", AliasMode::Sse, false),
+        ("neither", AliasMode::Off, false),
     ] {
         g.bench_function(label, |b| {
             b.iter_batched(
@@ -78,7 +78,7 @@ fn ablation_stages(c: &mut Criterion) {
                 },
                 |(sums, pool, mut cg)| {
                     let config = DataflowConfig {
-                        enable_alias: alias,
+                        alias: AliasConfig { mode, ..Default::default() },
                         enable_indirect: indirect,
                         ..Default::default()
                     };

@@ -2,77 +2,26 @@
 //! the planted ground truth survives when a pipeline stage is disabled
 //! or the path budget shrinks, plus the store-vs-SSE alias ablation
 //! across every Table II profile. Writes the machine-readable alias
-//! comparison to `results/BENCH_alias_recall.json` and asserts that the
-//! SSE fixpoint never detects fewer plants than the store-based pass.
+//! comparison to `results/BENCH_alias_recall.json`; `tests/ablation.rs`
+//! holds the floor that the SSE fixpoint never detects fewer plants
+//! than the store-based pass.
 //!
 //! ```sh
 //! cargo run --release -p dtaint-bench --bin ablation_recall
 //! ```
 
+use dtaint_bench::alias_recall::{alias_profile, alias_recall, plant_detected};
 use dtaint_bench::render_table;
 use dtaint_core::{AliasMode, Dtaint, DtaintConfig};
-use dtaint_fwgen::templates::PlantKind;
-use dtaint_fwgen::{build_firmware, table2_profiles, FirmwareProfile, GeneratedFirmware};
+use dtaint_fwgen::{build_firmware, table2_profiles, GeneratedFirmware};
 use dtaint_symex::SymexConfig;
 use serde_json::Value;
-
-const DEEP_KINDS: [PlantKind; 4] = [
-    PlantKind::BofAliasDeep2,
-    PlantKind::BofAliasDeep3,
-    PlantKind::BofAliasCalleeLoad,
-    PlantKind::BofAliasOffset,
-];
-
-/// Whether `report` contains a finding for plant `g`. Several plant
-/// kinds share a (source, sink) pair, so plants whose sink lives in a
-/// per-plant handler additionally match on the handler's name — a
-/// BofUrlParamAliasIndirect hit must not be credited to a deep-alias
-/// plant it didn't detect.
-fn plant_detected(
-    report: &dtaint_core::AnalysisReport,
-    g: &dtaint_fwgen::templates::PlantedVuln,
-) -> bool {
-    let own_handler = DEEP_KINDS.contains(&g.kind) || g.kind == PlantKind::BofUrlParamAliasIndirect;
-    report.vulnerable_paths().iter().any(|f| {
-        f.sink == g.sink
-            && f.sources.iter().any(|s| s.name == g.source)
-            && (!own_handler || f.sink_fn == format!("handle_{}", g.id))
-    })
-}
 
 fn recall(fw: &GeneratedFirmware, config: DtaintConfig) -> (usize, usize) {
     let report = Dtaint::with_config(config).analyze(&fw.binary, "ablation").unwrap();
     let expected: Vec<_> = fw.ground_truth.iter().filter(|g| !g.sanitized).collect();
     let hit = expected.iter().filter(|g| plant_detected(&report, g)).count();
     (hit, expected.len())
-}
-
-/// Recall counted separately for the multi-level alias plants and the
-/// rest of the ground truth.
-fn alias_recall(fw: &GeneratedFirmware, mode: AliasMode) -> (usize, usize, usize, usize) {
-    let mut config = DtaintConfig {
-        function_filter: fw
-            .profile
-            .analyzed_prefixes
-            .clone()
-            .map(|v| v.into_iter().map(str::to_owned).collect()),
-        ..Default::default()
-    };
-    config.dataflow.alias.mode = mode;
-    let report = Dtaint::with_config(config).analyze(&fw.binary, "alias").unwrap();
-    let deep: Vec<_> =
-        fw.ground_truth.iter().filter(|g| !g.sanitized && DEEP_KINDS.contains(&g.kind)).collect();
-    let flat: Vec<_> =
-        fw.ground_truth.iter().filter(|g| !g.sanitized && !DEEP_KINDS.contains(&g.kind)).collect();
-    let deep_hit = deep.iter().filter(|g| plant_detected(&report, g)).count();
-    let flat_hit = flat.iter().filter(|g| plant_detected(&report, g)).count();
-    (deep_hit, deep.len(), flat_hit, flat.len())
-}
-
-/// Shrinks a profile for bench speed, keeping every plant.
-fn shrunk(mut profile: FirmwareProfile, functions: usize) -> FirmwareProfile {
-    profile.total_functions = profile.total_functions.min(functions);
-    profile
 }
 
 fn main() {
@@ -93,7 +42,7 @@ fn main() {
         }),
         ("no pointer aliasing", {
             let mut c = DtaintConfig::default();
-            c.dataflow.enable_alias = false;
+            c.dataflow.alias.mode = AliasMode::Off;
             c
         }),
         ("no indirect resolution", {
@@ -140,31 +89,13 @@ fn main() {
     println!();
 
     // Store-vs-SSE across every Table II profile, scored per plant
-    // class. Hard floor: SSE recall >= store recall everywhere, SSE
-    // finds every deep plant, and neither mode invents findings on
-    // profiles without alias plants (flat recall stays equal).
-    let sizes = [120, 120, 150, 150, 300, 400];
+    // class (`tests/ablation.rs` holds the floor).
     let mut alias_rows = Vec::new();
     let mut profiles_json = Vec::new();
-    for (i, profile) in table2_profiles().into_iter().enumerate() {
-        let fw = build_firmware(&shrunk(profile, sizes[i]));
+    for i in 0..table2_profiles().len() {
+        let fw = alias_profile(i);
         let (s_deep, deep_n, s_flat, flat_n) = alias_recall(&fw, AliasMode::Store);
         let (e_deep, _, e_flat, _) = alias_recall(&fw, AliasMode::Sse);
-        assert!(
-            e_deep + e_flat >= s_deep + s_flat,
-            "{}: SSE recall fell below store ({e_deep}+{e_flat} < {s_deep}+{s_flat})",
-            fw.profile.binary_name
-        );
-        assert_eq!(
-            e_deep, deep_n,
-            "{}: SSE must detect every multi-level alias plant",
-            fw.profile.binary_name
-        );
-        assert_eq!(
-            e_flat, s_flat,
-            "{}: alias mode must not change recall on flat plants",
-            fw.profile.binary_name
-        );
         alias_rows.push(vec![
             format!("{} ({})", fw.profile.binary_name, fw.profile.manufacturer),
             format!("{}/{}", s_flat + s_deep, flat_n + deep_n),

@@ -13,6 +13,9 @@
 use dtaint_core::{AnalysisReport, Dtaint, DtaintConfig};
 use dtaint_fwgen::{build_firmware, FirmwareProfile, GeneratedFirmware};
 
+pub mod alias_recall;
+pub mod weak_bounds;
+
 /// The counting global allocator for the Table VI memory column, from
 /// the telemetry crate: install it with `#[global_allocator]` in the
 /// harness binary, then bracket the measured stage with

@@ -9,7 +9,7 @@ use dtaint_core::{
 };
 use dtaint_telemetry::{
     export_chrome, export_prometheus, log, FleetProgress, Heartbeat, ImageCacheStats, ImageOutcome,
-    MetricsRegistry, SpanEvent,
+    MetricsRegistry, SpanEvent, TraceBuffer,
 };
 use std::io::Write;
 use std::sync::Arc;
@@ -419,6 +419,8 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<i32, String> {
     // share this epoch (lane 0 holds the batch root, worker i uses
     // lane i+1).
     let batch_clock = dtaint_telemetry::Clock::new();
+    let mut batch_lane = TraceBuffer::new(batch_clock, 0, true);
+    let batch_t0 = batch_lane.start();
 
     // Commits one freshly-scanned image durably, in order: report →
     // audit file → cache snapshot → journal append, and returns the
@@ -479,9 +481,9 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<i32, String> {
     let stop_reporter = (std::sync::Mutex::new(false), std::sync::Condvar::new());
     // A scanned image on its way to the commit: its entry, the reports
     // to write, the cache snapshot to persist and its scheduler span for
-    // `--trace-chrome` (wall-clock; never journaled).
+    // `--trace-chrome` (wall-clock; never journaled), as its lane's events.
     type Scanned =
-        (dtaint_store::JournalEntry, Vec<AnalysisReport>, Option<CacheSnapshot>, SpanEvent);
+        (dtaint_store::JournalEntry, Vec<AnalysisReport>, Option<CacheSnapshot>, Vec<SpanEvent>);
     let (txo, rxo) = std::sync::mpsc::channel::<(usize, Scanned)>();
     let mut entries: Vec<dtaint_store::JournalEntry> = Vec::with_capacity(images.len());
     let mut span_events: Vec<SpanEvent> = Vec::new();
@@ -511,7 +513,8 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<i32, String> {
                 let Some(&i) = work.get(w) else { break };
                 let j = &images[i];
                 progress.start_image(widx, &j.name);
-                let span_start = batch_clock.now_us();
+                let mut lane = TraceBuffer::new(batch_clock, widx as u32 + 1, true);
+                let span_t0 = lane.start();
                 let scan = scan_with_deadline(
                     j,
                     scan_config,
@@ -531,25 +534,15 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<i32, String> {
                     captured = Some(snap.generation);
                 }
                 let (entry, reports) = journal_entry(j, config_tag, cache.as_ref(), scan);
-                let span = SpanEvent {
-                    name: j.name.clone(),
-                    cat: "image".into(),
-                    lane: widx as u32 + 1,
-                    start_us: span_start,
-                    dur_us: batch_clock.now_us().saturating_sub(span_start),
-                    args: [
-                        ("binaries".to_owned(), entry.binaries as u64),
-                        (
-                            "findings".to_owned(),
-                            reports.iter().map(|r| r.findings.len() as u64).sum(),
-                        ),
-                        ("sym_hits".to_owned(), entry.sym_hits),
-                        ("ddg_hits".to_owned(), entry.ddg_hits),
-                        ("outcome".to_owned(), entry.outcome as u64),
-                    ]
-                    .into_iter()
-                    .collect(),
-                };
+                let args = [
+                    ("binaries", entry.binaries as u64),
+                    ("findings", reports.iter().map(|r| r.findings.len() as u64).sum()),
+                    ("sym_hits", entry.sym_hits),
+                    ("ddg_hits", entry.ddg_hits),
+                    ("outcome", entry.outcome as u64),
+                ];
+                lane.record(&j.name, "image", span_t0, &args);
+                let span = lane.take_events();
                 progress.finish_image(widx, entry.outcome, entry.cache());
                 let _ = txo.send((i, (entry, reports, snapshot, span)));
             });
@@ -604,7 +597,7 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<i32, String> {
                             }
                         }
                     };
-                    span_events.push(span);
+                    span_events.extend(span);
                     match commit(entry, &reports, snapshot.as_ref()) {
                         Ok(entry) => entry,
                         Err(e) => {
@@ -769,22 +762,15 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<i32, String> {
         // Lane 0: the batch root span; lanes 1..: one span per image on
         // the worker that scanned it — the work-stealing schedule made
         // visible. Resumed images never ran, so they have no span.
-        let mut events = vec![SpanEvent {
-            name: "batch".into(),
-            cat: "batch".into(),
-            lane: 0,
-            start_us: 0,
-            dur_us: batch_clock.now_us(),
-            args: [
-                ("images".to_owned(), summary.images.len() as u64),
-                ("resumed".to_owned(), resumed as u64),
-                ("failures".to_owned(), summary.failures as u64),
-                ("timeouts".to_owned(), summary.timeouts as u64),
-                ("cache_snapshots".to_owned(), cache_snapshots.get()),
-            ]
-            .into_iter()
-            .collect(),
-        }];
+        let args = [
+            ("images", summary.images.len() as u64),
+            ("resumed", resumed as u64),
+            ("failures", summary.failures as u64),
+            ("timeouts", summary.timeouts as u64),
+            ("cache_snapshots", cache_snapshots.get()),
+        ];
+        batch_lane.record("batch", "batch", batch_t0, &args);
+        let mut events = batch_lane.take_events();
         events.extend(span_events);
         export_with(dest, "batch Chrome trace (chrome://tracing, Perfetto)", |out| {
             export_chrome(&events, out)

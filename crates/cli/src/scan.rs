@@ -16,11 +16,11 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<i32, String> {
     let mut config = analysis_config(args, audit_out.is_some())?;
     config.function_filter =
         args.value("--filter").map(|f| f.split(',').map(str::to_owned).collect());
-    if args.flag("--interval-guards") {
-        config.bounds = BoundsMode::Interval;
+    let interval = args.flag("--interval-guards");
+    if interval {
+        config.dataflow.bounds = BoundsMode::Interval;
     }
     config.fail_fast = args.flag("--fail-fast");
-    let interval = config.bounds == BoundsMode::Interval;
     let analyzer = Dtaint::with_config(config);
 
     // One collector for the whole invocation: spans from every binary

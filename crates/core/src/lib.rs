@@ -72,8 +72,8 @@ pub use report::{
 pub use sarif::to_sarif;
 pub use score::{score, GroundTruthFlow, Score};
 pub use sinks::{
-    default_sink_names, default_sources, sink_spec, SinkSpec, TaintedVar, VulnKind, CMD_SEPARATORS,
-    SINK_SPECS, SOURCE_NAMES,
+    default_sources, sink_spec, SinkSpec, TaintedVar, VulnKind, CMD_SEPARATORS, SINK_SPECS,
+    SOURCE_NAMES,
 };
 pub use taint::{BoundsMode, TaintOutcome};
 

@@ -6,7 +6,7 @@
 
 use crate::report;
 use crate::report::{AnalysisReport, FnCost, FunctionOutcome, FunctionRecord, TelemetrySection};
-use crate::sinks::{default_sink_names, default_sources};
+use crate::sinks::default_sources;
 use crate::taint;
 use dtaint_cfg::{build_function_cfg, CallGraph, FunctionCfg, FunctionShape};
 use dtaint_dataflow::cache::{
@@ -18,7 +18,6 @@ use dtaint_symex::analyze_function;
 use dtaint_symex::{ExprPool, FuncSummary, PoolStats, SymexConfig, TranslationMemo};
 use dtaint_telemetry::{
     Collector, Decision, DecisionKind, DecisionReason, MetricsRegistry, SpanEvent, TraceBuffer,
-    TraceSpec,
 };
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -31,18 +30,14 @@ use std::sync::Mutex;
 pub struct DtaintConfig {
     /// Per-function symbolic execution settings.
     pub symex: SymexConfig,
-    /// Data-flow stage settings (alias/indirect switches, sink names).
+    /// Data-flow stage settings (alias mode, indirect and loop-copy
+    /// switches, fuel) and how bounding guards are judged
+    /// ([`DataflowConfig::bounds`]), which the detector reads too.
     pub dataflow: DataflowConfig,
     /// Import names treated as attacker-controlled sources.
     pub sources: HashSet<String>,
     /// Worker threads for the per-function analysis (0 = all cores).
     pub threads: usize,
-    /// How bounding guards are judged ([`taint::BoundsMode`]): the
-    /// paper's syntactic check (the default), the strict-bounds
-    /// extension (constant guards must fit the destination's stack
-    /// capacity), or interval abstract interpretation, which also
-    /// suppresses contradictory (infeasible) paths during propagation.
-    pub bounds: taint::BoundsMode,
     /// When set, only functions whose name passes the filter are
     /// analyzed — the paper does this for the large Uniview/Hikvision
     /// images ("we manually extract 430 functions that are used to
@@ -73,10 +68,9 @@ impl Default for DtaintConfig {
     fn default() -> Self {
         DtaintConfig {
             symex: SymexConfig::default(),
-            dataflow: DataflowConfig { sink_names: default_sink_names(), ..Default::default() },
+            dataflow: DataflowConfig::default(),
             sources: default_sources(),
             threads: 0,
-            bounds: taint::BoundsMode::Paper,
             function_filter: None,
             fail_fast: false,
             cache: None,
@@ -215,29 +209,25 @@ impl Dtaint {
             }
             record(&mut records, *addr, name, *outcome, detail.clone());
         }
-        tel.record("ssa", "stage", stage_t0, BTreeMap::new());
+        tel.record("ssa", "stage", stage_t0, &[]);
 
         // Stage 2: the call graph, from the shape records. Target
         // classification needs the final set of lifted functions, so it
         // runs here, serially; symex never reads the call graph.
         let stage_t0 = tel.start();
         let mut callgraph = CallGraph::from_shapes(bin, &shapes);
-        tel.record("lift_cfg", "stage", stage_t0, BTreeMap::new());
+        tel.record("lift_cfg", "stage", stage_t0, &[]);
 
         // Stage 3: alias + layout similarity + bottom-up propagation. The
         // taint judgement of each function as a holder runs inside the
         // propagation loop, as soon as its final summary is settled, and
         // the summary is dropped once its last caller has applied it.
         let stage_t0 = tel.start();
-        let mut df_config = self.config.dataflow.clone();
-        df_config.interval_guards = self.config.bounds == taint::BoundsMode::Interval;
-        df_config.trace =
-            Some(TraceSpec { clock: tel.clock(), base_lane: 1, workers: tel.is_enabled() });
         // Quarantine every function with a non-Analyzed outcome so far
         // (lift failures, symex panics/degradations): the DDG stage must
         // never store their summaries — a faulted artefact in the cache
         // would masquerade as a healthy one on the next scan.
-        df_config.cache = self.config.cache.as_ref().map(|cref| CacheRef {
+        let ddg_cache = self.config.cache.as_ref().map(|cref| CacheRef {
             cache: cref.cache.clone(),
             scan: cref.scan.clone(),
             uncacheable: std::sync::Arc::new(
@@ -260,27 +250,27 @@ impl Dtaint {
             bin: Some(bin),
             sources: &self.config.sources,
             fn_names: &fn_names,
-            mode: self.config.bounds,
+            mode: self.config.dataflow.bounds,
         };
         let mut judged = Vec::new();
         // The judge's own DAG walks stay out of `ddg.walk_visits`.
         let mut judge_walks = 0;
         let walks_before = pool.stats().walk_visits;
-        let mut df = build_dataflow_judged(
+        let df = build_dataflow_judged(
             bin,
             &mut callgraph,
             summaries,
             pool,
-            &df_config,
-            &mut |view, holder| {
+            &self.config.dataflow,
+            tel,
+            ddg_cache.as_ref(),
+            Some(&mut |view, holder| {
                 let before = view.pool.stats().walk_visits;
                 judged.push(detector.judge(view, holder));
                 judge_walks += view.pool.stats().walk_visits - before;
-            },
+            }),
         );
         let ddg_walk_visits = df.pool.stats().walk_visits - walks_before - judge_walks;
-        tel.absorb(std::mem::take(&mut df.trace_events));
-        let df = df;
         for &addr in &df.alias_panics {
             record(
                 &mut records,
@@ -305,7 +295,10 @@ impl Dtaint {
                     addr,
                     &fn_name_of(addr),
                     FunctionOutcome::BudgetExceeded,
-                    format!("data-flow fuel exhausted (max_fuel = {})", df_config.max_fuel),
+                    format!(
+                        "data-flow fuel exhausted (max_fuel = {})",
+                        self.config.dataflow.max_fuel
+                    ),
                 );
             }
         }
@@ -317,7 +310,7 @@ impl Dtaint {
                 )));
             }
         }
-        tel.record("ddg", "stage", stage_t0, BTreeMap::new());
+        tel.record("ddg", "stage", stage_t0, &[]);
 
         // Stage 4: the holders' verdicts, folded in holder address order
         // (cross-holder dedup, callsite names for the findings' chains).
@@ -331,7 +324,7 @@ impl Dtaint {
         // The audit log reads the outcome records as the DDG stage left
         // them, so it is rendered before detect-stage panics join them.
         let decisions = if self.config.audit {
-            let quarantine = df_config.cache.as_ref();
+            let quarantine = ddg_cache.as_ref();
             self.audit_log(&symex_records, &df, quarantine, &records, &fn_names, &outcome.verdicts)
         } else {
             Vec::new()
@@ -351,7 +344,7 @@ impl Dtaint {
                 "panic during taint judgement".into(),
             );
         }
-        tel.record("detect", "stage", stage_t0, BTreeMap::new());
+        tel.record("detect", "stage", stage_t0, &[]);
 
         let sinks_count = df.sinks.own;
         let loop_copy_sinks = df.sinks.own_loop_copies;
@@ -507,11 +500,12 @@ impl Dtaint {
         // Root span last: it closes after everything it contains. The
         // pool size rides here rather than in the registry: it is an
         // allocation statistic, not a logical count.
-        let mut root_args = BTreeMap::new();
-        root_args.insert("functions".to_owned(), shapes.len() as u64);
-        root_args.insert("findings".to_owned(), outcome.findings.len() as u64);
-        root_args.insert("pool_nodes".to_owned(), df.pool.len() as u64);
-        tel.record(name, "scan", scan_t0, root_args);
+        let root_args = [
+            ("functions", shapes.len() as u64),
+            ("findings", outcome.findings.len() as u64),
+            ("pool_nodes", df.pool.len() as u64),
+        ];
+        tel.record(name, "scan", scan_t0, &root_args);
         // The report's wall clock: this scan's lane-0 spans, the root
         // under `scan`.
         let stage_us = tel.events()[watermark..]
@@ -674,18 +668,17 @@ impl Dtaint {
         // counters), then stores the summary and the shape against the
         // pool the summary lives in — only when it was cleanly analyzed.
         // Settling is order-independent (one key per function). Span
-        // recording is a local append guarded by the enabled flag, so
-        // the disabled path costs one branch.
+        // recording is a local append a disabled buffer skips, so the
+        // disabled path costs one branch.
         let symex = self.config.symex;
         let cache = self.config.cache.as_ref().map(|c| (c, sym_salt(env_digest(bin), &symex)));
         let symex_span = |buf: &mut TraceBuffer, s: &FuncSummary, t0| {
-            if buf.is_enabled() {
-                let mut args = BTreeMap::new();
-                args.insert("addr".to_owned(), u64::from(s.addr));
-                args.insert("blocks".to_owned(), u64::from(s.blocks_executed));
-                args.insert("paths".to_owned(), u64::from(s.paths_explored));
-                buf.record(&s.name, "symex_fn", t0, args);
-            }
+            let args = [
+                ("addr", u64::from(s.addr)),
+                ("blocks", u64::from(s.blocks_executed)),
+                ("paths", u64::from(s.paths_explored)),
+            ];
+            buf.record(&s.name, "symex_fn", t0, &args);
         };
         let step = |s: &Symbol, pool: &mut ExprPool, buf: &mut TraceBuffer| -> FnStep {
             let t0 = buf.start();
@@ -709,13 +702,12 @@ impl Dtaint {
                         Err(_) => return Err(LiftFailure::of(s, None)),
                     };
                     let shape = c.shape();
-                    if buf.is_enabled() {
-                        let mut args = BTreeMap::new();
-                        args.insert("addr".to_owned(), u64::from(c.addr));
-                        args.insert("blocks".to_owned(), shape.blocks as u64);
-                        args.insert("instructions".to_owned(), shape.instructions as u64);
-                        buf.record(&c.name, "lift_fn", t0, args);
-                    }
+                    let args = [
+                        ("addr", u64::from(c.addr)),
+                        ("blocks", shape.blocks as u64),
+                        ("instructions", shape.instructions as u64),
+                    ];
+                    buf.record(&c.name, "lift_fn", t0, &args);
                     let t0 = buf.start();
                     let one = symex_one(bin, &c, pool, &symex);
                     symex_span(buf, &one.summary, t0);
@@ -816,13 +808,8 @@ impl ChunkMerge {
             let nodes = memo.translated() as u64;
             self.stage.nodes_translated += nodes;
             self.stage.chunk_pools += pool.stats();
-            if buf.is_enabled() {
-                let mut args = BTreeMap::new();
-                args.insert("chunk".to_owned(), self.next as u64);
-                args.insert("functions".to_owned(), functions);
-                args.insert("nodes".to_owned(), nodes);
-                buf.record("symex_merge", "symex_merge", t0, args);
-            }
+            let args = [("chunk", self.next as u64), ("functions", functions), ("nodes", nodes)];
+            buf.record("symex_merge", "symex_merge", t0, &args);
             self.events.extend(events);
             self.events.append(&mut buf.take_events());
             self.next += 1;

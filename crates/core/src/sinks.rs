@@ -1,5 +1,6 @@
 //! Sources and sinks — the paper's Table I, plus per-sink taint rules.
 
+use dtaint_dataflow::SINK_NAMES;
 use std::collections::HashSet;
 
 /// The class of weakness a sink can trigger (§IV).
@@ -44,21 +45,24 @@ pub struct SinkSpec {
 }
 
 /// The sensitive sinks of Table I (the loop-copy sink is structural and
-/// handled separately).
-pub const SINK_SPECS: &[SinkSpec] = &[
-    SinkSpec { name: "strcpy", kind: VulnKind::BufferOverflow, tainted: TaintedVar::Pointee(1) },
-    SinkSpec { name: "strncpy", kind: VulnKind::BufferOverflow, tainted: TaintedVar::Arg(2) },
-    SinkSpec {
-        name: "sprintf",
-        kind: VulnKind::BufferOverflow,
-        tainted: TaintedVar::PointeesFrom(2),
-    },
-    SinkSpec { name: "memcpy", kind: VulnKind::BufferOverflow, tainted: TaintedVar::Arg(2) },
-    SinkSpec { name: "strcat", kind: VulnKind::BufferOverflow, tainted: TaintedVar::Pointee(1) },
-    SinkSpec { name: "sscanf", kind: VulnKind::BufferOverflow, tainted: TaintedVar::Pointee(0) },
-    SinkSpec { name: "system", kind: VulnKind::CommandInjection, tainted: TaintedVar::Pointee(0) },
-    SinkSpec { name: "popen", kind: VulnKind::CommandInjection, tainted: TaintedVar::Pointee(0) },
-];
+/// handled separately): one rule per [`SINK_NAMES`] entry, in its order.
+pub const SINK_SPECS: &[SinkSpec] = {
+    use TaintedVar::*;
+    use VulnKind::*;
+    const fn spec(i: usize, kind: VulnKind, tainted: TaintedVar) -> SinkSpec {
+        SinkSpec { name: SINK_NAMES[i], kind, tainted }
+    }
+    &[
+        spec(0, BufferOverflow, Pointee(1)),      // strcpy
+        spec(1, BufferOverflow, Arg(2)),          // strncpy
+        spec(2, BufferOverflow, PointeesFrom(2)), // sprintf
+        spec(3, BufferOverflow, Arg(2)),          // memcpy
+        spec(4, BufferOverflow, Pointee(1)),      // strcat
+        spec(5, BufferOverflow, Pointee(0)),      // sscanf
+        spec(6, CommandInjection, Pointee(0)),    // system
+        spec(7, CommandInjection, Pointee(0)),    // popen
+    ]
+};
 
 /// Shell metacharacters whose comparison against tainted data counts as
 /// command-injection sanitisation. `;`, `|`, and `&` chain or terminate
@@ -89,11 +93,6 @@ pub fn sink_spec(name: &str) -> Option<&'static SinkSpec> {
 /// The default source-name set.
 pub fn default_sources() -> HashSet<String> {
     SOURCE_NAMES.iter().map(|s| s.to_string()).collect()
-}
-
-/// The default sink-name set.
-pub fn default_sink_names() -> HashSet<String> {
-    SINK_SPECS.iter().map(|s| s.name.to_owned()).collect()
 }
 
 #[cfg(test)]

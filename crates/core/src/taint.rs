@@ -40,25 +40,7 @@ use dtaint_telemetry::{Decision, DecisionKind, DecisionReason};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// How bounding guards on buffer-overflow paths are judged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BoundsMode {
-    /// The paper's syntactic judgement: any bounding constraint on the
-    /// tainted data sanitises the copy.
-    #[default]
-    Paper,
-    /// Constant guards must fit the destination's stack capacity;
-    /// symbolic guards and non-stack destinations fall back to the
-    /// syntactic judgement.
-    Strict,
-    /// Interval abstract interpretation: a guard sanitises only when the
-    /// inferred range of the copied length provably fits the
-    /// destination's capacity (stack *or* named writable global), and
-    /// observations whose path constraints are contradictory are
-    /// suppressed outright (the pipeline builds the DDG with
-    /// `interval_guards` in this mode). Subsumes [`BoundsMode::Strict`].
-    Interval,
-}
+pub use dtaint_dataflow::BoundsMode;
 
 /// The complete result of one taint-judgement pass.
 #[derive(Debug, Clone, Default)]
@@ -274,8 +256,8 @@ type Judgement = (SiteVerdict, Option<Box<Finding>>);
 /// and solves. An otherwise-guarded copy is sanitised only when the
 /// solved range of the length fits the destination capacity. Interval
 /// mode expects a data-flow result built with
-/// [`dtaint_dataflow::DataflowConfig::interval_guards`], which drops
-/// the observations whose path constraints contradict.
+/// [`BoundsMode::Interval`], which drops the observations whose path
+/// constraints contradict.
 pub fn detect_full<S: AsRef<str>>(
     df: &ProgramDataflow,
     bin: Option<&Binary>,
@@ -469,8 +451,8 @@ fn judge_holder<S: AsRef<str>>(
         }
 
         // 2. Interval mode: the observation's per-path ranges. The DDG,
-        // built with `interval_guards`, already dropped every
-        // observation whose path constraints contradict.
+        // built in the same mode, already dropped every observation
+        // whose path constraints contradict.
         let ranges = base_absint.as_ref().map(|base| {
             let mut a = base.clone();
             a.assume_all(&obs.constraints);

@@ -28,9 +28,12 @@ pub struct AliasEntry {
     pub offset: i64,
 }
 
-/// Which alias-recognition algorithm the dataflow stage runs.
+/// Which alias-recognition algorithm the dataflow stage runs, if any.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum AliasMode {
+    /// No alias recognition: summaries keep their pre-alias definition
+    /// pairs (the ablation baseline; not selectable from the CLI).
+    Off,
     /// The paper's Algorithm 1: a single store-based rewrite pass per
     /// local summary. Misses multi-level chains whose links are split
     /// across callees or hidden behind another alias.
@@ -42,16 +45,6 @@ pub enum AliasMode {
     /// site still connect.
     #[default]
     Sse,
-}
-
-impl AliasMode {
-    /// Stable one-byte tag for cache-salt hashing.
-    pub fn salt_tag(self) -> u8 {
-        match self {
-            AliasMode::Store => 0,
-            AliasMode::Sse => 1,
-        }
-    }
 }
 
 impl std::str::FromStr for AliasMode {
@@ -68,6 +61,7 @@ impl std::str::FromStr for AliasMode {
 impl std::fmt::Display for AliasMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
+            AliasMode::Off => "off",
             AliasMode::Store => "store",
             AliasMode::Sse => "sse",
         })
@@ -96,10 +90,10 @@ impl Default for AliasConfig {
 }
 
 /// Mode-dispatched front for the alias stage: runs the configured
-/// algorithm over one summary. `global_base` maps a constant address to
-/// the base of the writable global object containing it — the SSE pass
-/// uses it to admit global structs as alias bases (store mode never
-/// does).
+/// algorithm over one summary (nothing when off). `global_base` maps a
+/// constant address to the base of the writable global object
+/// containing it — the SSE pass uses it to admit global structs as
+/// alias bases (store mode never does).
 pub fn alias_pass(
     summary: &mut FuncSummary,
     pool: &mut ExprPool,
@@ -107,6 +101,7 @@ pub fn alias_pass(
     global_base: &dyn Fn(i64) -> Option<i64>,
 ) {
     match cfg.mode {
+        AliasMode::Off => {}
         AliasMode::Store => {
             alias_replace(summary, pool);
         }

@@ -40,7 +40,8 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
-use crate::interproc::DataflowConfig;
+use crate::alias::AliasMode;
+use crate::interproc::{BoundsMode, DataflowConfig, MAX_SINKS_PER_FN, SINK_NAMES};
 
 /// Which cache level an entry belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -555,28 +556,38 @@ pub fn sym_salt(env: u64, cfg: &SymexConfig) -> u64 {
 }
 
 /// Salt for DDG-level keys: environment digest plus every
-/// [`DataflowConfig`] knob that can change a final summary. Thread
-/// count and tracing are observationally irrelevant and excluded.
+/// [`DataflowConfig`] knob that can change a final summary, and the
+/// sink list and cap the propagation is built with. Thread count and
+/// tracing are observationally irrelevant and excluded.
 pub fn ddg_salt(env: u64, cfg: &DataflowConfig) -> u64 {
     let mut h = Fnv64::new();
     // v2: alias mode/budget knobs joined the salt and the summary blob
     // encoding gained the SSE counters; v1 blobs must never match.
     h.write_str("dtaint-ddg/v2");
     h.write_u64(env);
-    h.write_u8(cfg.enable_alias as u8);
-    h.write_u8(cfg.alias.mode.salt_tag());
+    // An on/off byte, then the algorithm's tag, with off keeping the
+    // SSE tag: the bytes every stored key was hashed with.
+    let (on, tag) = match cfg.alias.mode {
+        AliasMode::Off => (0, 1),
+        AliasMode::Store => (1, 0),
+        AliasMode::Sse => (1, 1),
+    };
+    h.write_u8(on);
+    h.write_u8(tag);
     h.write_u32(cfg.alias.max_depth);
     h.write_u32(cfg.alias.max_rounds);
     h.write_u8(cfg.enable_indirect as u8);
-    let mut sinks: Vec<&str> = cfg.sink_names.iter().map(String::as_str).collect();
+    let mut sinks = SINK_NAMES;
     sinks.sort_unstable();
     h.write_u32(sinks.len() as u32);
     for s in sinks {
         h.write_str(s);
     }
     h.write_u8(cfg.loop_copy_sinks as u8);
-    h.write_u64(cfg.max_sinks_per_fn as u64);
-    h.write_u8(cfg.interval_guards as u8);
+    h.write_u64(MAX_SINKS_PER_FN as u64);
+    // Only interval mode changes propagation (it prunes infeasible
+    // paths); the other two judge the same final summaries.
+    h.write_u8(u8::from(cfg.bounds == BoundsMode::Interval));
     h.write_u64(cfg.max_fuel);
     write_opt_u32(&mut h, cfg.panic_on);
     h.finish()
@@ -1045,7 +1056,7 @@ mod tests {
         assert_ne!(sym_salt(env, &base), sym_salt(env, &drilled));
         assert_ne!(sym_salt(env, &base), sym_salt(env + 1, &base));
         let d = DataflowConfig::default();
-        let d2 = DataflowConfig { interval_guards: true, ..DataflowConfig::default() };
+        let d2 = DataflowConfig { bounds: BoundsMode::Interval, ..DataflowConfig::default() };
         assert_ne!(ddg_salt(env, &d), ddg_salt(env, &d2));
         // Thread count must NOT separate keys.
         let d3 = DataflowConfig { threads: 8, ..DataflowConfig::default() };

@@ -39,37 +39,60 @@ use dtaint_cfg::CallGraph;
 use dtaint_fwbin::{Binary, Symbol};
 use dtaint_symex::pool::{CmpOp, ExprPool, SymNode};
 use dtaint_symex::{CalleeRef, CallsiteInfo, Constraint, DefPair, ExprId, FuncSummary};
-use dtaint_telemetry::{Clock, SpanEvent, TraceBuffer, TraceSpec};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use dtaint_telemetry::Collector;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+
+/// Import names treated as sensitive sinks — the paper's Table I, in
+/// its order. Calls to them bubble up the call graph as
+/// [`SinkObservation`]s.
+pub const SINK_NAMES: [&str; 8] =
+    ["strcpy", "strncpy", "sprintf", "memcpy", "strcat", "sscanf", "system", "popen"];
+
+/// Cap on sink observations carried per function (safety valve).
+pub const MAX_SINKS_PER_FN: usize = 4096;
+
+/// How bounding guards on buffer-overflow paths are judged.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum BoundsMode {
+    /// The paper's syntactic judgement: any bounding constraint on the
+    /// tainted data sanitises the copy.
+    #[default]
+    Paper,
+    /// Constant guards must fit the destination's stack capacity;
+    /// symbolic guards and non-stack destinations fall back to the
+    /// syntactic judgement.
+    Strict,
+    /// Interval abstract interpretation: a guard sanitises only when the
+    /// inferred range of the copied length provably fits the
+    /// destination's capacity (stack *or* named writable global), and
+    /// observations whose path constraints are contradictory
+    /// (`n < 8 && n > 64`) are dropped during propagation, before they
+    /// bubble to callers. Subsumes [`BoundsMode::Strict`].
+    Interval,
+}
 
 /// Switches for the pipeline stages (used by the ablation benches).
 #[derive(Debug, Clone)]
 pub struct DataflowConfig {
-    /// Run pointer-aliasing recognition (Algorithm 1 or its SSE
-    /// successor, per [`AliasConfig::mode`]).
-    pub enable_alias: bool,
-    /// Alias-analysis algorithm and budgets. Every field is semantic
-    /// and enters the DDG cache salt.
+    /// Alias-analysis algorithm (Algorithm 1, its SSE successor, or
+    /// none) and budgets. Every field is semantic and enters the DDG
+    /// cache salt.
     pub alias: crate::alias::AliasConfig,
     /// Resolve indirect calls by layout similarity (§III-D).
     pub enable_indirect: bool,
-    /// Import names treated as sensitive sinks (bubbled up the call
-    /// graph as [`SinkObservation`]s).
-    pub sink_names: HashSet<String>,
     /// Treat memory-copy statements in loops as sinks.
     pub loop_copy_sinks: bool,
-    /// Cap on sink observations carried per function (safety valve).
-    pub max_sinks_per_fn: usize,
     /// Ignored: the bottom-up pass is sequential. Kept only because the
     /// benchmark package still assigns it; the next benchmark change
     /// removes it.
     pub threads: usize,
-    /// Drop sink observations whose path constraints are contradictory
-    /// (`n < 8 && n > 64`) during propagation, before they bubble to
-    /// callers — the interval-analysis extension. The feasibility check
-    /// is a pure function of the pool's interned nodes, so pruning
-    /// preserves the bit-identical-across-threads guarantee.
-    pub interval_guards: bool,
+    /// How the detector judges bounding guards. Only
+    /// [`BoundsMode::Interval`] changes propagation: it drops sink
+    /// observations whose path constraints are contradictory. The
+    /// feasibility check is a pure function of the pool's interned
+    /// nodes, so pruning preserves the bit-identical-across-threads
+    /// guarantee.
+    pub bounds: BoundsMode,
     /// Per-function fuel for the bottom-up propagation, in work units
     /// (one unit per call-site application plus one per callee term
     /// substituted up). Deterministic step count, never wall-clock:
@@ -86,42 +109,18 @@ pub struct DataflowConfig {
     /// [`ExprPool::attempt`] boundary must undo. For tests; `None` in
     /// production.
     pub panic_on: Option<u32>,
-    /// The clock the build's spans are measured on. The three sub-stage
-    /// spans go to lane 0 of [`ProgramDataflow::trace_events`] either
-    /// way; with [`TraceSpec::workers`] set, the propagation stage also
-    /// records one span per function on lane `base_lane`. Spans carry
-    /// wall-clock durations for display and trace export only — nothing
-    /// analysed downstream reads them, so this never changes findings.
-    /// `None` (the default) measures the sub-stages on a fresh clock.
-    pub trace: Option<TraceSpec>,
-    /// Incremental summary cache handle. When set, each function's final
-    /// summary is looked up by content key before Algorithm 2's inner
-    /// loop runs, and stored after (see [`crate::cache`]). `None` (the
-    /// default) analyzes everything cold. Hits and misses never change
-    /// results — only whether they are recomputed or rehydrated.
-    pub cache: Option<crate::cache::CacheRef>,
 }
 
 impl Default for DataflowConfig {
     fn default() -> Self {
         DataflowConfig {
-            enable_alias: true,
             alias: crate::alias::AliasConfig::default(),
             enable_indirect: true,
-            sink_names: [
-                "strcpy", "strncpy", "sprintf", "memcpy", "strcat", "sscanf", "system", "popen",
-            ]
-            .into_iter()
-            .map(str::to_owned)
-            .collect(),
             loop_copy_sinks: true,
-            max_sinks_per_fn: 4096,
             threads: 1,
-            interval_guards: false,
+            bounds: BoundsMode::Paper,
             max_fuel: 1 << 24,
             panic_on: None,
-            trace: None,
-            cache: None,
         }
     }
 }
@@ -147,7 +146,7 @@ impl SinkKind {
 
 /// A sink observation the interval feasibility pruning dropped, with the
 /// constraint that proved its path infeasible. Recorded under
-/// [`DataflowConfig::interval_guards`], in the order the propagation
+/// [`BoundsMode::Interval`], in the order the propagation
 /// prunes (processing order, then sink order).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PrunedSink {
@@ -455,20 +454,14 @@ pub struct ProgramDataflow {
     pub sinks: SinkCensus,
     /// Sink observations dropped because their accumulated path
     /// constraints are contradictory (only with
-    /// [`DataflowConfig::interval_guards`]; zero otherwise).
+    /// [`BoundsMode::Interval`]; zero otherwise).
     pub pruned_infeasible: usize,
     /// Functions whose alias-recognition pass panicked; their summaries
     /// kept the pre-alias form (no rewriting) and were flagged
     /// [`FuncSummary::degraded`]. Sorted by address.
     pub alias_panics: Vec<u32>,
-    /// The build's spans: one lane-0 stage span per sub-stage
-    /// (`ddg_alias`, `ddg_indirect`, `ddg_propagate`, always recorded),
-    /// then the per-function propagation spans in [`Self::order`] when
-    /// [`DataflowConfig::trace`] asks for worker spans. Durations are
-    /// wall-clock and must never feed findings.
-    pub trace_events: Vec<SpanEvent>,
     /// One record per observation the interval pruning dropped (empty
-    /// without [`DataflowConfig::interval_guards`]). Ordered by
+    /// without [`BoundsMode::Interval`]). Ordered by
     /// [`Self::order`], then sink order. Cache *hits* re-credit
     /// [`Self::pruned_infeasible`] from the blob's count but carry no
     /// per-sink records — on a warm scan this list covers only the
@@ -510,7 +503,7 @@ impl ProgramDataflow {
 }
 
 /// Runs the bottom-up interprocedural analysis and keeps every final
-/// summary in [`ProgramDataflow::finals`].
+/// summary in [`ProgramDataflow::finals`], cold and untraced.
 ///
 /// `locals` are the per-function symbolic summaries, all interned in
 /// `pool` (see [`FuncSummary::translate_with`] for merging parallel
@@ -523,43 +516,46 @@ pub fn build_dataflow(
     pool: ExprPool,
     config: &DataflowConfig,
 ) -> ProgramDataflow {
-    propagate(bin, callgraph, locals, pool, config, None)
-}
-
-/// [`build_dataflow`] for a caller that needs each final summary only
-/// once: `judge` sees every function's final summary as soon as it is
-/// settled (cache store included), in processing order, and the summary
-/// is dropped once its last out-of-component caller has applied it. So
-/// the live summaries are the call-graph frontier, not the image.
-/// [`ProgramDataflow::finals`] comes back empty; everything else is
-/// what [`build_dataflow`] returns.
-pub fn build_dataflow_judged(
-    bin: &Binary,
-    callgraph: &mut CallGraph,
-    locals: Vec<FuncSummary>,
-    pool: ExprPool,
-    config: &DataflowConfig,
-    judge: &mut dyn FnMut(DataflowView<'_>, &FinalSummary),
-) -> ProgramDataflow {
-    propagate(bin, callgraph, locals, pool, config, Some(judge))
+    let mut tel = Collector::disabled();
+    build_dataflow_judged(bin, callgraph, locals, pool, config, &mut tel, None, None)
 }
 
 /// The per-holder callback of [`build_dataflow_judged`].
 type Judge<'j> = &'j mut dyn FnMut(DataflowView<'_>, &FinalSummary);
 
-/// The one bottom-up loop behind [`build_dataflow`] (no `judge`: keep
-/// every final summary) and [`build_dataflow_judged`].
-fn propagate(
+/// The one bottom-up loop behind [`build_dataflow`].
+///
+/// The three sub-stage spans (`ddg_alias`, `ddg_indirect`,
+/// `ddg_propagate`) go to lane 0 of `tel`; when `tel` is enabled, the
+/// propagation also records one `ddg_fn` span per function on lane 1,
+/// in processing order, after them. Spans carry wall-clock durations
+/// for display and trace export only — nothing analysed downstream
+/// reads them, so they never change findings.
+///
+/// With `cache`, each function's final summary is looked up by content
+/// key before Algorithm 2's inner loop runs, and stored after (see
+/// [`crate::cache`]); hits and misses never change results, only
+/// whether they are recomputed or rehydrated. `None` analyzes
+/// everything cold.
+///
+/// With `judge`, the caller needs each final summary only once: `judge`
+/// sees every function's final summary as soon as it is settled (cache
+/// store included), in processing order, and the summary is dropped
+/// once its last out-of-component caller has applied it. So the live
+/// summaries are the call-graph frontier, not the image, and
+/// [`ProgramDataflow::finals`] comes back empty. Without it, every
+/// final summary is kept.
+#[allow(clippy::too_many_arguments)]
+pub fn build_dataflow_judged(
     bin: &Binary,
     callgraph: &mut CallGraph,
     locals: Vec<FuncSummary>,
     mut pool: ExprPool,
     config: &DataflowConfig,
+    tel: &mut Collector,
+    cache: Option<&CacheRef>,
     mut judge: Option<Judge<'_>>,
 ) -> ProgramDataflow {
-    let spec =
-        config.trace.unwrap_or(TraceSpec { clock: Clock::new(), base_lane: 1, workers: false });
-    let mut stages = TraceBuffer::new(spec.clock, 0, true);
     let mut pruned_infeasible = 0usize;
     // Ordered, so per-function passes intern into the pool in a fixed
     // order regardless of how `locals` arrived.
@@ -571,10 +567,10 @@ fn propagate(
     // panic inside it downgrades just that function — the pristine
     // summary is restored, the pool rolled back, and the scan
     // continues.
-    let t0 = stages.start();
+    let t0 = tel.start();
     let globals = crate::sse::GlobalMap::build(bin);
     let mut alias_panics: Vec<u32> = Vec::new();
-    if config.enable_alias {
+    if config.alias.mode != crate::alias::AliasMode::Off {
         for s in by_addr.values_mut() {
             if s.degraded {
                 continue;
@@ -591,16 +587,16 @@ fn propagate(
             }
         }
     }
-    stages.record("ddg_alias", "stage", t0, BTreeMap::new());
+    tel.record("ddg_alias", "stage", t0, &[]);
 
     // Stage 2: indirect-call resolution (§III-D).
-    let t0 = stages.start();
+    let t0 = tel.start();
     let (resolved, indirect_stats) = if config.enable_indirect {
         resolve_indirect_calls(bin, by_addr.values(), &pool)
     } else {
         Default::default()
     };
-    stages.record("ddg_indirect", "stage", t0, BTreeMap::new());
+    tel.record("ddg_indirect", "stage", t0, &[]);
     let resolution: HashMap<u32, u32> = resolved.iter().map(|r| (r.ins_addr, r.callee)).collect();
     for r in &resolved {
         callgraph.add_resolved_indirect(r.ins_addr, r.callee);
@@ -617,7 +613,7 @@ fn propagate(
     // Stage 3: bottom-up propagation (Algorithm 2) over the flattened
     // SCC strata. Strata must be computed *after* indirect resolution,
     // whose edges can deepen (or entangle) the order.
-    let propagate_t0 = stages.start();
+    let propagate_t0 = tel.start();
     let order: Vec<u32> = callgraph.strata().into_iter().flatten().collect();
     let comp_of: HashMap<u32, usize> = callgraph
         .sccs()
@@ -628,7 +624,8 @@ fn propagate(
     // Incremental-cache context: content hashes over each function's
     // raw bytes, computed while `by_addr` is still fully populated — the
     // loop below drains it.
-    let mut cache_ctx = DdgCacheCtx::build(bin, config, &by_addr, callgraph);
+    let mut cache_ctx =
+        cache.map(|cref| DdgCacheCtx::build(bin, config, cref, &by_addr, callgraph));
     // Out-of-component callers still to apply each function's final
     // summary, counted from the same callee resolution the propagation
     // applies (`applied_callees`), once per calling function.
@@ -642,7 +639,7 @@ fn propagate(
     let mut functions: BTreeMap<u32, FnResidue> = BTreeMap::new();
     let mut callsites = CallsiteIndex::default();
     let mut sinks = SinkCensus::default();
-    let mut buf = TraceBuffer::new(spec.clock, spec.base_lane, spec.workers);
+    let mut buf = tel.buffer(1);
     let mut pruned_sinks: Vec<PrunedSink> = Vec::new();
 
     for &faddr in &order {
@@ -703,12 +700,12 @@ fn propagate(
             }
         });
         pruned_infeasible += fn_pruned as usize;
-        if buf.is_enabled() {
-            let mut args = BTreeMap::new();
-            args.insert("addr".to_owned(), faddr as u64);
-            args.insert("fuel".to_owned(), fs.fuel_used);
-            buf.record(&fs.summary.name, "ddg_fn", t0, args);
-        }
+        buf.record(
+            &fs.summary.name,
+            "ddg_fn",
+            t0,
+            &[("addr", u64::from(faddr)), ("fuel", fs.fuel_used)],
+        );
         let created_k = pool.next_unknown_index() - before_unknowns;
         if let Some(ctx) = cache_ctx.as_mut() {
             ctx.push_base(before_unknowns, created_k, faddr);
@@ -753,9 +750,8 @@ fn propagate(
         // Callers outside `order` never ran; nothing reads these now.
         finals.clear();
     }
-    stages.record("ddg_propagate", "stage", propagate_t0, BTreeMap::new());
-    let mut trace_events = stages.take_events();
-    trace_events.extend(buf.take_events());
+    tel.record("ddg_propagate", "stage", propagate_t0, &[]);
+    tel.absorb(buf.take_events());
 
     ProgramDataflow {
         pool,
@@ -769,7 +765,6 @@ fn propagate(
         sinks,
         pruned_infeasible,
         alias_panics,
-        trace_events,
         pruned_sinks,
     }
 }
@@ -780,8 +775,8 @@ fn propagate(
 /// (filled in processing order), and the unknown-ownership table that makes cached blobs
 /// relocatable: every `Unknown(n)` serializes as `(owner_addr, n −
 /// base_owner)` and rehydrates against *this* scan's bases.
-struct DdgCacheCtx {
-    cref: CacheRef,
+struct DdgCacheCtx<'c> {
+    cref: &'c CacheRef,
     salt: u64,
     /// Per-function content hash over the symbol's raw bytes. `None`
     /// when the function has no binary symbol, or an empty or unmapped
@@ -802,14 +797,14 @@ struct DdgCacheCtx {
     base_of: HashMap<u32, (u32, u32)>,
 }
 
-impl DdgCacheCtx {
+impl<'c> DdgCacheCtx<'c> {
     fn build(
         bin: &Binary,
         config: &DataflowConfig,
+        cref: &'c CacheRef,
         by_addr: &BTreeMap<u32, FuncSummary>,
         callgraph: &CallGraph,
-    ) -> Option<DdgCacheCtx> {
-        let cref = config.cache.clone()?;
+    ) -> DdgCacheCtx<'c> {
         let env = cache::env_digest(bin);
         let salt = cache::ddg_salt(env, config);
         // The own hash covers the function's raw bytes only — not its
@@ -847,7 +842,7 @@ impl DdgCacheCtx {
                 combined.insert(a, c);
             }
         }
-        Some(DdgCacheCtx {
+        DdgCacheCtx {
             cref,
             salt,
             own,
@@ -855,7 +850,7 @@ impl DdgCacheCtx {
             final_keys: HashMap::new(),
             owner_of: Vec::new(),
             base_of: HashMap::new(),
-        })
+        }
     }
 
     /// The final scan key for one function: the own hash, the
@@ -998,7 +993,7 @@ fn process_function(
         let cs = summary.callsites[idx].clone();
         let cs = &cs;
         if let CalleeRef::Import(name) = &cs.callee {
-            if config.sink_names.contains(name) {
+            if SINK_NAMES.contains(&name.as_str()) {
                 let cons = constraints_on_path(&summary, cs.path);
                 sinks.push(SinkObservation {
                     kind: SinkKind::Import(name.clone()),
@@ -1028,17 +1023,7 @@ fn process_function(
             break;
         }
         fuel -= cost;
-        apply_callee(
-            bin,
-            &mut summary,
-            &mut sinks,
-            callee,
-            cs.ins_addr,
-            cs.path,
-            &cs.args,
-            pool,
-            config,
-        );
+        apply_callee(bin, &mut summary, &mut sinks, callee, cs.ins_addr, cs.path, &cs.args, pool);
     }
 
     // SSE refinement: callee application composes definition pairs from
@@ -1048,8 +1033,7 @@ fn process_function(
     // the SSE fixpoint over the composed summary closes those
     // cross-callee chains. Store mode stays faithful to the paper's
     // single local pass.
-    if config.enable_alias
-        && config.alias.mode == crate::alias::AliasMode::Sse
+    if config.alias.mode == crate::alias::AliasMode::Sse
         && !summary.degraded
         && !summary.callsites.is_empty()
     {
@@ -1061,7 +1045,7 @@ fn process_function(
     // dropping it here also stops it bubbling further up the call graph.
     // Each drop records the constraint that won.
     let mut pruned = Vec::new();
-    if config.interval_guards {
+    if config.bounds == BoundsMode::Interval {
         sinks.retain(|sk| {
             let Some(witness) = dtaint_absint::path_feasible_witness(pool, &sk.constraints) else {
                 return true;
@@ -1079,7 +1063,7 @@ fn process_function(
         panic!("injected fault: ddg panic drill at {faddr:#x}");
     }
 
-    sinks.truncate(config.max_sinks_per_fn);
+    sinks.truncate(MAX_SINKS_PER_FN);
     let fs = FinalSummary {
         summary,
         sinks,
@@ -1144,7 +1128,6 @@ fn apply_callee(
     cs_path: u32,
     actual_args: &[ExprId],
     pool: &mut ExprPool,
-    config: &DataflowConfig,
 ) {
     // Maps a callee-namespace expression into the caller's namespace.
     // An argument the call site does not pass maps to one fresh unknown
@@ -1229,7 +1212,7 @@ fn apply_callee(
     // would otherwise fan out combinatorially through dense call graphs.
     let caller_cons = constraints_on_path(summary, cs_path);
     for sk in &callee.sinks {
-        if sinks.len() >= config.max_sinks_per_fn {
+        if sinks.len() >= MAX_SINKS_PER_FN {
             break;
         }
         let unresolved = sk.args.iter().any(|&a| {

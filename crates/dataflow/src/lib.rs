@@ -39,9 +39,9 @@ pub use cache::{
 pub use ddg::{backward_trace, TraceStep};
 pub use indirect::{resolve_indirect_calls, IndirectStats, Installer, ResolvedCall};
 pub use interproc::{
-    build_dataflow, build_dataflow_judged, CallsiteIndex, DataflowConfig, DataflowView,
+    build_dataflow, build_dataflow_judged, BoundsMode, CallsiteIndex, DataflowConfig, DataflowView,
     FinalSummary, FnResidue, ImportSites, ProgramDataflow, PrunedSink, SinkCensus, SinkKind,
-    SinkObservation,
+    SinkObservation, MAX_SINKS_PER_FN, SINK_NAMES,
 };
 pub use layout::{infer_layouts, root_and_path, AccessPath, Layout};
 pub use sse::{canonicalize, sse_replace, Sse, SseStats};
@@ -364,8 +364,11 @@ mod tests {
     fn disabling_stages_changes_results() {
         let bin = paper_figure5_binary();
         let (mut cg, summaries, pool) = analyze_all(&bin);
-        let config =
-            DataflowConfig { enable_alias: false, enable_indirect: false, ..Default::default() };
+        let config = DataflowConfig {
+            alias: AliasConfig { mode: AliasMode::Off, ..Default::default() },
+            enable_indirect: false,
+            ..Default::default()
+        };
         let df = build_dataflow(&bin, &mut cg, summaries, pool, &config);
         assert!(df.resolved_indirect.is_empty());
         assert_eq!(df.indirect_stats, IndirectStats::default());

@@ -49,6 +49,4 @@ pub use fleet::{FleetProgress, Heartbeat, ImageCacheStats, ImageOutcome, WorkerH
 pub use heap::CountingAlloc;
 pub use metrics::{Histogram, MetricsRegistry, HISTOGRAM_BUCKETS};
 pub use prometheus::{export_prometheus, lint_textfile, sanitize_metric_name};
-pub use span::{
-    export_chrome, export_jsonl, Clock, Collector, SpanEvent, SpanStart, TraceBuffer, TraceSpec,
-};
+pub use span::{export_chrome, export_jsonl, Clock, Collector, SpanEvent, SpanStart, TraceBuffer};

@@ -45,20 +45,6 @@ impl Default for Clock {
     }
 }
 
-/// Where a stage should record its spans: the shared clock, the first
-/// lane its workers may use (worker *i* takes `base_lane + i`), and
-/// whether those worker-lane spans are recorded. Lane-0 stage spans are
-/// recorded either way.
-#[derive(Debug, Clone, Copy)]
-pub struct TraceSpec {
-    /// The scan's clock epoch.
-    pub clock: Clock,
-    /// First worker lane.
-    pub base_lane: u32,
-    /// Record per-function spans on the worker lanes.
-    pub workers: bool,
-}
-
 /// Where an open span started: its clock offset and, on lane 0 when a
 /// [`heap::CountingAlloc`] is installed, the heap window it opened.
 #[derive(Debug, Clone, Copy)]
@@ -83,9 +69,10 @@ fn close(
     cat: &str,
     lane: u32,
     start: SpanStart,
-    mut args: BTreeMap<String, u64>,
+    args: &[(&str, u64)],
 ) -> SpanEvent {
     let now = clock.now_us();
+    let mut args: BTreeMap<String, u64> = args.iter().map(|&(k, v)| (k.to_owned(), v)).collect();
     if let Some(mark) = start.heap {
         let (live, peak) = heap::close(mark);
         args.insert("live_bytes".to_owned(), live as u64);
@@ -144,11 +131,6 @@ impl TraceBuffer {
         TraceBuffer { clock, lane, on, events: Vec::new() }
     }
 
-    /// True when this buffer records.
-    pub fn is_enabled(&self) -> bool {
-        self.on
-    }
-
     /// Opens a span (a zero start when disabled). Lane-0 spans also
     /// open a heap window when the counting allocator is installed.
     pub fn start(&self) -> SpanStart {
@@ -159,8 +141,8 @@ impl TraceBuffer {
         }
     }
 
-    /// Completes a span opened at `start`.
-    pub fn record(&mut self, name: &str, cat: &str, start: SpanStart, args: BTreeMap<String, u64>) {
+    /// Completes a span opened at `start`, with its logical counters.
+    pub fn record(&mut self, name: &str, cat: &str, start: SpanStart, args: &[(&str, u64)]) {
         if !self.on {
             return;
         }
@@ -227,8 +209,9 @@ impl Collector {
         SpanStart::open(&self.clock, 0)
     }
 
-    /// Completes a lane-0 span opened at `start`.
-    pub fn record(&mut self, name: &str, cat: &str, start: SpanStart, args: BTreeMap<String, u64>) {
+    /// Completes a lane-0 span opened at `start`, with its logical
+    /// counters.
+    pub fn record(&mut self, name: &str, cat: &str, start: SpanStart, args: &[(&str, u64)]) {
         self.events.push(close(&self.clock, name, cat, 0, start, args));
     }
 
@@ -328,14 +311,14 @@ mod tests {
     fn disabled_collector_keeps_lane_zero_and_drops_worker_lanes() {
         let mut c = Collector::disabled();
         let s = c.start();
-        c.record("scan", "scan", s, BTreeMap::new());
+        c.record("scan", "scan", s, &[]);
         let mut b = c.buffer(1);
         let s = b.start();
-        b.record("f", "function", s, BTreeMap::new());
+        b.record("f", "function", s, &[]);
         c.absorb(b.take_events());
         // A stage's own lane-0 buffer on the collector's clock records.
         let mut stage = TraceBuffer::new(c.clock(), 0, true);
-        stage.record("ddg_alias", "stage", stage.start(), BTreeMap::new());
+        stage.record("ddg_alias", "stage", stage.start(), &[]);
         c.absorb(stage.take_events());
         let names: Vec<&str> = c.events().iter().map(|e| e.name.as_str()).collect();
         assert_eq!(names, ["scan", "ddg_alias"]);
@@ -347,8 +330,8 @@ mod tests {
         let mut c = Collector::enabled();
         let mut b1 = c.buffer(1);
         let mut b2 = c.buffer(2);
-        b1.record("f1", "function", b1.start(), BTreeMap::new());
-        b2.record("f2", "function", b2.start(), BTreeMap::new());
+        b1.record("f1", "function", b1.start(), &[]);
+        b2.record("f2", "function", b2.start(), &[]);
         c.absorb(b1.take_events());
         c.absorb(b2.take_events());
         assert_eq!(c.events().len(), 2);

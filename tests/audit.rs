@@ -201,3 +201,50 @@ fn audit_disabled_changes_nothing_but_the_decision_list() {
         "logical counters are identical"
     );
 }
+
+/// Two holders that report the same finding: a second function symbol
+/// starts inside `main`, at its `getenv` call, so both functions hold
+/// the `getenv → system` flow with an empty call chain. The fold keeps
+/// the lower holder's finding and records the other as a duplicate.
+#[test]
+fn overlapping_holders_fold_their_shared_finding() {
+    use dtaint_core::{Dtaint, DtaintConfig};
+    use dtaint_fwbin::asm::Assembler;
+    use dtaint_fwbin::link::BinaryBuilder;
+    use dtaint_fwbin::{Arch, Reg, Symbol, SymbolKind};
+
+    let mut main = Assembler::new(Arch::Arm32e);
+    main.load_addr(Reg(0), "name");
+    main.label("inner");
+    main.call("getenv");
+    main.call("system"); // system(getenv("PATH"))
+    main.ret();
+    let inner_words = main.labels()["inner"];
+    let mut b = BinaryBuilder::new(Arch::Arm32e);
+    b.add_function("main", main);
+    b.add_import("getenv");
+    b.add_import("system");
+    b.add_cstring("name", "PATH");
+    let mut bin = b.link().unwrap();
+    let outer = bin.function("main").unwrap().clone();
+    let offset = 4 * inner_words;
+    bin.symbols.push(Symbol {
+        name: "inner".into(),
+        addr: outer.addr + offset,
+        size: outer.size - offset,
+        kind: SymbolKind::Function,
+    });
+
+    let config = DtaintConfig { audit: true, ..Default::default() };
+    let report = Dtaint::with_config(config).analyze(&bin, "dup").unwrap();
+    assert_eq!(report.findings.len(), 1, "{:#?}", report.findings);
+    let finding = &report.findings[0];
+    assert_eq!((finding.sink.as_str(), finding.observed_in.as_str()), ("system", "main"));
+    assert!(finding.call_chain.is_empty());
+    assert_eq!(report.telemetry.metrics.counter("detect.duplicates_suppressed"), 1);
+    assert_eq!(report.sink_coverage.duplicates, 1);
+    let dups: Vec<_> =
+        report.decisions.iter().filter(|d| d.kind == DecisionKind::DuplicateSuppressed).collect();
+    assert_eq!(dups.len(), 1, "{:#?}", report.decisions);
+    assert_eq!(dups[0].function, "inner");
+}

@@ -404,12 +404,8 @@ fn ddg_panic_drill_rolls_back_the_functions_propagation() {
     use dtaint_telemetry::DecisionKind;
     let bin = build_firmware(&table2_profiles().remove(1)).binary;
     let config = |threads, panic_on| {
-        let mut c = DtaintConfig {
-            threads,
-            bounds: BoundsMode::Interval,
-            audit: true,
-            ..Default::default()
-        };
+        let mut c = DtaintConfig { threads, audit: true, ..Default::default() };
+        c.dataflow.bounds = BoundsMode::Interval;
         c.dataflow.panic_on = panic_on;
         c
     };

@@ -23,7 +23,8 @@ fn build(kind: PlantKind, sanitized: bool, arch: Arch) -> dtaint_fwbin::Binary {
 }
 
 fn analyze(bin: &dtaint_fwbin::Binary, bounds: BoundsMode) -> dtaint_core::AnalysisReport {
-    let config = DtaintConfig { bounds, ..Default::default() };
+    let mut config = DtaintConfig::default();
+    config.dataflow.bounds = bounds;
     Dtaint::with_config(config).analyze(bin, "iv").unwrap()
 }
 
@@ -156,8 +157,8 @@ fn interval_findings_are_deterministic_across_threads() {
     let bin = compile(&spec, Arch::Arm32e).unwrap();
 
     let run = |threads: usize| {
-        let config =
-            DtaintConfig { bounds: BoundsMode::Interval, threads, ..DtaintConfig::default() };
+        let mut config = DtaintConfig { threads, ..DtaintConfig::default() };
+        config.dataflow.bounds = BoundsMode::Interval;
         Dtaint::with_config(config).analyze(&bin, "det").unwrap()
     };
     let seq = run(1);

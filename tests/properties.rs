@@ -260,19 +260,45 @@ proptest! {
 #[test]
 fn cache_salts_ignore_thread_count_but_track_semantics() {
     use dtaint_dataflow::cache::{ddg_salt, sym_salt};
-    use dtaint_dataflow::DataflowConfig;
+    use dtaint_dataflow::{BoundsMode, DataflowConfig};
     use dtaint_symex::SymexConfig;
     let env = 0x1234_5678_9abc_def0;
     let d1 = DataflowConfig { threads: 1, ..Default::default() };
     let d8 = DataflowConfig { threads: 8, ..Default::default() };
     assert_eq!(ddg_salt(env, &d1), ddg_salt(env, &d8), "threads must not salt DDG keys");
-    let guards = DataflowConfig { interval_guards: true, ..Default::default() };
+    let guards = DataflowConfig { bounds: BoundsMode::Interval, ..Default::default() };
     assert_ne!(ddg_salt(env, &d1), ddg_salt(env, &guards), "interval guards change semantics");
     let s = SymexConfig::default();
     let starved = SymexConfig { max_fuel: 2, ..Default::default() };
     assert_eq!(sym_salt(env, &s), sym_salt(env, &s));
     assert_ne!(sym_salt(env, &s), sym_salt(env, &starved), "fuel budget changes summaries");
     assert_ne!(sym_salt(env, &s), sym_salt(env ^ 1, &s), "environment digest must salt keys");
+}
+
+/// The cache salts of the analysis modes, pinned at a fixed
+/// environment digest. A change here invalidates every stored cache
+/// entry, so it must come with a salt-version bump.
+#[test]
+fn cache_salts_match_their_pinned_values() {
+    use dtaint_core::{AliasMode, BoundsMode, DtaintConfig};
+    use dtaint_dataflow::cache::{ddg_salt, sym_salt};
+    let env = 0x0123_4567_89ab_cdef;
+    let with = |edit: fn(&mut DtaintConfig)| {
+        let mut c = DtaintConfig::default();
+        edit(&mut c);
+        c
+    };
+    let pins: [(&str, DtaintConfig, u64); 5] = [
+        ("default", DtaintConfig::default(), 0x4cef_2e0f_5b01_e326),
+        ("store", with(|c| c.dataflow.alias.mode = AliasMode::Store), 0x4346_3e67_a9a8_fddb),
+        ("off", with(|c| c.dataflow.alias.mode = AliasMode::Off), 0x6cb1_8677_b780_7905),
+        ("strict", with(|c| c.dataflow.bounds = BoundsMode::Strict), 0x4cef_2e0f_5b01_e326),
+        ("interval", with(|c| c.dataflow.bounds = BoundsMode::Interval), 0xed76_d571_b395_4d4f),
+    ];
+    for (name, config, ddg) in pins {
+        assert_eq!(ddg_salt(env, &config.dataflow), ddg, "{name}: ddg salt");
+        assert_eq!(sym_salt(env, &config.symex), 0x494d_de89_0abf_7169, "{name}: symex salt");
+    }
 }
 
 #[test]

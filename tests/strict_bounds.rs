@@ -36,7 +36,8 @@ fn paper_faithful_mode_trusts_the_weak_bound() {
 fn strict_mode_flags_the_weak_bound_on_both_arches() {
     for arch in [Arch::Arm32e, Arch::Mips32e] {
         let bin = build(false, arch);
-        let config = DtaintConfig { bounds: BoundsMode::Strict, ..Default::default() };
+        let mut config = DtaintConfig::default();
+        config.dataflow.bounds = BoundsMode::Strict;
         let r = Dtaint::with_config(config).analyze(&bin, "wb").unwrap();
         assert_eq!(r.vulnerabilities(), 1, "{arch}: weak bound must be flagged");
     }
@@ -46,7 +47,8 @@ fn strict_mode_flags_the_weak_bound_on_both_arches() {
 fn strict_mode_accepts_a_fitting_bound() {
     for arch in [Arch::Arm32e, Arch::Mips32e] {
         let bin = build(true, arch);
-        let config = DtaintConfig { bounds: BoundsMode::Strict, ..Default::default() };
+        let mut config = DtaintConfig::default();
+        config.dataflow.bounds = BoundsMode::Strict;
         let r = Dtaint::with_config(config).analyze(&bin, "wb").unwrap();
         assert_eq!(r.vulnerabilities(), 0, "{arch}: fitting bound stays sanitized");
     }

@@ -303,18 +303,29 @@ fn scan_exporter_flags_write_parseable_files() {
 
     let jsonl = std::fs::read_to_string(&trace).unwrap();
     let spans: Vec<SpanEvent> = jsonl.lines().map(|l| serde_json::from_str(l).unwrap()).collect();
-    assert!(spans.iter().any(|e| e.cat == "scan"));
-    assert!(spans.iter().any(|e| e.name == "ddg_propagate"));
+    assert!(spans.iter().any(|e| e.cat == "scan"), "missing scan root span");
+    for stage in ["lift_cfg", "ssa", "ddg", "detect", "ddg_propagate"] {
+        assert!(spans.iter().any(|e| e.name == stage), "missing stage span {stage}");
+    }
 
     let chrome_json = std::fs::read_to_string(&chrome).unwrap();
     let v: serde_json::Value = serde_json::from_str(&chrome_json).unwrap();
-    assert!(matches!(v, serde_json::Value::Obj(_)));
+    let Some(serde_json::Value::Arr(events)) = v.get("traceEvents") else {
+        panic!("missing traceEvents array")
+    };
+    assert!(!events.is_empty(), "empty Chrome trace");
+    for e in events {
+        assert_eq!(e.get("ph"), Some(&serde_json::Value::Str("X".into())), "{e:?}");
+    }
 
     let metrics_json = std::fs::read_to_string(&metrics).unwrap();
     let m: dtaint_telemetry::MetricsRegistry = serde_json::from_str(&metrics_json).unwrap();
     assert!(m.counter("symex.blocks_executed") > 0);
     assert!(m.gauge("stage.ddg_us") > 0 || metrics_json.contains("stage.ddg_us"));
     assert!(m.gauge("image.functions") > 0);
+    for key in ["ddg.fuel_spent", "detect.findings"] {
+        assert!(m.counters.contains_key(key), "missing metric {key}");
+    }
     // Spans are the only clock: every `stage.<name>_us` gauge is the
     // `<name>` lane-0 span's duration summed over the scan's binaries
     // (`scan` is the root span).
@@ -329,4 +340,9 @@ fn scan_exporter_flags_write_parseable_files() {
         .filter_map(|(k, &v)| Some((k.strip_prefix("stage.")?.strip_suffix("_us")?.to_owned(), v)))
         .collect();
     assert_eq!(gauges, summed, "stage gauges differ from the lane-0 span sums");
+
+    // Without any trace flag the scan still clocks its stages.
+    let (code, out) = dtaint_cli::run_captured(&["scan", &path]);
+    assert_eq!(code, Ok(2));
+    assert!(out.lines().any(|l| l.starts_with("   stages: lift+ssa ")), "no stages line: {out}");
 }
