@@ -4,7 +4,7 @@ use crate::{analysis_config, export, export_with, load_binaries, Args};
 use dtaint_core::{AnalysisReport, BoundsMode, Dtaint};
 use dtaint_emu::{poison_all_rodata_names, validate as emu_validate, AttackConfig};
 use dtaint_telemetry::{export_chrome, export_jsonl, log, Collector};
-use std::io::Write;
+use std::io::{BufWriter, Write};
 
 pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<i32, String> {
     let path = args.arg(0);
@@ -40,8 +40,13 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<i32, String> {
             [tel.metrics.counter("pool.interns"), tel.metrics.counter("pool.intern_cache_hits")];
         let report = analyzer.analyze_traced(&bin, &name, &mut tel).map_err(|e| e.to_string())?;
         if args.flag("--json") {
-            let json = report.to_json().map_err(|e| e.to_string())?;
-            emit!(out, "{json}\n")?;
+            // Streamed as it is printed: the report never exists as a
+            // value tree or a string.
+            let mut buf = BufWriter::new(&mut *out);
+            serde_json::to_writer_pretty(&mut buf, &report)
+                .map_err(|e| format!("write failed: {e}"))?;
+            emit!(buf, "\n")?;
+            buf.flush().map_err(|e| format!("write failed: {e}"))?;
         } else if args.flag("--md") {
             emit!(out, "{}", report.to_markdown())?;
         } else {

@@ -35,7 +35,7 @@
 //! still exist, so callers above them can hit).
 
 use dtaint_fwbin::{Binary, Symbol};
-use dtaint_symex::{fnv64, Fnv64, SymexConfig};
+use dtaint_symex::{fnv64, Fnv64, SymexConfig, STACK_ARGS};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
@@ -549,7 +549,7 @@ pub fn sym_salt(env: u64, cfg: &SymexConfig) -> u64 {
     h.write_u64(env);
     h.write_u32(cfg.max_paths);
     h.write_u32(cfg.max_blocks_per_path);
-    h.write_u8(cfg.stack_args);
+    h.write_u8(STACK_ARGS);
     h.write_u32(cfg.max_fuel);
     write_opt_u32(&mut h, cfg.panic_on);
     h.finish()

@@ -187,7 +187,7 @@ mod tests {
     use super::*;
     use dtaint_fwbin::fbf::{Section, SectionKind, Symbol, SymbolKind};
     use dtaint_fwbin::Arch;
-    use dtaint_symex::{CallsiteInfo, Constraint, DefPair, VType};
+    use dtaint_symex::{ArgList, CallsiteInfo, Constraint, DefPair, VType};
     use proptest::prelude::*;
 
     /// A binary with functions at 0x1000, 0x1400, 0x2000 and 0x2400 (no
@@ -258,7 +258,7 @@ mod tests {
         s.callsites.push(CallsiteInfo {
             ins_addr: addr + 4,
             callee: CalleeRef::Indirect(fp),
-            args: vec![arg0],
+            args: [arg0].into_iter().collect(),
             ret,
             path: 0,
         });
@@ -309,7 +309,7 @@ mod tests {
         call.callsites.push(CallsiteInfo {
             ins_addr: 0x1204,
             callee: CalleeRef::Indirect(fp),
-            args: vec![],
+            args: ArgList::new(),
             ret,
             path: 0,
         });
@@ -505,9 +505,9 @@ mod tests {
                     1 => CalleeRef::Direct(0x1000),
                     _ => CalleeRef::Indirect(random_field(&mut rng, &mut pool)),
                 };
-                let args = match rng.below(2) {
-                    0 => vec![],
-                    _ => vec![random_field(&mut rng, &mut pool)],
+                let args: ArgList = match rng.below(2) {
+                    0 => ArgList::new(),
+                    _ => [random_field(&mut rng, &mut pool)].into_iter().collect(),
                 };
                 let ins_addr = addr + 0x80 + 4 * k;
                 let ret = pool.ret_sym(ins_addr);

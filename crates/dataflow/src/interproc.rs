@@ -999,7 +999,7 @@ fn process_function(
                     kind: SinkKind::Import(name.clone()),
                     sink_ins: cs.ins_addr,
                     sink_fn: faddr,
-                    args: cs.args.clone(),
+                    args: cs.args.to_vec(),
                     call_chain: vec![],
                     constraints: cons,
                 });
@@ -1276,7 +1276,7 @@ fn substitute_everywhere(
         dp.u = pool.replace(dp.u, from, to);
     }
     for cs in &mut summary.callsites {
-        for a in &mut cs.args {
+        for a in cs.args.iter_mut() {
             *a = pool.replace(*a, from, to);
         }
         if let CalleeRef::Indirect(e) = &mut cs.callee {

@@ -312,7 +312,7 @@ mod tests {
         s.callsites.push(dtaint_symex::CallsiteInfo {
             ins_addr: 0,
             callee: dtaint_symex::CalleeRef::Import("strlen".into()),
-            args: vec![f],
+            args: [f].into_iter().collect(),
             ret: pool.ret_sym(0),
             path: 0,
         });

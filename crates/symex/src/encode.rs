@@ -23,7 +23,10 @@
 //! canonical form and is never content-keyed.
 
 use crate::pool::{CmpOp, ExprId, ExprPool, SymNode};
-use crate::summary::{CalleeRef, CallsiteInfo, Constraint, DefPair, FuncSummary, LoopCopy};
+use crate::summary::{
+    sort_types, ArgList, ArgMask, CalleeRef, CallsiteInfo, Constraint, DefPair, FuncSummary,
+    LoopCopy,
+};
 use crate::types::VType;
 use std::collections::HashMap;
 
@@ -256,9 +259,9 @@ impl<'p, 'm> SummaryEncoder<'p, 'm> {
     }
 
     /// Encodes a whole summary into the body, fields in declaration
-    /// order. The `types` map iterates in hash order, so its entries are
-    /// sorted by their own standalone encodings first — a pool-free,
-    /// layout-invariant order.
+    /// order. The `types` entries are sorted by id, an order that depends
+    /// on the pool, so they are written sorted by their own standalone
+    /// encodings instead — a pool-free, layout-invariant order.
     pub fn summary(&mut self, s: &FuncSummary) {
         self.u32(s.addr);
         self.str(&s.name);
@@ -308,7 +311,7 @@ impl<'p, 'm> SummaryEncoder<'p, 'm> {
             self.u32(lc.path);
         }
         let mut typed: Vec<(Vec<u8>, ExprId, VType)> = Vec::with_capacity(s.types.len());
-        for (&e, &t) in &s.types {
+        for &(e, t) in &s.types {
             match encode_expr_standalone(self.pool, &mut *self.map_unknown, e) {
                 Some(key) => typed.push((key, e, t)),
                 None => {
@@ -324,7 +327,7 @@ impl<'p, 'm> SummaryEncoder<'p, 'm> {
             self.u8(vtype_tag(t));
         }
         self.u32(s.args_used.len() as u32);
-        for &a in &s.args_used {
+        for a in s.args_used.iter() {
             self.u8(a);
         }
         self.u32(s.paths_explored);
@@ -509,54 +512,62 @@ impl SummaryDecoder {
         self.pos == self.body.len()
     }
 
-    /// Decodes a summary written by [`SummaryEncoder::summary`].
+    /// Decodes a summary written by [`SummaryEncoder::summary`]. Every
+    /// list comes out at its exact length. `None` on a malformed body,
+    /// including a call site with more than [`ArgList::CAPACITY`]
+    /// arguments or a used-argument index of 16 or more.
     pub fn summary(&mut self) -> Option<FuncSummary> {
         let mut s = FuncSummary { addr: self.u32()?, name: self.str()?, ..FuncSummary::default() };
-        s.def_pairs = self.def_pair_list()?;
-        s.escape_defs = self.def_pair_list()?;
-        for _ in 0..self.u32()? {
-            let ins_addr = self.u32()?;
-            let callee = match self.u8()? {
-                0 => CalleeRef::Direct(self.u32()?),
-                1 => CalleeRef::Import(self.str()?),
-                2 => CalleeRef::Indirect(self.expr()?),
+        s.def_pairs = self.list(Self::def_pair)?;
+        s.escape_defs = self.list(Self::def_pair)?;
+        s.callsites = self.list(|d| {
+            let ins_addr = d.u32()?;
+            let callee = match d.u8()? {
+                0 => CalleeRef::Direct(d.u32()?),
+                1 => CalleeRef::Import(d.str()?),
+                2 => CalleeRef::Indirect(d.expr()?),
                 _ => return None,
             };
-            let mut args = Vec::new();
-            for _ in 0..self.u32()? {
-                args.push(self.expr()?);
+            let n = d.u32()?;
+            if n as usize > ArgList::CAPACITY {
+                return None;
             }
-            let ret = self.expr()?;
-            let path = self.u32()?;
-            s.callsites.push(CallsiteInfo { ins_addr, callee, args, ret, path });
-        }
+            let mut args = ArgList::new();
+            for _ in 0..n {
+                args.push(d.expr()?);
+            }
+            let ret = d.expr()?;
+            let path = d.u32()?;
+            Some(CallsiteInfo { ins_addr, callee, args, ret, path })
+        })?;
+        s.constraints = self.list(|d| {
+            let op = CmpOp::from_tag(d.u8()?)?;
+            let lhs = d.expr()?;
+            let rhs = d.expr()?;
+            let ins_addr = d.u32()?;
+            let path = d.u32()?;
+            Some(Constraint { op, lhs, rhs, ins_addr, path })
+        })?;
+        s.ret_values = self.list(Self::expr)?;
+        s.loop_copies = self.list(|d| {
+            let ins_addr = d.u32()?;
+            let dst_addr = d.expr()?;
+            let value = d.expr()?;
+            let path = d.u32()?;
+            Some(LoopCopy { ins_addr, dst_addr, value, path })
+        })?;
+        // Written in encoding order; kept by id, the last entry of a
+        // repeated id winning.
+        let mut types = self.list(|d| Some((d.expr()?, vtype_untag(d.u8()?)?)))?;
+        sort_types(&mut types, |_, later| later);
+        s.types = types;
+        let mut used = ArgMask::default();
         for _ in 0..self.u32()? {
-            let op = CmpOp::from_tag(self.u8()?)?;
-            let lhs = self.expr()?;
-            let rhs = self.expr()?;
-            let ins_addr = self.u32()?;
-            let path = self.u32()?;
-            s.constraints.push(Constraint { op, lhs, rhs, ins_addr, path });
+            if !used.insert(self.u8()?) {
+                return None;
+            }
         }
-        for _ in 0..self.u32()? {
-            let r = self.expr()?;
-            s.ret_values.push(r);
-        }
-        for _ in 0..self.u32()? {
-            let ins_addr = self.u32()?;
-            let dst_addr = self.expr()?;
-            let value = self.expr()?;
-            let path = self.u32()?;
-            s.loop_copies.push(LoopCopy { ins_addr, dst_addr, value, path });
-        }
-        for _ in 0..self.u32()? {
-            let e = self.expr()?;
-            let t = vtype_untag(self.u8()?)?;
-            s.types.insert(e, t);
-        }
-        for _ in 0..self.u32()? {
-            s.args_used.insert(self.u8()?);
-        }
+        s.args_used = used;
         s.paths_explored = self.u32()?;
         s.path_cap_hit = self.u8()? != 0;
         s.fuel_exhausted = self.u8()? != 0;
@@ -570,15 +581,22 @@ impl SummaryDecoder {
         Some(s)
     }
 
-    fn def_pair_list(&mut self) -> Option<Vec<DefPair>> {
-        let n = self.u32()?;
-        let mut out = Vec::with_capacity(n as usize);
+    fn def_pair(&mut self) -> Option<DefPair> {
+        let d = self.expr()?;
+        let u = self.expr()?;
+        let ins_addr = self.u32()?;
+        let path = self.u32()?;
+        Some(DefPair { d, u, ins_addr, path })
+    }
+
+    /// A `u32` count, then that many items read by `item`. The vector
+    /// is sized up front only as far as the unread bytes could hold
+    /// items, so a corrupt count cannot reserve more than the blob.
+    fn list<T>(&mut self, mut item: impl FnMut(&mut Self) -> Option<T>) -> Option<Vec<T>> {
+        let n = self.u32()? as usize;
+        let mut out = Vec::with_capacity(n.min(self.body.len() - self.pos));
         for _ in 0..n {
-            let d = self.expr()?;
-            let u = self.expr()?;
-            let ins_addr = self.u32()?;
-            let path = self.u32()?;
-            out.push(DefPair { d, u, ins_addr, path });
+            out.push(item(self)?);
         }
         Some(out)
     }
@@ -634,7 +652,7 @@ mod tests {
         s.callsites.push(CallsiteInfo {
             ins_addr: 0x1010,
             callee: CalleeRef::Import("recv".into()),
-            args: vec![a0, c],
+            args: [a0, c].into_iter().collect(),
             ret,
             path: 0,
         });
@@ -760,6 +778,100 @@ mod tests {
                 let _ = dec.summary();
             }
         }
+    }
+
+    /// A hand-written body with one direct call site claiming `args`
+    /// arguments (at most 16 written) and the given used-argument
+    /// indices.
+    fn blob_with(args: u32, used: &[u8]) -> Vec<u8> {
+        let mut pool = ExprPool::new();
+        let a0 = pool.arg(0);
+        let mut refuse = |_| None;
+        let mut enc = SummaryEncoder::new(&pool, &mut refuse);
+        enc.u32(0x8000);
+        enc.str("wide");
+        enc.u32(0); // def pairs
+        enc.u32(0); // escape defs
+        enc.u32(1); // call sites
+        enc.u32(0x8010);
+        enc.u8(0);
+        enc.u32(0x9000);
+        enc.u32(args);
+        for _ in 0..args.min(16) {
+            enc.expr(a0);
+        }
+        enc.expr(a0);
+        enc.u32(0);
+        for _ in 0..4 {
+            enc.u32(0); // constraints, returns, loop copies, types
+        }
+        enc.u32(used.len() as u32);
+        for &a in used {
+            enc.u8(a);
+        }
+        enc.u32(1);
+        for _ in 0..3 {
+            enc.u8(0);
+        }
+        for _ in 0..5 {
+            enc.u32(0);
+        }
+        enc.u8(0);
+        enc.finish().unwrap()
+    }
+
+    #[test]
+    fn decode_refuses_what_the_inline_layout_cannot_hold() {
+        let decode = |blob: &[u8]| {
+            let mut dst = ExprPool::new();
+            SummaryDecoder::new(blob, &mut dst, &mut |_, _| None)?.summary()
+        };
+        let full = decode(&blob_with(ArgList::CAPACITY as u32, &[15, 0, 15])).expect("fits");
+        assert_eq!(full.callsites[0].args.len(), ArgList::CAPACITY);
+        assert_eq!(full.args_used.iter().collect::<Vec<_>>(), [0, 15]);
+        assert!(decode(&blob_with(ArgList::CAPACITY as u32 + 1, &[])).is_none());
+        assert!(decode(&blob_with(u32::MAX, &[])).is_none());
+        assert!(decode(&blob_with(2, &[16])).is_none());
+        assert!(decode(&blob_with(2, &[255])).is_none());
+    }
+
+    /// Types are written in encoding order and decoded by id; when a
+    /// body names one id twice, the later entry wins.
+    #[test]
+    fn decoded_types_are_sorted_by_id_and_the_last_duplicate_wins() {
+        let mut pool = ExprPool::new();
+        let (a0, a1) = (pool.arg(0), pool.arg(1));
+        let mut refuse = |_| None;
+        let mut enc = SummaryEncoder::new(&pool, &mut refuse);
+        enc.u32(0x8000);
+        enc.str("typed");
+        for _ in 0..6 {
+            enc.u32(0); // def pairs .. loop copies
+        }
+        enc.u32(3);
+        for (e, t) in [(a1, VType::Int), (a0, VType::Ptr), (a1, VType::CharPtr)] {
+            enc.expr(e);
+            enc.u8(vtype_tag(t));
+        }
+        enc.u32(0);
+        enc.u32(1);
+        for _ in 0..3 {
+            enc.u8(0);
+        }
+        for _ in 0..5 {
+            enc.u32(0);
+        }
+        enc.u8(0);
+        let blob = enc.finish().unwrap();
+        let mut dst = ExprPool::new();
+        dst.constant(5);
+        let mut dec = SummaryDecoder::new(&blob, &mut dst, &mut |_, _| None).unwrap();
+        let s = dec.summary().expect("decodes");
+        assert!(dec.at_end());
+        let (d1, d0) = (dst.arg(1), dst.arg(0));
+        assert!(d1 < d0, "the table interned arg1 first");
+        assert_eq!(s.types, vec![(d1, VType::CharPtr), (d0, VType::Ptr)]);
+        assert_eq!(s.types.capacity(), 2);
     }
 
     #[test]

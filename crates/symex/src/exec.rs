@@ -9,12 +9,18 @@
 
 use crate::libsig::{lib_sig, WriteEffect};
 use crate::pool::{CmpOp, ExprId, ExprPool, SymNode};
-use crate::summary::{CalleeRef, CallsiteInfo, Constraint, DefPair, FuncSummary, LoopCopy};
+use crate::summary::{
+    ArgList, CalleeRef, CallsiteInfo, Constraint, DefPair, FuncSummary, LoopCopy,
+};
 use crate::types::VType;
 use dtaint_cfg::FunctionCfg;
 use dtaint_fwbin::{Binary, Reg};
 use dtaint_ir::{BinOp, IrBlock, IrExpr, IrStmt, JumpKind, Width, CMP_L, CMP_R};
 use std::collections::HashSet;
+
+/// Stack-passed arguments seeded at entry (`arg4..arg9`) and read at
+/// each call site.
+pub const STACK_ARGS: u8 = 6;
 
 /// Tuning knobs for path exploration.
 #[derive(Debug, Clone, Copy)]
@@ -23,8 +29,6 @@ pub struct SymexConfig {
     pub max_paths: u32,
     /// Maximum blocks executed along a single path.
     pub max_blocks_per_path: u32,
-    /// Number of stack-passed arguments to seed (`arg4..`).
-    pub stack_args: u8,
     /// Total block executions allowed per function, summed over every
     /// path. Fuel is a deterministic step count — never wall-clock — so
     /// the set of functions that exhaust it is identical run-to-run and
@@ -40,13 +44,7 @@ pub struct SymexConfig {
 
 impl Default for SymexConfig {
     fn default() -> Self {
-        SymexConfig {
-            max_paths: 64,
-            max_blocks_per_path: 512,
-            stack_args: 6,
-            max_fuel: 1 << 20,
-            panic_on: None,
-        }
+        SymexConfig { max_paths: 64, max_blocks_per_path: 512, max_fuel: 1 << 20, panic_on: None }
     }
 }
 
@@ -201,7 +199,7 @@ impl<'a> Executor<'a> {
             loop_copies: Vec::new(),
         }];
         let mut def_seen: HashSet<(ExprId, ExprId, u32)> = HashSet::new();
-        let mut call_seen: HashSet<(u32, Vec<ExprId>)> = HashSet::new();
+        let mut call_seen: HashSet<(u32, ArgList)> = HashSet::new();
         let mut con_seen: HashSet<(CmpOp, ExprId, ExprId, u32)> = HashSet::new();
         let mut copy_seen: HashSet<(u32, ExprId, ExprId)> = HashSet::new();
         let mut ret_seen: HashSet<ExprId> = HashSet::new();
@@ -364,7 +362,7 @@ impl<'a> Executor<'a> {
                     }
                 }
                 for mut cs in item.callsites {
-                    if call_seen.insert((cs.ins_addr, cs.args.clone())) {
+                    if call_seen.insert((cs.ins_addr, cs.args)) {
                         cs.path = pid;
                         summary.callsites.push(cs);
                     }
@@ -397,7 +395,7 @@ impl<'a> Executor<'a> {
         let sp0 = self.pool.stack_base();
         state.set_reg(arch.sp(), sp0);
         // Stack-passed arguments live just above the entry SP.
-        for k in 0..self.config.stack_args {
+        for k in 0..STACK_ARGS {
             let slot = self.pool.add_const(sp0, 4 * k as i64);
             let a = self.pool.arg(4 + k);
             state.store(slot, a);
@@ -508,11 +506,11 @@ impl<'a> Executor<'a> {
         let arch = self.bin.arch;
         let cs_addr = block.end() - dtaint_fwbin::INS_SIZE;
         // Register arguments.
-        let mut args: Vec<ExprId> =
+        let mut args: ArgList =
             arch.arg_regs().iter().map(|r| self.read_reg(&mut item.state, *r)).collect();
         // Stack arguments present in the symbolic store.
         let sp = self.read_reg(&mut item.state, arch.sp());
-        for k in 0..self.config.stack_args {
+        for k in 0..STACK_ARGS {
             let slot = self.pool.add_const(sp, 4 * k as i64);
             match item.state.load(slot) {
                 Some(v) => args.push(v),

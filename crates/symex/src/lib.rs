@@ -75,9 +75,11 @@ pub mod types;
 mod exec;
 
 pub use encode::{canonical_encode, encode_summary, fnv64, Fnv64, SummaryDecoder, SummaryEncoder};
-pub use exec::{analyze_function, SymexConfig};
+pub use exec::{analyze_function, SymexConfig, STACK_ARGS};
 pub use pool::{CmpOp, ExprId, ExprPool, PoolMark, PoolStats, SymNode, TranslationMemo};
-pub use summary::{CalleeRef, CallsiteInfo, Constraint, DefPair, FuncSummary, LoopCopy};
+pub use summary::{
+    ArgList, ArgMask, CalleeRef, CallsiteInfo, Constraint, DefPair, FuncSummary, LoopCopy,
+};
 pub use types::VType;
 
 /// Pseudo argument index used in [`SymNode::CallOut`] when external data
@@ -122,7 +124,7 @@ mod tests {
         });
         assert_eq!(s.ret_values.len(), 1);
         assert_eq!(pool.display(s.ret_values[0]).to_string(), "arg2");
-        assert!(s.args_used.contains(&2));
+        assert!(s.args_used.contains(2));
     }
 
     #[test]

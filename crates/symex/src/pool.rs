@@ -1448,10 +1448,10 @@ mod tests {
 
     /// The dedup table against a plain map through 200k distinct
     /// nodes. Every other round of interns is rolled back; the rounds
-    /// grow with the pool, so many straddle a growth of the table, and
-    /// at three-quarters load some probe clusters wrap past its end.
-    /// After each round the table is slot for slot what inserting the
-    /// surviving ids in order gives.
+    /// grow with the pool, so many straddle a growth of the table. Each
+    /// round starts by planting a probe cluster that wraps past the
+    /// table's end. After each round the table is slot for slot what
+    /// inserting the surviving ids in order gives.
     #[test]
     fn dedup_table_matches_a_plain_map_through_growth_and_rollback() {
         assert_eq!(std::mem::size_of::<SymNode>(), 16, "the node array's bytes a node");
@@ -1469,6 +1469,27 @@ mod tests {
         for round in 0.. {
             if r.nodes.len() >= 200_000 {
                 break;
+            }
+            // Plant a cluster that wraps past the table's end: a
+            // constant homed in the last slot fills it, and the next
+            // one runs on into slot 0. The hash is keyed per pool, so
+            // such constants are searched for; an intern that grows the
+            // table rehashes everything, and the search starts over at
+            // the new size. The planted nodes are kept, so the round's
+            // interns (and in odd rounds, their rollback) probe through
+            // the wrapped cluster.
+            for _ in 0..8 {
+                let last = p.dedup.slots.len() - 1;
+                if ![p.dedup.slots[0], p.dedup.slots[last]].contains(&DedupTable::EMPTY) {
+                    break;
+                }
+                let node = loop {
+                    fresh += 1;
+                    if p.dedup.home(SymNode::Const(fresh)) == last {
+                        break SymNode::Const(fresh);
+                    }
+                };
+                assert_eq!(p.intern(node), r.intern(node), "round {round}: planting");
             }
             let (mark, slots) = (p.mark(), p.dedup.slots.len());
             for _ in 0..r.nodes.len() / 2 + 64 {

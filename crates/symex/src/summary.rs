@@ -1,8 +1,11 @@
 //! Per-function analysis results.
 
+use crate::exec::STACK_ARGS;
 use crate::pool::{CmpOp, ExprId, ExprPool, TranslationMemo};
 use crate::types::VType;
-use std::collections::{BTreeSet, HashMap};
+use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::{Deref, DerefMut};
 
 /// A definition pair `(d, u)`: location `d` was assigned value `u`
 /// (§III-B, *Definition Pairs*).
@@ -30,6 +33,137 @@ pub enum CalleeRef {
     Indirect(ExprId),
 }
 
+/// A call site's symbolic arguments, held inline: the four register
+/// arguments, then the stack arguments found in the symbolic store (at
+/// most [`STACK_ARGS`]). Derefs to a slice of its live entries; the
+/// slots past them stay `ExprId(0)` and take part in nothing.
+#[derive(Clone, Copy)]
+pub struct ArgList {
+    len: u8,
+    ids: [ExprId; ArgList::CAPACITY],
+}
+
+impl ArgList {
+    /// Register arguments plus [`STACK_ARGS`].
+    pub const CAPACITY: usize = 4 + STACK_ARGS as usize;
+
+    /// An empty list.
+    pub const fn new() -> Self {
+        ArgList { len: 0, ids: [ExprId(0); ArgList::CAPACITY] }
+    }
+
+    /// Appends an argument.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the list already holds [`Self::CAPACITY`] arguments.
+    pub fn push(&mut self, e: ExprId) {
+        self.ids[usize::from(self.len)] = e;
+        self.len += 1;
+    }
+}
+
+impl Default for ArgList {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Deref for ArgList {
+    type Target = [ExprId];
+
+    fn deref(&self) -> &[ExprId] {
+        &self.ids[..usize::from(self.len)]
+    }
+}
+
+impl DerefMut for ArgList {
+    fn deref_mut(&mut self) -> &mut [ExprId] {
+        &mut self.ids[..usize::from(self.len)]
+    }
+}
+
+impl PartialEq for ArgList {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for ArgList {}
+
+impl Hash for ArgList {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (**self).hash(state);
+    }
+}
+
+impl fmt::Debug for ArgList {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl FromIterator<ExprId> for ArgList {
+    /// # Panics
+    ///
+    /// Panics when the iterator yields more than [`Self::CAPACITY`] ids.
+    fn from_iter<I: IntoIterator<Item = ExprId>>(iter: I) -> Self {
+        let mut list = ArgList::new();
+        for e in iter {
+            list.push(e);
+        }
+        list
+    }
+}
+
+impl<'a> IntoIterator for &'a ArgList {
+    type Item = &'a ExprId;
+    type IntoIter = std::slice::Iter<'a, ExprId>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+/// The formal arguments a function uses: bit `i` stands for `arg_i`.
+/// Iterates in ascending order.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ArgMask(u16);
+
+impl ArgMask {
+    /// Adds `arg_i`; false, leaving the mask as it was, when `i` is 16
+    /// or more.
+    pub fn insert(&mut self, i: u8) -> bool {
+        match 1u16.checked_shl(u32::from(i)) {
+            Some(bit) => {
+                self.0 |= bit;
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// True when `arg_i` is in the mask.
+    pub fn contains(self, i: u8) -> bool {
+        i < 16 && self.0 >> i & 1 != 0
+    }
+
+    /// The number of arguments in the mask.
+    pub fn len(self) -> usize {
+        self.0.count_ones() as usize
+    }
+
+    /// True when no argument is in the mask.
+    pub fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+
+    /// The argument indices, ascending.
+    pub fn iter(self) -> impl Iterator<Item = u8> {
+        (0..16u8).filter(move |&i| self.contains(i))
+    }
+}
+
 /// One observed call, with symbolic arguments.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CallsiteInfo {
@@ -38,7 +172,7 @@ pub struct CallsiteInfo {
     /// The callee.
     pub callee: CalleeRef,
     /// Symbolic argument values (register args, then any stack args).
-    pub args: Vec<ExprId>,
+    pub args: ArgList,
     /// The `ret_{callsite}` symbol bound to the return value.
     pub ret: ExprId,
     /// Index of the explored path that observed the call.
@@ -99,10 +233,10 @@ pub struct FuncSummary {
     pub ret_values: Vec<ExprId>,
     /// Loop-copy observations.
     pub loop_copies: Vec<LoopCopy>,
-    /// Inferred types per expression.
-    pub types: HashMap<ExprId, VType>,
+    /// Inferred types per expression, sorted by id, one entry per id.
+    pub types: Vec<(ExprId, VType)>,
     /// Formal arguments observed in use (`arg_i` indices).
-    pub args_used: BTreeSet<u8>,
+    pub args_used: ArgMask,
     /// Number of paths fully explored.
     pub paths_explored: u32,
     /// True when exploration stopped at the path cap.
@@ -139,6 +273,21 @@ pub struct FuncSummary {
     pub sse_saturated: bool,
 }
 
+/// Sorts type entries by id and folds each run of equal ids into one
+/// entry, `merge(kept, later)` in list order (a stable sort keeps equal
+/// ids in that order). The vector keeps no slack.
+pub(crate) fn sort_types(types: &mut Vec<(ExprId, VType)>, merge: fn(VType, VType) -> VType) {
+    types.sort_by_key(|&(e, _)| e);
+    types.dedup_by(|later, kept| {
+        let same = later.0 == kept.0;
+        if same {
+            kept.1 = merge(kept.1, later.1);
+        }
+        same
+    });
+    types.shrink_to_fit();
+}
+
 impl FuncSummary {
     /// Re-interns every expression of this summary from `src` into `dst`.
     ///
@@ -162,10 +311,53 @@ impl FuncSummary {
         memo: &mut TranslationMemo,
     ) -> FuncSummary {
         let mut tr = |e: ExprId| dst.translate(src, e, memo);
-        let mut out = FuncSummary {
+        // Every list is collected from a slice iterator, so each is built
+        // at its exact length.
+        let pairs = |pairs: &[DefPair], tr: &mut dyn FnMut(ExprId) -> ExprId| -> Vec<DefPair> {
+            pairs.iter().map(|dp| DefPair { d: tr(dp.d), u: tr(dp.u), ..*dp }).collect()
+        };
+        let def_pairs = pairs(&self.def_pairs, &mut tr);
+        let escape_defs = pairs(&self.escape_defs, &mut tr);
+        let callsites = self
+            .callsites
+            .iter()
+            .map(|cs| CallsiteInfo {
+                ins_addr: cs.ins_addr,
+                callee: match &cs.callee {
+                    CalleeRef::Indirect(e) => CalleeRef::Indirect(tr(*e)),
+                    other => other.clone(),
+                },
+                args: cs.args.iter().map(|&a| tr(a)).collect(),
+                ret: tr(cs.ret),
+                path: cs.path,
+            })
+            .collect();
+        let constraints = self
+            .constraints
+            .iter()
+            .map(|c| Constraint { lhs: tr(c.lhs), rhs: tr(c.rhs), ..*c })
+            .collect();
+        let ret_values = self.ret_values.iter().map(|&r| tr(r)).collect();
+        let loop_copies = self
+            .loop_copies
+            .iter()
+            .map(|lc| LoopCopy { dst_addr: tr(lc.dst_addr), value: tr(lc.value), ..*lc })
+            .collect();
+        // The normalising rebuild can give two source ids one
+        // destination id: join the observations that meet.
+        let mut types: Vec<(ExprId, VType)> = self.types.iter().map(|&(e, t)| (tr(e), t)).collect();
+        sort_types(&mut types, VType::join);
+        FuncSummary {
             addr: self.addr,
             name: self.name.clone(),
-            args_used: self.args_used.clone(),
+            def_pairs,
+            escape_defs,
+            callsites,
+            constraints,
+            ret_values,
+            loop_copies,
+            types,
+            args_used: self.args_used,
             paths_explored: self.paths_explored,
             path_cap_hit: self.path_cap_hit,
             fuel_exhausted: self.fuel_exhausted,
@@ -176,53 +368,24 @@ impl FuncSummary {
             sse_rewrites: self.sse_rewrites,
             sse_depth: self.sse_depth,
             sse_saturated: self.sse_saturated,
-            ..FuncSummary::default()
-        };
-        for dp in &self.def_pairs {
-            out.def_pairs.push(DefPair { d: tr(dp.d), u: tr(dp.u), ..*dp });
         }
-        for dp in &self.escape_defs {
-            out.escape_defs.push(DefPair { d: tr(dp.d), u: tr(dp.u), ..*dp });
-        }
-        for cs in &self.callsites {
-            out.callsites.push(CallsiteInfo {
-                ins_addr: cs.ins_addr,
-                callee: match &cs.callee {
-                    CalleeRef::Indirect(e) => CalleeRef::Indirect(tr(*e)),
-                    other => other.clone(),
-                },
-                args: cs.args.iter().map(|&a| tr(a)).collect(),
-                ret: tr(cs.ret),
-                path: cs.path,
-            });
-        }
-        for c in &self.constraints {
-            out.constraints.push(Constraint { lhs: tr(c.lhs), rhs: tr(c.rhs), ..*c });
-        }
-        out.ret_values = self.ret_values.iter().map(|&r| tr(r)).collect();
-        for lc in &self.loop_copies {
-            out.loop_copies.push(LoopCopy {
-                dst_addr: tr(lc.dst_addr),
-                value: tr(lc.value),
-                ..*lc
-            });
-        }
-        for (&e, &t) in &self.types {
-            out.observe_type(tr(e), t);
-        }
-        out
     }
 
     /// Records a type observation, joining with any existing one.
     pub fn observe_type(&mut self, e: ExprId, t: VType) {
-        let entry = self.types.entry(e).or_default();
-        *entry = entry.join(t);
+        match self.types.binary_search_by_key(&e, |&(id, _)| id) {
+            Ok(i) => self.types[i].1 = self.types[i].1.join(t),
+            Err(i) => self.types.insert(i, (e, t)),
+        }
     }
 
     /// The inferred type of an expression ([`VType::Unknown`] if never
     /// observed).
     pub fn type_of(&self, e: ExprId) -> VType {
-        self.types.get(&e).copied().unwrap_or_default()
+        match self.types.binary_search_by_key(&e, |&(id, _)| id) {
+            Ok(i) => self.types[i].1,
+            Err(_) => VType::Unknown,
+        }
     }
 
     /// Call sites calling the given import, across all paths.
@@ -315,20 +478,40 @@ mod tests {
         assert_eq!(s.type_of(ExprId(9)), VType::Unknown);
     }
 
+    /// The normalising rebuild maps `arg0 + 0`, interned verbatim, onto
+    /// `arg0` itself: their two type observations meet and are joined,
+    /// and the entries stay sorted by id.
+    #[test]
+    fn translation_joins_types_whose_ids_collide() {
+        let mut src = ExprPool::new();
+        let arg0 = src.arg(0);
+        let zero = src.constant(0);
+        let padded = src.intern(crate::pool::SymNode::Add(arg0, zero));
+        let mut s = FuncSummary::default();
+        s.observe_type(padded, VType::CharPtr);
+        s.observe_type(zero, VType::Int);
+        s.observe_type(arg0, VType::Ptr);
+        let mut dst = ExprPool::new();
+        dst.constant(7);
+        let t = s.translate_into(&src, &mut dst);
+        assert_eq!(t.types, vec![(dst.arg(0), VType::CharPtr), (dst.constant(0), VType::Int)]);
+        assert_eq!(t.types.capacity(), 2);
+    }
+
     #[test]
     fn calls_to_import_filters_by_name() {
         let mut s = FuncSummary::default();
         s.callsites.push(CallsiteInfo {
             ins_addr: 0x10,
             callee: CalleeRef::Import("recv".into()),
-            args: vec![],
+            args: ArgList::new(),
             ret: ExprId(0),
             path: 0,
         });
         s.callsites.push(CallsiteInfo {
             ins_addr: 0x20,
             callee: CalleeRef::Direct(0x8000),
-            args: vec![],
+            args: ArgList::new(),
             ret: ExprId(1),
             path: 0,
         });
@@ -366,7 +549,7 @@ mod tests {
                 s.callsites.push(CallsiteInfo {
                     ins_addr: s.addr + 8,
                     callee: CalleeRef::Indirect(near),
-                    args: vec![shared, sum],
+                    args: [shared, sum].into_iter().collect(),
                     ret,
                     path: 0,
                 });

@@ -6,9 +6,13 @@
 //! through the sibling `serde_derive` shim and supports what the
 //! workspace derives on: structs with named fields, enums with unit /
 //! newtype / struct variants, and the `#[serde(default)]` field
-//! attribute. The `serde_json` shim renders and parses [`Value`]s.
+//! attribute. The `serde_json` shim parses [`Value`]s and renders
+//! everything through one printer, [`JsonWriter`]: a type's
+//! [`Serialize::write_json`] writes it to the output directly, so
+//! structs, sequences and maps are printed without building their tree.
 
 use std::fmt;
+use std::io;
 
 pub use serde_derive::{Deserialize, Serialize};
 
@@ -72,10 +76,197 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// Types renderable to a [`Value`].
+/// Types renderable to a [`Value`], or straight to JSON text.
 pub trait Serialize {
     /// Renders `self` as a value tree.
     fn to_value(&self) -> Value;
+
+    /// Writes `self` as JSON, `depth` levels deep in the document. The
+    /// output is the same as printing [`Self::to_value`]; the default
+    /// does exactly that, and containers and derived structs override
+    /// it to write member by member without building the tree.
+    fn write_json(&self, w: &mut JsonWriter<'_>, depth: usize) {
+        w.value(&self.to_value(), depth);
+    }
+}
+
+/// The JSON printer: compact, or indented by a fixed width per level.
+///
+/// Writes go straight to the output. The first I/O error is kept and
+/// every later write is skipped; [`JsonWriter::finish`] returns it.
+pub struct JsonWriter<'a> {
+    out: &'a mut dyn io::Write,
+    indent: Option<usize>,
+    error: Option<io::Error>,
+}
+
+impl<'a> JsonWriter<'a> {
+    /// A printer into `out`; `indent` is the width of one level, or
+    /// `None` for compact output.
+    pub fn new(out: &'a mut dyn io::Write, indent: Option<usize>) -> Self {
+        JsonWriter { out, indent, error: None }
+    }
+
+    /// Ends printing.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first write error the output reported.
+    pub fn finish(self) -> io::Result<()> {
+        self.error.map_or(Ok(()), Err)
+    }
+
+    fn raw(&mut self, s: &str) {
+        if self.error.is_none() {
+            if let Err(e) = self.out.write_all(s.as_bytes()) {
+                self.error = Some(e);
+            }
+        }
+    }
+
+    fn fmt(&mut self, args: fmt::Arguments<'_>) {
+        if self.error.is_none() {
+            if let Err(e) = self.out.write_fmt(args) {
+                self.error = Some(e);
+            }
+        }
+    }
+
+    fn newline_indent(&mut self, depth: usize) {
+        const SPACES: &str = "                                                                ";
+        if let Some(width) = self.indent {
+            self.raw("\n");
+            let mut n = width * depth;
+            while n > 0 {
+                let run = n.min(SPACES.len());
+                self.raw(&SPACES[..run]);
+                n -= run;
+            }
+        }
+    }
+
+    /// `null`.
+    fn null(&mut self) {
+        self.raw("null");
+    }
+
+    /// `true` or `false`.
+    fn bool(&mut self, b: bool) {
+        self.raw(if b { "true" } else { "false" });
+    }
+
+    /// An integer.
+    fn int(&mut self, n: i64) {
+        self.fmt(format_args!("{n}"));
+    }
+
+    /// A float; `null` when it is not finite.
+    fn float(&mut self, f: f64) {
+        if f.is_finite() {
+            // `{:?}` keeps a trailing `.0` on integral floats, like
+            // upstream's ryu output.
+            self.fmt(format_args!("{f:?}"));
+        } else {
+            self.null();
+        }
+    }
+
+    /// A string, quoted and escaped.
+    fn str(&mut self, s: &str) {
+        self.raw("\"");
+        let mut run = 0;
+        // Every character that needs escaping is ASCII, so the runs
+        // between them end on character boundaries.
+        for (i, b) in s.bytes().enumerate() {
+            let escape = match b {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                b'\r' => "\\r",
+                b'\t' => "\\t",
+                0x08 => "\\b",
+                0x0c => "\\f",
+                0..=0x1f => "",
+                _ => continue,
+            };
+            self.raw(&s[run..i]);
+            if escape.is_empty() {
+                self.fmt(format_args!("\\u{b:04x}"));
+            } else {
+                self.raw(escape);
+            }
+            run = i + 1;
+        }
+        self.raw(&s[run..]);
+        self.raw("\"");
+    }
+
+    /// Opens member `index` of an object `depth` levels deep: the
+    /// opening brace or a comma, the line break, then the quoted key.
+    /// The member's value follows, written at `depth + 1`.
+    pub fn key(&mut self, index: usize, name: &str, depth: usize) {
+        self.raw(if index == 0 { "{" } else { "," });
+        self.newline_indent(depth + 1);
+        self.str(name);
+        self.raw(if self.indent.is_some() { ": " } else { ":" });
+    }
+
+    /// Closes an object of `members` members opened at `depth`.
+    pub fn end_object(&mut self, members: usize, depth: usize) {
+        if members == 0 {
+            self.raw("{}");
+        } else {
+            self.newline_indent(depth);
+            self.raw("}");
+        }
+    }
+
+    /// Opens element `index` of an array `depth` levels deep; the
+    /// element follows, written at `depth + 1`.
+    fn element(&mut self, index: usize, depth: usize) {
+        self.raw(if index == 0 { "[" } else { "," });
+        self.newline_indent(depth + 1);
+    }
+
+    /// Closes an array of `elements` elements opened at `depth`.
+    fn end_array(&mut self, elements: usize, depth: usize) {
+        if elements == 0 {
+            self.raw("[]");
+        } else {
+            self.newline_indent(depth);
+            self.raw("]");
+        }
+    }
+
+    /// An array of `items`.
+    fn seq<'i, T: Serialize + 'i>(&mut self, items: impl IntoIterator<Item = &'i T>, depth: usize) {
+        let mut n = 0;
+        for item in items {
+            self.element(n, depth);
+            item.write_json(self, depth + 1);
+            n += 1;
+        }
+        self.end_array(n, depth);
+    }
+
+    /// A value tree.
+    fn value(&mut self, v: &Value, depth: usize) {
+        match v {
+            Value::Null => self.null(),
+            Value::Bool(b) => self.bool(*b),
+            Value::Int(n) => self.int(*n),
+            Value::Float(f) => self.float(*f),
+            Value::Str(s) => self.str(s),
+            Value::Arr(items) => self.seq(items, depth),
+            Value::Obj(pairs) => {
+                for (i, (k, item)) in pairs.iter().enumerate() {
+                    self.key(i, k, depth);
+                    self.value(item, depth + 1);
+                }
+                self.end_object(pairs.len(), depth);
+            }
+        }
+    }
 }
 
 /// Types buildable from a [`Value`].
@@ -122,6 +313,10 @@ macro_rules! impl_serde_int {
             fn to_value(&self) -> Value {
                 Value::Int(*self as i64)
             }
+
+            fn write_json(&self, w: &mut JsonWriter<'_>, _depth: usize) {
+                w.int(*self as i64);
+            }
         }
         impl Deserialize for $t {
             fn from_value(v: &Value) -> Result<Self, Error> {
@@ -144,6 +339,10 @@ impl Serialize for bool {
     fn to_value(&self) -> Value {
         Value::Bool(*self)
     }
+
+    fn write_json(&self, w: &mut JsonWriter<'_>, _depth: usize) {
+        w.bool(*self);
+    }
 }
 
 impl Deserialize for bool {
@@ -158,6 +357,10 @@ impl Deserialize for bool {
 impl Serialize for f64 {
     fn to_value(&self) -> Value {
         Value::Float(*self)
+    }
+
+    fn write_json(&self, w: &mut JsonWriter<'_>, _depth: usize) {
+        w.float(*self);
     }
 }
 
@@ -187,6 +390,10 @@ impl Serialize for String {
     fn to_value(&self) -> Value {
         Value::Str(self.clone())
     }
+
+    fn write_json(&self, w: &mut JsonWriter<'_>, _depth: usize) {
+        w.str(self);
+    }
 }
 
 impl Deserialize for String {
@@ -202,11 +409,19 @@ impl Serialize for str {
     fn to_value(&self) -> Value {
         Value::Str(self.to_owned())
     }
+
+    fn write_json(&self, w: &mut JsonWriter<'_>, _depth: usize) {
+        w.str(self);
+    }
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
     fn to_value(&self) -> Value {
         Value::Arr(self.iter().map(Serialize::to_value).collect())
+    }
+
+    fn write_json(&self, w: &mut JsonWriter<'_>, depth: usize) {
+        w.seq(self, depth);
     }
 }
 
@@ -223,6 +438,10 @@ impl<T: Serialize> Serialize for [T] {
     fn to_value(&self) -> Value {
         Value::Arr(self.iter().map(Serialize::to_value).collect())
     }
+
+    fn write_json(&self, w: &mut JsonWriter<'_>, depth: usize) {
+        w.seq(self, depth);
+    }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
@@ -230,6 +449,13 @@ impl<T: Serialize> Serialize for Option<T> {
         match self {
             Some(t) => t.to_value(),
             None => Value::Null,
+        }
+    }
+
+    fn write_json(&self, w: &mut JsonWriter<'_>, depth: usize) {
+        match self {
+            Some(t) => t.write_json(w, depth),
+            None => w.null(),
         }
     }
 }
@@ -247,11 +473,23 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
     }
+
+    fn write_json(&self, w: &mut JsonWriter<'_>, depth: usize) {
+        (**self).write_json(w, depth);
+    }
 }
 
 impl<V: Serialize> Serialize for std::collections::BTreeMap<String, V> {
     fn to_value(&self) -> Value {
         Value::Obj(self.iter().map(|(k, v)| (k.clone(), v.to_value())).collect())
+    }
+
+    fn write_json(&self, w: &mut JsonWriter<'_>, depth: usize) {
+        for (i, (k, v)) in self.iter().enumerate() {
+            w.key(i, k, depth);
+            v.write_json(w, depth + 1);
+        }
+        w.end_object(self.len(), depth);
     }
 }
 
@@ -292,6 +530,10 @@ impl Deserialize for std::time::Duration {
 impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
+    }
+
+    fn write_json(&self, w: &mut JsonWriter<'_>, depth: usize) {
+        w.value(self, depth);
     }
 }
 

@@ -31,7 +31,8 @@ enum Shape {
     Enum { name: String, variants: Vec<Variant> },
 }
 
-/// Derives `serde::Serialize` (the shim's `to_value`).
+/// Derives `serde::Serialize` (the shim's `to_value`, plus a streaming
+/// `write_json` for structs).
 #[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let shape = parse_input(input);
@@ -220,19 +221,31 @@ fn count_tuple_fields(stream: TokenStream) -> usize {
 
 // ---------------------------------------------------------------- codegen
 
+/// `to_value` builds the object; `write_json` prints it member by
+/// member, each member's value through its own `write_json`.
 fn serialize_struct(name: &str, fields: &[Field]) -> String {
     let mut pairs = String::new();
-    for f in fields {
+    let mut members = String::new();
+    for (i, f) in fields.iter().enumerate() {
         let fname = &f.name;
         pairs.push_str(&format!(
             "(::std::string::String::from(\"{fname}\"), \
              ::serde::Serialize::to_value(&self.{fname})),\n"
         ));
+        members.push_str(&format!(
+            "__w.key({i}, \"{fname}\", __depth);\n\
+             ::serde::Serialize::write_json(&self.{fname}, __w, __depth + 1);\n"
+        ));
     }
+    let n = fields.len();
     format!(
         "impl ::serde::Serialize for {name} {{\n\
            fn to_value(&self) -> ::serde::Value {{\n\
              ::serde::Value::Obj(vec![\n{pairs}])\n\
+           }}\n\
+           fn write_json(&self, __w: &mut ::serde::JsonWriter<'_>, __depth: usize) {{\n\
+             {members}\
+             __w.end_object({n}, __depth);\n\
            }}\n\
          }}\n"
     )

@@ -1,14 +1,27 @@
 //! Offline stand-in for `serde_json`.
 //!
-//! Renders and parses the `serde` shim's [`Value`] tree as JSON. The
-//! pretty printer uses the upstream 2-space layout so golden files and
-//! snapshot-style assertions carry over.
+//! Parses JSON into the `serde` shim's [`Value`] tree, and renders any
+//! [`Serialize`] type through the shim's one printer,
+//! [`serde::JsonWriter`]. The pretty layout is upstream's 2-space one,
+//! so golden files and snapshot-style assertions carry over.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, JsonWriter, Serialize};
 pub use serde::{Error, Value};
+use std::io;
 
 /// `serde_json::Result`.
 pub type Result<T> = std::result::Result<T, Error>;
+
+/// Renders `value` into `out`, compact or indented by `indent`.
+fn render<T: Serialize + ?Sized>(
+    out: &mut dyn io::Write,
+    value: &T,
+    indent: Option<usize>,
+) -> Result<()> {
+    let mut w = JsonWriter::new(out, indent);
+    value.write_json(&mut w, 0);
+    w.finish().map_err(Error::msg)
+}
 
 /// Renders `value` as compact JSON.
 ///
@@ -16,9 +29,7 @@ pub type Result<T> = std::result::Result<T, Error>;
 ///
 /// Infallible for this shim's value model; kept fallible for API parity.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String> {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_value(), None, 0);
-    Ok(out)
+    String::from_utf8(to_vec(value)?).map_err(Error::msg)
 }
 
 /// Renders `value` as 2-space-indented JSON.
@@ -27,9 +38,9 @@ pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String> {
 ///
 /// Infallible for this shim's value model; kept fallible for API parity.
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String> {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_value(), Some(2), 0);
-    Ok(out)
+    let mut out = Vec::new();
+    render(&mut out, value, Some(2))?;
+    String::from_utf8(out).map_err(Error::msg)
 }
 
 /// Renders `value` as compact JSON bytes.
@@ -38,7 +49,23 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String> {
 ///
 /// Infallible for this shim's value model; kept fallible for API parity.
 pub fn to_vec<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>> {
-    to_string(value).map(String::into_bytes)
+    let mut out = Vec::new();
+    render(&mut out, value, None)?;
+    Ok(out)
+}
+
+/// Writes `value` as 2-space-indented JSON to `writer`, as it is
+/// rendered: structs, sequences and maps never exist as a whole tree
+/// or a whole string.
+///
+/// # Errors
+///
+/// Returns the first error `writer` reports.
+pub fn to_writer_pretty<W: io::Write, T: Serialize + ?Sized>(
+    mut writer: W,
+    value: &T,
+) -> Result<()> {
+    render(&mut writer, value, Some(2))
 }
 
 /// Parses a `T` out of JSON text.
@@ -59,90 +86,6 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T> {
 pub fn from_slice<T: Deserialize>(bytes: &[u8]) -> Result<T> {
     let s = std::str::from_utf8(bytes).map_err(|e| Error(format!("invalid UTF-8: {e}")))?;
     from_str(s)
-}
-
-// --------------------------------------------------------------- printing
-
-fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(n) => out.push_str(&n.to_string()),
-        Value::Float(f) => {
-            if f.is_finite() {
-                // `{:?}` keeps a trailing `.0` on integral floats, like
-                // upstream's ryu output.
-                out.push_str(&format!("{f:?}"));
-            } else {
-                out.push_str("null");
-            }
-        }
-        Value::Str(s) => write_escaped(out, s),
-        Value::Arr(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, depth + 1);
-                write_value(out, item, indent, depth + 1);
-            }
-            newline_indent(out, indent, depth);
-            out.push(']');
-        }
-        Value::Obj(pairs) => {
-            if pairs.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push('{');
-            for (i, (k, item)) in pairs.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, depth + 1);
-                write_escaped(out, k);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(out, item, indent, depth + 1);
-            }
-            newline_indent(out, indent, depth);
-            out.push('}');
-        }
-    }
-}
-
-fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
-    if let Some(width) = indent {
-        out.push('\n');
-        for _ in 0..width * depth {
-            out.push(' ');
-        }
-    }
-}
-
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{8}' => out.push_str("\\b"),
-            '\u{c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 // ---------------------------------------------------------------- parsing
@@ -367,6 +310,240 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
+    use std::time::Duration;
+
+    /// The tree printer `to_string` and `to_string_pretty` used before
+    /// the streaming one: the reference the printer must match byte for
+    /// byte.
+    mod reference {
+        use super::Value;
+
+        pub fn render(v: &Value, indent: Option<usize>) -> String {
+            let mut out = String::new();
+            write_value(&mut out, v, indent, 0);
+            out
+        }
+
+        fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize) {
+            match v {
+                Value::Null => out.push_str("null"),
+                Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+                Value::Int(n) => out.push_str(&n.to_string()),
+                Value::Float(f) => {
+                    if f.is_finite() {
+                        out.push_str(&format!("{f:?}"));
+                    } else {
+                        out.push_str("null");
+                    }
+                }
+                Value::Str(s) => write_escaped(out, s),
+                Value::Arr(items) => {
+                    if items.is_empty() {
+                        out.push_str("[]");
+                        return;
+                    }
+                    out.push('[');
+                    for (i, item) in items.iter().enumerate() {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        newline_indent(out, indent, depth + 1);
+                        write_value(out, item, indent, depth + 1);
+                    }
+                    newline_indent(out, indent, depth);
+                    out.push(']');
+                }
+                Value::Obj(pairs) => {
+                    if pairs.is_empty() {
+                        out.push_str("{}");
+                        return;
+                    }
+                    out.push('{');
+                    for (i, (k, item)) in pairs.iter().enumerate() {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        newline_indent(out, indent, depth + 1);
+                        write_escaped(out, k);
+                        out.push(':');
+                        if indent.is_some() {
+                            out.push(' ');
+                        }
+                        write_value(out, item, indent, depth + 1);
+                    }
+                    newline_indent(out, indent, depth);
+                    out.push('}');
+                }
+            }
+        }
+
+        fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
+            if let Some(width) = indent {
+                out.push('\n');
+                for _ in 0..width * depth {
+                    out.push(' ');
+                }
+            }
+        }
+
+        fn write_escaped(out: &mut String, s: &str) {
+            out.push('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    '\u{8}' => out.push_str("\\b"),
+                    '\u{c}' => out.push_str("\\f"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+        }
+    }
+
+    #[derive(Serialize)]
+    struct Empty {}
+
+    #[derive(Serialize)]
+    struct Leaf {
+        name: String,
+        label: &'static str,
+        n: u64,
+        neg: i32,
+        ratio: f64,
+        small: f32,
+        flag: bool,
+        maybe: Option<u32>,
+        list: Vec<i64>,
+        none_yet: Vec<u8>,
+        counts: BTreeMap<String, u32>,
+        no_counts: BTreeMap<String, u32>,
+        took: Duration,
+        raw: Value,
+    }
+
+    #[derive(Serialize)]
+    enum Kind {
+        Unit,
+        Newtype(u32),
+        Tuple(u8, String, Option<bool>),
+        Struct { leaves: Vec<Leaf>, note: Option<String> },
+    }
+
+    #[derive(Serialize)]
+    struct Doc {
+        empty: Empty,
+        leaves: Vec<Leaf>,
+        kinds: Vec<Kind>,
+        absent: Option<Leaf>,
+        present: Option<Leaf>,
+        nested: Vec<Vec<Kind>>,
+        floats: Vec<f64>,
+        tree: BTreeMap<String, Vec<Option<Kind>>>,
+    }
+
+    fn leaf(k: u32) -> Leaf {
+        let control: String = (0u8..0x20).map(char::from).collect();
+        Leaf {
+            name: format!("q\"uote\\back\nnl\r\t\u{8}\u{c}{control}\u{7f}é€😀/{k}"),
+            label: "plain",
+            n: u64::MAX - u64::from(k),
+            neg: -(k as i32) - 1,
+            ratio: f64::from(k) / 3.0,
+            small: 0.1,
+            flag: k.is_multiple_of(2),
+            maybe: (!k.is_multiple_of(2)).then_some(k),
+            list: vec![i64::MIN, 0, i64::MAX],
+            none_yet: vec![],
+            counts: (0..k).map(|i| (format!("key\t{i}"), i)).collect(),
+            no_counts: BTreeMap::new(),
+            took: Duration::new(u64::from(k), 999_999_999),
+            raw: Value::Obj(vec![
+                ("arr".into(), Value::Arr(vec![Value::Null, Value::Float(1e300), Value::Int(-1)])),
+                ("obj".into(), Value::Obj(vec![])),
+                ("nan".into(), Value::Float(f64::NAN)),
+            ]),
+        }
+    }
+
+    fn doc() -> Doc {
+        Doc {
+            empty: Empty {},
+            leaves: (0..3).map(leaf).collect(),
+            kinds: vec![
+                Kind::Unit,
+                Kind::Newtype(7),
+                Kind::Tuple(1, "t\u{0}".into(), None),
+                Kind::Struct { leaves: vec![leaf(4)], note: Some("n".into()) },
+                Kind::Struct { leaves: vec![], note: None },
+            ],
+            absent: None,
+            present: Some(leaf(5)),
+            nested: vec![vec![], vec![Kind::Unit, Kind::Tuple(0, String::new(), Some(true))]],
+            floats: vec![0.0, -0.0, 1.0, 2.5e-8, f64::NAN, f64::INFINITY, f64::NEG_INFINITY],
+            tree: [("a".to_owned(), vec![None, Some(Kind::Newtype(1))]), ("b".into(), vec![])]
+                .into_iter()
+                .collect(),
+        }
+    }
+
+    /// Renders through the streaming printer in every way the crate
+    /// offers, and through the reference over the value tree.
+    fn assert_prints_like_the_tree<T: Serialize + ?Sized>(value: &T) {
+        let tree = value.to_value();
+        let (compact, pretty) = (reference::render(&tree, None), reference::render(&tree, Some(2)));
+        assert_eq!(to_string(value).unwrap(), compact);
+        assert_eq!(to_vec(value).unwrap(), compact.as_bytes());
+        assert_eq!(to_string_pretty(value).unwrap(), pretty);
+        let mut streamed = Vec::new();
+        to_writer_pretty(&mut streamed, value).unwrap();
+        assert_eq!(streamed, pretty.as_bytes());
+        // The tree itself prints the same way.
+        assert_eq!(to_string(&tree).unwrap(), compact);
+        assert_eq!(to_string_pretty(&tree).unwrap(), pretty);
+    }
+
+    #[test]
+    fn the_streaming_printer_matches_the_tree_printer_byte_for_byte() {
+        assert_prints_like_the_tree(&doc());
+        assert_prints_like_the_tree(&Empty {});
+        assert_prints_like_the_tree(&leaf(0));
+        assert_prints_like_the_tree(&Vec::<Leaf>::new());
+        assert_prints_like_the_tree(&BTreeMap::<String, u8>::new());
+        assert_prints_like_the_tree(&None::<Leaf>);
+        assert_prints_like_the_tree(&f64::NAN);
+        assert_prints_like_the_tree(&Duration::from_millis(1500));
+        assert_prints_like_the_tree(&[Kind::Unit, Kind::Newtype(2)][..]);
+        assert_prints_like_the_tree("\u{1f}\"");
+        assert_prints_like_the_tree(&&leaf(1));
+    }
+
+    /// The first write error ends the rendering and is returned.
+    #[test]
+    fn to_writer_pretty_reports_the_first_write_error() {
+        struct Full(usize);
+        impl io::Write for Full {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                if self.0 == 0 {
+                    return Err(io::Error::new(io::ErrorKind::WriteZero, "full"));
+                }
+                let n = buf.len().min(self.0);
+                self.0 -= n;
+                Ok(n)
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let err = to_writer_pretty(Full(100), &doc()).unwrap_err();
+        assert_eq!(err.to_string(), "full");
+        assert!(to_writer_pretty(Full(1 << 20), &doc()).is_ok());
+    }
 
     #[test]
     fn roundtrip_nested() {
