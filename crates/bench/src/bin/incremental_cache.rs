@@ -16,14 +16,15 @@
 //! ```
 //!
 //! `DTAINT_REPS` (default 3) sets the repetitions; the best (minimum)
-//! wall time of each pass is reported.
+//! wall time of each pass is reported. A pass's wall time is the sum of
+//! its scans' `scan` root spans ([`dtaint_bench::traced_scan`], one
+//! thread).
 
-use dtaint_bench::render_table;
-use dtaint_core::{CacheRef, Dtaint, DtaintConfig, SummaryCache};
+use dtaint_bench::{render_table, traced_scan};
+use dtaint_core::{AnalysisReport, CacheRef, DtaintConfig, SummaryCache};
 use dtaint_fwgen::{build_firmware, build_version_pair, table2_profiles, GeneratedFirmware};
 use serde_json::Value;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Corpus profiles (Table II indices) with the function count capped so
 /// the bench finishes in seconds; the edit lands in the last image.
@@ -32,14 +33,19 @@ const CAP: usize = 400;
 const EDIT_SEED: u64 = 11;
 const EDITS: usize = 1;
 
-fn scan(fw: &GeneratedFirmware, label: &str, cache: Option<&Arc<SummaryCache>>) -> Duration {
+/// One scan of `fw`, returning its report and its `scan` span in
+/// seconds.
+fn scan(
+    fw: &GeneratedFirmware,
+    label: &str,
+    cache: Option<&Arc<SummaryCache>>,
+) -> (AnalysisReport, f64) {
     let config = DtaintConfig {
         cache: cache.map(|c| CacheRef::new(c.clone(), label)),
         ..Default::default()
     };
-    let start = Instant::now();
-    Dtaint::with_config(config).analyze(&fw.binary, label).expect("scan succeeds");
-    start.elapsed()
+    let (report, spans) = traced_scan(&fw.binary, label, config);
+    (report, spans.secs("scan"))
 }
 
 fn main() {
@@ -73,36 +79,27 @@ fn main() {
     let reference: Vec<_> = updated
         .iter()
         .enumerate()
-        .map(|(i, fw)| {
-            let config = DtaintConfig::default();
-            Dtaint::with_config(config)
-                .analyze(&fw.binary, &format!("img{i}"))
-                .expect("reference scan succeeds")
-                .with_zeroed_wall_clock()
-        })
+        .map(|(i, fw)| scan(fw, &format!("img{i}"), None).0.with_zeroed_wall_clock())
         .collect();
 
-    let mut cold_best = Duration::MAX;
-    let mut warm_best = Duration::MAX;
+    let mut cold_best = f64::MAX;
+    let mut warm_best = f64::MAX;
     let mut hits = 0u64;
     let mut misses = 0u64;
     for _ in 0..reps {
         let cache = Arc::new(SummaryCache::new());
         // Cold pass: populate the cache from the base corpus.
-        let cold: Duration =
-            base.iter().enumerate().map(|(i, fw)| scan(fw, &format!("img{i}"), Some(&cache))).sum();
+        let cold: f64 = base
+            .iter()
+            .enumerate()
+            .map(|(i, fw)| scan(fw, &format!("img{i}"), Some(&cache)).1)
+            .sum();
         cold_best = cold_best.min(cold);
         // Warm pass: re-scan with one image updated.
-        let mut warm = Duration::ZERO;
+        let mut warm = 0.0;
         for (i, fw) in updated.iter().enumerate() {
-            let label = format!("img{i}");
-            let config = DtaintConfig {
-                cache: Some(CacheRef::new(cache.clone(), &label)),
-                ..Default::default()
-            };
-            let start = Instant::now();
-            let report = Dtaint::with_config(config).analyze(&fw.binary, &label).expect("scan");
-            warm += start.elapsed();
+            let (report, secs) = scan(fw, &format!("img{i}"), Some(&cache));
+            warm += secs;
             assert_eq!(
                 report.with_zeroed_wall_clock(),
                 reference[i],
@@ -120,11 +117,11 @@ fn main() {
         }
     }
 
-    let speedup = cold_best.as_secs_f64() / warm_best.as_secs_f64().max(1e-9);
+    let speedup = cold_best / warm_best.max(1e-9);
     let hit_rate = hits as f64 / (hits + misses).max(1) as f64;
     let rows = vec![
-        vec!["cold (populate)".into(), format!("{:.1}", cold_best.as_secs_f64() * 1e3)],
-        vec!["warm (1 fn edited)".into(), format!("{:.1}", warm_best.as_secs_f64() * 1e3)],
+        vec!["cold (populate)".into(), format!("{:.1}", cold_best * 1e3)],
+        vec!["warm (1 fn edited)".into(), format!("{:.1}", warm_best * 1e3)],
         vec!["speedup".into(), format!("{speedup:.2}x")],
         vec!["warm hit rate".into(), format!("{:.1}%", hit_rate * 100.0)],
     ];
@@ -138,8 +135,8 @@ fn main() {
         ("functions".into(), Value::Int(total_functions as i64)),
         ("changed_functions".into(), Value::Int(pair.changed.len() as i64)),
         ("reps".into(), Value::Int(reps as i64)),
-        ("cold_ms".into(), Value::Float(cold_best.as_secs_f64() * 1e3)),
-        ("warm_ms".into(), Value::Float(warm_best.as_secs_f64() * 1e3)),
+        ("cold_ms".into(), Value::Float(cold_best * 1e3)),
+        ("warm_ms".into(), Value::Float(warm_best * 1e3)),
         ("speedup".into(), Value::Float(speedup)),
         ("warm_hit_rate".into(), Value::Float(hit_rate)),
         ("identical_findings".into(), Value::Bool(true)),

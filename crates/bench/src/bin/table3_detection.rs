@@ -28,7 +28,7 @@ fn main() {
             format!("{} {}", profile.manufacturer, profile.firmware_version),
             report.functions.to_string(),
             report.sinks_count.to_string(),
-            format!("{:.2}", report.stage("scan").as_secs_f64() / 60.0),
+            format!("{:.3}", report.stage("scan").as_secs_f64()),
             report.vulnerable_paths().len().to_string(),
             report.vulnerabilities().to_string(),
             format!("{expected} planted"),
@@ -41,7 +41,7 @@ fn main() {
                 "Firmware",
                 "Analysis functions",
                 "Sinks count",
-                "Time (minutes)",
+                "Time (seconds)",
                 "Vulnerable paths",
                 "Vulnerability",
                 "Ground truth"

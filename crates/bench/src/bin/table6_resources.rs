@@ -2,21 +2,19 @@
 //! peak memory and CPU time of the static-symbolic-analysis module vs
 //! the data-flow-generation module.
 //!
-//! Memory is tracked with a counting global allocator (peak live bytes
-//! per stage); CPU usage is reported as stage time over wall time —
-//! the pipeline is run single-threaded here so the split is exact.
+//! Every figure is read from the spans of one `dtaint scan`-equivalent
+//! run ([`dtaint_bench::traced_scan`], one thread): time from the `ssa`
+//! and `ddg` stage spans, CPU share as that time over the `scan` root
+//! span, and peak memory from each span's `peak_bytes` (the counting
+//! allocator is installed below).
 //!
 //! ```sh
 //! cargo run --release -p dtaint-bench --bin table6_resources
 //! ```
 
-use dtaint_bench::{human_bytes, render_table, scaled, CountingAlloc};
-use dtaint_cfg::{build_all_cfgs, CallGraph};
-use dtaint_dataflow::{build_dataflow, DataflowConfig};
+use dtaint_bench::{human_bytes, render_table, scaled, traced_scan, CountingAlloc};
+use dtaint_core::DtaintConfig;
 use dtaint_fwgen::{build_firmware, table2_profiles};
-use dtaint_symex::{analyze_function, ExprPool, SymexConfig};
-use dtaint_telemetry::heap;
-use std::time::Instant;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -32,47 +30,29 @@ fn main() {
         dtaint_bench::scale()
     );
     let fw = build_firmware(&profile);
-    let cfgs = build_all_cfgs(&fw.binary).expect("lifts");
-    let mut cg = CallGraph::build(&fw.binary, &cfgs);
-    let wall = Instant::now();
-
-    // Stage 1: static symbolic analysis.
-    heap::reset_peak();
-    let t = Instant::now();
-    let mut pool = ExprPool::new();
-    let summaries: Vec<_> = cfgs
-        .iter()
-        .map(|c| analyze_function(&fw.binary, c, &mut pool, &SymexConfig::default()))
-        .collect();
-    let ssa_time = t.elapsed();
-    let ssa_peak = heap::peak();
-
-    // Stage 2: data-flow generation.
-    heap::reset_peak();
-    let t = Instant::now();
-    let df = build_dataflow(&fw.binary, &mut cg, summaries, pool, &DataflowConfig::default());
-    let ddg_time = t.elapsed();
-    let ddg_peak = heap::peak();
-    let wall = wall.elapsed();
-
-    let rows = vec![
-        vec![
-            "Static symbolic analysis".to_owned(),
-            format!("{:.0}%", 100.0 * ssa_time.as_secs_f64() / wall.as_secs_f64()),
-            human_bytes(ssa_peak),
-            format!("{ssa_time:.2?}"),
-        ],
-        vec![
-            "Data flow generation".to_owned(),
-            format!("{:.0}%", 100.0 * ddg_time.as_secs_f64() / wall.as_secs_f64()),
-            human_bytes(ddg_peak),
-            format!("{ddg_time:.2?}"),
-        ],
-    ];
+    let (report, spans) = traced_scan(&fw.binary, profile.binary_name, DtaintConfig::default());
+    let wall = spans.secs("scan");
+    let rows = [("Static symbolic analysis", "ssa"), ("Data flow generation", "ddg")]
+        .map(|(module, span)| {
+            vec![
+                module.to_owned(),
+                format!("{:.0}%", 100.0 * spans.secs(span) / wall),
+                human_bytes(spans.get(span).args["peak_bytes"] as usize),
+                format!("{:.2}ms", spans.secs(span) * 1e3),
+            ]
+        })
+        .to_vec();
     println!();
     print!("{}", render_table(&["Module", "CPU share", "Peak memory", "Time"], &rows));
     println!();
-    println!("sinks observed: {}", df.finals.values().map(|f| f.sinks.len()).sum::<usize>());
+    println!(
+        "scan: {:.2}ms over {} functions, {} sink call sites",
+        wall * 1e3,
+        report.functions,
+        report.sinks_count
+    );
+    println!("SSA is the fused lift + symex pass; DDG includes the taint judgement run");
+    println!("inside propagation. Peak memory is the live heap, loaded image included.");
     println!();
     println!("paper reference: SSA 25% CPU / 15.3GB; DDG 10% CPU / 208.9MB —");
     println!("the shape to reproduce: SSA dominates both CPU and memory.");

@@ -2,25 +2,26 @@
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the
 //! paper; this library provides the common pieces: profile scaling,
-//! analysis wrappers, table rendering, and (re-exported from the
-//! telemetry crate) the counting allocator for the Table VI memory
-//! measurements.
+//! analysis wrappers, the scan's own spans as the harnesses' clock,
+//! table rendering, and (re-exported from the telemetry crate) the
+//! counting allocator for the Table VI memory measurements.
 //!
 //! Set `DTAINT_SCALE` (default `1.0`) to shrink or grow the generated
 //! firmware sizes, e.g. `DTAINT_SCALE=0.1 cargo run --bin
 //! table3_detection` for a quick pass.
 
 use dtaint_core::{AnalysisReport, Dtaint, DtaintConfig};
+use dtaint_fwbin::Binary;
 use dtaint_fwgen::{build_firmware, FirmwareProfile, GeneratedFirmware};
+use dtaint_telemetry::{Collector, SpanEvent};
 
 pub mod alias_recall;
 pub mod weak_bounds;
 
 /// The counting global allocator for the Table VI memory column, from
-/// the telemetry crate: install it with `#[global_allocator]` in the
-/// harness binary, then bracket the measured stage with
-/// [`dtaint_telemetry::heap::reset_peak`] and
-/// [`dtaint_telemetry::heap::peak`].
+/// the telemetry crate: once a harness binary installs it with
+/// `#[global_allocator]`, every span of [`ScanSpans`] carries
+/// `peak_bytes` and `live_bytes` args.
 pub use dtaint_telemetry::CountingAlloc;
 
 /// The scale factor applied to profile function counts (`DTAINT_SCALE`).
@@ -50,6 +51,36 @@ pub fn analyze_profile(profile: &FirmwareProfile) -> (GeneratedFirmware, Analysi
         .analyze(&fw.binary, profile.binary_name)
         .expect("generated binary analyzes");
     (fw, report)
+}
+
+/// The lane-0 spans of one scan: the `scan` root and its stages, the
+/// same spans [`AnalysisReport::stage_us`] reads.
+pub struct ScanSpans(Vec<SpanEvent>);
+
+impl ScanSpans {
+    /// The span named as in [`AnalysisReport::stage_us`] (`scan` for the
+    /// root). Panics when the scan recorded no such span.
+    pub fn get(&self, name: &str) -> &SpanEvent {
+        self.0
+            .iter()
+            .find(|e| if e.cat == "scan" { name == "scan" } else { e.name == name })
+            .unwrap_or_else(|| panic!("no `{name}` span"))
+    }
+
+    /// The named span's duration in seconds.
+    pub fn secs(&self, name: &str) -> f64 {
+        self.get(name).dur_us as f64 / 1e6
+    }
+}
+
+/// Scans `bin` as `dtaint scan` does, through [`Dtaint::analyze_traced`],
+/// at one thread so each stage span times that stage's work alone, and
+/// returns the report with the scan's lane-0 spans.
+pub fn traced_scan(bin: &Binary, name: &str, config: DtaintConfig) -> (AnalysisReport, ScanSpans) {
+    let config = DtaintConfig { threads: 1, ..config };
+    let mut tel = Collector::disabled();
+    let report = Dtaint::with_config(config).analyze_traced(bin, name, &mut tel).expect("scan");
+    (report, ScanSpans(tel.events().to_vec()))
 }
 
 /// Renders an ASCII table with a header row.

@@ -142,11 +142,10 @@ pub(crate) fn why(args: &Args, out: &mut dyn Write) -> Result<i32, String> {
             let t = r.sink_coverage.totals();
             emit!(
                 out,
-                "  coverage: {} sink site(s) — {} reported, {} sanitized, {} infeasible, {} unreached\n",
+                "  coverage: {} sink site(s) — {} reported, {} sanitized, {} unreached\n",
                 t.sites,
                 t.reported,
                 t.sanitized,
-                t.infeasible,
                 t.unreached,
             )?;
         }

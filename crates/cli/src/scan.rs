@@ -3,7 +3,7 @@
 use crate::{analysis_config, export, export_with, load_binaries, Args};
 use dtaint_core::{AnalysisReport, BoundsMode, Dtaint};
 use dtaint_emu::{poison_all_rodata_names, validate as emu_validate, AttackConfig};
-use dtaint_telemetry::{export_chrome, export_jsonl, log, Collector};
+use dtaint_telemetry::{export_chrome, export_jsonl, log, Collector, SpanEvent};
 use std::io::{BufWriter, Write};
 
 pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<i32, String> {
@@ -38,6 +38,7 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<i32, String> {
         log::debug(&format!("scanning {name}"));
         let interns_before =
             [tel.metrics.counter("pool.interns"), tel.metrics.counter("pool.intern_cache_hits")];
+        let spans_before = tel.events().len();
         let report = analyzer.analyze_traced(&bin, &name, &mut tel).map_err(|e| e.to_string())?;
         if args.flag("--json") {
             // Streamed as it is printed: the report never exists as a
@@ -104,7 +105,7 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<i32, String> {
         if profile {
             let interns = tel.metrics.counter("pool.interns") - interns_before[0];
             let hits = tel.metrics.counter("pool.intern_cache_hits") - interns_before[1];
-            write_profile(out, &report, interns, hits)?;
+            write_profile(out, &report, &tel.events()[spans_before..], interns, hits)?;
         }
         // Stage wall-clock as gauges, for `--metrics-out`: one
         // `stage.<span>_us` per lane-0 span (`stage.scan_us` for the
@@ -171,10 +172,13 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<i32, String> {
 /// cost percentiles, and the hotspot table. Every duration-derived token
 /// is prefixed `~` — strip those and the output is bit-identical across
 /// thread counts, because everything else comes from logical counters.
-/// `interns` and `cache_hits` are this binary's expression-pool counts.
+/// `spans` are the spans this binary's scan recorded, whose `symex_fn`
+/// and `ddg_fn` durations the hotspot rows show; `interns` and
+/// `cache_hits` are its expression-pool counts.
 fn write_profile(
     out: &mut dyn Write,
     report: &AnalysisReport,
+    spans: &[SpanEvent],
     interns: u64,
     cache_hits: u64,
 ) -> Result<(), String> {
@@ -225,6 +229,12 @@ fn write_profile(
         m.counter("ddg.layouts_inferred"),
         report.resolved_indirect
     )?;
+    let span_us = |cat: &str, addr: u32| {
+        spans
+            .iter()
+            .find(|e| e.cat == cat && e.args.get("addr") == Some(&u64::from(addr)))
+            .map_or(0, |e| e.dur_us)
+    };
     let hot = report.telemetry.hotspots(5);
     if !hot.is_empty() {
         emit!(out, "     hotspots (by logical work):\n")?;
@@ -239,8 +249,8 @@ fn write_profile(
                 f.alias_rewrites,
                 f.ddg_fuel,
                 f.sinks,
-                f.symex_us,
-                f.ddg_us
+                span_us("symex_fn", f.addr),
+                span_us("ddg_fn", f.addr)
             )?;
         }
     }

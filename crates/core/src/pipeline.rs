@@ -149,8 +149,8 @@ impl Dtaint {
         tel: &mut Collector,
     ) -> dtaint_fwbin::Result<AnalysisReport> {
         let scan_t0 = tel.start();
-        // Only events this scan appends matter for the per-function
-        // duration lookup below (one collector may span many binaries).
+        // Only spans this scan records make up its report's wall clock
+        // (one collector may span many binaries).
         let watermark = tel.events().len();
         if let Some(cref) = &self.config.cache {
             cref.cache.begin_scan(&cref.scan);
@@ -390,24 +390,6 @@ impl Dtaint {
             })
             .count();
 
-        // Per-function wall-clock, looked up from the worker-lane spans
-        // this scan recorded (empty maps when the collector is disabled).
-        // These feed only the `*_us` display fields of `FnCost`.
-        let mut symex_us: HashMap<u32, u64> = HashMap::new();
-        let mut ddg_us: HashMap<u32, u64> = HashMap::new();
-        for ev in &tel.events()[watermark..] {
-            if let Some(&addr) = ev.args.get("addr") {
-                match ev.cat.as_str() {
-                    "symex_fn" => {
-                        symex_us.insert(addr as u32, ev.dur_us);
-                    }
-                    "ddg_fn" => {
-                        ddg_us.insert(addr as u32, ev.dur_us);
-                    }
-                    _ => {}
-                }
-            }
-        }
         let fn_costs: Vec<FnCost> = df
             .functions
             .iter()
@@ -419,8 +401,6 @@ impl Dtaint {
                 alias_rewrites: u64::from(f.alias_rewrites),
                 ddg_fuel: f.fuel_used,
                 sinks: u64::from(f.sinks),
-                symex_us: symex_us.get(&addr).copied().unwrap_or(0),
-                ddg_us: ddg_us.get(&addr).copied().unwrap_or(0),
             })
             .collect();
 
@@ -471,7 +451,6 @@ impl Dtaint {
             metrics.set_gauge(&format!("coverage.{}.sites", row.sink), row.sites as u64);
             metrics.set_gauge(&format!("coverage.{}.reported", row.sink), row.reported as u64);
             metrics.set_gauge(&format!("coverage.{}.sanitized", row.sink), row.sanitized as u64);
-            metrics.set_gauge(&format!("coverage.{}.infeasible", row.sink), row.infeasible as u64);
             metrics.set_gauge(&format!("coverage.{}.unreached", row.sink), row.unreached as u64);
         }
         tel.metrics.merge(&metrics);

@@ -231,10 +231,9 @@ pub struct FunctionRecord {
 }
 
 /// Logical cost profile of one function, aggregated across pipeline
-/// stages. Every field except the `*_us` durations is a deterministic
-/// work counter — bit-identical across thread counts — and only those
-/// logical fields ever feed reports or comparisons. The durations exist
-/// for trace export and `--profile` display only.
+/// stages. Every field is a deterministic work counter — bit-identical
+/// across thread counts. A function's wall clock lives only in its
+/// `symex_fn`/`ddg_fn` spans.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FnCost {
     /// Function entry address.
@@ -252,14 +251,6 @@ pub struct FnCost {
     pub ddg_fuel: u64,
     /// Sink observations visible from this function.
     pub sinks: u64,
-    /// Wall-clock spent in symex for this function, in microseconds.
-    /// Never deterministic; excluded from all logical comparisons.
-    #[serde(default)]
-    pub symex_us: u64,
-    /// Wall-clock spent propagating this function, in microseconds.
-    /// Never deterministic; excluded from all logical comparisons.
-    #[serde(default)]
-    pub ddg_us: u64,
 }
 
 impl FnCost {
@@ -300,11 +291,13 @@ impl TelemetrySection {
 ///
 /// Counts are distinct sink *sites* (instruction addresses), each
 /// classified by the best judgement any observing function reached
-/// (reported outranks sanitized outranks infeasible outranks
-/// unreached). Invariants, checked by the CI audit smoke:
+/// (reported outranks sanitized outranks unreached). Infeasible
+/// observations never reach the detector: the DDG drops them and counts
+/// them only in [`SinkCoverage::ddg_pruned`]. Invariants, checked by
+/// `tests/audit.rs`:
 ///
-/// * `sites == reported + sanitized + infeasible + unreached`
-/// * `reached() == reported + sanitized + infeasible`
+/// * `sites == reported + sanitized + unreached`
+/// * `reached() == reported + sanitized`
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SinkCoverageRow {
     /// Sink kind name (`memcpy`, `system`, `loop-copy`, …).
@@ -315,11 +308,6 @@ pub struct SinkCoverageRow {
     pub reported: usize,
     /// Sites whose best outcome was a sanitize-suppressed finding.
     pub sanitized: usize,
-    /// Sites whose every tainted observation was judged infeasible. A
-    /// pipeline scan drops infeasible observations during DDG
-    /// propagation, before the detector sees them — they count only in
-    /// [`SinkCoverage::ddg_pruned`] — so this is 0 there.
-    pub infeasible: usize,
     /// Sites no tainted data reached.
     pub unreached: usize,
 }
@@ -327,7 +315,7 @@ pub struct SinkCoverageRow {
 impl SinkCoverageRow {
     /// Sites tainted data reached (regardless of the final verdict).
     pub fn reached(&self) -> usize {
-        self.reported + self.sanitized + self.infeasible
+        self.reported + self.sanitized
     }
 }
 
@@ -358,7 +346,6 @@ impl SinkCoverage {
             t.sites += r.sites;
             t.reported += r.reported;
             t.sanitized += r.sanitized;
-            t.infeasible += r.infeasible;
             t.unreached += r.unreached;
         }
         t
@@ -442,9 +429,8 @@ impl AnalysisReport {
         self.findings.iter().filter(|f| !f.sanitized()).collect()
     }
 
-    /// The report with every wall-clock field zeroed: `stage_us` cleared
-    /// and the per-function `symex_us`/`ddg_us` display costs zeroed.
-    /// Everything left is a deterministic logical quantity, so two
+    /// The report with its wall clock, `stage_us`, cleared. Everything
+    /// left is a deterministic logical quantity, so two
     /// reports of the same image compare equal under `==` regardless of
     /// machine load, thread count, or whether an incremental cache served
     /// the scan — the comparison the differential cold-vs-warm harness
@@ -452,10 +438,6 @@ impl AnalysisReport {
     #[must_use]
     pub fn with_zeroed_wall_clock(mut self) -> AnalysisReport {
         self.stage_us.clear();
-        for f in &mut self.telemetry.functions {
-            f.symex_us = 0;
-            f.ddg_us = 0;
-        }
         self
     }
 
@@ -623,33 +605,28 @@ impl AnalysisReport {
         }
         if !self.sink_coverage.is_empty() {
             let _ = writeln!(md, "\n## Sink coverage\n");
-            let _ = writeln!(
-                md,
-                "| sink | sites | reached | reported | sanitized | infeasible | unreached |"
-            );
-            let _ = writeln!(md, "|---|---|---|---|---|---|---|");
+            let _ = writeln!(md, "| sink | sites | reached | reported | sanitized | unreached |");
+            let _ = writeln!(md, "|---|---|---|---|---|---|");
             for r in &self.sink_coverage.rows {
                 let _ = writeln!(
                     md,
-                    "| `{}` | {} | {} | {} | {} | {} | {} |",
+                    "| `{}` | {} | {} | {} | {} | {} |",
                     r.sink,
                     r.sites,
                     r.reached(),
                     r.reported,
                     r.sanitized,
-                    r.infeasible,
                     r.unreached
                 );
             }
             let t = self.sink_coverage.totals();
             let _ = writeln!(
                 md,
-                "| **total** | **{}** | **{}** | **{}** | **{}** | **{}** | **{}** |",
+                "| **total** | **{}** | **{}** | **{}** | **{}** | **{}** |",
                 t.sites,
                 t.reached(),
                 t.reported,
                 t.sanitized,
-                t.infeasible,
                 t.unreached
             );
             if self.sink_coverage.ddg_pruned > 0 {
@@ -769,6 +746,34 @@ mod tests {
     }
 
     #[test]
+    fn stored_report_with_per_function_durations_still_parses() {
+        // A report written while `FnCost` carried `symex_us`/`ddg_us`
+        // and coverage rows an always-zero `infeasible` column: both
+        // keys are now ignored, so `explain`, `why` and `diff` still
+        // read it.
+        let mut r = report();
+        r.telemetry.functions = vec![FnCost {
+            addr: 0x300,
+            name: "hot".into(),
+            blocks_executed: 9,
+            ..FnCost::default()
+        }];
+        r.sink_coverage.rows = vec![SinkCoverageRow {
+            sink: "memcpy".into(),
+            sites: 2,
+            reported: 1,
+            sanitized: 0,
+            unreached: 1,
+        }];
+        let s = r.to_json().unwrap();
+        let old = s
+            .replace("\"sinks\": 0\n", "\"sinks\": 0,\n\"symex_us\": 41,\n\"ddg_us\": 7\n")
+            .replace("\"sanitized\": 0,\n", "\"sanitized\": 0,\n\"infeasible\": 0,\n");
+        assert!(old.contains("\"symex_us\": 41") && old.contains("\"infeasible\": 0"), "{old}");
+        assert_eq!(AnalysisReport::from_json(&old).unwrap(), r);
+    }
+
+    #[test]
     fn legacy_json_without_provenance_fields_still_parses() {
         // A PR-4-era finding: `sanitized`/`trace` instead of
         // `verdict`/`evidence`/`fingerprint`. Unknown members are
@@ -838,7 +843,6 @@ mod tests {
                 name: "hot".into(),
                 blocks_executed: 100,
                 alias_rewrites: 3,
-                symex_us: 1, // durations must not affect the ranking
                 ..FnCost::default()
             },
         ];
@@ -866,35 +870,30 @@ mod tests {
                     sites: 4,
                     reported: 1,
                     sanitized: 1,
-                    infeasible: 1,
-                    unreached: 1,
+                    unreached: 2,
                 },
                 SinkCoverageRow {
                     sink: "system".into(),
                     sites: 2,
                     reported: 1,
                     sanitized: 0,
-                    infeasible: 0,
                     unreached: 1,
                 },
             ],
             ddg_pruned: 3,
             duplicates: 2,
         };
-        // Row invariant: sites = reported + sanitized + infeasible + unreached.
+        // Row invariant: sites = reported + sanitized + unreached.
         for row in &r.sink_coverage.rows {
-            assert_eq!(row.sites, row.reported + row.sanitized + row.infeasible + row.unreached);
-            assert_eq!(row.reached(), row.reported + row.sanitized + row.infeasible);
+            assert_eq!(row.sites, row.reported + row.sanitized + row.unreached);
+            assert_eq!(row.reached(), row.reported + row.sanitized);
         }
         let t = r.sink_coverage.totals();
-        assert_eq!((t.sites, t.reported, t.unreached), (6, 2, 2));
+        assert_eq!((t.sites, t.reported, t.unreached), (6, 2, 3));
         let md = r.to_markdown();
         assert!(md.contains("## Sink coverage"), "{md}");
-        assert!(md.contains("| `memcpy` | 4 | 3 | 1 | 1 | 1 | 1 |"), "{md}");
-        assert!(
-            md.contains("| **total** | **6** | **4** | **2** | **1** | **1** | **2** |"),
-            "{md}"
-        );
+        assert!(md.contains("| `memcpy` | 4 | 2 | 1 | 1 | 2 |"), "{md}");
+        assert!(md.contains("| **total** | **6** | **3** | **2** | **1** | **3** |"), "{md}");
         assert!(md.contains("Pruned inside DDG propagation"), "{md}");
         assert!(md.contains("Duplicate findings folded"), "{md}");
         let back = AnalysisReport::from_json(&r.to_json().unwrap()).unwrap();

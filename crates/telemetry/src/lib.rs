@@ -4,10 +4,10 @@
 //! The layer is **deterministic by construction**: every value it feeds
 //! back into analysis results is a *logical* work counter (blocks
 //! executed, fuel spent, alias rewrites, …) derived from the analysis
-//! itself, never from the clock. Wall-clock durations are collected
-//! alongside — in [`SpanEvent`]s and per-function cost rows — but they
-//! flow only into trace exports and the self-profiling printout, so
-//! reports stay bit-identical across thread counts and machine speeds.
+//! itself, never from the clock. Wall-clock durations live only in
+//! [`SpanEvent`]s, and they flow only into trace exports, a report's
+//! stage-time map and the self-profiling printout, so findings and
+//! counters stay bit-identical across thread counts and machine speeds.
 //!
 //! Pieces:
 //!

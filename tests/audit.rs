@@ -142,11 +142,11 @@ fn decisions_reconcile_every_suppression_counter() {
         for row in &report.sink_coverage.rows {
             assert_eq!(
                 row.sites,
-                row.reported + row.sanitized + row.infeasible + row.unreached,
+                row.reported + row.sanitized + row.unreached,
                 "profile {index} {tag}: row `{}` partitions its sites",
                 row.sink
             );
-            assert_eq!(row.reached(), row.reported + row.sanitized + row.infeasible);
+            assert_eq!(row.reached(), row.reported + row.sanitized);
         }
         let t = report.sink_coverage.totals();
         assert_eq!(

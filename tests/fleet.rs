@@ -226,3 +226,58 @@ fn final_heartbeat_and_prometheus_export_are_consistent() {
     assert!(text.contains("dtaint_batch_cache_sym_misses_total"), "{text}");
     assert!(text.contains("dtaint_symex_blocks_executed_total"), "{text}");
 }
+
+/// A batch of two full images (profiles 1 and 2) at `--jobs 2`, its
+/// status file polled while it runs: `done` never goes backwards, and
+/// the final beat is a versioned record of this process with every
+/// worker idle. Afterwards `status` reads the finished store as done
+/// with no live batch, and `history` shows the one run.
+#[test]
+fn heartbeat_progresses_while_the_batch_runs_and_the_store_reads_as_finished() {
+    let dir = tmpdir("live");
+    for (profile, name) in [("1", "dir645.fwi"), ("2", "dir890l.fwi")] {
+        let dest = dir.join(name);
+        let (code, out) = run_captured(&["gen", profile, "--out", dest.to_str().unwrap()]);
+        assert_eq!(code, Ok(0), "{out}");
+    }
+    let status = dir.join("status.json");
+    let beat = || -> Option<dtaint_telemetry::Heartbeat> {
+        serde_json::from_str(&std::fs::read_to_string(&status).ok()?).ok()
+    };
+    let mut done_seen = Vec::new();
+    let (code, out) = std::thread::scope(|s| {
+        let batch = s.spawn(|| {
+            run_captured(&[
+                "batch",
+                dir.to_str().unwrap(),
+                "--jobs",
+                "2",
+                "--status-out",
+                status.to_str().unwrap(),
+            ])
+        });
+        while !batch.is_finished() {
+            done_seen.extend(beat().map(|hb| hb.done));
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        batch.join().unwrap()
+    });
+    assert_eq!(code, Ok(0), "{out}");
+    let hb = beat().expect("the final heartbeat parses");
+    done_seen.push(hb.done);
+    assert!(done_seen.windows(2).all(|w| w[0] <= w[1]), "heartbeat went backwards: {done_seen:?}");
+    assert_eq!(hb.phase, "done");
+    assert_eq!((hb.done, hb.total), (2, 2));
+    assert_eq!(hb.v, 1);
+    assert!(hb.pid > 0);
+    assert!(hb.workers.iter().all(|w| w.image.is_none()), "a worker still busy: {hb:?}");
+
+    let store = dir.join(".dtaint-store");
+    let (code, out) = run_captured(&["status", store.to_str().unwrap()]);
+    assert_eq!(code, Ok(0), "{out}");
+    assert!(out.contains("heartbeat: done"), "{out}");
+    assert!(out.contains("no live batch"), "{out}");
+    let (code, out) = run_captured(&["history", store.to_str().unwrap()]);
+    assert_eq!(code, Ok(0), "{out}");
+    assert!(out.contains("1 run(s)"), "{out}");
+}
