@@ -9,19 +9,21 @@
 //! calling context while DTaint's bottom-up pass analyzes each exactly
 //! once.
 //!
-//! DTaint's columns are the `ssa` and `ddg` stage spans of one
+//! DTaint's columns are the `ssa` and `ddg` stage spans of a
 //! `dtaint scan`-equivalent run ([`dtaint_bench::traced_scan`], one
 //! thread). Its `ssa` span is the fused lift + CFG + symbolic-execution
 //! pass, so the baseline SSA timer includes the baseline's own CFG
 //! lift; its `ddg` span includes the taint judgement that runs inside
-//! the propagation loop.
+//! the propagation loop. Each timer and scan runs
+//! [`dtaint_bench::TIMED_RUNS`] times, and each cell prints the median
+//! with the min–max range; the speed-up is the ratio of the medians.
 //!
 //! ```sh
 //! cargo run --release -p dtaint-bench --bin table7_timecost
 //! ```
 
 use dtaint_baseline::{analyze_topdown, BaselineConfig};
-use dtaint_bench::{render_table, scaled, traced_scan};
+use dtaint_bench::{render_table, scaled, traced_scan, ScanSpans, Timing, TIMED_RUNS};
 use dtaint_cfg::{build_all_cfgs, CallGraph};
 use dtaint_core::DtaintConfig;
 use dtaint_fwgen::{build_firmware, table7_programs};
@@ -44,37 +46,50 @@ fn main() {
 
         // Baseline SSA: lift every CFG, then the generic engine's
         // per-function execution with its larger default path budget.
-        let t = Instant::now();
-        let cfgs = build_all_cfgs(&fw.binary).expect("lifts");
-        {
+        let generic = BaselineConfig::default().symex;
+        let base_ssa = Timing::of((0..TIMED_RUNS).map(|_| {
+            let t = Instant::now();
+            let cfgs = build_all_cfgs(&fw.binary).expect("lifts");
             let mut pool = ExprPool::new();
-            let generic = BaselineConfig::default().symex;
             for c in &cfgs {
                 let _ = analyze_function(&fw.binary, c, &mut pool, &generic);
             }
-        }
-        let base_ssa = t.elapsed();
+            t.elapsed().as_secs_f64()
+        }));
+        let cfgs = build_all_cfgs(&fw.binary).expect("lifts");
         let cg = CallGraph::build(&fw.binary, &cfgs);
 
         // Baseline DDG: top-down, context-cloning re-analysis.
-        let t = Instant::now();
         let base_config = BaselineConfig { max_depth: depth, ..Default::default() };
-        let base = analyze_topdown(&fw.binary, &cfgs, &cg, &base_config);
-        let base_ddg = t.elapsed();
+        let mut contexts = 0;
+        let base_ddg = Timing::of((0..TIMED_RUNS).map(|_| {
+            let t = Instant::now();
+            contexts = analyze_topdown(&fw.binary, &cfgs, &cg, &base_config).contexts_analyzed;
+            t.elapsed().as_secs_f64()
+        }));
 
-        // DTaint: one scan — the fused pass, then one bottom-up
+        // DTaint: a scan — the fused pass, then one bottom-up
         // propagation pass.
-        let (report, spans) = traced_scan(&fw.binary, profile.binary_name, DtaintConfig::default());
-        let dt_ddg = spans.secs("ddg");
+        let mut functions = 0;
+        let scans: Vec<ScanSpans> = (0..TIMED_RUNS)
+            .map(|_| {
+                let (report, spans) =
+                    traced_scan(&fw.binary, profile.binary_name, DtaintConfig::default());
+                functions = report.functions;
+                spans
+            })
+            .collect();
+        let dt = |span: &str| Timing::of(scans.iter().map(|s| s.secs(span)));
+        let dt_ddg = dt("ddg");
 
         rows.push(vec![
             profile.binary_name.to_owned(),
-            format!("{:.3}", base_ssa.as_secs_f64()),
-            format!("{:.3}", base_ddg.as_secs_f64()),
-            format!("{:.3}", spans.secs("ssa")),
-            format!("{dt_ddg:.3}"),
-            format!("{:.1}x", base_ddg.as_secs_f64() / dt_ddg.max(1e-9)),
-            format!("{} ctx / {} fns", base.contexts_analyzed, report.functions),
+            base_ssa.render(1.0, 3),
+            base_ddg.render(1.0, 3),
+            dt("ssa").render(1.0, 3),
+            dt_ddg.render(1.0, 3),
+            format!("{:.1}x", base_ddg.median / dt_ddg.median.max(1e-9)),
+            format!("{contexts} ctx / {functions} fns"),
         ]);
     }
     print!(
@@ -93,6 +108,9 @@ fn main() {
         )
     );
     println!();
+    println!(
+        "Each time is the median (min–max) of {TIMED_RUNS} runs; the speedup divides medians."
+    );
     println!("Baseline SSA includes its CFG lift, as DTaint's fused `ssa` span does;");
     println!("DTaint DDG includes the taint judgement run inside its propagation loop.");
     println!();

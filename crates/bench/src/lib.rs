@@ -83,13 +83,45 @@ pub fn traced_scan(bin: &Binary, name: &str, config: DtaintConfig) -> (AnalysisR
     (report, ScanSpans(tel.events().to_vec()))
 }
 
+/// Runs behind each timed cell of the Table VI and VII harnesses. One
+/// run on a shared host moves by tens of percent, so each cell prints
+/// the median with the min–max range ([`Timing`]).
+pub const TIMED_RUNS: usize = 5;
+
+/// The median and range of repeated timings, in seconds.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Timing {
+    /// The median run (the upper one of an even count).
+    pub median: f64,
+    /// The fastest run.
+    pub min: f64,
+    /// The slowest run.
+    pub max: f64,
+}
+
+impl Timing {
+    /// The median and range of `samples`; panics when there are none.
+    pub fn of(samples: impl IntoIterator<Item = f64>) -> Timing {
+        let mut v: Vec<f64> = samples.into_iter().collect();
+        v.sort_by(f64::total_cmp);
+        Timing { median: v[v.len() / 2], min: v[0], max: v[v.len() - 1] }
+    }
+
+    /// `median (min–max)`, each multiplied by `unit` and printed with
+    /// `decimals` places.
+    pub fn render(&self, unit: f64, decimals: usize) -> String {
+        let [m, lo, hi] = [self.median, self.min, self.max].map(|x| x * unit);
+        format!("{m:.decimals$} ({lo:.decimals$}–{hi:.decimals$})")
+    }
+}
+
 /// Renders an ASCII table with a header row.
 pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
+    let mut widths: Vec<usize> = headers.iter().map(|h| h.chars().count()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
             if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
+                widths[i] = widths[i].max(cell.chars().count());
             }
         }
     }
@@ -138,6 +170,17 @@ mod tests {
         assert!(lines[0].starts_with("a "));
         assert!(lines[0].contains("long-header"));
         assert_eq!(lines.len(), 4);
+    }
+
+    #[test]
+    fn timing_is_the_median_and_range() {
+        let t = Timing::of([0.05, 0.01, 0.04, 0.02, 0.03]);
+        assert_eq!(t, Timing { median: 0.03, min: 0.01, max: 0.05 });
+        assert_eq!(t.render(1e3, 1), "30.0 (10.0–50.0)");
+        let cell = t.render(1.0, 2);
+        let width = cell.chars().count();
+        let table = render_table(&["t"], &[vec![cell], vec!["x".into()]]);
+        assert!(table.lines().all(|l| l.chars().count() == width), "{table}");
     }
 
     #[test]

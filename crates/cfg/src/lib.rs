@@ -10,10 +10,12 @@
 //!   bodies), plus the per-block loop membership that marks the paper's
 //!   "copy statements in the loop"; predecessors, DFS back edges and
 //!   reverse post-order are computed on demand,
-//! * [`CallGraph`] — call sites classified as direct, import (library) or
-//!   indirect, with the SCC strata the bottom-up interprocedural
-//!   analysis walks (callees before callers, each function visited
-//!   once; the members of a recursion cycle share a stratum),
+//! * [`CallGraph`] — the scan's one table of call instructions, each
+//!   classified as direct, import (library) or indirect and owned by one
+//!   function, with the SCC condensation ([`Condensation`], one Tarjan
+//!   run) whose strata the bottom-up interprocedural analysis walks
+//!   (callees before callers, each function visited once; the members
+//!   of a recursion cycle share a stratum),
 //! * [`FunctionShape`] — what a CFG leaves behind once its IR is
 //!   dropped (counts and raw call rows). [`CallGraph::from_shapes`]
 //!   builds the call graph from these, so a pipeline can free each
@@ -44,7 +46,7 @@
 //! let cg = CallGraph::build(&bin, &cfgs);
 //! let helper_addr = bin.function("helper").unwrap().addr;
 //! let main_addr = bin.function("main").unwrap().addr;
-//! let strata = cg.strata();
+//! let strata = cg.condense().strata;
 //! // Bottom-up: helper's stratum comes before main's.
 //! let stratum_of = |a: u32| strata.iter().position(|s| s.contains(&a));
 //! assert!(stratum_of(helper_addr) < stratum_of(main_addr));
@@ -54,5 +56,5 @@
 mod callgraph;
 mod funcfg;
 
-pub use callgraph::{CallGraph, CallTarget, Callsite};
+pub use callgraph::{CallGraph, CallTarget, Callsite, Condensation};
 pub use funcfg::{build_all_cfgs, build_function_cfg, CallRow, FunctionCfg, FunctionShape};

@@ -317,7 +317,7 @@ impl Dtaint {
         let stage_t0 = tel.start();
         judged.sort_by_key(|j| j.holder);
         let outcome = taint::fold(judged, |ins| {
-            df.callsite_names(ins, |a| {
+            df.callgraph.callsite_names(ins, |a| {
                 fn_names.get(&a).copied().filter(|_| df.functions.contains_key(&a))
             })
         });
@@ -417,7 +417,7 @@ impl Dtaint {
         metrics.set_gauge("image.functions", shapes.len() as u64);
         metrics.set_gauge("image.blocks", blocks as u64);
         metrics.set_gauge("image.cfg_edges", shapes.iter().map(|s| s.edges as u64).sum());
-        metrics.set_gauge("image.call_graph_edges", callgraph.edge_count() as u64);
+        metrics.set_gauge("image.call_graph_edges", df.callgraph.edge_count() as u64);
         metrics.set_gauge("image.sinks", sinks_count as u64);
         metrics.set_gauge("image.resolved_indirect", df.resolved_indirect.len() as u64);
         for f in &fn_costs {
@@ -501,7 +501,7 @@ impl Dtaint {
             arch: bin.arch.to_string(),
             functions: shapes.len(),
             blocks,
-            call_graph_edges: callgraph.edge_count(),
+            call_graph_edges: df.callgraph.edge_count(),
             sinks_count,
             resolved_indirect: df.resolved_indirect.len(),
             findings: outcome.findings,
@@ -922,8 +922,7 @@ fn function_name<'n>(fn_names: &HashMap<u32, &'n str>, addr: u32) -> Cow<'n, str
 }
 
 /// Inserts or upgrades a per-function outcome record, keeping the more
-/// severe outcome when one exists (severity follows the lattice:
-/// analyzed < degraded < budget-exceeded < lift-failed/panicked).
+/// severe outcome when one exists ([`FunctionOutcome`]'s order).
 fn record(
     records: &mut BTreeMap<u32, FunctionRecord>,
     addr: u32,
@@ -931,16 +930,9 @@ fn record(
     outcome: FunctionOutcome,
     detail: String,
 ) {
-    let severity = |o: FunctionOutcome| match o {
-        FunctionOutcome::Analyzed => 0,
-        FunctionOutcome::Degraded => 1,
-        FunctionOutcome::BudgetExceeded => 2,
-        FunctionOutcome::LiftFailed => 3,
-        FunctionOutcome::Panicked => 4,
-    };
     let new = FunctionRecord { addr, name: name.to_owned(), outcome, detail };
     match records.get_mut(&addr) {
-        Some(old) if severity(old.outcome) >= severity(new.outcome) => {}
+        Some(old) if old.outcome >= new.outcome => {}
         Some(old) => *old = new,
         None => {
             records.insert(addr, new);

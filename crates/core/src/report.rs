@@ -180,13 +180,14 @@ pub fn dedup_findings(findings: &mut Vec<Finding>) -> usize {
 }
 
 /// How the pipeline fared on one function — the fault-tolerance
-/// lattice, ordered from full success to total loss.
+/// lattice, ordered from full success to total loss: the derived order
+/// is the severity the pipeline keeps when a function gets two outcomes.
 ///
 /// Everything except [`FunctionOutcome::LiftFailed`] and
 /// [`FunctionOutcome::Panicked`] still contributes results to the
 /// report; those two downgrade the function to an opaque summary (no
 /// defs, conservative pass-through for callers).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum FunctionOutcome {
     /// Fully analyzed at full strength.
     Analyzed,
@@ -651,6 +652,14 @@ impl AnalysisReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn function_outcomes_order_by_severity() {
+        use FunctionOutcome::*;
+        let lattice = [Analyzed, Degraded, BudgetExceeded, LiftFailed, Panicked];
+        assert!(lattice.windows(2).all(|w| w[0] < w[1]), "{lattice:?}");
+        assert_eq!(lattice.iter().max(), Some(&Panicked));
+    }
 
     fn finding(sink_ins: u32, sanitized: bool) -> Finding {
         let verdict = if sanitized {

@@ -207,7 +207,7 @@ fn direct_atoms(
             _ => None,
         };
         if let Some(cs) = cs {
-            if let Some(name) = df.import_sites.get(cs) {
+            if let Some(name) = df.callgraph.import_at(cs) {
                 if sources.contains(name) {
                     out.insert(SourceRef { name: name.to_owned(), ins_addr: cs });
                 }
@@ -268,7 +268,7 @@ pub fn detect_full<S: AsRef<str>>(
     let detector = Detector { bin, sources, fn_names, mode };
     let judged = df.finals.values().map(|f| detector.judge(df.view(), f));
     fold(judged, |ins| {
-        df.callsite_names(ins, |a| df.finals.get(&a).map(|f| f.summary.name.as_str()))
+        df.callgraph.callsite_names(ins, |a| df.finals.get(&a).map(|f| f.summary.name.as_str()))
     })
 }
 

@@ -104,7 +104,7 @@ fn dfs(
             _ => None,
         };
         if let Some(cs) = cs {
-            if let Some(name) = df.import_sites.get(cs) {
+            if let Some(name) = df.callgraph.import_at(cs) {
                 if sources.contains(name) && found.is_none() {
                     found = Some((name.to_owned(), cs));
                 }
@@ -169,8 +169,8 @@ mod tests {
     }
 
     /// recv fills a buffer; the buffer pointer is stored into a struct
-    /// field; memcpy consumes the field.
-    fn dataflow_sample() -> (dtaint_fwbin::Binary, ProgramDataflow) {
+    /// field; memcpy consumes the field. Runs `check` on the data flow.
+    fn with_dataflow_sample(check: impl FnOnce(&dtaint_fwbin::Binary, &ProgramDataflow)) {
         let arch = Arch::Arm32e;
         let mut f = Assembler::new(arch);
         f.arm(ArmIns::SubI { rd: Reg::SP, rn: Reg::SP, imm: 0x200 });
@@ -197,25 +197,25 @@ mod tests {
             .iter()
             .map(|c| analyze_function(&bin, c, &mut pool, &SymexConfig::default()))
             .collect();
-        let df = build_dataflow(&bin, &mut cg, sums, pool, &DataflowConfig::default());
-        (bin, df)
+        check(&bin, &build_dataflow(&bin, &mut cg, sums, pool, &DataflowConfig::default()));
     }
 
     #[test]
     fn backward_trace_finds_the_recv_source() {
-        let (bin, df) = dataflow_sample();
-        let f_addr = bin.function("f").unwrap().addr;
-        // The memcpy sink's length arg = ret of recv.
-        let sink = df.finals[&f_addr]
-            .sinks
-            .iter()
-            .find(|s| matches!(&s.kind, crate::SinkKind::Import(n) if n == "memcpy"))
-            .unwrap();
-        let len = sink.args[2];
-        let trace = backward_trace(df.view(), &df.finals[&f_addr], len, &sources(), 8);
-        assert!(!trace.is_empty(), "length is source-derived");
-        assert!(matches!(&trace[0], TraceStep::Source { name, .. } if name == "recv"));
-        assert!(matches!(trace.last().unwrap(), TraceStep::Sink { .. }));
+        with_dataflow_sample(|bin, df| {
+            let f_addr = bin.function("f").unwrap().addr;
+            // The memcpy sink's length arg = ret of recv.
+            let sink = df.finals[&f_addr]
+                .sinks
+                .iter()
+                .find(|s| matches!(&s.kind, crate::SinkKind::Import(n) if n == "memcpy"))
+                .unwrap();
+            let len = sink.args[2];
+            let trace = backward_trace(df.view(), &df.finals[&f_addr], len, &sources(), 8);
+            assert!(!trace.is_empty(), "length is source-derived");
+            assert!(matches!(&trace[0], TraceStep::Source { name, .. } if name == "recv"));
+            assert!(matches!(trace.last().unwrap(), TraceStep::Sink { .. }));
+        });
     }
 
     #[test]
@@ -257,19 +257,20 @@ mod tests {
 
     #[test]
     fn untainted_expression_has_empty_trace() {
-        let (bin, df) = dataflow_sample();
-        let f_addr = bin.function("f").unwrap().addr;
-        // A constant is never source-derived.
-        let c = {
-            // Find any constant expression in the pool via a def pair.
-            df.finals[&f_addr]
-                .summary
-                .callsites
-                .iter()
-                .find_map(|cs| cs.args.iter().copied().find(|&a| df.pool.as_const(a).is_some()))
-                .expect("some constant arg")
-        };
-        assert!(backward_trace(df.view(), &df.finals[&f_addr], c, &sources(), 8).is_empty());
+        with_dataflow_sample(|bin, df| {
+            let f_addr = bin.function("f").unwrap().addr;
+            // A constant is never source-derived.
+            let c = {
+                // Find any constant expression in the pool via a def pair.
+                df.finals[&f_addr]
+                    .summary
+                    .callsites
+                    .iter()
+                    .find_map(|cs| cs.args.iter().copied().find(|&a| df.pool.as_const(a).is_some()))
+                    .expect("some constant arg")
+            };
+            assert!(backward_trace(df.view(), &df.finals[&f_addr], c, &sources(), 8).is_empty());
+        });
     }
 
     #[test]

@@ -85,7 +85,9 @@ struct Site<'i> {
 /// summary with its address. Sites with several structurally plausible
 /// targets resolve to the highest-similarity one ("the highest
 /// similarity σ", §III-D); ties and zero-evidence sites resolve only when
-/// the field position identifies a unique candidate.
+/// the field position identifies a unique candidate. The result is
+/// sorted by call instruction, with one entry per instruction, caller
+/// and callee, so each function sharing a resolved call gets its own.
 pub fn resolve_indirect_calls<'a>(
     bin: &Binary,
     summaries: impl IntoIterator<Item = &'a FuncSummary>,
@@ -178,7 +180,7 @@ pub fn resolve_indirect_calls<'a>(
         }
     }
     resolved.sort_by_key(|r| r.ins_addr);
-    resolved.dedup_by_key(|r| (r.ins_addr, r.callee));
+    resolved.dedup_by_key(|r| (r.ins_addr, r.caller, r.callee));
     (resolved, stats)
 }
 
@@ -434,7 +436,7 @@ mod tests {
             }
         }
         resolved.sort_by_key(|r| r.ins_addr);
-        resolved.dedup_by_key(|r| (r.ins_addr, r.callee));
+        resolved.dedup_by_key(|r| (r.ins_addr, r.caller, r.callee));
         resolved
     }
 

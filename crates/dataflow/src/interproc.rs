@@ -35,7 +35,7 @@
 
 use crate::cache::{self, CacheRef, Level};
 use crate::indirect::{resolve_indirect_calls, IndirectStats, ResolvedCall};
-use dtaint_cfg::CallGraph;
+use dtaint_cfg::{CallGraph, Condensation};
 use dtaint_fwbin::{Binary, Symbol};
 use dtaint_symex::pool::{CmpOp, ExprPool, SymNode};
 use dtaint_symex::{CalleeRef, CallsiteInfo, Constraint, DefPair, ExprId, FuncSummary};
@@ -325,112 +325,24 @@ impl SinkCensus {
     }
 }
 
-/// The caller and callee of every call site in the program, as
-/// addresses, keyed by the call instruction. Names are resolved only on
-/// demand ([`ProgramDataflow::callsite_names`]): for the call chains of
-/// reported findings.
-#[derive(Debug, Clone, Default)]
-pub struct CallsiteIndex {
-    sites: HashMap<u32, (u32, CallTarget)>,
-}
-
-/// Where one call site goes.
-#[derive(Debug, Clone, Copy)]
-enum CallTarget {
-    /// A function: a direct callee, or an indirect call resolved by
-    /// layout similarity.
-    Function(u32),
-    /// An import, named by [`ProgramDataflow::import_sites`].
-    Import,
-    /// An indirect call no layout resolved.
-    Unresolved,
-}
-
-impl CallsiteIndex {
-    /// Indexes one final summary's call sites. A call instruction that
-    /// several (overlapping) functions contain belongs to the one with
-    /// the highest entry address, whatever order they are noted in.
-    fn note(&mut self, fs: &FinalSummary, resolution: &HashMap<u32, u32>) {
-        let caller = fs.summary.addr;
-        for cs in &fs.summary.callsites {
-            let target = match &cs.callee {
-                CalleeRef::Direct(a) => CallTarget::Function(*a),
-                CalleeRef::Import(_) => CallTarget::Import,
-                CalleeRef::Indirect(_) => resolution
-                    .get(&cs.ins_addr)
-                    .map_or(CallTarget::Unresolved, |&a| CallTarget::Function(a)),
-            };
-            let slot = self.sites.entry(cs.ins_addr).or_insert((caller, target));
-            if slot.0 <= caller {
-                *slot = (caller, target);
-            }
-        }
-    }
-}
-
-/// Import call sites across the program: `ins_addr → import name`.
-/// Each distinct name is stored once; a site is eight bytes in a
-/// vector sorted by instruction address.
-#[derive(Debug, Clone, Default)]
-pub struct ImportSites {
-    /// `(call instruction, index into names)`, one per instruction.
-    sites: Vec<(u32, u32)>,
-    names: Vec<String>,
-}
-
-impl ImportSites {
-    /// Indexes import calls given as `(call instruction, import name)`,
-    /// function by function in address order. A call instruction that
-    /// several (overlapping) functions hold keeps the name noted last.
-    fn from_calls<'a>(calls: impl IntoIterator<Item = (u32, &'a str)>) -> Self {
-        let mut index: HashMap<&str, u32> = HashMap::new();
-        let mut names = Vec::new();
-        let mut sites: Vec<(u32, u32)> = calls
-            .into_iter()
-            .map(|(ins, name)| {
-                let n = *index.entry(name).or_insert_with(|| {
-                    names.push(name.to_owned());
-                    names.len() as u32 - 1
-                });
-                (ins, n)
-            })
-            .collect();
-        // A stable sort keeps each instruction's notes in order; the
-        // last one overwrites the one kept.
-        sites.sort_by_key(|&(ins, _)| ins);
-        sites.dedup_by(|later, kept| {
-            let same = later.0 == kept.0;
-            if same {
-                *kept = *later;
-            }
-            same
-        });
-        sites.shrink_to_fit();
-        ImportSites { sites, names }
-    }
-
-    /// The import called at `ins`, if `ins` is an import call site.
-    pub fn get(&self, ins: u32) -> Option<&str> {
-        let i = self.sites.binary_search_by_key(&ins, |&(at, _)| at).ok()?;
-        Some(&self.names[self.sites[i].1 as usize])
-    }
-}
-
 /// The program-wide state a holder's judgement reads besides the
 /// holder's own final summary.
 #[derive(Debug, Clone, Copy)]
 pub struct DataflowView<'a> {
     /// The shared expression pool.
     pub pool: &'a ExprPool,
-    /// Import call sites across the program.
-    pub import_sites: &'a ImportSites,
+    /// The call graph, for the import a call instruction calls.
+    pub callgraph: &'a CallGraph,
 }
 
 /// The whole-program data-flow result.
 #[derive(Debug)]
-pub struct ProgramDataflow {
+pub struct ProgramDataflow<'g> {
     /// The shared expression pool.
     pub pool: ExprPool,
+    /// The call graph the pass walked, resolved indirect calls included:
+    /// the caller, callee and import of every call instruction.
+    pub callgraph: &'g CallGraph,
     /// Final summaries keyed by function entry address. Ordered, so every
     /// whole-program iteration downstream is deterministic. Holds every
     /// function after [`build_dataflow`]; empty after
@@ -446,10 +358,6 @@ pub struct ProgramDataflow {
     pub resolved_indirect: Vec<ResolvedCall>,
     /// Work counts of the indirect-call resolution.
     pub indirect_stats: IndirectStats,
-    /// Import call sites across the program.
-    pub import_sites: ImportSites,
-    /// Caller and callee of every call site in the final summaries.
-    pub callsites: CallsiteIndex,
     /// The sink sites across all final summaries.
     pub sinks: SinkCensus,
     /// Sink observations dropped because their accumulated path
@@ -469,36 +377,15 @@ pub struct ProgramDataflow {
     pub pruned_sinks: Vec<PrunedSink>,
 }
 
-impl ProgramDataflow {
+impl ProgramDataflow<'_> {
     /// Every sink observation, across all functions.
     pub fn all_sinks(&self) -> impl Iterator<Item = (&FinalSummary, &SinkObservation)> {
         self.finals.values().flat_map(|f| f.sinks.iter().map(move |s| (f, s)))
     }
 
-    /// The pool and import sites, for judging a holder.
+    /// The pool and call graph, for judging a holder.
     pub fn view(&self) -> DataflowView<'_> {
-        DataflowView { pool: &self.pool, import_sites: &self.import_sites }
-    }
-
-    /// Caller and callee names of the call at `ins`, or `None` when no
-    /// final summary holds it. Functions are named by `name_of`, or by
-    /// address when it has no name for them; imports keep their import
-    /// name, and unresolved indirect calls read `"<indirect>"`. Feeds
-    /// the per-finding provenance chain: each `call_chain` entry becomes
-    /// a named callsite-substitution evidence step.
-    pub fn callsite_names<'n>(
-        &self,
-        ins: u32,
-        name_of: impl Fn(u32) -> Option<&'n str>,
-    ) -> Option<(String, String)> {
-        let &(caller, target) = self.callsites.sites.get(&ins)?;
-        let name = |addr: u32| name_of(addr).map_or_else(|| format!("{addr:#x}"), str::to_owned);
-        let callee = match target {
-            CallTarget::Function(a) => name(a),
-            CallTarget::Import => self.import_sites.get(ins)?.to_owned(),
-            CallTarget::Unresolved => "<indirect>".to_owned(),
-        };
-        Some((name(caller), callee))
+        DataflowView { pool: &self.pool, callgraph: self.callgraph }
     }
 }
 
@@ -507,15 +394,15 @@ impl ProgramDataflow {
 ///
 /// `locals` are the per-function symbolic summaries, all interned in
 /// `pool` (see [`FuncSummary::translate_with`] for merging parallel
-/// results). The call graph gains edges for indirect calls resolved
-/// during the run.
-pub fn build_dataflow(
+/// results). The call graph gains the indirect calls resolved during
+/// the run, and the result borrows it.
+pub fn build_dataflow<'g>(
     bin: &Binary,
-    callgraph: &mut CallGraph,
+    callgraph: &'g mut CallGraph,
     locals: Vec<FuncSummary>,
     pool: ExprPool,
     config: &DataflowConfig,
-) -> ProgramDataflow {
+) -> ProgramDataflow<'g> {
     let mut tel = Collector::disabled();
     build_dataflow_judged(bin, callgraph, locals, pool, config, &mut tel, None, None)
 }
@@ -546,16 +433,16 @@ type Judge<'j> = &'j mut dyn FnMut(DataflowView<'_>, &FinalSummary);
 /// [`ProgramDataflow::finals`] comes back empty. Without it, every
 /// final summary is kept.
 #[allow(clippy::too_many_arguments)]
-pub fn build_dataflow_judged(
+pub fn build_dataflow_judged<'g>(
     bin: &Binary,
-    callgraph: &mut CallGraph,
+    callgraph: &'g mut CallGraph,
     locals: Vec<FuncSummary>,
     mut pool: ExprPool,
     config: &DataflowConfig,
     tel: &mut Collector,
     cache: Option<&CacheRef>,
     mut judge: Option<Judge<'_>>,
-) -> ProgramDataflow {
+) -> ProgramDataflow<'g> {
     let mut pruned_infeasible = 0usize;
     // Ordered, so per-function passes intern into the pool in a fixed
     // order regardless of how `locals` arrived.
@@ -597,60 +484,45 @@ pub fn build_dataflow_judged(
         Default::default()
     };
     tel.record("ddg_indirect", "stage", t0, &[]);
-    let resolution: HashMap<u32, u32> = resolved.iter().map(|r| (r.ins_addr, r.callee)).collect();
     for r in &resolved {
-        callgraph.add_resolved_indirect(r.ins_addr, r.callee);
+        callgraph.add_resolved_indirect(r.caller, r.ins_addr, r.callee);
     }
-
-    // Import call sites (for the detector's source lookup).
-    let import_sites = ImportSites::from_calls(by_addr.values().flat_map(|s| {
-        s.callsites.iter().filter_map(|cs| match &cs.callee {
-            CalleeRef::Import(name) => Some((cs.ins_addr, name.as_str())),
-            _ => None,
-        })
-    }));
+    let graph: &'g CallGraph = callgraph;
 
     // Stage 3: bottom-up propagation (Algorithm 2) over the flattened
-    // SCC strata. Strata must be computed *after* indirect resolution,
-    // whose edges can deepen (or entangle) the order.
+    // SCC strata. The condensation must be computed *after* indirect
+    // resolution, whose edges can deepen (or entangle) the order.
     let propagate_t0 = tel.start();
-    let order: Vec<u32> = callgraph.strata().into_iter().flatten().collect();
-    let comp_of: HashMap<u32, usize> = callgraph
-        .sccs()
-        .into_iter()
-        .enumerate()
-        .flat_map(|(i, c)| c.into_iter().map(move |f| (f, i)))
-        .collect();
+    let cond = graph.condense();
+    let order: Vec<u32> = cond.strata.iter().flatten().copied().collect();
     // Incremental-cache context: content hashes over each function's
     // raw bytes, computed while `by_addr` is still fully populated — the
     // loop below drains it.
-    let mut cache_ctx =
-        cache.map(|cref| DdgCacheCtx::build(bin, config, cref, &by_addr, callgraph));
+    let mut cache_ctx = cache.map(|cref| DdgCacheCtx::build(bin, config, cref, &by_addr, &cond));
     // Out-of-component callers still to apply each function's final
     // summary, counted from the same callee resolution the propagation
     // applies (`applied_callees`), once per calling function.
     let mut callers_left: HashMap<u32, u32> = HashMap::new();
     for (&faddr, s) in &by_addr {
-        for callee in applied_callees(faddr, s, &comp_of, &resolution) {
+        for callee in applied_callees(faddr, s, graph, &cond) {
             *callers_left.entry(callee).or_default() += 1;
         }
     }
     let mut finals: BTreeMap<u32, FinalSummary> = BTreeMap::new();
     let mut functions: BTreeMap<u32, FnResidue> = BTreeMap::new();
-    let mut callsites = CallsiteIndex::default();
     let mut sinks = SinkCensus::default();
     let mut buf = tel.buffer(1);
     let mut pruned_sinks: Vec<PrunedSink> = Vec::new();
 
     for &faddr in &order {
         let Some(summary) = by_addr.remove(&faddr) else { continue };
-        let callees = applied_callees(faddr, &summary, &comp_of, &resolution);
+        let callees = applied_callees(faddr, &summary, graph, &cond);
         let t0 = buf.start();
         // Final scan keys compose bottom-up: a function's key folds its
         // own content hash with the keys of its out-of-component callees,
         // all of which come earlier in `order` and are already keyed.
         let key = cache_ctx.as_mut().and_then(|ctx| {
-            let key = ctx.key_for(faddr, &summary, &comp_of, &resolution);
+            let key = ctx.key_for(faddr, &summary, graph, &cond);
             ctx.final_keys.insert(faddr, key);
             key
         });
@@ -668,15 +540,7 @@ pub fn build_dataflow_judged(
             let name = summary.name.clone();
             let propagated = pool.attempt(|p| {
                 Some(process_function(
-                    bin,
-                    faddr,
-                    summary,
-                    &finals,
-                    &comp_of,
-                    &resolution,
-                    &globals,
-                    p,
-                    config,
+                    bin, faddr, summary, &finals, graph, &cond, &globals, p, config,
                 ))
             });
             match propagated {
@@ -725,14 +589,13 @@ pub fn build_dataflow_judged(
                 cache::encode_final(&pool, &fs, fn_pruned, created_k, &mut |abs| ctx.map_abs(abs))
             });
         }
-        callsites.note(&fs, &resolution);
         sinks.note(&fs);
         functions.insert(faddr, FnResidue::of(&fs));
         let Some(judge) = judge.as_deref_mut() else {
             finals.insert(faddr, fs);
             continue;
         };
-        judge(DataflowView { pool: &pool, import_sites: &import_sites }, &fs);
+        judge(DataflowView { pool: &pool, callgraph: graph }, &fs);
         // Keep the summary only while some caller has yet to apply it,
         // and drop each callee this function was the last to apply.
         if callers_left.get(&faddr).is_some_and(|&n| n > 0) {
@@ -755,13 +618,12 @@ pub fn build_dataflow_judged(
 
     ProgramDataflow {
         pool,
+        callgraph: graph,
         finals,
         functions,
         order,
         resolved_indirect: resolved,
         indirect_stats,
-        import_sites,
-        callsites,
         sinks,
         pruned_infeasible,
         alias_panics,
@@ -803,7 +665,7 @@ impl<'c> DdgCacheCtx<'c> {
         config: &DataflowConfig,
         cref: &'c CacheRef,
         by_addr: &BTreeMap<u32, FuncSummary>,
-        callgraph: &CallGraph,
+        cond: &Condensation,
     ) -> DdgCacheCtx<'c> {
         let env = cache::env_digest(bin);
         let salt = cache::ddg_salt(env, config);
@@ -831,14 +693,14 @@ impl<'c> DdgCacheCtx<'c> {
             })
             .collect();
         let mut combined: HashMap<u32, Option<u64>> = HashMap::new();
-        for comp in callgraph.sccs() {
+        for comp in &cond.components {
             if comp.len() < 2 {
                 continue;
             }
             let members: Option<Vec<(u32, u64)>> =
                 comp.iter().map(|&a| Some((a, own.get(&a).copied().flatten()?))).collect();
             let c = members.as_deref().map(cache::combine_scc);
-            for &a in &comp {
+            for &a in comp {
                 combined.insert(a, c);
             }
         }
@@ -863,8 +725,8 @@ impl<'c> DdgCacheCtx<'c> {
         &self,
         faddr: u32,
         summary: &FuncSummary,
-        comp_of: &HashMap<u32, usize>,
-        resolution: &HashMap<u32, u32>,
+        graph: &CallGraph,
+        cond: &Condensation,
     ) -> Option<u64> {
         let own = self.own.get(&faddr).copied().flatten()?;
         let combined = match self.combined.get(&faddr) {
@@ -879,13 +741,13 @@ impl<'c> DdgCacheCtx<'c> {
                     continue;
                 }
                 CalleeRef::Direct(a) => Some(*a),
-                CalleeRef::Indirect(_) => resolution.get(&cs.ins_addr).copied(),
+                CalleeRef::Indirect(_) => graph.resolved_at(cs.ins_addr),
             };
             let Some(a) = callee_addr else {
                 markers.push(cache::marker::unresolved());
                 continue;
             };
-            if comp_of.get(&a) == comp_of.get(&faddr) {
+            if cond.same_component(a, faddr) {
                 markers.push(cache::marker::same_scc());
                 continue;
             }
@@ -960,8 +822,8 @@ fn process_function(
     faddr: u32,
     mut summary: FuncSummary,
     finals: &BTreeMap<u32, FinalSummary>,
-    comp_of: &HashMap<u32, usize>,
-    resolution: &HashMap<u32, u32>,
+    graph: &CallGraph,
+    cond: &Condensation,
     globals: &crate::sse::GlobalMap,
     pool: &mut ExprPool,
     config: &DataflowConfig,
@@ -1006,7 +868,7 @@ fn process_function(
             }
             continue;
         }
-        let Some(callee_addr) = applied_callee(faddr, cs, comp_of, resolution) else { continue };
+        let Some(callee_addr) = applied_callee(faddr, cs, graph, cond) else { continue };
         let Some(callee) = finals.get(&callee_addr) else { continue };
         // Fuel: one unit for the application itself plus one per callee
         // term that must be substituted up. Charged before applying so
@@ -1084,15 +946,15 @@ fn process_function(
 fn applied_callee(
     faddr: u32,
     cs: &CallsiteInfo,
-    comp_of: &HashMap<u32, usize>,
-    resolution: &HashMap<u32, u32>,
+    graph: &CallGraph,
+    cond: &Condensation,
 ) -> Option<u32> {
     let callee = match &cs.callee {
         CalleeRef::Direct(a) => *a,
-        CalleeRef::Indirect(_) => *resolution.get(&cs.ins_addr)?,
+        CalleeRef::Indirect(_) => graph.resolved_at(cs.ins_addr)?,
         CalleeRef::Import(_) => return None,
     };
-    (comp_of.get(&callee) != comp_of.get(&faddr)).then_some(callee)
+    (!cond.same_component(callee, faddr)).then_some(callee)
 }
 
 /// The distinct functions `summary`'s call sites apply, in address
@@ -1100,14 +962,11 @@ fn applied_callee(
 fn applied_callees(
     faddr: u32,
     summary: &FuncSummary,
-    comp_of: &HashMap<u32, usize>,
-    resolution: &HashMap<u32, u32>,
+    graph: &CallGraph,
+    cond: &Condensation,
 ) -> Vec<u32> {
-    let mut out: Vec<u32> = summary
-        .callsites
-        .iter()
-        .filter_map(|cs| applied_callee(faddr, cs, comp_of, resolution))
-        .collect();
+    let mut out: Vec<u32> =
+        summary.callsites.iter().filter_map(|cs| applied_callee(faddr, cs, graph, cond)).collect();
     out.sort_unstable();
     out.dedup();
     out
@@ -1302,35 +1161,5 @@ fn substitute_everywhere(
             *l = pool.replace(*l, from, to);
             *r = pool.replace(*r, from, to);
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn import_sites_keep_the_last_name_noted_per_instruction() {
-        // Two overlapping functions, noted in address order, both hold
-        // the calls at 0x1010 and 0x1020; the later one names them.
-        let calls = [
-            (0x1010, "recv"),
-            (0x1020, "getenv"),
-            (0x1000, "strcpy"),
-            (0x1010, "read"),
-            (0x1020, "getenv"),
-            (0x1030, "recv"),
-        ];
-        let sites = ImportSites::from_calls(calls);
-        assert_eq!(sites.sites.len(), 4);
-        let kept = [(0x1000, "strcpy"), (0x1010, "read"), (0x1020, "getenv"), (0x1030, "recv")];
-        for (ins, name) in kept {
-            assert_eq!(sites.get(ins), Some(name), "{ins:#x}");
-        }
-        assert_eq!(sites.names.len(), 4, "each name stored once");
-        for miss in [0, 0x1004, 0x1040, u32::MAX] {
-            assert_eq!(sites.get(miss), None);
-        }
-        assert!(ImportSites::from_calls([]).sites.is_empty());
     }
 }

@@ -39,9 +39,9 @@ pub use cache::{
 pub use ddg::{backward_trace, TraceStep};
 pub use indirect::{resolve_indirect_calls, IndirectStats, Installer, ResolvedCall};
 pub use interproc::{
-    build_dataflow, build_dataflow_judged, BoundsMode, CallsiteIndex, DataflowConfig, DataflowView,
-    FinalSummary, FnResidue, ImportSites, ProgramDataflow, PrunedSink, SinkCensus, SinkKind,
-    SinkObservation, MAX_SINKS_PER_FN, SINK_NAMES,
+    build_dataflow, build_dataflow_judged, BoundsMode, DataflowConfig, DataflowView, FinalSummary,
+    FnResidue, ProgramDataflow, PrunedSink, SinkCensus, SinkKind, SinkObservation,
+    MAX_SINKS_PER_FN, SINK_NAMES,
 };
 pub use layout::{infer_layouts, root_and_path, AccessPath, Layout};
 pub use sse::{canonicalize, sse_replace, Sse, SseStats};
@@ -137,7 +137,7 @@ mod tests {
         let has_recv_data = carriers.iter().any(|&v| {
             df.pool.any_node(v, &mut |n| {
                 matches!(n, SymNode::CallOut { callsite, .. }
-                    if df.import_sites.get(callsite) == Some("recv"))
+                    if df.callgraph.import_at(callsite) == Some("recv"))
             })
         });
         assert!(
@@ -155,7 +155,7 @@ mod tests {
         let len = memcpy_sink.args[2];
         let has_recv_ret = df.pool.any_node(len, &mut |n| {
             matches!(n, SymNode::RetSym(cs)
-                if df.import_sites.get(cs) == Some("recv"))
+                if df.callgraph.import_at(cs) == Some("recv"))
         });
         assert!(has_recv_ret, "memcpy length must be recv's return, got {}", df.pool.display(len));
         // No length check anywhere: no bounding constraint mentions `len`.
@@ -198,7 +198,7 @@ mod tests {
         assert_eq!(ms.call_chain.len(), 1);
         let is_getenv_ret = df.pool.any_node(ms.args[0], &mut |n| {
             matches!(n, SymNode::RetSym(cs)
-                if df.import_sites.get(cs) == Some("getenv"))
+                if df.callgraph.import_at(cs) == Some("getenv"))
         });
         assert!(
             is_getenv_ret,
@@ -264,7 +264,7 @@ mod tests {
             .expect("system sink in main");
         let carries_getenv = df.pool.any_node(ms.args[0], &mut |n| {
             matches!(n, SymNode::RetSym(cs) | SymNode::CallOut { callsite: cs, .. }
-                if df.import_sites.get(cs) == Some("getenv"))
+                if df.callgraph.import_at(cs) == Some("getenv"))
         });
         assert!(
             carries_getenv,

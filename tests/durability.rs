@@ -302,6 +302,62 @@ fn corrupt_findings_db_is_quarantined_not_a_spurious_regression() {
     assert!(db.contains("\"router\""), "the db was rebuilt: {db}");
 }
 
+/// The power-cut drill: after a cold batch of Table II profiles 1 and 2,
+/// `summaries.dtc` is cut to 3/4 and `findings.json` to half, as a crash
+/// mid-write would leave them. One `--resume` run recovers from both: it
+/// exits 0 (no spurious regression), quarantines the torn database to
+/// one sidecar, salvages the cache's intact prefix, fails and times out
+/// nothing, and reproduces each image's cold findings.
+#[test]
+fn truncated_cache_and_findings_db_recover_in_one_resume_run() {
+    let dir = tmpdir("crash-drill");
+    let d = dir.to_str().unwrap();
+    let images = [("dir645", "1"), ("dir890l", "2")];
+    for (name, profile) in images {
+        let out = dir.join(format!("{name}.fwi"));
+        let (code, log) = run_captured(&["gen", profile, "--out", out.to_str().unwrap()]);
+        assert_eq!(code, Ok(0), "{log}");
+    }
+    let (code, out) = run_captured(&["batch", d]);
+    assert_eq!(code, Ok(0), "cold batch: {out}");
+    let store = dir.join(".dtaint-store");
+    let json = |p: &Path| -> serde_json::Value {
+        serde_json::from_str(&String::from_utf8(read(p)).unwrap())
+            .unwrap_or_else(|e| panic!("{}: {e:?}", p.display()))
+    };
+    let findings_of = |name: &str| {
+        json(&store.join(format!("reports/{name}.json"))).get("findings").cloned().unwrap()
+    };
+    let cold: Vec<serde_json::Value> = images.iter().map(|(name, _)| findings_of(name)).collect();
+    assert!(cold.iter().all(|f| matches!(f, serde_json::Value::Arr(v) if !v.is_empty())));
+
+    for (file, keep) in [("summaries.dtc", (3, 4)), ("findings.json", (1, 2))] {
+        let bytes = read(&store.join(file));
+        std::fs::write(store.join(file), &bytes[..bytes.len() * keep.0 / keep.1]).unwrap();
+    }
+    let (code, out) = run_captured(&["batch", d, "--resume"]);
+    assert_eq!(code, Ok(0), "recovery run (spurious regression?): {out}");
+    let sidecars = std::fs::read_dir(&store)
+        .unwrap()
+        .filter_map(|e| e.ok())
+        .filter(|e| e.file_name().to_string_lossy().starts_with("findings.json.corrupt-"))
+        .count();
+    assert_eq!(sidecars, 1, "one quarantine sidecar");
+    let corpus = json(&store.join("reports/corpus.json"));
+    let count = |key: &str| match corpus.get(key) {
+        Some(serde_json::Value::Int(n)) => *n,
+        other => panic!("corpus.json {key}: {other:?}"),
+    };
+    assert!(count("cache_salvaged") > 0, "{corpus:?}");
+    for key in ["regressions", "failures", "timeouts"] {
+        assert_eq!(count(key), 0, "{key}: {corpus:?}");
+    }
+    for ((name, _), cold) in images.iter().zip(&cold) {
+        assert_eq!(&findings_of(name), cold, "{name}: recovered findings differ from cold");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The store lock refuses a second live runner and steals locks left by
 /// dead processes.
 #[test]

@@ -24,22 +24,31 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// The call-graph classification as it was written over full CFGs,
-/// before shape records existed: the reference the records must match.
+/// before shape records existed, in the table form: one row per call
+/// instruction, owned by the highest-addressed function holding it, and
+/// each import name stored once, in the order first called. The
+/// reference the records must match.
 fn reference_callgraph(bin: &Binary, cfgs: &[FunctionCfg]) -> CallGraph {
     let mut functions: Vec<u32> = cfgs.iter().map(|c| c.addr).collect();
     functions.sort_unstable();
     let func_set: HashSet<u32> = functions.iter().copied().collect();
-    let mut callsites = Vec::new();
+    let mut imports: Vec<String> = Vec::new();
+    let mut rows: BTreeMap<u32, Callsite> = BTreeMap::new();
     let mut edges: HashMap<u32, Vec<u32>> = HashMap::new();
     for cfg in cfgs {
         edges.entry(cfg.addr).or_default();
         for b in cfg.blocks() {
-            let block = b.addr;
-            let JumpKind::Call { return_to } = b.jumpkind else { continue };
+            let JumpKind::Call { .. } = b.jumpkind else { continue };
             let target = match b.next_const() {
                 Some(t) if func_set.contains(&t) => CallTarget::Direct(t),
                 Some(t) => match bin.import_at(t) {
-                    Some(imp) => CallTarget::Import(imp.name.clone()),
+                    Some(imp) => {
+                        let i = imports.iter().position(|n| *n == imp.name).unwrap_or_else(|| {
+                            imports.push(imp.name.clone());
+                            imports.len() - 1
+                        });
+                        CallTarget::Import(i as u32)
+                    }
                     None => CallTarget::Indirect,
                 },
                 None => CallTarget::Indirect,
@@ -51,18 +60,23 @@ fn reference_callgraph(bin: &Binary, cfgs: &[FunctionCfg]) -> CallGraph {
                 }
             }
             let ins_addr = b.end() - INS_SIZE;
-            callsites.push(Callsite { caller: cfg.addr, block, ins_addr, return_to, target });
+            let row = Callsite { ins_addr, caller: cfg.addr, target };
+            if rows.get(&ins_addr).is_none_or(|kept| kept.caller < cfg.addr) {
+                rows.insert(ins_addr, row);
+            }
         }
     }
-    CallGraph { functions, callsites, edges, resolved_indirect: Vec::new() }
+    let callsites = rows.into_values().collect();
+    CallGraph { functions, callsites, imports, edges, resolved: 0 }
 }
 
 fn assert_same_graph(got: &CallGraph, want: &CallGraph, label: &str) {
     assert_eq!(got.functions, want.functions, "{label}: functions");
     assert_eq!(got.callsites, want.callsites, "{label}: callsites");
+    assert_eq!(got.imports, want.imports, "{label}: imports");
     assert_eq!(got.edges, want.edges, "{label}: edges");
     assert_eq!(got.edge_count(), want.edge_count(), "{label}: edge_count");
-    assert_eq!(got.strata(), want.strata(), "{label}: strata");
+    assert_eq!(got.condense().strata, want.condense().strata, "{label}: strata");
 }
 
 /// The per-function CFG as it was built before blocks were stored flat:

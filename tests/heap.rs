@@ -46,14 +46,14 @@ fn hikvision_live_heap_stays_within_budget() {
         measured.push((stage, mib(span("stage", stage), "live_bytes")));
     }
     let budgets = [
-        ("peak", 31.75),
+        ("peak", 30.0),
         ("ssa", 24.25),
-        ("lift_cfg", 28.0),
-        ("ddg_alias", 28.5),
-        ("ddg_indirect", 28.5),
-        ("ddg_propagate", 22.25),
-        ("ddg", 21.75),
-        ("detect", 21.0),
+        ("lift_cfg", 26.0),
+        ("ddg_alias", 26.5),
+        ("ddg_indirect", 26.5),
+        ("ddg_propagate", 19.75),
+        ("ddg", 18.5),
+        ("detect", 17.75),
     ];
     for ((name, got), (_, budget)) in measured.iter().zip(budgets) {
         assert!(*got <= budget, "Hikvision {name}: {got:.2} MiB over {budget} MiB ({measured:?})");
