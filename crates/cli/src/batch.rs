@@ -436,31 +436,32 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<i32, String> {
             // One report file per image: a single JSON object when the
             // image holds one executable (the common case, `diff`-able
             // as-is), else a JSON array.
-            let texts: Result<Vec<String>, String> =
-                reports.iter().map(|r| r.to_json().map_err(|e| e.to_string())).collect();
-            let texts = texts?;
-            let doc = if texts.len() == 1 {
-                texts[0].clone()
-            } else {
-                format!("[\n{}\n]", texts.join(",\n"))
-            };
+            let (open, close): (&[u8], &[u8]) =
+                if reports.len() == 1 { (b"", b"") } else { (b"[\n", b"\n]") };
+            let mut doc = open.to_vec();
+            for (i, r) in reports.iter().enumerate() {
+                if i > 0 {
+                    doc.extend_from_slice(b",\n");
+                }
+                serde_json::to_writer_pretty(&mut doc, r).map_err(|e| e.to_string())?;
+            }
+            doc.extend_from_slice(close);
             let report_path = reports_dir.join(report_name);
-            dtaint_store::atomic_write(store.fs(), &report_path, doc.as_bytes())
+            dtaint_store::atomic_write(store.fs(), &report_path, &doc)
                 .map_err(|e| format!("write {}: {e}", report_path.display()))?;
 
             // The per-image decision log, durable before the journal
             // commit point so a replayed image always has its audit
             // file on disk.
             if let Some(adir) = &audit_dir {
-                let decisions: Vec<dtaint_telemetry::Decision> =
-                    reports.iter().flat_map(|r| r.decisions.iter().cloned()).collect();
+                let mut jsonl = Vec::new();
+                for r in reports {
+                    dtaint_telemetry::export_jsonl(&r.decisions, &mut jsonl)
+                        .map_err(|e| e.to_string())?;
+                }
                 let audit_path = adir.join(format!("{}.audit.jsonl", entry.image));
-                dtaint_store::atomic_write(
-                    store.fs(),
-                    &audit_path,
-                    dtaint_telemetry::export_audit_jsonl(&decisions).as_bytes(),
-                )
-                .map_err(|e| format!("write {}: {e}", audit_path.display()))?;
+                dtaint_store::atomic_write(store.fs(), &audit_path, &jsonl)
+                    .map_err(|e| format!("write {}: {e}", audit_path.display()))?;
             }
         }
         if let Some(snap) = snapshot {

@@ -137,8 +137,8 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<i32, String> {
     if let Some(dest) = audit_out {
         // One JSONL file for the whole invocation: an image scan
         // concatenates the decisions of every executable, in scan order.
-        let jsonl = dtaint_telemetry::export_audit_jsonl(&audit_decisions);
-        export(dest, jsonl, &format!("{} audit decision(s)", audit_decisions.len()))?;
+        let what = format!("{} audit decision(s)", audit_decisions.len());
+        export_with(dest, &what, |out| export_jsonl(&audit_decisions, out))?;
     }
     if let Some(dest) = sarif_out {
         let sarif = dtaint_core::sarif::to_sarif_string(&sarif_reports);

@@ -20,7 +20,7 @@ use dtaint_telemetry::{
     Collector, Decision, DecisionKind, DecisionReason, MetricsRegistry, SpanEvent, TraceBuffer,
 };
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -223,26 +223,20 @@ impl Dtaint {
         // propagation loop, as soon as its final summary is settled, and
         // the summary is dropped once its last caller has applied it.
         let stage_t0 = tel.start();
-        // Quarantine every function with a non-Analyzed outcome so far
-        // (lift failures, symex panics/degradations): the DDG stage must
-        // never store their summaries — a faulted artefact in the cache
-        // would masquerade as a healthy one on the next scan.
-        let ddg_cache = self.config.cache.as_ref().map(|cref| CacheRef {
-            cache: cref.cache.clone(),
-            scan: cref.scan.clone(),
-            uncacheable: std::sync::Arc::new(
-                cref.uncacheable
-                    .iter()
-                    .copied()
-                    .chain(
-                        records
-                            .values()
-                            .filter(|r| r.outcome != FunctionOutcome::Analyzed)
-                            .map(|r| r.addr),
-                    )
-                    .collect(),
-            ),
-        });
+        // With a cache, quarantine every function with a non-Analyzed
+        // outcome so far (lift failures, symex panics/degradations): the
+        // DDG stage must never store their summaries — a faulted
+        // artefact in the cache would masquerade as a healthy one on the
+        // next scan.
+        let cache = self.config.cache.as_ref();
+        let quarantine: BTreeSet<u32> = match cache {
+            Some(_) => records
+                .values()
+                .filter(|r| r.outcome != FunctionOutcome::Analyzed)
+                .map(|r| r.addr)
+                .collect(),
+            None => BTreeSet::new(),
+        };
         let fn_names: HashMap<u32, &str> =
             shapes.iter().map(|s| (s.addr, s.name.as_str())).collect();
         let fn_name_of = |addr: u32| function_name(&fn_names, addr);
@@ -263,7 +257,8 @@ impl Dtaint {
             pool,
             &self.config.dataflow,
             tel,
-            ddg_cache.as_ref(),
+            cache,
+            &quarantine,
             Some(&mut |view, holder| {
                 let before = view.pool.stats().walk_visits;
                 judged.push(detector.judge(view, holder));
@@ -324,8 +319,7 @@ impl Dtaint {
         // The audit log reads the outcome records as the DDG stage left
         // them, so it is rendered before detect-stage panics join them.
         let decisions = if self.config.audit {
-            let quarantine = ddg_cache.as_ref();
-            self.audit_log(&symex_records, &df, quarantine, &records, &fn_names, &outcome.verdicts)
+            self.audit_log(&symex_records, &df, &quarantine, &records, &fn_names, &outcome.verdicts)
         } else {
             Vec::new()
         };
@@ -524,12 +518,13 @@ impl Dtaint {
     /// quarantines, detect verdicts (holder address order, then
     /// observation order), and duplicate folds last. `records` are the
     /// outcome records as the DDG stage left them; `quarantine` is the
-    /// cache handle the DDG stage ran with.
+    /// set the DDG stage kept out of the cache (every member has a
+    /// record).
     fn audit_log(
         &self,
         symex_records: &[(u32, String, FunctionOutcome, String)],
         df: &ProgramDataflow,
-        quarantine: Option<&CacheRef>,
+        quarantine: &BTreeSet<u32>,
         records: &BTreeMap<u32, FunctionRecord>,
         fn_names: &HashMap<u32, &str>,
         verdicts: &[taint::SiteVerdict],
@@ -587,13 +582,15 @@ impl Dtaint {
         }
         // Functions quarantined from the incremental cache, in address
         // order (none on cache-less scans).
-        for &addr in quarantine.iter().flat_map(|c| c.uncacheable.iter()) {
-            let (name, outcome) = match records.get(&addr) {
-                Some(r) => (Cow::Borrowed(r.name.as_str()), r.outcome.to_string()),
-                None => (name_of(addr), "quarantined by prior scan".to_owned()),
-            };
-            let reason = DecisionReason::Quarantined { outcome };
-            log.push(Decision::new(DecisionKind::CacheQuarantined, "cache", &name, addr, reason));
+        for r in quarantine.iter().filter_map(|addr| records.get(addr)) {
+            let reason = DecisionReason::Quarantined { outcome: r.outcome.to_string() };
+            log.push(Decision::new(
+                DecisionKind::CacheQuarantined,
+                "cache",
+                &r.name,
+                r.addr,
+                reason,
+            ));
         }
         log.extend(taint::detect_decisions(verdicts, |addr| {
             fn_names.get(&addr).copied().unwrap_or("<unknown>")

@@ -31,7 +31,8 @@
 //! destination pool in the order a cold run would create them.
 //!
 //! Functions whose symex stage reported any non-`Analyzed` outcome are
-//! listed in [`CacheRef::uncacheable`] and are never stored (their keys
+//! the scan's quarantine (the `quarantine` argument of
+//! [`crate::build_dataflow_judged`]) and are never stored (their keys
 //! still exist, so callers above them can hit).
 
 use dtaint_fwbin::{Binary, Symbol};
@@ -93,9 +94,10 @@ pub struct CacheTotals {
 /// One entry held as its complete `DTC2` record — marker, level tag,
 /// key, blob length, blob, checksum — so the checksum is computed once
 /// (when the entry is stored, or verified on load). Records are shared,
-/// so a snapshot holds handles on them instead of copying their bytes.
-#[derive(Debug)]
-struct Record(Arc<[u8]>);
+/// so a snapshot or a lookup holds a handle on one instead of copying
+/// its bytes. A record dereferences to its blob.
+#[derive(Debug, Clone)]
+pub struct Record(Arc<[u8]>);
 
 impl Record {
     /// Bytes before the blob: marker, tag, key, length.
@@ -114,8 +116,12 @@ impl Record {
         rec.extend_from_slice(&check.to_le_bytes());
         Record(rec.into())
     }
+}
 
-    fn blob(&self) -> &[u8] {
+impl std::ops::Deref for Record {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
         &self.0[Self::HEAD..self.0.len() - Self::TAIL]
     }
 }
@@ -240,16 +246,16 @@ impl SummaryCache {
         g.stats.insert(scan.to_owned(), ScanStats::default());
     }
 
-    /// The blob stored under `key`, if any. Pure lookup — call
-    /// [`Self::settle`] once the decode attempt decides what actually
-    /// happened.
-    pub fn lookup_blob(&self, level: Level, key: u64) -> Option<Vec<u8>> {
+    /// The record stored under `key`, if any, read as its blob in
+    /// place. Pure lookup — call [`Self::settle`] once the decode
+    /// attempt decides what actually happened.
+    pub fn lookup_blob(&self, level: Level, key: u64) -> Option<Record> {
         let g = self.inner.lock().unwrap();
         let map = match level {
             Level::Symex => &g.sym,
             Level::Ddg => &g.ddg,
         };
-        map.get(&key).map(|rec| rec.blob().to_vec())
+        map.get(&key).cloned()
     }
 
     /// Settles one function's probe for `scan`: counts a `hit`, or
@@ -476,19 +482,12 @@ pub struct CacheRef {
     /// Scan label (usually the image name) for statistics and
     /// invalidation tracking.
     pub scan: String,
-    /// Entry addresses of functions whose symex stage reported a
-    /// non-`Analyzed` outcome this scan; their summaries are never
-    /// stored (a degraded artefact must not masquerade as an analyzed
-    /// one), though their content keys still participate in callers'
-    /// key composition.
-    pub uncacheable: Arc<BTreeSet<u32>>,
 }
 
 impl CacheRef {
-    /// A handle on `cache` for the scan labelled `scan`, with an empty
-    /// uncacheable set.
+    /// A handle on `cache` for the scan labelled `scan`.
     pub fn new(cache: Arc<SummaryCache>, scan: impl Into<String>) -> Self {
-        CacheRef { cache, scan: scan.into(), uncacheable: Arc::new(BTreeSet::new()) }
+        CacheRef { cache, scan: scan.into() }
     }
 }
 

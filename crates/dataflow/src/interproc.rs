@@ -404,7 +404,8 @@ pub fn build_dataflow<'g>(
     config: &DataflowConfig,
 ) -> ProgramDataflow<'g> {
     let mut tel = Collector::disabled();
-    build_dataflow_judged(bin, callgraph, locals, pool, config, &mut tel, None, None)
+    let none = BTreeSet::new();
+    build_dataflow_judged(bin, callgraph, locals, pool, config, &mut tel, None, &none, None)
 }
 
 /// The per-holder callback of [`build_dataflow_judged`].
@@ -423,7 +424,10 @@ type Judge<'j> = &'j mut dyn FnMut(DataflowView<'_>, &FinalSummary);
 /// key before Algorithm 2's inner loop runs, and stored after (see
 /// [`crate::cache`]); hits and misses never change results, only
 /// whether they are recomputed or rehydrated. `None` analyzes
-/// everything cold.
+/// everything cold. Functions in `quarantine` are never stored: their
+/// earlier stages reported a fault, and a degraded artefact must not
+/// masquerade as an analyzed one. Their content keys still take part in
+/// their callers' keys.
 ///
 /// With `judge`, the caller needs each final summary only once: `judge`
 /// sees every function's final summary as soon as it is settled (cache
@@ -441,6 +445,7 @@ pub fn build_dataflow_judged<'g>(
     config: &DataflowConfig,
     tel: &mut Collector,
     cache: Option<&CacheRef>,
+    quarantine: &BTreeSet<u32>,
     mut judge: Option<Judge<'_>>,
 ) -> ProgramDataflow<'g> {
     let mut pruned_infeasible = 0usize;
@@ -576,13 +581,12 @@ pub fn build_dataflow_judged<'g>(
             let (cache_store, scan) = (&ctx.cref.cache, &ctx.cref.scan);
             cache_store.settle(Level::Ddg, scan, faddr, &fs.summary.name, key, was_hit, || {
                 // Faulted results — panicked, budget-exhausted, degraded,
-                // or symex-quarantined (`uncacheable`) — are never
-                // stored: a cache must not launder a partial summary
-                // into a healthy-looking one.
+                // or quarantined — are never stored: a cache must not
+                // launder a partial summary into a healthy-looking one.
                 if fs.panicked
                     || fs.budget_exhausted
                     || fs.summary.degraded
-                    || ctx.cref.uncacheable.contains(&faddr)
+                    || quarantine.contains(&faddr)
                 {
                     return None;
                 }

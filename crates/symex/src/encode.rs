@@ -2,25 +2,25 @@
 //!
 //! A [`FuncSummary`] holds [`ExprId`]s, which are indices into one
 //! particular [`ExprPool`] — meaningless in any other pool or process.
-//! The cache needs two pool-free artefacts instead:
+//! The cache stores summaries as pool-free **blobs** instead, decodable
+//! into any pool by re-interning every node, with [`SymNode::Unknown`]
+//! indices renumbered onto the destination pool's counter.
 //!
-//! * a **canonical byte string** of a summary, used as hash input for
-//!   content keys — identical regardless of how the pool happens to be
-//!   laid out (interleaved functions, parallel merges, thread counts);
-//! * a **rehydratable blob**: the same byte string, decodable into any
-//!   pool by re-interning every node, with [`SymNode::Unknown`] indices
-//!   renumbered onto the destination pool's counter.
+//! Expressions serialise as a memoised post-order node table (children
+//! precede parents, each node written once), followed by a body that
+//! references nodes by table index. The sole pool-dependent leaf,
+//! `Unknown(n)`, goes through a caller-supplied mapper turning the
+//! absolute index into an `(owner_addr, rel)` pair relative to the
+//! owning function's first unknown; the decoder maps the pair back
+//! through the destination pool's ownership table.
 //!
-//! Both come from one encoder. Expressions serialise as a memoised
-//! post-order node table (children precede parents, each node written
-//! once), followed by a body that references nodes by table index. The
-//! sole pool-dependent leaf, `Unknown(n)`, goes through a caller-supplied
-//! mapper turning the absolute index into an `(owner_addr, rel)` pair
-//! relative to the owning function's first unknown; the decoder maps the
-//! pair back through the destination pool's ownership table. Canonical
-//! (hash-input) encoding uses a mapper that refuses every unknown, so a
-//! summary whose content depends on pool-global counters simply has no
-//! canonical form and is never content-keyed.
+//! The **canonical** encoding ([`canonical_encode`]) uses a mapper that
+//! refuses every unknown: it is the encoding of a symex-level (local)
+//! summary, and a local summary that holds an unknown has no canonical
+//! form and is not cached at that level. Cache keys never hash an
+//! encoding: they hash the function's raw bytes, because a summary's
+//! pool structure depends on the merge path that absorbed it (see
+//! `function_content_hash` in the dataflow crate's cache).
 
 use crate::pool::{CmpOp, ExprId, ExprPool, SymNode};
 use crate::summary::{
@@ -395,8 +395,9 @@ pub fn encode_summary(
     enc.finish()
 }
 
-/// Canonical (hash-input) encoding: refuses any summary containing an
-/// [`SymNode::Unknown`], whose index is a pool-global counter artefact.
+/// The canonical encoding, the unknown-free encoding of a symex-level
+/// blob: refuses any summary containing an [`SymNode::Unknown`], whose
+/// index is a pool-global counter artefact.
 pub fn canonical_encode(pool: &ExprPool, s: &FuncSummary) -> Option<Vec<u8>> {
     encode_summary(pool, s, &mut |_| None)
 }
@@ -410,16 +411,17 @@ pub type UnknownUnmapper<'m> = &'m mut dyn FnMut(u32, u32) -> Option<u32>;
 /// into a destination pool. Interning is verbatim (`ExprPool::intern`,
 /// no normalising constructors) so the decoded structure is bit-equal to
 /// what the encoder saw.
-pub struct SummaryDecoder {
+pub struct SummaryDecoder<'b> {
     exprs: Vec<ExprId>,
-    body: Vec<u8>,
+    body: &'b [u8],
     pos: usize,
 }
 
-impl SummaryDecoder {
-    /// Parses the node table of `blob` into `pool`. Returns `None` on any
-    /// malformed record or unmappable unknown.
-    pub fn new(blob: &[u8], pool: &mut ExprPool, unmap: UnknownUnmapper<'_>) -> Option<Self> {
+impl<'b> SummaryDecoder<'b> {
+    /// Parses the node table of `blob` into `pool`; the body is read in
+    /// place. Returns `None` on any malformed record or unmappable
+    /// unknown.
+    pub fn new(blob: &'b [u8], pool: &mut ExprPool, unmap: UnknownUnmapper<'_>) -> Option<Self> {
         let mut pos = 0usize;
         let count = read_u32(blob, &mut pos)?;
         let mut exprs: Vec<ExprId> = Vec::with_capacity(count as usize);
@@ -467,22 +469,22 @@ impl SummaryDecoder {
             };
             exprs.push(pool.intern(node));
         }
-        Some(SummaryDecoder { exprs, body: blob[pos..].to_vec(), pos: 0 })
+        Some(SummaryDecoder { exprs, body: &blob[pos..], pos: 0 })
     }
 
     /// Reads one byte from the body.
     pub fn u8(&mut self) -> Option<u8> {
-        read_u8(&self.body, &mut self.pos)
+        read_u8(self.body, &mut self.pos)
     }
 
     /// Reads a little-endian u32 from the body.
     pub fn u32(&mut self) -> Option<u32> {
-        read_u32(&self.body, &mut self.pos)
+        read_u32(self.body, &mut self.pos)
     }
 
     /// Reads a little-endian u64 from the body.
     pub fn u64(&mut self) -> Option<u64> {
-        read_u64(&self.body, &mut self.pos)
+        read_u64(self.body, &mut self.pos)
     }
 
     /// Reads a length-prefixed string from the body.

@@ -136,7 +136,7 @@ impl fmt::Display for DecisionReason {
 }
 
 /// One audited decision. Serialized as one JSONL line by
-/// [`export_audit_jsonl`]; the field set is the versioned schema.
+/// [`crate::export_jsonl`]; the field set is the versioned schema.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Decision {
     /// Schema version ([`AUDIT_VERSION`]).
@@ -202,17 +202,6 @@ impl Decision {
     }
 }
 
-/// Renders decisions as JSONL — one JSON object per line, in the order
-/// given (the caller's canonical decision order).
-pub fn export_audit_jsonl(decisions: &[Decision]) -> String {
-    let mut out = String::new();
-    for d in decisions {
-        out.push_str(&serde_json::to_string(d).expect("decision serializes"));
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,7 +234,9 @@ mod tests {
         let mut b = sample();
         b.kind = DecisionKind::PathPruned;
         b.reason = DecisionReason::InfeasiblePath { constraint: "n < 8".into() };
-        let text = export_audit_jsonl(&[a.clone(), b.clone()]);
+        let mut out = Vec::new();
+        crate::export_jsonl(&[a.clone(), b.clone()], &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
         assert_eq!(serde_json::from_str::<Decision>(lines[0]).unwrap(), a);

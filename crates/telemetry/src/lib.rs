@@ -21,9 +21,9 @@
 //!   [`Collector::absorb`]s in a deterministic order.
 //! * [`MetricsRegistry`] — counters, gauges, and [`Histogram`]s with
 //!   fixed log2 buckets.
-//! * [`export_jsonl`]/[`export_chrome`] — the JSONL event stream and the
-//!   Chrome `trace_event` format (loadable in `chrome://tracing` and
-//!   Perfetto).
+//! * [`export_jsonl`]/[`export_chrome`] — the JSONL stream (span events
+//!   or audit decisions) and the Chrome `trace_event` format (loadable
+//!   in `chrome://tracing` and Perfetto).
 //! * [`fleet`] — batch-level progress: the shared [`FleetProgress`]
 //!   tracker and its [`Heartbeat`] snapshot for status files and the
 //!   TTY status line.
@@ -44,7 +44,7 @@ pub mod metrics;
 pub mod prometheus;
 pub mod span;
 
-pub use audit::{export_audit_jsonl, Decision, DecisionKind, DecisionReason, AUDIT_VERSION};
+pub use audit::{Decision, DecisionKind, DecisionReason, AUDIT_VERSION};
 pub use fleet::{FleetProgress, Heartbeat, ImageCacheStats, ImageOutcome, WorkerHeartbeat};
 pub use heap::CountingAlloc;
 pub use metrics::{Histogram, MetricsRegistry, HISTOGRAM_BUCKETS};

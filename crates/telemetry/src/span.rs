@@ -15,8 +15,7 @@
 
 use crate::heap;
 use crate::metrics::MetricsRegistry;
-use serde::{Deserialize, Serialize};
-use serde_json::Value;
+use serde::{Deserialize, JsonWriter, Serialize};
 use std::collections::BTreeMap;
 use std::io::{self, Write};
 use std::time::Instant;
@@ -226,16 +225,18 @@ impl Collector {
     }
 }
 
-/// Writes events as a JSONL stream: one [`SpanEvent`] JSON object per
-/// line, round-trippable through `serde_json`. Renders one event at a
-/// time, so a large trace never sits in memory whole.
+/// Writes records as a JSONL stream, in the order given: one compact
+/// JSON object per line, round-trippable through `serde_json` — the
+/// span trace ([`SpanEvent`]s) and the decision audit log
+/// ([`crate::Decision`]s). Writes one record at a time, so a large
+/// stream never sits in memory whole.
 ///
 /// # Errors
 ///
 /// Fails when `out` does.
-pub fn export_jsonl(events: &[SpanEvent], mut out: impl Write) -> io::Result<()> {
-    for ev in events {
-        out.write_all(serde_json::to_string(ev).unwrap_or_default().as_bytes())?;
+pub fn export_jsonl<T: Serialize>(records: &[T], mut out: impl Write) -> io::Result<()> {
+    for r in records {
+        serde_json::to_writer(&mut out, r).map_err(io::Error::other)?;
         out.write_all(b"\n")?;
     }
     Ok(())
@@ -246,45 +247,44 @@ pub fn export_jsonl(events: &[SpanEvent], mut out: impl Write) -> io::Result<()>
 /// thread ids; nesting is inferred per-lane by containment.
 ///
 /// The document is the 2-space-indented JSON of
-/// `{"traceEvents": [..], "displayTimeUnit": "ms"}`, written one event
-/// at a time: each event is rendered alone and indented to its depth in
-/// the array (JSON strings escape newlines, so every newline in an
-/// event's rendering is layout).
+/// `{"traceEvents": [..], "displayTimeUnit": "ms"}`, written one member
+/// at a time by one printer.
 ///
 /// # Errors
 ///
 /// Fails when `out` does.
 pub fn export_chrome(events: &[SpanEvent], mut out: impl Write) -> io::Result<()> {
-    out.write_all(b"{\n  \"traceEvents\": [")?;
+    let mut w = JsonWriter::new(&mut out, Some(2));
+    w.key(0, "traceEvents", 0);
     for (i, ev) in events.iter().enumerate() {
-        let item = serde_json::to_string_pretty(&chrome_event(ev)).unwrap_or_default();
-        out.write_all(if i == 0 { b"\n    " } else { b",\n    " })?;
-        out.write_all(item.replace('\n', "\n    ").as_bytes())?;
+        w.element(i, 1);
+        let members: [(&str, &dyn Serialize); 8] = [
+            ("name", &ev.name),
+            ("cat", &ev.cat),
+            ("ph", &"X"),
+            ("ts", &ev.start_us),
+            ("dur", &ev.dur_us),
+            ("pid", &1u32),
+            ("tid", &ev.lane),
+            ("args", &ev.args),
+        ];
+        for (m, (key, value)) in members.iter().enumerate() {
+            w.key(m, key, 2);
+            value.write_json(&mut w, 3);
+        }
+        w.end_object(members.len(), 2);
     }
-    if !events.is_empty() {
-        out.write_all(b"\n  ")?;
-    }
-    out.write_all(b"],\n  \"displayTimeUnit\": \"ms\"\n}")
-}
-
-/// One event as a Chrome `trace_event` object.
-fn chrome_event(ev: &SpanEvent) -> Value {
-    let args = ev.args.iter().map(|(k, v)| (k.clone(), Value::Int(*v as i64))).collect();
-    Value::Obj(vec![
-        ("name".into(), Value::Str(ev.name.clone())),
-        ("cat".into(), Value::Str(ev.cat.clone())),
-        ("ph".into(), Value::Str("X".into())),
-        ("ts".into(), Value::Int(ev.start_us as i64)),
-        ("dur".into(), Value::Int(ev.dur_us as i64)),
-        ("pid".into(), Value::Int(1)),
-        ("tid".into(), Value::Int(i64::from(ev.lane))),
-        ("args".into(), Value::Obj(args)),
-    ])
+    w.end_array(events.len(), 1);
+    w.key(1, "displayTimeUnit", 0);
+    "ms".write_json(&mut w, 1);
+    w.end_object(2, 0);
+    w.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde_json::Value;
 
     fn ev(name: &str, lane: u32, start: u64, dur: u64) -> SpanEvent {
         SpanEvent {
@@ -345,8 +345,23 @@ mod tests {
         String::from_utf8(out).expect("UTF-8")
     }
 
-    /// The exporters as they were before streaming: the whole document
-    /// built as one `Value` tree, then rendered as one `String`.
+    /// One event as a Chrome `trace_event` object tree.
+    fn chrome_event(ev: &SpanEvent) -> Value {
+        let args = ev.args.iter().map(|(k, v)| (k.clone(), Value::Int(*v as i64))).collect();
+        Value::Obj(vec![
+            ("name".into(), Value::Str(ev.name.clone())),
+            ("cat".into(), Value::Str(ev.cat.clone())),
+            ("ph".into(), Value::Str("X".into())),
+            ("ts".into(), Value::Int(ev.start_us as i64)),
+            ("dur".into(), Value::Int(ev.dur_us as i64)),
+            ("pid".into(), Value::Int(1)),
+            ("tid".into(), Value::Int(i64::from(ev.lane))),
+            ("args".into(), Value::Obj(args)),
+        ])
+    }
+
+    /// The exporters as whole-document renderers: the document built as
+    /// one `Value` tree, then rendered as one `String`.
     fn chrome_reference(events: &[SpanEvent]) -> String {
         let doc = Value::Obj(vec![
             ("traceEvents".into(), Value::Arr(events.iter().map(chrome_event).collect())),
@@ -408,7 +423,8 @@ mod tests {
 
     #[test]
     fn span_event_serializes_args_as_object() {
-        let v = ev("x", 0, 1, 2).to_value();
+        let v: Value = serde_json::from_str(&serde_json::to_string(&ev("x", 0, 1, 2)).unwrap())
+            .expect("parses");
         assert!(matches!(v.get("args"), Some(Value::Obj(_))));
     }
 }

@@ -2,14 +2,15 @@
 //!
 //! Upstream serde abstracts over serializer backends; the only backend
 //! this workspace uses is JSON, so the shim collapses the design to one
-//! concrete [`Value`] tree. `#[derive(Serialize, Deserialize)]` works
+//! printer and one tree. A [`Serialize`] type writes itself straight to
+//! the output through [`JsonWriter`], member by member, never as a
+//! whole tree or string. [`Deserialize`] reads from a parsed [`Value`]
+//! tree, which also serves as an explicit document builder and prints
+//! through the same writer. `#[derive(Serialize, Deserialize)]` works
 //! through the sibling `serde_derive` shim and supports what the
 //! workspace derives on: structs with named fields, enums with unit /
-//! newtype / struct variants, and the `#[serde(default)]` field
-//! attribute. The `serde_json` shim parses [`Value`]s and renders
-//! everything through one printer, [`JsonWriter`]: a type's
-//! [`Serialize::write_json`] writes it to the output directly, so
-//! structs, sequences and maps are printed without building their tree.
+//! newtype / tuple / struct variants, and the `#[serde(default)]` field
+//! attribute.
 
 use std::fmt;
 use std::io;
@@ -76,18 +77,10 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// Types renderable to a [`Value`], or straight to JSON text.
+/// Types that print themselves as JSON.
 pub trait Serialize {
-    /// Renders `self` as a value tree.
-    fn to_value(&self) -> Value;
-
-    /// Writes `self` as JSON, `depth` levels deep in the document. The
-    /// output is the same as printing [`Self::to_value`]; the default
-    /// does exactly that, and containers and derived structs override
-    /// it to write member by member without building the tree.
-    fn write_json(&self, w: &mut JsonWriter<'_>, depth: usize) {
-        w.value(&self.to_value(), depth);
-    }
+    /// Writes `self` as JSON, `depth` levels deep in the document.
+    fn write_json(&self, w: &mut JsonWriter<'_>, depth: usize);
 }
 
 /// The JSON printer: compact, or indented by a fixed width per level.
@@ -223,13 +216,13 @@ impl<'a> JsonWriter<'a> {
 
     /// Opens element `index` of an array `depth` levels deep; the
     /// element follows, written at `depth + 1`.
-    fn element(&mut self, index: usize, depth: usize) {
+    pub fn element(&mut self, index: usize, depth: usize) {
         self.raw(if index == 0 { "[" } else { "," });
         self.newline_indent(depth + 1);
     }
 
     /// Closes an array of `elements` elements opened at `depth`.
-    fn end_array(&mut self, elements: usize, depth: usize) {
+    pub fn end_array(&mut self, elements: usize, depth: usize) {
         if elements == 0 {
             self.raw("[]");
         } else {
@@ -310,10 +303,6 @@ pub fn field_or_default<T: Deserialize + Default>(v: &Value, name: &str) -> Resu
 macro_rules! impl_serde_int {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::Int(*self as i64)
-            }
-
             fn write_json(&self, w: &mut JsonWriter<'_>, _depth: usize) {
                 w.int(*self as i64);
             }
@@ -336,10 +325,6 @@ macro_rules! impl_serde_int {
 impl_serde_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
-    }
-
     fn write_json(&self, w: &mut JsonWriter<'_>, _depth: usize) {
         w.bool(*self);
     }
@@ -355,10 +340,6 @@ impl Deserialize for bool {
 }
 
 impl Serialize for f64 {
-    fn to_value(&self) -> Value {
-        Value::Float(*self)
-    }
-
     fn write_json(&self, w: &mut JsonWriter<'_>, _depth: usize) {
         w.float(*self);
     }
@@ -375,8 +356,8 @@ impl Deserialize for f64 {
 }
 
 impl Serialize for f32 {
-    fn to_value(&self) -> Value {
-        Value::Float(f64::from(*self))
+    fn write_json(&self, w: &mut JsonWriter<'_>, _depth: usize) {
+        w.float(f64::from(*self));
     }
 }
 
@@ -387,10 +368,6 @@ impl Deserialize for f32 {
 }
 
 impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::Str(self.clone())
-    }
-
     fn write_json(&self, w: &mut JsonWriter<'_>, _depth: usize) {
         w.str(self);
     }
@@ -406,20 +383,12 @@ impl Deserialize for String {
 }
 
 impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_owned())
-    }
-
     fn write_json(&self, w: &mut JsonWriter<'_>, _depth: usize) {
         w.str(self);
     }
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Arr(self.iter().map(Serialize::to_value).collect())
-    }
-
     fn write_json(&self, w: &mut JsonWriter<'_>, depth: usize) {
         w.seq(self, depth);
     }
@@ -435,23 +404,12 @@ impl<T: Deserialize> Deserialize for Vec<T> {
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Arr(self.iter().map(Serialize::to_value).collect())
-    }
-
     fn write_json(&self, w: &mut JsonWriter<'_>, depth: usize) {
         w.seq(self, depth);
     }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
-        match self {
-            Some(t) => t.to_value(),
-            None => Value::Null,
-        }
-    }
-
     fn write_json(&self, w: &mut JsonWriter<'_>, depth: usize) {
         match self {
             Some(t) => t.write_json(w, depth),
@@ -470,20 +428,12 @@ impl<T: Deserialize> Deserialize for Option<T> {
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-
     fn write_json(&self, w: &mut JsonWriter<'_>, depth: usize) {
         (**self).write_json(w, depth);
     }
 }
 
 impl<V: Serialize> Serialize for std::collections::BTreeMap<String, V> {
-    fn to_value(&self) -> Value {
-        Value::Obj(self.iter().map(|(k, v)| (k.clone(), v.to_value())).collect())
-    }
-
     fn write_json(&self, w: &mut JsonWriter<'_>, depth: usize) {
         for (i, (k, v)) in self.iter().enumerate() {
             w.key(i, k, depth);
@@ -509,29 +459,7 @@ impl<V: Deserialize> Deserialize for std::collections::BTreeMap<String, V> {
     }
 }
 
-impl Serialize for std::time::Duration {
-    fn to_value(&self) -> Value {
-        // Matches upstream serde's Duration encoding.
-        Value::Obj(vec![
-            ("secs".to_owned(), Value::Int(self.as_secs() as i64)),
-            ("nanos".to_owned(), Value::Int(i64::from(self.subsec_nanos()))),
-        ])
-    }
-}
-
-impl Deserialize for std::time::Duration {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let secs: u64 = field(v, "secs")?;
-        let nanos: u32 = field(v, "nanos")?;
-        Ok(std::time::Duration::new(secs, nanos))
-    }
-}
-
 impl Serialize for Value {
-    fn to_value(&self) -> Value {
-        self.clone()
-    }
-
     fn write_json(&self, w: &mut JsonWriter<'_>, depth: usize) {
         w.value(self, depth);
     }

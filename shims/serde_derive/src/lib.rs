@@ -31,8 +31,8 @@ enum Shape {
     Enum { name: String, variants: Vec<Variant> },
 }
 
-/// Derives `serde::Serialize` (the shim's `to_value`, plus a streaming
-/// `write_json` for structs).
+/// Derives `serde::Serialize`: one `write_json` that prints the value
+/// straight to the shim's `JsonWriter`.
 #[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let shape = parse_input(input);
@@ -221,31 +221,30 @@ fn count_tuple_fields(stream: TokenStream) -> usize {
 
 // ---------------------------------------------------------------- codegen
 
-/// `to_value` builds the object; `write_json` prints it member by
-/// member, each member's value through its own `write_json`.
+/// Prints the object member by member, each member's value through its
+/// own `write_json`.
 fn serialize_struct(name: &str, fields: &[Field]) -> String {
-    let mut pairs = String::new();
     let mut members = String::new();
     for (i, f) in fields.iter().enumerate() {
-        let fname = &f.name;
-        pairs.push_str(&format!(
-            "(::std::string::String::from(\"{fname}\"), \
-             ::serde::Serialize::to_value(&self.{fname})),\n"
-        ));
-        members.push_str(&format!(
-            "__w.key({i}, \"{fname}\", __depth);\n\
-             ::serde::Serialize::write_json(&self.{fname}, __w, __depth + 1);\n"
-        ));
+        members.push_str(&write_member(i, &f.name, &format!("&self.{}", f.name), "__depth"));
     }
-    let n = fields.len();
+    serialize_impl(name, &format!("{members}__w.end_object({}, __depth);", fields.len()))
+}
+
+/// Writes member `index` named `key` of an object opened at `depth`,
+/// its value being the expression `value`.
+fn write_member(index: usize, key: &str, value: &str, depth: &str) -> String {
+    format!(
+        "__w.key({index}, \"{key}\", {depth});\n\
+         ::serde::Serialize::write_json({value}, __w, {depth} + 1);\n"
+    )
+}
+
+fn serialize_impl(name: &str, body: &str) -> String {
     format!(
         "impl ::serde::Serialize for {name} {{\n\
-           fn to_value(&self) -> ::serde::Value {{\n\
-             ::serde::Value::Obj(vec![\n{pairs}])\n\
-           }}\n\
            fn write_json(&self, __w: &mut ::serde::JsonWriter<'_>, __depth: usize) {{\n\
-             {members}\
-             __w.end_object({n}, __depth);\n\
+             {body}\n\
            }}\n\
          }}\n"
     )
@@ -271,61 +270,62 @@ fn deserialize_struct(name: &str, fields: &[Field]) -> String {
     )
 }
 
+/// Upstream's externally tagged layout: a unit variant is its name as a
+/// string; any other variant is a one-member object from its name to
+/// its payload (the value, an array of the fields, or an object of the
+/// named fields).
+/// Upstream's externally tagged layout: a unit variant is its name as a
+/// string; any other variant is a one-member object from its name to
+/// its payload (the value, an array of the fields, or an object of the
+/// named fields).
 fn serialize_enum(name: &str, variants: &[Variant]) -> String {
     let mut arms = String::new();
     for v in variants {
         let vname = &v.name;
-        match &v.kind {
-            VariantKind::Unit => arms.push_str(&format!(
-                "{name}::{vname} => \
-                 ::serde::Value::Str(::std::string::String::from(\"{vname}\")),\n"
-            )),
-            VariantKind::Newtype => arms.push_str(&format!(
-                "{name}::{vname}(__f0) => ::serde::Value::Obj(vec![(\
-                 ::std::string::String::from(\"{vname}\"), \
-                 ::serde::Serialize::to_value(__f0))]),\n"
-            )),
-            VariantKind::Tuple(n) => {
-                let binds: Vec<String> = (0..*n).map(|k| format!("__f{k}")).collect();
-                let elems: Vec<String> =
-                    binds.iter().map(|b| format!("::serde::Serialize::to_value({b})")).collect();
+        let (pattern, payload) = match &v.kind {
+            VariantKind::Unit => {
                 arms.push_str(&format!(
-                    "{name}::{vname}({}) => ::serde::Value::Obj(vec![(\
-                     ::std::string::String::from(\"{vname}\"), \
-                     ::serde::Value::Arr(vec![{}]))]),\n",
-                    binds.join(", "),
-                    elems.join(", ")
+                    "{name}::{vname} => ::serde::Serialize::write_json(\"{vname}\", __w, __depth),\n"
                 ));
+                continue;
+            }
+            VariantKind::Newtype => (
+                "(__f0)".to_owned(),
+                "::serde::Serialize::write_json(__f0, __w, __depth + 1);\n".to_owned(),
+            ),
+            VariantKind::Tuple(n) => {
+                let mut elems = String::new();
+                for k in 0..*n {
+                    elems.push_str(&format!(
+                        "__w.element({k}, __depth + 1);\n\
+                         ::serde::Serialize::write_json(__f{k}, __w, __depth + 2);\n"
+                    ));
+                }
+                let binds: Vec<String> = (0..*n).map(|k| format!("__f{k}")).collect();
+                (
+                    format!("({})", binds.join(", ")),
+                    elems + &format!("__w.end_array({n}, __depth + 1);\n"),
+                )
             }
             VariantKind::Struct(fields) => {
                 let binds: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
-                let pairs: Vec<String> = fields
-                    .iter()
-                    .map(|f| {
-                        format!(
-                            "(::std::string::String::from(\"{0}\"), \
-                             ::serde::Serialize::to_value({0}))",
-                            f.name
-                        )
-                    })
-                    .collect();
-                arms.push_str(&format!(
-                    "{name}::{vname} {{ {} }} => ::serde::Value::Obj(vec![(\
-                     ::std::string::String::from(\"{vname}\"), \
-                     ::serde::Value::Obj(vec![{}]))]),\n",
-                    binds.join(", "),
-                    pairs.join(", ")
-                ));
+                let mut members = String::new();
+                for (i, f) in fields.iter().enumerate() {
+                    members.push_str(&write_member(i, &f.name, &f.name, "__depth + 1"));
+                }
+                let end = format!("__w.end_object({}, __depth + 1);\n", fields.len());
+                (format!(" {{ {} }}", binds.join(", ")), members + &end)
             }
-        }
+        };
+        arms.push_str(&format!(
+            "{name}::{vname}{pattern} => {{\n\
+               __w.key(0, \"{vname}\", __depth);\n\
+               {payload}\
+               __w.end_object(1, __depth);\n\
+             }}\n"
+        ));
     }
-    format!(
-        "impl ::serde::Serialize for {name} {{\n\
-           fn to_value(&self) -> ::serde::Value {{\n\
-             match self {{\n{arms}}}\n\
-           }}\n\
-         }}\n"
-    )
+    serialize_impl(name, &format!("match self {{\n{arms}}}"))
 }
 
 fn deserialize_enum(name: &str, variants: &[Variant]) -> String {

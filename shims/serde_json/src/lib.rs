@@ -54,9 +54,18 @@ pub fn to_vec<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>> {
     Ok(out)
 }
 
+/// Writes `value` as compact JSON to `writer`, as it is rendered: the
+/// value never exists as a whole tree or a whole string.
+///
+/// # Errors
+///
+/// Returns the first error `writer` reports.
+pub fn to_writer<W: io::Write, T: Serialize + ?Sized>(mut writer: W, value: &T) -> Result<()> {
+    render(&mut writer, value, None)
+}
+
 /// Writes `value` as 2-space-indented JSON to `writer`, as it is
-/// rendered: structs, sequences and maps never exist as a whole tree
-/// or a whole string.
+/// rendered: the value never exists as a whole tree or a whole string.
 ///
 /// # Errors
 ///
@@ -311,11 +320,9 @@ impl<'a> Parser<'a> {
 mod tests {
     use super::*;
     use std::collections::BTreeMap;
-    use std::time::Duration;
 
-    /// The tree printer `to_string` and `to_string_pretty` used before
-    /// the streaming one: the reference the printer must match byte for
-    /// byte.
+    /// A printer of parsed trees, written apart from [`JsonWriter`]: the
+    /// reference layout the printer must match byte for byte.
     mod reference {
         use super::Value;
 
@@ -423,7 +430,6 @@ mod tests {
         none_yet: Vec<u8>,
         counts: BTreeMap<String, u32>,
         no_counts: BTreeMap<String, u32>,
-        took: Duration,
         raw: Value,
     }
 
@@ -433,6 +439,9 @@ mod tests {
         Newtype(u32),
         Tuple(u8, String, Option<bool>),
         Struct { leaves: Vec<Leaf>, note: Option<String> },
+        Nest(Vec<Kind>),
+        NoFields(),
+        NoMembers {},
     }
 
     #[derive(Serialize)]
@@ -462,7 +471,6 @@ mod tests {
             none_yet: vec![],
             counts: (0..k).map(|i| (format!("key\t{i}"), i)).collect(),
             no_counts: BTreeMap::new(),
-            took: Duration::new(u64::from(k), 999_999_999),
             raw: Value::Obj(vec![
                 ("arr".into(), Value::Arr(vec![Value::Null, Value::Float(1e300), Value::Int(-1)])),
                 ("obj".into(), Value::Obj(vec![])),
@@ -481,6 +489,8 @@ mod tests {
                 Kind::Tuple(1, "t\u{0}".into(), None),
                 Kind::Struct { leaves: vec![leaf(4)], note: Some("n".into()) },
                 Kind::Struct { leaves: vec![], note: None },
+                Kind::Nest(vec![Kind::Unit, Kind::Nest(vec![]), Kind::NoFields()]),
+                Kind::NoMembers {},
             ],
             absent: None,
             present: Some(leaf(5)),
@@ -493,16 +503,21 @@ mod tests {
     }
 
     /// Renders through the streaming printer in every way the crate
-    /// offers, and through the reference over the value tree.
+    /// offers, and through the reference printer over the tree parsed
+    /// back from the compact output.
     fn assert_prints_like_the_tree<T: Serialize + ?Sized>(value: &T) {
-        let tree = value.to_value();
+        let streamed = to_string(value).unwrap();
+        let tree: Value = from_str(&streamed).unwrap();
         let (compact, pretty) = (reference::render(&tree, None), reference::render(&tree, Some(2)));
-        assert_eq!(to_string(value).unwrap(), compact);
+        assert_eq!(streamed, compact);
         assert_eq!(to_vec(value).unwrap(), compact.as_bytes());
+        let mut written = Vec::new();
+        to_writer(&mut written, value).unwrap();
+        assert_eq!(written, compact.as_bytes());
         assert_eq!(to_string_pretty(value).unwrap(), pretty);
-        let mut streamed = Vec::new();
-        to_writer_pretty(&mut streamed, value).unwrap();
-        assert_eq!(streamed, pretty.as_bytes());
+        let mut written = Vec::new();
+        to_writer_pretty(&mut written, value).unwrap();
+        assert_eq!(written, pretty.as_bytes());
         // The tree itself prints the same way.
         assert_eq!(to_string(&tree).unwrap(), compact);
         assert_eq!(to_string_pretty(&tree).unwrap(), pretty);
@@ -517,10 +532,49 @@ mod tests {
         assert_prints_like_the_tree(&BTreeMap::<String, u8>::new());
         assert_prints_like_the_tree(&None::<Leaf>);
         assert_prints_like_the_tree(&f64::NAN);
-        assert_prints_like_the_tree(&Duration::from_millis(1500));
         assert_prints_like_the_tree(&[Kind::Unit, Kind::Newtype(2)][..]);
         assert_prints_like_the_tree("\u{1f}\"");
         assert_prints_like_the_tree(&&leaf(1));
+    }
+
+    /// Derived enums print upstream's externally tagged layout, at any
+    /// depth: each variant kind in compact and pretty form.
+    #[test]
+    fn derived_enums_print_the_externally_tagged_layout() {
+        let struct_variant = Kind::Struct { leaves: vec![], note: Some("n".into()) };
+        let cases: [(Kind, &str, &str); 7] = [
+            (Kind::Unit, r#""Unit""#, r#""Unit""#),
+            (Kind::Newtype(7), r#"{"Newtype":7}"#, "{\n  \"Newtype\": 7\n}"),
+            (
+                Kind::Tuple(1, "t".into(), None),
+                r#"{"Tuple":[1,"t",null]}"#,
+                "{\n  \"Tuple\": [\n    1,\n    \"t\",\n    null\n  ]\n}",
+            ),
+            (
+                struct_variant,
+                r#"{"Struct":{"leaves":[],"note":"n"}}"#,
+                "{\n  \"Struct\": {\n    \"leaves\": [],\n    \"note\": \"n\"\n  }\n}",
+            ),
+            (
+                Kind::Nest(vec![Kind::Unit, Kind::Newtype(2), Kind::Nest(vec![])]),
+                r#"{"Nest":["Unit",{"Newtype":2},{"Nest":[]}]}"#,
+                "{\n  \"Nest\": [\n    \"Unit\",\n    {\n      \"Newtype\": 2\n    },\n    {\n      \"Nest\": []\n    }\n  ]\n}",
+            ),
+            (Kind::NoFields(), r#"{"NoFields":[]}"#, "{\n  \"NoFields\": []\n}"),
+            (Kind::NoMembers {}, r#"{"NoMembers":{}}"#, "{\n  \"NoMembers\": {}\n}"),
+        ];
+        for (kind, compact, pretty) in &cases {
+            assert_eq!(to_string(kind).unwrap(), *compact);
+            assert_eq!(to_string_pretty(kind).unwrap(), *pretty);
+        }
+        // A variant inside a struct member and an array element is
+        // indented to its depth.
+        let tree: BTreeMap<String, Vec<Kind>> = [("k".to_owned(), vec![Kind::Newtype(1)])].into();
+        assert_eq!(to_string(&tree).unwrap(), r#"{"k":[{"Newtype":1}]}"#);
+        assert_eq!(
+            to_string_pretty(&tree).unwrap(),
+            "{\n  \"k\": [\n    {\n      \"Newtype\": 1\n    }\n  ]\n}"
+        );
     }
 
     /// The first write error ends the rendering and is returned.

@@ -517,6 +517,43 @@ fn cold_batches_write_identical_cache_files() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A corpus holding a damaged image (`gen 1` beside `gen 2 --corrupt
+/// garbage-fn`): a warm batch on two jobs misses no summary and keeps
+/// the cache file, a cold batch into a fresh store writes the same file
+/// byte for byte, and repairing the image brings back the findings the
+/// damage had masked — new vulnerable fingerprints, a regression, exit 2.
+#[test]
+fn damaged_image_corpus_stays_warm_and_its_repair_regresses() {
+    let dir = tmpdir("damaged-image");
+    let gen = |profile: &str, name: &str, extra: &[&str]| {
+        let out = dir.join(name);
+        let mut args = vec!["gen", profile, "--out", out.to_str().unwrap()];
+        args.extend_from_slice(extra);
+        let (code, text) = run_captured(&args);
+        assert_eq!(code, Ok(0), "{text}");
+    };
+    gen("1", "dir645.fwi", &[]);
+    gen("2", "dap2695.fwi", &["--corrupt", "garbage-fn"]);
+    let (store, fresh) = (dir.join("store"), dir.join("store-fresh"));
+    assert!(batch_counting_snapshots(&dir, &store) > 0, "cold: the cache is written");
+    let cache = store.join("summaries.dtc");
+    let (ino, bytes) = (inode(&cache), read(&cache));
+    assert_eq!(batch_counting_snapshots_with(&dir, &store, &["--jobs", "2"]), 0, "warm");
+    assert_eq!(inode(&cache), ino, "a warm batch replaced summaries.dtc");
+    let corpus = String::from_utf8(read(&store.join("reports/corpus.json"))).unwrap();
+    for miss in ["\"sym_misses\": 0,", "\"ddg_misses\": 0,"] {
+        assert!(corpus.contains(miss), "a warm batch misses nothing: {corpus}");
+    }
+    batch_counting_snapshots(&dir, &fresh);
+    assert!(read(&fresh.join("summaries.dtc")) == bytes, "two cold batches wrote different caches");
+    gen("2", "dap2695.fwi", &[]);
+    let (code, out) =
+        run_captured(&["batch", dir.to_str().unwrap(), "--store", store.to_str().unwrap()]);
+    assert_eq!(code, Ok(2), "the repaired image regresses: {out}");
+    assert!(out.contains("REGRESSION"), "{out}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 // ---------------------------------------------------------------------------
 // DTC2 salvage — seeded corruption via the fwgen mutate operators
 // ---------------------------------------------------------------------------
@@ -560,7 +597,11 @@ fn store_fault_sweep_never_panics_and_loaded_entries_are_exact() {
         let mut survivors = 0usize;
         for (k, &len) in lens.iter().enumerate() {
             if let Some(blob) = loaded.lookup_blob(Level::Symex, k as u64) {
-                assert_eq!(blob, vec![(k % 7) as u8; len], "{name}: entry {k} corrupted in place");
+                assert_eq!(
+                    blob[..],
+                    vec![(k % 7) as u8; len],
+                    "{name}: entry {k} corrupted in place"
+                );
                 survivors += 1;
             }
         }
@@ -649,7 +690,7 @@ proptest! {
                 if k == r {
                     prop_assert!(got.is_none(), "the damaged record {} leaked through", k);
                 } else {
-                    prop_assert_eq!(got, Some(vec![(k % 7) as u8; len]));
+                    prop_assert_eq!(got.as_deref(), Some(&vec![(k % 7) as u8; len][..]));
                 }
             }
         }

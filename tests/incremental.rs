@@ -332,7 +332,7 @@ fn damaged_shape_tail_falls_back_to_a_cold_run() {
         .into_iter()
         .filter_map(|s| {
             let k = sym_key(bin, s)?;
-            Some((s, k, cache.lookup_blob(Level::Symex, k)?))
+            Some((s, k, cache.lookup_blob(Level::Symex, k)?.to_vec()))
         })
         .max_by_key(|(s, ..)| build_function_cfg(bin, s).unwrap().shape().calls.len())
         .unwrap();
@@ -357,7 +357,11 @@ fn damaged_shape_tail_falls_back_to_a_cold_run() {
         assert_eq!(warm, cold, "{what}: report diverged");
         let st = cache.scan_stats("img");
         assert_eq!(st.sym_miss_fns, BTreeSet::from([sym.name.clone()]), "{what}");
-        assert_eq!(cache.lookup_blob(Level::Symex, key), Some(blob.clone()), "{what}: re-stored");
+        assert_eq!(
+            cache.lookup_blob(Level::Symex, key).as_deref(),
+            Some(&blob[..]),
+            "{what}: re-stored"
+        );
     }
 
     // A bit flipped on disk inside the tail fails the record checksum:
