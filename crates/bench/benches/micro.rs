@@ -36,8 +36,8 @@ fn bench_lift(c: &mut Criterion) {
             let mut pc = text.addr;
             let end = text.addr + text.size;
             while pc < end {
-                let block = lift_block(&bin, pc, end).unwrap();
-                total += block.stmts.len();
+                let (block, ir) = lift_block(&bin, pc, end).unwrap();
+                total += ir.stmts.len();
                 pc = block.end();
             }
             total

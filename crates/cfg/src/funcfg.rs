@@ -1,17 +1,19 @@
 use dtaint_fwbin::{Binary, Result, Symbol, INS_SIZE};
-use dtaint_ir::lift::{lift_block, lift_ins, Terminator};
-use dtaint_ir::{IrBlock, IrStmt, JumpKind};
+use dtaint_ir::lift::{lift_ins, Terminator, MAX_BLOCK_BYTES};
+use dtaint_ir::{IrBlock, IrBuf, IrStmt, JumpKind};
 
 /// The control-flow graph of one function.
 ///
-/// Blocks are stored flat in one `Vec`, sorted by start address; a
-/// block's position in that order is its *index*, and the entry is index
-/// 0. Successor edges are block indices in compressed-sparse-row form:
-/// block `i`'s successors are `succ_targets[succ_offsets[i]..succ_offsets[i
-/// + 1]]`, in the order the block's exits list them (side exits first,
-/// then the fall-through, jump or return site), with a repeat of the
-/// previous successor dropped. A call's only intra-function successor is
-/// its return site (the callee is an edge in the
+/// The function's IR lives in one flat [`IrBuf`] ([`FunctionCfg::ir`]);
+/// each [`IrBlock`] is a statement range of it. Blocks are stored flat
+/// in one `Vec`, sorted by start address; a block's position in that
+/// order is its *index*, and the entry is index 0. Successor edges are
+/// block indices in compressed-sparse-row form: block `i`'s successors
+/// are `succ_targets[succ_offsets[i]..succ_offsets[i + 1]]`, in the
+/// order the block's exits list them (side exits first, then the
+/// fall-through, jump or return site), with a repeat of the previous
+/// successor dropped. A call's only intra-function successor is its
+/// return site (the callee is an edge in the
 /// [`CallGraph`](crate::CallGraph), not here).
 ///
 /// Only what symbolic execution reads is built eagerly: the blocks, the
@@ -26,6 +28,7 @@ pub struct FunctionCfg {
     pub name: String,
     /// End address (exclusive).
     pub end: u32,
+    ir: IrBuf,
     blocks: Vec<IrBlock>,
     succ_offsets: Vec<u32>,
     succ_targets: Vec<u32>,
@@ -146,6 +149,11 @@ fn get_varint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
 }
 
 impl FunctionCfg {
+    /// The function's IR: every block's statements and expression nodes.
+    pub fn ir(&self) -> &IrBuf {
+        &self.ir
+    }
+
     /// The basic blocks in address order; a block's position is its index.
     pub fn blocks(&self) -> &[IrBlock] {
         &self.blocks
@@ -302,7 +310,7 @@ impl FunctionCfg {
                     block: b.addr,
                     ins_addr: b.end() - INS_SIZE,
                     return_to,
-                    next_const: b.next_const(),
+                    next_const: b.next_const(&self.ir),
                 }),
                 _ => None,
             })
@@ -345,73 +353,115 @@ impl FunctionCfg {
 
 /// Builds the CFG for one function symbol.
 ///
-/// The builder first performs a linear sweep over `[sym.addr, sym.addr +
-/// sym.size)` to discover *leaders* (the entry, branch targets, and the
-/// instruction after every terminator), lifting only the terminators,
-/// with [`lift_ins`] into one reused buffer. It then lifts one block per
-/// leader, bounded by the next leader, into the address-sorted block
-/// `Vec`, and lays the successor edges out as index lists. This yields
-/// non-overlapping blocks even when branches target the middle of
-/// straight-line runs.
+/// The builder lifts every instruction of `[sym.addr, sym.addr +
+/// sym.size)` exactly once, in address order, into the function's one
+/// [`IrBuf`], recording where each instruction's statements start and
+/// how it ends. The lifted terminators give the *leaders* (the entry,
+/// branch targets, and the instruction after every terminator). Each
+/// leader then starts one block, cut from the records by
+/// [`lift_block`](dtaint_ir::lift::lift_block)'s rules: it ends after
+/// its first terminator, before the next leader, or after
+/// [`MAX_BLOCK_BYTES`]. This yields non-overlapping blocks even when
+/// branches target the middle of straight-line runs. Words that no block
+/// covers keep their statements in the buffer, unread. Successor edges
+/// are laid out as index lists.
 ///
 /// # Errors
 ///
-/// Propagates lifting errors ([`dtaint_fwbin::Error::BadInstruction`] on
-/// undecodable words, [`dtaint_fwbin::Error::Truncated`] on unmapped
-/// reads, [`dtaint_fwbin::Error::BadSymbol`] when the symbol's address
-/// range wraps the 32-bit address space).
+/// Propagates the first lifting error in address order
+/// ([`dtaint_fwbin::Error::BadInstruction`] on undecodable words,
+/// [`dtaint_fwbin::Error::Truncated`] on unmapped reads), and
+/// [`dtaint_fwbin::Error::BadSymbol`] when the symbol's address range
+/// wraps the 32-bit address space.
 pub fn build_function_cfg(bin: &Binary, sym: &Symbol) -> Result<FunctionCfg> {
+    /// One lifted instruction: where its `Imark` sits, how it ends its
+    /// block, and whether a block starts at it.
+    #[derive(Clone, Copy)]
+    struct Word {
+        stmt: u32,
+        term: Option<Terminator>,
+        leader: bool,
+    }
+    /// Words reserved for up front at most: a damaged symbol may claim
+    /// far more than the mapped text holds, and lifting stops there.
+    const RESERVE_WORDS: usize = 1 << 14;
+
     let start = sym.addr;
     let end = sym
         .addr
         .checked_add(sym.size)
         .ok_or_else(|| dtaint_fwbin::Error::BadSymbol { name: sym.name.clone(), addr: sym.addr })?;
 
-    // Pass 1: discover leaders, lifting only the terminators, one at a
-    // time into one reused buffer. Terminator-ness comes from the decoded
-    // instruction, not from the lifted shape: a `B +0` (jump to the next
-    // instruction) looks exactly like fall-through in the IR but still
-    // ends its block in pass 2, so its target must be a leader.
-    let mut leaders = vec![start];
-    let mut probe: Vec<IrStmt> = Vec::new();
+    // Lift every word once, in address order; the first error is the
+    // function's error.
+    let words = sym.size.div_ceil(INS_SIZE) as usize;
+    let reserve = words.min(RESERVE_WORDS);
+    let mut lifted: Vec<Word> = Vec::with_capacity(reserve);
+    // Under two statements and 3.4 nodes per instruction on every
+    // generated profile (ARM's register lists need the most nodes), so
+    // each `Vec` is allocated once.
+    let mut ir = IrBuf::with_capacity(2 * reserve + 4, 4 * reserve + 8);
+    let stmt_count =
+        |ir: &IrBuf| u32::try_from(ir.stmts.len()).expect("fewer than 2^32 statements");
     let mut pc = start;
     while pc < end {
-        let word = bin.read_u32(pc).ok_or(dtaint_fwbin::Error::Truncated)?;
-        let is_term = match bin.arch {
-            dtaint_fwbin::Arch::Arm32e => {
-                dtaint_fwbin::arm::ArmIns::decode(word, pc)?.is_terminator()
-            }
-            dtaint_fwbin::Arch::Mips32e => {
-                dtaint_fwbin::mips::MipsIns::decode(word, pc)?.is_terminator()
-            }
-        };
-        if is_term {
-            probe.clear();
-            let term = lift_ins(bin, pc, &mut probe)?;
-            let exits = probe.iter().filter_map(|s| match *s {
-                IrStmt::Exit { target, .. } => Some(target),
-                _ => None,
-            });
-            // A side exit comes only from a conditional branch, whose
-            // fall-through makes the next instruction a leader.
-            let flow = match term {
-                None | Some(Terminator::CondBranch) => Some(pc + INS_SIZE),
-                Some(Terminator::Jump(next)) => next.as_const(),
-                Some(Terminator::Call { return_to, .. }) => Some(return_to),
-                Some(Terminator::Ret(_)) => None,
-            };
-            leaders.extend(exits.chain(flow).filter(|t| (start..end).contains(t)));
-        }
+        let stmt = stmt_count(&ir);
+        ir.stmts.push(IrStmt::Imark { addr: pc, len: INS_SIZE });
+        let term = lift_ins(bin, pc, &mut ir)?;
+        lifted.push(Word { stmt, term, leader: false });
         pc += INS_SIZE;
     }
-    leaders.sort_unstable();
-    leaders.dedup();
+    // Where word `k`'s statements start; the buffer's end past the last.
+    let stmts_len = stmt_count(&ir);
+    let stmt_at = |lifted: &[Word], k: usize| lifted.get(k).map_or(stmts_len, |w| w.stmt);
 
-    // Pass 2: lift one block per leader, bounded by the next leader.
-    let mut blocks = Vec::with_capacity(leaders.len());
-    for (i, &leader) in leaders.iter().enumerate() {
-        let limit = leaders.get(i + 1).copied().unwrap_or(end);
-        blocks.push(lift_block(bin, leader, limit)?);
+    // Leaders: every target of a terminator inside the range. Each is
+    // the terminator's address plus a multiple of the instruction size,
+    // so it is always one of the lifted words.
+    for k in 0..lifted.len() {
+        let Some(term) = lifted[k].term else { continue };
+        let pc = start + k as u32 * INS_SIZE;
+        let own = stmt_at(&lifted, k) as usize + 1..stmt_at(&lifted, k + 1) as usize;
+        // A side exit comes only from a conditional branch, whose
+        // fall-through makes the next instruction a leader.
+        let exits = ir.stmts[own].iter().filter_map(|s| match *s {
+            IrStmt::Exit { target, .. } => Some(target),
+            _ => None,
+        });
+        let flow = match term {
+            Terminator::CondBranch => Some(pc + INS_SIZE),
+            Terminator::Jump(next) => ir.expr(next).as_const(),
+            Terminator::Call { return_to, .. } => Some(return_to),
+            Terminator::Ret(_) => None,
+        };
+        for t in exits.chain(flow).filter(|t| (start..end).contains(t)) {
+            debug_assert_eq!((t - start) % INS_SIZE, 0, "leader {t:#x} off the word grid");
+            lifted[((t - start) / INS_SIZE) as usize].leader = true;
+        }
+    }
+
+    // Cut one block per leader (the entry is always one), in address
+    // order, by `lift_block`'s rules.
+    let leaders = 1 + lifted.iter().skip(1).filter(|w| w.leader).count();
+    let mut blocks = Vec::with_capacity(leaders);
+    let mut first = 0;
+    loop {
+        let next_leader = (first + 1..lifted.len()).find(|&k| lifted[k].leader);
+        let addr = start + first as u32 * INS_SIZE;
+        let limit = next_leader.map_or(end, |k| start + k as u32 * INS_SIZE);
+        let (mut k, mut pc, mut term) = (first, addr, None);
+        while term.is_none() && pc < limit && pc - addr < MAX_BLOCK_BYTES {
+            term = lifted[k].term;
+            k += 1;
+            pc += INS_SIZE;
+        }
+        let (stmt_start, stmt_end) = (stmt_at(&lifted, first), stmt_at(&lifted, k));
+        let (next, jumpkind) = Terminator::block_exit(term, pc, &mut ir);
+        blocks.push(IrBlock { addr, size: pc - addr, stmt_start, stmt_end, next, jumpkind });
+        match next_leader {
+            Some(k) => first = k,
+            None => break,
+        }
     }
 
     // Successor edges, as block indices.
@@ -424,9 +474,9 @@ pub fn build_function_cfg(bin: &Binary, sym: &Symbol) -> Result<FunctionCfg> {
         let flow = match b.jumpkind {
             JumpKind::Ret => None,
             JumpKind::Call { return_to } => Some(return_to),
-            JumpKind::Boring => b.next_const(),
+            JumpKind::Boring => b.next_const(&ir),
         };
-        for t in b.exit_targets().chain(flow) {
+        for t in b.exit_targets(&ir).chain(flow) {
             let Some(i) = index_of(t) else { continue };
             // Drop a repeat of the previous successor (`Vec::dedup`).
             if succ_targets[first..].last() != Some(&(i as u32)) {
@@ -436,7 +486,15 @@ pub fn build_function_cfg(bin: &Binary, sym: &Symbol) -> Result<FunctionCfg> {
         succ_offsets.push(succ_targets.len() as u32);
     }
 
-    Ok(FunctionCfg { addr: start, name: sym.name.clone(), end, blocks, succ_offsets, succ_targets })
+    Ok(FunctionCfg {
+        addr: start,
+        name: sym.name.clone(),
+        end,
+        ir,
+        blocks,
+        succ_offsets,
+        succ_targets,
+    })
 }
 
 /// Builds CFGs for every function symbol in the binary, in address order.

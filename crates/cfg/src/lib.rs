@@ -4,10 +4,11 @@
 //! for each function separately" (§III-B). This crate provides exactly
 //! that layer on top of the lifted IR:
 //!
-//! * [`FunctionCfg`] — per-function basic blocks (flat, address-sorted)
-//!   and successor edges (block indices), built by an exact linear sweep
-//!   (both dialects use fixed-width instructions and contiguous function
-//!   bodies), plus the per-block loop membership that marks the paper's
+//! * [`FunctionCfg`] — per-function basic blocks (flat, address-sorted
+//!   statement ranges of the function's one IR buffer) and successor
+//!   edges (block indices), built by one exact linear sweep that lifts
+//!   each instruction once (both dialects use fixed-width instructions
+//!   and contiguous function bodies), plus the per-block loop membership that marks the paper's
 //!   "copy statements in the loop"; predecessors, DFS back edges and
 //!   reverse post-order are computed on demand,
 //! * [`CallGraph`] — the scan's one table of call instructions, each

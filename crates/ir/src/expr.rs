@@ -21,6 +21,11 @@ impl Width {
             Width::W32 => 4,
         }
     }
+
+    /// Size of the access in bits, as the IR text prints it (`mem32[..]`).
+    pub(crate) fn bits(self) -> u32 {
+        8 * self.bytes()
+    }
 }
 
 /// A binary operator in the IR.
@@ -108,12 +113,25 @@ impl fmt::Display for BinOp {
     }
 }
 
-/// A side-effect-free IR expression tree.
+/// Index of an expression node in its [`IrBuf`](crate::IrBuf).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ExprRef(pub(crate) u32);
+
+impl ExprRef {
+    /// Position of the node in [`IrBuf::exprs`](crate::IrBuf::exprs).
+    pub(crate) fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// One node of a side-effect-free IR expression.
 ///
-/// Like VEX's `IRExpr`, but tree-structured rather than flattened through
-/// temporaries: the lifters emit nested expressions directly, which keeps
-/// the symbolic evaluator a single recursive walk.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// Like VEX's `IRExpr`, nodes live in one flat buffer and name their
+/// operands by [`ExprRef`]; an operand is always stored before the node
+/// reading it. The lifters emit nested expressions directly rather than
+/// flattening them through temporaries, which keeps the symbolic
+/// evaluator a single recursive walk.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IrExpr {
     /// A 32-bit constant.
     Const(u32),
@@ -122,7 +140,7 @@ pub enum IrExpr {
     /// A memory load.
     Load {
         /// Address expression.
-        addr: Box<IrExpr>,
+        addr: ExprRef,
         /// Access width.
         width: Width,
     },
@@ -131,82 +149,18 @@ pub enum IrExpr {
         /// Operator.
         op: BinOp,
         /// Left operand.
-        lhs: Box<IrExpr>,
+        lhs: ExprRef,
         /// Right operand.
-        rhs: Box<IrExpr>,
+        rhs: ExprRef,
     },
 }
 
 impl IrExpr {
-    /// Convenience constructor for [`IrExpr::Binop`].
-    pub fn binop(op: BinOp, lhs: IrExpr, rhs: IrExpr) -> IrExpr {
-        IrExpr::Binop { op, lhs: Box::new(lhs), rhs: Box::new(rhs) }
-    }
-
-    /// Convenience constructor: `base + offset` with constant folding for
-    /// a zero offset.
-    pub fn add_const(base: IrExpr, offset: i32) -> IrExpr {
-        if offset == 0 {
-            base
-        } else {
-            IrExpr::binop(BinOp::Add, base, IrExpr::Const(offset as u32))
-        }
-    }
-
-    /// Convenience constructor for [`IrExpr::Load`].
-    pub fn load(addr: IrExpr, width: Width) -> IrExpr {
-        IrExpr::Load { addr: Box::new(addr), width }
-    }
-
-    /// The constant value, when the expression is a constant.
-    pub fn as_const(&self) -> Option<u32> {
+    /// The constant value, when the node is a constant.
+    pub fn as_const(self) -> Option<u32> {
         match self {
-            IrExpr::Const(v) => Some(*v),
+            IrExpr::Const(v) => Some(v),
             _ => None,
-        }
-    }
-
-    /// Registers read anywhere in the tree, in first-use order.
-    pub fn regs_read(&self) -> Vec<Reg> {
-        let mut out = Vec::new();
-        self.visit(&mut |e| {
-            if let IrExpr::Get(r) = e {
-                if !out.contains(r) {
-                    out.push(*r);
-                }
-            }
-        });
-        out
-    }
-
-    /// Depth-first pre-order visit of every node in the tree.
-    pub fn visit(&self, f: &mut impl FnMut(&IrExpr)) {
-        f(self);
-        match self {
-            IrExpr::Const(_) | IrExpr::Get(_) => {}
-            IrExpr::Load { addr, .. } => addr.visit(f),
-            IrExpr::Binop { lhs, rhs, .. } => {
-                lhs.visit(f);
-                rhs.visit(f);
-            }
-        }
-    }
-}
-
-impl fmt::Display for IrExpr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            IrExpr::Const(v) => write!(f, "{v:#x}"),
-            IrExpr::Get(r) => write!(f, "{r}"),
-            IrExpr::Load { addr, width } => {
-                let w = match width {
-                    Width::W8 => "8",
-                    Width::W16 => "16",
-                    Width::W32 => "32",
-                };
-                write!(f, "mem{w}[{addr}]")
-            }
-            IrExpr::Binop { op, lhs, rhs } => write!(f, "({lhs} {op} {rhs})"),
         }
     }
 }
@@ -214,24 +168,6 @@ impl fmt::Display for IrExpr {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn add_const_folds_zero() {
-        let e = IrExpr::add_const(IrExpr::Get(Reg(1)), 0);
-        assert_eq!(e, IrExpr::Get(Reg(1)));
-        let e = IrExpr::add_const(IrExpr::Get(Reg(1)), -4);
-        assert_eq!(e, IrExpr::binop(BinOp::Add, IrExpr::Get(Reg(1)), IrExpr::Const(0xffff_fffc)));
-    }
-
-    #[test]
-    fn regs_read_deduplicates_in_order() {
-        let e = IrExpr::binop(
-            BinOp::Add,
-            IrExpr::Get(Reg(2)),
-            IrExpr::binop(BinOp::Mul, IrExpr::Get(Reg(1)), IrExpr::Get(Reg(2))),
-        );
-        assert_eq!(e.regs_read(), vec![Reg(2), Reg(1)]);
-    }
 
     #[test]
     fn cmp_negation() {
@@ -248,17 +184,15 @@ mod tests {
     }
 
     #[test]
-    fn display_is_readable() {
-        let e = IrExpr::load(
-            IrExpr::binop(BinOp::Add, IrExpr::Get(Reg(5)), IrExpr::Const(0x4c)),
-            Width::W32,
-        );
-        assert_eq!(e.to_string(), "mem32[(x5 + 0x4c)]");
-    }
-
-    #[test]
     fn width_bytes() {
         assert_eq!(Width::W8.bytes(), 1);
         assert_eq!(Width::W32.bytes(), 4);
+    }
+
+    #[test]
+    fn nodes_are_small_copy_values() {
+        assert_eq!(std::mem::size_of::<IrExpr>(), 12);
+        assert_eq!(IrExpr::Const(7).as_const(), Some(7));
+        assert_eq!(IrExpr::Get(Reg(1)).as_const(), None);
     }
 }

@@ -5,15 +5,20 @@
 //! is the equivalent for the `arm32e`/`mips32e` dialects of
 //! [`dtaint_fwbin`]:
 //!
-//! * [`IrExpr`] — side-effect-free expression trees over guest registers,
-//!   memory loads and constants,
+//! * [`IrBuf`] — one flat buffer of statements and expression nodes, as
+//!   VEX keeps a superblock in one arena; a lifted block, or a whole
+//!   lifted function, lives in one,
+//! * [`IrExpr`] — side-effect-free expression nodes over guest registers,
+//!   memory loads and constants, `Copy` values naming their operands by
+//!   [`ExprRef`] (an index into the buffer),
 //! * [`IrStmt`] — register writes, memory stores, instruction marks and
 //!   conditional side exits,
-//! * [`IrBlock`] — one basic block with its final jump kind (fall-through,
-//!   call, return, indirect),
+//! * [`IrBlock`] — one basic block (a statement range of its buffer) with
+//!   its final jump kind (fall-through, call, return, indirect),
 //! * [`lift::lift_block`] — decodes and lifts a block from a loaded
-//!   [`Binary`](dtaint_fwbin::Binary); [`lift::lift_ins`] lifts one
-//!   instruction, appending to a caller's statement buffer.
+//!   [`Binary`](dtaint_fwbin::Binary) into a buffer of its own;
+//!   [`lift::lift_ins`] lifts one instruction, appending to a caller's
+//!   buffer.
 //!
 //! Architecture differences are normalised here so that every later stage
 //! is ISA-agnostic: ARM condition flags become explicit compare operands
@@ -38,8 +43,9 @@
 //! b.add_function("f", a);
 //! let bin = b.link()?;
 //! let f = bin.function("f").unwrap();
-//! let block = lift_block(&bin, f.addr, f.addr + f.size)?;
+//! let (block, ir) = lift_block(&bin, f.addr, f.addr + f.size)?;
 //! assert_eq!(block.jumpkind, JumpKind::Ret);
+//! assert_eq!(ir.show(block.stmts(&ir)[1]).to_string(), "x1 = mem32[(x0 + 0x4c)]");
 //! # Ok::<(), dtaint_fwbin::Error>(())
 //! ```
 
@@ -50,8 +56,8 @@ mod lift_arm;
 mod lift_mips;
 mod stmt;
 
-pub use expr::{BinOp, IrExpr, Width};
-pub use stmt::{IrBlock, IrStmt, JumpKind};
+pub use expr::{BinOp, ExprRef, IrExpr, Width};
+pub use stmt::{IrBlock, IrBuf, IrStmt, JumpKind, Show};
 
 use dtaint_fwbin::Reg;
 

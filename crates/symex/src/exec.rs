@@ -15,7 +15,7 @@ use crate::summary::{
 use crate::types::VType;
 use dtaint_cfg::FunctionCfg;
 use dtaint_fwbin::{Binary, Reg};
-use dtaint_ir::{BinOp, IrBlock, IrExpr, IrStmt, JumpKind, Width, CMP_L, CMP_R};
+use dtaint_ir::{BinOp, ExprRef, IrBlock, IrExpr, IrStmt, JumpKind, Width, CMP_L, CMP_R};
 use std::collections::HashSet;
 
 /// Stack-passed arguments seeded at entry (`arg4..arg9`) and read at
@@ -179,10 +179,10 @@ struct Executor<'a> {
 
 impl<'a> Executor<'a> {
     fn run(mut self) -> FuncSummary {
-        // Blocks are read in place through this copy of the `&'a`
-        // reference, so holding one does not borrow `self`: no block is
-        // ever cloned.
+        // Blocks and their IR are read in place through this copy of the
+        // `&'a` reference, so holding them does not borrow `self`.
         let cfg: &'a FunctionCfg = self.cfg;
+        let ir = cfg.ir();
         let mut summary =
             FuncSummary { addr: cfg.addr, name: cfg.name.clone(), ..FuncSummary::default() };
         if cfg.blocks().is_empty() {
@@ -230,16 +230,16 @@ impl<'a> Executor<'a> {
                 let in_loop = self.loop_blocks[index];
                 let mut exit: Option<(ExprId, CmpOp, ExprId, u32, u32)> = None;
                 let mut ins_addr = block.addr;
-                for stmt in &block.stmts {
+                for &stmt in block.stmts(ir) {
                     match stmt {
-                        IrStmt::Imark { addr, .. } => ins_addr = *addr,
+                        IrStmt::Imark { addr, .. } => ins_addr = addr,
                         IrStmt::Put { reg, value } => {
-                            let v = self.eval(&mut item, &mut summary, value, ins_addr);
-                            item.state.set_reg(*reg, v);
+                            let v = self.eval(&mut item, &mut summary, value);
+                            item.state.set_reg(reg, v);
                         }
                         IrStmt::Store { addr, value, width } => {
-                            let a = self.eval(&mut item, &mut summary, addr, ins_addr);
-                            let v = self.eval(&mut item, &mut summary, value, ins_addr);
+                            let a = self.eval(&mut item, &mut summary, addr);
+                            let v = self.eval(&mut item, &mut summary, value);
                             self.note_pointer_base(&mut summary, a);
                             item.state.store(a, v);
                             let w = width.bytes() as u8;
@@ -255,17 +255,17 @@ impl<'a> Executor<'a> {
                             }
                         }
                         IrStmt::Exit { cond, target } => {
-                            if let IrExpr::Binop { op, lhs, rhs } = cond {
-                                let l = self.eval(&mut item, &mut summary, lhs, ins_addr);
-                                let r = self.eval(&mut item, &mut summary, rhs, ins_addr);
-                                let cmp = cmp_of(*op);
+                            if let IrExpr::Binop { op, lhs, rhs } = ir.expr(cond) {
+                                let l = self.eval(&mut item, &mut summary, lhs);
+                                let r = self.eval(&mut item, &mut summary, rhs);
+                                let cmp = cmp_of(op);
                                 let (cmp, l, r) = normalize_cond(self.pool, cmp, l, r);
                                 // Machine-instruction type rule: a value
                                 // compared against an immediate is an int.
                                 if self.pool.as_const(r).is_some() {
                                     summary.observe_type(l, VType::Int);
                                 }
-                                exit = Some((l, cmp, r, *target, ins_addr));
+                                exit = Some((l, cmp, r, target, ins_addr));
                             }
                         }
                     }
@@ -295,8 +295,11 @@ impl<'a> Executor<'a> {
                             if let (Some(lc), Some(rc)) =
                                 (self.pool.as_const(l), self.pool.as_const(r))
                             {
-                                let next =
-                                    if op.eval(lc, rc) { Some(target) } else { block.next_const() };
+                                let next = if op.eval(lc, rc) {
+                                    Some(target)
+                                } else {
+                                    block.next_const(ir)
+                                };
                                 match next.filter(|n| self.may_enter(&item, *n)) {
                                     Some(n) => {
                                         item.block = n;
@@ -306,7 +309,7 @@ impl<'a> Executor<'a> {
                                 }
                             }
                             // Fork: taken side pushed as a new path.
-                            let fall = block.next_const();
+                            let fall = block.next_const(ir);
                             let mut taken = item.clone();
                             taken.constraints.push(Constraint {
                                 op,
@@ -335,7 +338,7 @@ impl<'a> Executor<'a> {
                                 None => break true,
                             }
                         }
-                        match block.next_const().filter(|n| self.may_enter(&item, *n)) {
+                        match block.next_const(ir).filter(|n| self.may_enter(&item, *n)) {
                             Some(n) => {
                                 item.block = n;
                                 continue;
@@ -413,25 +416,18 @@ impl<'a> Executor<'a> {
         v
     }
 
-    #[allow(clippy::only_used_in_recursion)] // kept for future per-use records
-    fn eval(
-        &mut self,
-        item: &mut PathItem,
-        summary: &mut FuncSummary,
-        e: &IrExpr,
-        ins_addr: u32,
-    ) -> ExprId {
-        match e {
-            IrExpr::Const(v) => self.pool.constant(*v as i32 as i64),
+    fn eval(&mut self, item: &mut PathItem, summary: &mut FuncSummary, e: ExprRef) -> ExprId {
+        match self.cfg.ir().expr(e) {
+            IrExpr::Const(v) => self.pool.constant(v as i32 as i64),
             IrExpr::Get(r) => {
-                let v = self.read_reg(&mut item.state, *r);
+                let v = self.read_reg(&mut item.state, r);
                 if let SymNode::Arg(i) = self.pool.node(v) {
                     summary.args_used.insert(i);
                 }
                 v
             }
             IrExpr::Load { addr, width } => {
-                let a = self.eval(item, summary, addr, ins_addr);
+                let a = self.eval(item, summary, addr);
                 self.note_pointer_base(summary, a);
                 if let Some(i) = self.arg_index(a) {
                     summary.args_used.insert(i);
@@ -462,8 +458,8 @@ impl<'a> Executor<'a> {
                 self.pool.deref(a, width.bytes() as u8)
             }
             IrExpr::Binop { op, lhs, rhs } => {
-                let a = self.eval(item, summary, lhs, ins_addr);
-                let b = self.eval(item, summary, rhs, ins_addr);
+                let a = self.eval(item, summary, lhs);
+                let b = self.eval(item, summary, rhs);
                 match op {
                     BinOp::Add => self.pool.add(a, b),
                     BinOp::Sub => self.pool.sub(a, b),
@@ -474,7 +470,7 @@ impl<'a> Executor<'a> {
                     BinOp::Shl => self.pool.shl_op(a, b),
                     BinOp::Shr => self.pool.shr_op(a, b),
                     cmp => {
-                        let c = cmp_of(*cmp);
+                        let c = cmp_of(cmp);
                         self.pool.cmp(c, a, b)
                     }
                 }
@@ -517,7 +513,7 @@ impl<'a> Executor<'a> {
                 None => break,
             }
         }
-        let callee = match block.next_const() {
+        let callee = match block.next_const(self.cfg.ir()) {
             Some(t) => {
                 if let Some(imp) = self.bin.import_at(t) {
                     CalleeRef::Import(imp.name.clone())
@@ -530,7 +526,7 @@ impl<'a> Executor<'a> {
             }
             None => {
                 // Re-evaluate the indirect target expression.
-                let t = self.eval(item, summary, &block.next, cs_addr);
+                let t = self.eval(item, summary, block.next);
                 CalleeRef::Indirect(t)
             }
         };
@@ -672,18 +668,19 @@ mod tests {
     use dtaint_fwbin::mips::MipsIns;
     use dtaint_fwbin::{Arch, INS_SIZE};
     use dtaint_ir::lift::{lift_ins, Terminator};
+    use dtaint_ir::IrBuf;
     use std::collections::BTreeSet;
 
-    fn regs_in(e: &IrExpr, out: &mut BTreeSet<Reg>) {
-        match e {
+    fn regs_in(ir: &IrBuf, e: ExprRef, out: &mut BTreeSet<Reg>) {
+        match ir.expr(e) {
             IrExpr::Const(_) => {}
             IrExpr::Get(r) => {
-                out.insert(*r);
+                out.insert(r);
             }
-            IrExpr::Load { addr, .. } => regs_in(addr, out),
+            IrExpr::Load { addr, .. } => regs_in(ir, addr, out),
             IrExpr::Binop { lhs, rhs, .. } => {
-                regs_in(lhs, out);
-                regs_in(rhs, out);
+                regs_in(ir, lhs, out);
+                regs_in(ir, rhs, out);
             }
         }
     }
@@ -714,28 +711,28 @@ mod tests {
         let bin = b.link().unwrap();
         let f = bin.function("every_word").unwrap();
         let mut regs = BTreeSet::new();
-        let mut stmts = Vec::new();
+        let mut ir = IrBuf::default();
         for pc in (f.addr..f.addr + f.size).step_by(INS_SIZE as usize) {
-            stmts.clear();
-            let term = lift_ins(&bin, pc, &mut stmts).unwrap();
-            for stmt in &stmts {
+            ir.stmts.clear();
+            let term = lift_ins(&bin, pc, &mut ir).unwrap();
+            for &stmt in &ir.stmts {
                 match stmt {
                     IrStmt::Imark { .. } => {}
                     IrStmt::Put { reg, value } => {
-                        regs.insert(*reg);
-                        regs_in(value, &mut regs);
+                        regs.insert(reg);
+                        regs_in(&ir, value, &mut regs);
                     }
                     IrStmt::Store { addr, value, .. } => {
-                        regs_in(addr, &mut regs);
-                        regs_in(value, &mut regs);
+                        regs_in(&ir, addr, &mut regs);
+                        regs_in(&ir, value, &mut regs);
                     }
-                    IrStmt::Exit { cond, .. } => regs_in(cond, &mut regs),
+                    IrStmt::Exit { cond, .. } => regs_in(&ir, cond, &mut regs),
                 }
             }
             match term {
                 Some(
                     Terminator::Jump(e) | Terminator::Ret(e) | Terminator::Call { next: e, .. },
-                ) => regs_in(&e, &mut regs),
+                ) => regs_in(&ir, e, &mut regs),
                 Some(Terminator::CondBranch) | None => {}
             }
         }

@@ -16,6 +16,8 @@
 use std::path::{Path, PathBuf};
 
 use dtaint_cli::run_captured;
+use dtaint_core::AnalysisReport;
+use serde_json::Value;
 
 fn tmpdir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("dtaint-fleet-{}-{tag}", std::process::id()));
@@ -78,6 +80,88 @@ fn corpus_rollup_is_bit_identical_across_jobs() {
     // And it is non-trivial: real logical counters, not an empty shell.
     let text = String::from_utf8(rollups[0].clone()).unwrap();
     assert!(text.contains("symex.blocks_executed"), "{text}");
+}
+
+/// Cold batches over images that share functions: at `--jobs 2` the two
+/// workers race to store and probe the shared summaries, so how an
+/// image's probes split between hits and misses depends on scheduling.
+/// Everything else does not: two cold `--jobs 2` runs and one `--jobs
+/// 1` run write the same reports (wall clock zeroed), `findings.json`
+/// and `summaries.dtc`, and each image makes the same number of probes
+/// at each cache level. `gen 1`–`gen 3` share no function with each
+/// other; `gen 3 --corrupt garbage-fn` shares all but one with `gen 3`.
+#[test]
+fn cold_multi_job_batches_agree_on_everything_but_the_hit_split() {
+    let dir = tmpdir("shared");
+    let (gen, corpus) = (dir.join("gen"), dir.join("corpus"));
+    std::fs::create_dir_all(&gen).unwrap();
+    std::fs::create_dir_all(&corpus).unwrap();
+    for (name, args) in [
+        ("gen1.fwi", &["1"][..]),
+        ("gen2.fwi", &["2"]),
+        ("gen3.fwi", &["3"]),
+        ("gen3-garbage.fwi", &["3", "--corrupt", "garbage-fn"]),
+    ] {
+        let out = gen.join(name);
+        let mut argv = vec!["gen", args[0], "--out", out.to_str().unwrap()];
+        argv.extend(&args[1..]);
+        let (code, text) = run_captured(&argv);
+        assert_eq!(code, Ok(0), "{text}");
+        std::fs::copy(&out, corpus.join(name)).unwrap();
+    }
+    let outcome = |jobs: &str, tag: &str| {
+        let store = dir.join(tag);
+        let (code, out) = run_captured(&[
+            "batch",
+            corpus.to_str().unwrap(),
+            "--jobs",
+            jobs,
+            "--store",
+            store.to_str().unwrap(),
+        ]);
+        assert_eq!(code, Ok(0), "{tag}: {out}");
+        let mut reports = Vec::new();
+        let mut names: Vec<PathBuf> = std::fs::read_dir(store.join("reports"))
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.file_name().is_some_and(|n| n != "corpus.json"))
+            .collect();
+        names.sort();
+        // Reports carry wall-clock timings: compare them with the clock
+        // zeroed.
+        for p in names {
+            let text = String::from_utf8(read(&p)).unwrap();
+            let report = AnalysisReport::from_json(&text).unwrap().with_zeroed_wall_clock();
+            reports.push((p.file_name().unwrap().to_owned(), report));
+        }
+        let corpus_json: Value =
+            serde_json::from_slice(&read(&store.join("reports/corpus.json"))).unwrap();
+        let Some(Value::Arr(images)) = corpus_json.get("images") else { panic!("{tag}: images") };
+        let field = |img: &Value, k: &str| match img.get(k) {
+            Some(Value::Int(v)) => *v,
+            other => panic!("{tag}: `{k}` is {other:?}"),
+        };
+        let probes: Vec<(Option<Value>, i64, i64)> = images
+            .iter()
+            .map(|img| {
+                let sym = field(img, "sym_hits") + field(img, "sym_misses");
+                let ddg = field(img, "ddg_hits") + field(img, "ddg_misses");
+                (img.get("name").cloned(), sym, ddg)
+            })
+            .collect();
+        let stored = (read(&store.join("findings.json")), read(&store.join("summaries.dtc")));
+        (reports, stored, probes)
+    };
+    let serial = outcome("1", "jobs1");
+    assert_eq!(serial.0.len(), 4, "one report per image");
+    assert!(serial.2.iter().all(|(_, sym, ddg)| *sym > 0 && *ddg > 0), "{:?}", serial.2);
+    for tag in ["jobs2-a", "jobs2-b"] {
+        let (reports, stored, probes) = outcome("2", tag);
+        assert!(reports == serial.0, "{tag}: reports differ from --jobs 1");
+        assert!(stored.0 == serial.1 .0, "{tag}: findings.json differs from --jobs 1");
+        assert!(stored.1 == serial.1 .1, "{tag}: summaries.dtc differs from --jobs 1");
+        assert_eq!(probes, serial.2, "{tag}: probes per image differ from --jobs 1");
+    }
 }
 
 /// The acceptance drill: kill a batch after one committed image, read

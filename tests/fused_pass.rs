@@ -16,7 +16,7 @@ use dtaint_core::{CacheRef, Dtaint, DtaintConfig, FunctionOutcome, FunctionRecor
 use dtaint_fwbin::{Binary, Symbol, SymbolKind, INS_SIZE};
 use dtaint_fwgen::{build_firmware, corrupt_binary, fbf_fault_corpus, table2_profiles, BinFault};
 use dtaint_ir::lift::lift_block;
-use dtaint_ir::{IrBlock, JumpKind};
+use dtaint_ir::{ExprRef, IrBlock, IrBuf, IrExpr, IrStmt, JumpKind};
 use dtaint_symex::{analyze_function, ExprPool, SymexConfig};
 use dtaint_telemetry::Collector;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -39,7 +39,7 @@ fn reference_callgraph(bin: &Binary, cfgs: &[FunctionCfg]) -> CallGraph {
         edges.entry(cfg.addr).or_default();
         for b in cfg.blocks() {
             let JumpKind::Call { .. } = b.jumpkind else { continue };
-            let target = match b.next_const() {
+            let target = match b.next_const(cfg.ir()) {
                 Some(t) if func_set.contains(&t) => CallTarget::Direct(t),
                 Some(t) => match bin.import_at(t) {
                     Some(imp) => {
@@ -80,12 +80,12 @@ fn assert_same_graph(got: &CallGraph, want: &CallGraph, label: &str) {
 }
 
 /// The per-function CFG as it was built before blocks were stored flat:
-/// `BTreeMap` blocks, `HashMap` successor and predecessor lists, eager
-/// DFS back edges and a `HashMap` Tarjan. The reference the flat
-/// `FunctionCfg` must match.
+/// `BTreeMap` blocks, each lifted on its own by `lift_block`, `HashMap`
+/// successor and predecessor lists, eager DFS back edges and a `HashMap`
+/// Tarjan. The reference the flat `FunctionCfg` must match.
 struct ReferenceCfg {
     addr: u32,
-    blocks: BTreeMap<u32, IrBlock>,
+    blocks: BTreeMap<u32, (IrBlock, IrBuf)>,
     succs: HashMap<u32, Vec<u32>>,
     preds: HashMap<u32, Vec<u32>>,
     back_edges: HashSet<(u32, u32)>,
@@ -113,8 +113,8 @@ fn reference_cfg(bin: &Binary, sym: &Symbol) -> dtaint_fwbin::Result<ReferenceCf
             }
         };
         if is_term {
-            let one = lift_block(bin, pc, pc + INS_SIZE)?;
-            let exits: Vec<u32> = one.exit_targets().collect();
+            let (one, ir) = lift_block(bin, pc, pc + INS_SIZE)?;
+            let exits: Vec<u32> = one.exit_targets(&ir).collect();
             for &t in &exits {
                 if (start..end).contains(&t) {
                     leaders.insert(t);
@@ -122,7 +122,7 @@ fn reference_cfg(bin: &Binary, sym: &Symbol) -> dtaint_fwbin::Result<ReferenceCf
             }
             match one.jumpkind {
                 JumpKind::Boring => {
-                    if let Some(t) = one.next_const() {
+                    if let Some(t) = one.next_const(&ir) {
                         if (start..end).contains(&t) {
                             leaders.insert(t);
                         }
@@ -143,7 +143,7 @@ fn reference_cfg(bin: &Binary, sym: &Symbol) -> dtaint_fwbin::Result<ReferenceCf
     }
 
     // Pass 2: one block per leader, bounded by the next leader.
-    let mut blocks: BTreeMap<u32, IrBlock> = BTreeMap::new();
+    let mut blocks: BTreeMap<u32, (IrBlock, IrBuf)> = BTreeMap::new();
     let leader_list: Vec<u32> = leaders.iter().copied().collect();
     for (i, &leader) in leader_list.iter().enumerate() {
         let limit = leader_list.get(i + 1).copied().unwrap_or(end);
@@ -152,8 +152,8 @@ fn reference_cfg(bin: &Binary, sym: &Symbol) -> dtaint_fwbin::Result<ReferenceCf
 
     let mut succs: HashMap<u32, Vec<u32>> = HashMap::new();
     let mut preds: HashMap<u32, Vec<u32>> = HashMap::new();
-    for (&a, b) in &blocks {
-        let mut out: Vec<u32> = b.exit_targets().filter(|t| blocks.contains_key(t)).collect();
+    for (&a, (b, ir)) in &blocks {
+        let mut out: Vec<u32> = b.exit_targets(ir).filter(|t| blocks.contains_key(t)).collect();
         match b.jumpkind {
             JumpKind::Ret => {}
             JumpKind::Call { return_to } => {
@@ -162,7 +162,7 @@ fn reference_cfg(bin: &Binary, sym: &Symbol) -> dtaint_fwbin::Result<ReferenceCf
                 }
             }
             JumpKind::Boring => {
-                if let Some(t) = b.next_const() {
+                if let Some(t) = b.next_const(ir) {
                     if blocks.contains_key(&t) {
                         out.push(t);
                     }
@@ -309,12 +309,12 @@ impl ReferenceCfg {
         let calls = self
             .blocks
             .iter()
-            .filter_map(|(&block, b)| match b.jumpkind {
+            .filter_map(|(&block, (b, ir))| match b.jumpkind {
                 JumpKind::Call { return_to } => Some(dtaint_cfg::CallRow {
                     block,
                     ins_addr: b.end() - INS_SIZE,
                     return_to,
-                    next_const: b.next_const(),
+                    next_const: b.next_const(ir),
                 }),
                 _ => None,
             })
@@ -324,7 +324,7 @@ impl ReferenceCfg {
             name: name.to_owned(),
             blocks: self.blocks.len(),
             edges: self.edge_count(),
-            instructions: self.blocks.values().map(|b| (b.size / INS_SIZE) as usize).sum(),
+            instructions: self.blocks.values().map(|(b, _)| (b.size / INS_SIZE) as usize).sum(),
             calls,
         }
     }
@@ -355,7 +355,10 @@ fn assert_cfgs_equal_the_reference(bin: &Binary, label: &str) {
         let addrs: Vec<u32> = got.blocks().iter().map(|b| b.addr).collect();
         let to_addrs =
             |indices: &[u32]| -> Vec<u32> { indices.iter().map(|&i| addrs[i as usize]).collect() };
-        assert!(got.blocks().iter().eq(want.blocks.values()), "{label}: blocks");
+        assert_eq!(got.blocks().len(), want.blocks.len(), "{label}: blocks");
+        for (b, (w, wir)) in got.blocks().iter().zip(want.blocks.values()) {
+            assert!(same_block(got.ir(), b, wir, w), "{label}: block {:#x}", w.addr);
+        }
         for (i, &a) in addrs.iter().enumerate() {
             assert_eq!(to_addrs(got.succs(i)), want.succs[&a], "{label}: successors of {a:#x}");
         }
@@ -377,6 +380,46 @@ fn assert_cfgs_equal_the_reference(bin: &Binary, label: &str) {
         assert_eq!(got.block_count(), want.blocks.len(), "{label}: block_count");
         assert_eq!(got.edge_count(), want.edge_count(), "{label}: edge_count");
         assert_eq!(got.shape(), want.shape(&s.name), "{label}: shape");
+    }
+}
+
+/// Two blocks held in different buffers are the same block: the same
+/// range and exit, and statement by statement the same IR, compared
+/// node by node.
+fn same_block(a: &IrBuf, x: &IrBlock, b: &IrBuf, y: &IrBlock) -> bool {
+    let (xs, ys) = (x.stmts(a), y.stmts(b));
+    (x.addr, x.size, x.jumpkind) == (y.addr, y.size, y.jumpkind)
+        && xs.len() == ys.len()
+        && xs.iter().zip(ys).all(|(&s, &t)| same_stmt(a, s, b, t))
+        && same_expr(a, x.next, b, y.next)
+}
+
+fn same_stmt(a: &IrBuf, s: IrStmt, b: &IrBuf, t: IrStmt) -> bool {
+    let same = |x, y| same_expr(a, x, b, y);
+    match (s, t) {
+        (IrStmt::Put { reg: r, value: v }, IrStmt::Put { reg: q, value: w }) => {
+            r == q && same(v, w)
+        }
+        (
+            IrStmt::Store { addr: p, value: v, width: x },
+            IrStmt::Store { addr: q, value: w, width: y },
+        ) => x == y && same(p, q) && same(v, w),
+        (IrStmt::Exit { cond: c, target: x }, IrStmt::Exit { cond: d, target: y }) => {
+            x == y && same(c, d)
+        }
+        (s, t) => s == t,
+    }
+}
+
+fn same_expr(a: &IrBuf, x: ExprRef, b: &IrBuf, y: ExprRef) -> bool {
+    match (a.expr(x), b.expr(y)) {
+        (IrExpr::Load { addr: p, width: v }, IrExpr::Load { addr: q, width: w }) => {
+            v == w && same_expr(a, p, b, q)
+        }
+        (IrExpr::Binop { op: o, lhs: l, rhs: r }, IrExpr::Binop { op: p, lhs: m, rhs: s }) => {
+            o == p && same_expr(a, l, b, m) && same_expr(a, r, b, s)
+        }
+        (e, f) => e == f,
     }
 }
 

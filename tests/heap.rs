@@ -8,16 +8,63 @@
 //! that keeps summaries alive longer, or copies them, fails here. So
 //! does a JSON rendering of the report that builds it whole before
 //! writing it.
+//!
+//! The allocator is wrapped once more to count allocation calls per
+//! thread, which pins what lifting one function costs the allocator.
 
+use dtaint_cfg::build_function_cfg;
 use dtaint_core::{Dtaint, DtaintConfig};
 use dtaint_fwgen::{build_firmware, table2_profiles};
 use dtaint_telemetry::{heap, Collector, CountingAlloc, SpanEvent};
+use std::alloc::{GlobalAlloc, Layout};
+use std::cell::Cell;
+use std::sync::Mutex;
+
+/// [`CountingAlloc`], also counting this thread's allocation calls
+/// (`alloc`, `alloc_zeroed` and `realloc`) in [`CALLS`].
+struct CountingCalls;
+
+thread_local! {
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_call() {
+    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to
+// `CountingAlloc`, which upholds the `GlobalAlloc` contract; counting
+// touches only a thread-local `Cell` and never allocates.
+unsafe impl GlobalAlloc for CountingCalls {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_call();
+        CountingAlloc.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_call();
+        CountingAlloc.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_call();
+        CountingAlloc.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        CountingAlloc.dealloc(ptr, layout)
+    }
+}
 
 #[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
+static ALLOC: CountingCalls = CountingCalls;
+
+/// The live-heap figures are process-wide: the tests take turns.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 #[test]
 fn hikvision_live_heap_stays_within_budget() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let profile = table2_profiles().into_iter().find(|p| p.manufacturer == "Hikvision").unwrap();
     let bin = build_firmware(&profile).binary;
     let mut tel = Collector::disabled();
@@ -66,4 +113,34 @@ fn hikvision_live_heap_stays_within_budget() {
     serde_json::to_writer_pretty(std::io::sink(), &report).unwrap();
     let rise = (heap::peak() - before) as f64 / f64::from(1 << 20);
     assert!(rise < 0.25, "rendering the Hikvision report raised the live heap {rise:.2} MiB");
+}
+
+/// Lifting a function into its CFG costs a constant handful of
+/// allocation calls, whatever its size: its IR lives in one flat buffer,
+/// not a heap node per expression. Pinned per function at the measured
+/// count (7.0: the name, the statements, the nodes, the per-word
+/// records, the blocks and the two edge arrays) plus 10 % headroom, on
+/// Hikvision (MIPS) and on setup.cgi (ARM, whose register lists need the
+/// most nodes per instruction); a heap node per expression cost ~143 and
+/// ~172.
+#[test]
+fn lifting_costs_a_handful_of_allocations_per_function() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    for (i, profile) in
+        table2_profiles().into_iter().enumerate().filter(|(i, _)| [2, 5].contains(i))
+    {
+        let bin = build_firmware(&profile).binary;
+        let functions = bin.functions();
+        let before = CALLS.with(Cell::get);
+        for s in &functions {
+            drop(build_function_cfg(&bin, s).expect("every generated function lifts"));
+        }
+        let calls = CALLS.with(Cell::get) - before;
+        let per_function = calls as f64 / functions.len() as f64;
+        assert!(
+            per_function <= 7.7,
+            "profile {}: {per_function:.2} allocation calls per function",
+            i + 1
+        );
+    }
 }
