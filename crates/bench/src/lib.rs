@@ -16,6 +16,7 @@ use dtaint_fwgen::{build_firmware, FirmwareProfile, GeneratedFirmware};
 use dtaint_telemetry::{Collector, SpanEvent};
 
 pub mod alias_recall;
+pub mod golden;
 pub mod weak_bounds;
 
 /// The counting global allocator for the Table VI memory column, from

@@ -11,8 +11,11 @@
 //! a lift-all-then-symex reference on the fault corpus, at 1, 2 and 8
 //! threads.
 
+use dtaint_bench::golden;
 use dtaint_cfg::{build_function_cfg, CallGraph, CallTarget, Callsite, FunctionCfg, FunctionShape};
-use dtaint_core::{CacheRef, Dtaint, DtaintConfig, FunctionOutcome, FunctionRecord, SummaryCache};
+use dtaint_core::{
+    AnalysisReport, CacheRef, Dtaint, DtaintConfig, FunctionOutcome, FunctionRecord, SummaryCache,
+};
 use dtaint_fwbin::{Binary, Symbol, SymbolKind, INS_SIZE};
 use dtaint_fwgen::{build_firmware, corrupt_binary, fbf_fault_corpus, table2_profiles, BinFault};
 use dtaint_ir::lift::lift_block;
@@ -21,7 +24,7 @@ use dtaint_symex::{analyze_function, ExprPool, SymexConfig};
 use dtaint_telemetry::Collector;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The call-graph classification as it was written over full CFGs,
 /// before shape records existed, in the table form: one row per call
@@ -638,10 +641,51 @@ fn fused_pass_outcomes_equal_the_staged_reference_on_the_fault_corpus() {
     assert!(errors > 0, "the corpus must exercise fail-fast errors");
 }
 
+/// One scan of a Table II profile.
+struct ProfileScan {
+    /// 1-based Table II index.
+    profile: usize,
+    manufacturer: &'static str,
+    name: &'static str,
+    threads: usize,
+    report: AnalysisReport,
+    tel: Collector,
+}
+
+/// Every Table II profile scanned at the golden thread counts (1 and
+/// 2) in the golden configuration (the default mode, audited), and
+/// Hikvision also at 8 threads. Run once and shared by the tests that
+/// read them.
+fn profile_scans() -> &'static [ProfileScan] {
+    static SCANS: OnceLock<Vec<ProfileScan>> = OnceLock::new();
+    SCANS.get_or_init(|| {
+        let mut scans = Vec::new();
+        for (i, p) in table2_profiles().into_iter().enumerate() {
+            let bin = build_firmware(&p).binary;
+            let mut threads = golden::THREADS.to_vec();
+            if p.manufacturer == "Hikvision" {
+                threads.push(8);
+            }
+            for threads in threads {
+                let (report, tel) = golden::scan(&bin, p.binary_name, threads);
+                scans.push(ProfileScan {
+                    profile: i + 1,
+                    manufacturer: p.manufacturer,
+                    name: p.binary_name,
+                    threads,
+                    report,
+                    tel,
+                });
+            }
+        }
+        scans
+    })
+}
+
 /// Symex keeps a path's registers in a fixed file. A register the
 /// lifters emit without a slot there would panic every function that
 /// touches it, and each would be downgraded to `Panicked`: on every
-/// profile, none is.
+/// profile, at every thread count, none is.
 ///
 /// Hikvision also holds two logical gates. Indirect-call resolution
 /// infers layouts only for the functions it compares: its four handler
@@ -650,28 +694,10 @@ fn fused_pass_outcomes_equal_the_staged_reference_on_the_fault_corpus() {
 /// lift and symex layers' counts equal their pinned values, so a lifter
 /// or CFG rewrite that changes the graph fails here with no timing
 /// involved; so do the expression pools' walk, intern and merge counts.
-/// Scanned again at 1 and 8 threads, Hikvision panics nowhere, its
-/// report registry is unchanged, and so are the merge's and the pools'
-/// counts.
+/// Scanned at 1 and 8 threads, Hikvision's report registry and the
+/// merge's and the pools' counts equal its 2-thread scan's.
 #[test]
 fn no_function_panics_on_any_profile() {
-    let scan = |bin: &Binary, name: &str, threads: usize| {
-        let mut tel = Collector::disabled();
-        let report = Dtaint::with_config(DtaintConfig { threads, ..Default::default() })
-            .analyze_traced(bin, name, &mut tel)
-            .unwrap();
-        let panicked: Vec<&str> = report
-            .skipped_functions
-            .iter()
-            .filter(|r| r.outcome == FunctionOutcome::Panicked)
-            .map(|r| r.name.as_str())
-            .collect();
-        assert!(
-            panicked.is_empty(),
-            "{name} at {threads} threads: panicked functions {panicked:?}"
-        );
-        (report, tel)
-    };
     // The merge's and the pools' logical work: the translated nodes,
     // the root span's pool size and the intern counts.
     let pool_counts = |tel: &Collector| {
@@ -684,52 +710,80 @@ fn no_function_panics_on_any_profile() {
             m.counter("pool.intern_cache_hits"),
         ]
     };
-    for p in table2_profiles() {
-        let bin = build_firmware(&p).binary;
-        let (report, tel) = scan(&bin, p.binary_name, 2);
-        let m = &report.telemetry.metrics;
-        assert!(m.counter("symex.blocks_executed") > 0);
-        if p.manufacturer != "Hikvision" {
-            continue;
-        }
-        assert_eq!(m.gauge("image.resolved_indirect"), 4);
-        let inferred = m.counter("ddg.layouts_inferred");
-        let bound = m.counter("ddg.indirect_installers") + m.counter("ddg.indirect_sites");
-        assert!(inferred <= bound, "{inferred} layouts inferred > {bound} installers + sites");
-        for (name, pinned) in [
-            ("lift.instructions", 1_083_440),
-            ("image.blocks", 220_846),
-            ("image.cfg_edges", 252_077),
-            ("symex.blocks_executed", 272_680),
-            ("symex.paths_explored", 36_917),
-        ] {
-            let got = m.counters.get(name).or_else(|| m.gauges.get(name)).copied();
-            assert_eq!(got, Some(pinned), "Hikvision {name}");
-        }
-        // The expression pools' logical work, from the session registry:
-        // a rewrite of the DAG walks or the merge must leave it alone.
-        for (name, pinned) in [
-            ("ddg.walk_visits", 3_837_428),
-            ("pool.interns", 3_365_498),
-            ("pool.intern_cache_hits", 2_986_487),
-            ("symex.nodes_translated", 120_924),
-        ] {
-            assert_eq!(tel.metrics.counter(name), pinned, "Hikvision {name}");
-        }
-        let (interns, hits) =
-            (tel.metrics.counter("pool.interns"), tel.metrics.counter("pool.intern_cache_hits"));
-        assert!(hits * 5 >= interns * 4, "intern cache answered {hits} of {interns} (< 80 %)");
-        let root = tel.events().iter().find(|e| e.cat == "scan").expect("the root span");
-        assert_eq!(root.args["pool_nodes"], 134_788, "Hikvision root pool_nodes");
-        for threads in [1, 8] {
-            let (other, other_tel) = scan(&bin, p.binary_name, threads);
-            assert!(other.telemetry.metrics == *m, "Hikvision registry at {threads} threads");
-            assert_eq!(
-                pool_counts(&other_tel),
-                pool_counts(&tel),
-                "Hikvision at {threads} threads"
-            );
-        }
+    let scans = profile_scans();
+    for s in scans {
+        let panicked: Vec<&str> = s
+            .report
+            .skipped_functions
+            .iter()
+            .filter(|r| r.outcome == FunctionOutcome::Panicked)
+            .map(|r| r.name.as_str())
+            .collect();
+        assert!(
+            panicked.is_empty(),
+            "{} at {} threads: panicked functions {panicked:?}",
+            s.name,
+            s.threads
+        );
+        assert!(s.report.telemetry.metrics.counter("symex.blocks_executed") > 0);
+    }
+    let hikvision: Vec<&ProfileScan> =
+        scans.iter().filter(|s| s.manufacturer == "Hikvision").collect();
+    let base = hikvision.iter().find(|s| s.threads == 2).expect("Hikvision at 2 threads");
+    let (m, tel) = (&base.report.telemetry.metrics, &base.tel);
+    assert_eq!(m.gauge("image.resolved_indirect"), 4);
+    let inferred = m.counter("ddg.layouts_inferred");
+    let bound = m.counter("ddg.indirect_installers") + m.counter("ddg.indirect_sites");
+    assert!(inferred <= bound, "{inferred} layouts inferred > {bound} installers + sites");
+    for (name, pinned) in [
+        ("lift.instructions", 1_083_440),
+        ("image.blocks", 220_846),
+        ("image.cfg_edges", 252_077),
+        ("symex.blocks_executed", 272_680),
+        ("symex.paths_explored", 36_917),
+    ] {
+        let got = m.counters.get(name).or_else(|| m.gauges.get(name)).copied();
+        assert_eq!(got, Some(pinned), "Hikvision {name}");
+    }
+    // The expression pools' logical work, from the session registry:
+    // a rewrite of the DAG walks or the merge must leave it alone.
+    for (name, pinned) in [
+        ("ddg.walk_visits", 3_837_428),
+        ("pool.interns", 3_365_498),
+        ("pool.intern_cache_hits", 2_986_487),
+        ("symex.nodes_translated", 120_924),
+    ] {
+        assert_eq!(tel.metrics.counter(name), pinned, "Hikvision {name}");
+    }
+    let (interns, hits) =
+        (tel.metrics.counter("pool.interns"), tel.metrics.counter("pool.intern_cache_hits"));
+    assert!(hits * 5 >= interns * 4, "intern cache answered {hits} of {interns} (< 80 %)");
+    let root = tel.events().iter().find(|e| e.cat == "scan").expect("the root span");
+    assert_eq!(root.args["pool_nodes"], 134_788, "Hikvision root pool_nodes");
+    for other in hikvision.iter().filter(|s| s.threads != 2) {
+        let threads = other.threads;
+        assert!(other.report.telemetry.metrics == *m, "Hikvision registry at {threads} threads");
+        assert_eq!(pool_counts(&other.tel), pool_counts(tel), "Hikvision at {threads} threads");
+    }
+}
+
+/// Every profile's scan outputs at 1 and 2 threads digest to the values
+/// pinned in `results/golden.json` ([`golden`]): the printed report
+/// with its clock zeroed, the audit log, and the metrics registry
+/// without its `stage.*_us` gauges. A change meant to keep outputs
+/// byte-identical must pass with the file unchanged; a failure names
+/// each moved counter and digest.
+#[test]
+fn scan_outputs_match_their_golden_digests() {
+    let settings: Vec<_> = profile_scans()
+        .iter()
+        .filter(|s| golden::THREADS.contains(&s.threads))
+        .map(|s| golden::setting(s.profile, s.manufacturer, &s.report, &s.tel, s.threads))
+        .collect();
+    let path = format!("{}/{}", env!("CARGO_MANIFEST_DIR"), golden::GOLDEN_FILE);
+    let pinned = std::fs::read_to_string(&path).unwrap_or_default();
+    if let Err(e) = golden::check(&pinned, &settings) {
+        panic!("{path} does not match this build (rewrite it with the golden_digests binary only when an output moves on purpose):\n{e}");
     }
 }
 
