@@ -13,12 +13,11 @@
 //! so data flow through either name connects.
 
 use dtaint_symex::pool::{ExprPool, SymNode};
-use dtaint_symex::{DefPair, ExprId, FuncSummary};
-use std::collections::HashSet;
+use dtaint_symex::{keep_first, DefPair, ExprId, FuncSummary};
 
 /// One recognised alias: `name` (a `deref(…)` expression) holds the value
 /// `base + offset`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AliasEntry {
     /// The memory name holding the pointer (`deref(base1 + offset1)`).
     pub name: ExprId,
@@ -111,6 +110,45 @@ pub fn alias_pass(
     }
 }
 
+/// [`alias_pass`] behind the pool's rollback boundary
+/// ([`ExprPool::attempt`]): true when the pass ran to the end. When it
+/// panics, the pool is rolled back and the summary restored, and false
+/// is returned. Both passes only append definition pairs and bump the
+/// summary's five alias counters, so restoring means truncating the
+/// pairs and putting the counters back; the summary is never copied.
+pub fn alias_pass_or_restore(
+    summary: &mut FuncSummary,
+    pool: &mut ExprPool,
+    cfg: &AliasConfig,
+    global_base: &dyn Fn(i64) -> Option<i64>,
+) -> bool {
+    let pairs = summary.def_pairs.len();
+    let counters = (
+        summary.alias_rewrites,
+        summary.sse_rounds,
+        summary.sse_rewrites,
+        summary.sse_depth,
+        summary.sse_saturated,
+    );
+    let done = pool
+        .attempt(|p| {
+            alias_pass(summary, p, cfg, global_base);
+            Some(())
+        })
+        .is_some();
+    if !done {
+        summary.def_pairs.truncate(pairs);
+        (
+            summary.alias_rewrites,
+            summary.sse_rounds,
+            summary.sse_rewrites,
+            summary.sse_depth,
+            summary.sse_saturated,
+        ) = counters;
+    }
+    done
+}
+
 /// Runs Algorithm 1 over a function summary, appending the rewritten
 /// definition pairs and returning the alias set that was used.
 ///
@@ -119,10 +157,9 @@ pub fn alias_pass(
 /// used as a base elsewhere (the executor types load/store bases as
 /// pointers, so this covers the common cases).
 pub fn alias_replace(summary: &mut FuncSummary, pool: &mut ExprPool) -> Vec<AliasEntry> {
-    // Collect ALIAS: defs of Formula-(1) shape. Hashed dedup keeps
-    // collection linear; the Vec preserves deterministic discovery order.
+    // Collect ALIAS: defs of Formula-(1) shape, each once, in discovery
+    // order.
     let mut aliases: Vec<AliasEntry> = Vec::new();
-    let mut alias_seen: HashSet<AliasEntry> = HashSet::new();
     for dp in &summary.def_pairs {
         if !matches!(pool.node(dp.d), SymNode::Deref { .. }) {
             continue;
@@ -134,11 +171,9 @@ pub fn alias_replace(summary: &mut FuncSummary, pool: &mut ExprPool) -> Vec<Alia
         if !is_ptr || matches!(pool.node(base), SymNode::Const(_)) {
             continue;
         }
-        let entry = AliasEntry { name: dp.d, base, offset };
-        if alias_seen.insert(entry) {
-            aliases.push(entry);
-        }
+        aliases.push(AliasEntry { name: dp.d, base, offset });
     }
+    keep_first(&mut aliases, |&a| a);
 
     // Collect DOP: defs whose description contains base pointers, and
     // rewrite each matching base with its alias name.
@@ -172,16 +207,16 @@ pub fn alias_replace(summary: &mut FuncSummary, pool: &mut ExprPool) -> Vec<Alia
             }
         }
     }
-    let mut existing: HashSet<(ExprId, ExprId)> =
-        summary.def_pairs.iter().map(|p| (p.d, p.u)).collect();
-    let mut appended = 0u32;
-    for p in new_pairs {
-        if existing.insert((p.d, p.u)) {
-            summary.def_pairs.push(p);
-            appended += 1;
-        }
+    // Append each new (d, u) once, as first rewritten.
+    if !new_pairs.is_empty() {
+        let mut existing: Vec<(ExprId, ExprId)> =
+            summary.def_pairs.iter().map(|p| (p.d, p.u)).collect();
+        existing.sort_unstable();
+        new_pairs.retain(|p| existing.binary_search(&(p.d, p.u)).is_err());
+        keep_first(&mut new_pairs, |p| (p.d, p.u));
+        summary.alias_rewrites = summary.alias_rewrites.saturating_add(new_pairs.len() as u32);
+        summary.def_pairs.append(&mut new_pairs);
     }
-    summary.alias_rewrites = summary.alias_rewrites.saturating_add(appended);
     aliases
 }
 
@@ -305,5 +340,69 @@ mod tests {
         let n = s.def_pairs.len();
         alias_replace(&mut s, &mut pool);
         assert_eq!(s.def_pairs.len(), n, "re-running adds nothing new");
+    }
+
+    /// A panic partway through an SSE pass — after its first round
+    /// appended twins and interned their names — leaves the summary
+    /// equal to its pre-pass clone (its earlier counters included) and
+    /// the pool at its pre-pass length; a clean pass keeps both.
+    #[test]
+    fn a_panicking_pass_restores_the_summary_and_the_pool() {
+        use std::cell::Cell;
+
+        // Writable 256-byte objects at 0x30000, 0x30100, …: a 3-link
+        // chain of global structs, which takes the fixpoint two rounds.
+        let mut pool = ExprPool::new();
+        let g = |pool: &mut ExprPool, c| pool.constant(c);
+        let (g_ctx, g_req, g_inner, g_buf) = (
+            g(&mut pool, 0x30000),
+            g(&mut pool, 0x30100),
+            g(&mut pool, 0x30200),
+            g(&mut pool, 0x30300),
+        );
+        let mut link = |base, off, value| {
+            let a = pool.add_const(base, off);
+            (pool.deref(a, 4), value)
+        };
+        let links =
+            [link(g_ctx, 0x20, g_req), link(g_req, 0x28, g_inner), link(g_inner, 0x40, g_buf)];
+        let out = pool.call_out(0x100, 1);
+        let sink = pool.deref(g_buf, 1);
+        let mut s = FuncSummary {
+            alias_rewrites: 2,
+            sse_rounds: 3,
+            sse_rewrites: 1,
+            sse_depth: 1,
+            ..FuncSummary::default()
+        };
+        for (i, (d, u)) in links.into_iter().chain([(sink, out)]).enumerate() {
+            s.def_pairs.push(DefPair { d, u, ins_addr: 4 * i as u32, path: 0 });
+        }
+        let cfg = AliasConfig { mode: AliasMode::Sse, ..AliasConfig::default() };
+
+        // A clean run, counting the oracle's calls.
+        let calls = Cell::new(0u32);
+        let counting = |c: i64| {
+            calls.set(calls.get() + 1);
+            (0x30000..0x40000).contains(&c).then_some(c & !0xFF)
+        };
+        let (mut clean, mut clean_pool) = (s.clone(), pool.clone());
+        assert!(alias_pass_or_restore(&mut clean, &mut clean_pool, &cfg, &counting));
+        assert!(clean.sse_rounds - s.sse_rounds >= 2, "the chain takes two rounds");
+        assert!(clean.def_pairs.len() > s.def_pairs.len() && clean_pool.len() > pool.len());
+
+        // The same pass, panicking at the oracle's last call: in the
+        // last round, after the first round's twins were appended.
+        let last = calls.replace(0);
+        let panicking = |c: i64| {
+            calls.set(calls.get() + 1);
+            assert!(calls.get() < last, "injected fault: global_base call {last}");
+            (0x30000..0x40000).contains(&c).then_some(c & !0xFF)
+        };
+        let (before, len) = (s.clone(), pool.len());
+        assert!(!alias_pass_or_restore(&mut s, &mut pool, &cfg, &panicking));
+        assert_eq!(calls.get(), last, "the pass ran up to the injected panic");
+        assert_eq!(s, before, "the summary is restored");
+        assert_eq!(pool.len(), len, "the pool is rolled back");
     }
 }

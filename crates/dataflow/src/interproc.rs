@@ -467,13 +467,8 @@ pub fn build_dataflow_judged<'g>(
             if s.degraded {
                 continue;
             }
-            let saved = s.clone();
-            let done = pool.attempt(|p| {
-                crate::alias::alias_pass(s, p, &config.alias, &|c| globals.base_of(c));
-                Some(())
-            });
-            if done.is_none() {
-                *s = saved;
+            let base_of = |c| globals.base_of(c);
+            if !crate::alias::alias_pass_or_restore(s, &mut pool, &config.alias, &base_of) {
                 s.degraded = true;
                 alias_panics.push(s.addr);
             }

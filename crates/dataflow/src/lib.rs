@@ -31,7 +31,9 @@ pub mod interproc;
 pub mod layout;
 pub mod sse;
 
-pub use alias::{alias_pass, alias_replace, AliasConfig, AliasEntry, AliasMode};
+pub use alias::{
+    alias_pass, alias_pass_or_restore, alias_replace, AliasConfig, AliasEntry, AliasMode,
+};
 pub use cache::{
     CacheFormat, CacheLoadReport, CacheRef, CacheSnapshot, CacheTotals, Level, ScanStats,
     SummaryCache,

@@ -16,8 +16,8 @@
 //!
 //! * every definition name is canonicalised into an SSE — a root base
 //!   plus a spine of `(offset, width)` deref steps ([`canonicalize`]);
-//! * recognised aliases are indexed by base so each round is a hash
-//!   lookup per pointer, not a scan;
+//! * recognised aliases are indexed by base (a sorted list) so each
+//!   round is a binary search per pointer, not a scan;
 //! * substitution runs in **both** directions — forward
 //!   (`base → name - offset`) like Algorithm 1, and reverse
 //!   (`name → base + offset`), which resolves a memory name back to the
@@ -39,8 +39,7 @@
 use crate::alias::{AliasConfig, AliasEntry};
 use dtaint_fwbin::{Binary, SymbolKind};
 use dtaint_symex::pool::{ExprPool, SymNode};
-use dtaint_symex::{DefPair, ExprId, FuncSummary};
-use std::collections::{HashMap, HashSet};
+use dtaint_symex::{keep_first, DefPair, ExprId, FuncSummary};
 
 /// Resolves a constant address to the base address of the writable
 /// global object containing it — the `global_base` oracle the SSE pass
@@ -136,8 +135,18 @@ impl Sse {
 /// non-memory expressions and for irregular shapes (symbolic offsets,
 /// derefs buried inside arithmetic).
 pub fn canonicalize(pool: &ExprPool, e: ExprId) -> Option<Sse> {
-    let mut spine_rev: Vec<SpineStep> = Vec::new();
+    let mut spine = Vec::new();
+    let base = walk_spine(pool, e, |step| spine.push(step))?;
+    spine.reverse();
+    Some(Sse { base, spine })
+}
+
+/// Walks the deref chain of `e` from the outermost deref in, handing
+/// each step to `step`, and returns the root base when `e` is a
+/// structured memory name ([`canonicalize`]'s rule); `None` otherwise.
+fn walk_spine(pool: &ExprPool, e: ExprId, mut step: impl FnMut(SpineStep)) -> Option<ExprId> {
     let mut cur = e;
+    let mut steps = 0u32;
     while let SymNode::Deref { addr, width } = pool.node(cur) {
         let (base, offset) = pool.base_offset(addr);
         // `base_offset` peels one `Add(x, const)` level; any
@@ -145,14 +154,11 @@ pub fn canonicalize(pool: &ExprPool, e: ExprId) -> Option<Sse> {
         if !matches!(pool.node(base), SymNode::Deref { .. }) && pool.deref_depth(base) > 0 {
             return None;
         }
-        spine_rev.push(SpineStep { offset, width });
+        step(SpineStep { offset, width });
+        steps += 1;
         cur = base;
     }
-    if spine_rev.is_empty() {
-        return None;
-    }
-    spine_rev.reverse();
-    Some(Sse { base: cur, spine: spine_rev })
+    (steps > 0).then_some(cur)
 }
 
 /// Outcome counters of one [`sse_replace`] pass. All values are pure
@@ -192,53 +198,68 @@ pub fn sse_replace(
         return stats;
     }
 
-    // (d, u) pairs already present — the append-side dedup.
-    let mut seen: HashSet<(ExprId, ExprId)> =
-        summary.def_pairs.iter().map(|p| (p.d, p.u)).collect();
+    // Every index below is a sorted `Vec`, merged once per round and
+    // searched by bisection; nothing hashes.
+    //
+    // (d, u) pairs already present — the append-side dedup. Most passes
+    // append nothing, so it is built when the first twin is about to be
+    // pushed.
+    let mut seen: Option<Vec<(ExprId, ExprId)>> = None;
 
     // Expressions used as a deref base anywhere in the summary. The
     // executor only types load/store bases it saw locally; a callee's
     // buffer argument is still a pointer if *we* deref it.
-    let mut deref_bases: HashSet<ExprId> = HashSet::new();
+    let mut deref_bases: Vec<ExprId> = Vec::new();
     let mut scratch: Vec<ExprId> = Vec::new();
 
     let mut aliases: Vec<AliasEntry> = Vec::new();
-    let mut alias_seen: HashSet<AliasEntry> = HashSet::new();
-    // Alias indices by base expression, in discovery order.
-    let mut by_base: HashMap<ExprId, Vec<usize>> = HashMap::new();
+    let mut alias_seen: Vec<AliasEntry> = Vec::new();
+    // `(base, alias index)`: the aliases of each base, in discovery
+    // order.
+    let mut by_base: Vec<(ExprId, u32)> = Vec::new();
     let mut bases_scanned = 0usize;
 
-    // Pair indices appended by the previous round; the work list when
-    // the alias set did not change.
-    let mut frontier: Vec<usize> = (0..summary.def_pairs.len()).collect();
+    // Pairs appended by the previous round; the work list when the
+    // alias set did not change.
+    let mut frontier = 0..summary.def_pairs.len();
 
     for round in 1..=cfg.max_rounds {
         stats.rounds = round;
 
         // Refresh the deref-base set from pairs not yet scanned.
+        let known = deref_bases.len();
         for dp in &summary.def_pairs[bases_scanned..] {
             for side in [dp.d, dp.u] {
                 pool.ptrs_in_into(side, &mut scratch);
-                for &b in &scratch {
-                    deref_bases.insert(b);
-                }
+                deref_bases.extend_from_slice(&scratch);
             }
         }
         bases_scanned = summary.def_pairs.len();
+        if deref_bases.len() > known {
+            deref_bases.sort_unstable();
+            deref_bases.dedup();
+        }
 
         // Collect aliases over all pairs (the deref-base set may have
         // grown, making previously rejected pairs eligible).
-        let mut grew = false;
-        for i in 0..summary.def_pairs.len() {
-            let dp = summary.def_pairs[i];
-            let Some(entry) = alias_entry(summary, pool, &dp, &deref_bases, global_base) else {
-                continue;
-            };
-            if alias_seen.insert(entry) {
-                by_base.entry(entry.base).or_default().push(aliases.len());
-                aliases.push(entry);
-                grew = true;
+        let mut fresh: Vec<AliasEntry> = Vec::new();
+        for dp in &summary.def_pairs {
+            if let Some(entry) = alias_entry(summary, pool, dp, &deref_bases, global_base) {
+                if alias_seen.binary_search(&entry).is_err() {
+                    fresh.push(entry);
+                }
             }
+        }
+        keep_first(&mut fresh, |&a| a);
+        let grew = !fresh.is_empty();
+        if grew {
+            for (a, i) in fresh.iter().zip(aliases.len() as u32..) {
+                by_base.push((a.base, i));
+            }
+            by_base.sort_unstable();
+            alias_seen.extend_from_slice(&fresh);
+            alias_seen.sort_unstable();
+            aliases.append(&mut fresh);
         }
         if aliases.is_empty() {
             stats.rounds = round - 1;
@@ -247,64 +268,64 @@ pub fn sse_replace(
 
         // New aliases can match any pair; otherwise only last round's
         // twins can produce anything new.
-        let work: Vec<usize> = if grew {
-            (0..summary.def_pairs.len()).collect()
-        } else {
-            std::mem::take(&mut frontier)
-        };
+        let work = if grew { 0..summary.def_pairs.len() } else { frontier.clone() };
 
         let mut appended: Vec<DefPair> = Vec::new();
-        for &i in &work {
+        for i in work {
             let dp = summary.def_pairs[i];
             if !matches!(pool.node(dp.d), SymNode::Deref { .. }) {
                 continue;
             }
+            let mut twin = Twin { dp, pool: &mut *pool, cfg, seen: &mut seen, summary };
             // Forward: replace an aliased base with its memory name.
             // A folded global address `Const(obj + off)` matches an
             // alias of `Const(obj)` with the residual offset re-added.
-            pool.ptrs_in_into(dp.d, &mut scratch);
-            let ptrs = std::mem::take(&mut scratch);
-            for &ptr in &ptrs {
-                let (lookup, residual) = match pool.node(ptr) {
+            twin.pool.ptrs_in_into(dp.d, &mut scratch);
+            for &ptr in &scratch {
+                let (lookup, residual) = match twin.pool.node(ptr) {
                     SymNode::Const(c) => match global_base(c) {
-                        Some(s) if s != c => (pool.constant(s), c - s),
+                        Some(s) if s != c => (twin.pool.constant(s), c - s),
                         _ => (ptr, 0),
                     },
                     _ => (ptr, 0),
                 };
-                let Some(idxs) = by_base.get(&lookup) else { continue };
-                // Indices, not a borrow: `push_twin` needs the pool.
-                for ai in idxs.clone() {
-                    let alias = aliases[ai];
+                let from = by_base.partition_point(|&(b, _)| b < lookup);
+                for &(_, ai) in by_base[from..].iter().take_while(|&&(b, _)| b == lookup) {
+                    let alias = aliases[ai as usize];
                     // Occurs check: rewriting a name that already
                     // mentions the alias would nest it inside itself
                     // and ping-pong against the reverse direction.
-                    if alias.name == dp.d || pool.contains(dp.d, alias.name) {
+                    if alias.name == dp.d || twin.pool.contains(dp.d, alias.name) {
                         continue;
                     }
-                    let repl = pool.add_const(alias.name, residual - alias.offset);
-                    push_twin(dp, ptr, repl, pool, cfg, &mut seen, &mut appended, &mut stats);
+                    let repl = twin.pool.add_const(alias.name, residual - alias.offset);
+                    twin.push(ptr, repl, &mut appended, &mut stats);
                 }
             }
-            scratch = ptrs;
             // Reverse: resolve a memory name occurring strictly inside
             // the definition back to the pointer value it holds.
             for alias in &aliases {
-                if alias.name == dp.d || !pool.contains(dp.d, alias.name) {
+                if alias.name == dp.d || !twin.pool.contains(dp.d, alias.name) {
                     continue;
                 }
-                let repl = pool.add_const(alias.base, alias.offset);
-                push_twin(dp, alias.name, repl, pool, cfg, &mut seen, &mut appended, &mut stats);
+                let repl = twin.pool.add_const(alias.base, alias.offset);
+                twin.push(alias.name, repl, &mut appended, &mut stats);
             }
         }
 
+        // A twin found twice this round is kept once, as first found.
+        keep_first(&mut appended, |p| (p.d, p.u));
         if appended.is_empty() {
             break;
+        }
+        if let Some(seen) = &mut seen {
+            seen.extend(appended.iter().map(|p| (p.d, p.u)));
+            seen.sort_unstable();
         }
         let start = summary.def_pairs.len();
         stats.rewrites = stats.rewrites.saturating_add(appended.len() as u32);
         summary.def_pairs.extend(appended);
-        frontier = (start..summary.def_pairs.len()).collect();
+        frontier = start..summary.def_pairs.len();
         if round == cfg.max_rounds {
             stats.saturated = true;
         }
@@ -318,74 +339,92 @@ pub fn sse_replace(
     stats
 }
 
-/// Applies one substitution to `dp.d` and appends the twin when it is
-/// new and within the depth budget.
-#[allow(clippy::too_many_arguments)]
-fn push_twin(
+/// The rewrites of one definition pair within a round.
+struct Twin<'a> {
     dp: DefPair,
-    from: ExprId,
-    to: ExprId,
-    pool: &mut ExprPool,
-    cfg: &AliasConfig,
-    seen: &mut HashSet<(ExprId, ExprId)>,
-    appended: &mut Vec<DefPair>,
-    stats: &mut SseStats,
-) {
-    let new_d = pool.replace(dp.d, from, to);
-    if new_d == dp.d {
-        return;
+    pool: &'a mut ExprPool,
+    cfg: &'a AliasConfig,
+    /// The pairs present when the round began, once built.
+    seen: &'a mut Option<Vec<(ExprId, ExprId)>>,
+    summary: &'a FuncSummary,
+}
+
+impl Twin<'_> {
+    /// Applies one substitution to `dp.d` and appends the twin when it
+    /// is within the depth budget and not already a pair of the
+    /// summary. (Twins found twice in one round are folded at its end.)
+    fn push(
+        &mut self,
+        from: ExprId,
+        to: ExprId,
+        appended: &mut Vec<DefPair>,
+        stats: &mut SseStats,
+    ) {
+        let dp = self.dp;
+        let new_d = self.pool.replace(dp.d, from, to);
+        if new_d == dp.d {
+            return;
+        }
+        let depth = self.pool.deref_depth(new_d);
+        if depth > self.cfg.max_depth {
+            return;
+        }
+        let seen = self.seen.get_or_insert_with(|| {
+            let mut pairs: Vec<_> = self.summary.def_pairs.iter().map(|p| (p.d, p.u)).collect();
+            pairs.sort_unstable();
+            pairs
+        });
+        if seen.binary_search(&(new_d, dp.u)).is_ok() {
+            return;
+        }
+        stats.max_depth = stats.max_depth.max(depth);
+        appended.push(DefPair { d: new_d, ..dp });
     }
-    let depth = pool.deref_depth(new_d);
-    if depth > cfg.max_depth || !seen.insert((new_d, dp.u)) {
-        return;
-    }
-    stats.max_depth = stats.max_depth.max(depth);
-    appended.push(DefPair { d: new_d, u: dp.u, ins_addr: dp.ins_addr, path: dp.path });
 }
 
 /// Recognises one alias from a definition pair, SSE-style: the name
 /// must canonicalise as a structured memory expression, and the stored
 /// value must look like a pointer — by inferred type, by being the
 /// stack frame, by being used as a deref base somewhere in this
-/// summary, or by being an address inside writable global storage (in
-/// which case the alias is anchored at the object's base with the
-/// interior displacement as its offset).
+/// summary (`deref_bases`, sorted), or by being an address inside
+/// writable global storage (in which case the alias is anchored at the
+/// object's base with the interior displacement as its offset).
 fn alias_entry(
     summary: &FuncSummary,
     pool: &mut ExprPool,
     dp: &DefPair,
-    deref_bases: &HashSet<ExprId>,
+    deref_bases: &[ExprId],
     global_base: &dyn Fn(i64) -> Option<i64>,
 ) -> Option<AliasEntry> {
-    canonicalize(pool, dp.d)?;
-    let (mut base, mut offset) = pool.base_offset(dp.u);
+    let (base, offset) = pool.base_offset(dp.u);
     if base == dp.d {
         // Self-referential store (`*p = *p + 8`); never an alias link.
         return None;
     }
-    let pointer_like = match pool.node(base) {
-        SymNode::Const(c) => match global_base(c) {
-            Some(s) => {
-                if s != c {
-                    base = pool.constant(s);
-                    offset += c - s;
-                }
-                true
-            }
-            None => false,
-        },
-        SymNode::StackBase => true,
+    // The cheap pointer-likeness tests first; the global object's base
+    // is interned only once the name is known to be structured.
+    let object = match pool.node(base) {
+        SymNode::Const(c) => Some((c, global_base(c)?)),
+        SymNode::StackBase => None,
         _ => {
-            summary.type_of(dp.u).is_pointer()
+            let is_base = |e: ExprId| deref_bases.binary_search(&e).is_ok();
+            let pointer_like = summary.type_of(dp.u).is_pointer()
                 || summary.type_of(base).is_pointer()
-                || deref_bases.contains(&dp.u)
-                || deref_bases.contains(&base)
+                || is_base(dp.u)
+                || is_base(base);
+            if !pointer_like {
+                return None;
+            }
+            None
         }
     };
-    if !pointer_like {
-        return None;
+    walk_spine(pool, dp.d, |_| {})?;
+    match object {
+        Some((c, s)) if s != c => {
+            Some(AliasEntry { name: dp.d, base: pool.constant(s), offset: offset + c - s })
+        }
+        _ => Some(AliasEntry { name: dp.d, base, offset }),
     }
-    Some(AliasEntry { name: dp.d, base, offset })
 }
 
 #[cfg(test)]

@@ -10,13 +10,12 @@
 use crate::libsig::{lib_sig, WriteEffect};
 use crate::pool::{CmpOp, ExprId, ExprPool, SymNode};
 use crate::summary::{
-    ArgList, CalleeRef, CallsiteInfo, Constraint, DefPair, FuncSummary, LoopCopy,
+    keep_first, ArgList, CalleeRef, CallsiteInfo, Constraint, DefPair, FuncSummary, LoopCopy,
 };
 use crate::types::VType;
 use dtaint_cfg::FunctionCfg;
 use dtaint_fwbin::{Binary, Reg};
 use dtaint_ir::{BinOp, ExprRef, IrBlock, IrExpr, IrStmt, JumpKind, Width, CMP_L, CMP_R};
-use std::collections::HashSet;
 
 /// Stack-passed arguments seeded at entry (`arg4..arg9`) and read at
 /// each call site.
@@ -77,7 +76,7 @@ fn reg_slot(r: Reg) -> usize {
 }
 
 /// One path's machine state. Nothing here hashes: a fork copies one
-/// array and one vector.
+/// array and one vector (and the path's [`BlockSet`]).
 #[derive(Debug, Clone)]
 struct SymState {
     /// Per [`reg_slot`], the register's value once written or read.
@@ -127,8 +126,15 @@ impl BlockSet {
     }
 }
 
-/// Work item: a path positioned at the start of `block`.
-#[derive(Debug, Clone)]
+/// Work item: a path positioned at the start of `block`, with what it
+/// recorded since it forked (or since entry, for the first path).
+///
+/// A fork copies only the machine state, the visited set and the step
+/// count; the taken side starts its lists afresh. That loses nothing:
+/// the stack is LIFO and every path runs until it ends, so the forking
+/// path ends first, and everything it held at the fork is in the
+/// summary before the taken side runs.
+#[derive(Debug)]
 struct PathItem {
     block: u32,
     state: SymState,
@@ -154,16 +160,7 @@ pub fn analyze_function(
     if config.panic_on == Some(cfg.addr) {
         panic!("injected fault: symex panic drill at {:#x}", cfg.addr);
     }
-    Executor {
-        bin,
-        cfg,
-        pool,
-        config,
-        loop_blocks: cfg.loop_blocks(),
-        escape_seen: HashSet::new(),
-        fuel_used: 0,
-    }
-    .run()
+    Executor { bin, cfg, pool, config, loop_blocks: cfg.loop_blocks(), fuel_used: 0 }.run()
 }
 
 struct Executor<'a> {
@@ -173,7 +170,6 @@ struct Executor<'a> {
     config: &'a SymexConfig,
     /// Per block index, whether the block is in a loop.
     loop_blocks: Vec<bool>,
-    escape_seen: HashSet<(ExprId, ExprId)>,
     fuel_used: u32,
 }
 
@@ -198,11 +194,6 @@ impl<'a> Executor<'a> {
             callsites: Vec::new(),
             loop_copies: Vec::new(),
         }];
-        let mut def_seen: HashSet<(ExprId, ExprId, u32)> = HashSet::new();
-        let mut call_seen: HashSet<(u32, ArgList)> = HashSet::new();
-        let mut con_seen: HashSet<(CmpOp, ExprId, ExprId, u32)> = HashSet::new();
-        let mut copy_seen: HashSet<(u32, ExprId, ExprId)> = HashSet::new();
-        let mut ret_seen: HashSet<ExprId> = HashSet::new();
 
         while let Some(mut item) = stack.pop() {
             if summary.paths_explored >= self.config.max_paths {
@@ -275,9 +266,7 @@ impl<'a> Executor<'a> {
                     JumpKind::Ret => {
                         let ret_reg = self.bin.arch.ret_reg();
                         let rv = self.read_reg(&mut item.state, ret_reg);
-                        if ret_seen.insert(rv) {
-                            summary.ret_values.push(rv);
-                        }
+                        summary.ret_values.push(rv);
                         self.collect_escapes(&item, &mut summary);
                         break true;
                     }
@@ -310,18 +299,23 @@ impl<'a> Executor<'a> {
                             }
                             // Fork: taken side pushed as a new path.
                             let fall = block.next_const(ir);
-                            let mut taken = item.clone();
-                            taken.constraints.push(Constraint {
-                                op,
-                                lhs: l,
-                                rhs: r,
-                                ins_addr: at,
-                                path: 0,
-                            });
-                            let taken_ok = self.may_enter(&taken, target);
-                            if taken_ok {
-                                taken.block = target;
-                                stack.push(taken);
+                            if self.may_enter(&item, target) {
+                                stack.push(PathItem {
+                                    block: target,
+                                    state: item.state.clone(),
+                                    visited: item.visited.clone(),
+                                    steps: item.steps,
+                                    def_pairs: Vec::new(),
+                                    constraints: vec![Constraint {
+                                        op,
+                                        lhs: l,
+                                        rhs: r,
+                                        ins_addr: at,
+                                        path: 0,
+                                    }],
+                                    callsites: Vec::new(),
+                                    loop_copies: Vec::new(),
+                                });
                             }
                             item.constraints.push(Constraint {
                                 op: op.negate(),
@@ -349,35 +343,32 @@ impl<'a> Executor<'a> {
                 }
             };
             if ended {
-                // Finalize this path into the summary, deduplicating.
+                // Finalize this path into the summary; duplicates across
+                // paths go at the end of the function.
                 let pid = summary.paths_explored;
                 summary.paths_explored += 1;
-                for mut dp in item.def_pairs {
-                    if def_seen.insert((dp.d, dp.u, dp.ins_addr)) {
-                        dp.path = pid;
-                        summary.def_pairs.push(dp);
-                    }
-                }
-                for mut c in item.constraints {
-                    if con_seen.insert((c.op, c.lhs, c.rhs, c.ins_addr)) {
-                        c.path = pid;
-                        summary.constraints.push(c);
-                    }
-                }
-                for mut cs in item.callsites {
-                    if call_seen.insert((cs.ins_addr, cs.args)) {
-                        cs.path = pid;
-                        summary.callsites.push(cs);
-                    }
-                }
-                for mut lc in item.loop_copies {
-                    if copy_seen.insert((lc.ins_addr, lc.dst_addr, lc.value)) {
-                        lc.path = pid;
-                        summary.loop_copies.push(lc);
-                    }
-                }
+                summary
+                    .def_pairs
+                    .extend(item.def_pairs.into_iter().map(|dp| DefPair { path: pid, ..dp }));
+                summary
+                    .constraints
+                    .extend(item.constraints.into_iter().map(|c| Constraint { path: pid, ..c }));
+                summary
+                    .callsites
+                    .extend(item.callsites.into_iter().map(|cs| CallsiteInfo { path: pid, ..cs }));
+                summary
+                    .loop_copies
+                    .extend(item.loop_copies.into_iter().map(|lc| LoopCopy { path: pid, ..lc }));
             }
         }
+        // Each list keeps the first item of each key: the path that
+        // recorded it first, as it recorded it.
+        keep_first(&mut summary.def_pairs, |dp| (dp.d, dp.u, dp.ins_addr));
+        keep_first(&mut summary.escape_defs, |dp| (dp.d, dp.u));
+        keep_first(&mut summary.callsites, |cs| (cs.ins_addr, cs.args));
+        keep_first(&mut summary.constraints, |c| (c.op as u8, c.lhs, c.rhs, c.ins_addr));
+        keep_first(&mut summary.ret_values, |&rv| rv);
+        keep_first(&mut summary.loop_copies, |lc| (lc.ins_addr, lc.dst_addr, lc.value));
         summary.blocks_executed = self.fuel_used;
         summary
     }
@@ -606,13 +597,14 @@ impl<'a> Executor<'a> {
                 }
                 _ => false,
             };
-            if escapes && self.escape_seen.insert((d, val)) {
-                // Skip the seeded stack-arg slots themselves.
-                if matches!(self.pool.node(val), SymNode::Arg(_))
-                    && self.pool.base_offset(addr).0 == self.pool.stack_base()
-                {
-                    continue;
-                }
+            // Skip the seeded stack-arg slots themselves. (`deref`
+            // interns its address as is, so `d` names one `addr` and the
+            // skip depends on `(d, val)` alone; duplicates go at the
+            // end of the function.)
+            if escapes
+                && !(matches!(self.pool.node(val), SymNode::Arg(_))
+                    && self.pool.base_offset(addr).0 == self.pool.stack_base())
+            {
                 summary.escape_defs.push(DefPair {
                     d,
                     u: val,

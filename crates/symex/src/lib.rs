@@ -78,7 +78,8 @@ pub use encode::{canonical_encode, encode_summary, fnv64, Fnv64, SummaryDecoder,
 pub use exec::{analyze_function, SymexConfig, STACK_ARGS};
 pub use pool::{CmpOp, ExprId, ExprPool, PoolMark, PoolStats, SymNode, TranslationMemo};
 pub use summary::{
-    ArgList, ArgMask, CalleeRef, CallsiteInfo, Constraint, DefPair, FuncSummary, LoopCopy,
+    keep_first, ArgList, ArgMask, CalleeRef, CallsiteInfo, Constraint, DefPair, FuncSummary,
+    LoopCopy,
 };
 pub use types::VType;
 

@@ -3,6 +3,7 @@
 use crate::exec::STACK_ARGS;
 use crate::pool::{CmpOp, ExprId, ExprPool, TranslationMemo};
 use crate::types::VType;
+use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::{Deref, DerefMut};
@@ -90,6 +91,19 @@ impl PartialEq for ArgList {
 }
 
 impl Eq for ArgList {}
+
+impl PartialOrd for ArgList {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for ArgList {
+    /// Orders by the live slice.
+    fn cmp(&self, other: &Self) -> Ordering {
+        (**self).cmp(&**other)
+    }
+}
 
 impl Hash for ArgList {
     fn hash<H: Hasher>(&self, state: &mut H) {
@@ -271,6 +285,34 @@ pub struct FuncSummary {
     /// True when an SSE fixpoint pass still had pending rewrites when
     /// its round budget ran out (did not converge).
     pub sse_saturated: bool,
+}
+
+/// Keeps the first item of each key, in list order, and drops the rest.
+///
+/// Exact and hash-free: the `(key, index)` pairs are sorted, the first
+/// of each run of equal keys is the earliest item, and the survivors are
+/// put back in index order. The order between keys only groups equal
+/// ones, so any total order will do (`op as u8` for a [`CmpOp`], the
+/// live slice for an [`ArgList`]). Allocates one buffer of pairs, freed
+/// on return, and nothing for lists of fewer than two items.
+pub fn keep_first<T, K: Ord>(items: &mut Vec<T>, key: impl Fn(&T) -> K) {
+    if items.len() < 2 {
+        return;
+    }
+    let mut firsts: Vec<(K, u32)> = items.iter().zip(0u32..).map(|(t, i)| (key(t), i)).collect();
+    firsts.sort_unstable();
+    firsts.dedup_by(|later, first| later.0 == first.0);
+    if firsts.len() == items.len() {
+        return;
+    }
+    firsts.sort_unstable_by_key(|&(_, i)| i);
+    let mut next = firsts.iter().map(|&(_, i)| i).peekable();
+    let mut index = 0u32;
+    items.retain(|_| {
+        let keep = next.next_if_eq(&index).is_some();
+        index += 1;
+        keep
+    });
 }
 
 /// Sorts type entries by id and folds each run of equal ids into one

@@ -378,3 +378,64 @@ fn prometheus_lint_accepts_empty_and_histogram_only_registries() {
     assert!(text.contains("# TYPE dtaint_ddg_fuel_per_fn histogram"), "{text}");
     assert!(!text.contains("counter"), "no stray counter series: {text}");
 }
+
+/// `keep_first` — the executor's and the alias stage's dedup, which
+/// sorts instead of hashing — keeps exactly what a `HashSet` filter
+/// keeps: the first item of each key, in list order, each as it was
+/// recorded (so with the path id of the path that recorded it first).
+/// Lists come as paths would append them at their ends, with keys drawn
+/// from a tiny range so most items are duplicates; empty and one-item
+/// lists and argument lists of every length are included.
+#[test]
+fn keep_first_matches_a_hash_set_filter() {
+    use dtaint_symex::{keep_first, ArgList, CalleeRef, CallsiteInfo, DefPair, ExprId};
+    use rand::Rng;
+    use std::collections::HashSet;
+
+    fn reference<T: Clone, K: std::hash::Hash + Eq>(items: &[T], key: impl Fn(&T) -> K) -> Vec<T> {
+        let mut seen = HashSet::new();
+        items.iter().filter(|t| seen.insert(key(t))).cloned().collect()
+    }
+
+    let mut rng = StdRng::seed_from_u64(0x5eed);
+    for trial in 0..2000 {
+        // Paths end one after another; each appends what it recorded,
+        // stamped with its path id.
+        let paths = match trial {
+            0 => 0,
+            1 => 1,
+            _ => rng.gen_range(0..8u32),
+        };
+        let mut pairs = Vec::new();
+        let mut calls = Vec::new();
+        for path in 0..paths {
+            let items = if trial == 1 { 1 } else { rng.gen_range(0..6usize) };
+            for _ in 0..items {
+                let e = |rng: &mut StdRng| ExprId(rng.gen_range(0..3u32));
+                let ins_addr = rng.gen_range(0..2u32);
+                pairs.push(DefPair { d: e(&mut rng), u: e(&mut rng), ins_addr, path });
+                let args: ArgList = (0..rng.gen_range(0..4usize)).map(|_| e(&mut rng)).collect();
+                calls.push(CallsiteInfo {
+                    ins_addr,
+                    callee: CalleeRef::Direct(rng.gen_range(0..1000u32)),
+                    args,
+                    ret: e(&mut rng),
+                    path,
+                });
+            }
+        }
+
+        let pair_key = |dp: &DefPair| (dp.d, dp.u, dp.ins_addr);
+        let want = reference(&pairs, pair_key);
+        keep_first(&mut pairs, pair_key);
+        assert_eq!(pairs, want, "trial {trial}: definition pairs");
+
+        // The callee and the return symbol are not part of the key: the
+        // survivor must be the first one recorded, not any equal-keyed
+        // one.
+        let call_key = |cs: &CallsiteInfo| (cs.ins_addr, cs.args);
+        let want = reference(&calls, call_key);
+        keep_first(&mut calls, call_key);
+        assert_eq!(calls, want, "trial {trial}: call sites");
+    }
+}
