@@ -202,8 +202,7 @@ pub fn sse_replace(
     // searched by bisection; nothing hashes.
     //
     // (d, u) pairs already present — the append-side dedup. Most passes
-    // append nothing, so it is built when the first twin is about to be
-    // pushed.
+    // find no twin, so it is built when a round first finds one.
     let mut seen: Option<Vec<(ExprId, ExprId)>> = None;
 
     // Expressions used as a deref base anywhere in the summary. The
@@ -270,21 +269,21 @@ pub fn sse_replace(
         // twins can produce anything new.
         let work = if grew { 0..summary.def_pairs.len() } else { frontier.clone() };
 
-        let mut appended: Vec<DefPair> = Vec::new();
+        // Each twin with its deref depth.
+        let mut twins: Vec<(DefPair, u32)> = Vec::new();
         for i in work {
             let dp = summary.def_pairs[i];
             if !matches!(pool.node(dp.d), SymNode::Deref { .. }) {
                 continue;
             }
-            let mut twin = Twin { dp, pool: &mut *pool, cfg, seen: &mut seen, summary };
             // Forward: replace an aliased base with its memory name.
             // A folded global address `Const(obj + off)` matches an
             // alias of `Const(obj)` with the residual offset re-added.
-            twin.pool.ptrs_in_into(dp.d, &mut scratch);
+            pool.ptrs_in_into(dp.d, &mut scratch);
             for &ptr in &scratch {
-                let (lookup, residual) = match twin.pool.node(ptr) {
+                let (lookup, residual) = match pool.node(ptr) {
                     SymNode::Const(c) => match global_base(c) {
-                        Some(s) if s != c => (twin.pool.constant(s), c - s),
+                        Some(s) if s != c => (pool.constant(s), c - s),
                         _ => (ptr, 0),
                     },
                     _ => (ptr, 0),
@@ -295,36 +294,43 @@ pub fn sse_replace(
                     // Occurs check: rewriting a name that already
                     // mentions the alias would nest it inside itself
                     // and ping-pong against the reverse direction.
-                    if alias.name == dp.d || twin.pool.contains(dp.d, alias.name) {
+                    if alias.name == dp.d || pool.contains(dp.d, alias.name) {
                         continue;
                     }
-                    let repl = twin.pool.add_const(alias.name, residual - alias.offset);
-                    twin.push(ptr, repl, &mut appended, &mut stats);
+                    let repl = pool.add_const(alias.name, residual - alias.offset);
+                    twins.extend(twin(dp, ptr, repl, pool, cfg));
                 }
             }
             // Reverse: resolve a memory name occurring strictly inside
             // the definition back to the pointer value it holds.
             for alias in &aliases {
-                if alias.name == dp.d || !twin.pool.contains(dp.d, alias.name) {
+                if alias.name == dp.d || !pool.contains(dp.d, alias.name) {
                     continue;
                 }
-                let repl = twin.pool.add_const(alias.base, alias.offset);
-                twin.push(alias.name, repl, &mut appended, &mut stats);
+                let repl = pool.add_const(alias.base, alias.offset);
+                twins.extend(twin(dp, alias.name, repl, pool, cfg));
             }
         }
 
-        // A twin found twice this round is kept once, as first found.
-        keep_first(&mut appended, |p| (p.d, p.u));
-        if appended.is_empty() {
-            break;
-        }
-        if let Some(seen) = &mut seen {
-            seen.extend(appended.iter().map(|p| (p.d, p.u)));
+        // Append each twin that is new, once, as first found.
+        if !twins.is_empty() {
+            let seen = seen.get_or_insert_with(|| {
+                let mut pairs: Vec<_> = summary.def_pairs.iter().map(|p| (p.d, p.u)).collect();
+                pairs.sort_unstable();
+                pairs
+            });
+            twins.retain(|(p, _)| seen.binary_search(&(p.d, p.u)).is_err());
+            keep_first(&mut twins, |(p, _)| (p.d, p.u));
+            seen.extend(twins.iter().map(|(p, _)| (p.d, p.u)));
             seen.sort_unstable();
         }
+        if twins.is_empty() {
+            break;
+        }
         let start = summary.def_pairs.len();
-        stats.rewrites = stats.rewrites.saturating_add(appended.len() as u32);
-        summary.def_pairs.extend(appended);
+        stats.rewrites = stats.rewrites.saturating_add(twins.len() as u32);
+        stats.max_depth = twins.iter().fold(stats.max_depth, |m, &(_, depth)| m.max(depth));
+        summary.def_pairs.extend(twins.into_iter().map(|(p, _)| p));
         frontier = start..summary.def_pairs.len();
         if round == cfg.max_rounds {
             stats.saturated = true;
@@ -339,47 +345,21 @@ pub fn sse_replace(
     stats
 }
 
-/// The rewrites of one definition pair within a round.
-struct Twin<'a> {
+/// Applies one substitution to `dp.d`: the twin and its deref depth,
+/// when the name changes and stays within the depth budget.
+fn twin(
     dp: DefPair,
-    pool: &'a mut ExprPool,
-    cfg: &'a AliasConfig,
-    /// The pairs present when the round began, once built.
-    seen: &'a mut Option<Vec<(ExprId, ExprId)>>,
-    summary: &'a FuncSummary,
-}
-
-impl Twin<'_> {
-    /// Applies one substitution to `dp.d` and appends the twin when it
-    /// is within the depth budget and not already a pair of the
-    /// summary. (Twins found twice in one round are folded at its end.)
-    fn push(
-        &mut self,
-        from: ExprId,
-        to: ExprId,
-        appended: &mut Vec<DefPair>,
-        stats: &mut SseStats,
-    ) {
-        let dp = self.dp;
-        let new_d = self.pool.replace(dp.d, from, to);
-        if new_d == dp.d {
-            return;
-        }
-        let depth = self.pool.deref_depth(new_d);
-        if depth > self.cfg.max_depth {
-            return;
-        }
-        let seen = self.seen.get_or_insert_with(|| {
-            let mut pairs: Vec<_> = self.summary.def_pairs.iter().map(|p| (p.d, p.u)).collect();
-            pairs.sort_unstable();
-            pairs
-        });
-        if seen.binary_search(&(new_d, dp.u)).is_ok() {
-            return;
-        }
-        stats.max_depth = stats.max_depth.max(depth);
-        appended.push(DefPair { d: new_d, ..dp });
+    from: ExprId,
+    to: ExprId,
+    pool: &mut ExprPool,
+    cfg: &AliasConfig,
+) -> Option<(DefPair, u32)> {
+    let d = pool.replace(dp.d, from, to);
+    if d == dp.d {
+        return None;
     }
+    let depth = pool.deref_depth(d);
+    (depth <= cfg.max_depth).then_some((DefPair { d, ..dp }, depth))
 }
 
 /// Recognises one alias from a definition pair, SSE-style: the name
