@@ -126,24 +126,23 @@ impl BlockSet {
     }
 }
 
-/// Work item: a path positioned at the start of `block`, with what it
-/// recorded since it forked (or since entry, for the first path).
+/// Work item: a path positioned at the start of `block`.
 ///
-/// A fork copies only the machine state, the visited set and the step
-/// count; the taken side starts its lists afresh. That loses nothing:
-/// the stack is LIFO and every path runs until it ends, so the forking
-/// path ends first, and everything it held at the fork is in the
-/// summary before the taken side runs.
+/// A path holds no record of what it found: a fork copies only the
+/// machine state, the visited set and the step count. That loses
+/// nothing. The stack is LIFO and every path runs until it ends, so the
+/// forking path ends first, and everything found before the fork is in
+/// the summary before the taken side runs; and one path runs at a time,
+/// so what it finds goes straight into the summary, stamped with its
+/// path id ([`FuncSummary::paths_explored`] while it runs).
 #[derive(Debug)]
 struct PathItem {
     block: u32,
     state: SymState,
     visited: BlockSet,
     steps: u32,
-    def_pairs: Vec<DefPair>,
-    constraints: Vec<Constraint>,
-    callsites: Vec<CallsiteInfo>,
-    loop_copies: Vec<LoopCopy>,
+    /// The branch a taken side was forked on, recorded once it runs.
+    taken: Option<Constraint>,
 }
 
 /// Analyzes one function, producing its [`FuncSummary`].
@@ -189,10 +188,7 @@ impl<'a> Executor<'a> {
             state: self.initial_state(),
             visited: BlockSet::new(cfg.blocks().len()),
             steps: 0,
-            def_pairs: Vec::new(),
-            constraints: Vec::new(),
-            callsites: Vec::new(),
-            loop_copies: Vec::new(),
+            taken: None,
         }];
 
         while let Some(mut item) = stack.pop() {
@@ -204,18 +200,20 @@ impl<'a> Executor<'a> {
                 summary.fuel_exhausted = true;
                 break;
             }
+            let pid = summary.paths_explored;
+            summary.constraints.extend(item.taken.map(|c| Constraint { path: pid, ..c }));
             // Execute blocks until the path ends or forks.
-            let ended = loop {
+            loop {
                 if item.steps >= self.config.max_blocks_per_path {
-                    break true;
+                    break;
                 }
                 if self.fuel_used >= self.config.max_fuel {
                     summary.fuel_exhausted = true;
-                    break true;
+                    break;
                 }
                 self.fuel_used += 1;
                 item.steps += 1;
-                let Some(index) = cfg.index_of(item.block) else { break true };
+                let Some(index) = cfg.index_of(item.block) else { break };
                 item.visited.insert(index);
                 let block = &cfg.blocks()[index];
                 let in_loop = self.loop_blocks[index];
@@ -235,13 +233,13 @@ impl<'a> Executor<'a> {
                             item.state.store(a, v);
                             let w = width.bytes() as u8;
                             let d = self.pool.deref(a, w);
-                            item.def_pairs.push(DefPair { d, u: v, ins_addr, path: 0 });
+                            summary.def_pairs.push(DefPair { d, u: v, ins_addr, path: pid });
                             if in_loop && self.derived_from_memory(v) {
-                                item.loop_copies.push(LoopCopy {
+                                summary.loop_copies.push(LoopCopy {
                                     ins_addr,
                                     dst_addr: a,
                                     value: v,
-                                    path: 0,
+                                    path: pid,
                                 });
                             }
                         }
@@ -268,7 +266,7 @@ impl<'a> Executor<'a> {
                         let rv = self.read_reg(&mut item.state, ret_reg);
                         summary.ret_values.push(rv);
                         self.collect_escapes(&item, &mut summary);
-                        break true;
+                        break;
                     }
                     JumpKind::Call { return_to } => {
                         self.handle_call(&mut item, &mut summary, block);
@@ -276,7 +274,7 @@ impl<'a> Executor<'a> {
                             item.block = return_to;
                             continue;
                         }
-                        break true;
+                        break;
                     }
                     JumpKind::Boring => {
                         if let Some((l, op, r, target, at)) = exit {
@@ -294,7 +292,7 @@ impl<'a> Executor<'a> {
                                         item.block = n;
                                         continue;
                                     }
-                                    None => break true,
+                                    None => break,
                                 }
                             }
                             // Fork: taken side pushed as a new path.
@@ -305,31 +303,28 @@ impl<'a> Executor<'a> {
                                     state: item.state.clone(),
                                     visited: item.visited.clone(),
                                     steps: item.steps,
-                                    def_pairs: Vec::new(),
-                                    constraints: vec![Constraint {
+                                    taken: Some(Constraint {
                                         op,
                                         lhs: l,
                                         rhs: r,
                                         ins_addr: at,
                                         path: 0,
-                                    }],
-                                    callsites: Vec::new(),
-                                    loop_copies: Vec::new(),
+                                    }),
                                 });
                             }
-                            item.constraints.push(Constraint {
+                            summary.constraints.push(Constraint {
                                 op: op.negate(),
                                 lhs: l,
                                 rhs: r,
                                 ins_addr: at,
-                                path: 0,
+                                path: pid,
                             });
                             match fall.filter(|n| self.may_enter(&item, *n)) {
                                 Some(n) => {
                                     item.block = n;
                                     continue;
                                 }
-                                None => break true,
+                                None => break,
                             }
                         }
                         match block.next_const(ir).filter(|n| self.may_enter(&item, *n)) {
@@ -337,29 +332,12 @@ impl<'a> Executor<'a> {
                                 item.block = n;
                                 continue;
                             }
-                            None => break true,
+                            None => break,
                         }
                     }
                 }
-            };
-            if ended {
-                // Finalize this path into the summary; duplicates across
-                // paths go at the end of the function.
-                let pid = summary.paths_explored;
-                summary.paths_explored += 1;
-                summary
-                    .def_pairs
-                    .extend(item.def_pairs.into_iter().map(|dp| DefPair { path: pid, ..dp }));
-                summary
-                    .constraints
-                    .extend(item.constraints.into_iter().map(|c| Constraint { path: pid, ..c }));
-                summary
-                    .callsites
-                    .extend(item.callsites.into_iter().map(|cs| CallsiteInfo { path: pid, ..cs }));
-                summary
-                    .loop_copies
-                    .extend(item.loop_copies.into_iter().map(|lc| LoopCopy { path: pid, ..lc }));
             }
+            summary.paths_explored += 1;
         }
         // Each list keeps the first item of each key: the path that
         // recorded it first, as it recorded it.
@@ -537,11 +515,11 @@ impl<'a> Executor<'a> {
                                 let out = self.pool.call_out(cs_addr, dst as u8);
                                 item.state.store(p, out);
                                 let d = self.pool.deref(p, 1);
-                                item.def_pairs.push(DefPair {
+                                summary.def_pairs.push(DefPair {
                                     d,
                                     u: out,
                                     ins_addr: cs_addr,
-                                    path: 0,
+                                    path: summary.paths_explored,
                                 });
                             }
                         }
@@ -553,11 +531,11 @@ impl<'a> Executor<'a> {
                                 };
                                 item.state.store(pd, data);
                                 let d = self.pool.deref(pd, 1);
-                                item.def_pairs.push(DefPair {
+                                summary.def_pairs.push(DefPair {
                                     d,
                                     u: data,
                                     ins_addr: cs_addr,
-                                    path: 0,
+                                    path: summary.paths_explored,
                                 });
                             }
                         }
@@ -567,12 +545,18 @@ impl<'a> Executor<'a> {
                     let out = self.pool.call_out(cs_addr, crate::RET_PTR_ARG);
                     item.state.store(ret, out);
                     let d = self.pool.deref(ret, 1);
-                    item.def_pairs.push(DefPair { d, u: out, ins_addr: cs_addr, path: 0 });
+                    summary.def_pairs.push(DefPair {
+                        d,
+                        u: out,
+                        ins_addr: cs_addr,
+                        path: summary.paths_explored,
+                    });
                 }
             }
         }
         item.state.set_reg(arch.ret_reg(), ret);
-        item.callsites.push(CallsiteInfo { ins_addr: cs_addr, callee, args, ret, path: 0 });
+        let path = summary.paths_explored;
+        summary.callsites.push(CallsiteInfo { ins_addr: cs_addr, callee, args, ret, path });
     }
 
     /// Records the definition pairs that reach this exit and whose root
