@@ -413,6 +413,19 @@ impl FuncSummary {
         }
     }
 
+    /// Drops the spare capacity of the lists symbolic execution grows
+    /// (definition pairs, escape definitions, call sites, constraints,
+    /// return values, loop copies), so the summary holds them at their
+    /// exact length like a translated or decoded one.
+    pub fn shrink_to_fit(&mut self) {
+        self.def_pairs.shrink_to_fit();
+        self.escape_defs.shrink_to_fit();
+        self.callsites.shrink_to_fit();
+        self.constraints.shrink_to_fit();
+        self.ret_values.shrink_to_fit();
+        self.loop_copies.shrink_to_fit();
+    }
+
     /// Records a type observation, joining with any existing one.
     pub fn observe_type(&mut self, e: ExprId, t: VType) {
         match self.types.binary_search_by_key(&e, |&(id, _)| id) {
