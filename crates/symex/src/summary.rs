@@ -5,7 +5,6 @@ use crate::pool::{CmpOp, ExprId, ExprPool, TranslationMemo};
 use crate::types::VType;
 use std::cmp::Ordering;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::ops::{Deref, DerefMut};
 
 /// A definition pair `(d, u)`: location `d` was assigned value `u`
@@ -102,12 +101,6 @@ impl Ord for ArgList {
     /// Orders by the live slice.
     fn cmp(&self, other: &Self) -> Ordering {
         (**self).cmp(&**other)
-    }
-}
-
-impl Hash for ArgList {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        (**self).hash(state);
     }
 }
 
@@ -417,7 +410,7 @@ impl FuncSummary {
     /// (definition pairs, escape definitions, call sites, constraints,
     /// return values, loop copies), so the summary holds them at their
     /// exact length like a translated or decoded one.
-    pub fn shrink_to_fit(&mut self) {
+    pub(crate) fn shrink_to_fit(&mut self) {
         self.def_pairs.shrink_to_fit();
         self.escape_defs.shrink_to_fit();
         self.callsites.shrink_to_fit();

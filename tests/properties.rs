@@ -433,9 +433,8 @@ fn keep_first_matches_a_hash_set_filter() {
         // The callee and the return symbol are not part of the key: the
         // survivor must be the first one recorded, not any equal-keyed
         // one.
-        let call_key = |cs: &CallsiteInfo| (cs.ins_addr, cs.args);
-        let want = reference(&calls, call_key);
-        keep_first(&mut calls, call_key);
+        let want = reference(&calls, |cs| (cs.ins_addr, cs.args.to_vec()));
+        keep_first(&mut calls, |cs| (cs.ins_addr, cs.args));
         assert_eq!(calls, want, "trial {trial}: call sites");
     }
 }
