@@ -1,9 +1,10 @@
 //! Golden digests: what a change that keeps outputs byte-identical must
 //! leave alone.
 //!
-//! For each Table II profile, scanned at one and two threads in the
-//! default mode with auditing on, three outputs are digested with the
-//! summary cache's 64-bit FNV-1a ([`fnv64`](dtaint_symex::fnv64)):
+//! Each setting scans one image (a Table II profile, or a mutant of
+//! one) in one mode at one thread count, with auditing on, and digests
+//! its outputs with the summary cache's 64-bit FNV-1a
+//! ([`fnv64`](dtaint_symex::fnv64)):
 //!
 //! * `report`: the bytes `dtaint scan --json` prints, with every
 //!   `stage_us` value zeroed and the audit decisions left out (a scan
@@ -11,41 +12,164 @@
 //! * `audit`: the bytes `--audit-out` writes (one JSON line per
 //!   decision);
 //! * `metrics`: the bytes `--metrics-out` writes, without the
-//!   `stage.*_us` wall-clock gauges.
+//!   `stage.*_us` wall-clock gauges;
+//! * `cache` (in [`Mode::Cache`] only): the summary cache's
+//!   [`SummaryCache::to_bytes`] after the cold scan, the bytes a
+//!   one-image `dtaint batch` writes to `summaries.dtc`.
+//!
+//! The matrix ([`matrix`]): every profile at one and two threads in the
+//! default mode; profiles 1–4 at one thread with `--interval-guards`,
+//! with `--alias store`, and with a fresh cache; and two mutants of
+//! profile 3 with a fresh cache at one thread ([`MUTANTS`]). Profiles 5
+//! and 6 stay out of the extra modes to keep the check's debug-build
+//! time down.
 //!
 //! Each setting also lists the session registry's counters in clear
 //! text, so a diff of `results/golden.json` says which counter moved.
-//! `tests/fused_pass.rs` recomputes every setting from the scans it
-//! already runs and compares it with the file; the `golden_digests`
-//! binary rewrites the file. A change that moves an output on purpose
-//! re-pins it and says in CHANGES.md which digest moved and why.
+//! `tests/fused_pass.rs` recomputes every setting (the default-mode ones
+//! from the scans it already runs) and compares it with the file; the
+//! `golden_digests` binary rewrites the file. A change that moves an
+//! output on purpose re-pins it and says in CHANGES.md which digest
+//! moved and why.
 
-use dtaint_core::{AnalysisReport, Dtaint, DtaintConfig};
+use dtaint_core::{AnalysisReport, BoundsMode, CacheRef, Dtaint, DtaintConfig, SummaryCache};
+use dtaint_dataflow::AliasMode;
 use dtaint_fwbin::Binary;
+use dtaint_fwgen::{build_firmware, corrupt_binary, table2_profiles, BinFault};
 use dtaint_symex::Fnv64;
 use dtaint_telemetry::{export_jsonl, Collector};
 use serde_json::Value;
 use std::io;
+use std::sync::Arc;
 
 /// The golden file, relative to the workspace root.
 pub const GOLDEN_FILE: &str = "results/golden.json";
 
-/// The thread counts every profile is pinned at.
+/// The thread counts every profile is pinned at in the default mode.
 pub const THREADS: [usize; 2] = [1, 2];
 
-/// The configuration of a golden scan: the CLI's default mode at
-/// `threads`, with auditing on (as `--audit-out` sets it).
-pub fn config(threads: usize) -> DtaintConfig {
-    DtaintConfig { threads, audit: true, ..Default::default() }
+/// The profiles (1-based Table II indices) pinned in the other modes.
+pub const SMALL_PROFILES: [usize; 4] = [1, 2, 3, 4];
+
+/// The mutants pinned with a fresh cache: a name, the profile it
+/// corrupts and the fault. In the first, `hop0_edb_43055` fails to lift
+/// and its one direct caller's DDG key takes the `absent` marker; the
+/// second names `util_fn98`'s entry twice.
+pub const MUTANTS: [(&str, usize, BinFault); 2] = [
+    ("garbage-fn-1", 3, BinFault::GarbageOpcodes { index: 1, seed: 11 }),
+    ("aliased-entry-util_fn98", 3, BinFault::AliasedEntry { index: 366 }),
+];
+
+/// How a golden setting scans.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mode {
+    /// The CLI's default mode.
+    Default,
+    /// `--interval-guards`.
+    IntervalGuards,
+    /// `--alias store`.
+    AliasStore,
+    /// The default mode with a fresh summary cache attached.
+    Cache,
 }
 
-/// Scans `bin` as `dtaint scan --json --audit-out --metrics-out` does,
-/// returning the report and the session collector.
+impl Mode {
+    /// The mode's name in the golden file.
+    pub fn name(self) -> &'static str {
+        match self {
+            Mode::Default => "default",
+            Mode::IntervalGuards => "interval-guards",
+            Mode::AliasStore => "alias-store",
+            Mode::Cache => "cache",
+        }
+    }
+}
+
+/// One golden setting: which image, how it is scanned.
+#[derive(Debug, Clone)]
+pub struct Spec {
+    /// 1-based Table II index.
+    pub profile: usize,
+    /// The [`MUTANTS`] entry applied to the profile, if any.
+    pub mutant: Option<usize>,
+    /// The scan mode.
+    pub mode: Mode,
+    /// Worker threads.
+    pub threads: usize,
+}
+
+impl Spec {
+    /// The image this setting scans, with its profile's manufacturer
+    /// and binary name.
+    pub fn image(&self) -> (Binary, &'static str, &'static str) {
+        let p = table2_profiles().swap_remove(self.profile - 1);
+        let mut bin = build_firmware(&p).binary;
+        if let Some(m) = self.mutant {
+            bin = corrupt_binary(&bin, &MUTANTS[m].2);
+        }
+        (bin, p.manufacturer, p.binary_name)
+    }
+}
+
+/// Every golden setting, in the file's order.
+pub fn matrix() -> Vec<Spec> {
+    let mut out = Vec::new();
+    for profile in 1..=table2_profiles().len() {
+        for threads in THREADS {
+            out.push(Spec { profile, mutant: None, mode: Mode::Default, threads });
+        }
+    }
+    for profile in SMALL_PROFILES {
+        for mode in [Mode::IntervalGuards, Mode::AliasStore, Mode::Cache] {
+            out.push(Spec { profile, mutant: None, mode, threads: 1 });
+        }
+    }
+    for (m, &(_, profile, _)) in MUTANTS.iter().enumerate() {
+        out.push(Spec { profile, mutant: Some(m), mode: Mode::Cache, threads: 1 });
+    }
+    out
+}
+
+/// The configuration of a golden scan: `mode` at `threads`, with
+/// auditing on (as `--audit-out` sets it).
+pub fn config(mode: Mode, threads: usize) -> DtaintConfig {
+    let mut config = DtaintConfig { threads, audit: true, ..Default::default() };
+    match mode {
+        Mode::Default | Mode::Cache => {}
+        Mode::IntervalGuards => config.dataflow.bounds = BoundsMode::Interval,
+        Mode::AliasStore => config.dataflow.alias.mode = AliasMode::Store,
+    }
+    config
+}
+
+/// Scans `bin` as `dtaint scan --json --audit-out --metrics-out` does in
+/// the default mode, returning the report and the session collector.
 pub fn scan(bin: &Binary, name: &str, threads: usize) -> (AnalysisReport, Collector) {
-    let mut tel = Collector::disabled();
-    let report =
-        Dtaint::with_config(config(threads)).analyze_traced(bin, name, &mut tel).expect("scan");
+    let (report, tel, _) = scan_in(bin, name, Mode::Default, threads);
     (report, tel)
+}
+
+/// [`scan`] in `mode`; in [`Mode::Cache`] also the bytes of the cache the
+/// scan filled.
+pub fn scan_in(
+    bin: &Binary,
+    name: &str,
+    mode: Mode,
+    threads: usize,
+) -> (AnalysisReport, Collector, Option<Vec<u8>>) {
+    let mut config = config(mode, threads);
+    let cache = (mode == Mode::Cache).then(|| Arc::new(SummaryCache::new()));
+    config.cache = cache.clone().map(|c| CacheRef::new(c, name));
+    let mut tel = Collector::disabled();
+    let report = Dtaint::with_config(config).analyze_traced(bin, name, &mut tel).expect("scan");
+    (report, tel, cache.map(|c| c.to_bytes()))
+}
+
+/// Scans a setting's image and digests it ([`setting`]).
+pub fn run(spec: &Spec) -> Value {
+    let (bin, manufacturer, name) = spec.image();
+    let (report, tel, cache) = scan_in(&bin, name, spec.mode, spec.threads);
+    setting(spec, manufacturer, &report, &tel, cache.as_deref())
 }
 
 /// An [`io::Write`] that digests what it is given.
@@ -69,14 +193,14 @@ fn digest(write: impl FnOnce(&mut Digest) -> io::Result<()>) -> String {
     format!("{:016x}", d.0.finish())
 }
 
-/// One golden setting: profile `profile` (1-based Table II index)
-/// scanned at `threads`.
+/// The golden entry of setting `spec`, from its scan's report,
+/// session collector and, in [`Mode::Cache`], cache bytes.
 pub fn setting(
-    profile: usize,
+    spec: &Spec,
     manufacturer: &str,
     report: &AnalysisReport,
     tel: &Collector,
-    threads: usize,
+    cache: Option<&[u8]>,
 ) -> Value {
     let printed = AnalysisReport {
         stage_us: report.stage_us.keys().map(|k| (k.clone(), 0)).collect(),
@@ -96,17 +220,26 @@ pub fn setting(
     });
     let counters =
         metrics.counters.iter().map(|(k, &v)| (k.clone(), Value::Int(v as i64))).collect();
-    Value::Obj(vec![
-        ("profile".into(), Value::Int(profile as i64)),
+    let mut fields = vec![
+        ("profile".into(), Value::Int(spec.profile as i64)),
         ("manufacturer".into(), Value::Str(manufacturer.into())),
+    ];
+    if let Some(m) = spec.mutant {
+        fields.push(("mutant".into(), Value::Str(MUTANTS[m].0.into())));
+    }
+    fields.extend([
         ("binary".into(), Value::Str(report.binary_name.clone())),
-        ("threads".into(), Value::Int(threads as i64)),
-        ("mode".into(), Value::Str("default".into())),
+        ("threads".into(), Value::Int(spec.threads as i64)),
+        ("mode".into(), Value::Str(spec.mode.name().into())),
         ("report".into(), Value::Str(report_digest)),
         ("audit".into(), Value::Str(audit_digest)),
         ("metrics".into(), Value::Str(metrics_digest)),
-        ("counters".into(), Value::Obj(counters)),
-    ])
+    ]);
+    if let Some(bytes) = cache {
+        fields.push(("cache".into(), Value::Str(digest(|out| io::Write::write_all(out, bytes)))));
+    }
+    fields.push(("counters".into(), Value::Obj(counters)));
+    Value::Obj(fields)
 }
 
 /// The golden document over `settings`, as the file holds it.
@@ -132,14 +265,22 @@ pub fn check(pinned: &str, settings: &[Value]) -> Result<(), String> {
     let Some(Value::Arr(want)) = doc.get("settings") else {
         return Err(format!("{GOLDEN_FILE}: no `settings` array"));
     };
-    let key = |s: &Value| (s.get("profile").cloned(), s.get("threads").cloned());
+    let key = |s: &Value| ["profile", "mutant", "mode", "threads"].map(|k| s.get(k).cloned());
     let label = |s: &Value| {
         let text = |k: &str| match s.get(k) {
             Some(Value::Str(v)) => v.clone(),
             Some(Value::Int(v)) => v.to_string(),
             _ => "?".into(),
         };
-        format!("profile {} ({}) at {} thread(s)", text("profile"), text("binary"), text("threads"))
+        let mutant = s.get("mutant").map(|_| format!(" mutant {}", text("mutant")));
+        format!(
+            "profile {} ({}){} in mode {} at {} thread(s)",
+            text("profile"),
+            text("binary"),
+            mutant.unwrap_or_default(),
+            text("mode"),
+            text("threads")
+        )
     };
     let mut errors = Vec::new();
     for got in settings {
@@ -160,7 +301,7 @@ pub fn check(pinned: &str, settings: &[Value]) -> Result<(), String> {
                 errors.push(format!("{}: counter {name} is gone", label(got)));
             }
         }
-        for field in ["binary", "report", "audit", "metrics"] {
+        for field in ["binary", "report", "audit", "metrics", "cache"] {
             if got.get(field) != pin.get(field) {
                 errors.push(format!(
                     "{}: {field} digest {:?} -> {:?}",

@@ -18,7 +18,7 @@
 //! * [`BinFault`] / [`corrupt_binary`] — structural damage to a parsed
 //!   [`Binary`] that re-serializes cleanly (garbage opcode words inside
 //!   one function, lying section sizes, address-wrapping or overlapping
-//!   symbols). These produce images that *parse* but contain functions
+//!   symbols, two symbols at one entry). These produce images that *parse* but contain functions
 //!   the analysis cannot digest; the scanner must downgrade exactly
 //!   those functions and leave the rest of the report untouched.
 //!
@@ -182,6 +182,14 @@ pub enum BinFault {
     /// Append a function symbol whose body lies outside every section —
     /// lifting it must fail, not panic.
     DanglingSymbol,
+    /// Append a second function symbol at the entry of the `index`-th
+    /// function symbol (address order), under another name and with
+    /// half its size — two symbols naming one entry, as stripped and
+    /// re-labelled firmware carries them.
+    AliasedEntry {
+        /// Which function (by position in [`Binary::functions`]).
+        index: usize,
+    },
 }
 
 /// Applies a [`BinFault`] to a copy of `bin`.
@@ -238,6 +246,15 @@ pub fn corrupt_binary(bin: &Binary, fault: &BinFault) -> Binary {
                 kind: SymbolKind::Function,
             });
         }
+        BinFault::AliasedEntry { index } => {
+            let alias = out.functions().get(*index).map(|f| Symbol {
+                name: format!("{}_alias", f.name),
+                addr: f.addr,
+                size: ((f.size / 2) & !3).max(4),
+                kind: SymbolKind::Function,
+            });
+            out.symbols.extend(alias);
+        }
     }
     out
 }
@@ -276,6 +293,8 @@ pub fn fbf_fault_corpus(bin: &Binary, seed: u64) -> Vec<(String, Vec<u8>)> {
         corrupt_binary(bin, &BinFault::OverlappingSymbols).to_bytes(),
     ));
     out.push(("dangling-symbol".into(), corrupt_binary(bin, &BinFault::DanglingSymbol).to_bytes()));
+    let fault = BinFault::AliasedEntry { index: n_funcs / 2 };
+    out.push(("aliased-entry".into(), corrupt_binary(bin, &fault).to_bytes()));
     out
 }
 
@@ -397,6 +416,22 @@ mod tests {
         let reparsed = Binary::from_bytes(&mutant.to_bytes()).unwrap();
         assert_eq!(reparsed.functions().len(), bin.functions().len());
         assert_ne!(reparsed.section(SectionKind::Text), bin.section(SectionKind::Text));
+    }
+
+    #[test]
+    fn aliased_entry_adds_a_shorter_symbol_at_an_existing_entry() {
+        let bin = small_binary();
+        let target = bin.functions()[3].clone();
+        let mutant = corrupt_binary(&bin, &BinFault::AliasedEntry { index: 3 });
+        let reparsed = Binary::from_bytes(&mutant.to_bytes()).unwrap();
+        assert_eq!(reparsed.functions().len(), bin.functions().len() + 1);
+        let at_entry: Vec<&Symbol> =
+            reparsed.functions().into_iter().filter(|s| s.addr == target.addr).collect();
+        assert_eq!(at_entry.len(), 2);
+        assert_eq!(*at_entry[0], target, "the original symbol comes first");
+        assert_eq!(at_entry[1].name, format!("{}_alias", target.name));
+        assert!(at_entry[1].size < target.size && at_entry[1].size.is_multiple_of(4));
+        assert!(symbols_mapped(&reparsed));
     }
 
     #[test]

@@ -767,18 +767,29 @@ fn no_function_panics_on_any_profile() {
     }
 }
 
-/// Every profile's scan outputs at 1 and 2 threads digest to the values
-/// pinned in `results/golden.json` ([`golden`]): the printed report
-/// with its clock zeroed, the audit log, and the metrics registry
-/// without its `stage.*_us` gauges. A change meant to keep outputs
-/// byte-identical must pass with the file unchanged; a failure names
-/// each moved counter and digest.
+/// Every golden setting's scan outputs digest to the values pinned in
+/// `results/golden.json` ([`golden`]): the printed report with its
+/// clock zeroed, the audit log, the metrics registry without its
+/// `stage.*_us` gauges and, for the cached settings, the cache bytes.
+/// The default-mode settings reuse [`profile_scans`]; the others scan
+/// here. A change meant to keep outputs byte-identical must pass with
+/// the file unchanged; a failure names each moved counter and digest.
 #[test]
 fn scan_outputs_match_their_golden_digests() {
-    let settings: Vec<_> = profile_scans()
+    let scans = profile_scans();
+    let settings: Vec<_> = golden::matrix()
         .iter()
-        .filter(|s| golden::THREADS.contains(&s.threads))
-        .map(|s| golden::setting(s.profile, s.manufacturer, &s.report, &s.tel, s.threads))
+        .map(|spec| {
+            let shared = scans.iter().find(|s| {
+                spec.mode == golden::Mode::Default
+                    && spec.mutant.is_none()
+                    && (s.profile, s.threads) == (spec.profile, spec.threads)
+            });
+            match shared {
+                Some(s) => golden::setting(spec, s.manufacturer, &s.report, &s.tel, None),
+                None => golden::run(spec),
+            }
+        })
         .collect();
     let path = format!("{}/{}", env!("CARGO_MANIFEST_DIR"), golden::GOLDEN_FILE);
     let pinned = std::fs::read_to_string(&path).unwrap_or_default();
