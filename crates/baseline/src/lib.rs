@@ -101,10 +101,15 @@ pub fn analyze_topdown(
     let mut reached: HashSet<u32> = HashSet::new();
 
     // Roots: functions nobody calls (fall back to all functions).
-    let callees: HashSet<u32> = callgraph.edges.values().flat_map(|v| v.iter().copied()).collect();
+    let mut called = vec![false; callgraph.len()];
+    for f in callgraph.slots() {
+        for c in callgraph.callees(f) {
+            called[c.index()] = true;
+        }
+    }
     let roots: Vec<u32> = {
-        let r: Vec<u32> =
-            callgraph.functions.iter().copied().filter(|f| !callees.contains(f)).collect();
+        let is_called = |f: u32| callgraph.ix(f).is_some_and(|f| called[f.index()]);
+        let r: Vec<u32> = callgraph.functions.iter().copied().filter(|&f| !is_called(f)).collect();
         if r.is_empty() {
             callgraph.functions.clone()
         } else {

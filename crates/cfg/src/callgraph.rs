@@ -1,6 +1,21 @@
 use crate::funcfg::{FunctionCfg, FunctionShape};
+use dtaint_fwbin::fbf::SymbolKind;
 use dtaint_fwbin::Binary;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+
+/// A function's dense index: the position of its entry among the
+/// distinct entry addresses of the image's function symbols, in address
+/// order (see [`CallGraph::ix`]). Per-function tables are `Vec` slots
+/// indexed by it; addresses stay in every output.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct FnIx(pub u32);
+
+impl FnIx {
+    /// The slot this index names.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
 
 /// What a call instruction targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -29,23 +44,27 @@ pub struct Callsite {
     pub target: CallTarget,
 }
 
-/// The program call graph: the scan's one table of call instructions.
+/// The program call graph: the scan's one table of call instructions,
+/// and the call edges between function slots ([`FnIx`]).
 ///
 /// Direct edges come from `BL`/`JAL`; import calls are kept separate (they
 /// are the sources/sinks of the taint analysis, not analyzable callees);
 /// indirect calls are resolved later by layout similarity.
 #[derive(Debug, Clone, Default)]
 pub struct CallGraph {
-    /// Entry addresses of all functions, in address order.
+    /// The entry address of every slot, in address order: each function
+    /// symbol's entry (lifted or not) and each shape's, once.
+    entries: Vec<u32>,
+    /// Entry addresses of the lifted functions, in address order.
     pub functions: Vec<u32>,
     /// One row per call instruction, sorted by instruction address.
     pub callsites: Vec<Callsite>,
     /// Import names, each stored once, indexed by [`CallTarget::Import`].
     pub imports: Vec<String>,
-    /// Call edges: caller entry → callee entries (deduplicated, in call
-    /// order). Every function that contains a call gets its edge, whether
-    /// it owns the call's row or not.
-    pub edges: HashMap<u32, Vec<u32>>,
+    /// Call edges, one slot per function: its callees (deduplicated, in
+    /// call order). Every function that contains a call gets its edge,
+    /// whether it owns the call's row or not.
+    edges: Vec<Vec<FnIx>>,
     /// Resolved indirect calls recorded, one per
     /// [`CallGraph::add_resolved_indirect`].
     pub resolved: usize,
@@ -57,10 +76,10 @@ pub struct Condensation {
     /// Strongly connected components over the call edges, each sorted by
     /// address, in reverse-topological order: every component comes after
     /// all components it calls into.
-    pub components: Vec<Vec<u32>>,
-    /// Component index of every node, callees outside
-    /// [`CallGraph::functions`] included.
-    comp_of: HashMap<u32, usize>,
+    pub components: Vec<Vec<FnIx>>,
+    /// Component of every slot; [`NOT_A_NODE`] for a slot no lifted
+    /// function reaches.
+    comp_of: Vec<u32>,
     /// Dependency levels over the condensation. Stratum 0 holds functions
     /// with no callees outside their own component; every function's
     /// out-of-component callees sit in strictly lower strata. Flattened,
@@ -68,13 +87,16 @@ pub struct Condensation {
     /// distinct components never call each other; members of one
     /// recursive component share a stratum and must treat each other as
     /// opaque. Each stratum is sorted by address.
-    pub strata: Vec<Vec<u32>>,
+    pub strata: Vec<Vec<FnIx>>,
 }
+
+/// The "no component" and "not visited" mark of the slot tables.
+const NOT_A_NODE: u32 = u32::MAX;
 
 impl Condensation {
     /// True when `a` and `b` sit in one component (or neither is a node).
-    pub fn same_component(&self, a: u32, b: u32) -> bool {
-        self.comp_of.get(&a) == self.comp_of.get(&b)
+    pub fn same_component(&self, a: FnIx, b: FnIx) -> bool {
+        self.comp_of[a.index()] == self.comp_of[b.index()]
     }
 }
 
@@ -96,18 +118,22 @@ impl CallGraph {
     pub fn from_shapes(bin: &Binary, shapes: &[FunctionShape]) -> CallGraph {
         let mut functions: Vec<u32> = shapes.iter().map(|s| s.addr).collect();
         functions.sort_unstable();
-        let func_set: HashSet<u32> = functions.iter().copied().collect();
+        let symbols = bin.symbols.iter().filter(|s| s.kind == SymbolKind::Function);
+        let mut entries: Vec<u32> = symbols.map(|s| s.addr).chain(functions.clone()).collect();
+        entries.sort_unstable();
+        entries.dedup();
+        let ix = |addr: u32| FnIx(entries.partition_point(|&e| e < addr) as u32);
         let mut imports: Vec<String> = Vec::new();
         let mut import_ix: HashMap<&str, u32> = HashMap::new();
         let mut callsites = Vec::with_capacity(shapes.iter().map(|s| s.calls.len()).sum());
-        let mut edges: HashMap<u32, Vec<u32>> = HashMap::with_capacity(shapes.len());
+        let mut edges: Vec<Vec<FnIx>> = vec![Vec::new(); entries.len()];
         for shape in shapes {
-            let out = edges.entry(shape.addr).or_default();
+            let out = &mut edges[ix(shape.addr).index()];
             for row in &shape.calls {
                 let target = match row.next_const {
-                    Some(t) if func_set.contains(&t) => {
-                        if !out.contains(&t) {
-                            out.push(t);
+                    Some(t) if functions.binary_search(&t).is_ok() => {
+                        if !out.contains(&ix(t)) {
+                            out.push(ix(t));
                         }
                         CallTarget::Direct(t)
                     }
@@ -136,25 +162,58 @@ impl CallGraph {
             same
         });
         callsites.shrink_to_fit();
-        CallGraph { functions, callsites, imports, edges, resolved: 0 }
+        CallGraph { entries, functions, callsites, imports, edges, resolved: 0 }
+    }
+
+    /// The number of function slots.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// True when the image has no function.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Every slot, in address order.
+    pub fn slots(&self) -> impl Iterator<Item = FnIx> {
+        (0..self.entries.len() as u32).map(FnIx)
+    }
+
+    /// The slot of the function entered at `addr`, by binary search;
+    /// `None` when no function symbol starts there.
+    pub fn ix(&self, addr: u32) -> Option<FnIx> {
+        self.entries.binary_search(&addr).ok().map(|i| FnIx(i as u32))
+    }
+
+    /// The entry address of slot `f`.
+    pub fn entry(&self, f: FnIx) -> u32 {
+        self.entries[f.index()]
+    }
+
+    /// The direct (and resolved-indirect) callees of `f`, deduplicated,
+    /// in call order.
+    pub fn callees(&self, f: FnIx) -> &[FnIx] {
+        &self.edges[f.index()]
     }
 
     /// Records an indirect call at `ins_addr` in `caller` that layout
     /// similarity resolved to `callee`: the call's row now targets
     /// `callee`, and `caller` gains the edge that orders it after
-    /// `callee`. A later resolution of the same instruction overrides
-    /// the row's target.
+    /// `callee` (both are function entries, so both have slots). A later
+    /// resolution of the same instruction overrides the row's target.
     pub fn add_resolved_indirect(&mut self, caller: u32, ins_addr: u32, callee: u32) {
-        let out = self.edges.entry(caller).or_default();
-        if !out.contains(&callee) {
-            out.push(callee);
+        if let (Some(from), Some(to)) = (self.ix(caller), self.ix(callee)) {
+            let out = &mut self.edges[from.index()];
+            if !out.contains(&to) {
+                out.push(to);
+            }
         }
         if let Ok(i) = self.callsites.binary_search_by_key(&ins_addr, |c| c.ins_addr) {
             self.callsites[i].target = CallTarget::Resolved(callee);
         }
         self.resolved += 1;
     }
-
     /// The call at instruction `ins`, if there is one.
     pub fn callsite(&self, ins: u32) -> Option<&Callsite> {
         let i = self.callsites.binary_search_by_key(&ins, |c| c.ins_addr).ok()?;
@@ -198,16 +257,11 @@ impl CallGraph {
         Some((name(cs.caller), callee))
     }
 
-    /// Direct (and resolved-indirect) callers of `callee`.
+    /// Direct (and resolved-indirect) callers of `callee`, in address
+    /// order.
     pub fn callers_of(&self, callee: u32) -> Vec<u32> {
-        let mut out: Vec<u32> = self
-            .edges
-            .iter()
-            .filter(|(_, callees)| callees.contains(&callee))
-            .map(|(&caller, _)| caller)
-            .collect();
-        out.sort_unstable();
-        out
+        let Some(c) = self.ix(callee) else { return Vec::new() };
+        self.slots().filter(|&f| self.callees(f).contains(&c)).map(|f| self.entry(f)).collect()
     }
 
     /// Total number of call-graph edges (the paper's Table II column):
@@ -227,80 +281,70 @@ impl CallGraph {
     /// Deterministic: roots are tried in address order and successors in
     /// edge order.
     pub fn condense(&self) -> Condensation {
-        let mut index: HashMap<u32, u32> = HashMap::new();
-        let mut lowlink: HashMap<u32, u32> = HashMap::new();
-        let mut on_stack: HashSet<u32> = HashSet::new();
-        let mut stack: Vec<u32> = Vec::new();
+        let n = self.len();
+        let (mut index, mut lowlink, mut on_stack) =
+            (vec![NOT_A_NODE; n], vec![0; n], vec![false; n]);
+        let mut stack: Vec<FnIx> = Vec::new();
         let mut next_index = 0u32;
-        let mut components: Vec<Vec<u32>> = Vec::new();
+        let mut components: Vec<Vec<FnIx>> = Vec::new();
 
-        for &root in &self.functions {
-            if index.contains_key(&root) {
-                continue;
-            }
-            let mut call: Vec<(u32, usize)> = vec![(root, 0)];
-            index.insert(root, next_index);
-            lowlink.insert(root, next_index);
-            next_index += 1;
-            stack.push(root);
-            on_stack.insert(root);
-            while let Some(&mut (v, ref mut ci)) = call.last_mut() {
-                let outs = self.edges.get(&v).map(|e| e.as_slice()).unwrap_or(&[]);
-                if *ci < outs.len() {
-                    let w = outs[*ci];
+        for root in self.functions.iter().filter_map(|&a| self.ix(a)) {
+            let mut call: Vec<(FnIx, usize)> = Vec::new();
+            // The node to discover next: the root, then each unvisited
+            // successor.
+            let mut found = (index[root.index()] == NOT_A_NODE).then_some(root);
+            loop {
+                if let Some(w) = found.take() {
+                    let i = w.index();
+                    (index[i], lowlink[i], on_stack[i]) = (next_index, next_index, true);
+                    next_index += 1;
+                    stack.push(w);
+                    call.push((w, 0));
+                }
+                let Some(&mut (v, ref mut ci)) = call.last_mut() else { break };
+                if let Some(&w) = self.callees(v).get(*ci) {
                     *ci += 1;
-                    match index.get(&w) {
-                        None => {
-                            index.insert(w, next_index);
-                            lowlink.insert(w, next_index);
-                            next_index += 1;
-                            stack.push(w);
-                            on_stack.insert(w);
-                            call.push((w, 0));
-                        }
-                        Some(&iw) if on_stack.contains(&w) => {
-                            let lv = lowlink.get_mut(&v).unwrap();
-                            *lv = (*lv).min(iw);
-                        }
-                        Some(_) => {}
+                    if index[w.index()] == NOT_A_NODE {
+                        found = Some(w);
+                    } else if on_stack[w.index()] {
+                        lowlink[v.index()] = lowlink[v.index()].min(index[w.index()]);
                     }
-                } else {
-                    call.pop();
-                    if let Some(&(parent, _)) = call.last() {
-                        let lv = lowlink[&v];
-                        let lp = lowlink.get_mut(&parent).unwrap();
-                        *lp = (*lp).min(lv);
-                    }
-                    if lowlink[&v] == index[&v] {
-                        let mut comp = Vec::new();
-                        while let Some(w) = stack.pop() {
-                            on_stack.remove(&w);
-                            comp.push(w);
-                            if w == v {
-                                break;
-                            }
+                    continue;
+                }
+                call.pop();
+                if let Some(&(parent, _)) = call.last() {
+                    lowlink[parent.index()] = lowlink[parent.index()].min(lowlink[v.index()]);
+                }
+                if lowlink[v.index()] == index[v.index()] {
+                    let mut comp = Vec::new();
+                    while let Some(w) = stack.pop() {
+                        on_stack[w.index()] = false;
+                        comp.push(w);
+                        if w == v {
+                            break;
                         }
-                        comp.sort_unstable();
-                        components.push(comp);
                     }
+                    comp.sort_unstable();
+                    components.push(comp);
                 }
             }
         }
 
-        let comp_of: HashMap<u32, usize> = components
-            .iter()
-            .enumerate()
-            .flat_map(|(i, c)| c.iter().map(move |&f| (f, i)))
-            .collect();
+        let mut comp_of = vec![NOT_A_NODE; n];
+        for (i, c) in components.iter().enumerate() {
+            for f in c {
+                comp_of[f.index()] = i as u32;
+            }
+        }
         // Tarjan pops callees before callers, so one forward pass over
         // the components sees every callee component's level before it
         // is needed.
         let mut level = vec![0usize; components.len()];
         for (i, c) in components.iter().enumerate() {
             let mut lv = 0;
-            for f in c {
-                for w in self.edges.get(f).into_iter().flatten() {
-                    let j = comp_of[w];
+            for &f in c {
+                for w in self.callees(f) {
+                    let j = comp_of[w.index()] as usize;
                     if j != i {
                         debug_assert!(j < i, "condensation must be topological");
                         lv = lv.max(level[j] + 1);
@@ -310,7 +354,7 @@ impl CallGraph {
             level[i] = lv;
         }
         let depth = level.iter().map(|&l| l + 1).max().unwrap_or(0);
-        let mut strata: Vec<Vec<u32>> = vec![Vec::new(); depth];
+        let mut strata: Vec<Vec<FnIx>> = vec![Vec::new(); depth];
         for (i, c) in components.iter().enumerate() {
             strata[level[i]].extend(c.iter().copied());
         }
@@ -394,9 +438,34 @@ mod tests {
             cg.callsites.iter().filter(|c| c.caller == b_addr).map(|c| c.target).collect();
         assert_eq!(cg.imports, ["recv"]);
         assert_eq!(kinds, [CallTarget::Import(0), CallTarget::Indirect]);
-        let main_addr = bin.function("main").unwrap().addr;
-        assert_eq!(cg.edges[&main_addr].len(), 2);
+        let main = cg.ix(bin.function("main").unwrap().addr).unwrap();
+        assert_eq!(cg.callees(main).len(), 2);
         assert!(cg.callsites.windows(2).all(|w| w[0].ins_addr < w[1].ins_addr));
+    }
+
+    #[test]
+    fn slots_number_each_function_entry_once_in_address_order() {
+        // Only `b` is lifted, a shape sits where no symbol starts, and a
+        // second symbol names `b`'s entry: every entry gets one slot.
+        let (mut bin, cfgs, _) = sample();
+        let b = cfgs.iter().find(|c| c.name == "b").unwrap();
+        let mut alias = bin.function("b").unwrap().clone();
+        alias.name = "b_alias".into();
+        bin.symbols.push(alias);
+        let cg = CallGraph::from_shapes(&bin, &[b.shape(), shape(0x4, &[])]);
+        let mut want: Vec<u32> = bin.functions().iter().map(|s| s.addr).chain([0x4]).collect();
+        want.sort_unstable();
+        want.dedup();
+        assert_eq!(want.len(), 4, "main, a, b and the stray shape");
+        assert_eq!(cg.slots().map(|f| cg.entry(f)).collect::<Vec<_>>(), want);
+        for (i, &a) in want.iter().enumerate() {
+            assert_eq!(cg.ix(a), Some(FnIx(i as u32)));
+        }
+        assert_eq!(cg.ix(b.addr + 4), None, "a mid-function address has no slot");
+        assert_eq!(cg.functions, [0x4, b.addr]);
+        // `b` is the only node: the unlifted symbols are in no stratum.
+        let strata = cg.condense().strata;
+        assert_eq!(strata.concat(), [cg.ix(0x4).unwrap(), cg.ix(b.addr).unwrap()]);
     }
 
     #[test]
@@ -420,7 +489,7 @@ mod tests {
         assert_eq!(cg.resolved_at(site), None);
         cg.add_resolved_indirect(b_addr, site, a_addr);
         assert_eq!(cg.edge_count(), before + 1);
-        assert!(cg.edges[&b_addr].contains(&a_addr));
+        assert!(cg.callees(cg.ix(b_addr).unwrap()).contains(&cg.ix(a_addr).unwrap()));
         assert_eq!(cg.resolved_at(site), Some(a_addr));
         assert_eq!(cg.callsite_names(site, names), Some(("b".into(), "a".into())));
         let recv = cg.callsites.iter().find(|c| c.target == CallTarget::Import(0)).unwrap();
@@ -466,7 +535,7 @@ mod tests {
         }
         assert_valid_stratification(&cg);
         let strata = cg.condense().strata;
-        let stratum = |f: u32| strata.iter().position(|s| s.contains(&f)).unwrap();
+        let stratum = |f: u32| strata.iter().position(|s| s.contains(&cg.ix(f).unwrap())).unwrap();
         assert!(stratum(0x1000) > stratum(0x1040));
         assert!(stratum(0x1008) > stratum(0x1040));
         assert_eq!(cg.callsite(0x1010).unwrap().caller, 0x1008);
@@ -478,25 +547,21 @@ mod tests {
     /// and the flattened strata cover each function exactly once.
     fn assert_valid_stratification(cg: &CallGraph) {
         let cond = cg.condense();
-        let mut stratum_of: HashMap<u32, usize> = HashMap::new();
+        let mut stratum_of: Vec<Option<usize>> = vec![None; cg.len()];
         for (lvl, s) in cond.strata.iter().enumerate() {
             for &f in s {
-                assert!(stratum_of.insert(f, lvl).is_none(), "{f:#x} in two strata");
+                assert!(stratum_of[f.index()].replace(lvl).is_none(), "{f:?} in two strata");
             }
         }
-        assert_eq!(stratum_of.len(), cg.functions.len(), "every function exactly once");
-        for (&caller, callees) in &cg.edges {
-            for &callee in callees {
+        let placed = stratum_of.iter().flatten().count();
+        assert_eq!(placed, cg.functions.len(), "every function exactly once");
+        for caller in cg.slots() {
+            for &callee in cg.callees(caller) {
+                let (lc, le) = (stratum_of[caller.index()], stratum_of[callee.index()]);
                 if cond.same_component(caller, callee) {
-                    assert_eq!(
-                        stratum_of[&caller], stratum_of[&callee],
-                        "cycle members share a stratum"
-                    );
+                    assert_eq!(lc, le, "cycle members share a stratum");
                 } else {
-                    assert!(
-                        stratum_of[&callee] < stratum_of[&caller],
-                        "callee {callee:#x} must sit strictly below caller {caller:#x}"
-                    );
+                    assert!(le < lc, "callee {callee:?} must sit strictly below caller {caller:?}");
                 }
             }
         }
@@ -508,11 +573,11 @@ mod tests {
         assert_valid_stratification(&cg);
         // The concrete shape: b (leaf), then a, then main.
         let strata = cg.condense().strata;
-        let addr = |name: &str| bin.function(name).unwrap().addr;
+        let ix = |name: &str| cg.ix(bin.function(name).unwrap().addr).unwrap();
         assert_eq!(strata.len(), 3);
-        assert_eq!(strata[0], vec![addr("b")]);
-        assert_eq!(strata[1], vec![addr("a")]);
-        assert_eq!(strata[2], vec![addr("main")]);
+        assert_eq!(strata[0], vec![ix("b")]);
+        assert_eq!(strata[1], vec![ix("a")]);
+        assert_eq!(strata[2], vec![ix("main")]);
     }
 
     #[test]
@@ -541,22 +606,22 @@ mod tests {
         let cg = CallGraph::build(&bin, &cfgs);
         assert_valid_stratification(&cg);
 
-        let addr = |name: &str| bin.function(name).unwrap().addr;
+        let ix = |name: &str| cg.ix(bin.function(name).unwrap().addr).unwrap();
         let cond = cg.condense();
-        let cycle: Vec<u32> = {
-            let mut v = vec![addr("f"), addr("g")];
+        let cycle: Vec<FnIx> = {
+            let mut v = vec![ix("f"), ix("g")];
             v.sort_unstable();
             v
         };
         assert!(cond.components.contains(&cycle), "f and g form one component");
         assert_eq!(cond.components.len(), 3, "main and h are singletons");
-        assert!(cond.same_component(addr("f"), addr("g")));
-        assert!(!cond.same_component(addr("f"), addr("h")));
+        assert!(cond.same_component(ix("f"), ix("g")));
+        assert!(!cond.same_component(ix("f"), ix("h")));
 
         assert_eq!(cond.strata.len(), 3);
-        assert_eq!(cond.strata[0], vec![addr("h")]);
+        assert_eq!(cond.strata[0], vec![ix("h")]);
         assert_eq!(cond.strata[1], cycle, "the cycle shares one stratum");
-        assert_eq!(cond.strata[2], vec![addr("main")]);
+        assert_eq!(cond.strata[2], vec![ix("main")]);
     }
 
     #[test]
@@ -577,10 +642,10 @@ mod tests {
     #[test]
     fn flattened_strata_are_a_bottom_up_order() {
         let (bin, _, cg) = sample();
-        let flat: Vec<u32> = cg.condense().strata.into_iter().flatten().collect();
+        let flat: Vec<FnIx> = cg.condense().strata.into_iter().flatten().collect();
         let pos = |name: &str| {
-            let addr = bin.function(name).unwrap().addr;
-            flat.iter().position(|&x| x == addr).unwrap()
+            let f = cg.ix(bin.function(name).unwrap().addr).unwrap();
+            flat.iter().position(|&x| x == f).unwrap()
         };
         assert!(pos("b") < pos("a"));
         assert!(pos("a") < pos("main"));

@@ -13,7 +13,9 @@
 //!   reverse post-order are computed on demand,
 //! * [`CallGraph`] — the scan's one table of call instructions, each
 //!   classified as direct, import (library) or indirect and owned by one
-//!   function, with the SCC condensation ([`Condensation`], one Tarjan
+//!   function; the call edges between dense function slots ([`FnIx`],
+//!   one per distinct function-symbol entry, in address order); and the
+//!   SCC condensation ([`Condensation`], one Tarjan
 //!   run) whose strata the bottom-up interprocedural analysis walks
 //!   (callees before callers, each function visited once; the members
 //!   of a recursion cycle share a stratum),
@@ -45,17 +47,19 @@
 //!
 //! let cfgs = build_all_cfgs(&bin)?;
 //! let cg = CallGraph::build(&bin, &cfgs);
-//! let helper_addr = bin.function("helper").unwrap().addr;
-//! let main_addr = bin.function("main").unwrap().addr;
+//! // Each function has a dense slot, found from its entry address.
+//! let helper = cg.ix(bin.function("helper").unwrap().addr).unwrap();
+//! let main = cg.ix(bin.function("main").unwrap().addr).unwrap();
+//! assert_eq!(cg.callees(main), [helper]);
 //! let strata = cg.condense().strata;
 //! // Bottom-up: helper's stratum comes before main's.
-//! let stratum_of = |a: u32| strata.iter().position(|s| s.contains(&a));
-//! assert!(stratum_of(helper_addr) < stratum_of(main_addr));
+//! let stratum_of = |f| strata.iter().position(|s| s.contains(&f));
+//! assert!(stratum_of(helper) < stratum_of(main));
 //! # Ok::<(), dtaint_fwbin::Error>(())
 //! ```
 
 mod callgraph;
 mod funcfg;
 
-pub use callgraph::{CallGraph, CallTarget, Callsite, Condensation};
+pub use callgraph::{CallGraph, CallTarget, Callsite, Condensation, FnIx};
 pub use funcfg::{build_all_cfgs, build_function_cfg, CallRow, FunctionCfg, FunctionShape};

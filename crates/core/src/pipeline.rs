@@ -20,7 +20,7 @@ use dtaint_telemetry::{
     Collector, Decision, DecisionKind, DecisionReason, MetricsRegistry, SpanEvent, TraceBuffer,
 };
 use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -155,10 +155,6 @@ impl Dtaint {
         if let Some(cref) = &self.config.cache {
             cref.cache.begin_scan(&cref.scan);
         }
-        // Per-function outcome records, keyed by entry address; only
-        // non-Analyzed outcomes are stored, and a later stage may
-        // overwrite with a more severe outcome.
-        let mut records: BTreeMap<u32, FunctionRecord> = BTreeMap::new();
 
         let mut syms: Vec<&Symbol> = bin.functions();
         if let Some(filter) = &self.config.function_filter {
@@ -180,66 +176,77 @@ impl Dtaint {
             summaries,
             pool,
             shapes,
-            lift_failures,
+            mut lift_failures,
             records: symex_records,
             retried,
             nodes_translated,
             chunk_pools,
         } = stage;
-        // Lift failures first, in address order, so fail-fast reports
-        // the first one before any analysis error.
-        for LiftFailure { addr, name, error } in lift_failures {
-            let (outcome, detail) = match error {
-                Some(e) if self.config.fail_fast => return Err(e),
-                None if self.config.fail_fast => {
-                    return Err(dtaint_fwbin::Error::BadFormat(format!(
-                        "panic while lifting `{name}`"
-                    )));
-                }
-                Some(e) => (FunctionOutcome::LiftFailed, e.to_string()),
-                None => (FunctionOutcome::Panicked, "panic during lift/CFG construction".into()),
-            };
-            record(&mut records, addr, &name, outcome, detail);
-        }
-        for (addr, name, outcome, detail) in &symex_records {
-            if self.config.fail_fast && *outcome == FunctionOutcome::Panicked {
+        // Fail-fast reports the first lift failure, in address order,
+        // before any analysis error.
+        if self.config.fail_fast {
+            if let Some(LiftFailure { name, error, .. }) = lift_failures.drain(..).next() {
+                return Err(error.unwrap_or_else(|| {
+                    dtaint_fwbin::Error::BadFormat(format!("panic while lifting `{name}`"))
+                }));
+            }
+            let panicked = symex_records.iter().find(|r| r.2 == FunctionOutcome::Panicked);
+            if let Some((_, name, ..)) = panicked {
                 return Err(dtaint_fwbin::Error::BadFormat(format!(
                     "panic while analyzing `{name}`"
                 )));
             }
-            record(&mut records, *addr, name, *outcome, detail.clone());
         }
         tel.record("ssa", "stage", stage_t0, &[]);
 
         // Stage 2: the call graph, from the shape records. Target
         // classification needs the final set of lifted functions, so it
-        // runs here, serially; symex never reads the call graph.
+        // runs here, serially; symex never reads the call graph. It
+        // numbers the function slots every per-function table below
+        // uses.
         let stage_t0 = tel.start();
         let mut callgraph = CallGraph::from_shapes(bin, &shapes);
         tel.record("lift_cfg", "stage", stage_t0, &[]);
+
+        // Per-function outcome records, one slot per function; only
+        // non-Analyzed outcomes are stored, and a later stage may
+        // overwrite with a more severe outcome. Lift failures come
+        // first, then the symbolic stage's records.
+        let mut records: Records = vec![None; callgraph.len()];
+        for LiftFailure { addr, name, error } in lift_failures {
+            let (outcome, detail) = match error {
+                Some(e) => (FunctionOutcome::LiftFailed, e.to_string()),
+                None => (FunctionOutcome::Panicked, "panic during lift/CFG construction".into()),
+            };
+            record(&mut records, &callgraph, addr, &name, outcome, detail);
+        }
+        for (addr, name, outcome, detail) in &symex_records {
+            record(&mut records, &callgraph, *addr, name, *outcome, detail.clone());
+        }
 
         // Stage 3: alias + layout similarity + bottom-up propagation. The
         // taint judgement of each function as a holder runs inside the
         // propagation loop, as soon as its final summary is settled, and
         // the summary is dropped once its last caller has applied it.
         let stage_t0 = tel.start();
-        // With a cache, quarantine every function with a non-Analyzed
-        // outcome so far (lift failures, symex panics/degradations): the
-        // DDG stage must never store their summaries — a faulted
-        // artefact in the cache would masquerade as a healthy one on the
-        // next scan.
+        // With a cache, quarantine every function with an outcome record
+        // so far (lift failures, symex panics/degradations; records hold
+        // only non-Analyzed outcomes): the DDG stage must never store
+        // their summaries — a faulted artefact in the cache would
+        // masquerade as a healthy one on the next scan.
         let cache = self.config.cache.as_ref();
-        let quarantine: BTreeSet<u32> = match cache {
-            Some(_) => records
-                .values()
-                .filter(|r| r.outcome != FunctionOutcome::Analyzed)
-                .map(|r| r.addr)
-                .collect(),
-            None => BTreeSet::new(),
+        let quarantine: Vec<bool> = match cache {
+            Some(_) => records.iter().map(Option::is_some).collect(),
+            None => Vec::new(),
         };
-        let fn_names: HashMap<u32, &str> =
-            shapes.iter().map(|s| (s.addr, s.name.as_str())).collect();
-        let fn_name_of = |addr: u32| function_name(&fn_names, addr);
+        // Each function's name, from its shape record (the later of two
+        // at one entry).
+        let mut fn_names: Vec<Option<&str>> = vec![None; callgraph.len()];
+        for s in &shapes {
+            if let Some(f) = callgraph.ix(s.addr) {
+                fn_names[f.index()] = Some(&s.name);
+            }
+        }
         let detector = taint::Detector {
             bin: Some(bin),
             sources: &self.config.sources,
@@ -266,39 +273,29 @@ impl Dtaint {
             }),
         );
         let ddg_walk_visits = df.pool.stats().walk_visits - walks_before - judge_walks;
-        for &addr in &df.alias_panics {
-            record(
-                &mut records,
-                addr,
-                &fn_name_of(addr),
-                FunctionOutcome::Degraded,
-                "alias stage panicked; alias rewriting skipped".into(),
-            );
-        }
-        for (&addr, f) in &df.functions {
-            if f.panicked {
-                record(
-                    &mut records,
-                    addr,
-                    &fn_name_of(addr),
-                    FunctionOutcome::Panicked,
-                    "panic during data-flow propagation".into(),
-                );
-            } else if f.budget_exhausted {
-                record(
-                    &mut records,
-                    addr,
-                    &fn_name_of(addr),
-                    FunctionOutcome::BudgetExceeded,
-                    format!(
-                        "data-flow fuel exhausted (max_fuel = {})",
-                        self.config.dataflow.max_fuel
-                    ),
-                );
+        let graph = df.callgraph;
+        let fn_name_of = |addr: u32| function_name(&fn_names, graph, addr);
+        // The DDG stage's outcomes: alias-stage panics, then propagation
+        // panics and fuel exhaustion, each in address order.
+        let fuel =
+            format!("data-flow fuel exhausted (max_fuel = {})", self.config.dataflow.max_fuel);
+        let alias_panics = df.alias_panics.iter().map(|&addr| {
+            (addr, FunctionOutcome::Degraded, "alias stage panicked; alias rewriting skipped")
+        });
+        let propagation = df.residues().filter_map(|(addr, f)| match f {
+            f if f.panicked => {
+                Some((addr, FunctionOutcome::Panicked, "panic during data-flow propagation"))
             }
+            f if f.budget_exhausted => Some((addr, FunctionOutcome::BudgetExceeded, fuel.as_str())),
+            _ => None,
+        });
+        for (addr, outcome, detail) in alias_panics.chain(propagation) {
+            record(&mut records, graph, addr, &fn_name_of(addr), outcome, detail.into());
         }
         if self.config.fail_fast {
-            if let Some(r) = records.values().find(|r| r.outcome == FunctionOutcome::Panicked) {
+            let panicked =
+                records.iter().flatten().find(|r| r.outcome == FunctionOutcome::Panicked);
+            if let Some(r) = panicked {
                 return Err(dtaint_fwbin::Error::BadFormat(format!(
                     "panic while analyzing `{}`",
                     r.name
@@ -312,8 +309,9 @@ impl Dtaint {
         let stage_t0 = tel.start();
         judged.sort_by_key(|j| j.holder);
         let outcome = taint::fold(judged, |ins| {
-            df.callgraph.callsite_names(ins, |a| {
-                fn_names.get(&a).copied().filter(|_| df.functions.contains_key(&a))
+            graph.callsite_names(ins, |a| {
+                let f = graph.ix(a)?;
+                fn_names[f.index()].filter(|_| df.functions[f.index()].is_some())
             })
         });
         // The audit log reads the outcome records as the DDG stage left
@@ -330,13 +328,8 @@ impl Dtaint {
                     fn_name_of(addr)
                 )));
             }
-            record(
-                &mut records,
-                addr,
-                &fn_name_of(addr),
-                FunctionOutcome::Panicked,
-                "panic during taint judgement".into(),
-            );
+            let detail = "panic during taint judgement".into();
+            record(&mut records, graph, addr, &fn_name_of(addr), FunctionOutcome::Panicked, detail);
         }
         tel.record("detect", "stage", stage_t0, &[]);
 
@@ -378,16 +371,16 @@ impl Dtaint {
         };
 
         let functions_skipped = records
-            .values()
+            .iter()
+            .flatten()
             .filter(|r| {
                 matches!(r.outcome, FunctionOutcome::LiftFailed | FunctionOutcome::Panicked)
             })
             .count();
 
         let fn_costs: Vec<FnCost> = df
-            .functions
-            .iter()
-            .map(|(&addr, f)| FnCost {
+            .residues()
+            .map(|(addr, f)| FnCost {
                 addr,
                 name: fn_name_of(addr).into_owned(),
                 blocks_executed: u64::from(f.blocks_executed),
@@ -423,7 +416,7 @@ impl Dtaint {
             metrics.observe("ddg.fuel_per_fn", f.ddg_fuel);
             metrics.observe("fn.sinks", f.sinks);
         }
-        for f in df.functions.values() {
+        for (_, f) in df.residues() {
             metrics.inc("ddg.alias_sse_rounds", u64::from(f.sse_rounds));
             metrics.inc("ddg.alias_sse_rewrites", u64::from(f.sse_rewrites));
             metrics.inc("ddg.alias_sse_saturated", u64::from(f.sse_saturated));
@@ -504,7 +497,7 @@ impl Dtaint {
             functions_skipped,
             functions_retried: retried,
             loop_copy_sinks,
-            skipped_functions: records.into_values().collect(),
+            skipped_functions: records.into_iter().flatten().map(|r| *r).collect(),
             stage_us,
             telemetry: TelemetrySection { metrics, functions: fn_costs },
             sink_coverage,
@@ -517,16 +510,16 @@ impl Dtaint {
     /// budget, DDG budget, DDG prunes, alias saturation, cache
     /// quarantines, detect verdicts (holder address order, then
     /// observation order), and duplicate folds last. `records` are the
-    /// outcome records as the DDG stage left them; `quarantine` is the
-    /// set the DDG stage kept out of the cache (every member has a
+    /// outcome records as the DDG stage left them; `quarantine` marks the
+    /// slots the DDG stage kept out of the cache (every one has a
     /// record).
     fn audit_log(
         &self,
         symex_records: &[(u32, String, FunctionOutcome, String)],
         df: &ProgramDataflow,
-        quarantine: &BTreeSet<u32>,
-        records: &BTreeMap<u32, FunctionRecord>,
-        fn_names: &HashMap<u32, &str>,
+        quarantine: &[bool],
+        records: &Records,
+        fn_names: &[Option<&str>],
         verdicts: &[taint::SiteVerdict],
     ) -> Vec<Decision> {
         let mut log = Vec::new();
@@ -541,8 +534,8 @@ impl Dtaint {
                 log.push(Decision::new(DecisionKind::BudgetDegraded, "symex", name, *addr, reason));
             }
         }
-        let name_of = |addr: u32| function_name(fn_names, addr);
-        for (&addr, f) in df.functions.iter().filter(|(_, f)| f.budget_exhausted) {
+        let name_of = |addr: u32| function_name(fn_names, df.callgraph, addr);
+        for (addr, f) in df.residues().filter(|(_, f)| f.budget_exhausted) {
             let reason = fuel_exhausted("ddg", f.fuel_used, false);
             log.push(Decision::new(
                 DecisionKind::BudgetDegraded,
@@ -570,7 +563,7 @@ impl Dtaint {
                 .at_sink(p.sink_ins, p.kind.name()),
             );
         }
-        for (&addr, f) in df.functions.iter().filter(|(_, f)| f.sse_saturated) {
+        for (addr, f) in df.residues().filter(|(_, f)| f.sse_saturated) {
             let reason = DecisionReason::Saturated { rounds: u64::from(f.sse_rounds) };
             log.push(Decision::new(
                 DecisionKind::AliasSaturated,
@@ -582,7 +575,8 @@ impl Dtaint {
         }
         // Functions quarantined from the incremental cache, in address
         // order (none on cache-less scans).
-        for r in quarantine.iter().filter_map(|addr| records.get(addr)) {
+        let quarantined = quarantine.iter().zip(records).filter(|(&q, _)| q);
+        for r in quarantined.filter_map(|(_, r)| r.as_deref()) {
             let reason = DecisionReason::Quarantined { outcome: r.outcome.to_string() };
             log.push(Decision::new(
                 DecisionKind::CacheQuarantined,
@@ -593,7 +587,8 @@ impl Dtaint {
             ));
         }
         log.extend(taint::detect_decisions(verdicts, |addr| {
-            fn_names.get(&addr).copied().unwrap_or("<unknown>")
+            let f = df.callgraph.ix(addr);
+            f.and_then(|f| fn_names[f.index()]).unwrap_or("<unknown>")
         }));
         log
     }
@@ -912,27 +907,31 @@ fn opaque_summary(cfg: &FunctionCfg) -> FuncSummary {
     FuncSummary { addr: cfg.addr, name: cfg.name.clone(), ..FuncSummary::default() }
 }
 
-/// The name of the function at `addr`, borrowed from the shape records,
-/// or its address when no lifted function starts there.
-fn function_name<'n>(fn_names: &HashMap<u32, &'n str>, addr: u32) -> Cow<'n, str> {
-    fn_names.get(&addr).map_or_else(|| Cow::Owned(format!("{addr:#x}")), |&n| Cow::Borrowed(n))
+/// The name of the function at `addr`, borrowed from the shape records
+/// (one slot per `graph` slot), or its address when no lifted function
+/// starts there.
+fn function_name<'n>(fn_names: &[Option<&'n str>], graph: &CallGraph, addr: u32) -> Cow<'n, str> {
+    let name = graph.ix(addr).and_then(|f| fn_names[f.index()]);
+    name.map_or_else(|| Cow::Owned(format!("{addr:#x}")), Cow::Borrowed)
 }
 
-/// Inserts or upgrades a per-function outcome record, keeping the more
-/// severe outcome when one exists ([`FunctionOutcome`]'s order).
+/// The per-function outcome records, one slot per call-graph slot.
+type Records = Vec<Option<Box<FunctionRecord>>>;
+
+/// Inserts or upgrades the outcome record of the function entered at
+/// `addr`, keeping the more severe outcome when one exists
+/// ([`FunctionOutcome`]'s order).
 fn record(
-    records: &mut BTreeMap<u32, FunctionRecord>,
+    records: &mut Records,
+    graph: &CallGraph,
     addr: u32,
     name: &str,
     outcome: FunctionOutcome,
     detail: String,
 ) {
-    let new = FunctionRecord { addr, name: name.to_owned(), outcome, detail };
-    match records.get_mut(&addr) {
-        Some(old) if old.outcome >= new.outcome => {}
-        Some(old) => *old = new,
-        None => {
-            records.insert(addr, new);
-        }
+    let Some(f) = graph.ix(addr) else { return };
+    let slot = &mut records[f.index()];
+    if slot.as_ref().is_none_or(|old| old.outcome < outcome) {
+        *slot = Some(Box::new(FunctionRecord { addr, name: name.to_owned(), outcome, detail }));
     }
 }

@@ -220,14 +220,15 @@ fn direct_atoms(
 /// The detector's settings: everything a holder's judgement reads
 /// besides the data-flow view and the holder itself.
 #[derive(Debug)]
-pub struct Detector<'a, S> {
+pub struct Detector<'a> {
     /// The binary, for global-destination capacities in interval mode.
     pub bin: Option<&'a Binary>,
     /// Import names treated as attacker-controlled sources.
     pub sources: &'a HashSet<String>,
-    /// Function names by entry address, for the findings' function
-    /// fields (`<unknown>` for an address without one).
-    pub fn_names: &'a HashMap<u32, S>,
+    /// Function names, one slot per slot of the judged data flow's call
+    /// graph ([`dtaint_cfg::FnIx`]), for the findings' function fields
+    /// (`<unknown>` for a function without one).
+    pub fn_names: &'a [Option<&'a str>],
     /// How bounding guards are judged.
     pub mode: BoundsMode,
 }
@@ -265,7 +266,10 @@ pub fn detect_full<S: AsRef<str>>(
     fn_names: &HashMap<u32, S>,
     mode: BoundsMode,
 ) -> TaintOutcome {
-    let detector = Detector { bin, sources, fn_names, mode };
+    let graph = df.callgraph;
+    let names: Vec<Option<&str>> =
+        graph.slots().map(|f| fn_names.get(&graph.entry(f)).map(AsRef::as_ref)).collect();
+    let detector = Detector { bin, sources, fn_names: &names, mode };
     let judged = df.finals.values().map(|f| detector.judge(df.view(), f));
     fold(judged, |ins| {
         df.callgraph.callsite_names(ins, |a| df.finals.get(&a).map(|f| f.summary.name.as_str()))
@@ -357,7 +361,7 @@ pub(crate) fn detect_decisions<'n>(
     log
 }
 
-impl<S: AsRef<str>> Detector<'_, S> {
+impl Detector<'_> {
     /// Judges every sink observation of one observing function, in
     /// order, behind a panic boundary: the judgement only reads the pool
     /// and the holder, so a caught panic loses that holder's verdicts and
@@ -371,14 +375,17 @@ impl<S: AsRef<str>> Detector<'_, S> {
 /// The judgement behind [`Detector::judge`]. Observations of a sink
 /// without a [`sink_spec`] get no verdict; callsite-substitution
 /// evidence is left unnamed for [`fold`].
-fn judge_holder<S: AsRef<str>>(
-    detector: &Detector<'_, S>,
+fn judge_holder(
+    detector: &Detector<'_>,
     df: DataflowView<'_>,
     holder: &FinalSummary,
 ) -> (Vec<Judgement>, u64) {
     let Detector { bin, sources, fn_names, mode } = *detector;
     let addr = holder.summary.addr;
-    let name_of = |a: u32| fn_names.get(&a).map_or("<unknown>", AsRef::as_ref).to_owned();
+    let name_of = |a: u32| {
+        let name = df.callgraph.ix(a).and_then(|f| fn_names.get(f.index()).copied().flatten());
+        name.unwrap_or("<unknown>").to_owned()
+    };
     let mut judgements = Vec::with_capacity(holder.sinks.len());
     let mut absint_passes = 0u64;
     // One object-taint index per observing function, shared by all

@@ -135,17 +135,24 @@ pub fn resolve_indirect_calls<'a>(
     }
     stats.sites = sites.len();
 
-    // Layouts of exactly the functions the ranking compares.
-    let by_addr: HashMap<u32, &FuncSummary> = summaries.iter().map(|s| (s.addr, *s)).collect();
-    let mut layouts: HashMap<u32, BTreeMap<ExprId, Layout>> = HashMap::new();
+    // Layouts of exactly the functions the ranking compares, one slot
+    // per summary. A function's slot is its last summary's: summary
+    // positions sorted by address, found by binary search.
+    let mut by_addr: Vec<usize> = (0..summaries.len()).collect();
+    by_addr.sort_unstable_by_key(|&i| (summaries[i].addr, i));
+    let slot = |f: u32| by_addr[by_addr.partition_point(|&i| summaries[i].addr <= f) - 1];
+    let mut layouts: Vec<Option<BTreeMap<ExprId, Layout>>> = vec![None; summaries.len()];
     for site in &sites {
         for f in std::iter::once(site.caller).chain(site.positional.iter().map(|i| i.in_func)) {
-            layouts.entry(f).or_insert_with(|| infer_layouts(by_addr[&f], pool));
+            let i = slot(f);
+            layouts[i].get_or_insert_with(|| infer_layouts(summaries[i], pool));
         }
     }
-    stats.layouts_inferred = layouts.len();
+    stats.layouts_inferred = layouts.iter().flatten().count();
     let empty = Layout::default();
-    let layout_of = |f: u32, root: ExprId| layouts[&f].get(&root).unwrap_or(&empty);
+    let layout_of = |f: u32, root: ExprId| {
+        layouts[slot(f)].as_ref().and_then(|l| l.get(&root)).unwrap_or(&empty)
+    };
 
     // Pass 3: rank each site's candidates by layout similarity.
     let mut resolved = Vec::new();

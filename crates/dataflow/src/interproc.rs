@@ -35,8 +35,8 @@
 
 use crate::cache::{self, CacheRef, Level};
 use crate::indirect::{resolve_indirect_calls, IndirectStats, ResolvedCall};
-use dtaint_cfg::{CallGraph, Condensation};
-use dtaint_fwbin::{Binary, Symbol};
+use dtaint_cfg::{CallGraph, Condensation, FnIx};
+use dtaint_fwbin::Binary;
 use dtaint_symex::pool::{CmpOp, ExprPool, SymNode};
 use dtaint_symex::{CalleeRef, CallsiteInfo, Constraint, DefPair, ExprId, FuncSummary};
 use dtaint_telemetry::Collector;
@@ -349,9 +349,11 @@ pub struct ProgramDataflow<'g> {
     /// [`build_dataflow_judged`], which drops each summary once its last
     /// caller has applied it.
     pub finals: BTreeMap<u32, FinalSummary>,
-    /// What each function kept of its final summary, by entry address —
-    /// one entry per function the pass summarised.
-    pub functions: BTreeMap<u32, FnResidue>,
+    /// What each function kept of its final summary, one slot per
+    /// call-graph slot ([`FnIx`]): `Some` for every function the pass
+    /// summarised. [`ProgramDataflow::residues`] pairs them with their
+    /// entry addresses.
+    pub functions: Vec<Option<FnResidue>>,
     /// The bottom-up analysis order used (the flattened strata).
     pub order: Vec<u32>,
     /// Indirect calls resolved by layout similarity.
@@ -387,6 +389,13 @@ impl ProgramDataflow<'_> {
     pub fn view(&self) -> DataflowView<'_> {
         DataflowView { pool: &self.pool, callgraph: self.callgraph }
     }
+
+    /// Every summarised function's entry address and residue, in address
+    /// order.
+    pub fn residues(&self) -> impl Iterator<Item = (u32, &FnResidue)> {
+        let graph = self.callgraph;
+        graph.slots().zip(&self.functions).filter_map(|(f, r)| Some((graph.entry(f), r.as_ref()?)))
+    }
 }
 
 /// Runs the bottom-up interprocedural analysis and keeps every final
@@ -394,8 +403,9 @@ impl ProgramDataflow<'_> {
 ///
 /// `locals` are the per-function symbolic summaries, all interned in
 /// `pool` (see [`FuncSummary::translate_with`] for merging parallel
-/// results). The call graph gains the indirect calls resolved during
-/// the run, and the result borrows it.
+/// results), one per function of `callgraph` (the later of two with one
+/// entry address wins). The call graph gains the indirect calls
+/// resolved during the run, and the result borrows it.
 pub fn build_dataflow<'g>(
     bin: &Binary,
     callgraph: &'g mut CallGraph,
@@ -404,8 +414,7 @@ pub fn build_dataflow<'g>(
     config: &DataflowConfig,
 ) -> ProgramDataflow<'g> {
     let mut tel = Collector::disabled();
-    let none = BTreeSet::new();
-    build_dataflow_judged(bin, callgraph, locals, pool, config, &mut tel, None, &none, None)
+    build_dataflow_judged(bin, callgraph, locals, pool, config, &mut tel, None, &[], None)
 }
 
 /// The per-holder callback of [`build_dataflow_judged`].
@@ -424,10 +433,10 @@ type Judge<'j> = &'j mut dyn FnMut(DataflowView<'_>, &FinalSummary);
 /// key before Algorithm 2's inner loop runs, and stored after (see
 /// [`crate::cache`]); hits and misses never change results, only
 /// whether they are recomputed or rehydrated. `None` analyzes
-/// everything cold. Functions in `quarantine` are never stored: their
-/// earlier stages reported a fault, and a degraded artefact must not
-/// masquerade as an analyzed one. Their content keys still take part in
-/// their callers' keys.
+/// everything cold. Functions whose `quarantine` slot ([`FnIx`]) is set
+/// are never stored: their earlier stages reported a fault, and a
+/// degraded artefact must not masquerade as an analyzed one. Their
+/// content keys still take part in their callers' keys.
 ///
 /// With `judge`, the caller needs each final summary only once: `judge`
 /// sees every function's final summary as soon as it is settled (cache
@@ -440,18 +449,25 @@ type Judge<'j> = &'j mut dyn FnMut(DataflowView<'_>, &FinalSummary);
 pub fn build_dataflow_judged<'g>(
     bin: &Binary,
     callgraph: &'g mut CallGraph,
-    locals: Vec<FuncSummary>,
+    mut locals: Vec<FuncSummary>,
     mut pool: ExprPool,
     config: &DataflowConfig,
     tel: &mut Collector,
     cache: Option<&CacheRef>,
-    quarantine: &BTreeSet<u32>,
+    quarantine: &[bool],
     mut judge: Option<Judge<'_>>,
 ) -> ProgramDataflow<'g> {
     let mut pruned_infeasible = 0usize;
-    // Ordered, so per-function passes intern into the pool in a fixed
-    // order regardless of how `locals` arrived.
-    let mut by_addr: BTreeMap<u32, FuncSummary> = locals.into_iter().map(|s| (s.addr, s)).collect();
+    // Each slot's local summary: its position in `locals` (of two
+    // summaries of one entry, the later). Walking the slots visits
+    // functions in address order, so per-function passes intern into the
+    // pool in a fixed order regardless of how `locals` arrived.
+    let mut local_of: Vec<Option<u32>> = vec![None; callgraph.len()];
+    for (i, s) in locals.iter().enumerate() {
+        if let Some(f) = callgraph.ix(s.addr) {
+            local_of[f.index()] = Some(i as u32);
+        }
+    }
 
     // Stage 1: pointer aliasing per function (Algorithm 1 in store
     // mode, the SSE fixpoint in sse mode). Degraded summaries skip it
@@ -463,7 +479,8 @@ pub fn build_dataflow_judged<'g>(
     let globals = crate::sse::GlobalMap::build(bin);
     let mut alias_panics: Vec<u32> = Vec::new();
     if config.alias.mode != crate::alias::AliasMode::Off {
-        for s in by_addr.values_mut() {
+        for &i in local_of.iter().flatten() {
+            let s = &mut locals[i as usize];
             if s.degraded {
                 continue;
             }
@@ -479,7 +496,8 @@ pub fn build_dataflow_judged<'g>(
     // Stage 2: indirect-call resolution (§III-D).
     let t0 = tel.start();
     let (resolved, indirect_stats) = if config.enable_indirect {
-        resolve_indirect_calls(bin, by_addr.values(), &pool)
+        let summaries = local_of.iter().flatten().map(|&i| &locals[i as usize]);
+        resolve_indirect_calls(bin, summaries, &pool)
     } else {
         Default::default()
     };
@@ -494,36 +512,49 @@ pub fn build_dataflow_judged<'g>(
     // resolution, whose edges can deepen (or entangle) the order.
     let propagate_t0 = tel.start();
     let cond = graph.condense();
-    let order: Vec<u32> = cond.strata.iter().flatten().copied().collect();
+    let order: Vec<FnIx> = cond.strata.concat();
     // Incremental-cache context: content hashes over each function's
-    // raw bytes, computed while `by_addr` is still fully populated — the
-    // loop below drains it.
-    let mut cache_ctx = cache.map(|cref| DdgCacheCtx::build(bin, config, cref, &by_addr, &cond));
-    // Out-of-component callers still to apply each function's final
-    // summary, counted from the same callee resolution the propagation
-    // applies (`applied_callees`), once per calling function.
-    let mut callers_left: HashMap<u32, u32> = HashMap::new();
-    for (&faddr, s) in &by_addr {
-        for callee in applied_callees(faddr, s, graph, &cond) {
-            *callers_left.entry(callee).or_default() += 1;
+    // raw bytes, computed while every local summary is still in place —
+    // the loop below takes them.
+    let mut cache_ctx =
+        cache.map(|cref| DdgCacheCtx::build(bin, config, cref, graph, &cond, &local_of, &locals));
+    // The distinct functions each function's call sites apply
+    // ([`applied_callee`]), in address order, computed once into one
+    // list, slot by slot (`callees[starts[f]..starts[f + 1]]`): they
+    // count each function's callers still to apply its final summary,
+    // and name the callees a function may be the last to apply.
+    let (mut starts, mut callees, mut mine) = (vec![0], Vec::new(), Vec::new());
+    for (f, &local) in graph.slots().zip(&local_of) {
+        if let Some(i) = local {
+            let sites = locals[i as usize].callsites.iter();
+            mine.extend(sites.filter_map(|cs| applied_callee(f, cs, graph, &cond)));
+            mine.sort_unstable();
+            mine.dedup();
+            callees.append(&mut mine);
         }
+        starts.push(callees.len());
     }
-    let mut finals: BTreeMap<u32, FinalSummary> = BTreeMap::new();
-    let mut functions: BTreeMap<u32, FnResidue> = BTreeMap::new();
+    let mut callers_left = vec![0u32; graph.len()];
+    for c in &callees {
+        callers_left[c.index()] += 1;
+    }
+    let mut finals: Vec<Option<Box<FinalSummary>>> = vec![None; graph.len()];
+    let mut functions: Vec<Option<FnResidue>> = vec![None; graph.len()];
     let mut sinks = SinkCensus::default();
     let mut buf = tel.buffer(1);
     let mut pruned_sinks: Vec<PrunedSink> = Vec::new();
 
-    for &faddr in &order {
-        let Some(summary) = by_addr.remove(&faddr) else { continue };
-        let callees = applied_callees(faddr, &summary, graph, &cond);
+    for &f in &order {
+        let Some(i) = local_of[f.index()] else { continue };
+        let summary = std::mem::take(&mut locals[i as usize]);
+        let faddr = summary.addr;
         let t0 = buf.start();
         // Final scan keys compose bottom-up: a function's key folds its
         // own content hash with the keys of its out-of-component callees,
         // all of which come earlier in `order` and are already keyed.
         let key = cache_ctx.as_mut().and_then(|ctx| {
-            let key = ctx.key_for(faddr, &summary, graph, &cond);
-            ctx.final_keys.insert(faddr, key);
+            let key = ctx.key_for(f, &summary, &cond);
+            ctx.final_keys[f.index()] = Some(key);
             key
         });
         let before_unknowns = pool.next_unknown_index();
@@ -539,9 +570,7 @@ pub fn build_dataflow_judged<'g>(
         let (fs, fn_pruned) = hit.unwrap_or_else(|| {
             let name = summary.name.clone();
             let propagated = pool.attempt(|p| {
-                Some(process_function(
-                    bin, faddr, summary, &finals, graph, &cond, &globals, p, config,
-                ))
+                Some(process_function(bin, f, summary, &finals, graph, &cond, &globals, p, config))
             });
             match propagated {
                 Some((fs, mut pruned)) => {
@@ -572,7 +601,7 @@ pub fn build_dataflow_judged<'g>(
         );
         let created_k = pool.next_unknown_index() - before_unknowns;
         if let Some(ctx) = cache_ctx.as_mut() {
-            ctx.push_base(before_unknowns, created_k, faddr);
+            ctx.push_base(before_unknowns, created_k, f, faddr);
             let (cache_store, scan) = (&ctx.cref.cache, &ctx.cref.scan);
             cache_store.settle(Level::Ddg, scan, faddr, &fs.summary.name, key, was_hit, || {
                 // Faulted results — panicked, budget-exhausted, degraded,
@@ -581,7 +610,7 @@ pub fn build_dataflow_judged<'g>(
                 if fs.panicked
                     || fs.budget_exhausted
                     || fs.summary.degraded
-                    || quarantine.contains(&faddr)
+                    || quarantine.get(f.index()).copied().unwrap_or(false)
                 {
                     return None;
                 }
@@ -589,29 +618,34 @@ pub fn build_dataflow_judged<'g>(
             });
         }
         sinks.note(&fs);
-        functions.insert(faddr, FnResidue::of(&fs));
+        functions[f.index()] = Some(FnResidue::of(&fs));
         let Some(judge) = judge.as_deref_mut() else {
-            finals.insert(faddr, fs);
+            finals[f.index()] = Some(Box::new(fs));
             continue;
         };
         judge(DataflowView { pool: &pool, callgraph: graph }, &fs);
         // Keep the summary only while some caller has yet to apply it,
         // and drop each callee this function was the last to apply.
-        if callers_left.get(&faddr).is_some_and(|&n| n > 0) {
-            finals.insert(faddr, fs);
+        if callers_left[f.index()] > 0 {
+            finals[f.index()] = Some(Box::new(fs));
         }
-        for callee in callees {
-            let Some(n) = callers_left.get_mut(&callee) else { continue };
-            *n -= 1;
-            if *n == 0 {
-                finals.remove(&callee);
+        for c in &callees[starts[f.index()]..starts[f.index() + 1]] {
+            callers_left[c.index()] -= 1;
+            if callers_left[c.index()] == 0 {
+                finals[c.index()] = None;
             }
         }
     }
-    if judge.is_some() {
-        // Callers outside `order` never ran; nothing reads these now.
-        finals.clear();
-    }
+    // Every summary was taken or replaced; free their slots' storage.
+    drop(locals);
+    // Callers outside `order` never ran, so with `judge` nothing reads
+    // the finals left; without it, each is kept by entry address.
+    let finals = match judge {
+        Some(_) => BTreeMap::new(),
+        None => {
+            graph.slots().zip(finals).filter_map(|(f, fs)| Some((graph.entry(f), *fs?))).collect()
+        }
+    };
     tel.record("ddg_propagate", "stage", propagate_t0, &[]);
     tel.absorb(buf.take_events());
 
@@ -620,7 +654,7 @@ pub fn build_dataflow_judged<'g>(
         callgraph: graph,
         finals,
         functions,
-        order,
+        order: order.iter().map(|&f| graph.entry(f)).collect(),
         resolved_indirect: resolved,
         indirect_stats,
         sinks,
@@ -630,7 +664,8 @@ pub fn build_dataflow_judged<'g>(
     }
 }
 
-/// Per-scan state for the incremental DDG cache (see [`crate::cache`]).
+/// Per-scan state for the incremental DDG cache (see [`crate::cache`]),
+/// in call-graph slots ([`FnIx`]).
 ///
 /// Holds the content hashes computed up front, the final scan keys
 /// (filled in processing order), and the unknown-ownership table that makes cached blobs
@@ -638,24 +673,27 @@ pub fn build_dataflow_judged<'g>(
 /// base_owner)` and rehydrates against *this* scan's bases.
 struct DdgCacheCtx<'c> {
     cref: &'c CacheRef,
+    graph: &'c CallGraph,
     salt: u64,
-    /// Per-function content hash over the symbol's raw bytes. `None`
-    /// when the function has no binary symbol, or an empty or unmapped
-    /// one (then it can never hit or be stored, and neither can its
-    /// callers).
-    own: HashMap<u32, Option<u64>>,
-    /// For members of multi-function SCCs: the combined component hash
-    /// (all members fold into every member's key — a change anywhere in
-    /// a recursive component invalidates the whole component).
-    combined: HashMap<u32, Option<u64>>,
-    /// Final scan key per function, filled just before it is processed.
-    final_keys: HashMap<u32, Option<u64>>,
+    /// Per slot: the function's own content hash over its symbol's raw
+    /// bytes and, for members of multi-function SCCs, the combined
+    /// component hash (all members fold into every member's key — a
+    /// change anywhere in a recursive component invalidates the whole
+    /// component). `None` when the function has no summary, or no
+    /// binary symbol, or an empty or unmapped one, or shares a component
+    /// with such a function: then it can never hit or be stored, and
+    /// neither can its callers.
+    content: Vec<Option<(u64, Option<u64>)>>,
+    /// Final scan key per slot, set just before the function is
+    /// processed: `None` until then.
+    final_keys: Vec<Option<Option<u64>>>,
     /// `(base, k, addr)` unknown-ownership ranges in master numbering,
     /// sorted by base (strictly increasing; zero-width ranges omitted).
     /// Backs the abs→(owner, rel) lookup when encoding blobs.
     owner_of: Vec<(u32, u32, u32)>,
-    /// `addr → (base, k)` — the inverse, for decoding.
-    base_of: HashMap<u32, (u32, u32)>,
+    /// Per slot, the `(base, k)` range of `owner_of` — the inverse, for
+    /// decoding; the empty `(0, 0)` for a function that created none.
+    base_of: Vec<(u32, u32)>,
 }
 
 impl<'c> DdgCacheCtx<'c> {
@@ -663,8 +701,10 @@ impl<'c> DdgCacheCtx<'c> {
         bin: &Binary,
         config: &DataflowConfig,
         cref: &'c CacheRef,
-        by_addr: &BTreeMap<u32, FuncSummary>,
+        graph: &'c CallGraph,
         cond: &Condensation,
+        local_of: &[Option<u32>],
+        locals: &[FuncSummary],
     ) -> DdgCacheCtx<'c> {
         let env = cache::env_digest(bin);
         let salt = cache::ddg_salt(env, config);
@@ -677,40 +717,40 @@ impl<'c> DdgCacheCtx<'c> {
         // normalising constructors, so structurally distinct but
         // observationally equal forms exist across thread counts, and
         // keying on them would make warmth thread-dependent.
-        // Each summary's own symbol, by address and name: when symbols
-        // overlap, the first symbol covering an entry may be another
-        // function, whose bytes would leave this one's edits unseen.
-        let mut syms: HashMap<(u32, &str), &Symbol> = HashMap::new();
-        for sym in bin.functions() {
-            syms.entry((sym.addr, sym.name.as_str())).or_insert(sym);
-        }
-        let own: HashMap<u32, Option<u64>> = by_addr
+        // Each summary's own symbol is the first at its entry with its
+        // name: when symbols overlap, the first symbol covering an entry
+        // may be another function, whose bytes would leave this one's
+        // edits unseen.
+        let syms = bin.functions();
+        let mut content: Vec<Option<(u64, Option<u64>)>> = local_of
             .iter()
-            .map(|(&addr, s)| {
-                let sym = syms.get(&(addr, s.name.as_str()));
-                (addr, sym.and_then(|sym| cache::symbol_content_hash(salt, bin, sym)))
+            .map(|&i| {
+                let s = &locals[i? as usize];
+                let at = &syms[syms.partition_point(|sym| sym.addr < s.addr)..];
+                let sym = at
+                    .iter()
+                    .take_while(|sym| sym.addr == s.addr)
+                    .find(|sym| sym.name == s.name)?;
+                Some((cache::symbol_content_hash(salt, bin, sym)?, None))
             })
             .collect();
-        let mut combined: HashMap<u32, Option<u64>> = HashMap::new();
-        for comp in &cond.components {
-            if comp.len() < 2 {
-                continue;
-            }
+        for comp in cond.components.iter().filter(|c| c.len() >= 2) {
             let members: Option<Vec<(u32, u64)>> =
-                comp.iter().map(|&a| Some((a, own.get(&a).copied().flatten()?))).collect();
-            let c = members.as_deref().map(cache::combine_scc);
-            for &a in comp {
-                combined.insert(a, c);
+                comp.iter().map(|&f| Some((graph.entry(f), content[f.index()]?.0))).collect();
+            let combined = members.as_deref().map(cache::combine_scc);
+            for f in comp {
+                let slot = &mut content[f.index()];
+                *slot = combined.and_then(|c| Some((slot.as_ref()?.0, Some(c))));
             }
         }
         DdgCacheCtx {
             cref,
+            graph,
             salt,
-            own,
-            combined,
-            final_keys: HashMap::new(),
+            content,
+            final_keys: vec![None; graph.len()],
             owner_of: Vec::new(),
-            base_of: HashMap::new(),
+            base_of: vec![(0, 0); graph.len()],
         }
     }
 
@@ -720,18 +760,8 @@ impl<'c> DdgCacheCtx<'c> {
     /// markers, so a change in any transitive out-of-component callee —
     /// or in how an indirect site resolves — changes the key. `None`
     /// poisons callers too.
-    fn key_for(
-        &self,
-        faddr: u32,
-        summary: &FuncSummary,
-        graph: &CallGraph,
-        cond: &Condensation,
-    ) -> Option<u64> {
-        let own = self.own.get(&faddr).copied().flatten()?;
-        let combined = match self.combined.get(&faddr) {
-            Some(c) => Some((*c)?),
-            None => None,
-        };
+    fn key_for(&self, f: FnIx, summary: &FuncSummary, cond: &Condensation) -> Option<u64> {
+        let (own, combined) = self.content[f.index()]?;
         let mut markers = Vec::with_capacity(summary.callsites.len());
         for cs in &summary.callsites {
             let callee_addr = match &cs.callee {
@@ -740,36 +770,39 @@ impl<'c> DdgCacheCtx<'c> {
                     continue;
                 }
                 CalleeRef::Direct(a) => Some(*a),
-                CalleeRef::Indirect(_) => graph.resolved_at(cs.ins_addr),
+                CalleeRef::Indirect(_) => self.graph.resolved_at(cs.ins_addr),
             };
             let Some(a) = callee_addr else {
                 markers.push(cache::marker::unresolved());
                 continue;
             };
-            if cond.same_component(a, faddr) {
+            let callee = self.graph.ix(a);
+            if callee.is_some_and(|c| cond.same_component(c, f)) {
                 markers.push(cache::marker::same_scc());
                 continue;
             }
-            match self.final_keys.get(&a) {
-                Some(Some(k)) => markers.push(*k),
+            match callee.and_then(|c| self.final_keys[c.index()]) {
+                Some(Some(k)) => markers.push(k),
                 Some(None) => return None,
-                // Callee never summarised (no CFG): propagation will
-                // skip the site, deterministically — mark its absence.
+                // Callee never summarised (no CFG, or no function starts
+                // there): propagation will skip the site,
+                // deterministically — mark its absence.
                 None => markers.push(cache::marker::absent(a)),
             }
         }
         Some(cache::compose_final_key(self.salt, own, combined, &markers))
     }
 
-    /// Records a function's unknown-ownership range for this scan.
-    /// Called for every function, hit or miss, in processing order, so
-    /// bases are identical to a cold scan's lazily-created numbering.
-    fn push_base(&mut self, base: u32, k: u32, addr: u32) {
+    /// Records the unknown-ownership range of function `f`, entered at
+    /// `addr`, for this scan. Called for every function, hit or miss, in
+    /// processing order, so bases are identical to a cold scan's
+    /// lazily-created numbering.
+    fn push_base(&mut self, base: u32, k: u32, f: FnIx, addr: u32) {
         if k == 0 {
             return;
         }
         self.owner_of.push((base, k, addr));
-        self.base_of.insert(addr, (base, k));
+        self.base_of[f.index()] = (base, k);
     }
 
     /// abs unknown index → (owner addr, index relative to owner's base).
@@ -799,7 +832,8 @@ impl<'c> DdgCacheCtx<'c> {
                 if owner == faddr {
                     (rel < k).then_some(base + rel)
                 } else {
-                    self.base_of.get(&owner).and_then(|&(b, bk)| (rel < bk).then_some(b + rel))
+                    let (b, bk) = self.base_of[self.graph.ix(owner)?.index()];
+                    (rel < bk).then_some(b + rel)
                 }
             })
         })
@@ -811,22 +845,24 @@ impl<'c> DdgCacheCtx<'c> {
 /// site. Returns the final summary and one [`PrunedSink`] per sink
 /// observation the interval pruning dropped.
 ///
-/// `finals` must already contain every callee outside the function's own
-/// component — the stratified order guarantees it. Callees *inside* the
-/// component (recursion) are treated as opaque, so members of a cycle
-/// can be summarised in any order with one result.
+/// `finals`, one slot per function, must already hold every callee
+/// outside the function's own component — the stratified order
+/// guarantees it. Callees *inside* the component (recursion) are treated
+/// as opaque, so members of a cycle can be summarised in any order with
+/// one result.
 #[allow(clippy::too_many_arguments)]
 fn process_function(
     bin: &Binary,
-    faddr: u32,
+    f: FnIx,
     mut summary: FuncSummary,
-    finals: &BTreeMap<u32, FinalSummary>,
+    finals: &[Option<Box<FinalSummary>>],
     graph: &CallGraph,
     cond: &Condensation,
     globals: &crate::sse::GlobalMap,
     pool: &mut ExprPool,
     config: &DataflowConfig,
 ) -> (FinalSummary, Vec<PrunedSink>) {
+    let faddr = summary.addr;
     let local_constraints = summary.constraints.len();
     let mut sinks: Vec<SinkObservation> = Vec::new();
     let mut fuel = config.max_fuel;
@@ -867,8 +903,8 @@ fn process_function(
             }
             continue;
         }
-        let Some(callee_addr) = applied_callee(faddr, cs, graph, cond) else { continue };
-        let Some(callee) = finals.get(&callee_addr) else { continue };
+        let Some(callee) = applied_callee(f, cs, graph, cond) else { continue };
+        let Some(callee) = finals[callee.index()].as_deref() else { continue };
         // Fuel: one unit for the application itself plus one per callee
         // term that must be substituted up. Charged before applying so
         // the cut-off point is a pure function of the summaries, not of
@@ -936,39 +972,26 @@ fn process_function(
     (fs, pruned)
 }
 
-/// The function whose final summary a call site applies: its direct
-/// callee, or the layout-similarity resolution of an indirect call.
-/// `None` for imports, unresolved indirect calls, and callees in the
-/// caller's own component — recursion (self or mutual) is treated as
-/// opaque so each function is analyzed exactly once, as the paper
-/// prescribes, independent of summarisation order.
+/// The function whose final summary a call site of `f` applies: its
+/// direct callee, or the layout-similarity resolution of an indirect
+/// call. `None` for imports, unresolved indirect calls, targets where no
+/// function starts, and callees in the caller's own component —
+/// recursion (self or mutual) is treated as opaque so each function is
+/// analyzed exactly once, as the paper prescribes, independent of
+/// summarisation order.
 fn applied_callee(
-    faddr: u32,
+    f: FnIx,
     cs: &CallsiteInfo,
     graph: &CallGraph,
     cond: &Condensation,
-) -> Option<u32> {
+) -> Option<FnIx> {
     let callee = match &cs.callee {
         CalleeRef::Direct(a) => *a,
         CalleeRef::Indirect(_) => graph.resolved_at(cs.ins_addr)?,
         CalleeRef::Import(_) => return None,
     };
-    (!cond.same_component(callee, faddr)).then_some(callee)
-}
-
-/// The distinct functions `summary`'s call sites apply, in address
-/// order ([`applied_callee`]).
-fn applied_callees(
-    faddr: u32,
-    summary: &FuncSummary,
-    graph: &CallGraph,
-    cond: &Condensation,
-) -> Vec<u32> {
-    let mut out: Vec<u32> =
-        summary.callsites.iter().filter_map(|cs| applied_callee(faddr, cs, graph, cond)).collect();
-    out.sort_unstable();
-    out.dedup();
-    out
+    let callee = graph.ix(callee)?;
+    (!cond.same_component(callee, f)).then_some(callee)
 }
 
 fn constraints_on_path(summary: &FuncSummary, path: u32) -> Vec<(CmpOp, ExprId, ExprId)> {

@@ -29,9 +29,16 @@ use std::sync::{Arc, OnceLock};
 /// The call-graph classification as it was written over full CFGs,
 /// before shape records existed, in the table form: one row per call
 /// instruction, owned by the highest-addressed function holding it, and
-/// each import name stored once, in the order first called. The
-/// reference the records must match.
-fn reference_callgraph(bin: &Binary, cfgs: &[FunctionCfg]) -> CallGraph {
+/// each import name stored once, in the order first called, and call
+/// edges by entry address. The reference the records must match.
+struct ReferenceGraph {
+    functions: Vec<u32>,
+    callsites: Vec<Callsite>,
+    imports: Vec<String>,
+    edges: HashMap<u32, Vec<u32>>,
+}
+
+fn reference_callgraph(bin: &Binary, cfgs: &[FunctionCfg]) -> ReferenceGraph {
     let mut functions: Vec<u32> = cfgs.iter().map(|c| c.addr).collect();
     functions.sort_unstable();
     let func_set: HashSet<u32> = functions.iter().copied().collect();
@@ -70,16 +77,22 @@ fn reference_callgraph(bin: &Binary, cfgs: &[FunctionCfg]) -> CallGraph {
         }
     }
     let callsites = rows.into_values().collect();
-    CallGraph { functions, callsites, imports, edges, resolved: 0 }
+    ReferenceGraph { functions, callsites, imports, edges }
 }
 
-fn assert_same_graph(got: &CallGraph, want: &CallGraph, label: &str) {
+fn assert_same_graph(got: &CallGraph, want: &ReferenceGraph, label: &str) {
     assert_eq!(got.functions, want.functions, "{label}: functions");
     assert_eq!(got.callsites, want.callsites, "{label}: callsites");
     assert_eq!(got.imports, want.imports, "{label}: imports");
-    assert_eq!(got.edges, want.edges, "{label}: edges");
-    assert_eq!(got.edge_count(), want.edge_count(), "{label}: edge_count");
-    assert_eq!(got.condense().strata, want.condense().strata, "{label}: strata");
+    for f in got.slots() {
+        let callees: Vec<u32> = got.callees(f).iter().map(|&c| got.entry(c)).collect();
+        let want_callees = want.edges.get(&got.entry(f)).map_or(&[][..], Vec::as_slice);
+        assert_eq!(callees, want_callees, "{label}: edges of {:#x}", got.entry(f));
+    }
+    assert!(want.edges.keys().all(|&a| got.ix(a).is_some()), "{label}: every caller has a slot");
+    let rows = |t: &CallTarget| matches!(t, CallTarget::Direct(_) | CallTarget::Import(_));
+    let want_count = want.callsites.iter().filter(|c| rows(&c.target)).count();
+    assert_eq!(got.edge_count(), want_count, "{label}: edge_count");
 }
 
 /// The per-function CFG as it was built before blocks were stored flat:
@@ -461,8 +474,11 @@ fn check_profile(index: usize) {
         assert_cfgs_equal_the_reference(variant, &label);
         let (cfgs, shapes) = lift(variant);
         let want = reference_callgraph(variant, &cfgs);
-        assert_same_graph(&CallGraph::from_shapes(variant, &shapes), &want, &label);
-        assert_same_graph(&CallGraph::build(variant, &cfgs), &want, &label);
+        let (from_shapes, built) =
+            (CallGraph::from_shapes(variant, &shapes), CallGraph::build(variant, &cfgs));
+        assert_same_graph(&from_shapes, &want, &label);
+        assert_same_graph(&built, &want, &label);
+        assert_eq!(from_shapes.condense().strata, built.condense().strata, "{label}: strata");
         let blocks: usize = cfgs.iter().map(FunctionCfg::block_count).sum();
         assert_eq!(shapes.iter().map(|s| s.blocks).sum::<usize>(), blocks, "{label}");
     };
@@ -477,6 +493,7 @@ fn check_profile(index: usize) {
         // `dtaint gen --corrupt garbage-fn`; the other two `--corrupt`
         // kinds are the parameterless faults above.
         BinFault::GarbageOpcodes { index: 1, seed: 7 },
+        BinFault::AliasedEntry { index: n_funcs / 2 },
     ] {
         check(&format!("{fault:?}"), &corrupt_binary(&bin, &fault));
     }

@@ -103,9 +103,9 @@ fn reverse_reachable(bin: &dtaint_fwbin::Binary, changed: &[String]) -> BTreeSet
     let addr_of: HashMap<&str, u32> =
         bin.functions().iter().map(|s| (s.name.as_str(), s.addr)).collect();
     let mut rev: HashMap<u32, Vec<u32>> = HashMap::new();
-    for (caller, callees) in &cg.edges {
-        for callee in callees {
-            rev.entry(*callee).or_default().push(*caller);
+    for caller in cg.slots() {
+        for &callee in cg.callees(caller) {
+            rev.entry(cg.entry(callee)).or_default().push(cg.entry(caller));
         }
     }
     let mut frontier: Vec<u32> =
