@@ -585,14 +585,9 @@ impl<'a> Executor<'a> {
                 }
                 _ => false,
             };
-            // Skip the seeded stack-arg slots themselves. (`deref`
-            // interns its address as is, so `d` names one `addr` and the
-            // skip depends on `(d, val)` alone; duplicates go at the
-            // end of the function.)
-            if escapes
-                && !(matches!(self.pool.node(val), SymNode::Arg(_))
-                    && self.pool.base_offset(addr).0 == self.pool.stack_base())
-            {
+            // A seeded stack-argument slot never escapes: its root is the
+            // stack base.
+            if escapes {
                 summary.escape_defs.push(DefPair {
                     d,
                     u: val,

@@ -766,8 +766,8 @@ fn no_function_panics_on_any_profile() {
     // a rewrite of the DAG walks or the merge must leave it alone.
     for (name, pinned) in [
         ("ddg.walk_visits", 3_837_428),
-        ("pool.interns", 3_365_498),
-        ("pool.intern_cache_hits", 2_986_487),
+        ("pool.interns", 3_365_484),
+        ("pool.intern_cache_hits", 2_986_473),
         ("symex.nodes_translated", 120_924),
     ] {
         assert_eq!(tel.metrics.counter(name), pinned, "Hikvision {name}");
