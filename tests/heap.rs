@@ -96,14 +96,14 @@ fn hikvision_live_heap_stays_within_budget() {
         measured.push((stage, mib(span("stage", stage), "live_bytes")));
     }
     let budgets = [
-        ("peak", 30.0),
+        ("peak", 29.75),
         ("ssa", 24.25),
         ("lift_cfg", 26.0),
         ("ddg_alias", 26.5),
         ("ddg_indirect", 26.5),
-        ("ddg_propagate", 19.75),
-        ("ddg", 18.5),
-        ("detect", 17.75),
+        ("ddg_propagate", 19.25),
+        ("ddg", 18.0),
+        ("detect", 17.25),
     ];
     for ((name, got), (_, budget)) in measured.iter().zip(budgets) {
         assert!(*got <= budget, "Hikvision {name}: {got:.2} MiB over {budget} MiB ({measured:?})");
