@@ -120,24 +120,36 @@ impl CallGraph {
         functions.sort_unstable();
         let symbols = bin.symbols.iter().filter(|s| s.kind == SymbolKind::Function);
         let mut entries: Vec<u32> = symbols.map(|s| s.addr).chain(functions.clone()).collect();
-        entries.sort_unstable();
+        // Two sorted runs when the symbol table is in address order.
+        entries.sort();
         entries.dedup();
-        let ix = |addr: u32| FnIx(entries.partition_point(|&e| e < addr) as u32);
+        let last = entries.last().copied().unwrap_or(0);
+        let ix = |addr: u32| (addr <= last).then(|| entries.binary_search(&addr).ok())?;
+        // Both lists are sorted: one walk marks the lifted slots.
+        let (mut lifted, mut i) = (vec![false; entries.len()], 0);
+        for &f in &functions {
+            while entries[i] < f {
+                i += 1;
+            }
+            lifted[i] = true;
+        }
         let mut imports: Vec<String> = Vec::new();
         let mut import_ix: HashMap<&str, u32> = HashMap::new();
         let mut callsites = Vec::with_capacity(shapes.iter().map(|s| s.calls.len()).sum());
         let mut edges: Vec<Vec<FnIx>> = vec![Vec::new(); entries.len()];
         for shape in shapes {
-            let out = &mut edges[ix(shape.addr).index()];
+            let caller = ix(shape.addr).expect("every shape has a slot");
             for row in &shape.calls {
-                let target = match row.next_const {
-                    Some(t) if functions.binary_search(&t).is_ok() => {
-                        if !out.contains(&ix(t)) {
-                            out.push(ix(t));
+                let direct = row.next_const.and_then(ix).filter(|&c| lifted[c]);
+                let target = match (row.next_const, direct) {
+                    (Some(t), Some(c)) => {
+                        let (out, c) = (&mut edges[caller], FnIx(c as u32));
+                        if !out.contains(&c) {
+                            out.push(c);
                         }
                         CallTarget::Direct(t)
                     }
-                    Some(t) => match bin.import_at(t) {
+                    (Some(t), None) => match bin.import_at(t) {
                         Some(imp) => CallTarget::Import(
                             *import_ix.entry(imp.name.as_str()).or_insert_with(|| {
                                 imports.push(imp.name.clone());
@@ -148,7 +160,7 @@ impl CallGraph {
                         // function nor a stub — treat as unresolvable.
                         None => CallTarget::Indirect,
                     },
-                    None => CallTarget::Indirect,
+                    (None, _) => CallTarget::Indirect,
                 };
                 callsites.push(Callsite { ins_addr: row.ins_addr, caller: shape.addr, target });
             }
