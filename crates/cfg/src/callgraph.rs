@@ -296,6 +296,7 @@ impl CallGraph {
         let n = self.len();
         let (mut index, mut lowlink, mut on_stack) =
             (vec![NOT_A_NODE; n], vec![0; n], vec![false; n]);
+        let mut comp_of = vec![NOT_A_NODE; n];
         let mut stack: Vec<FnIx> = Vec::new();
         let mut next_index = 0u32;
         let mut components: Vec<Vec<FnIx>> = Vec::new();
@@ -331,6 +332,7 @@ impl CallGraph {
                     let mut comp = Vec::new();
                     while let Some(w) = stack.pop() {
                         on_stack[w.index()] = false;
+                        comp_of[w.index()] = components.len() as u32;
                         comp.push(w);
                         if w == v {
                             break;
@@ -342,12 +344,6 @@ impl CallGraph {
             }
         }
 
-        let mut comp_of = vec![NOT_A_NODE; n];
-        for (i, c) in components.iter().enumerate() {
-            for f in c {
-                comp_of[f.index()] = i as u32;
-            }
-        }
         // Tarjan pops callees before callers, so one forward pass over
         // the components sees every callee component's level before it
         // is needed.

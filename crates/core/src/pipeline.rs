@@ -235,10 +235,8 @@ impl Dtaint {
         // their summaries — a faulted artefact in the cache would
         // masquerade as a healthy one on the next scan.
         let cache = self.config.cache.as_ref();
-        let quarantine: Vec<bool> = match cache {
-            Some(_) => records.iter().map(Option::is_some).collect(),
-            None => Vec::new(),
-        };
+        let quarantine: Vec<bool> =
+            records.iter().map(|r| cache.is_some() && r.is_some()).collect();
         // Each function's name, from its shape record (the later of two
         // at one entry).
         let mut fn_names: Vec<Option<&str>> = vec![None; callgraph.len()];
@@ -534,16 +532,13 @@ impl Dtaint {
                 log.push(Decision::new(DecisionKind::BudgetDegraded, "symex", name, *addr, reason));
             }
         }
-        let name_of = |addr: u32| function_name(fn_names, df.callgraph, addr);
+        // A decision of the DDG stage about the function entered at `addr`.
+        let ddg = |kind, addr: u32, reason| {
+            Decision::new(kind, "ddg", &function_name(fn_names, df.callgraph, addr), addr, reason)
+        };
         for (addr, f) in df.residues().filter(|(_, f)| f.budget_exhausted) {
             let reason = fuel_exhausted("ddg", f.fuel_used, false);
-            log.push(Decision::new(
-                DecisionKind::BudgetDegraded,
-                "ddg",
-                &name_of(addr),
-                addr,
-                reason,
-            ));
+            log.push(ddg(DecisionKind::BudgetDegraded, addr, reason));
         }
         // Cache-hit functions re-credit the aggregate prune count but
         // carry no per-sink records, so warm scans list only the prunes
@@ -552,26 +547,12 @@ impl Dtaint {
             let (op, l, r) = p.witness;
             let constraint = format!("{} {} {}", df.pool.display(l), op, df.pool.display(r));
             let reason = DecisionReason::InfeasiblePath { constraint };
-            log.push(
-                Decision::new(
-                    DecisionKind::PathPruned,
-                    "ddg",
-                    &name_of(p.pruned_in),
-                    p.pruned_in,
-                    reason,
-                )
-                .at_sink(p.sink_ins, p.kind.name()),
-            );
+            let decision = ddg(DecisionKind::PathPruned, p.pruned_in, reason);
+            log.push(decision.at_sink(p.sink_ins, p.kind.name()));
         }
         for (addr, f) in df.residues().filter(|(_, f)| f.sse_saturated) {
             let reason = DecisionReason::Saturated { rounds: u64::from(f.sse_rounds) };
-            log.push(Decision::new(
-                DecisionKind::AliasSaturated,
-                "ddg",
-                &name_of(addr),
-                addr,
-                reason,
-            ));
+            log.push(ddg(DecisionKind::AliasSaturated, addr, reason));
         }
         // Functions quarantined from the incremental cache, in address
         // order (none on cache-less scans).

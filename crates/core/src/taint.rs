@@ -382,10 +382,8 @@ fn judge_holder(
 ) -> (Vec<Judgement>, u64) {
     let Detector { bin, sources, fn_names, mode } = *detector;
     let addr = holder.summary.addr;
-    let name_of = |a: u32| {
-        let name = df.callgraph.ix(a).and_then(|f| fn_names.get(f.index()).copied().flatten());
-        name.unwrap_or("<unknown>").to_owned()
-    };
+    let name = |a: u32| df.callgraph.ix(a).and_then(|f| fn_names[f.index()]);
+    let name_of = |a: u32| name(a).unwrap_or("<unknown>").to_owned();
     let mut judgements = Vec::with_capacity(holder.sinks.len());
     let mut absint_passes = 0u64;
     // One object-taint index per observing function, shared by all

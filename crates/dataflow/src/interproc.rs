@@ -636,16 +636,12 @@ pub fn build_dataflow_judged<'g>(
             }
         }
     }
-    // Every summary was taken or replaced; free their slots' storage.
+    // Every summary was taken; free their slots' storage.
     drop(locals);
-    // Callers outside `order` never ran, so with `judge` nothing reads
-    // the finals left; without it, each is kept by entry address.
-    let finals = match judge {
-        Some(_) => BTreeMap::new(),
-        None => {
-            graph.slots().zip(finals).filter_map(|(f, fs)| Some((graph.entry(f), *fs?))).collect()
-        }
-    };
+    // With `judge`, nothing reads the finals left (callers outside
+    // `order` never ran); without it, each is kept by entry address.
+    let kept = graph.slots().zip(finals).filter_map(|(f, fs)| Some((graph.entry(f), *fs?)));
+    let finals = if judge.is_some() { BTreeMap::new() } else { kept.collect() };
     tel.record("ddg_propagate", "stage", propagate_t0, &[]);
     tel.absorb(buf.take_events());
 
@@ -726,11 +722,9 @@ impl<'c> DdgCacheCtx<'c> {
             .iter()
             .map(|&i| {
                 let s = &locals[i? as usize];
-                let at = &syms[syms.partition_point(|sym| sym.addr < s.addr)..];
-                let sym = at
-                    .iter()
-                    .take_while(|sym| sym.addr == s.addr)
-                    .find(|sym| sym.name == s.name)?;
+                let from = syms.partition_point(|y| y.addr < s.addr);
+                let mut at = syms[from..].iter().take_while(|y| y.addr == s.addr);
+                let sym = at.find(|y| y.name == s.name)?;
                 Some((cache::symbol_content_hash(salt, bin, sym)?, None))
             })
             .collect();
