@@ -130,18 +130,6 @@ pub fn matrix() -> Vec<Spec> {
     out
 }
 
-/// The configuration of a golden scan: `mode` at `threads`, with
-/// auditing on (as `--audit-out` sets it).
-pub fn config(mode: Mode, threads: usize) -> DtaintConfig {
-    let mut config = DtaintConfig { threads, audit: true, ..Default::default() };
-    match mode {
-        Mode::Default | Mode::Cache => {}
-        Mode::IntervalGuards => config.dataflow.bounds = BoundsMode::Interval,
-        Mode::AliasStore => config.dataflow.alias.mode = AliasMode::Store,
-    }
-    config
-}
-
 /// Scans `bin` as `dtaint scan --json --audit-out --metrics-out` does in
 /// the default mode, returning the report and the session collector.
 pub fn scan(bin: &Binary, name: &str, threads: usize) -> (AnalysisReport, Collector) {
@@ -149,15 +137,20 @@ pub fn scan(bin: &Binary, name: &str, threads: usize) -> (AnalysisReport, Collec
     (report, tel)
 }
 
-/// [`scan`] in `mode`; in [`Mode::Cache`] also the bytes of the cache the
-/// scan filled.
+/// [`scan`] in `mode`, with auditing on (as `--audit-out` sets it); in
+/// [`Mode::Cache`] also the bytes of the cache the scan filled.
 pub fn scan_in(
     bin: &Binary,
     name: &str,
     mode: Mode,
     threads: usize,
 ) -> (AnalysisReport, Collector, Option<Vec<u8>>) {
-    let mut config = config(mode, threads);
+    let mut config = DtaintConfig { threads, audit: true, ..Default::default() };
+    match mode {
+        Mode::Default | Mode::Cache => {}
+        Mode::IntervalGuards => config.dataflow.bounds = BoundsMode::Interval,
+        Mode::AliasStore => config.dataflow.alias.mode = AliasMode::Store,
+    }
     let cache = (mode == Mode::Cache).then(|| Arc::new(SummaryCache::new()));
     config.cache = cache.clone().map(|c| CacheRef::new(c, name));
     let mut tel = Collector::disabled();

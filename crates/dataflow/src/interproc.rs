@@ -636,7 +636,7 @@ pub fn build_dataflow_judged<'g>(
             }
         }
     }
-    // Every summary was taken; free their slots' storage.
+    // The emptied summaries go before the stage's span closes.
     drop(locals);
     // With `judge`, nothing reads the finals left (callers outside
     // `order` never ran); without it, each is kept by entry address.
