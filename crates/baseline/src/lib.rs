@@ -22,7 +22,7 @@
 use dtaint_cfg::{CallGraph, FunctionCfg};
 use dtaint_dataflow::SINK_NAMES;
 use dtaint_fwbin::Binary;
-use dtaint_symex::pool::ExprPool;
+use dtaint_symex::pool::{ExprPool, Kinds};
 use dtaint_symex::{analyze_function, CalleeRef, ExprId, FuncSummary, SymexConfig};
 use std::collections::{HashMap, HashSet};
 
@@ -136,7 +136,7 @@ pub fn analyze_topdown(
             // expression.
             let subst = |pool: &mut ExprPool, e: ExprId| -> ExprId {
                 let mut missing: HashMap<u8, ExprId> = HashMap::new();
-                pool.rewrite(e, &mut |p, id| match p.node(id) {
+                pool.rewrite(e, Kinds::ARG, &mut |p, id| match p.node(id) {
                     dtaint_symex::SymNode::Arg(i) => Some(match ctx_args.get(i as usize) {
                         Some(&a) => a,
                         None => *missing.entry(i).or_insert_with(|| p.fresh_unknown()),

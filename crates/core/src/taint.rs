@@ -34,7 +34,7 @@ use dtaint_dataflow::{
     DataflowView, FinalSummary, ProgramDataflow, SinkKind, SinkObservation, TraceStep,
 };
 use dtaint_fwbin::{Binary, SymbolKind};
-use dtaint_symex::pool::{CmpOp, SymNode};
+use dtaint_symex::pool::{CmpOp, Kinds, SymNode};
 use dtaint_symex::{ExprId, ExprPool};
 use dtaint_telemetry::{Decision, DecisionKind, DecisionReason};
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -156,7 +156,7 @@ impl<'a> TaintIndex<'a> {
         let mut out = BTreeSet::new();
         direct_atoms(self.df, self.sources, e, &mut out);
         // Object taint: any deref whose base was filled with source data.
-        self.df.pool.any_node(e, &mut |n| {
+        self.df.pool.any_node(e, Kinds::DEREF, &mut |n| {
             if let SymNode::Deref { addr, .. } = n {
                 let (base, _) = self.df.pool.base_offset(addr);
                 if let Some(atoms) = self.tainted_bases.get(&base) {
@@ -200,7 +200,7 @@ fn direct_atoms(
     e: ExprId,
     out: &mut BTreeSet<SourceRef>,
 ) {
-    df.pool.any_node(e, &mut |n| {
+    df.pool.any_node(e, Kinds::RET_SYM | Kinds::CALL_OUT, &mut |n| {
         let cs = match n {
             SymNode::RetSym(cs) => Some(cs),
             SymNode::CallOut { callsite, .. } => Some(callsite),

@@ -14,7 +14,7 @@
 //! printable step-by-step path.
 
 use crate::interproc::{DataflowView, FinalSummary};
-use dtaint_symex::pool::SymNode;
+use dtaint_symex::pool::{Kinds, SymNode};
 use dtaint_symex::ExprId;
 use std::collections::HashSet;
 
@@ -98,7 +98,7 @@ fn dfs(
     }
     // Direct source symbols in the expression.
     let mut found: Option<(String, u32)> = None;
-    df.pool.any_node(expr, &mut |n| {
+    df.pool.any_node(expr, Kinds::RET_SYM | Kinds::CALL_OUT, &mut |n| {
         let cs = match n {
             SymNode::RetSym(cs) | SymNode::CallOut { callsite: cs, .. } => Some(cs),
             _ => None,
@@ -141,7 +141,7 @@ fn same_object_read(df: DataflowView<'_>, expr: ExprId, def_d: ExprId) -> bool {
     let SymNode::Deref { addr: daddr, .. } = df.pool.node(def_d) else { return false };
     let (dbase, _) = df.pool.base_offset(daddr);
     let mut hit = false;
-    df.pool.any_node(expr, &mut |n| {
+    df.pool.any_node(expr, Kinds::DEREF, &mut |n| {
         if let SymNode::Deref { addr, .. } = n {
             let (base, _) = df.pool.base_offset(addr);
             if base == dbase {

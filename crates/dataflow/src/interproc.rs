@@ -37,7 +37,7 @@ use crate::cache::{self, CacheRef, Level};
 use crate::indirect::{resolve_indirect_calls, IndirectStats, ResolvedCall};
 use dtaint_cfg::{CallGraph, Condensation, FnIx};
 use dtaint_fwbin::Binary;
-use dtaint_symex::pool::{CmpOp, ExprPool, SymNode};
+use dtaint_symex::pool::{CmpOp, ExprPool, Kinds, SymNode};
 use dtaint_symex::{CalleeRef, CallsiteInfo, Constraint, DefPair, ExprId, FuncSummary};
 use dtaint_telemetry::Collector;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -881,18 +881,17 @@ fn process_function(
     // (ret symbols, callee stores) that later call sites' arguments
     // must observe, so each site is re-read after prior rewrites.
     for idx in 0..summary.callsites.len() {
-        let cs = summary.callsites[idx].clone();
-        let cs = &cs;
+        let cs = &summary.callsites[idx];
+        let (ins_addr, path, args) = (cs.ins_addr, cs.path, cs.args);
         if let CalleeRef::Import(name) = &cs.callee {
             if SINK_NAMES.contains(&name.as_str()) {
-                let cons = constraints_on_path(&summary, cs.path);
                 sinks.push(SinkObservation {
                     kind: SinkKind::Import(name.clone()),
-                    sink_ins: cs.ins_addr,
+                    sink_ins: ins_addr,
                     sink_fn: faddr,
-                    args: cs.args.to_vec(),
+                    args: args.to_vec(),
                     call_chain: vec![],
-                    constraints: cons,
+                    constraints: constraints_on_path(&summary, path),
                 });
             }
             continue;
@@ -914,7 +913,7 @@ fn process_function(
             break;
         }
         fuel -= cost;
-        apply_callee(bin, &mut summary, &mut sinks, callee, cs.ins_addr, cs.path, &cs.args, pool);
+        apply_callee(bin, &mut summary, &mut sinks, callee, ins_addr, path, &args, pool);
     }
 
     // SSE refinement: callee application composes definition pairs from
@@ -1013,7 +1012,8 @@ fn apply_callee(
         let mut su = stack_unknown;
         let mut ru = std::mem::take(&mut reg_unknowns);
         let mut missing: HashMap<u8, ExprId> = HashMap::new();
-        let out = pool.rewrite(e, &mut |p, id| match p.node(id) {
+        let kinds = Kinds::ARG | Kinds::STACK_BASE | Kinds::INIT_REG;
+        let out = pool.rewrite(e, kinds, &mut |p, id| match p.node(id) {
             SymNode::Arg(i) => Some(match actual_args.get(i as usize) {
                 Some(&a) => a,
                 None => *missing.entry(i).or_insert_with(|| p.fresh_unknown()),
@@ -1055,9 +1055,7 @@ fn apply_callee(
     // registers would map to fresh unknowns, carry no information, and
     // compound exponentially up deep call graphs.
     let portable = |p: &ExprPool, e: ExprId| {
-        !p.any_node(e, &mut |n| {
-            matches!(n, SymNode::StackBase | SymNode::InitReg(_) | SymNode::Unknown(_))
-        })
+        !p.holds_any(e, Kinds::STACK_BASE | Kinds::INIT_REG | Kinds::UNKNOWN)
     };
     let callee_cons: Vec<(CmpOp, ExprId, ExprId)> = callee
         .summary
@@ -1091,7 +1089,7 @@ fn apply_callee(
             break;
         }
         let unresolved = sk.args.iter().any(|&a| {
-            pool.any_node(a, &mut |n| match n {
+            pool.any_node(a, Kinds::ARG | Kinds::CONST, &mut |n| match n {
                 SymNode::Arg(_) => true,
                 SymNode::Const(c) => {
                     let addr = c as u32;

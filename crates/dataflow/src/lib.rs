@@ -56,7 +56,7 @@ mod tests {
     use dtaint_fwbin::asm::Assembler;
     use dtaint_fwbin::link::BinaryBuilder;
     use dtaint_fwbin::{Arch, Binary, Reg};
-    use dtaint_symex::pool::SymNode;
+    use dtaint_symex::pool::{Kinds, SymNode};
     use dtaint_symex::{analyze_function, ExprPool, SymexConfig};
 
     fn analyze_all(bin: &Binary) -> (CallGraph, Vec<dtaint_symex::FuncSummary>, ExprPool) {
@@ -137,7 +137,7 @@ mod tests {
         let mut carriers = df.finals[&foo].pointee_values(&df.pool, src);
         carriers.push(src);
         let has_recv_data = carriers.iter().any(|&v| {
-            df.pool.any_node(v, &mut |n| {
+            df.pool.any_node(v, Kinds::CALL_OUT, &mut |n| {
                 matches!(n, SymNode::CallOut { callsite, .. }
                     if df.callgraph.import_at(callsite) == Some("recv"))
             })
@@ -155,7 +155,7 @@ mod tests {
 
         // The length argument (index 2) is recv's return value.
         let len = memcpy_sink.args[2];
-        let has_recv_ret = df.pool.any_node(len, &mut |n| {
+        let has_recv_ret = df.pool.any_node(len, Kinds::RET_SYM, &mut |n| {
             matches!(n, SymNode::RetSym(cs)
                 if df.callgraph.import_at(cs) == Some("recv"))
         });
@@ -198,7 +198,7 @@ mod tests {
         let m = &df.finals[&main_addr];
         let ms = m.sinks.iter().find(|s| s.kind == SinkKind::Import("system".into())).unwrap();
         assert_eq!(ms.call_chain.len(), 1);
-        let is_getenv_ret = df.pool.any_node(ms.args[0], &mut |n| {
+        let is_getenv_ret = df.pool.any_node(ms.args[0], Kinds::RET_SYM, &mut |n| {
             matches!(n, SymNode::RetSym(cs)
                 if df.callgraph.import_at(cs) == Some("getenv"))
         });
@@ -264,10 +264,11 @@ mod tests {
             .iter()
             .find(|s| s.kind == SinkKind::Import("system".into()))
             .expect("system sink in main");
-        let carries_getenv = df.pool.any_node(ms.args[0], &mut |n| {
-            matches!(n, SymNode::RetSym(cs) | SymNode::CallOut { callsite: cs, .. }
-                if df.callgraph.import_at(cs) == Some("getenv"))
-        });
+        let carries_getenv =
+            df.pool.any_node(ms.args[0], Kinds::RET_SYM | Kinds::CALL_OUT, &mut |n| {
+                matches!(n, SymNode::RetSym(cs) | SymNode::CallOut { callsite: cs, .. }
+                    if df.callgraph.import_at(cs) == Some("getenv"))
+            });
         assert!(
             carries_getenv,
             "system arg must resolve through init's store: {}",

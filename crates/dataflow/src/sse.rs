@@ -205,10 +205,7 @@ pub fn sse_replace(
     // find no twin, so it is built when a round first finds one.
     let mut seen: Option<Vec<(ExprId, ExprId)>> = None;
 
-    // Expressions used as a deref base anywhere in the summary. The
-    // executor only types load/store bases it saw locally; a callee's
-    // buffer argument is still a pointer if *we* deref it.
-    let mut deref_bases: Vec<ExprId> = Vec::new();
+    let mut deref_bases = DerefBases::default();
     let mut scratch: Vec<ExprId> = Vec::new();
 
     let mut aliases: Vec<AliasEntry> = Vec::new();
@@ -216,7 +213,6 @@ pub fn sse_replace(
     // `(base, alias index)`: the aliases of each base, in discovery
     // order.
     let mut by_base: Vec<(ExprId, u32)> = Vec::new();
-    let mut bases_scanned = 0usize;
 
     // Pairs appended by the previous round; the work list when the
     // alias set did not change.
@@ -225,25 +221,11 @@ pub fn sse_replace(
     for round in 1..=cfg.max_rounds {
         stats.rounds = round;
 
-        // Refresh the deref-base set from pairs not yet scanned.
-        let known = deref_bases.len();
-        for dp in &summary.def_pairs[bases_scanned..] {
-            for side in [dp.d, dp.u] {
-                pool.ptrs_in_into(side, &mut scratch);
-                deref_bases.extend_from_slice(&scratch);
-            }
-        }
-        bases_scanned = summary.def_pairs.len();
-        if deref_bases.len() > known {
-            deref_bases.sort_unstable();
-            deref_bases.dedup();
-        }
-
         // Collect aliases over all pairs (the deref-base set may have
         // grown, making previously rejected pairs eligible).
         let mut fresh: Vec<AliasEntry> = Vec::new();
         for dp in &summary.def_pairs {
-            if let Some(entry) = alias_entry(summary, pool, dp, &deref_bases, global_base) {
+            if let Some(entry) = alias_entry(summary, pool, dp, &mut deref_bases, global_base) {
                 if alias_seen.binary_search(&entry).is_err() {
                     fresh.push(entry);
                 }
@@ -345,6 +327,39 @@ pub fn sse_replace(
     stats
 }
 
+/// Expressions used as a deref base anywhere in a summary's pairs. The
+/// executor only types load/store bases it saw locally; a callee's
+/// buffer argument is still a pointer if *we* deref it. Only a candidate
+/// that no cheaper test settles reads the set, so it is gathered when one
+/// first asks, and then only from the pairs appended since.
+#[derive(Default)]
+struct DerefBases {
+    /// Sorted and deduplicated.
+    bases: Vec<ExprId>,
+    /// Pairs already walked for their bases.
+    scanned: usize,
+    scratch: Vec<ExprId>,
+}
+
+impl DerefBases {
+    /// True when `e` is a deref base in some pair of `pairs`, which only
+    /// ever grow between calls.
+    fn holds(&mut self, pool: &ExprPool, pairs: &[DefPair], e: ExprId) -> bool {
+        if self.scanned < pairs.len() {
+            for dp in &pairs[self.scanned..] {
+                for side in [dp.d, dp.u] {
+                    pool.ptrs_in_into(side, &mut self.scratch);
+                    self.bases.extend_from_slice(&self.scratch);
+                }
+            }
+            self.scanned = pairs.len();
+            self.bases.sort_unstable();
+            self.bases.dedup();
+        }
+        self.bases.binary_search(&e).is_ok()
+    }
+}
+
 /// Applies one substitution to `dp.d`: the twin and its deref depth,
 /// when the name changes and stays within the depth budget.
 fn twin(
@@ -366,14 +381,14 @@ fn twin(
 /// must canonicalise as a structured memory expression, and the stored
 /// value must look like a pointer — by inferred type, by being the
 /// stack frame, by being used as a deref base somewhere in this
-/// summary (`deref_bases`, sorted), or by being an address inside
+/// summary (`deref_bases`), or by being an address inside
 /// writable global storage (in which case the alias is anchored at the
 /// object's base with the interior displacement as its offset).
 fn alias_entry(
     summary: &FuncSummary,
     pool: &mut ExprPool,
     dp: &DefPair,
-    deref_bases: &[ExprId],
+    deref_bases: &mut DerefBases,
     global_base: &dyn Fn(i64) -> Option<i64>,
 ) -> Option<AliasEntry> {
     let (base, offset) = pool.base_offset(dp.u);
@@ -387,7 +402,7 @@ fn alias_entry(
         SymNode::Const(c) => Some((c, global_base(c)?)),
         SymNode::StackBase => None,
         _ => {
-            let is_base = |e: ExprId| deref_bases.binary_search(&e).is_ok();
+            let mut is_base = |e: ExprId| deref_bases.holds(pool, &summary.def_pairs, e);
             let pointer_like = summary.type_of(dp.u).is_pointer()
                 || summary.type_of(base).is_pointer()
                 || is_base(dp.u)

@@ -8,7 +8,7 @@
 //! fresh `ret_{callsite}` symbol at every call.
 
 use crate::libsig::{lib_sig, WriteEffect};
-use crate::pool::{CmpOp, ExprId, ExprPool, SymNode};
+use crate::pool::{CmpOp, ExprId, ExprPool, Kinds, SymNode};
 use crate::summary::{
     keep_first, ArgList, CalleeRef, CallsiteInfo, Constraint, DefPair, FuncSummary, LoopCopy,
 };
@@ -468,7 +468,7 @@ impl<'a> Executor<'a> {
 
     /// True when a stored value is memory-derived (for loop-copy sinks).
     fn derived_from_memory(&self, v: ExprId) -> bool {
-        self.pool.any_node(v, &mut |n| matches!(n, SymNode::Deref { .. } | SymNode::CallOut { .. }))
+        self.pool.holds_any(v, Kinds::DEREF | Kinds::CALL_OUT)
     }
 
     fn handle_call(&mut self, item: &mut PathItem, summary: &mut FuncSummary, block: &IrBlock) {

@@ -14,13 +14,18 @@
 //!   canonical `base + offset` spine,
 //! * **substitution** — [`ExprPool::replace`] implements the `Replace`
 //!   primitive used by the paper's Algorithm 1 (alias rewriting) and
-//!   Algorithm 2 (formal→actual argument substitution).
+//!   Algorithm 2 (formal→actual argument substitution),
+//! * **leaf signatures** — every node carries the set of leaf kinds below
+//!   it (and whether a `Deref` is), plus hashed bits of the ids of its
+//!   leaves other than constants, so the DAG walks skip subtrees that
+//!   cannot hold what they look for.
 
 use std::cell::Cell;
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::BuildHasher;
+use std::ops::BitOr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// An interned symbolic expression (index into an [`ExprPool`]).
@@ -206,6 +211,78 @@ impl SymNode {
     }
 }
 
+/// A set of node kinds: the seven leaf kinds and `Deref`, the kinds a
+/// node's signature records exactly. The walks that act on some kinds
+/// only ([`ExprPool::any_node`], [`ExprPool::rewrite`]) take the kinds
+/// they act on and skip every subtree holding none of them;
+/// [`ExprPool::holds_any`] answers from the signature alone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Kinds(u16);
+
+impl Kinds {
+    /// [`SymNode::Const`].
+    pub const CONST: Kinds = Kinds(1 << SIG_ID_BITS);
+    /// [`SymNode::Arg`].
+    pub const ARG: Kinds = Kinds(1 << (SIG_ID_BITS + 1));
+    /// [`SymNode::RetSym`].
+    pub const RET_SYM: Kinds = Kinds(1 << (SIG_ID_BITS + 2));
+    /// [`SymNode::CallOut`].
+    pub const CALL_OUT: Kinds = Kinds(1 << (SIG_ID_BITS + 3));
+    /// [`SymNode::InitReg`].
+    pub const INIT_REG: Kinds = Kinds(1 << (SIG_ID_BITS + 4));
+    /// [`SymNode::StackBase`].
+    pub const STACK_BASE: Kinds = Kinds(1 << (SIG_ID_BITS + 5));
+    /// [`SymNode::Unknown`].
+    pub const UNKNOWN: Kinds = Kinds(1 << (SIG_ID_BITS + 6));
+    /// [`SymNode::Deref`].
+    pub const DEREF: Kinds = Kinds(1 << (SIG_ID_BITS + 7));
+
+    /// The node's own kind: its leaf kind or `Deref`, and the empty set
+    /// for the other interior kinds.
+    fn of(node: SymNode) -> Kinds {
+        use SymNode::*;
+        match node {
+            Const(_) => Kinds::CONST,
+            Arg(_) => Kinds::ARG,
+            RetSym(_) => Kinds::RET_SYM,
+            CallOut { .. } => Kinds::CALL_OUT,
+            InitReg(_) => Kinds::INIT_REG,
+            StackBase => Kinds::STACK_BASE,
+            Unknown(_) => Kinds::UNKNOWN,
+            Deref { .. } => Kinds::DEREF,
+            _ => Kinds(0),
+        }
+    }
+}
+
+impl BitOr for Kinds {
+    type Output = Kinds;
+
+    fn bitor(self, other: Kinds) -> Kinds {
+        Kinds(self.0 | other.0)
+    }
+}
+
+/// The low bits of a node signature: a leaf other than a constant sets
+/// one of them, picked by a hash of its id. The eight [`Kinds`] bits sit
+/// above them.
+const SIG_ID_BITS: u32 = 8;
+
+/// A leaf's signature: its kind bit and, unless it is a constant, its
+/// id's hashed bit (Fibonacci hashing of the id onto [`SIG_ID_BITS`]
+/// bits). Constants are the commonest leaf — every offset is one — so
+/// their bits would fill most signatures' id bits, while the walks
+/// seldom look for a constant: Hikvision's DDG walks entered 1.37 M
+/// nodes with them and 0.95 M without. Ids follow push order, so
+/// signatures are as thread-invariant as the ids are.
+fn leaf_signature(kind: Kinds, id: u32) -> u16 {
+    if kind == Kinds::CONST {
+        return kind.0;
+    }
+    let bit = id.wrapping_mul(0x9e37_79b9) >> (32 - SIG_ID_BITS.trailing_zeros());
+    kind.0 | 1 << bit
+}
+
 /// Slots in a pool's intern cache: 4 KiB of `u32` ids, in two-way sets.
 const INTERN_CACHE_SLOTS: usize = 1 << 10;
 
@@ -320,6 +397,14 @@ impl DedupTable {
 pub struct ExprPool {
     /// 16 bytes a node; an id is an index.
     nodes: Vec<SymNode>,
+    /// Per node, its leaf signature: the [`Kinds`] bits of every leaf
+    /// below it (`Deref` included for a deref anywhere in it) and the
+    /// hashed id bits of those leaves ([`leaf_signature`]) — the OR of
+    /// the operands' signatures for an interior node. A node that
+    /// contains another holds every bit of the other's signature, so a
+    /// walk looking for a node or a kind skips each subtree that lacks
+    /// its bits. Two bytes a node, always as long as `nodes`.
+    sigs: Vec<u16>,
     /// The authority on what is interned.
     dedup: DedupTable,
     /// A cache in front of `dedup`: per [`intern_set`], the ids of the
@@ -346,7 +431,8 @@ pub struct PoolStats {
     pub intern_cache_hits: u64,
     /// Interior nodes entered by the DAG walks (`replace`, `rewrite`,
     /// `any_node`, `contains`, `deref_depth`, `ptrs_in`), memoised
-    /// revisits included.
+    /// revisits included; subtrees a leaf signature rules out are not
+    /// entered.
     pub walk_visits: u64,
 }
 
@@ -419,6 +505,24 @@ impl ExprPool {
         self.nodes[id.0 as usize]
     }
 
+    /// The leaf signature of `id` (see the `sigs` field).
+    fn sig(&self, id: ExprId) -> u16 {
+        self.sigs[id.0 as usize]
+    }
+
+    /// False when `id` cannot contain `sub`: `sub`'s signature has a bit
+    /// `id`'s lacks. A necessary condition, like `sub <= id`.
+    fn may_contain(&self, id: ExprId, sub: ExprId) -> bool {
+        let want = self.sig(sub);
+        self.sig(id) & want == want
+    }
+
+    /// True when some node inside `id` (`id` included) is of one of
+    /// `kinds` — one signature lookup, exact.
+    pub fn holds_any(&self, id: ExprId, kinds: Kinds) -> bool {
+        self.sig(id) & kinds.0 != 0
+    }
+
     /// The pool's logical work counters.
     pub fn stats(&self) -> PoolStats {
         PoolStats {
@@ -448,7 +552,17 @@ impl ExprPool {
             self.intern_cache_hits += 1;
             ExprId(older)
         } else {
-            self.dedup.intern(&mut self.nodes, node)
+            let id = self.dedup.intern(&mut self.nodes, node);
+            if self.sigs.len() < self.nodes.len() {
+                // A new node.
+                let own = Kinds::of(node);
+                self.sigs.push(match node.operands() {
+                    None => leaf_signature(own, id.0),
+                    Some((a, b)) => own.0 | self.sig(a) | b.map_or(0, |b| self.sig(b)),
+                });
+            }
+            debug_assert_eq!(self.sigs.len(), self.nodes.len());
+            id
         };
         self.recent[set] = id.0;
         self.recent[set + 1] = recent;
@@ -535,6 +649,8 @@ impl ExprPool {
         assert!(mark.len <= self.nodes.len(), "rollback mark is from the future");
         self.dedup.truncate(&self.nodes, mark.len);
         self.nodes.truncate(mark.len);
+        self.sigs.truncate(mark.len);
+        debug_assert_eq!(self.sigs.len(), self.nodes.len());
         self.next_unknown = mark.next_unknown;
     }
 
@@ -719,9 +835,9 @@ impl ExprPool {
         if id == sub {
             return true;
         }
-        // Nothing below a node older than `sub` can be `sub` (see
-        // `replace_in`).
-        if id < sub {
+        // Nothing below a node older than `sub`, or lacking a bit of its
+        // signature, can be `sub` (see `replace_in`).
+        if id < sub || !self.may_contain(id, sub) {
             return false;
         }
         let Some((a, b)) = self.node(id).operands() else { return false };
@@ -735,26 +851,37 @@ impl ExprPool {
 
     /// True when any node inside `id` satisfies the predicate.
     ///
-    /// The predicate must answer as a function of the node: a long walk
-    /// asks it once per distinct node, a short one once per occurrence.
-    pub fn any_node(&self, id: ExprId, pred: &mut impl FnMut(SymNode) -> bool) -> bool {
-        self.walk(|p, memo| p.any_node_in(id, pred, memo))
+    /// `kinds` must hold every kind the predicate can accept: the walk
+    /// skips, unasked, each subtree holding none of them. The predicate
+    /// must answer as a function of the node: a long walk asks it once
+    /// per distinct node, a short one once per occurrence.
+    pub fn any_node(
+        &self,
+        id: ExprId,
+        kinds: Kinds,
+        pred: &mut impl FnMut(SymNode) -> bool,
+    ) -> bool {
+        self.walk(|p, memo| p.any_node_in(id, kinds, pred, memo))
     }
 
     fn any_node_in(
         &self,
         id: ExprId,
+        kinds: Kinds,
         pred: &mut impl FnMut(SymNode) -> bool,
         memo: &mut WalkMemo<bool>,
     ) -> bool {
+        if !self.holds_any(id, kinds) {
+            return false;
+        }
         let node = self.node(id);
         let Some((a, b)) = node.operands() else { return pred(node) };
         if let Some(hit) = memo.enter(id) {
             return hit;
         }
         let hit = pred(node)
-            || self.any_node_in(a, pred, memo)
-            || b.is_some_and(|b| self.any_node_in(b, pred, memo));
+            || self.any_node_in(a, kinds, pred, memo)
+            || b.is_some_and(|b| self.any_node_in(b, kinds, pred, memo));
         memo.leave(id, hit)
     }
 
@@ -783,6 +910,9 @@ impl ExprPool {
     }
 
     fn deref_depth_in(&self, id: ExprId, memo: &mut WalkMemo<u32>) -> u32 {
+        if !self.holds_any(id, Kinds::DEREF) {
+            return 0;
+        }
         let node = self.node(id);
         let Some((a, b)) = node.operands() else { return 0 };
         if let Some(depth) = memo.enter(id) {
@@ -793,8 +923,11 @@ impl ExprPool {
     }
 
     /// Appends the bases below `id` that `out` lacks. A node already
-    /// walked has nothing left to add.
+    /// walked, or holding no deref, has nothing left to add.
     fn collect_ptrs(&self, id: ExprId, out: &mut Vec<ExprId>, memo: &mut WalkMemo<()>) {
+        if !self.holds_any(id, Kinds::DEREF) {
+            return;
+        }
         let node = self.node(id);
         let Some((a, b)) = node.operands() else { return };
         if memo.enter(id).is_some() {
@@ -840,6 +973,9 @@ impl ExprPool {
     /// re-normalising along the way — the `Replace` primitive of
     /// Algorithms 1 and 2.
     pub fn replace(&mut self, id: ExprId, from: ExprId, to: ExprId) -> ExprId {
+        if !self.may_contain(id, from) {
+            return id;
+        }
         self.walk_mut(|p, memo| p.replace_in(id, from, to, memo))
     }
 
@@ -862,8 +998,9 @@ impl ExprPool {
             return to;
         }
         // Operands are interned before the nodes that use them, so
-        // nothing below an older node can be `from`.
-        if id < from {
+        // nothing below an older node can be `from`; nor below a node
+        // whose signature lacks a bit of `from`'s.
+        if id < from || !self.may_contain(id, from) {
             return id;
         }
         let node = self.node(id);
@@ -873,44 +1010,55 @@ impl ExprPool {
         }
         let x = self.replace_in(a, from, to, memo);
         let y = b.map(|b| self.replace_in(b, from, to, memo));
-        // `Replace` interns the bitwise kinds verbatim: folding them would
-        // change some DDG summaries, and cached ones would need a
-        // `dtaint-ddg` salt bump.
-        let out = match (node, y) {
-            _ if (x, y) == (a, b) => id,
+        let out = if (x, y) == (a, b) { id } else { self.replace_rebuild(node, x, y) };
+        memo.leave(id, out)
+    }
+
+    /// [`Self::rebuild`] for `Replace`, which interns the bitwise kinds
+    /// verbatim: folding them would change some DDG summaries, and cached
+    /// ones would need a `dtaint-ddg` salt bump.
+    fn replace_rebuild(&mut self, node: SymNode, x: ExprId, y: Option<ExprId>) -> ExprId {
+        match (node, y) {
             (SymNode::And(..), Some(y)) => self.intern(SymNode::And(x, y)),
             (SymNode::Or(..), Some(y)) => self.intern(SymNode::Or(x, y)),
             (SymNode::Xor(..), Some(y)) => self.intern(SymNode::Xor(x, y)),
             (SymNode::Shl(..), Some(y)) => self.intern(SymNode::Shl(x, y)),
             (SymNode::Shr(..), Some(y)) => self.intern(SymNode::Shr(x, y)),
             _ => self.rebuild(node, x, y),
-        };
-        memo.leave(id, out)
+        }
     }
 
-    /// Rebuilds an expression bottom-up, letting `f` override any node.
+    /// Rebuilds an expression bottom-up, letting `f` override nodes of
+    /// `kinds`.
     ///
-    /// `f` is called top-down on the nodes (leaves and interior);
-    /// returning `Some(id)` replaces that whole subtree, returning `None`
-    /// keeps the node and rewrites its children. `f` must answer as a
+    /// `f` is called top-down on the nodes (leaves and interior) that
+    /// hold one of `kinds`; returning `Some(id)` replaces that whole
+    /// subtree, returning `None` keeps the node and rewrites its
+    /// children. Every subtree holding none of `kinds` is kept unasked,
+    /// so `kinds` must hold every kind `f` acts on. `f` must answer as a
     /// function of the node: a long walk asks it once per distinct node,
-    /// a short one once per occurrence. Used by the interprocedural stage to map callee expressions into a
-    /// caller's namespace (`arg_i → actual argument`, callee stack →
-    /// fresh unknown).
+    /// a short one once per occurrence. Used by the interprocedural
+    /// stage to map callee expressions into a caller's namespace
+    /// (`arg_i → actual argument`, callee stack → fresh unknown).
     pub fn rewrite(
         &mut self,
         id: ExprId,
+        kinds: Kinds,
         f: &mut impl FnMut(&mut ExprPool, ExprId) -> Option<ExprId>,
     ) -> ExprId {
-        self.walk_mut(|p, memo| p.rewrite_in(id, f, memo))
+        self.walk_mut(|p, memo| p.rewrite_in(id, kinds, f, memo))
     }
 
     fn rewrite_in(
         &mut self,
         id: ExprId,
+        kinds: Kinds,
         f: &mut impl FnMut(&mut ExprPool, ExprId) -> Option<ExprId>,
         memo: &mut WalkMemo<ExprId>,
     ) -> ExprId {
+        if !self.holds_any(id, kinds) {
+            return id;
+        }
         let node = self.node(id);
         let Some((a, b)) = node.operands() else { return f(self, id).unwrap_or(id) };
         if let Some(out) = memo.enter(id) {
@@ -919,8 +1067,8 @@ impl ExprPool {
         if let Some(out) = f(self, id) {
             return memo.leave(id, out);
         }
-        let x = self.rewrite_in(a, f, memo);
-        let y = b.map(|b| self.rewrite_in(b, f, memo));
+        let x = self.rewrite_in(a, kinds, f, memo);
+        let y = b.map(|b| self.rewrite_in(b, kinds, f, memo));
         let out = if (x, y) == (a, b) { id } else { self.rebuild(node, x, y) };
         memo.leave(id, out)
     }
@@ -1179,7 +1327,7 @@ mod tests {
         let out = p.replace(shl, arg0, four);
         assert_eq!(p.node(out), SymNode::Shl(four, c));
         // The folding path gives the constant instead.
-        let folded = p.rewrite(and, &mut |_, id| (id == arg0).then_some(four));
+        let folded = p.rewrite(and, Kinds::ARG, &mut |_, id| (id == arg0).then_some(four));
         assert_eq!(p.as_const(folded), Some(4));
     }
 
@@ -1319,7 +1467,7 @@ mod tests {
     #[test]
     fn replace_walks_a_shared_dag_once_per_node() {
         let mut p = ExprPool::new();
-        let (arg0, sp) = (p.arg(0), p.stack_base());
+        let (arg0, sp, arg1) = (p.arg(0), p.stack_base(), p.arg(1));
         let x = doubling(&mut p, arg0, 64);
         let want = doubling(&mut p, sp, 64);
         let (out, visits) = visits_of(&mut p, |p| p.replace(x, arg0, sp));
@@ -1328,6 +1476,13 @@ mod tests {
         // `from` newer than the whole expression: nothing to walk.
         let fresh = p.arg(7);
         assert_eq!(visits_of(&mut p, |p| p.replace(x, fresh, sp)), (x, 0));
+        // `from` older but absent — of another kind, or of `x`'s kind
+        // with another id bit: the signatures rule it out unwalked.
+        let len = p.len();
+        assert_eq!(visits_of(&mut p, |p| p.replace(want, arg0, fresh)), (want, 0));
+        assert_ne!(p.sig(arg1), p.sig(arg0));
+        assert_eq!(visits_of(&mut p, |p| p.replace(x, arg1, fresh)), (x, 0));
+        assert_eq!(p.len(), len);
     }
 
     #[test]
@@ -1338,7 +1493,7 @@ mod tests {
         let want = doubling(&mut p, sp, 64);
         let mut asked = 0u64;
         let (out, visits) = visits_of(&mut p, |p| {
-            p.rewrite(x, &mut |p, id| {
+            p.rewrite(x, Kinds::ARG, &mut |p, id| {
                 asked += 1;
                 (p.node(id) == SymNode::Arg(0)).then_some(sp)
             })
@@ -1354,14 +1509,19 @@ mod tests {
         let (arg0, sp) = (p.arg(0), p.stack_base());
         let x = doubling(&mut p, arg0, 64);
         let bound = 64 + 3 * 65;
-        let (hit, visits) = visits_of(&mut p, |p| p.any_node(x, &mut |n| n == SymNode::StackBase));
+        let (hit, visits) =
+            visits_of(&mut p, |p| p.any_node(x, Kinds::ARG, &mut |n| n == SymNode::Arg(1)));
         assert!(!hit && visits <= bound, "any_node visited {visits} nodes");
-        let (hit, visits) = visits_of(&mut p, |p| p.any_node(x, &mut |n| n == SymNode::Arg(0)));
+        let (hit, visits) =
+            visits_of(&mut p, |p| p.any_node(x, Kinds::ARG, &mut |n| n == SymNode::Arg(0)));
         assert!(hit && visits <= bound);
         let (hit, visits) = visits_of(&mut p, |p| p.contains(x, arg0));
         assert!(hit && visits <= bound);
-        let (hit, visits) = visits_of(&mut p, |p| p.contains(x, sp));
-        assert!(!hit && visits <= bound);
+        // No stack base below `x`: its signature says so, unwalked.
+        let stack = &mut |n| n == SymNode::StackBase;
+        assert_eq!(visits_of(&mut p, |p| p.any_node(x, Kinds::STACK_BASE, stack)), (false, 0));
+        assert_eq!(visits_of(&mut p, |p| p.contains(x, sp)), (false, 0));
+        assert_eq!(visits_of(&mut p, |p| (p.deref_depth(x), p.ptrs_in(x))), ((0, vec![]), 0));
         let fresh = p.arg(7);
         assert_eq!(visits_of(&mut p, |p| p.contains(x, fresh)), (false, 0), "arg7 is newer than x");
         // d_{k+1} = deref(d_k + d_k): depth and bases of a shared deref DAG.
@@ -1529,6 +1689,232 @@ mod tests {
         assert_eq!(p.len(), r.nodes.len());
     }
 
+    /// The walks without signatures, for checking the pruned ones:
+    /// plain recursion into every operand, each distinct node worked out
+    /// once (a full memo), no `id < from` rule.
+    mod unpruned {
+        use super::*;
+        use std::collections::HashSet;
+
+        pub fn contains(
+            p: &ExprPool,
+            id: ExprId,
+            sub: ExprId,
+            memo: &mut HashMap<ExprId, bool>,
+        ) -> bool {
+            if id == sub {
+                return true;
+            }
+            let Some((a, b)) = p.node(id).operands() else { return false };
+            if let Some(&hit) = memo.get(&id) {
+                return hit;
+            }
+            let hit = contains(p, a, sub, memo) || b.is_some_and(|b| contains(p, b, sub, memo));
+            memo.insert(id, hit);
+            hit
+        }
+
+        pub fn any_node(p: &ExprPool, id: ExprId, pred: &impl Fn(SymNode) -> bool) -> bool {
+            let mut seen = HashSet::new();
+            let mut stack = vec![id];
+            while let Some(id) = stack.pop() {
+                if !seen.insert(id) {
+                    continue;
+                }
+                let node = p.node(id);
+                if pred(node) {
+                    return true;
+                }
+                if let Some((a, b)) = node.operands() {
+                    stack.extend([a].into_iter().chain(b));
+                }
+            }
+            false
+        }
+
+        pub fn deref_depth(p: &ExprPool, id: ExprId, memo: &mut HashMap<ExprId, u32>) -> u32 {
+            let node = p.node(id);
+            let Some((a, b)) = node.operands() else { return 0 };
+            if let Some(&depth) = memo.get(&id) {
+                return depth;
+            }
+            let below = deref_depth(p, a, memo).max(b.map_or(0, |b| deref_depth(p, b, memo)));
+            let depth = below + u32::from(matches!(node, SymNode::Deref { .. }));
+            memo.insert(id, depth);
+            depth
+        }
+
+        pub fn ptrs_in(
+            p: &ExprPool,
+            id: ExprId,
+            out: &mut Vec<ExprId>,
+            seen: &mut HashSet<ExprId>,
+        ) {
+            let node = p.node(id);
+            let Some((a, b)) = node.operands() else { return };
+            if !seen.insert(id) {
+                return;
+            }
+            if let SymNode::Deref { addr, .. } = node {
+                let (base, _) = p.base_offset(addr);
+                if !out.contains(&base) {
+                    out.push(base);
+                }
+            }
+            ptrs_in(p, a, out, seen);
+            if let Some(b) = b {
+                ptrs_in(p, b, out, seen);
+            }
+        }
+
+        pub fn replace(
+            p: &mut ExprPool,
+            id: ExprId,
+            from: ExprId,
+            to: ExprId,
+            memo: &mut HashMap<ExprId, ExprId>,
+        ) -> ExprId {
+            if id == from {
+                return to;
+            }
+            let node = p.node(id);
+            let Some((a, b)) = node.operands() else { return id };
+            if let Some(&out) = memo.get(&id) {
+                return out;
+            }
+            let x = replace(p, a, from, to, memo);
+            let y = b.map(|b| replace(p, b, from, to, memo));
+            let out = if (x, y) == (a, b) { id } else { p.replace_rebuild(node, x, y) };
+            memo.insert(id, out);
+            out
+        }
+
+        pub fn rewrite(
+            p: &mut ExprPool,
+            id: ExprId,
+            f: &mut impl FnMut(&mut ExprPool, ExprId) -> Option<ExprId>,
+            memo: &mut HashMap<ExprId, ExprId>,
+        ) -> ExprId {
+            let node = p.node(id);
+            let Some((a, b)) = node.operands() else { return f(p, id).unwrap_or(id) };
+            if let Some(&out) = memo.get(&id) {
+                return out;
+            }
+            let out = match f(p, id) {
+                Some(out) => out,
+                None => {
+                    let x = rewrite(p, a, f, memo);
+                    let y = b.map(|b| rewrite(p, b, f, memo));
+                    if (x, y) == (a, b) {
+                        id
+                    } else {
+                        p.rebuild(node, x, y)
+                    }
+                }
+            };
+            memo.insert(id, out);
+            out
+        }
+    }
+
+    /// One step of a random DAG's history: a leaf of each kind, interior
+    /// nodes through the constructors and verbatim, marks, rollbacks and
+    /// attempts that fail or keep what they interned.
+    fn dag_step(p: &mut ExprPool, marks: &mut Vec<PoolMark>, (op, x, y): (u8, u32, u32)) {
+        let len = p.len() as u32;
+        let pick = |v: u32| ExprId(v % len.max(1));
+        let interior = len > 0;
+        let _ = match op {
+            0 => p.constant(i64::from(x % 9) - 4),
+            1 => p.arg((x % 4) as u8),
+            2 => p.ret_sym(x % 4),
+            3 => p.call_out(x % 3, (y % 2) as u8),
+            4 => p.init_reg((x % 3) as u8),
+            5 => p.stack_base(),
+            6 => p.fresh_unknown(),
+            7 if interior => p.deref(pick(x), [1, 4][y as usize % 2]),
+            8 if interior => p.add(pick(x), pick(y)),
+            9 if interior => p.intern(SymNode::Add(pick(x), pick(y))),
+            10 if interior => p.intern(SymNode::And(pick(x), pick(y))),
+            11 if interior => p.cmp(CmpOp::Lt, pick(x), pick(y)),
+            _ => ExprId(0),
+        };
+        match op {
+            12 => marks.push(p.mark()),
+            13 => {
+                if let Some(m) = marks.pop().filter(|m| m.len <= p.len()) {
+                    p.rollback(m);
+                }
+            }
+            14 if interior => {
+                let _ = p.attempt(|p| {
+                    let d = p.deref(pick(x), 4);
+                    let u = p.fresh_unknown();
+                    let e = p.add(d, u);
+                    (y % 2 == 0).then_some(e)
+                });
+            }
+            _ => {}
+        }
+    }
+
+    /// The pruned walks against [`unpruned`] over `(id, from, to)` of
+    /// `p`; `q` is `p`'s twin, which the interning walks run unpruned.
+    /// Both must return the same ids and intern the same nodes.
+    fn walks_agree(p: &mut ExprPool, q: &mut ExprPool, (a, b, c): (u32, u32, u32)) {
+        prop_assert_eq!(p.sigs.len(), p.len());
+        let len = p.len() as u32;
+        let (id, from, to) = (ExprId(a % len), ExprId(b % len), ExprId(c % len));
+        prop_assert_eq!(p.contains(id, from), unpruned::contains(q, id, from, &mut HashMap::new()));
+        prop_assert_eq!(p.deref_depth(id), unpruned::deref_depth(q, id, &mut HashMap::new()));
+        let mut ptrs = Vec::new();
+        unpruned::ptrs_in(q, id, &mut ptrs, &mut Default::default());
+        prop_assert_eq!(p.ptrs_in(id), ptrs);
+        // Two kinds (by their order in `Kinds`), and a predicate that
+        // accepts only some of their nodes.
+        let picked = [b % 8, c % 8];
+        let kinds = Kinds(1 << (SIG_ID_BITS + picked[0])) | Kinds(1 << (SIG_ID_BITS + picked[1]));
+        let of_kinds = |n: SymNode| {
+            use SymNode::*;
+            let index = match n {
+                Const(_) => 0,
+                Arg(_) => 1,
+                RetSym(_) => 2,
+                CallOut { .. } => 3,
+                InitReg(_) => 4,
+                StackBase => 5,
+                Unknown(_) => 6,
+                Deref { .. } => 7,
+                _ => 8,
+            };
+            picked.contains(&index)
+        };
+        let pred = |n: SymNode| of_kinds(n) && !n.packed().is_multiple_of(3);
+        prop_assert_eq!(p.any_node(id, kinds, &mut |n| pred(n)), unpruned::any_node(q, id, &pred));
+        prop_assert_eq!(p.holds_any(id, kinds), unpruned::any_node(q, id, &of_kinds));
+
+        let out = p.replace(id, from, to);
+        prop_assert_eq!(out, unpruned::replace(q, id, from, to, &mut HashMap::new()));
+        prop_assert!(p.nodes == q.nodes, "replace interned differently");
+        // `arg_i` → `to` for even `i`, a fresh unknown per odd one; the
+        // stack base → `from`.
+        let mapping =
+            |unknowns: &mut HashMap<ExprId, ExprId>, p: &mut ExprPool, e: ExprId| match p.node(e) {
+                SymNode::Arg(i) if i % 2 == 0 => Some(to),
+                SymNode::Arg(_) => Some(*unknowns.entry(e).or_insert_with(|| p.fresh_unknown())),
+                SymNode::StackBase => Some(from),
+                _ => None,
+            };
+        let (mut mine, mut theirs) = (HashMap::new(), HashMap::new());
+        let out =
+            p.rewrite(id, Kinds::ARG | Kinds::STACK_BASE, &mut |p, e| mapping(&mut mine, p, e));
+        let reference =
+            unpruned::rewrite(q, id, &mut |q, e| mapping(&mut theirs, q, e), &mut HashMap::new());
+        prop_assert_eq!(out, reference);
+        prop_assert!(p.nodes == q.nodes, "rewrite interned differently");
+        prop_assert_eq!(p.next_unknown_index(), q.next_unknown_index());
+    }
+
     proptest! {
         /// The intern cache never changes what interning returns: under
         /// random interns (many into one cache set), marks and rollbacks,
@@ -1571,6 +1957,43 @@ mod tests {
                 prop_assert_eq!(p.node(ExprId(i as u32)), node);
             }
             prop_assert_eq!(p.stats().interns, interns);
+        }
+
+        /// Each pruned walk agrees with its unpruned reference on
+        /// random DAGs, through marks, rollbacks and attempts
+        /// interleaved with the walks (whose interning they undo too),
+        /// and after translating the pool into another.
+        #[test]
+        fn pruned_walks_match_unpruned_ones(
+            ops in proptest::collection::vec((0u8..18, any::<u32>(), any::<u32>()), 1..160),
+            queries in proptest::collection::vec((any::<u32>(), any::<u32>(), any::<u32>()), 1..12),
+        ) {
+            let (mut p, mut q) = (ExprPool::new(), ExprPool::new());
+            let (mut p_marks, mut q_marks) = (Vec::new(), Vec::new());
+            for (op, x, y) in ops {
+                if op >= 15 && !p.is_empty() {
+                    walks_agree(&mut p, &mut q, (x, y, x ^ y));
+                    continue;
+                }
+                dag_step(&mut p, &mut p_marks, (op, x, y));
+                dag_step(&mut q, &mut q_marks, (op, x, y));
+                prop_assert!(p.nodes == q.nodes);
+            }
+            // Into a pool that already holds other nodes, so ids shift.
+            let (mut tp, mut tq) = (ExprPool::new(), ExprPool::new());
+            for t in [&mut tp, &mut tq] {
+                let u = t.fresh_unknown();
+                let sp = t.stack_base();
+                t.add(u, sp);
+            }
+            let (mut p_memo, mut q_memo) = (TranslationMemo::for_pool(&p), TranslationMemo::for_pool(&q));
+            for i in (0..p.len() as u32).rev() {
+                tp.translate(&p, ExprId(i), &mut p_memo);
+                tq.translate(&q, ExprId(i), &mut q_memo);
+            }
+            for query in queries {
+                walks_agree(&mut tp, &mut tq, query);
+            }
         }
 
         #[test]
