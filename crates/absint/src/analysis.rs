@@ -98,7 +98,7 @@ impl<'p> IntervalAnalysis<'p> {
     /// Each pass narrows operand ranges through every recorded
     /// constraint, then folds the definition seeds in. Refinement only
     /// narrows, so the iteration is a descending chain; if it has not
-    /// stabilised after [`MAX_PASSES`], the final pass's movement is
+    /// stabilised after `MAX_PASSES` (16), the final pass's movement is
     /// widened away ([`Interval::widen`]) and iteration stops — the
     /// sound direction for both queries (ranges stay wider, paths stay
     /// feasible).
@@ -260,22 +260,16 @@ fn guest_range(iv: Interval) -> Interval {
     }
 }
 
-/// Decides satisfiability of one path's constraint set.
+/// Decides satisfiability of one path's constraint set: `None` when the
+/// set is satisfiable, otherwise the winning contradictory constraint
+/// (see [`IntervalAnalysis::infeasible_witness`]), so audit-mode callers
+/// can name it without a second solve.
 ///
-/// This is the `path_feasible` query of the taint stage: an observation
-/// whose guards contradict each other (`n < 8 && n > 64`) describes a
-/// path the program cannot execute, so the finding is suppressed. Pure
-/// constraint logic only — definition seeds are deliberately excluded,
-/// keeping suppression decisions independent of flow-insensitive facts.
-pub fn path_feasible(pool: &ExprPool, constraints: &[(CmpOp, ExprId, ExprId)]) -> bool {
-    path_feasible_witness(pool, constraints).is_none()
-}
-
-/// [`path_feasible`] with the evidence: `None` when the set is
-/// satisfiable, otherwise the winning contradictory constraint (see
-/// [`IntervalAnalysis::infeasible_witness`]). The decision itself is
-/// identical to `path_feasible` — this variant exists so audit-mode
-/// callers can name the constraint without a second solve.
+/// This is the path-feasibility query of the DDG: an observation whose
+/// guards contradict each other (`n < 8 && n > 64`) describes a path the
+/// program cannot execute, so the finding is suppressed. Pure constraint
+/// logic only — definition seeds are deliberately excluded, keeping
+/// suppression decisions independent of flow-insensitive facts.
 pub fn path_feasible_witness(
     pool: &ExprPool,
     constraints: &[(CmpOp, ExprId, ExprId)],
@@ -331,8 +325,8 @@ mod tests {
         let n = p.ret_sym(0x40);
         let c8 = p.constant(8);
         let c64 = p.constant(64);
-        assert!(!path_feasible(&p, &[(CmpOp::Lt, n, c8), (CmpOp::Gt, n, c64)]));
-        assert!(path_feasible(&p, &[(CmpOp::Lt, n, c64), (CmpOp::Gt, n, c8)]));
+        assert!(path_feasible_witness(&p, &[(CmpOp::Lt, n, c8), (CmpOp::Gt, n, c64)]).is_some());
+        assert!(path_feasible_witness(&p, &[(CmpOp::Lt, n, c64), (CmpOp::Gt, n, c8)]).is_none());
     }
 
     #[test]
@@ -358,10 +352,10 @@ mod tests {
         let sel = p.deref(g, 4);
         let c5 = p.constant(5);
         let c7 = p.constant(7);
-        assert!(!path_feasible(&p, &[(CmpOp::Eq, sel, c5), (CmpOp::Eq, sel, c7)]));
-        assert!(path_feasible(&p, &[(CmpOp::Eq, sel, c5), (CmpOp::Eq, sel, c5)]));
+        assert!(path_feasible_witness(&p, &[(CmpOp::Eq, sel, c5), (CmpOp::Eq, sel, c7)]).is_some());
+        assert!(path_feasible_witness(&p, &[(CmpOp::Eq, sel, c5), (CmpOp::Eq, sel, c5)]).is_none());
         // Ne against the pinned value is just as contradictory.
-        assert!(!path_feasible(&p, &[(CmpOp::Eq, sel, c5), (CmpOp::Ne, sel, c5)]));
+        assert!(path_feasible_witness(&p, &[(CmpOp::Eq, sel, c5), (CmpOp::Ne, sel, c5)]).is_some());
     }
 
     #[test]
@@ -369,9 +363,9 @@ mod tests {
         let mut p = ExprPool::new();
         let c3 = p.constant(3);
         let c5 = p.constant(5);
-        assert!(!path_feasible(&p, &[(CmpOp::Lt, c5, c3)]));
-        assert!(!path_feasible(&p, &[(CmpOp::Eq, c5, c3)]));
-        assert!(path_feasible(&p, &[(CmpOp::Lt, c3, c5)]));
+        assert!(path_feasible_witness(&p, &[(CmpOp::Lt, c5, c3)]).is_some());
+        assert!(path_feasible_witness(&p, &[(CmpOp::Eq, c5, c3)]).is_some());
+        assert!(path_feasible_witness(&p, &[(CmpOp::Lt, c3, c5)]).is_none());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   copy exactly when the analysis can bound `y` (through definition
 //!   pairs pushed up by Algorithm 2) tightly enough to fit the
 //!   destination;
-//! * [`path_feasible`] detects contradictory constraint sets
+//! * [`path_feasible_witness`] detects contradictory constraint sets
 //!   (`n < 8 && n > 64`): an observation on an infeasible path is not a
 //!   finding at all.
 //!
@@ -27,7 +27,7 @@
 //! # Examples
 //!
 //! ```
-//! use dtaint_absint::{path_feasible, Interval, IntervalAnalysis};
+//! use dtaint_absint::{path_feasible_witness, Interval, IntervalAnalysis};
 //! use dtaint_symex::pool::{CmpOp, ExprPool};
 //!
 //! let mut p = ExprPool::new();
@@ -42,7 +42,7 @@
 //! assert_eq!(a.range_of(n).upper(), Some(7));
 //!
 //! // `n < 8 && n > 64` is contradictory — the path cannot execute.
-//! assert!(!path_feasible(&p, &[(CmpOp::Lt, n, c8), (CmpOp::Gt, n, c64)]));
+//! assert!(path_feasible_witness(&p, &[(CmpOp::Lt, n, c8), (CmpOp::Gt, n, c64)]).is_some());
 //! ```
 
 #![warn(missing_docs)]
@@ -50,5 +50,5 @@
 mod analysis;
 mod interval;
 
-pub use analysis::{path_feasible, path_feasible_witness, IntervalAnalysis};
+pub use analysis::{path_feasible_witness, IntervalAnalysis};
 pub use interval::Interval;

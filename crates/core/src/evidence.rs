@@ -18,7 +18,7 @@
 //! tainted expression with raw addresses normalized out + source names)
 //! that survives benign relinking, where every raw address shifts.
 
-use crate::report::VulnKindRepr;
+use crate::sinks::VulnKind;
 use dtaint_symex::Fnv64;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -226,7 +226,7 @@ impl fmt::Display for EvidenceStep {
 /// excluded so `dtaint diff` can report a changed verdict for the
 /// *same* finding.
 pub fn fingerprint(
-    kind: VulnKindRepr,
+    kind: VulnKind,
     sink: &str,
     sink_fn: &str,
     tainted_expr: &str,
@@ -241,8 +241,8 @@ pub fn fingerprint(
         h.write_u8(0x1f);
     };
     eat(match kind {
-        VulnKindRepr::BufferOverflow => "BufferOverflow",
-        VulnKindRepr::CommandInjection => "CommandInjection",
+        VulnKind::BufferOverflow => "BufferOverflow",
+        VulnKind::CommandInjection => "CommandInjection",
     });
     eat(sink);
     eat(sink_fn);
@@ -327,18 +327,17 @@ mod tests {
     #[test]
     fn fingerprint_is_stable_under_relink_but_not_under_identity_change() {
         let src = |addr| vec![SourceRef { name: "recv".into(), ins_addr: addr }];
-        let a = fingerprint(VulnKindRepr::BufferOverflow, "memcpy", "f", "ret_0x100", &src(0x100));
+        let a = fingerprint(VulnKind::BufferOverflow, "memcpy", "f", "ret_0x100", &src(0x100));
         // Same flow after a relink: every raw address shifted.
-        let b = fingerprint(VulnKindRepr::BufferOverflow, "memcpy", "f", "ret_0x180", &src(0x180));
+        let b = fingerprint(VulnKind::BufferOverflow, "memcpy", "f", "ret_0x180", &src(0x180));
         assert_eq!(a, b, "addresses must not feed the fingerprint");
         assert_eq!(a.len(), 16);
         // Changing the sink function, sink, kind, or source set churns.
-        let c = fingerprint(VulnKindRepr::BufferOverflow, "memcpy", "g", "ret_0x100", &src(0x100));
+        let c = fingerprint(VulnKind::BufferOverflow, "memcpy", "g", "ret_0x100", &src(0x100));
         assert_ne!(a, c);
-        let d =
-            fingerprint(VulnKindRepr::CommandInjection, "memcpy", "f", "ret_0x100", &src(0x100));
+        let d = fingerprint(VulnKind::CommandInjection, "memcpy", "f", "ret_0x100", &src(0x100));
         assert_ne!(a, d);
-        let e = fingerprint(VulnKindRepr::BufferOverflow, "strcpy", "f", "ret_0x100", &src(0x100));
+        let e = fingerprint(VulnKind::BufferOverflow, "strcpy", "f", "ret_0x100", &src(0x100));
         assert_ne!(a, e);
     }
 

@@ -24,7 +24,7 @@
 //! CVE-2015-2051) in a freshly assembled binary:
 //!
 //! ```
-//! use dtaint_core::{Dtaint, VulnKindRepr};
+//! use dtaint_core::{Dtaint, VulnKind};
 //! use dtaint_fwbin::asm::Assembler;
 //! use dtaint_fwbin::link::BinaryBuilder;
 //! use dtaint_fwbin::{Arch, Reg};
@@ -45,7 +45,7 @@
 //! let report = Dtaint::new().analyze(&bin, "cgibin")?;
 //! assert_eq!(report.vulnerabilities(), 1);
 //! let f = &report.vulnerable_paths()[0];
-//! assert_eq!(f.kind, VulnKindRepr::CommandInjection);
+//! assert_eq!(f.kind, VulnKind::CommandInjection);
 //! assert_eq!(f.sources[0].name, "getenv");
 //! # Ok::<(), dtaint_fwbin::Error>(())
 //! ```
@@ -67,7 +67,7 @@ pub use evidence::{EvidenceStep, SanitizeVerdict};
 pub use pipeline::{Dtaint, DtaintConfig};
 pub use report::{
     AnalysisReport, Finding, FnCost, FunctionOutcome, FunctionRecord, SinkCoverage,
-    SinkCoverageRow, SourceRef, TelemetrySection, VulnKindRepr,
+    SinkCoverageRow, SourceRef, TelemetrySection,
 };
 pub use sarif::to_sarif;
 pub use score::{score, GroundTruthFlow, Score};
@@ -116,7 +116,7 @@ mod tests {
         let r = analyze(&bin);
         assert_eq!(r.vulnerabilities(), 1);
         let v = &r.vulnerable_paths()[0];
-        assert_eq!(v.kind, VulnKindRepr::BufferOverflow);
+        assert_eq!(v.kind, VulnKind::BufferOverflow);
         assert_eq!(v.sink, "memcpy");
         assert_eq!(v.sources[0].name, "recv");
         // Every finding carries a typed provenance chain: at least the
@@ -222,7 +222,7 @@ mod tests {
         let sane = r
             .findings
             .iter()
-            .find(|f| f.sanitized() && f.kind == VulnKindRepr::CommandInjection)
+            .find(|f| f.sanitized() && f.kind == VulnKind::CommandInjection)
             .expect("the guarded injection path must be found and judged sanitized");
         assert!(
             matches!(&sane.verdict, SanitizeVerdict::SeparatorCheck { chars } if chars.contains(';')),
@@ -255,7 +255,7 @@ mod tests {
         let r = analyze(&bin);
         assert_eq!(r.vulnerabilities(), 1);
         let v = &r.vulnerable_paths()[0];
-        assert_eq!(v.kind, VulnKindRepr::CommandInjection);
+        assert_eq!(v.kind, VulnKind::CommandInjection);
         assert_eq!(v.sources[0].name, "websGetVar");
     }
 

@@ -21,7 +21,7 @@ pub struct SourceRef {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Finding {
     /// Weakness class.
-    pub kind: VulnKindRepr,
+    pub kind: VulnKind,
     /// Sink name (`memcpy`, `system`, or `loop-copy`).
     pub sink: String,
     /// Instruction address of the sink.
@@ -96,33 +96,6 @@ impl Finding {
             parts.push(self.sink_fn.clone());
         }
         parts.join(" ")
-    }
-}
-
-/// Serializable mirror of [`VulnKind`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub enum VulnKindRepr {
-    /// See [`VulnKind::BufferOverflow`].
-    BufferOverflow,
-    /// See [`VulnKind::CommandInjection`].
-    CommandInjection,
-}
-
-impl From<VulnKind> for VulnKindRepr {
-    fn from(k: VulnKind) -> Self {
-        match k {
-            VulnKind::BufferOverflow => VulnKindRepr::BufferOverflow,
-            VulnKind::CommandInjection => VulnKindRepr::CommandInjection,
-        }
-    }
-}
-
-impl fmt::Display for VulnKindRepr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            VulnKindRepr::BufferOverflow => f.write_str("buffer overflow"),
-            VulnKindRepr::CommandInjection => f.write_str("command injection"),
-        }
     }
 }
 
@@ -669,13 +642,13 @@ mod tests {
         };
         let sources = vec![SourceRef { name: "recv".into(), ins_addr: 0x100 }];
         Finding {
-            kind: VulnKindRepr::BufferOverflow,
+            kind: VulnKind::BufferOverflow,
             sink: "memcpy".into(),
             sink_ins,
             sink_fn: "f".into(),
             observed_in: "main".into(),
             fingerprint: crate::evidence::fingerprint(
-                VulnKindRepr::BufferOverflow,
+                VulnKind::BufferOverflow,
                 "memcpy",
                 "f",
                 "ret_0x100",

@@ -2,7 +2,7 @@
 //!
 //! Emits one `run` per [`AnalysisReport`], with:
 //!
-//! * `tool.driver.rules` — one rule per [`VulnKindRepr`];
+//! * `tool.driver.rules` — one rule per [`VulnKind`];
 //! * one `result` per finding, `level` = `"error"` for vulnerable paths
 //!   and `"note"` for sanitised ones, a stable
 //!   `partialFingerprints["dtaint/findingIdentity/v1"]` from the
@@ -16,7 +16,8 @@
 //! Viewer extension, GitHub code scanning).
 
 use crate::evidence::EvidenceStep;
-use crate::report::{AnalysisReport, Finding, VulnKindRepr};
+use crate::report::{AnalysisReport, Finding};
+use crate::sinks::VulnKind;
 use serde_json::Value;
 
 /// The SARIF schema location stamped into every document.
@@ -35,15 +36,15 @@ fn s(v: impl Into<String>) -> Value {
     Value::Str(v.into())
 }
 
-fn rule_id(kind: VulnKindRepr) -> &'static str {
+fn rule_id(kind: VulnKind) -> &'static str {
     match kind {
-        VulnKindRepr::BufferOverflow => "DTAINT-BUFFER-OVERFLOW",
-        VulnKindRepr::CommandInjection => "DTAINT-COMMAND-INJECTION",
+        VulnKind::BufferOverflow => "DTAINT-BUFFER-OVERFLOW",
+        VulnKind::CommandInjection => "DTAINT-COMMAND-INJECTION",
     }
 }
 
 fn rules() -> Value {
-    let rule = |kind: VulnKindRepr, desc: &str| {
+    let rule = |kind: VulnKind, desc: &str| {
         obj(vec![
             ("id", s(rule_id(kind))),
             ("name", s(format!("{kind}"))),
@@ -52,11 +53,11 @@ fn rules() -> Value {
     };
     Value::Arr(vec![
         rule(
-            VulnKindRepr::BufferOverflow,
+            VulnKind::BufferOverflow,
             "Attacker-controlled data reaches a memory copy without a sufficient bound",
         ),
         rule(
-            VulnKindRepr::CommandInjection,
+            VulnKind::CommandInjection,
             "Attacker-controlled data reaches a command interpreter without separator checks",
         ),
     ])
@@ -170,7 +171,7 @@ mod tests {
     fn sample_report() -> AnalysisReport {
         let sources = vec![SourceRef { name: "recv".into(), ins_addr: 0x100 }];
         let finding = Finding {
-            kind: VulnKindRepr::BufferOverflow,
+            kind: VulnKind::BufferOverflow,
             sink: "memcpy".into(),
             sink_ins: 0x140,
             sink_fn: "handle".into(),

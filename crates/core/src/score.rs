@@ -106,11 +106,12 @@ pub fn score(report: &AnalysisReport, truth: &[GroundTruthFlow]) -> Score {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::{Finding, SourceRef, VulnKindRepr};
+    use crate::report::{Finding, SourceRef};
+    use crate::sinks::VulnKind;
 
     fn finding(sink: &str, source: &str, sink_ins: u32, sanitized: bool) -> Finding {
         Finding {
-            kind: VulnKindRepr::BufferOverflow,
+            kind: VulnKind::BufferOverflow,
             sink: sink.into(),
             sink_ins,
             sink_fn: "f".into(),

@@ -1,10 +1,12 @@
 //! Sources and sinks — the paper's Table I, plus per-sink taint rules.
 
 use dtaint_dataflow::SINK_NAMES;
+use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
-/// The class of weakness a sink can trigger (§IV).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// The class of weakness a sink can trigger (§IV). Findings sort by it
+/// in variant order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum VulnKind {
     /// Insufficient validation of a length/content reaching a copy.
     BufferOverflow,

@@ -18,6 +18,14 @@
 //!    command injections by a comparison of a tainted byte against a
 //!    shell separator ([`CMD_SEPARATORS`]). An unguarded tainted path
 //!    is a vulnerability.
+//! 3. **Which path carried the taint?** The paper performs "backward
+//!    depth-first traversal to generate paths from sinks to sources"
+//!    (§I). Propagation already substituted callee knowledge into the
+//!    expressions, so the dependency relation is implicit in the final
+//!    summary: a definition pair `(d, u)` feeds every value that
+//!    mentions `d` or reads `d`'s object, and a source call feeds every
+//!    value that mentions its return or output symbols. The walk along
+//!    that relation leads each finding's evidence chain.
 //!
 //! The judgement of bounding guards comes in three [`BoundsMode`]s: the
 //! paper's syntactic check, the strict-bounds extension (constant guards
@@ -30,9 +38,7 @@ use crate::evidence::{self, EvidenceStep, SanitizeVerdict};
 use crate::report::{Finding, SourceRef};
 use crate::sinks::{sink_spec, TaintedVar, VulnKind, CMD_SEPARATORS};
 use dtaint_absint::IntervalAnalysis;
-use dtaint_dataflow::{
-    DataflowView, FinalSummary, ProgramDataflow, SinkKind, SinkObservation, TraceStep,
-};
+use dtaint_dataflow::{DataflowView, FinalSummary, ProgramDataflow, SinkKind, SinkObservation};
 use dtaint_fwbin::{Binary, SymbolKind};
 use dtaint_symex::pool::{CmpOp, Kinds, SymNode};
 use dtaint_symex::{ExprId, ExprPool};
@@ -156,12 +162,9 @@ impl<'a> TaintIndex<'a> {
         let mut out = BTreeSet::new();
         direct_atoms(self.df, self.sources, e, &mut out);
         // Object taint: any deref whose base was filled with source data.
-        self.df.pool.any_node(e, Kinds::DEREF, &mut |n| {
-            if let SymNode::Deref { addr, .. } = n {
-                let (base, _) = self.df.pool.base_offset(addr);
-                if let Some(atoms) = self.tainted_bases.get(&base) {
-                    out.extend(atoms.iter().cloned());
-                }
+        any_read_base(self.df.pool, e, |base| {
+            if let Some(atoms) = self.tainted_bases.get(&base) {
+                out.extend(atoms.iter().cloned());
             }
             false // keep walking
         });
@@ -192,8 +195,74 @@ impl<'a> TaintIndex<'a> {
         }
         out
     }
+
+    /// The paper's backward depth-first traversal (§I) from a tainted
+    /// sink variable to the first source feeding it, through the
+    /// holder's definition pairs, at most [`TRACE_DEPTH`] defs deep.
+    /// On success pushes the path onto `chain` source-first: the source,
+    /// then one [`EvidenceStep::DefUse`] per def (attributed to
+    /// `function`, the observing function), and returns true; otherwise
+    /// leaves `chain` as it was.
+    fn trace(&self, e: ExprId, function: &str, chain: &mut Vec<EvidenceStep>) -> bool {
+        self.trace_from(e, TRACE_DEPTH, &mut HashSet::new(), function, chain)
+    }
+
+    fn trace_from(
+        &self,
+        e: ExprId,
+        depth: usize,
+        visited: &mut HashSet<ExprId>,
+        function: &str,
+        chain: &mut Vec<EvidenceStep>,
+    ) -> bool {
+        if !visited.insert(e) {
+            return false;
+        }
+        let pool = self.df.pool;
+        let mut first = None;
+        pool.any_node(e, Kinds::RET_SYM | Kinds::CALL_OUT, &mut |n| {
+            first = source_of(self.df, self.sources, n);
+            first.is_some()
+        });
+        if let Some(SourceRef { name, ins_addr }) = first {
+            chain.push(EvidenceStep::Source { name, ins_addr });
+            return true;
+        }
+        if depth == 0 {
+            return false;
+        }
+        // A def feeds `e` when `e` mentions its location, or reads the
+        // object it writes at any offset (the Heartbleed `buf + 1` case).
+        for dp in &self.holder.summary.def_pairs {
+            let related = pool.contains(e, dp.d)
+                || matches!(pool.node(dp.d), SymNode::Deref { addr, .. }
+                    if any_read_base(pool, e, |base| base == pool.base_offset(addr).0));
+            if related && self.trace_from(dp.u, depth - 1, visited, function, chain) {
+                chain.push(EvidenceStep::DefUse {
+                    ins_addr: dp.ins_addr,
+                    location: pool.display(dp.d).to_string(),
+                    value: pool.display(dp.u).to_string(),
+                    function: function.to_owned(),
+                });
+                return true;
+            }
+        }
+        false
+    }
 }
 
+/// The longest def chain [`TaintIndex::trace`] follows.
+const TRACE_DEPTH: usize = 12;
+
+/// The source a `ret_{cs}`/`out_{cs}` node names: its call site, when
+/// that site calls a source import.
+fn source_of(df: DataflowView<'_>, sources: &HashSet<String>, n: SymNode) -> Option<SourceRef> {
+    let (SymNode::RetSym(cs) | SymNode::CallOut { callsite: cs, .. }) = n else { return None };
+    let name = df.callgraph.import_at(cs).filter(|name| sources.contains(*name))?;
+    Some(SourceRef { name: name.to_owned(), ins_addr: cs })
+}
+
+/// Every source named anywhere in `e`.
 fn direct_atoms(
     df: DataflowView<'_>,
     sources: &HashSet<String>,
@@ -201,20 +270,18 @@ fn direct_atoms(
     out: &mut BTreeSet<SourceRef>,
 ) {
     df.pool.any_node(e, Kinds::RET_SYM | Kinds::CALL_OUT, &mut |n| {
-        let cs = match n {
-            SymNode::RetSym(cs) => Some(cs),
-            SymNode::CallOut { callsite, .. } => Some(callsite),
-            _ => None,
-        };
-        if let Some(cs) = cs {
-            if let Some(name) = df.callgraph.import_at(cs) {
-                if sources.contains(name) {
-                    out.insert(SourceRef { name: name.to_owned(), ins_addr: cs });
-                }
-            }
-        }
+        out.extend(source_of(df, sources, n));
         false // keep walking
     });
+}
+
+/// True when `f` holds for the object base of some memory read in `e`;
+/// `f` sees the bases in walk order until it holds.
+fn any_read_base(pool: &ExprPool, e: ExprId, mut f: impl FnMut(ExprId) -> bool) -> bool {
+    pool.any_node(e, Kinds::DEREF, &mut |n| match n {
+        SymNode::Deref { addr, .. } => f(pool.base_offset(addr).0),
+        _ => false,
+    })
 }
 
 /// The detector's settings: everything a holder's judgement reads
@@ -233,7 +300,7 @@ pub struct Detector<'a> {
     pub mode: BoundsMode,
 }
 
-/// One holder's [`Judgement`]s and interval-solver passes, waiting for
+/// One holder's judged observations and interval-solver passes, waiting for
 /// [`fold`]; `None` when the judgement panicked.
 #[derive(Debug)]
 pub struct HolderJudgement {
@@ -501,35 +568,13 @@ fn judge_holder(
         // observation (alias rewrites, callsite substitutions), the
         // interval refinement when it ran, and the verdict last.
         let mut chain: Vec<EvidenceStep> = Vec::new();
-        if let Some(e) = tainted_rendered {
-            for step in dtaint_dataflow::backward_trace(df, holder, e, sources, 12) {
-                match step {
-                    TraceStep::Source { name, ins_addr } => {
-                        chain.push(EvidenceStep::Source { name, ins_addr });
-                    }
-                    TraceStep::Def { ins_addr, location, value } => {
-                        chain.push(EvidenceStep::DefUse {
-                            ins_addr,
-                            location,
-                            value,
-                            function: observed_name.clone(),
-                        });
-                    }
-                    // The finding itself records the sink; the
-                    // chain ends at the verdict instead.
-                    TraceStep::Sink { .. } => {}
-                }
-            }
-        }
         // Object-granular taint can have no single def chain; the
         // source set is still known, so lead with it.
-        if !chain.iter().any(|s| matches!(s, EvidenceStep::Source { .. })) {
-            let mut pre: Vec<EvidenceStep> = srcs
-                .iter()
-                .map(|s| EvidenceStep::Source { name: s.name.clone(), ins_addr: s.ins_addr })
-                .collect();
-            pre.append(&mut chain);
-            chain = pre;
+        if !tainted_rendered.is_some_and(|e| index.trace(e, &observed_name, &mut chain)) {
+            chain.extend(
+                srcs.iter()
+                    .map(|s| EvidenceStep::Source { name: s.name.clone(), ins_addr: s.ins_addr }),
+            );
         }
         if holder.summary.alias_rewrites > 0 {
             chain.push(EvidenceStep::AliasRewrite {
@@ -570,10 +615,9 @@ fn judge_holder(
         };
         let tainted_expr =
             tainted_rendered.map(|e| df.pool.display(e).to_string()).unwrap_or_default();
-        let fingerprint =
-            evidence::fingerprint(kind.into(), sink, &sink_fn_name, &tainted_expr, &srcs);
+        let fingerprint = evidence::fingerprint(kind, sink, &sink_fn_name, &tainted_expr, &srcs);
         let finding = Finding {
-            kind: kind.into(),
+            kind,
             sink: sink.to_owned(),
             sink_ins: obs.sink_ins,
             sink_fn: sink_fn_name,
@@ -819,6 +863,158 @@ fn separator_verdict(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dtaint_cfg::{build_all_cfgs, CallGraph};
+    use dtaint_dataflow::{build_dataflow, DataflowConfig};
+    use dtaint_fwbin::arm::ArmIns;
+    use dtaint_fwbin::asm::Assembler;
+    use dtaint_fwbin::link::BinaryBuilder;
+    use dtaint_fwbin::{Arch, Reg};
+    use dtaint_symex::{analyze_function, SymexConfig};
+
+    /// Links `f` with what `link` adds, runs the whole data flow, and
+    /// hands `check` its view and `f`'s final summary.
+    fn with_holder(
+        f: Assembler,
+        link: impl FnOnce(&mut BinaryBuilder),
+        check: impl FnOnce(DataflowView<'_>, &FinalSummary),
+    ) {
+        let mut b = BinaryBuilder::new(Arch::Arm32e);
+        b.add_function("f", f);
+        link(&mut b);
+        let bin = b.link().unwrap();
+        let cfgs = build_all_cfgs(&bin).unwrap();
+        let mut cg = CallGraph::build(&bin, &cfgs);
+        let mut pool = ExprPool::new();
+        let sums = cfgs
+            .iter()
+            .map(|c| analyze_function(&bin, c, &mut pool, &SymexConfig::default()))
+            .collect();
+        let df = build_dataflow(&bin, &mut cg, sums, pool, &DataflowConfig::default());
+        check(df.view(), &df.finals[&bin.function("f").unwrap().addr]);
+    }
+
+    /// The `arg`th argument of `holder`'s first observation of `sink`.
+    fn sink_arg(holder: &FinalSummary, sink: &str, arg: usize) -> ExprId {
+        let obs = holder.sinks.iter().find(|s| matches!(&s.kind, SinkKind::Import(n) if n == sink));
+        obs.expect("sink observed").args[arg]
+    }
+
+    /// The chain [`TaintIndex::trace`] builds from `e` with `recv` and
+    /// `getenv` as sources, or `None` when the walk reaches no source.
+    fn trace(df: DataflowView<'_>, holder: &FinalSummary, e: ExprId) -> Option<Vec<EvidenceStep>> {
+        let sources: HashSet<String> = ["recv", "getenv"].map(str::to_owned).into();
+        let index = TaintIndex::build(df, holder, &sources);
+        let mut chain = Vec::new();
+        let found = index.trace(e, "f", &mut chain);
+        assert_eq!(found, !chain.is_empty(), "a failed walk leaves the chain as it was");
+        found.then_some(chain)
+    }
+
+    /// `n = recv(0, sp + 0x100, 0x80, 0)`, then the body `tail` adds
+    /// before the closing `memcpy(sp + 0x20, sp + 0x100, r2)`.
+    fn recv_then_memcpy(tail: &[ArmIns]) -> Assembler {
+        let mut f = Assembler::new(Arch::Arm32e);
+        f.arm(ArmIns::SubI { rd: Reg::SP, rn: Reg::SP, imm: 0x200 });
+        f.arm(ArmIns::MovI { rd: Reg(0), imm: 0 });
+        f.arm(ArmIns::AddI { rd: Reg(1), rn: Reg::SP, imm: 0x100 });
+        f.arm(ArmIns::MovI { rd: Reg(2), imm: 0x80 });
+        f.arm(ArmIns::MovI { rd: Reg(3), imm: 0 });
+        f.call("recv");
+        for &ins in tail {
+            f.arm(ins);
+        }
+        f.arm(ArmIns::AddI { rd: Reg(1), rn: Reg::SP, imm: 0x100 });
+        f.arm(ArmIns::AddI { rd: Reg(0), rn: Reg::SP, imm: 0x20 });
+        f.call("memcpy");
+        f.arm(ArmIns::AddI { rd: Reg::SP, rn: Reg::SP, imm: 0x200 });
+        f.ret();
+        f
+    }
+
+    fn link_recv_memcpy(b: &mut BinaryBuilder) {
+        b.add_import("recv");
+        b.add_import("memcpy");
+    }
+
+    #[test]
+    fn trace_finds_the_recv_source() {
+        // The memcpy length is recv's return value: no def in between.
+        let f = recv_then_memcpy(&[ArmIns::MovR { rd: Reg(2), rm: Reg(0) }]);
+        with_holder(f, link_recv_memcpy, |df, holder| {
+            let chain = trace(df, holder, sink_arg(holder, "memcpy", 2)).expect("source-derived");
+            assert!(matches!(&chain[..], [EvidenceStep::Source { name, .. }] if name == "recv"));
+        });
+    }
+
+    #[test]
+    fn trace_walks_def_chains() {
+        // Multi-hop: v = getenv(...); *(g+4) = v; read *(g+4) into sink.
+        let mut f = Assembler::new(Arch::Arm32e);
+        f.load_addr(Reg(4), "g_slot");
+        f.load_addr(Reg(0), "name");
+        f.call("getenv");
+        f.arm(ArmIns::Str { rt: Reg(0), rn: Reg(4), off: 4 });
+        f.arm(ArmIns::Ldr { rt: Reg(0), rn: Reg(4), off: 4 });
+        f.call("system");
+        f.ret();
+        let link = |b: &mut BinaryBuilder| {
+            b.add_import("getenv");
+            b.add_import("system");
+            b.add_cstring("name", "X");
+            b.add_bss("g_slot", 16);
+        };
+        with_holder(f, link, |df, holder| {
+            let chain = trace(df, holder, sink_arg(holder, "system", 0)).expect("source-derived");
+            assert!(
+                matches!(chain.first(), Some(EvidenceStep::Source { name, .. }) if name == "getenv")
+            );
+            // Each def is attributed to the observing function.
+            for step in &chain[1..] {
+                assert!(matches!(step, EvidenceStep::DefUse { function, .. } if function == "f"));
+            }
+        });
+    }
+
+    #[test]
+    fn untainted_expression_has_no_trace() {
+        let f = recv_then_memcpy(&[ArmIns::MovR { rd: Reg(2), rm: Reg(0) }]);
+        with_holder(f, link_recv_memcpy, |df, holder| {
+            // A constant is never source-derived.
+            let c = holder
+                .summary
+                .callsites
+                .iter()
+                .find_map(|cs| cs.args.iter().copied().find(|&a| df.pool.as_const(a).is_some()))
+                .expect("some constant arg");
+            assert_eq!(trace(df, holder, c), None);
+        });
+    }
+
+    #[test]
+    fn trace_follows_a_read_of_the_filled_object() {
+        // The Heartbleed `n2s` shape: recv fills `buf`, and the copied
+        // length is the byte at `buf + 1`, which no def names directly.
+        let f = recv_then_memcpy(&[ArmIns::Ldrb { rt: Reg(2), rn: Reg::SP, off: 0x101 }]);
+        with_holder(f, link_recv_memcpy, |df, holder| {
+            let len = sink_arg(holder, "memcpy", 2);
+            let chain = trace(df, holder, len).expect("object-derived");
+            let [EvidenceStep::Source { name, .. }, EvidenceStep::DefUse { ins_addr, .. }] =
+                &chain[..]
+            else {
+                panic!("want source then one def, got {chain:?}");
+            };
+            assert_eq!(name, "recv");
+            let dp = holder.summary.def_pairs.iter().find(|dp| dp.ins_addr == *ins_addr).unwrap();
+            assert!(!df.pool.contains(len, dp.d), "the length does not mention the def");
+            let SymNode::Deref { addr, .. } = df.pool.node(dp.d) else { panic!("memory def") };
+            let mut bases = Vec::new();
+            any_read_base(df.pool, len, |b| {
+                bases.push(b);
+                false
+            });
+            assert_eq!(bases, [df.pool.base_offset(addr).0], "it reads the def's object");
+        });
+    }
 
     /// Two holders report the same flow: same sink instruction, call
     /// chain, sources and sink name. The fold keeps the lower holder's
@@ -827,7 +1023,7 @@ mod tests {
     #[test]
     fn fold_keeps_the_lowest_holder_and_renders_the_duplicate_last() {
         let finding = |observed: &str| Finding {
-            kind: VulnKind::BufferOverflow.into(),
+            kind: VulnKind::BufferOverflow,
             sink: "memcpy".into(),
             sink_ins: 0x1000,
             sink_fn: "copy".into(),

@@ -809,33 +809,20 @@ pub fn decode_final(
     let local_constraints = dec.u64()? as usize;
     let fuel_used = dec.u64()?;
     let pruned = dec.u32()?;
-    let nsinks = dec.u32()?;
-    let mut sinks = Vec::with_capacity(nsinks as usize);
-    for _ in 0..nsinks {
-        let kind = match dec.u8()? {
-            0 => SinkKind::Import(dec.str()?),
+    let sinks = dec.list(|d| {
+        let kind = match d.u8()? {
+            0 => SinkKind::Import(d.str()?),
             1 => SinkKind::LoopCopy,
             _ => return None,
         };
-        let sink_ins = dec.u32()?;
-        let sink_fn = dec.u32()?;
-        let mut args = Vec::new();
-        for _ in 0..dec.u32()? {
-            args.push(dec.expr()?);
-        }
-        let mut call_chain = Vec::new();
-        for _ in 0..dec.u32()? {
-            call_chain.push(dec.u32()?);
-        }
-        let mut constraints = Vec::new();
-        for _ in 0..dec.u32()? {
-            let op = dtaint_symex::CmpOp::from_tag(dec.u8()?)?;
-            let l = dec.expr()?;
-            let r = dec.expr()?;
-            constraints.push((op, l, r));
-        }
-        sinks.push(SinkObservation { kind, sink_ins, sink_fn, args, call_chain, constraints });
-    }
+        let sink_ins = d.u32()?;
+        let sink_fn = d.u32()?;
+        let args = d.list(SummaryDecoder::expr)?;
+        let call_chain = d.list(SummaryDecoder::u32)?;
+        let constraints =
+            d.list(|d| Some((dtaint_symex::CmpOp::from_tag(d.u8()?)?, d.expr()?, d.expr()?)))?;
+        Some(SinkObservation { kind, sink_ins, sink_fn, args, call_chain, constraints })
+    })?;
     if !dec.at_end() {
         return None;
     }
@@ -855,6 +842,26 @@ pub fn decode_final(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A corrupt sink count reserves no more than the blob holds: the
+    /// list runs out of bytes and the decode refuses it.
+    #[test]
+    fn huge_sink_count_decodes_to_none() {
+        let fin = FinalSummary {
+            summary: FuncSummary::default(),
+            sinks: Vec::new(),
+            local_constraints: 0,
+            panicked: false,
+            budget_exhausted: false,
+            fuel_used: 0,
+        };
+        let mut blob = encode_final(&ExprPool::new(), &fin, 0, 0, &mut |_| None).unwrap();
+        assert!(decode_final(&blob, &mut ExprPool::new(), &mut |_, _| None).is_some());
+        // With no sinks, the count is the last field before the trailer.
+        let at = blob.len() - 8;
+        blob[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(decode_final(&blob, &mut ExprPool::new(), &mut |_, _| None).is_none());
+    }
 
     #[test]
     fn store_lookup_and_stats() {

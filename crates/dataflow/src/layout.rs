@@ -33,11 +33,6 @@ pub struct Layout {
 }
 
 impl Layout {
-    /// Total number of observed fields.
-    pub fn field_count(&self) -> usize {
-        self.groups.values().map(|g| g.len()).sum()
-    }
-
     /// True when no field was observed.
     pub fn is_empty(&self) -> bool {
         self.groups.is_empty()
@@ -214,7 +209,7 @@ mod tests {
         assert_eq!(layout.groups.len(), 2, "root group + nested group");
         assert_eq!(layout.groups[&vec![]].keys().copied().collect::<Vec<_>>(), vec![0x4c, 0x58]);
         assert_eq!(layout.groups[&vec![0x58]].keys().copied().collect::<Vec<_>>(), vec![0xec]);
-        assert_eq!(layout.field_count(), 3);
+        assert_eq!(layout.groups.values().map(|fields| fields.len()).sum::<usize>(), 3);
     }
 
     #[test]

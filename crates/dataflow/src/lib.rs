@@ -25,7 +25,6 @@
 
 pub mod alias;
 pub mod cache;
-pub mod ddg;
 pub mod indirect;
 pub mod interproc;
 pub mod layout;
@@ -38,7 +37,6 @@ pub use cache::{
     CacheFormat, CacheLoadReport, CacheRef, CacheSnapshot, CacheTotals, Level, ScanStats,
     SummaryCache,
 };
-pub use ddg::{backward_trace, TraceStep};
 pub use indirect::{resolve_indirect_calls, IndirectStats, Installer, ResolvedCall};
 pub use interproc::{
     build_dataflow, build_dataflow_judged, BoundsMode, DataflowConfig, DataflowView, FinalSummary,

@@ -182,11 +182,6 @@ impl Mem {
         }
         Ok(out)
     }
-
-    /// True when `addr` is inside the mapped stack.
-    pub fn in_stack(&self, addr: u32) -> bool {
-        (STACK_TOP - STACK_SIZE..STACK_TOP).contains(&addr)
-    }
 }
 
 #[cfg(test)]

@@ -158,15 +158,6 @@ impl Assembler {
         self.mips_branch(MipsIns::Bne { rs, rt, off: 0 }, label);
     }
 
-    /// Emits `blez rs, label`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a non-MIPS assembler.
-    pub fn mips_blez(&mut self, rs: Reg, label: &str) {
-        self.mips_branch(MipsIns::Blez { rs, off: 0 }, label);
-    }
-
     /// Emits `bgtz rs, label`.
     ///
     /// # Panics

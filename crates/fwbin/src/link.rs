@@ -110,11 +110,6 @@ impl BinaryBuilder {
         self
     }
 
-    /// Number of functions added so far.
-    pub fn function_count(&self) -> usize {
-        self.funcs.len()
-    }
-
     /// Lays out the image, resolves every fixup and emits the binary.
     ///
     /// # Errors

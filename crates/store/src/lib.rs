@@ -290,14 +290,6 @@ impl StoreDir {
         StoreLock::acquire(&self.lock_path())
     }
 
-    /// Loads the findings database; a missing file is an empty database
-    /// (the store is advisory, never a scan blocker). An *unparseable*
-    /// file is quarantined — see [`StoreDir::load_db_checked`].
-    #[must_use]
-    pub fn load_db(&self) -> FindingsDb {
-        self.load_db_checked().0
-    }
-
     /// Loads the findings database, distinguishing missing (empty db,
     /// fine) from corrupt (quarantined). A corrupt `findings.json` is
     /// renamed to a `findings.json.corrupt-<hash8>` sidecar — whose path
@@ -454,7 +446,7 @@ mod tests {
         let mut db = FindingsDb::default();
         db.record_scan("img", &[f("aa", true)]);
         store.save_db(&db).unwrap();
-        assert_eq!(store.load_db(), db);
+        assert_eq!(store.load_db_checked().0, db);
         assert!(store.reports_dir().is_dir());
         std::fs::remove_dir_all(&root).ok();
     }

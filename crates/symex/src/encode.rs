@@ -424,7 +424,9 @@ impl<'b> SummaryDecoder<'b> {
     pub fn new(blob: &'b [u8], pool: &mut ExprPool, unmap: UnknownUnmapper<'_>) -> Option<Self> {
         let mut pos = 0usize;
         let count = read_u32(blob, &mut pos)?;
-        let mut exprs: Vec<ExprId> = Vec::with_capacity(count as usize);
+        // Every record takes at least its tag byte, so a corrupt count
+        // cannot reserve more than the blob could hold.
+        let mut exprs: Vec<ExprId> = Vec::with_capacity((count as usize).min(blob.len() - pos));
         for _ in 0..count {
             let tag = read_u8(blob, &mut pos)?;
             let node = match tag {
@@ -594,7 +596,7 @@ impl<'b> SummaryDecoder<'b> {
     /// A `u32` count, then that many items read by `item`. The vector
     /// is sized up front only as far as the unread bytes could hold
     /// items, so a corrupt count cannot reserve more than the blob.
-    fn list<T>(&mut self, mut item: impl FnMut(&mut Self) -> Option<T>) -> Option<Vec<T>> {
+    pub fn list<T>(&mut self, mut item: impl FnMut(&mut Self) -> Option<T>) -> Option<Vec<T>> {
         let n = self.u32()? as usize;
         let mut out = Vec::with_capacity(n.min(self.body.len() - self.pos));
         for _ in 0..n {
@@ -780,6 +782,16 @@ mod tests {
                 let _ = dec.summary();
             }
         }
+    }
+
+    /// A corrupt node count reserves no more than the blob holds: the
+    /// table runs out of records and the decode refuses it.
+    #[test]
+    fn huge_node_count_decodes_to_none() {
+        let mut blob = u32::MAX.to_le_bytes().to_vec();
+        blob.extend_from_slice(&[TAG_STACKBASE; 8]);
+        let mut dst = ExprPool::new();
+        assert!(SummaryDecoder::new(&blob, &mut dst, &mut |_, _| None).is_none());
     }
 
     /// A hand-written body with one direct call site claiming `args`

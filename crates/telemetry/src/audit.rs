@@ -64,7 +64,7 @@ impl fmt::Display for DecisionKind {
 }
 
 /// The compact typed reason behind a [`Decision`], mirroring
-/// [`EvidenceStep`]'s shape: structured fields plus a human rendering.
+/// `EvidenceStep`'s shape: structured fields plus a human rendering.
 /// Symbolic expressions arrive pre-rendered (`String`) because the
 /// telemetry crate sits below the expression pool.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -77,7 +77,7 @@ pub enum DecisionReason {
     },
     /// The sanitize verdict that suppressed the finding.
     Sanitized {
-        /// Rendered [`SanitizeVerdict`] (`constant guard 200 vs
+        /// Rendered `SanitizeVerdict` (`constant guard 200 vs
         /// capacity 256: fits`).
         verdict: String,
     },

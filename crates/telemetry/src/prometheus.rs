@@ -4,7 +4,7 @@
 //! `node_exporter`: every sample preceded by a `# TYPE` line, counters
 //! with the `_total` suffix, histograms as cumulative `_bucket{le=…}`
 //! series plus `_sum`/`_count`. The log2 bucket layout maps exactly:
-//! bucket *k* of [`Histogram`](crate::Histogram) holds values in
+//! bucket *k* of [`Histogram`] holds values in
 //! `[2^(k-1), 2^k)`, so its inclusive upper bound is `2^k − 1` (bucket
 //! 0, the zeros bucket, gets `le="0"`); the final overflow bucket folds
 //! into `+Inf`.

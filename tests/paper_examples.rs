@@ -2,7 +2,7 @@
 //! `foo`/`woo` program, the Heartbleed listing of Figures 2–3, and the
 //! §III-C pointer-alias formula.
 
-use dtaint_core::{Dtaint, VulnKindRepr};
+use dtaint_core::{Dtaint, VulnKind};
 use dtaint_fwbin::arm::ArmIns;
 use dtaint_fwbin::asm::Assembler;
 use dtaint_fwbin::link::BinaryBuilder;
@@ -51,7 +51,7 @@ fn figure5_foo_woo_flow_is_a_vulnerability() {
     let r = Dtaint::new().analyze(&bin, "figure5").unwrap();
     let v = r.vulnerable_paths();
     assert_eq!(r.vulnerabilities(), 1);
-    assert_eq!(v[0].kind, VulnKindRepr::BufferOverflow);
+    assert_eq!(v[0].kind, VulnKind::BufferOverflow);
     assert_eq!(v[0].sink, "memcpy");
     assert_eq!(v[0].sink_fn, "foo");
     assert_eq!(v[0].sources[0].name, "recv");
